@@ -11,7 +11,7 @@
    Sections: table-1 table-2 table-3 table-4 figure-2 figure-3 headline
              ablation-dyck ablation-heuristic ablation-grammar
              ablation-tables ablation-token-taints ablation-semantics
-             pipeline micro incremental compiled obs dist loop
+             pipeline micro incremental obs dist loop
 
    --out FILE dumps the machine-readable results of the sections that
    produce them (micro, incremental, obs) as JSON — the CI bench smoke
@@ -48,8 +48,7 @@ let valid_sections =
     "table-1"; "table-2"; "table-3"; "table-4"; "figure-2"; "figure-3";
     "headline"; "ablation-dyck"; "ablation-heuristic"; "ablation-grammar";
     "ablation-tables"; "ablation-token-taints"; "ablation-semantics";
-    "pipeline"; "micro"; "incremental"; "compiled"; "obs"; "monitor"; "dist";
-    "loop";
+    "pipeline"; "micro"; "incremental"; "obs"; "monitor"; "dist"; "loop";
   ]
 
 let usage_line =
@@ -740,19 +739,18 @@ let incremental options =
                  name fuzz_execs c.hits c.misses c.evictions c.chars_saved)
              fuzz_stats)))
 
-(* {1 Compiled execution tier: staged closures vs the interpreted walker}
+(* {1 Search-loop overhead: campaign cost beyond raw execution}
 
-   The engine A/B of whole fuzzing campaigns: the same seeded session
-   with [engine = Interpreted] and [engine = Compiled], timed in
-   interleaved rounds (so load noise hits both sides alike), paired per
-   round, median pairwise speedup reported. Equivalence is asserted
-   before anything is timed — a fast engine that changes results would
-   be a bug, not a win. The JSON records the build profile baked in at
-   compile time: the headline comparison in BENCH_compiled.json is
-   dev-interpreted (the previous default) vs release-compiled (the new
-   one), which multiplies this in-binary ratio by the release flags. *)
+   The campaign/exec gap: a fuzzing campaign spends campaign_ns per
+   execution, a bare execution loop over a fixed corpus spends exec_ns;
+   the difference is pure search-loop overhead — candidate generation,
+   dedupe, scoring, queue and cache maintenance. This section measures
+   that difference per subject, plus minor-heap allocation per campaign
+   execution, and is written against stable APIs only so the identical
+   source can be compiled at an older revision for before/after
+   comparisons (BENCH_loop.json). *)
 
-let compiled_corpus = function
+let loop_corpus = function
   | "paren" ->
     [ "([]{})"; "<<[()]>>"; "()()"; "((((((()))))))"; "([{<>}])([{<>}])" ]
   | "expr" -> [ "1+2"; "10-2+3"; "(((7)))"; "-3+42-17+(9-(8))"; "123456789" ]
@@ -770,166 +768,7 @@ let compiled_corpus = function
       "{\"a\":1}"; " [ 1 , { \"k\" : false } ] ";
       "{\"key\":[1,2,3,\"str\",true,null],\"n\":-1.5e3}";
     ]
-  | name -> failwith ("no compiled-bench corpus for " ^ name)
-
-let compiled_bench options =
-  Render.section ppf
-    (Printf.sprintf "compiled: staged execution tier vs interpreted (%s profile)"
-       Build_profile.profile);
-  let rounds = if options.quick then 4 else 8 in
-  let slice = if options.quick then 3_000 else 30_000 in
-  let campaign_execs = if options.quick then 2_000 else 20_000 in
-  let subjects = [ "expr"; "paren"; "ini"; "csv"; "json" ] in
-  let measured =
-    List.map
-      (fun name ->
-        let subject = Catalog.find name in
-        let machine =
-          match subject.Subject.machine with
-          | Some m -> m
-          | None -> failwith (name ^ " has no machine-form parser")
-        in
-        let compiled =
-          match subject.Subject.compiled with
-          | Some c -> c
-          | None -> failwith (name ^ " has no staged recognizer")
-        in
-        let inputs = compiled_corpus name in
-        let arena =
-          Runner.arena ~registry:subject.Subject.registry
-            ~fuel:subject.Subject.fuel ()
-        in
-        (* Equivalence sanity before timing anything: per-input
-           observations and a whole seeded campaign must coincide. *)
-        List.iter
-          (fun input ->
-            let interp, _ = Subject.exec_journaled subject machine input in
-            let comp, _ = Runner.exec_compiled arena compiled input in
-            if not (Pdf_check.Invariants.runs_equal interp comp) then
-              failwith
-                (Printf.sprintf "%s: engines diverge on %S" name input))
-          inputs;
-        let check_cfg =
-          { Pfuzzer.default_config with max_executions = 2_000 }
-        in
-        let rc =
-          Pfuzzer.fuzz { check_cfg with engine = Pfuzzer.Compiled } subject
-        in
-        let ri =
-          Pfuzzer.fuzz { check_cfg with engine = Pfuzzer.Interpreted } subject
-        in
-        if not (Pdf_check.Invariants.results_equal rc ri) then
-          failwith (name ^ ": compiled and interpreted campaigns diverge");
-        (* Per-execution engine cost: the incremental path's cold
-           execution, interpreted walker vs staged closures, interleaved
-           and paired per round. *)
-        let execs_per_slice = slice * List.length inputs in
-        let time_slice f =
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to slice do
-            List.iter f inputs
-          done;
-          (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int execs_per_slice
-        in
-        let run_interp input = ignore (Subject.exec_journaled subject machine input)
-        and run_comp input = ignore (Runner.exec_compiled arena compiled input) in
-        (* warmup *)
-        List.iter run_interp inputs;
-        List.iter run_comp inputs;
-        let per_round =
-          List.init rounds (fun _ ->
-              let interp = time_slice run_interp in
-              let comp = time_slice run_comp in
-              (interp, comp, interp /. comp))
-        in
-        let interp_ns = median (List.map (fun (a, _, _) -> a) per_round) in
-        let comp_ns = median (List.map (fun (_, b, _) -> b) per_round) in
-        let sp = median (List.map (fun (_, _, s) -> s) per_round) in
-        (* Per-config minima: the least-noise estimate, preferred for
-           cross-run comparisons on a loaded machine. *)
-        let interp_min =
-          List.fold_left (fun acc (a, _, _) -> min acc a) infinity per_round
-        in
-        let comp_min =
-          List.fold_left (fun acc (_, b, _) -> min acc b) infinity per_round
-        in
-        (* Whole-campaign context: the same engines inside a real
-           fuzzing run, where queue and cache work dilute the ratio. *)
-        let campaign_cfg =
-          { Pfuzzer.default_config with max_executions = campaign_execs }
-        in
-        let time_campaign engine =
-          let t0 = Unix.gettimeofday () in
-          let (_ : Pfuzzer.result) =
-            Pfuzzer.fuzz { campaign_cfg with engine } subject
-          in
-          (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int campaign_execs
-        in
-        let c_interp = time_campaign Pfuzzer.Interpreted in
-        let c_comp = time_campaign Pfuzzer.Compiled in
-        (name, (interp_ns, comp_ns, sp), (interp_min, comp_min), (c_interp, c_comp)))
-      subjects
-  in
-  Render.table ppf
-    ~title:
-      (Printf.sprintf
-         "cold execution, ns/exec (%d interleaved rounds, %d execs each)"
-         rounds slice)
-    ~header:
-      [ "subject"; "interpreted"; "compiled"; "speedup (median)"; "speedup (minima)" ]
-    (List.map
-       (fun (name, (interp, comp, sp), (imin, cmin), _) ->
-         [
-           name;
-           Printf.sprintf "%.0f" interp;
-           Printf.sprintf "%.0f" comp;
-           Printf.sprintf "%.2fx" sp;
-           Printf.sprintf "%.2fx" (imin /. cmin);
-         ])
-       measured);
-  Render.table ppf
-    ~title:
-      (Printf.sprintf "whole fuzzing campaigns, ns/execution (%d execs)"
-         campaign_execs)
-    ~header:[ "subject"; "interpreted"; "compiled"; "speedup" ]
-    (List.map
-       (fun (name, _, _, (ci, cc)) ->
-         [
-           name;
-           Printf.sprintf "%.0f" ci;
-           Printf.sprintf "%.0f" cc;
-           Printf.sprintf "%.2fx" (ci /. cc);
-         ])
-       measured);
-  add_json "compiled"
-    (Printf.sprintf
-       "{\n    \"profile\": %S,\n    \"rounds\": %d,\n    \"execs_per_round\": %d,\n    \"rows\": [\n%s\n    ]\n  }"
-       Build_profile.profile rounds slice
-       (String.concat ",\n"
-          (List.map
-             (fun (name, (interp, comp, sp), (imin, cmin), (ci, cc)) ->
-               Printf.sprintf
-                 "      { \"name\": %S, \"interpreted_ns_per_exec\": %.0f, \
-                  \"compiled_ns_per_exec\": %.0f, \"speedup_pairwise_median\": %.2f, \
-                  \"interpreted_ns_min\": %.0f, \"compiled_ns_min\": %.0f, \
-                  \"campaign_interpreted_ns_per_exec\": %.0f, \
-                  \"campaign_compiled_ns_per_exec\": %.0f }"
-                 name interp comp sp imin cmin ci cc)
-             measured)))
-
-(* {1 Search-loop overhead: campaign cost beyond raw execution}
-
-   The campaign/exec gap: a fuzzing campaign spends campaign_ns per
-   execution, a bare execution loop over a fixed corpus spends exec_ns;
-   the difference is pure search-loop overhead — candidate generation,
-   dedupe, scoring, queue and cache maintenance. This section measures
-   that difference per subject, plus minor-heap allocation per campaign
-   execution, and is written against stable APIs only so the identical
-   source can be compiled at an older revision for before/after
-   comparisons (BENCH_loop.json). Both sides run the interpreted engine:
-   the overhead under measurement is engine-independent, and pinning the
-   engine keeps the raw loop and the campaign comparable across
-   revisions regardless of per-subject engine preferences. *)
+  | name -> failwith ("no loop-bench corpus for " ^ name)
 
 let loop_bench options =
   Render.section ppf
@@ -948,11 +787,11 @@ let loop_bench options =
           | Some m -> m
           | None -> failwith (name ^ " has no machine-form parser")
         in
-        let inputs = compiled_corpus name in
+        let inputs = loop_corpus name in
         let run_one input =
           ignore (Subject.exec_journaled subject machine input)
         in
-        (* Raw execution cost: the interpreted walker over the fixed
+        (* Raw execution cost: the journaled runner over the fixed
            corpus, best of [rounds] slices. *)
         let execs_per_slice = slice * List.length inputs in
         let time_slice () =
@@ -967,14 +806,8 @@ let loop_bench options =
         let exec_ns =
           List.fold_left min infinity (List.init rounds (fun _ -> time_slice ()))
         in
-        (* Whole-campaign cost and allocation rate, same engine. *)
-        let cfg =
-          {
-            Pfuzzer.default_config with
-            max_executions = campaign_execs;
-            engine = Pfuzzer.Interpreted;
-          }
-        in
+        (* Whole-campaign cost and allocation rate. *)
+        let cfg = { Pfuzzer.default_config with max_executions = campaign_execs } in
         ignore (Pfuzzer.fuzz { cfg with max_executions = 2_000 } subject);
         (* warmup *)
         let samples =
@@ -1012,8 +845,7 @@ let loop_bench options =
        measured);
   add_json "loop"
     (Printf.sprintf
-       "{\n    \"profile\": %S,\n    \"engine\": \"interpreted\",\n    \
-        \"campaign_execs\": %d,\n    \"raw_slice_execs\": %d,\n    \
+       "{\n    \"profile\": %S,\n    \"campaign_execs\": %d,\n    \"raw_slice_execs\": %d,\n    \
         \"rounds\": %d,\n    \"minor_heap_words\": %d,\n    \"rows\": [\n%s\n    ]\n  }"
        Build_profile.profile campaign_execs slice rounds
        Gc.((get ()).minor_heap_size)
@@ -1316,7 +1148,6 @@ let () =
   if wants options "pipeline" then pipeline options;
   if wants options "micro" then micro options;
   if wants options "incremental" then incremental options;
-  if wants options "compiled" then compiled_bench options;
   if wants options "loop" then loop_bench options;
   if wants options "obs" then obs_bench options;
   if wants options "monitor" then monitor_bench options;

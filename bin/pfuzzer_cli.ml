@@ -163,21 +163,6 @@ let write_crash_corpus path (crashes : Pdf_core.Pfuzzer.crash list) =
     crashes;
   Pdf_util.Atomic_file.write_string path (Buffer.contents buf)
 
-let engine_conv =
-  let parse s =
-    match Pdf_core.Pfuzzer.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "unknown engine %S; available: compiled, interpreted" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf e ->
-        Format.pp_print_string ppf (Pdf_core.Pfuzzer.engine_to_string e) )
-
 let minor_heap_arg =
   Arg.(
     value
@@ -190,8 +175,8 @@ let minor_heap_arg =
            bit-identical for every value.")
 
 let fuzz_cmd =
-  let run subject_name tool_name seed executions quiet no_incremental engine
-      batch trace trace_chrome trace_sample metrics_file flight_recorder
+  let run subject_name tool_name seed executions quiet no_incremental trace
+      trace_chrome trace_sample metrics_file flight_recorder
       stats_interval checkpoint checkpoint_every resume crashes_out die_after
       minor_heap =
     match find_subject subject_name with
@@ -252,8 +237,8 @@ let fuzz_cmd =
            with_observer ~trace ~trace_chrome ~trace_sample ~metrics_file
              ~flight_recorder ~stats_interval (fun obs ->
                Pdf_eval.Tool.run ?obs ?on_checkpoint ?resume_from ?on_execution
-                 ?checkpoint_every ~incremental:(not no_incremental) ~engine
-                 ~batch tool ~budget_units ~seed subject)
+                 ?checkpoint_every ~incremental:(not no_incremental) tool
+                 ~budget_units ~seed subject)
          in
          if not quiet then
            List.iter (fun input -> Printf.printf "%S\n" input) outcome.valid_inputs;
@@ -296,27 +281,6 @@ let fuzz_cmd =
              input from scratch. Results are bit-identical either way; this \
              exists for benchmarking and debugging.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv Pdf_core.Pfuzzer.default_config.engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "pFuzzer execution tier: `compiled' (default) runs subjects \
-             through their staged recognizer in a reusable arena, \
-             `interpreted' through the combinator interpreter. Results are \
-             bit-identical; subjects without a staged recognizer silently \
-             use the interpreted tier.")
-  in
-  let batch =
-    Arg.(
-      value
-      & opt (pos_int "batch size") Pdf_core.Pfuzzer.default_config.batch
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "Candidates drained per main-loop batch; checkpointing happens \
-             only at batch boundaries. Results are identical for every N.")
-  in
   let trace =
     Arg.(
       value
@@ -341,7 +305,7 @@ let fuzz_cmd =
       & opt (nonneg_float "stats interval") 0.0
       & info [ "stats-interval" ] ~docv:"SECS"
           ~doc:
-            "Paint a live status line (execs/sec, engine tier, queue depth, \
+            "Paint a live status line (execs/sec, queue depth, \
              valid inputs, coverage, cache hit rate, rescues, plateau age, \
              hangs, crashes) on stderr every SECS seconds. 0 (default) \
              disables it.")
@@ -434,7 +398,7 @@ let fuzz_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ tool_arg $ seed_arg $ executions_arg 20_000
-         $ quiet $ no_incremental $ engine $ batch $ trace $ trace_chrome
+         $ quiet $ no_incremental $ trace $ trace_chrome
          $ trace_sample $ metrics_file $ flight_recorder $ stats_interval
          $ checkpoint $ checkpoint_every $ resume $ crashes_out $ die_after
          $ minor_heap_arg))

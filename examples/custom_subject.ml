@@ -74,8 +74,6 @@ let subject =
     registry;
     parse;
     machine = None;
-    compiled = None;
-    compiled_preferred = false;
     fuel = 10_000;
     tokens = [];
     tokenize = (fun _ -> []);

@@ -206,37 +206,6 @@ let run ?(execs = 400) ?(seed = 1) subject =
      else if not streams_equal then
        "per-execution run streams diverge between incremental and full"
      else "aggregate results diverge between incremental and full");
-  (* Cross-engine equivalence: the same seeded session through the
-     compiled tier and through the interpreted tier must execute exactly
-     the same inputs with bit-identical observations and results — the
-     staged recognizers' contract that staging never changes what a
-     parser observes. Checked on both the incremental path
-     (exec_compiled + replay snapshots) and the cold path (exec_staged). *)
-  let engine_stream engine incremental =
-    let runs = ref [] in
-    let result =
-      Pfuzzer.fuzz
-        ~on_execution:(fun r -> runs := r :: !runs)
-        { config with engine; incremental }
-        subject
-    in
-    (result, List.rev !runs)
-  in
-  let engine_pair_equal incremental =
-    let r_c, runs_c = engine_stream Pfuzzer.Compiled incremental in
-    let r_i, runs_i = engine_stream Pfuzzer.Interpreted incremental in
-    results_equal r_c r_i
-    && List.length runs_c = List.length runs_i
-    && List.for_all2 runs_equal runs_c runs_i
-  in
-  let engines_ok = engine_pair_equal true && engine_pair_equal false in
-  add "engine-equivalence" engines_ok
-    (if engines_ok then
-       Printf.sprintf "compiled and interpreted tiers bit-identical%s"
-         (if subject.Subject.compiled = None then
-            " — no staged recognizer, compiled tier inert"
-          else " (incremental and cold paths)")
-     else "compiled and interpreted engines diverge");
   (* Snapshot/resume identity at every read boundary of sample inputs. *)
   (match subject.Subject.machine with
    | None ->

@@ -11,10 +11,6 @@
       the union of the valid inputs' coverage, and each valid input
       contributed branches new at its discovery time (Algorithm 1's
       [runCheck] condition);
-    - {b engine equivalence}: the compiled execution tier and the
-      interpreted tier produce bit-identical per-execution streams and
-      results, on both the incremental and cold paths — staging is a
-      pure optimisation;
     - {b checkpoint/resume equivalence}: a campaign interrupted at a
       checkpoint and resumed from the encode/decode round-trip of that
       checkpoint produces exactly the uninterrupted campaign (timing and

@@ -11,23 +11,6 @@ module Obs = Pdf_obs.Observer
 module Event = Pdf_obs.Event
 module Phase = Pdf_obs.Phase
 
-(* Which execution tier runs the subject. [Compiled] is a request: it
-   takes effect only when the subject ships a staged recognizer, and
-   silently degrades to the interpreted engine otherwise — observable
-   results are bit-identical either way, so the knob is pure
-   performance. *)
-type engine = Interpreted | Compiled
-
-let engine_to_string = function
-  | Interpreted -> "interpreted"
-  | Compiled -> "compiled"
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "interpreted" -> Some Interpreted
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 type config = {
   seed : int;
   max_executions : int;
@@ -36,8 +19,6 @@ type config = {
   queue_bound : int;
   dedupe : bool;
   incremental : bool;
-  engine : engine;
-  batch : int;
 }
 
 let default_config =
@@ -49,8 +30,6 @@ let default_config =
     queue_bound = 50_000;
     dedupe = true;
     incremental = true;
-    engine = Compiled;
-    batch = 16;
   }
 
 type cache_stats = {
@@ -83,7 +62,6 @@ type result = {
   valid_inputs : string list;
   valid_coverage : Coverage.t;
   hits : Pdf_instr.Hits.t;
-  engine : string;
   executions : int;
   candidates_created : int;
   queue_peak : int;
@@ -141,8 +119,9 @@ module Checkpoint = struct
   type t = payload
 
   (* v2: [config] gained the [engine] and [batch] fields.
-     v3: the payload gained [ck_hits], the global branch hit-counts. *)
-  let version = 3
+     v3: the payload gained [ck_hits], the global branch hit-counts.
+     v4: [config] lost [engine] and [batch] again. *)
+  let version = 4
   let magic = "pfckpt"
 
   let subject_name t = t.ck_subject
@@ -206,16 +185,12 @@ module Checkpoint = struct
 
   (* The campaign-so-far as a result record — what a sync frame in a
      distributed campaign carries. Cache accounting and wall-clock are
-     zero (a checkpoint deliberately excludes them), and [engine] is the
-     *requested* tier: a checkpoint cannot know whether the request
-     degraded, only the final per-shard result can, and final frames
-     supersede progress frames in the merge. *)
+     zero: a checkpoint deliberately excludes them. *)
   let partial_result t =
     {
       valid_inputs = List.rev t.ck_valid_rev;
       valid_coverage = t.ck_vbr;
       hits = Pdf_instr.Hits.of_list t.ck_hits;
-      engine = engine_to_string t.ck_config.engine;
       executions = t.ck_executions;
       candidates_created = t.ck_candidates_created;
       queue_peak = t.ck_queue_peak;
@@ -450,15 +425,6 @@ type state = {
      prefix to the snapshot suspended at its end. *)
   machine : Pdf_instr.Machine.recognizer option;
   cache : Runner.Cache.t option;
-  (* The compiled tier: when the config asks for it and the subject
-     ships a staged recognizer, cold executions run through the arena
-     ([Runner.exec_compiled] on the incremental path,
-     [Runner.exec_staged] otherwise) instead of the interpreted
-     journaled runner. [engine_label] is the engine that actually
-     executes — "interpreted" when the request degraded. *)
-  staged : Pdf_instr.Machine.recognizer option;
-  arena : Runner.arena option;
-  engine_label : string;
   rng : Rng.t;
   queue : Candidate.t Pqueue.t;
   on_queue_event : (queue_event -> unit) option;
@@ -599,10 +565,7 @@ exception Budget_exhausted
 (* After an incremental run, remember the suspensions future executions
    will want: the one at the substitution index (children are
    [prefix ^ repl] sharing exactly that prefix) and the one at the end of
-   the input (the extension probe [input ^ c] resumes there). The
-   {!Runner.Cache.mem} gate matters for the compiled tier, where
-   materialising a snapshot replays the prefix: prefixes already cached
-   (the common steady-state case) skip the materialisation entirely. *)
+   the input (the extension probe [input ^ c] resumes there). *)
 let remember_snapshots cache journal (run : Runner.run) =
   let store pos =
     if pos > 0 && pos <= String.length run.input then begin
@@ -617,12 +580,6 @@ let remember_snapshots cache journal (run : Runner.run) =
   in
   (match Runner.substitution_index run with Some i -> store i | None -> ());
   store (String.length run.input)
-
-(* Cold (non-resumed) journaled execution through the active engine. *)
-let exec_cold st machine input =
-  match (st.staged, st.arena) with
-  | Some staged, Some arena -> Runner.exec_compiled arena staged input
-  | _ -> Subject.exec_journaled st.subject machine input
 
 (* Busy-wait used by [Slow] faults: deterministic work the optimizer
    cannot delete, with no observable effect besides wall clock. *)
@@ -744,10 +701,10 @@ let execute st ~prefix_len input =
                 | Some o ->
                   Obs.emit o ~exec:st.executions
                     (Event.Rescue { prefix = prefix_len }));
-               (exec_cold st machine input, false)
+               (Subject.exec_journaled st.subject machine input, false)
              | _ -> (resumed, true)
            end
-           | None -> (exec_cold st machine input, false)
+           | None -> (Subject.exec_journaled st.subject machine input, false)
          in
          span_end st Phase.Exec t_exec;
          let t_store = span_begin st in
@@ -764,11 +721,7 @@ let execute st ~prefix_len input =
          (run, cached)
        | _ ->
          let t_exec = span_begin st in
-         let run =
-           match (st.staged, st.arena) with
-           | Some staged, Some arena -> Runner.exec_staged arena staged input
-           | _ -> Subject.run st.subject input
-         in
+         let run = Subject.run st.subject input in
          span_end st Phase.Exec t_exec;
          (run, false))
   in
@@ -1059,7 +1012,6 @@ let run_check st ~parent ~prefix_len input =
           {
             dur_ns = Obs.now_ns o - t0;
             verdict = verdict_string run;
-            engine = st.engine_label;
             cached;
             sub_index =
               (match Runner.substitution_index run with Some i -> i | None -> -1);
@@ -1097,11 +1049,6 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
          ignore (Obs.flight_dump o ~reason:("fault-" ^ Fault.kind_label kind)))
    | _ -> ());
   let machine = if config.incremental then subject.Subject.machine else None in
-  let staged =
-    match config.engine with
-    | Compiled when subject.Subject.compiled_preferred -> subject.Subject.compiled
-    | Compiled | Interpreted -> None
-  in
   {
     config;
     subject;
@@ -1110,16 +1057,6 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
       (match machine with
        | Some _ -> Some (Runner.Cache.create ())
        | None -> None);
-    staged;
-    arena =
-      (match staged with
-       | Some _ ->
-         Some
-           (Runner.arena ~registry:subject.Subject.registry
-              ~fuel:subject.Subject.fuel ())
-       | None -> None);
-    engine_label =
-      (if staged <> None then "compiled" else "interpreted");
     rng;
     queue = Pqueue.create ();
     on_queue_event;
@@ -1229,7 +1166,7 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
      Obs.run_meta o ~subject:st.subject.Subject.name
        ~outcomes:(Pdf_instr.Site.total_outcomes st.subject.Subject.registry)
        ~seed:st.config.seed ~max_executions:st.config.max_executions
-       ~incremental:(st.machine <> None) ~engine:st.engine_label);
+       ~incremental:(st.machine <> None));
   let next_candidate () =
     (* The popped priority is only ever reported to listeners; when
        nobody is listening, take the value-only pop and skip the
@@ -1270,43 +1207,33 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
   (try
      let candidate = ref first in
      let last_checkpoint = ref st.executions in
-     (* Drain candidates in batches: checkpoint opportunities (and with
-        them any checkpoint-file I/O) happen only at batch boundaries,
-        so the hot loop between boundaries is pure fuzzing. Results are
-        batch-size-independent — the per-candidate work is identical and
-        strictly sequential; only checkpoint cadence shifts. *)
-     let batch = max 1 st.config.batch in
      while true do
        (match on_checkpoint with
         | Some save when st.executions - !last_checkpoint >= checkpoint_every ->
           save (checkpoint_of st !candidate);
           last_checkpoint := st.executions
         | _ -> ());
-       for _ = 1 to batch do
-         let c = !candidate in
-         (* A queued candidate is [prefix ^ repl] for an already-executed
-            parent input sharing [prefix] — exactly the part a cached
-            suspension lets us skip. *)
-         let prefix_len = String.length c.data - String.length c.repl in
-         let valid, run = run_check st ~parent:c ~prefix_len c.data in
-         if (not valid) && not (crashed run) then begin
-           (* Second execution: the same input extended by one random
-              character, probing whether the parser wants more input. The
-              just-executed candidate is the extension's parent prefix. A
-              crashed candidate is triaged and dropped instead — extending
-              past the crash point would only reproduce it. *)
-           let extended = extend c.data (random_char st) in
-           if String.length extended <= st.config.max_input_len then begin
-             let valid2, run2 =
-               run_check st ~parent:c ~prefix_len:(String.length c.data)
-                 extended
-             in
-             if (not valid2) && not (crashed run2) then
-               add_inputs st ~parent:c run2
-           end
-         end;
-         candidate := next_candidate ()
-       done
+       let c = !candidate in
+       (* A queued candidate is [prefix ^ repl] for an already-executed
+          parent input sharing [prefix] — exactly the part a cached
+          suspension lets us skip. *)
+       let prefix_len = String.length c.data - String.length c.repl in
+       let valid, run = run_check st ~parent:c ~prefix_len c.data in
+       if (not valid) && not (crashed run) then begin
+         (* Second execution: the same input extended by one random
+            character, probing whether the parser wants more input. The
+            just-executed candidate is the extension's parent prefix. A
+            crashed candidate is triaged and dropped instead — extending
+            past the crash point would only reproduce it. *)
+         let extended = extend c.data (random_char st) in
+         if String.length extended <= st.config.max_input_len then begin
+           let valid2, run2 =
+             run_check st ~parent:c ~prefix_len:(String.length c.data) extended
+           in
+           if (not valid2) && not (crashed run2) then add_inputs st ~parent:c run2
+         end
+       end;
+       candidate := next_candidate ()
      done
    with Budget_exhausted -> ());
   (match st.obs with
@@ -1320,7 +1247,6 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
     valid_inputs = List.rev st.valid_rev;
     valid_coverage = st.vbr;
     hits = st.hits;
-    engine = st.engine_label;
     executions = st.executions;
     candidates_created = st.candidates_created;
     queue_peak = st.queue_peak;

@@ -9,18 +9,6 @@
     are reported, extend the valid-branch set, and trigger a full
     re-ranking of the queue. *)
 
-type engine = Interpreted | Compiled
-(** The execution tier for subject runs. [Compiled] routes cold
-    executions through the subject's staged recognizer in a reusable
-    {!Pdf_instr.Runner.arena} — a pure performance knob: the staged
-    recognizer makes exactly the observations its interpreted twin
-    makes, so results are bit-identical between engines ([pfuzzer check]
-    enforces this). The request degrades silently to [Interpreted] for
-    subjects without a staged recognizer. *)
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
-
 type config = {
   seed : int;  (** RNG seed; equal seeds give equal runs *)
   max_executions : int;  (** budget in subject executions *)
@@ -32,17 +20,11 @@ type config = {
       (** resume children from their parent's cached parse state instead
           of re-parsing the shared prefix (subjects with a machine-form
           parser only; observable results are bit-identical either way) *)
-  engine : engine;
-  batch : int;
-      (** candidates drained per main-loop batch; checkpoint
-          opportunities occur only at batch boundaries. Results are
-          identical for every batch size (min 1). *)
 }
 
 val default_config : config
 (** seed 1, 2000 executions, inputs up to 64 characters, {!Heuristic.Prose},
-    queue bound 50_000, dedupe on, incremental on, engine [Compiled],
-    batch 16. *)
+    queue bound 50_000, dedupe on, incremental on. *)
 
 type cache_stats = {
   hits : int;  (** executions that resumed from a cached suspension *)
@@ -80,9 +62,6 @@ type result = {
       (** global branch hit-counts: how many executions (of any verdict)
           reached each outcome. Deterministic for a fixed seed, and
           mergeable across distributed shards by pointwise sum *)
-  engine : string;
-      (** the execution tier that actually ran: "compiled" or
-          "interpreted" (also when a [Compiled] request degraded) *)
   executions : int;  (** executions actually performed *)
   candidates_created : int;
   queue_peak : int;
@@ -133,9 +112,9 @@ module Checkpoint : sig
   type t
 
   val version : int
-  (** Format version this build reads and writes (currently 3; v2 added
+  (** Format version this build reads and writes (currently 4; v2 added
       the [engine] and [batch] config fields, v3 the global branch
-      hit-counts). *)
+      hit-counts, v4 removed [engine] and [batch]). *)
 
   val subject_name : t -> string
   val executions : t -> int
@@ -146,10 +125,8 @@ module Checkpoint : sig
       record: valid inputs in discovery order, valid coverage, branch
       hit-counts, crash corpus and all deterministic counters at the
       checkpoint instant. Cache accounting and wall-clock fields are
-      zero (checkpoints deliberately exclude them), and [engine] is the
-      {e requested} tier from the config — whether the request degraded
-      is only known to the live campaign. Distributed workers serialize
-      this as their periodic sync frames. *)
+      zero (checkpoints deliberately exclude them). Distributed workers
+      serialize this as their periodic sync frames. *)
 
   val encode : t -> string
 
@@ -196,8 +173,10 @@ val fuzz :
     nothing. [faults] installs a deterministic chaos plan: planned
     execution indices are degraded (crash, hang, slow-down, cache
     corruption) instead of executed normally, and the campaign must keep
-    going. [on_checkpoint] is called with a fresh {!Checkpoint.t} every
-    [checkpoint_every] (default 1000) executions, at a loop-top instant;
+    going. [on_checkpoint] is called with a fresh {!Checkpoint.t} at the
+    first loop-top instant (one candidate is up to two executions) at
+    least [checkpoint_every] (default 1000) executions after the
+    previous one;
     what to do with it (typically {!Checkpoint.save}, or serializing
     {!Checkpoint.partial_result} as a distributed sync frame) is the
     caller's choice.

@@ -67,11 +67,12 @@ module Frame = struct
 
   let magic = "pfsync"
 
-  (* v2: frames carry an optional metrics snapshot. Frames only ever
-     cross a pipe between a coordinator and the workers it forked — both
-     ends are the same binary — so the bump is pure hygiene against a
-     stale reader. *)
-  let version = 2
+  (* v2: frames carry an optional metrics snapshot.
+     v3: [Pfuzzer.result] lost its [engine] field.
+     Frames only ever cross a pipe between a coordinator and the workers
+     it forked — both ends are the same binary — so a bump is hygiene
+     against a stale reader. *)
+  let version = 3
 
   (* Frames cross a pipe, not a filesystem: anything claiming to be
      larger than this is a corrupted length prefix, not a real frame. *)
@@ -302,7 +303,6 @@ let merge_results p (results : Pfuzzer.result list) =
       fold
         (fun acc (r : Pfuzzer.result) -> Pdf_instr.Hits.merge acc r.hits)
         (Pdf_instr.Hits.create ());
-    engine = results.(0).engine;
     executions = fold (fun acc (r : Pfuzzer.result) -> acc + r.executions) 0;
     candidates_created =
       fold (fun acc (r : Pfuzzer.result) -> acc + r.candidates_created) 0;
@@ -617,9 +617,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
         let queue =
           List.fold_left (fun acc (fr : Frame.t) -> max acc fr.result.Pfuzzer.queue_peak) 0 frames
         in
-        let engine =
-          match frames with [] -> "?" | fr :: _ -> fr.result.Pfuzzer.engine
-        in
         let dt = now -. !last_paint in
         let execs_per_sec =
           if dt <= 0.0 then 0.0 else float_of_int (execs - !last_paint_execs) /. dt
@@ -634,7 +631,7 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
         in
         let line =
           Progress.render ~execs ~max_executions:config.Pfuzzer.max_executions
-            ~execs_per_sec ~engine ~depth:queue ~valid ~cov
+            ~execs_per_sec ~depth:queue ~valid ~cov
             ~outcomes:outcomes_total ~hits ~misses ~rescues ~plateau:0 ~hangs
             ~crashes
         in

@@ -152,8 +152,8 @@ val merge_results : plan -> Pfuzzer.result list -> Pfuzzer.result
     [(exn, site)] with counts summed and first-witness data from the
     earliest global execution index; [first_valid_at] and each crash's
     [first_at] are translated through {!shard_offsets} onto the
-    campaign-global clock; counters sum, [queue_peak] takes the max,
-    [engine] comes from shard 0. Wall-clock and throughput are zeroed —
+    campaign-global clock; counters sum, [queue_peak] takes the max.
+    Wall-clock and throughput are zeroed —
     they are scheduling-dependent, and the merged result is the part of
     a campaign that must be deterministic (timing lives in
     {!outcome.wall_clock_s}). Commutative over shard relabelling only in

@@ -45,8 +45,7 @@ let empty_outcome tool ~subject =
 let throughput ~executions wall_clock_s =
   if wall_clock_s <= 0.0 then 0.0 else float_of_int executions /. wall_clock_s
 
-let run ?(incremental = true) ?(engine = Pdf_core.Pfuzzer.Compiled) ?batch ?obs
-    ?faults ?checkpoint_every ?on_checkpoint ?resume_from ?on_execution tool
+let run ?(incremental = true) ?obs ?faults ?checkpoint_every ?on_checkpoint ?resume_from ?on_execution tool
     ~budget_units ~seed subject =
   let max_executions = max 1 (budget_units / cost_per_execution tool) in
   match tool with
@@ -103,11 +102,6 @@ let run ?(incremental = true) ?(engine = Pdf_core.Pfuzzer.Compiled) ?batch ?obs
             seed;
             max_executions;
             incremental;
-            engine;
-            batch =
-              (match batch with
-               | Some b -> b
-               | None -> Pdf_core.Pfuzzer.default_config.batch);
           }
         in
         Pdf_core.Pfuzzer.fuzz ?obs ?faults ?checkpoint_every ?on_checkpoint

@@ -40,8 +40,6 @@ val empty_outcome : name -> subject:string -> outcome
 
 val run :
   ?incremental:bool ->
-  ?engine:Pdf_core.Pfuzzer.engine ->
-  ?batch:int ->
   ?obs:Pdf_obs.Observer.t ->
   ?faults:Pdf_fault.Fault.plan ->
   ?checkpoint_every:int ->
@@ -51,10 +49,7 @@ val run :
   name -> budget_units:int -> seed:int -> Pdf_subjects.Subject.t -> outcome
 (** Run one tool on one subject until the unit budget is exhausted.
     [incremental] (default true) toggles pFuzzer's prefix-snapshot cache;
-    the other tools ignore it. [engine] (default [Compiled]) selects
-    pFuzzer's execution tier and [batch] its main-loop drain size — both
-    pure-performance knobs with bit-identical results, ignored by AFL
-    and KLEE. [obs] attaches a telemetry observer to
+    the other tools ignore it. [obs] attaches a telemetry observer to
     pFuzzer's run (the other tools are merely wall-clock timed). The
     resilience arguments apply to pFuzzer only and are ignored by AFL and
     KLEE: [faults] installs a deterministic chaos plan, [on_checkpoint]

@@ -13,7 +13,7 @@ exception Out_of_fuel
    packaging into arrays is a single blit instead of a list reversal. *)
 type t = {
   registry : Site.registry;
-  mutable text : string; (* mutable only for {!rearm} *)
+  text : string;
   mutable cursor : int;
   mutable eof_access : bool;
   comparisons : Comparison.t Vec.t;
@@ -32,17 +32,6 @@ type t = {
      fresh tainted character. *)
   mutable peeked : Tchar.t option;
   mutable peeked_at : int;
-  (* Pre-tainted input (compiled tier): when [pretaint] is on, [peek]
-     serves boxed tainted characters out of a (byte, position) memo — no
-     allocation and, crucially, no mutable-store write barrier on the
-     memo fields, which profiles as one of the hottest costs of the
-     per-character loop. A [Tchar.t] is immutable and fully determined
-     by its position and byte, so the memo survives [rearm] untouched:
-     starting a run costs nothing, where rebuilding a pretainted copy of
-     the input used to cost O(n) allocations per execution. Rows are
-     created lazily per byte value and grown as longer inputs appear. *)
-  pretaint : bool;
-  pretaint_memo : Tchar.t option array array;
 }
 
 let dummy_comparison =
@@ -57,7 +46,7 @@ let dummy_comparison =
 let dummy_frame = Frame.Exit { pos = 0 }
 
 let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
-    ?(track_trace = false) ?(track_frames = false) ?(pretaint = false) text =
+    ?(track_trace = false) ?(track_frames = false) text =
   {
     registry;
     text;
@@ -76,31 +65,7 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     frames = Vec.create dummy_frame;
     peeked = None;
     peeked_at = -1;
-    pretaint;
-    pretaint_memo = (if pretaint then Array.make 256 [||] else [||]);
   }
-
-(* Reset a context for a fresh run over new input, keeping the allocated
-   recording buffers (and their grown capacities). This is what makes an
-   execution arena pay off: after warm-up, starting a run allocates
-   nothing but the input string itself. Only contexts created by [make]
-   may be rearmed — a [restore]d context borrows its buffers from a
-   parent run, and [Vec.clear] dropping the borrow would silently detach
-   it — callers ({!Runner}'s arena) guarantee this by construction. *)
-let rearm t ~fuel text =
-  t.text <- text;
-  t.cursor <- 0;
-  t.eof_access <- false;
-  Vec.clear t.comparisons;
-  Bytes.fill t.covered 0 (Bytes.length t.covered) '\000';
-  Vec.clear t.touched;
-  Vec.clear t.trace;
-  t.stack <- 0;
-  t.max_stack <- 0;
-  t.fuel <- fuel;
-  Vec.clear t.frames;
-  t.peeked <- None;
-  t.peeked_at <- -1
 
 (* {2 Snapshot marks}
 
@@ -164,8 +129,6 @@ let restore ~registry ~(mark : mark) ~cursor ~comparisons ~touched ~trace
     frames = Vec.of_prefix frames ~len:mark.m_frames dummy_frame;
     peeked = None;
     peeked_at = -1;
-    pretaint = false;
-    pretaint_memo = [||];
   }
 
 let[@inline] pos t = t.cursor
@@ -177,23 +140,6 @@ let peek t =
   if at_eof t then begin
     t.eof_access <- true;
     None
-  end
-  else if t.pretaint then begin
-    let code = Char.code (String.unsafe_get t.text t.cursor) in
-    let row = Array.unsafe_get t.pretaint_memo code in
-    if t.cursor < Array.length row then Array.unsafe_get row t.cursor
-    else begin
-      (* First time this byte value is read at a position this deep:
-         (re)build the row with headroom. Rows only ever grow, and every
-         slot of a row is filled at construction, so the hot path above
-         is two loads and a bounds test. *)
-      let cap = 2 * (t.cursor + 1) in
-      let cap = if cap < 64 then 64 else cap in
-      let ch = Char.unsafe_chr code in
-      let row = Array.init cap (fun i -> Some (Tchar.input i ch)) in
-      Array.unsafe_set t.pretaint_memo code row;
-      Array.unsafe_get row t.cursor
-    end
   end
   else if t.peeked_at = t.cursor then t.peeked
   else begin
@@ -303,8 +249,8 @@ let one_of t site c chars =
       result;
   branch t site result
 
-(* Pre-resolved comparison slots: the compiled tier stages the two
-   outcome ids and the event-kind block once, so the per-character path
+(* Pre-resolved comparison slots: the staged subject combinators
+   resolve the two outcome ids and the event-kind block once, so the per-character path
    is a compare, a possible event push and a coverage store — no
    [Site.outcome] dispatch and no kind allocation per call. The
    observation sequence is identical to the [eq]/[in_range]/[in_set]/

@@ -24,7 +24,6 @@ val make :
   ?track_comparisons:bool ->
   ?track_trace:bool ->
   ?track_frames:bool ->
-  ?pretaint:bool ->
   string ->
   t
 (** [make ~registry input] prepares a run. [fuel] bounds the number of
@@ -35,21 +34,7 @@ val make :
     records the full outcome sequence with multiplicities — needed only
     by consumers that care about hit counts, such as the AFL shim's edge
     bitmap; the search heuristics work from the deduplicated
-    first-occurrence order, which is always maintained. [pretaint]
-    (default false) taints every input character up front so that
-    {!peek} is a plain array read — no allocation and no write barrier
-    on the memo fields. The observed {!Pdf_taint.Tchar.t} values are
-    identical either way; the flag only moves the work. Used by the
-    compiled tier's execution arena, where the same context is recycled
-    across many runs. *)
-
-val rearm : t -> fuel:int -> string -> unit
-(** [rearm t ~fuel input] resets [t] in place for a fresh run over
-    [input], keeping the recording buffers it has already grown — the
-    allocation-free restart that {!Runner}'s execution arena is built
-    on. Only contexts created by {!make} may be rearmed; a {!restore}d
-    context borrows buffers from its parent run and must not be
-    recycled. Tracking flags are fixed at {!make} time. *)
+    first-occurrence order, which is always maintained. *)
 
 (** {1 Snapshot marks}
 
@@ -159,7 +144,8 @@ val in_set :
 
 (** {2 Pre-resolved slots}
 
-    Staged variants of the comparison operations for the compiled tier:
+    Staged variants of the comparison operations for the machine-form
+    subjects' staged combinators ([Helpers.K] in [lib/subjects]):
     a {!slot} freezes a site's two outcome ids and the comparison-event
     kind at staging time, so the per-character call performs no
     [Site.outcome] dispatch and allocates no kind block. Each [_slot]

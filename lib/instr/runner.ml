@@ -75,61 +75,14 @@ let exec ~registry ~parse ?fuel ?track_comparisons ?track_trace ?track_frames
 
 type boundary = { b_pos : int; b_step : Machine.step; b_mark : Ctx.mark }
 
-(* Two journal representations share one interface:
-
-   - [Boxed] is what {!exec_machine} and {!resume} record: one boundary
-     record per position, marks boxed at journaling time.
-   - [Replay] is what the compiled tier's {!exec_compiled} returns, and
-     it records {e nothing} during the run beyond a high-water read
-     position: execution is deterministic and multi-shot, so the
-     suspension at position [p] can be rebuilt on demand by re-driving
-     the machine over the prefix and capturing the step about to read
-     [p] for the first time. The observation state at that instant is
-     identical to the original run's, so the snapshot borrows the
-     original run's packaged arrays exactly as a journaled boundary
-     would. Materialisation costs O(p) — but the fuzzer materialises at
-     most two snapshots per execution, and (with {!Cache.mem} gating)
-     only for prefixes not already cached, so the steady-state compiled
-     hot loop pays nothing at all for resumability. *)
-type journal =
-  | Boxed of {
-      j_registry : Site.registry;
-      j_track_comparisons : bool;
-      j_track_trace : bool;
-      j_track_frames : bool;
-      j_boundaries : boundary array;  (* sorted by strictly increasing b_pos *)
-      j_run : run;
-    }
-  | Replay of {
-      r_arena : arena;
-      r_machine : Machine.recognizer;
-      r_input : string;
-      r_high_water : int;  (* positions 0..hw-1 were read *)
-      r_run : run;
-    }
-
-and arena = {
-  a_registry : Site.registry;
-  a_fuel : int;
-  a_track_comparisons : bool;
-  a_track_trace : bool;
-  a_track_frames : bool;
-  mutable a_ctx : Ctx.t option;
+type journal = {
+  j_registry : Site.registry;
+  j_track_comparisons : bool;
+  j_track_trace : bool;
+  j_track_frames : bool;
+  j_boundaries : boundary array;  (* sorted by strictly increasing b_pos *)
+  j_run : run;
 }
-
-let arena_ctx a input =
-  match a.a_ctx with
-  | Some ctx ->
-    Ctx.rearm ctx ~fuel:a.a_fuel input;
-    ctx
-  | None ->
-    let ctx =
-      Ctx.make ~registry:a.a_registry ~fuel:a.a_fuel
-        ~track_comparisons:a.a_track_comparisons ~track_trace:a.a_track_trace
-        ~track_frames:a.a_track_frames ~pretaint:true input
-    in
-    a.a_ctx <- Some ctx;
-    ctx
 
 type snapshot = {
   s_pos : int;
@@ -203,104 +156,44 @@ let exec_machine ~registry ~(machine : Machine.recognizer) ?(fuel = 100_000)
   in
   let run = package ctx input verdict in
   ( run,
-    Boxed
-      {
-        j_registry = registry;
-        j_track_comparisons = track_comparisons;
-        j_track_trace = track_trace;
-        j_track_frames = track_frames;
-        j_boundaries = Vec.to_array journal;
-        j_run = run;
-      } )
+    {
+      j_registry = registry;
+      j_track_comparisons = track_comparisons;
+      j_track_trace = track_trace;
+      j_track_frames = track_frames;
+      j_boundaries = Vec.to_array journal;
+      j_run = run;
+    } )
 
-let snapshot_at journal pos =
-  match journal with
-  | Boxed j ->
-    let bs = j.j_boundaries in
-    (* Binary search: positions are strictly increasing. *)
-    let rec find lo hi =
-      if lo >= hi then None
-      else
-        let mid = (lo + hi) / 2 in
-        let b = Array.unsafe_get bs mid in
-        if b.b_pos = pos then Some b
-        else if b.b_pos < pos then find (mid + 1) hi
-        else find lo mid
-    in
-    (match find 0 (Array.length bs) with
-     | None -> None
-     | Some b ->
-       Some
-         {
-           s_pos = b.b_pos;
-           s_step = b.b_step;
-           s_mark = b.b_mark;
-           s_registry = j.j_registry;
-           s_track_comparisons = j.j_track_comparisons;
-           s_track_trace = j.j_track_trace;
-           s_track_frames = j.j_track_frames;
-           s_comparisons = j.j_run.comparisons;
-           s_touched = j.j_run.touched;
-           s_trace = j.j_run.trace;
-           s_frames = j.j_run.frames;
-         })
-  | Replay r ->
-    let a = r.r_arena in
-    if pos < 0 || pos >= r.r_high_water then None
-    else (
-      (* Re-drive the machine over the prefix and capture the pending
-         step at the first read of [pos]. Execution is deterministic, so
-         the replayed observation state equals the original run's at that
-         boundary — the snapshot's arrays can come from the packaged
-         original run, just like a journaled boundary's do. The replay
-         runs in the arena's recycled context (the previous run is fully
-         packaged; its context state is dead) and is abandoned mid-parse
-         — the next execution rearms. *)
-      let ctx = arena_ctx a r.r_input in
-      let capture = ref None in
-      let hw = ref 0 in
-      let rec loop step =
-        match step with
-        | Machine.Done -> ()
-        | Machine.Peek k ->
-          let p = Ctx.pos ctx in
-          if p >= !hw then
-            if p = pos then capture := Some step
-            else begin
-              hw := p + 1;
-              loop (k (Ctx.peek ctx) ctx)
-            end
-          else loop (k (Ctx.peek ctx) ctx)
-        | Machine.Next k ->
-          let p = Ctx.pos ctx in
-          if p >= !hw then
-            if p = pos then capture := Some step
-            else begin
-              hw := p + 1;
-              loop (k (Ctx.next ctx) ctx)
-            end
-          else loop (k (Ctx.next ctx) ctx)
-      in
-      (match loop (r.r_machine ctx) with
-       | () | (exception Ctx.Reject _) | (exception Ctx.Out_of_fuel) -> ()
-       | exception _ -> ());
-      match !capture with
-      | None -> None
-      | Some step ->
-        Some
-          {
-            s_pos = pos;
-            s_step = step;
-            s_mark = Ctx.mark ctx;
-            s_registry = a.a_registry;
-            s_track_comparisons = a.a_track_comparisons;
-            s_track_trace = a.a_track_trace;
-            s_track_frames = a.a_track_frames;
-            s_comparisons = r.r_run.comparisons;
-            s_touched = r.r_run.touched;
-            s_trace = r.r_run.trace;
-            s_frames = r.r_run.frames;
-          })
+let snapshot_at j pos =
+  let bs = j.j_boundaries in
+  (* Binary search: positions are strictly increasing. *)
+  let rec find lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let b = Array.unsafe_get bs mid in
+      if b.b_pos = pos then Some b
+      else if b.b_pos < pos then find (mid + 1) hi
+      else find lo mid
+  in
+  match find 0 (Array.length bs) with
+  | None -> None
+  | Some b ->
+    Some
+      {
+        s_pos = b.b_pos;
+        s_step = b.b_step;
+        s_mark = b.b_mark;
+        s_registry = j.j_registry;
+        s_track_comparisons = j.j_track_comparisons;
+        s_track_trace = j.j_track_trace;
+        s_track_frames = j.j_track_frames;
+        s_comparisons = j.j_run.comparisons;
+        s_touched = j.j_run.touched;
+        s_trace = j.j_run.trace;
+        s_frames = j.j_run.frames;
+      }
 
 let resume (snap : snapshot) input =
   if String.length input < snap.s_pos then
@@ -327,93 +220,14 @@ let resume (snap : snapshot) input =
   in
   let run = package ctx input verdict in
   ( run,
-    Boxed
-      {
-        j_registry = snap.s_registry;
-        j_track_comparisons = snap.s_track_comparisons;
-        j_track_trace = snap.s_track_trace;
-        j_track_frames = snap.s_track_frames;
-        j_boundaries = Vec.to_array journal;
-        j_run = run;
-      } )
-
-(* {1 Execution arenas}
-
-   The compiled tier executes the same recognizer millions of times, and
-   profiles show a visible share of its per-exec cost is just setting up
-   a fresh context: allocating the recording Vecs and the coverage
-   presence map. An arena owns one context and rearms it between runs
-   ({!Ctx.rearm} clears buffers but keeps their grown capacity), so a
-   steady-state execution allocates only what the run itself records.
-
-   Reuse is safe because nothing a run hands out aliases the arena's
-   context: [package] copies every buffer out ([Vec.to_array] is an
-   [Array.sub]), and resumed (restored) contexts are created per-resume
-   by {!resume}, never taken from an arena. A [Replay] journal keeps a
-   reference to its arena only to reuse the recycled context for replay;
-   it owns everything else it needs (machine, input, high-water mark,
-   packaged run), so it never goes stale. *)
-
-let arena ~registry ?(fuel = 100_000) ?(track_comparisons = true)
-    ?(track_trace = false) ?(track_frames = false) () =
-  {
-    a_registry = registry;
-    a_fuel = fuel;
-    a_track_comparisons = track_comparisons;
-    a_track_trace = track_trace;
-    a_track_frames = track_frames;
-    a_ctx = None;
-  }
-
-(* High-water drive loop: the only journaling the compiled tier does per
-   run is remembering how far the parser read — an int compare and (on
-   the frontier) an int store per step. Everything else a snapshot needs
-   is rebuilt on demand by {!snapshot_at}'s replay. *)
-let exec_compiled a (machine : Machine.recognizer) input =
-  let ctx = arena_ctx a input in
-  let hw = ref 0 in
-  let rec loop step =
-    match step with
-    | Machine.Done -> ()
-    | Machine.Peek k ->
-      let p = Ctx.pos ctx in
-      if p >= !hw then hw := p + 1;
-      loop (k (Ctx.peek ctx) ctx)
-    | Machine.Next k ->
-      let p = Ctx.pos ctx in
-      if p >= !hw then hw := p + 1;
-      loop (k (Ctx.next ctx) ctx)
-  in
-  let verdict =
-    match loop (machine ctx) with
-    | () -> Accepted
-    | exception Ctx.Reject reason -> Rejected reason
-    | exception Ctx.Out_of_fuel -> Hang
-    | exception e -> Crash (crash_of ctx e)
-  in
-  let run = package ctx input verdict in
-  ( run,
-    Replay
-      {
-        r_arena = a;
-        r_machine = machine;
-        r_input = input;
-        r_high_water = !hw;
-        r_run = run;
-      } )
-
-(* Journal-free variant for the non-incremental path: drive the machine
-   directly, skipping even the boundary bookkeeping. *)
-let exec_staged a (machine : Machine.recognizer) input =
-  let ctx = arena_ctx a input in
-  let verdict =
-    match Machine.run ctx machine with
-    | () -> Accepted
-    | exception Ctx.Reject reason -> Rejected reason
-    | exception Ctx.Out_of_fuel -> Hang
-    | exception e -> Crash (crash_of ctx e)
-  in
-  package ctx input verdict
+    {
+      j_registry = snap.s_registry;
+      j_track_comparisons = snap.s_track_comparisons;
+      j_track_trace = snap.s_track_trace;
+      j_track_frames = snap.s_track_frames;
+      j_boundaries = Vec.to_array journal;
+      j_run = run;
+    } )
 
 (* {1 Bounded LRU prefix cache}
 
@@ -423,7 +237,7 @@ let exec_staged a (machine : Machine.recognizer) input =
    allocations. So the table is keyed by an FNV-1a hash computed over
    the range in place ({!Pdf_util.Fnv}), with small collision buckets
    verified by in-place character comparison against the (string, len)
-   pair. Full-string [find]/[mem]/[remove] are the prefix variants at
+   pair. Full-string [find]/[remove] are the prefix variants at
    [len = length key]. *)
 
 module Cache = struct
@@ -492,11 +306,10 @@ module Cache = struct
     | bucket -> bucket_find bucket s len
     | exception Not_found -> None
 
-  (* No recency update, no counter traffic: this is the cheap guard the
-     fuzzer uses to decide whether materialising a snapshot (an O(prefix)
-     replay for compiled journals) is worth it at all. *)
+  (* No recency update, no counter traffic: the fuzzer probes before a
+     store so that an already-cached prefix is never materialised as a
+     string. *)
   let mem_prefix t s ~len = find_node t s len <> None
-  let mem t key = mem_prefix t key ~len:(String.length key)
 
   let unlink t node =
     (match node.prev with

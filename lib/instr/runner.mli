@@ -135,49 +135,6 @@ val resume : snapshot -> string -> run * journal
     journal covers the newly executed suffix, so children of the child
     can be snapshotted in turn. *)
 
-(** {1 Execution arenas}
-
-    The compiled tier's answer to per-exec setup cost: an arena owns one
-    reusable context (created on first use, {!Ctx.rearm}ed between runs)
-    so that steady-state execution does not re-allocate the recording
-    buffers or the coverage presence map. Results are safe to retain —
-    packaging copies every buffer out of the context — but an arena is
-    single-threaded state: one arena per domain. *)
-
-type arena
-
-val arena :
-  registry:Site.registry ->
-  ?fuel:int ->
-  ?track_comparisons:bool ->
-  ?track_trace:bool ->
-  ?track_frames:bool ->
-  unit ->
-  arena
-(** An empty arena; defaults match {!Ctx.make}. The tracking flags and
-    fuel apply to every execution made through it. *)
-
-val exec_compiled : arena -> Machine.recognizer -> string -> run * journal
-(** Like {!exec_machine} — same verdict contract, same snapshot
-    semantics, bit-identical observations — but executing in the arena's
-    recycled context and recording {e nothing} per input position beyond
-    a high-water read mark. Execution of a machine-form subject is
-    deterministic and its continuations are multi-shot, so
-    {!snapshot_at} can rebuild the suspension at any read position on
-    demand by replaying the run over the prefix (an O(position) cost
-    paid only when a snapshot is actually materialised — gate with
-    {!Cache.mem} to skip it for prefixes already cached, and the steady
-    state pays nothing for resumability). Works on any recognizer; pairs
-    with the staged recognizers from {!Compiled} for the full compiled
-    tier. The journal owns everything it needs and never goes stale;
-    replay borrows the arena's context transiently, so journals from one
-    arena must be consulted from the same domain that executes on it. *)
-
-val exec_staged : arena -> Machine.recognizer -> string -> run
-(** Arena execution without journaling, for the non-incremental engine
-    path: drives the recognizer directly and skips the boundary
-    bookkeeping entirely. *)
-
 (** {1 Bounded LRU prefix cache}
 
     Maps a prefix string to the snapshot suspended at its end. One cache
@@ -209,15 +166,11 @@ module Cache : sig
       fuzzer's per-execution lookup — the input's inherited prefix never
       needs to exist as its own string. *)
 
-  val mem : t -> string -> bool
-  (** Presence check with no recency or counter side effects. Used to
-      decide whether materialising a snapshot for a prefix is worth it —
-      for compiled-tier journals that materialisation costs a replay of
-      the prefix, so the fuzzer only pays it for prefixes not already
-      cached. *)
-
   val mem_prefix : t -> string -> len:int -> bool
-  (** Allocation-free [mem] on the first [len] characters of [s]. *)
+  (** Is the first [len] characters of [s] cached? Allocation-free, and
+      with no recency or counter side effects: the fuzzer probes before
+      {!store} so that an already-cached prefix is never materialised
+      as a string. *)
 
   val store : t -> string -> snapshot -> unit
   (** Insert, evicting the least-recently-used entry at the bound. An

@@ -5,14 +5,12 @@ type t =
       seed : int;
       max_executions : int;
       incremental : bool;
-      engine : string;
     }
   | Cell of { tool : string; subject : string; seed : int }
   | Exec_start of { len : int; prefix : int }
   | Exec_done of {
       dur_ns : int;
       verdict : string;
-      engine : string;
       cached : bool;
       sub_index : int;
       cov : int;
@@ -95,7 +93,6 @@ let fields ev =
       ("seed", I m.seed);
       ("max_executions", I m.max_executions);
       ("incremental", B m.incremental);
-      ("engine", S m.engine);
     ]
   | Cell c -> [ ("tool", S c.tool); ("subject", S c.subject); ("seed", I c.seed) ]
   | Exec_start e -> [ ("len", I e.len); ("prefix", I e.prefix) ]
@@ -103,7 +100,6 @@ let fields ev =
     [
       ("dur_ns", I e.dur_ns);
       ("verdict", S e.verdict);
-      ("engine", S e.engine);
       ("cached", B e.cached);
       ("sub", I e.sub_index);
       ("cov", I e.cov);
@@ -194,11 +190,9 @@ let bool_field fields k =
   | _ -> Json.fail "missing bool field %S" k
 
 (* Traces written before a field existed parse with its default, so old
-   traces keep loading across schema growth ([engine] arrived after the
-   first release of the format). *)
-let str_field_default fields k default =
-  match get fields k with Some (Json.S s) -> s | _ -> default
-
+   traces keep loading across schema growth ([rescues] arrived after the
+   first release of the format). Fields a trace carries that this build
+   no longer knows are ignored. *)
 let int_field_default fields k default =
   match get fields k with Some (Json.I i) -> i | _ -> default
 
@@ -222,7 +216,6 @@ let of_fields fields =
           seed = int_field f "seed";
           max_executions = int_field f "max_executions";
           incremental = bool_field f "incremental";
-          engine = str_field_default f "engine" "interpreted";
         }
     | "cell" ->
       Cell
@@ -238,7 +231,6 @@ let of_fields fields =
         {
           dur_ns = int_field f "dur_ns";
           verdict = str_field f "verdict";
-          engine = str_field_default f "engine" "interpreted";
           cached = bool_field f "cached";
           sub_index = int_field f "sub";
           cov = int_field f "cov";

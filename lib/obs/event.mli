@@ -14,9 +14,6 @@ type t =
       seed : int;
       max_executions : int;
       incremental : bool;
-      engine : string;
-          (** the execution tier actually in effect: "interpreted" or
-              "compiled" *)
     }  (** first event of a fuzzing run *)
   | Cell of { tool : string; subject : string; seed : int }
       (** marks the start of one evaluation-grid cell in a merged trace *)
@@ -25,7 +22,6 @@ type t =
   | Exec_done of {
       dur_ns : int;  (** full processing span, including child generation *)
       verdict : string;  (** "accepted", "rejected" or "hang" *)
-      engine : string;  (** execution tier that ran it; see {!Run_meta} *)
       cached : bool;  (** resumed from a prefix snapshot *)
       sub_index : int;  (** substitution index, -1 when none *)
       cov : int;  (** valid-coverage cardinal after this execution *)

@@ -11,7 +11,6 @@ type t = {
   phase_ns : int array;  (* cumulative span per Phase.t, always kept *)
   phase_hist : Pdf_util.Stats.Histogram.t array option;  (* iff metrics *)
   snapshot_interval_ns : int;  (* 0 = snapshots disabled *)
-  mutable engine : string;  (* resolved tier, learned from run_meta *)
   mutable max_executions : int;
   mutable outcomes : int;
   mutable last_snap_t : int;
@@ -59,7 +58,6 @@ let create ?(clock = Clock.now_ns) ?sink ?ring ?postmortem ?(sample = 1)
       (match progress with
        | Some p -> max 1 (Progress.interval_ns p)
        | None -> (match metrics_file with Some _ -> 1_000_000_000 | None -> 0));
-    engine = "?";
     max_executions = 0;
     outcomes = 0;
     last_snap_t = 0;
@@ -117,13 +115,11 @@ let phase_totals t =
 
 (* {1 Run lifecycle} *)
 
-let run_meta t ~subject ~outcomes ~seed ~max_executions ~incremental ~engine =
+let run_meta t ~subject ~outcomes ~seed ~max_executions ~incremental =
   t.max_executions <- max_executions;
   t.outcomes <- outcomes;
-  t.engine <- engine;
   emit t ~exec:0
-    (Event.Run_meta
-       { subject; outcomes; seed; max_executions; incremental; engine })
+    (Event.Run_meta { subject; outcomes; seed; max_executions; incremental })
 
 let snapshot_due t =
   t.snapshot_interval_ns > 0 && now_ns t - t.last_snap_t >= t.snapshot_interval_ns
@@ -165,7 +161,7 @@ let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~rescues ~plateau ~hangs
   | Some p ->
     Progress.print p
       (Progress.render ~execs:exec ~max_executions:t.max_executions ~execs_per_sec
-         ~engine:t.engine ~depth ~valid ~cov ~outcomes:t.outcomes ~hits ~misses
+         ~depth ~valid ~cov ~outcomes:t.outcomes ~hits ~misses
          ~rescues ~plateau ~hangs ~crashes)
 
 let finish t ~exec ~valid ~cov =

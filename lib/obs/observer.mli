@@ -92,10 +92,9 @@ val run_meta :
   seed:int ->
   max_executions:int ->
   incremental:bool ->
-  engine:string ->
   unit
-(** Emit the run header and remember the totals and resolved engine tier
-    the progress line needs. *)
+(** Emit the run header and remember the totals the progress line
+    needs. *)
 
 val snapshot_due : t -> bool
 (** True when the status cadence has elapsed. Always false without a

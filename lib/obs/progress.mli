@@ -15,7 +15,6 @@ val render :
   execs:int ->
   max_executions:int ->
   execs_per_sec:float ->
-  engine:string ->
   depth:int ->
   valid:int ->
   cov:int ->
@@ -27,8 +26,7 @@ val render :
   hangs:int ->
   crashes:int ->
   string
-(** One status line: executions, throughput, the resolved engine tier
-    ("?" when unknown), queue depth, valid count, coverage percentage,
+(** One status line: executions, throughput, queue depth, valid count, coverage percentage,
     cache hit rate ("-" before any consultation), cache rescue count,
     plateau age in executions, and cumulative hang and crash counts. *)
 

@@ -6,7 +6,6 @@ type meta = {
   seed : int;
   max_executions : int;
   incremental : bool;
-  engine : string;
 }
 
 type point = { exec : int; t_ns : int; cov : int; valid : int }
@@ -34,10 +33,6 @@ type t = {
   cache_hits : int;
   cache_misses : int;
   valids : (int * string) list;  (* exec count, input — in discovery order *)
-  engines : (string * (int * int)) list;
-      (* engine tag -> (executions, total exec duration ns), in
-         first-seen order; one entry for a homogeneous run, two when a
-         merged trace mixes tiers *)
   hangs : int;
   crashes : int;
   crash_unique : int;  (* distinct (exn, site) identities *)
@@ -77,14 +72,6 @@ let analyse ?(top = 10) ?cell events =
   let hits = ref 0 in
   let misses = ref 0 in
   let valids_rev = ref [] in
-  let engines_rev = ref [] in
-  let note_engine tag dur =
-    match List.assoc_opt tag !engines_rev with
-    | Some cell ->
-      let n, ns = !cell in
-      cell := (n + 1, ns + dur)
-    | None -> engines_rev := !engines_rev @ [ (tag, ref (1, dur)) ]
-  in
   let slow_all = ref [] in
   let hangs = ref 0 in
   let crashes = ref 0 in
@@ -105,11 +92,9 @@ let analyse ?(top = 10) ?cell events =
               seed = m.seed;
               max_executions = m.max_executions;
               incremental = m.incremental;
-              engine = m.engine;
             }
       | Event.Exec_done e ->
         cov := e.cov;
-        note_engine e.engine e.dur_ns;
         if e.valid then incr valid;
         curve_rev := { exec = s.exec; t_ns = s.t_ns; cov = e.cov; valid = !valid } :: !curve_rev;
         slow_all :=
@@ -165,7 +150,6 @@ let analyse ?(top = 10) ?cell events =
     cache_hits = !hits;
     cache_misses = !misses;
     valids = List.rev !valids_rev;
-    engines = List.map (fun (tag, cell) -> (tag, !cell)) !engines_rev;
     hangs = !hangs;
     crashes = !crashes;
     crash_unique = !crash_unique;
@@ -222,8 +206,8 @@ let render ?(rows = 20) ppf t =
   (match t.meta with
    | Some m ->
      Format.fprintf ppf
-       "subject %s, seed %d, budget %d executions, incremental %b, engine %s@."
-       m.subject m.seed m.max_executions m.incremental m.engine
+       "subject %s, seed %d, budget %d executions, incremental %b@."
+       m.subject m.seed m.max_executions m.incremental
    | None -> ());
   Format.fprintf ppf
     "%d executions in %.2fs (%.0f execs/sec), %d valid inputs, %d branches covered"
@@ -245,24 +229,6 @@ let render ?(rows = 20) ppf t =
     if t.rescues > 0 then Format.fprintf ppf ", %d snapshot rescues" t.rescues;
     Format.fprintf ppf "@."
   end;
-  (* Per-engine breakdown of the executions themselves (from the tagged
-     exec_done events); one row for a homogeneous run, one per tier for
-     merged traces comparing engines. *)
-  if t.engines <> [] then
-    Render.table ppf ~title:"per-engine execution breakdown"
-      ~header:[ "engine"; "execs"; "exec time (s)"; "mean (us)" ]
-      (List.map
-         (fun (tag, (n, ns)) ->
-           [
-             tag;
-             string_of_int n;
-             Printf.sprintf "%.3f" (seconds ns);
-             (if n = 0 then "-"
-              else
-                Printf.sprintf "%.1f"
-                  (float_of_int ns /. float_of_int n /. 1e3));
-           ])
-         t.engines);
   (* Coverage over time: the paper's Figure 2 as a table + bar chart. *)
   let buckets = bucketed ~rows t in
   let outcomes = match t.meta with Some m -> m.outcomes | None -> 0 in

@@ -9,7 +9,6 @@ type meta = {
   seed : int;
   max_executions : int;
   incremental : bool;
-  engine : string;  (** execution tier of the run; "interpreted" for old traces *)
 }
 
 type point = { exec : int; t_ns : int; cov : int; valid : int }
@@ -37,9 +36,6 @@ type t = {
   cache_hits : int;
   cache_misses : int;
   valids : (int * string) list;
-  engines : (string * (int * int)) list;
-      (** engine tag -> (executions, total exec duration ns) from the
-          tagged [exec_done] events, in first-seen order *)
   hangs : int;  (** cumulative fuel-exhaustion count *)
   crashes : int;  (** cumulative contained-crash count *)
   crash_unique : int;  (** distinct (exn, site) crash identities *)

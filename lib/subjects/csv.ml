@@ -20,162 +20,80 @@ let bare_chars = Charset.complement (Charset.of_string ",\"\n")
 module Machine = Pdf_instr.Machine
 module K = Helpers.K
 
-let quoted (k : K.k) : K.k =
- fun ctx ->
-  K.with_frame s_quoted
-    (fun k ->
-      let rec body ctx =
-        K.next
-          (fun c ctx ->
-            match c with
-            | None -> Ctx.reject ctx "unterminated quoted field"
-            | Some c ->
-              if Ctx.eq ctx b_quote_close c '"' then
-                (* A doubled quote continues the field. *)
-                K.peek
-                  (fun c2 ctx ->
-                    match c2 with
-                    | Some c2 when Ctx.eq ctx b_quote_escape c2 '"' ->
-                      K.skip body ctx
-                    | Some _ | None -> k ctx)
-                  ctx
-              else body ctx)
-          ctx
-      in
-      K.skip (* opening quote *) body)
-    k ctx
-
-let field (k : K.k) : K.k =
- fun ctx ->
-  K.with_frame s_field
-    (fun k ->
-      K.peek (fun c ctx ->
-          match c with
-          | None -> k ctx
-          | Some c ->
-            if Ctx.eq ctx b_quote_open c '"' then quoted k ctx
-            else K.skip_set b_bare_char ~label:"bare-char" bare_chars k ctx))
-    k ctx
-
-let record (k : K.k) : K.k =
- fun ctx ->
-  K.with_frame s_record
-    (fun k ->
-      let rec more ctx =
-        K.eat_if b_comma ',' (fun ate -> if ate then field more else k) ctx
-      in
-      field more)
-    k ctx
-
-let machine : Machine.recognizer =
- fun ctx ->
-  K.with_frame s_parse
-    (fun k ->
-      let rec rest ctx =
-        K.peek
-          (fun c ctx ->
-            match c with
-            | None ->
-              ignore (Ctx.branch ctx b_final_eof true);
-              k ctx
-            | Some c ->
-              if Ctx.eq ctx b_newline c '\n' then
-                (* After a newline, either another record follows or the
-                   input ends; the peek doubles as the trailing-newline
-                   EOF probe for extensibility. *)
-                K.skip
-                  (K.peek (fun c2 ctx ->
-                       match c2 with
-                       | None -> k ctx
-                       | Some _ -> record rest ctx))
-                  ctx
-              else Ctx.reject ctx "unexpected character after field")
-          ctx
-      in
-      record rest)
-    K.stop ctx
-
-let parse ctx = Machine.run ctx machine
-
-(* {1 Staged (compiled) form}
-
-   CSV has no recursive nesting either, so the whole recognizer stages
+(* CSV has no recursive nesting, so the whole recognizer is constructed
    at module initialisation: the quoted-field scan, the comma loop and
-   the record/newline cycle all close over themselves with [C.fix], the
+   the record/newline cycle all close over themselves with [K.fix], the
    bare-field scan is a static [skip_set] cycle, and a steady-state run
    allocates no step nodes. *)
-module C = Pdf_instr.Compiled
 
-let sl_quote_open = C.slot_eq b_quote_open '"'
-let sl_quote_close = C.slot_eq b_quote_close '"'
-let sl_quote_escape = C.slot_eq b_quote_escape '"'
-let sl_newline = C.slot_eq b_newline '\n'
+let sl_quote_open = K.slot_eq b_quote_open '"'
+let sl_quote_close = K.slot_eq b_quote_close '"'
+let sl_quote_escape = K.slot_eq b_quote_escape '"'
+let sl_newline = K.slot_eq b_newline '\n'
 
-let compiled : C.t =
-  let quoted (k : C.k) : C.k =
-    C.with_frame s_quoted
-      (fun k ->
-        let body =
-          C.fix (fun body ->
-              let skip_body = C.skip body in
-              let after_quote =
-                (* A doubled quote continues the field. *)
-                C.peek (fun c2 ->
-                    fun ctx ->
-                      match c2 with
-                      | Some c2 when Ctx.eq_slot ctx sl_quote_escape c2 '"' ->
-                        skip_body ctx
-                      | Some _ | None -> k ctx)
-              in
-              C.next (fun c ->
+let quoted (k : K.k) : K.k =
+  K.with_frame s_quoted
+    (fun k ->
+      let body =
+        K.fix (fun body ->
+            let skip_body = K.skip body in
+            let after_quote =
+              (* A doubled quote continues the field. *)
+              K.peek (fun c2 ->
                   fun ctx ->
-                    match c with
-                    | None -> Ctx.reject ctx "unterminated quoted field"
-                    | Some c ->
-                      if Ctx.eq_slot ctx sl_quote_close c '"' then
-                        after_quote ctx
-                      else body ctx))
-        in
-        C.skip (* opening quote *) body)
-      k
-  in
-  let field (k : C.k) : C.k =
-    C.with_frame s_field
-      (fun k ->
-        let q = quoted k in
-        let bare = C.skip_set b_bare_char ~label:"bare-char" bare_chars k in
-        C.peek (fun c ->
-            fun ctx ->
-              match c with
-              | None -> k ctx
-              | Some c ->
-                if Ctx.eq_slot ctx sl_quote_open c '"' then q ctx
-                else bare ctx))
-      k
-  in
-  let record (k : C.k) : C.k =
-    C.with_frame s_record
-      (fun k ->
-        let more =
-          C.fix (fun more ->
-              C.eat_if b_comma ',' (fun ate -> if ate then field more else k))
-        in
-        field more)
-      k
-  in
-  C.with_frame s_parse
+                    match c2 with
+                    | Some c2 when Ctx.eq_slot ctx sl_quote_escape c2 '"' ->
+                      skip_body ctx
+                    | Some _ | None -> k ctx)
+            in
+            K.next (fun c ->
+                fun ctx ->
+                  match c with
+                  | None -> Ctx.reject ctx "unterminated quoted field"
+                  | Some c ->
+                    if Ctx.eq_slot ctx sl_quote_close c '"' then after_quote ctx
+                    else body ctx))
+      in
+      K.skip (* opening quote *) body)
+    k
+
+let field (k : K.k) : K.k =
+  K.with_frame s_field
+    (fun k ->
+      let q = quoted k in
+      let bare = K.skip_set b_bare_char ~label:"bare-char" bare_chars k in
+      K.peek (fun c ->
+          fun ctx ->
+            match c with
+            | None -> k ctx
+            | Some c ->
+              if Ctx.eq_slot ctx sl_quote_open c '"' then q ctx else bare ctx))
+    k
+
+let record (k : K.k) : K.k =
+  K.with_frame s_record
+    (fun k ->
+      let more =
+        K.fix (fun more ->
+            K.eat_if b_comma ',' (fun ate -> if ate then field more else k))
+      in
+      field more)
+    k
+
+let machine : Machine.recognizer =
+  K.with_frame s_parse
     (fun k ->
       let rest =
-        C.fix (fun rest ->
+        K.fix (fun rest ->
             let rec_rest = record rest in
             let after_nl =
               (* After a newline, either another record follows or the
                  input ends; the peek doubles as the trailing-newline EOF
                  probe for extensibility. *)
-              C.peek (fun c2 -> match c2 with None -> k | Some _ -> rec_rest)
+              K.peek (fun c2 -> match c2 with None -> k | Some _ -> rec_rest)
             in
-            let skip_after = C.skip after_nl in
-            C.peek (fun c ->
+            let skip_after = K.skip after_nl in
+            K.peek (fun c ->
                 fun ctx ->
                   match c with
                   | None ->
@@ -186,7 +104,9 @@ let compiled : C.t =
                     else Ctx.reject ctx "unexpected character after field"))
       in
       record rest)
-    C.stop
+    K.stop
+
+let parse ctx = Machine.run ctx machine
 
 let tokens = [ Token.literal ","; Token.make "field" 1 ]
 
@@ -209,8 +129,6 @@ let subject =
     registry;
     parse;
     machine = Some machine;
-    compiled = Some compiled;
-    compiled_preferred = true;
     fuel = 100_000;
     tokens;
     tokenize;

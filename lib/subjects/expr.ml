@@ -19,51 +19,55 @@ let b_trailing = Site.branch registry "parse.trailing?"
 module Machine = Pdf_instr.Machine
 module K = Helpers.K
 
+(* [number]'s digit loop is a static two-node cycle; [factor] builds its
+   dispatch body, the continuations it can ([number k], the ')'-expect)
+   and the sign-probe chain at nonterminal entry; [ops]' operator loop
+   closes over itself with [K.fix] so the +/- cycle is constructed once
+   per [expr] entry. Only the genuinely recursive calls ([expr] under
+   parentheses) construct at runtime. *)
+
+let msg_eof_rparen, msg_rparen = K.reject_msgs ')'
+
+let sl_digit_first = K.slot_range b_digit_first '0' '9'
+let sl_lparen = K.slot_eq b_lparen '('
+
 (* The first digit is consumed by [factor]; [number] eats the rest. *)
 let number (k : K.k) : K.k =
- fun ctx ->
-  K.with_frame s_number
-    (fun k ->
-      let rec more ctx =
-        K.peek
-          (fun c ctx ->
-            match c with
-            | None -> k ctx
-            | Some c ->
-              if Ctx.in_range ctx b_digit_more c '0' '9' then K.skip more ctx
-              else k ctx)
-          ctx
-      in
-      more)
-    k ctx
+  K.with_frame s_number (fun k -> K.skip_range b_digit_more '0' '9' k) k
 
-let rec expr (k : K.k) : K.k =
- fun ctx -> K.with_frame s_expr (fun k -> factor (ops k)) k ctx
+let rec expr (k : K.k) : K.k = K.with_frame s_expr (fun k -> factor (ops k)) k
 
 and ops (k : K.k) : K.k =
- fun ctx ->
-  K.eat_if b_op_plus '+'
-    (fun ate ->
-      if ate then factor (ops k)
-      else
-        K.eat_if b_op_minus '-' (fun ate ->
-            if ate then factor (ops k) else k))
-    ctx
+  (* Without [fix], constructing [ops] would construct [factor ops],
+     which constructs [ops] … — the operator loop must close over
+     itself. The two operator branches continue identically, so
+     [factor ops] is constructed once, shared. *)
+  K.fix (fun ops ->
+      let fo = factor ops in
+      K.eat_if b_op_plus '+' (fun ate ->
+          if ate then fo
+          else K.eat_if b_op_minus '-' (fun ate -> if ate then fo else k)))
 
 and factor (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_factor
     (fun k ->
+      let num = number k in
+      let after_rparen =
+        K.expect_with ~msg_eof:msg_eof_rparen ~msg:msg_rparen b_rparen ')' k
+      in
       let body : K.k =
-        K.peek (fun c ctx ->
-            match c with
-            | None -> Ctx.reject ctx "expected digit or '(', found end of input"
-            | Some c ->
-              if Ctx.in_range ctx b_digit_first c '0' '9' then
-                K.skip (number k) ctx
-              else if Ctx.eq ctx b_lparen c '(' then
-                K.skip (expr (K.expect b_rparen ')' k)) ctx
-              else Ctx.reject ctx "expected digit or '('")
+        K.peek (fun c ->
+            fun ctx ->
+              match c with
+              | None -> Ctx.reject ctx "expected digit or '(', found end of input"
+              | Some c ->
+                if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then
+                  K.skip num ctx
+                else if Ctx.eq_slot ctx sl_lparen c '(' then
+                  (* [expr] must stay a runtime call: constructing it
+                     here would recurse factor → expr → factor forever. *)
+                  K.skip (expr after_rparen) ctx
+                else Ctx.reject ctx "expected digit or '('")
       in
       (* Optional unary sign. *)
       K.peek_is b_sign_plus '+' (fun plus ->
@@ -71,90 +75,13 @@ and factor (k : K.k) : K.k =
           else
             K.peek_is b_sign_minus '-' (fun minus ->
                 if minus then K.skip body else body)))
-    k ctx
+    k
 
 let machine : Machine.recognizer =
- fun ctx ->
   K.with_frame s_parse
     (fun k ->
       expr
-        (K.peek (fun c ctx ->
-             match c with
-             | Some _ ->
-               ignore (Ctx.branch ctx b_trailing true);
-               Ctx.reject ctx "trailing input after expression"
-             | None ->
-               ignore (Ctx.branch ctx b_trailing false);
-               k ctx)))
-    K.stop ctx
-
-let parse ctx = Machine.run ctx machine
-
-(* {1 Staged (compiled) form}
-
-   [number]'s digit loop becomes a static two-node cycle; [factor]
-   hoists its dispatch body, the hoistable continuations ([number k],
-   the ')'-expect) and the sign-probe chain at nonterminal entry; [ops]'
-   operator loop closes over itself with [C.fix] so the +/- cycle stages
-   exactly once per [expr] entry. Only the genuinely recursive calls
-   ([expr] under parentheses, [factor] under an operator) re-stage at
-   runtime. Observation order is identical to the interpreted machine. *)
-module C = Pdf_instr.Compiled
-
-let msg_eof_rparen, msg_rparen = C.reject_msgs ')'
-
-let sl_digit_first = C.slot_range b_digit_first '0' '9'
-let sl_lparen = C.slot_eq b_lparen '('
-
-let compiled : C.t =
-  let number (k : C.k) : C.k =
-    C.with_frame s_number (fun k -> C.skip_range b_digit_more '0' '9' k) k
-  in
-  let rec expr (k : C.k) : C.k =
-    C.with_frame s_expr (fun k -> factor (ops k)) k
-  and ops (k : C.k) : C.k =
-    (* Without [fix], staging [ops] would stage [factor ops] which
-       stages [ops] … — the operator loop must close over itself. The
-       two operator branches continue identically, so [factor ops]
-       stages once, shared. *)
-    C.fix (fun ops ->
-        let fo = factor ops in
-        C.eat_if b_op_plus '+' (fun ate ->
-            if ate then fo
-            else C.eat_if b_op_minus '-' (fun ate -> if ate then fo else k)))
-  and factor (k : C.k) : C.k =
-    C.with_frame s_factor
-      (fun k ->
-        let num = number k in
-        let after_rparen =
-          C.expect_with ~msg_eof:msg_eof_rparen ~msg:msg_rparen b_rparen ')' k
-        in
-        let body : C.k =
-          C.peek (fun c ->
-              fun ctx ->
-                match c with
-                | None ->
-                  Ctx.reject ctx "expected digit or '(', found end of input"
-                | Some c ->
-                  if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then
-                    C.skip num ctx
-                  else if Ctx.eq_slot ctx sl_lparen c '(' then
-                    (* [expr] must stay a runtime call: staging it here
-                       would recurse factor → expr → factor forever. *)
-                    C.skip (expr after_rparen) ctx
-                  else Ctx.reject ctx "expected digit or '('")
-        in
-        C.peek_is b_sign_plus '+' (fun plus ->
-            if plus then C.skip body
-            else
-              C.peek_is b_sign_minus '-' (fun minus ->
-                  if minus then C.skip body else body)))
-      k
-  in
-  C.with_frame s_parse
-    (fun k ->
-      expr
-        (C.peek (fun c ->
+        (K.peek (fun c ->
              fun ctx ->
                match c with
                | Some _ ->
@@ -163,7 +90,9 @@ let compiled : C.t =
                | None ->
                  ignore (Ctx.branch ctx b_trailing false);
                  k ctx)))
-    C.stop
+    K.stop
+
+let parse ctx = Machine.run ctx machine
 
 let tokens =
   [
@@ -196,8 +125,6 @@ let subject =
     registry;
     parse;
     machine = Some machine;
-    compiled = Some compiled;
-    compiled_preferred = true;
     fuel = 100_000;
     tokens;
     tokenize;

@@ -30,183 +30,94 @@ let value_chars = Charset.complement (Charset.singleton '\n')
 module Machine = Pdf_instr.Machine
 module K = Helpers.K
 
+(* INI has no recursive nesting, so the whole recognizer is constructed
+   at module initialisation: every loop ([lines], the section-name scan,
+   the skip-sets) closes over itself with [K.fix] or the static
+   [skip_set] cycle, and a steady-state run allocates no step nodes at
+   all. *)
+
+let sl_rbracket = K.slot_eq b_rbracket ']'
+let sl_section_nl = K.slot_eq b_section_nl '\n'
+let sl_newline = K.slot_eq b_newline '\n'
+let sl_comment_semi = K.slot_eq b_comment_semi ';'
+let sl_comment_hash = K.slot_eq b_comment_hash '#'
+let sl_lbracket = K.slot_eq b_lbracket '['
+let sl_keychar = K.slot_set b_keychar ~label:"key-char" key_chars
+
 let skip_inline_ws k = K.skip_set b_inline_ws ~label:"inline-ws" inline_ws k
 let skip_to_eol k = K.skip_set b_value_char ~label:"line-char" value_chars k
 
 (* [section] parses the body after '[': a (possibly empty, as in inih)
    name terminated by ']'. Any character except ']' and newline may
-   appear in a name. *)
+   appear in a name. The [len = 0] emptiness branch is needed only on
+   the first iteration, so the scan is a first-iteration node chained
+   into a fixed rest-loop. *)
 let section (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_section
     (fun k ->
-      let rec name len ctx =
-        K.next
-          (fun c ctx ->
-            match c with
-            | None -> Ctx.reject ctx "unterminated section header"
-            | Some c ->
-              if Ctx.eq ctx b_rbracket c ']' then begin
-                ignore (Ctx.branch ctx b_section_empty (len = 0));
-                skip_to_eol k ctx
-              end
-              else if Ctx.eq ctx b_section_nl c '\n' then
-                Ctx.reject ctx "newline in section header"
-              else name (len + 1) ctx)
-          ctx
+      let after = skip_to_eol k in
+      let body ~first rest =
+        K.next (fun c ->
+            fun ctx ->
+              match c with
+              | None -> Ctx.reject ctx "unterminated section header"
+              | Some c ->
+                if Ctx.eq_slot ctx sl_rbracket c ']' then begin
+                  ignore (Ctx.branch ctx b_section_empty first);
+                  after ctx
+                end
+                else if Ctx.eq_slot ctx sl_section_nl c '\n' then
+                  Ctx.reject ctx "newline in section header"
+                else rest ctx)
       in
-      name 0)
-    k ctx
+      let rest = K.fix (fun rest -> body ~first:false rest) in
+      body ~first:true rest)
+    k
 
 (* [kvpair] parses a key (whose first character has already been
    examined but not consumed) up to '=', then the value to end of line. *)
 let kvpair (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_kvpair
     (fun k ->
       K.skip_set b_key_more ~label:"key-char" key_chars
         (skip_inline_ws (K.expect b_equals '=' (skip_inline_ws (skip_to_eol k)))))
-    k ctx
+    k
 
 let line (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_line
     (fun k ->
+      let skip_k = K.skip k in
+      let comment = K.with_frame s_comment (fun k -> K.skip (skip_to_eol k)) k in
+      let sec = K.skip (section k) in
+      let kv = kvpair k in
       skip_inline_ws
-        (K.peek (fun c ctx ->
-             match c with
-             | None ->
-               ignore (Ctx.branch ctx b_blank true);
-               k ctx
-             | Some c ->
-               ignore (Ctx.branch ctx b_blank false);
-               if Ctx.eq ctx b_newline c '\n' then K.skip k ctx
-               else if
-                 Ctx.eq ctx b_comment_semi c ';'
-                 || Ctx.eq ctx b_comment_hash c '#'
-               then K.with_frame s_comment (fun k -> K.skip (skip_to_eol k)) k ctx
-               else if Ctx.eq ctx b_lbracket c '[' then K.skip (section k) ctx
-               else if Ctx.in_set ctx b_keychar ~label:"key-char" c key_chars
-               then kvpair k ctx
-               else Ctx.reject ctx "invalid start of line")))
-    k ctx
+        (K.peek (fun c ->
+             fun ctx ->
+               match c with
+               | None ->
+                 ignore (Ctx.branch ctx b_blank true);
+                 k ctx
+               | Some c ->
+                 ignore (Ctx.branch ctx b_blank false);
+                 if Ctx.eq_slot ctx sl_newline c '\n' then skip_k ctx
+                 else if
+                   Ctx.eq_slot ctx sl_comment_semi c ';'
+                   || Ctx.eq_slot ctx sl_comment_hash c '#'
+                 then comment ctx
+                 else if Ctx.eq_slot ctx sl_lbracket c '[' then sec ctx
+                 else if Ctx.in_set_slot ctx sl_keychar c key_chars then kv ctx
+                 else Ctx.reject ctx "invalid start of line")))
+    k
 
 let machine : Machine.recognizer =
- fun ctx ->
   K.with_frame s_parse
     (fun k ->
-      let rec lines ctx =
-        (* The loop-head peek decides whether another line follows; at end
-           of input it doubles as the final EOF probe, so an accepted
-           input still signals extensibility. *)
-        K.peek
-          (fun c ctx ->
-            match c with
-            | None -> k ctx
-            | Some _ ->
-              line
-                (* [line] stops either at a newline it consumed or at end
-                   of line; consume the terminating newline if present. *)
-                (K.peek (fun c2 ctx ->
-                     match c2 with
-                     | Some c2 when Ctx.eq ctx b_newline c2 '\n' ->
-                       K.skip lines ctx
-                     | Some _ | None -> lines ctx))
-                ctx)
-          ctx
-      in
-      lines)
-    K.stop ctx
-
-let parse ctx = Machine.run ctx machine
-
-(* {1 Staged (compiled) form}
-
-   INI has no recursive nesting, so the whole recognizer stages at
-   module initialisation: every loop ([lines], the section-name scan,
-   the skip-sets) closes over itself with [C.fix] or the static
-   [skip_set] cycle, and a steady-state run allocates no step nodes at
-   all. The section-name scan needs its [len = 0] emptiness branch only
-   on the first iteration, so it is staged as a first-iteration node
-   chained into a fixed rest-loop. *)
-module C = Pdf_instr.Compiled
-
-let sl_rbracket = C.slot_eq b_rbracket ']'
-let sl_section_nl = C.slot_eq b_section_nl '\n'
-let sl_newline = C.slot_eq b_newline '\n'
-let sl_comment_semi = C.slot_eq b_comment_semi ';'
-let sl_comment_hash = C.slot_eq b_comment_hash '#'
-let sl_lbracket = C.slot_eq b_lbracket '['
-let sl_keychar = C.slot_set b_keychar ~label:"key-char" key_chars
-
-let compiled : C.t =
-  let skip_inline_ws k = C.skip_set b_inline_ws ~label:"inline-ws" inline_ws k in
-  let skip_to_eol k = C.skip_set b_value_char ~label:"line-char" value_chars k in
-  let section (k : C.k) : C.k =
-    C.with_frame s_section
-      (fun k ->
-        let after = skip_to_eol k in
-        let body ~first rest =
-          C.next (fun c ->
-              fun ctx ->
-                match c with
-                | None -> Ctx.reject ctx "unterminated section header"
-                | Some c ->
-                  if Ctx.eq_slot ctx sl_rbracket c ']' then begin
-                    ignore (Ctx.branch ctx b_section_empty first);
-                    after ctx
-                  end
-                  else if Ctx.eq_slot ctx sl_section_nl c '\n' then
-                    Ctx.reject ctx "newline in section header"
-                  else rest ctx)
-        in
-        let rest = C.fix (fun rest -> body ~first:false rest) in
-        body ~first:true rest)
-      k
-  in
-  let kvpair (k : C.k) : C.k =
-    C.with_frame s_kvpair
-      (fun k ->
-        C.skip_set b_key_more ~label:"key-char" key_chars
-          (skip_inline_ws
-             (C.expect b_equals '=' (skip_inline_ws (skip_to_eol k)))))
-      k
-  in
-  let line (k : C.k) : C.k =
-    C.with_frame s_line
-      (fun k ->
-        let skip_k = C.skip k in
-        let comment =
-          C.with_frame s_comment (fun k -> C.skip (skip_to_eol k)) k
-        in
-        let sec = C.skip (section k) in
-        let kv = kvpair k in
-        skip_inline_ws
-          (C.peek (fun c ->
-               fun ctx ->
-                 match c with
-                 | None ->
-                   ignore (Ctx.branch ctx b_blank true);
-                   k ctx
-                 | Some c ->
-                   ignore (Ctx.branch ctx b_blank false);
-                   if Ctx.eq_slot ctx sl_newline c '\n' then skip_k ctx
-                   else if
-                     Ctx.eq_slot ctx sl_comment_semi c ';'
-                     || Ctx.eq_slot ctx sl_comment_hash c '#'
-                   then comment ctx
-                   else if Ctx.eq_slot ctx sl_lbracket c '[' then sec ctx
-                   else if Ctx.in_set_slot ctx sl_keychar c key_chars then
-                     kv ctx
-                   else Ctx.reject ctx "invalid start of line")))
-      k
-  in
-  C.with_frame s_parse
-    (fun k ->
-      C.fix (fun lines ->
-          let skip_lines = C.skip lines in
+      K.fix (fun lines ->
+          let skip_lines = K.skip lines in
+          (* [line] stops either at a newline it consumed or at end of
+             line; consume the terminating newline if present. *)
           let after_line =
-            C.peek (fun c2 ->
+            K.peek (fun c2 ->
                 fun ctx ->
                   match c2 with
                   | Some c2 when Ctx.eq_slot ctx sl_newline c2 '\n' ->
@@ -214,10 +125,13 @@ let compiled : C.t =
                   | Some _ | None -> lines ctx)
           in
           let body = line after_line in
-          (* Loop-head peek doubles as the final EOF probe, exactly as in
-             the interpreted machine. *)
-          C.peek (fun c -> match c with None -> k | Some _ -> body)))
-    C.stop
+          (* The loop-head peek decides whether another line follows; at
+             end of input it doubles as the final EOF probe, so an
+             accepted input still signals extensibility. *)
+          K.peek (fun c -> match c with None -> k | Some _ -> body)))
+    K.stop
+
+let parse ctx = Machine.run ctx machine
 
 let tokens =
   [
@@ -250,8 +164,6 @@ let subject =
     registry;
     parse;
     machine = Some machine;
-    compiled = Some compiled;
-    compiled_preferred = true;
     fuel = 100_000;
     tokens;
     tokenize;

@@ -52,28 +52,51 @@ let b_trailing = Site.branch registry "parse.trailing?"
 module Machine = Pdf_instr.Machine
 module K = Helpers.K
 
-let ws = Charset.of_string " \t\r\n"
-let skip_ws k = K.skip_set b_ws ~label:"whitespace" ws k
+(* The hot loops — string bodies, digit runs, whitespace — are static
+   node cycles; the number grammar's peek chain and the escape/utf16
+   machinery are constructed once per nonterminal entry with all
+   continuations hoisted. [value]/[object_]/[array] stay runtime
+   recursion (JSON nests arbitrarily), with each entry constructing its
+   dispatch node once; the recursive calls are deferred inside peek
+   continuations, so construction always terminates. *)
 
-let digits site_first site_more (k : K.k) : K.k =
-  K.next (fun c ctx ->
-      match c with
-      | None -> Ctx.reject ctx "expected digit, found end of input"
-      | Some c ->
-        if not (Ctx.in_range ctx site_first c '0' '9') then
-          Ctx.reject ctx "expected digit"
-        else
-          let rec more ctx =
-            K.peek
-              (fun c ctx ->
-                match c with
-                | None -> k ctx
-                | Some c ->
-                  if Ctx.in_range ctx site_more c '0' '9' then K.skip more ctx
-                  else k ctx)
-              ctx
-          in
-          more ctx)
+let ws = Charset.of_string " \t\r\n"
+
+(* Slots for every comparison site, resolved once at module
+   initialisation — the recursive nonterminals are constructed per
+   entry, and must not rebuild site/kind data each time. *)
+let sl_ws = K.slot_set b_ws ~label:"whitespace" ws
+let sl_str_close = K.slot_eq b_str_close '"'
+let sl_str_backslash = K.slot_eq b_str_backslash '\\'
+let sl_esc_simple = K.slot_one_of b_esc_simple "\"\\/bfnrt"
+let sl_num_exp_sign = K.slot_one_of b_num_exp_sign "+-"
+let sl_num_exp = K.slot_one_of b_num_exp "eE"
+let sl_num_dot = K.slot_eq b_num_dot '.'
+let sl_minus = K.slot_eq b_minus '-'
+let sl_lbrace = K.slot_eq b_lbrace '{'
+let sl_lbracket = K.slot_eq b_lbracket '['
+let sl_quote = K.slot_eq b_quote '"'
+let sl_digit = K.slot_range b_digit '0' '9'
+let sl_letter = K.slot_set b_letter ~label:"letter" Charset.letters
+let sl_obj_key_quote = K.slot_eq b_obj_key_quote '"'
+let sl_num_int = K.slot_range b_num_int '0' '9'
+let sl_num_frac = K.slot_range b_num_frac '0' '9'
+let sl_num_exp_digit = K.slot_range b_num_exp_digit '0' '9'
+
+let skip_ws k = K.skip_while (fun c ctx -> Ctx.in_set_slot ctx sl_ws c ws) k
+
+let digits sl_first sl_more (k : K.k) : K.k =
+  let more =
+    K.skip_while (fun c ctx -> Ctx.in_range_slot ctx sl_more c '0' '9') k
+  in
+  K.next (fun c ->
+      fun ctx ->
+        match c with
+        | None -> Ctx.reject ctx "expected digit, found end of input"
+        | Some c ->
+          if not (Ctx.in_range_slot ctx sl_first c '0' '9') then
+            Ctx.reject ctx "expected digit"
+          else more ctx)
 
 (* cJSON's UTF-16 decoding relies on implicit flow: the hex digits are
    turned into a code point by table lookups and arithmetic, never by a
@@ -94,17 +117,18 @@ let utf16_quad (f : int -> K.k) : K.k =
     if n = 0 then f acc ctx
     else
       K.next
-        (fun c ctx ->
-          match c with
-          | None -> Ctx.reject ctx "unterminated \\u escape"
-          | Some c -> (
-            match untracked_hex_value c with
-            | Some v ->
-              ignore (Ctx.branch ctx b_hex_valid true);
-              quad ((acc * 16) + v) (n - 1) ctx
-            | None ->
-              ignore (Ctx.branch ctx b_hex_valid false);
-              Ctx.reject ctx "invalid hex digit in \\u escape"))
+        (fun c ->
+          fun ctx ->
+            match c with
+            | None -> Ctx.reject ctx "unterminated \\u escape"
+            | Some c -> (
+              match untracked_hex_value c with
+              | Some v ->
+                ignore (Ctx.branch ctx b_hex_valid true);
+                quad ((acc * 16) + v) (n - 1) ctx
+              | None ->
+                ignore (Ctx.branch ctx b_hex_valid false);
+                Ctx.reject ctx "invalid hex digit in \\u escape"))
         ctx
   in
   quad 0 4 ctx
@@ -112,501 +136,218 @@ let utf16_quad (f : int -> K.k) : K.k =
 (* The surrogate-pair glue characters are matched without tracking, like
    [untracked_hex_value]: cJSON recognises them via implicit flow. *)
 let expect_untracked expected (k : K.k) : K.k =
-  K.next (fun c ctx ->
-      match c with
-      | Some c when c.Tchar.ch = expected -> k ctx
-      | Some _ | None -> Ctx.reject ctx "missing low surrogate")
+  K.next (fun c ->
+      fun ctx ->
+        match c with
+        | Some c when c.Tchar.ch = expected -> k ctx
+        | Some _ | None -> Ctx.reject ctx "missing low surrogate")
 
 let utf16_escape (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_utf16
     (fun k ->
-      utf16_quad (fun first ctx ->
-          if
-            Ctx.branch ctx b_surrogate_high (first >= 0xD800 && first <= 0xDBFF)
-          then
-            (* A high surrogate must be followed by "\uDC00".."\uDFFF". *)
-            K.with_frame s_utf16_surrogate
-              (fun k ->
-                expect_untracked '\\'
-                  (expect_untracked 'u'
-                     (utf16_quad (fun second ctx ->
-                          if
-                            not
-                              (Ctx.branch ctx b_surrogate_low
-                                 (second >= 0xDC00 && second <= 0xDFFF))
-                          then Ctx.reject ctx "invalid low surrogate"
-                          else k ctx))))
-              k ctx
-          else if first >= 0xDC00 && first <= 0xDFFF then
-            Ctx.reject ctx "unpaired low surrogate"
-          else k ctx))
-    k ctx
+      let surrogate =
+        (* A high surrogate must be followed by "\uDC00".."\uDFFF". *)
+        K.with_frame s_utf16_surrogate
+          (fun k ->
+            expect_untracked '\\'
+              (expect_untracked 'u'
+                 (utf16_quad (fun second ->
+                      fun ctx ->
+                        if
+                          not
+                            (Ctx.branch ctx b_surrogate_low
+                               (second >= 0xDC00 && second <= 0xDFFF))
+                        then Ctx.reject ctx "invalid low surrogate"
+                        else k ctx))))
+          k
+      in
+      utf16_quad (fun first ->
+          fun ctx ->
+            if Ctx.branch ctx b_surrogate_high (first >= 0xD800 && first <= 0xDBFF)
+            then surrogate ctx
+            else if first >= 0xDC00 && first <= 0xDFFF then
+              Ctx.reject ctx "unpaired low surrogate"
+            else k ctx))
+    k
 
 let escape (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_escape
     (fun k ->
-      K.next (fun c ctx ->
-          match c with
-          | None -> Ctx.reject ctx "unterminated escape"
-          | Some c ->
-            if Ctx.one_of ctx b_esc_simple c "\"\\/bfnrt" then k ctx
-            else if Ctx.branch ctx b_esc_u (c.Tchar.ch = 'u') then
-              utf16_escape k ctx
-            else Ctx.reject ctx "invalid escape character"))
-    k ctx
+      let u = utf16_escape k in
+      K.next (fun c ->
+          fun ctx ->
+            match c with
+            | None -> Ctx.reject ctx "unterminated escape"
+            | Some c ->
+              if Ctx.one_of_slot ctx sl_esc_simple c "\"\\/bfnrt" then k ctx
+              else if Ctx.branch ctx b_esc_u (c.Tchar.ch = 'u') then u ctx
+              else Ctx.reject ctx "invalid escape character"))
+    k
 
 let string_body (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_string
     (fun k ->
-      let rec body ctx =
-        K.next
-          (fun c ctx ->
-            match c with
-            | None -> Ctx.reject ctx "unterminated string"
-            | Some c ->
-              if Ctx.eq ctx b_str_close c '"' then k ctx
-              else if Ctx.eq ctx b_str_backslash c '\\' then escape body ctx
-              else if Ctx.branch ctx b_str_control (Char.code c.Tchar.ch < 0x20)
-              then Ctx.reject ctx "control character in string"
-              else body ctx)
-          ctx
+      let body =
+        K.fix (fun body ->
+            (* Escapes are rare in discovered inputs; defer constructing
+               the whole escape/utf16 chain until a backslash actually
+               appears, so the common all-literal string pays one lazy
+               block instead of the full machinery per entry. *)
+            let esc = lazy (escape body) in
+            K.next (fun c ->
+                fun ctx ->
+                  match c with
+                  | None -> Ctx.reject ctx "unterminated string"
+                  | Some c ->
+                    if Ctx.eq_slot ctx sl_str_close c '"' then k ctx
+                    else if Ctx.eq_slot ctx sl_str_backslash c '\\' then
+                      Lazy.force esc ctx
+                    else if
+                      Ctx.branch ctx b_str_control (Char.code c.Tchar.ch < 0x20)
+                    then Ctx.reject ctx "control character in string"
+                    else body ctx))
       in
       K.skip (* opening quote *) body)
-    k ctx
+    k
 
 let number (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_number
     (fun k ->
-      let exp_digits = digits b_num_exp_digit b_num_exp_digit k in
-      let exp_part ctx =
-        K.peek
-          (fun c ctx ->
-            match c with
-            | Some c when Ctx.one_of ctx b_num_exp c "eE" ->
-              K.skip
-                (K.peek (fun c2 ctx ->
-                     match c2 with
-                     | Some c2 when Ctx.one_of ctx b_num_exp_sign c2 "+-" ->
-                       K.skip exp_digits ctx
-                     | Some _ | None -> exp_digits ctx))
-                ctx
-            | Some _ | None -> k ctx)
-          ctx
+      (* Constructed in dependency order, every continuation hoisted: the
+         whole optional-part chain is built once per [number] entry. *)
+      let exp_digits = digits sl_num_exp_digit sl_num_exp_digit k in
+      let skip_exp_digits = K.skip exp_digits in
+      let after_e =
+        K.peek (fun c2 ->
+            fun ctx ->
+              match c2 with
+              | Some c2 when Ctx.one_of_slot ctx sl_num_exp_sign c2 "+-" ->
+                skip_exp_digits ctx
+              | Some _ | None -> exp_digits ctx)
       in
-      let frac_part ctx =
-        K.peek
-          (fun c ctx ->
-            match c with
-            | Some c when Ctx.eq ctx b_num_dot c '.' ->
-              K.skip (digits b_num_frac b_num_frac exp_part) ctx
-            | Some _ | None -> exp_part ctx)
-          ctx
+      let skip_after_e = K.skip after_e in
+      let exp_part =
+        K.peek (fun c ->
+            fun ctx ->
+              match c with
+              | Some c when Ctx.one_of_slot ctx sl_num_exp c "eE" ->
+                skip_after_e ctx
+              | Some _ | None -> k ctx)
       in
-      let int_part = digits b_num_int b_num_int frac_part in
-      K.peek (fun c ctx ->
-          match c with
-          | Some c when Ctx.eq ctx b_minus c '-' -> K.skip int_part ctx
-          | Some _ | None -> int_part ctx))
-    k ctx
+      let frac_digits = digits sl_num_frac sl_num_frac exp_part in
+      let skip_frac = K.skip frac_digits in
+      let frac_part =
+        K.peek (fun c ->
+            fun ctx ->
+              match c with
+              | Some c when Ctx.eq_slot ctx sl_num_dot c '.' -> skip_frac ctx
+              | Some _ | None -> exp_part ctx)
+      in
+      let int_part = digits sl_num_int sl_num_int frac_part in
+      let skip_int = K.skip int_part in
+      K.peek (fun c ->
+          fun ctx ->
+            match c with
+            | Some c when Ctx.eq_slot ctx sl_minus c '-' -> skip_int ctx
+            | Some _ | None -> int_part ctx))
+    k
 
 let keyword (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_keyword
     (fun k ->
-      K.read_set b_letter ~label:"letter" Charset.letters (fun word ctx ->
-          if Ctx.str_eq ctx b_kw_true word "true" then k ctx
-          else if Ctx.str_eq ctx b_kw_false word "false" then k ctx
-          else if Ctx.str_eq ctx b_kw_null word "null" then k ctx
-          else Ctx.reject ctx "invalid literal"))
-    k ctx
+      K.read_set b_letter ~label:"letter" Charset.letters (fun word ->
+          fun ctx ->
+            if Ctx.str_eq ctx b_kw_true word "true" then k ctx
+            else if Ctx.str_eq ctx b_kw_false word "false" then k ctx
+            else if Ctx.str_eq ctx b_kw_null word "null" then k ctx
+            else Ctx.reject ctx "invalid literal"))
+    k
 
 let rec value (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_value
-    (fun k ctx ->
-      Ctx.tick ctx;
-      K.peek
-        (fun c ctx ->
-          match c with
-          | None -> Ctx.reject ctx "expected value, found end of input"
-          | Some c ->
-            if Ctx.eq ctx b_lbrace c '{' then object_ k ctx
-            else if Ctx.eq ctx b_lbracket c '[' then array k ctx
-            else if Ctx.eq ctx b_quote c '"' then string_body k ctx
-            else if Ctx.eq ctx b_minus c '-' then number k ctx
-            else if Ctx.in_range ctx b_digit c '0' '9' then number k ctx
-            else if Ctx.in_set ctx b_letter ~label:"letter" c Charset.letters
-            then keyword k ctx
-            else Ctx.reject ctx "unexpected character at start of value")
-        ctx)
-    k ctx
+    (fun k ->
+      let node =
+        (* The branch targets are constructed on demand inside the
+           continuation: a value that turns out to be a number never
+           constructs the string machinery. *)
+        K.peek (fun c ->
+            fun ctx ->
+              match c with
+              | None -> Ctx.reject ctx "expected value, found end of input"
+              | Some c ->
+                if Ctx.eq_slot ctx sl_lbrace c '{' then object_ k ctx
+                else if Ctx.eq_slot ctx sl_lbracket c '[' then array k ctx
+                else if Ctx.eq_slot ctx sl_quote c '"' then string_body k ctx
+                else if Ctx.eq_slot ctx sl_minus c '-' then number k ctx
+                else if Ctx.in_range_slot ctx sl_digit c '0' '9' then
+                  number k ctx
+                else if Ctx.in_set_slot ctx sl_letter c Charset.letters then
+                  keyword k ctx
+                else Ctx.reject ctx "unexpected character at start of value")
+      in
+      fun ctx ->
+        Ctx.tick ctx;
+        node ctx)
+    k
 
 and object_ (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_object
     (fun k ->
+      let skip_k = K.skip k in
+      let members =
+        K.fix (fun members ->
+            let member_body =
+              string_body
+                (skip_ws
+                   (K.expect b_colon ':'
+                      (skip_ws
+                         (value
+                            (skip_ws
+                               (K.eat_if b_obj_comma ',' (fun ate ->
+                                    if ate then members
+                                    else K.expect b_rbrace '}' k)))))))
+            in
+            skip_ws
+              (K.peek (fun c ->
+                   fun ctx ->
+                     match c with
+                     | Some c when Ctx.eq_slot ctx sl_obj_key_quote c '"' ->
+                       member_body ctx
+                     | Some _ -> Ctx.reject ctx "expected string key"
+                     | None ->
+                       Ctx.reject ctx "expected string key, found end of input")))
+      in
       K.skip (* '{' *)
         (skip_ws
            (K.peek_is b_obj_empty '}' (fun empty ->
-                if empty then K.skip k
-                else
-                  let rec members ctx =
-                    skip_ws
-                      (K.peek (fun c ctx ->
-                           match c with
-                           | Some c when Ctx.eq ctx b_obj_key_quote c '"' ->
-                             string_body
-                               (skip_ws
-                                  (K.expect b_colon ':'
-                                     (skip_ws
-                                        (value
-                                           (skip_ws
-                                              (K.eat_if b_obj_comma ','
-                                                 (fun ate ->
-                                                   if ate then members
-                                                   else K.expect b_rbrace '}' k)))))))
-                               ctx
-                           | Some _ -> Ctx.reject ctx "expected string key"
-                           | None ->
-                             Ctx.reject ctx
-                               "expected string key, found end of input"))
-                      ctx
-                  in
-                  members))))
-    k ctx
+                if empty then skip_k else members))))
+    k
 
 and array (k : K.k) : K.k =
- fun ctx ->
   K.with_frame s_array
     (fun k ->
+      let skip_k = K.skip k in
+      let elements =
+        K.fix (fun elements ->
+            skip_ws
+              (value
+                 (skip_ws
+                    (K.eat_if b_arr_comma ',' (fun ate ->
+                         if ate then elements else K.expect b_rbracket ']' k)))))
+      in
       K.skip (* '[' *)
         (skip_ws
            (K.peek_is b_arr_empty ']' (fun empty ->
-                if empty then K.skip k
-                else
-                  let rec elements ctx =
-                    skip_ws
-                      (value
-                         (skip_ws
-                            (K.eat_if b_arr_comma ',' (fun ate ->
-                                 if ate then elements
-                                 else K.expect b_rbracket ']' k))))
-                      ctx
-                  in
-                  elements))))
-    k ctx
+                if empty then skip_k else elements))))
+    k
 
 let machine : Machine.recognizer =
- fun ctx ->
   K.with_frame s_parse
     (fun k ->
       skip_ws
         (value
            (skip_ws
-              (K.peek (fun c ctx ->
-                   match c with
-                   | Some _ ->
-                     ignore (Ctx.branch ctx b_trailing true);
-                     Ctx.reject ctx "trailing input after value"
-                   | None ->
-                     ignore (Ctx.branch ctx b_trailing false);
-                     k ctx)))))
-    K.stop ctx
-
-let parse ctx = Machine.run ctx machine
-
-(* {1 Staged (compiled) form}
-
-   The hot loops — string bodies, digit runs, whitespace — become
-   static node cycles; the number grammar's peek chain and the
-   escape/utf16 machinery stage once per nonterminal entry with all
-   continuations hoisted. [value]/[object_]/[array] stay runtime
-   recursion (JSON nests arbitrarily), with each entry staging its
-   dispatch node once; the recursive calls are deferred inside peek
-   continuations, exactly like the interpreted twin, so staging always
-   terminates. Shadows the interpreted helpers' names: same grammar,
-   same observation order. *)
-module C = Pdf_instr.Compiled
-
-(* Slots for every staged comparison site, resolved once at module
-   initialisation — the recursive nonterminals re-stage per entry, and
-   must not rebuild site/kind data each time. *)
-let sl_ws = C.slot_set b_ws ~label:"whitespace" ws
-let sl_str_close = C.slot_eq b_str_close '"'
-let sl_str_backslash = C.slot_eq b_str_backslash '\\'
-let sl_esc_simple = C.slot_one_of b_esc_simple "\"\\/bfnrt"
-let sl_num_exp_sign = C.slot_one_of b_num_exp_sign "+-"
-let sl_num_exp = C.slot_one_of b_num_exp "eE"
-let sl_num_dot = C.slot_eq b_num_dot '.'
-let sl_minus = C.slot_eq b_minus '-'
-let sl_lbrace = C.slot_eq b_lbrace '{'
-let sl_lbracket = C.slot_eq b_lbracket '['
-let sl_quote = C.slot_eq b_quote '"'
-let sl_digit = C.slot_range b_digit '0' '9'
-let sl_letter = C.slot_set b_letter ~label:"letter" Charset.letters
-let sl_obj_key_quote = C.slot_eq b_obj_key_quote '"'
-let sl_num_int = C.slot_range b_num_int '0' '9'
-let sl_num_frac = C.slot_range b_num_frac '0' '9'
-let sl_num_exp_digit = C.slot_range b_num_exp_digit '0' '9'
-
-let compiled : C.t =
-  let skip_ws k =
-    C.skip_while (fun c ctx -> Ctx.in_set_slot ctx sl_ws c ws) k
-  in
-  let digits sl_first sl_more (k : C.k) : C.k =
-    let more =
-      C.skip_while (fun c ctx -> Ctx.in_range_slot ctx sl_more c '0' '9') k
-    in
-    C.next (fun c ->
-        fun ctx ->
-          match c with
-          | None -> Ctx.reject ctx "expected digit, found end of input"
-          | Some c ->
-            if not (Ctx.in_range_slot ctx sl_first c '0' '9') then
-              Ctx.reject ctx "expected digit"
-            else more ctx)
-  in
-  let utf16_quad (f : int -> C.k) : C.k =
-   fun ctx ->
-    let rec quad acc n ctx =
-      if n = 0 then f acc ctx
-      else
-        C.next
-          (fun c ->
-            fun ctx ->
-              match c with
-              | None -> Ctx.reject ctx "unterminated \\u escape"
-              | Some c -> (
-                match untracked_hex_value c with
-                | Some v ->
-                  ignore (Ctx.branch ctx b_hex_valid true);
-                  quad ((acc * 16) + v) (n - 1) ctx
-                | None ->
-                  ignore (Ctx.branch ctx b_hex_valid false);
-                  Ctx.reject ctx "invalid hex digit in \\u escape"))
-          ctx
-    in
-    quad 0 4 ctx
-  in
-  let expect_untracked expected (k : C.k) : C.k =
-    C.next (fun c ->
-        fun ctx ->
-          match c with
-          | Some c when c.Tchar.ch = expected -> k ctx
-          | Some _ | None -> Ctx.reject ctx "missing low surrogate")
-  in
-  let utf16_escape (k : C.k) : C.k =
-    C.with_frame s_utf16
-      (fun k ->
-        let surrogate =
-          (* A high surrogate must be followed by "\uDC00".."\uDFFF". *)
-          C.with_frame s_utf16_surrogate
-            (fun k ->
-              expect_untracked '\\'
-                (expect_untracked 'u'
-                   (utf16_quad (fun second ->
-                        fun ctx ->
-                          if
-                            not
-                              (Ctx.branch ctx b_surrogate_low
-                                 (second >= 0xDC00 && second <= 0xDFFF))
-                          then Ctx.reject ctx "invalid low surrogate"
-                          else k ctx))))
-            k
-        in
-        utf16_quad (fun first ->
-            fun ctx ->
-              if
-                Ctx.branch ctx b_surrogate_high
-                  (first >= 0xD800 && first <= 0xDBFF)
-              then surrogate ctx
-              else if first >= 0xDC00 && first <= 0xDFFF then
-                Ctx.reject ctx "unpaired low surrogate"
-              else k ctx))
-      k
-  in
-  let escape (k : C.k) : C.k =
-    C.with_frame s_escape
-      (fun k ->
-        let u = utf16_escape k in
-        C.next (fun c ->
-            fun ctx ->
-              match c with
-              | None -> Ctx.reject ctx "unterminated escape"
-              | Some c ->
-                if Ctx.one_of_slot ctx sl_esc_simple c "\"\\/bfnrt" then k ctx
-                else if Ctx.branch ctx b_esc_u (c.Tchar.ch = 'u') then u ctx
-                else Ctx.reject ctx "invalid escape character"))
-      k
-  in
-  let string_body (k : C.k) : C.k =
-    C.with_frame s_string
-      (fun k ->
-        let body =
-          C.fix (fun body ->
-              (* Escapes are rare in discovered inputs; defer staging the
-                 whole escape/utf16 chain until a backslash actually
-                 appears, so the common all-literal string pays one lazy
-                 block instead of the full machinery per entry. *)
-              let esc = lazy (escape body) in
-              C.next (fun c ->
-                  fun ctx ->
-                    match c with
-                    | None -> Ctx.reject ctx "unterminated string"
-                    | Some c ->
-                      if Ctx.eq_slot ctx sl_str_close c '"' then k ctx
-                      else if Ctx.eq_slot ctx sl_str_backslash c '\\' then
-                        Lazy.force esc ctx
-                      else if
-                        Ctx.branch ctx b_str_control
-                          (Char.code c.Tchar.ch < 0x20)
-                      then Ctx.reject ctx "control character in string"
-                      else body ctx))
-        in
-        C.skip (* opening quote *) body)
-      k
-  in
-  let number (k : C.k) : C.k =
-    C.with_frame s_number
-      (fun k ->
-        (* Staged in dependency order, every continuation hoisted: the
-           whole optional-part chain is built once per [number] entry. *)
-        let exp_digits = digits sl_num_exp_digit sl_num_exp_digit k in
-        let skip_exp_digits = C.skip exp_digits in
-        let after_e =
-          C.peek (fun c2 ->
-              fun ctx ->
-                match c2 with
-                | Some c2 when Ctx.one_of_slot ctx sl_num_exp_sign c2 "+-" ->
-                  skip_exp_digits ctx
-                | Some _ | None -> exp_digits ctx)
-        in
-        let skip_after_e = C.skip after_e in
-        let exp_part =
-          C.peek (fun c ->
-              fun ctx ->
-                match c with
-                | Some c when Ctx.one_of_slot ctx sl_num_exp c "eE" ->
-                  skip_after_e ctx
-                | Some _ | None -> k ctx)
-        in
-        let frac_digits = digits sl_num_frac sl_num_frac exp_part in
-        let skip_frac = C.skip frac_digits in
-        let frac_part =
-          C.peek (fun c ->
-              fun ctx ->
-                match c with
-                | Some c when Ctx.eq_slot ctx sl_num_dot c '.' -> skip_frac ctx
-                | Some _ | None -> exp_part ctx)
-        in
-        let int_part = digits sl_num_int sl_num_int frac_part in
-        let skip_int = C.skip int_part in
-        C.peek (fun c ->
-            fun ctx ->
-              match c with
-              | Some c when Ctx.eq_slot ctx sl_minus c '-' -> skip_int ctx
-              | Some _ | None -> int_part ctx))
-      k
-  in
-  let keyword (k : C.k) : C.k =
-    C.with_frame s_keyword
-      (fun k ->
-        C.read_set b_letter ~label:"letter" Charset.letters (fun word ->
-            fun ctx ->
-              if Ctx.str_eq ctx b_kw_true word "true" then k ctx
-              else if Ctx.str_eq ctx b_kw_false word "false" then k ctx
-              else if Ctx.str_eq ctx b_kw_null word "null" then k ctx
-              else Ctx.reject ctx "invalid literal"))
-      k
-  in
-  let rec value (k : C.k) : C.k =
-    C.with_frame s_value
-      (fun k ->
-        let node =
-          (* The branch targets stage on demand inside the continuation,
-             like the interpreted twin: a value that turns out to be a
-             number never stages the string machinery. *)
-          C.peek (fun c ->
-              fun ctx ->
-                match c with
-                | None -> Ctx.reject ctx "expected value, found end of input"
-                | Some c ->
-                  if Ctx.eq_slot ctx sl_lbrace c '{' then object_ k ctx
-                  else if Ctx.eq_slot ctx sl_lbracket c '[' then array k ctx
-                  else if Ctx.eq_slot ctx sl_quote c '"' then string_body k ctx
-                  else if Ctx.eq_slot ctx sl_minus c '-' then number k ctx
-                  else if Ctx.in_range_slot ctx sl_digit c '0' '9' then
-                    number k ctx
-                  else if Ctx.in_set_slot ctx sl_letter c Charset.letters then
-                    keyword k ctx
-                  else Ctx.reject ctx "unexpected character at start of value")
-        in
-        fun ctx ->
-          Ctx.tick ctx;
-          node ctx)
-      k
-  and object_ (k : C.k) : C.k =
-    C.with_frame s_object
-      (fun k ->
-        let skip_k = C.skip k in
-        let members =
-          C.fix (fun members ->
-              let member_body =
-                string_body
-                  (skip_ws
-                     (C.expect b_colon ':'
-                        (skip_ws
-                           (value
-                              (skip_ws
-                                 (C.eat_if b_obj_comma ',' (fun ate ->
-                                      if ate then members
-                                      else C.expect b_rbrace '}' k)))))))
-              in
-              skip_ws
-                (C.peek (fun c ->
-                     fun ctx ->
-                       match c with
-                       | Some c when Ctx.eq_slot ctx sl_obj_key_quote c '"' ->
-                         member_body ctx
-                       | Some _ -> Ctx.reject ctx "expected string key"
-                       | None ->
-                         Ctx.reject ctx
-                           "expected string key, found end of input")))
-        in
-        C.skip (* '{' *)
-          (skip_ws
-             (C.peek_is b_obj_empty '}' (fun empty ->
-                  if empty then skip_k else members))))
-      k
-  and array (k : C.k) : C.k =
-    C.with_frame s_array
-      (fun k ->
-        let skip_k = C.skip k in
-        let elements =
-          C.fix (fun elements ->
-              skip_ws
-                (value
-                   (skip_ws
-                      (C.eat_if b_arr_comma ',' (fun ate ->
-                           if ate then elements
-                           else C.expect b_rbracket ']' k)))))
-        in
-        C.skip (* '[' *)
-          (skip_ws
-             (C.peek_is b_arr_empty ']' (fun empty ->
-                  if empty then skip_k else elements))))
-      k
-  in
-  C.with_frame s_parse
-    (fun k ->
-      skip_ws
-        (value
-           (skip_ws
-              (C.peek (fun c ->
+              (K.peek (fun c ->
                    fun ctx ->
                      match c with
                      | Some _ ->
@@ -615,7 +356,9 @@ let compiled : C.t =
                      | None ->
                        ignore (Ctx.branch ctx b_trailing false);
                        k ctx)))))
-    C.stop
+    K.stop
+
+let parse ctx = Machine.run ctx machine
 
 let tokens =
   [
@@ -682,11 +425,6 @@ let subject =
     registry;
     parse;
     machine = Some machine;
-    compiled = Some compiled;
-    (* the staged json recognizer re-stages its recursive nonterminals per
-       entry and measures slower than the interpreted walker
-       (BENCH_compiled.json); keep it for equivalence checks only *)
-    compiled_preferred = false;
     fuel = 100_000;
     tokens;
     tokenize;

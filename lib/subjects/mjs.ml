@@ -798,8 +798,6 @@ let subject =
     registry;
     parse;
     machine = None;
-    compiled = None;
-    compiled_preferred = false;
     fuel = 8_000;
     tokens;
     tokenize;

@@ -19,69 +19,18 @@ let b_trailing = Site.branch registry "parse.trailing?"
 module Machine = Pdf_instr.Machine
 module K = Helpers.K
 
-(* seq consumes a (possibly empty) balanced sequence and stops at the
-   first character that cannot open a bracket. *)
-let rec seq (k : K.k) : K.k =
- fun ctx ->
-  K.with_frame s_seq
-    (fun k ->
-      K.peek (fun c ->
-          match c with
-          | None -> k
-          | Some c -> try_opens pairs c k))
-    k ctx
-
-and try_opens ps c (k : K.k) : K.k =
- fun ctx ->
-  match ps with
-  | [] -> k ctx
-  | (o, close) :: rest ->
-    if Ctx.eq ctx (List.assoc o b_open) c o then
-      K.skip (seq (K.expect (List.assoc close b_close) close (seq k))) ctx
-    else try_opens rest c k ctx
-
+(* The per-pair site lookups and reject messages are resolved into a
+   flat array at construction, and the dispatch chain walks it by index.
+   The chain is an in-order [Ctx.eq_slot] sequence over [pairs]: the
+   comparison log is the observation record, so the probe order is part
+   of the subject. *)
 let machine : Machine.recognizer =
- fun ctx ->
-  K.with_frame s_parse
-    (fun k ->
-      (* Probe with a peek, not [at_eof]: rejecting the empty input must
-         register an EOF access so the fuzzer (and the EOF-hunger oracle
-         check) can tell this rejection wants *more* input rather than
-         different input. *)
-      K.peek (fun c ctx ->
-          if Ctx.branch ctx b_empty (c = None) then Ctx.reject ctx "empty input"
-          else
-            seq
-              (K.peek (fun c ctx ->
-                   match c with
-                   | Some _ ->
-                     ignore (Ctx.branch ctx b_trailing true);
-                     Ctx.reject ctx "unbalanced input"
-                   | None ->
-                     ignore (Ctx.branch ctx b_trailing false);
-                     k ctx))
-              ctx))
-    K.stop ctx
-
-let parse ctx = Machine.run ctx machine
-
-(* {1 Staged (compiled) form}
-
-   Same grammar, same sites, same reject strings — but the per-pair site
-   lookups ([List.assoc] on every comparison) and the reject messages
-   are resolved into a flat array at staging, and the dispatch chain
-   walks it by index. The chain stays an in-order [Ctx.eq] sequence over
-   the same pairs: the comparison log is the observation record, so the
-   probe order must match the interpreted twin exactly. *)
-module C = Pdf_instr.Compiled
-
-let compiled : C.t =
   let table =
     Array.of_list
       (List.map
          (fun (o, close) ->
-           let msg_eof, msg = C.reject_msgs close in
-           ( C.slot_eq (List.assoc o b_open) o,
+           let msg_eof, msg = K.reject_msgs close in
+           ( K.slot_eq (List.assoc o b_open) o,
              o,
              List.assoc close b_close,
              close,
@@ -91,27 +40,28 @@ let compiled : C.t =
   in
   let len = Array.length table in
   (* [seq] re-enters per invocation (the nesting is genuinely recursive),
-     but each entry stages its frame and peek node once instead of per
-     character, and bracket matching runs over the precomputed table. *)
-  let rec seq (k : C.k) : C.k =
-    C.with_frame s_seq
+     but each entry builds its frame and peek node once instead of per
+     character. [seq] consumes a (possibly empty) balanced sequence and
+     stops at the first character that cannot open a bracket. *)
+  let rec seq (k : K.k) : K.k =
+    K.with_frame s_seq
       (fun k ->
-        C.peek (fun c ->
+        K.peek (fun c ->
             match c with None -> k | Some c -> try_opens 0 c k))
       k
-  and try_opens i c (k : C.k) : C.k =
+  and try_opens i c (k : K.k) : K.k =
    fun ctx ->
     if i >= len then k ctx
     else
       let slo, o, bc, close, msg_eof, msg = Array.unsafe_get table i in
       if Ctx.eq_slot ctx slo c o then
-        C.skip (seq (C.expect_with ~msg_eof ~msg bc close (seq k))) ctx
+        K.skip (seq (K.expect_with ~msg_eof ~msg bc close (seq k))) ctx
       else try_opens (i + 1) c k ctx
   in
-  C.with_frame s_parse
+  K.with_frame s_parse
     (fun k ->
       let tail =
-        C.peek (fun c ->
+        K.peek (fun c ->
             fun ctx ->
               match c with
               | Some _ ->
@@ -122,14 +72,18 @@ let compiled : C.t =
                 k ctx)
       in
       let body = seq tail in
-      (* Same empty-input probe as the interpreted machine: a peek, so
-         the rejection registers an EOF access. *)
-      C.peek (fun c ->
+      (* Probe with a peek, not [at_eof]: rejecting the empty input must
+         register an EOF access so the fuzzer (and the EOF-hunger oracle
+         check) can tell this rejection wants *more* input rather than
+         different input. *)
+      K.peek (fun c ->
           fun ctx ->
             if Ctx.branch ctx b_empty (c = None) then
               Ctx.reject ctx "empty input"
             else body ctx))
-    C.stop
+    K.stop
+
+let parse ctx = Machine.run ctx machine
 
 let tokens =
   List.concat_map
@@ -154,8 +108,6 @@ let subject =
     registry;
     parse;
     machine = Some machine;
-    compiled = Some compiled;
-    compiled_preferred = true;
     fuel = 100_000;
     tokens;
     tokenize;

@@ -4,8 +4,6 @@ type t = {
   registry : Pdf_instr.Site.registry;
   parse : Pdf_instr.Ctx.t -> unit;
   machine : Pdf_instr.Machine.recognizer option;
-  compiled : Pdf_instr.Compiled.t option;
-  compiled_preferred : bool;
   fuel : int;
   tokens : Token.t list;
   tokenize : string -> string list;

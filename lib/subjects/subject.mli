@@ -14,19 +14,6 @@ type t = {
       (** step-wise form of [parse], when the subject provides one; it
           must recognize exactly the same language with the same
           observations. Enables incremental (snapshot/resume) execution. *)
-  compiled : Pdf_instr.Compiled.t option;
-      (** staged (pre-specialized closure tree) form, when the subject
-          provides one; observationally identical to [machine] — same
-          language, same comparison log, coverage, trace and reject
-          strings — but with per-step allocation moved to staging time.
-          Selected by the fuzzer's [Compiled] engine. *)
-  compiled_preferred : bool;
-      (** whether the staged form is a measured per-execution win over
-          the interpreted walker for this subject (BENCH_compiled.json).
-          When false, the fuzzer's [Compiled] engine quietly keeps the
-          interpreted tier — the staged form still exists for the
-          cross-engine equivalence checks, but [--engine compiled] is
-          never a pessimization. Results are bit-identical either way. *)
   fuel : int;  (** per-run fuel budget (interpreting subjects hang) *)
   tokens : Token.t list;
   tokenize : string -> string list;

@@ -423,8 +423,6 @@ let subject =
     registry = Plain.registry;
     parse = Plain.parse;
     machine = None;
-    compiled = None;
-    compiled_preferred = false;
     fuel = 1_500;
     tokens;
     tokenize;
@@ -438,8 +436,6 @@ let subject_semantic =
     registry = Semantic.registry;
     parse = Semantic.parse;
     machine = None;
-    compiled = None;
-    compiled_preferred = false;
     fuel = 1_500;
     tokens;
     tokenize;
@@ -453,8 +449,6 @@ let subject_token_taints =
     registry = Token_taints.registry;
     parse = Token_taints.parse;
     machine = None;
-    compiled = None;
-    compiled_preferred = false;
     fuel = 1_500;
     tokens;
     tokenize;

@@ -118,8 +118,6 @@ let subject ~name ~description ?(coverage = Table_elements)
     registry;
     parse;
     machine = None;
-    compiled = None;
-    compiled_preferred = false;
     fuel = 50_000;
     tokens;
     tokenize;

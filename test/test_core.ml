@@ -367,6 +367,14 @@ let test_checkpoint_digest_before_version () =
   expect_decode_error "skew then rot" (Bytes.to_string skew_then_rot)
     "digest mismatch"
 
+(* [fixtures/checkpoint-v3.bin] is a paren checkpoint encoded by the
+   last v3 build, whose [config] still carried [engine] and [batch]. Its
+   digest is intact, so only the version byte stands between it and an
+   unmarshal into the wrong record layout. *)
+let test_checkpoint_v3_rejected () =
+  let enc = In_channel.with_open_bin "fixtures/checkpoint-v3.bin" In_channel.input_all in
+  expect_decode_error "v3 fixture" enc "version mismatch"
+
 let test_checkpoint_file_roundtrip () =
   let _, ck, _ = capture_checkpoint "csv" in
   let path = Filename.temp_file "pfuzzer_ck" ".bin" in
@@ -450,10 +458,7 @@ let test_fault_plan_starvation_hangs () =
   Alcotest.(check int) "no crashes" 0 r.crash_total;
   Alcotest.(check int) "campaign ran to its budget" 200 r.executions
 
-(* {1 Engines and batching}
-
-   The engine and batch knobs are pure performance controls: any setting
-   must produce the same campaign, observation for observation. *)
+(* {1 Run streams} *)
 
 let stream_with config subject =
   let runs = ref [] in
@@ -477,51 +482,37 @@ let check_streams_identical what (ra, runs_a) (rb, runs_b) =
           a.Pdf_instr.Runner.input)
     runs_a runs_b
 
-let test_engine_equivalence () =
-  (* Compiled and interpreted tiers: bit-identical campaigns. *)
-  let subject = Catalog.find "json" in
-  let config = { Pfuzzer.default_config with max_executions = 1500 } in
-  check_streams_identical "compiled vs interpreted"
-    (stream_with { config with engine = Pfuzzer.Compiled } subject)
-    (stream_with { config with engine = Pfuzzer.Interpreted } subject)
-
-let test_batch_size_independence () =
-  (* The batch size only changes checkpoint cadence, never results:
-     draining one candidate per engine entry and sixteen must coincide. *)
-  let subject = Catalog.find "expr" in
-  let config = { Pfuzzer.default_config with max_executions = 1500 } in
-  let one = stream_with { config with batch = 1 } subject in
-  let sixteen = stream_with { config with batch = 16 } subject in
-  check_streams_identical "batch 1 vs batch 16" one sixteen;
-  let seven = stream_with { config with batch = 7 } subject in
-  check_streams_identical "batch 1 vs batch 7" one seven
-
-let test_checkpoint_cadence_vs_batch () =
-  (* A checkpoint interval that does not divide the batch size still
-     round-trips: checkpoints land on the next batch boundary, and
-     resuming one reproduces the uninterrupted campaign exactly. *)
+let test_checkpoint_every_7 () =
+  (* An interval that candidates straddle (each runs one or two
+     executions) still round-trips: checkpoints land on the first loop
+     top at or past the interval, and resuming one reproduces the
+     uninterrupted campaign exactly. *)
   let subject = Catalog.find "csv" in
-  let config =
-    { Pfuzzer.default_config with max_executions = 900; batch = 4 }
-  in
-  let captured = ref None in
+  let config = { Pfuzzer.default_config with max_executions = 900 } in
+  let captured = ref [] in
   let full =
     Pfuzzer.fuzz ~checkpoint_every:7
-      ~on_checkpoint:(fun ck -> if !captured = None then captured := Some ck)
+      ~on_checkpoint:(fun ck -> captured := ck :: !captured)
       config subject
   in
-  match !captured with
-  | None -> Alcotest.fail "no checkpoint captured with every=7, batch=4"
-  | Some ck ->
-    (* Checkpoints fire at the first batch boundary at or past the
-       interval — never early, and within one batch's worth of
-       executions late (each candidate costs at most two). *)
-    let at = Pfuzzer.Checkpoint.executions ck in
-    Alcotest.(check bool) "checkpoint not early" true (at >= 7);
-    Alcotest.(check bool) "checkpoint within one batch of the interval" true
-      (at <= 7 + (4 * 2));
-    let resumed = Pfuzzer.resume_from ck subject in
-    Alcotest.(check bool) "resumed = uninterrupted despite batch skew" true
+  match List.rev !captured with
+  | [] -> Alcotest.fail "no checkpoint captured with every=7"
+  | first :: _ as cks ->
+    (* The loop top before a checkpoint was still short of the interval,
+       and one candidate adds at most two executions: every checkpoint
+       lands 7 or 8 executions after the previous one — never early, and
+       within one candidate late. *)
+    ignore
+      (List.fold_left
+         (fun last ck ->
+           let at = Pfuzzer.Checkpoint.executions ck in
+           if at - last < 7 || at - last > 7 + 1 then
+             Alcotest.failf "checkpoint at %d, %d executions after the previous one"
+               at (at - last);
+           at)
+         0 cks);
+    let resumed = Pfuzzer.resume_from first subject in
+    Alcotest.(check bool) "resumed = uninterrupted" true
       (Pdf_check.Invariants.results_equal full resumed)
 
 (* {1 Generational resets preserve determinism}
@@ -566,41 +557,26 @@ let test_generational_reset_determinism () =
       true
       (Pdf_check.Invariants.results_equal full resumed)
 
-let test_crash_mid_batch () =
-  (* Faults that fire in the middle of a batch are contained like any
-     other crash: the batch keeps draining and the budget is honoured. *)
+let test_crash_mid_loop () =
+  (* Faults that fire on consecutive executions in the middle of the
+     main loop are contained like any other crash: the loop keeps
+     draining candidates and the budget is honoured. *)
   let subject = Catalog.find "json" in
   let indices = [ 18; 19; 20 ] in
   let plan =
-    Fault.of_list (List.map (fun i -> (i, Fault.Raise "mid-batch chaos")) indices)
+    Fault.of_list (List.map (fun i -> (i, Fault.Raise "mid-loop chaos")) indices)
   in
   let r =
     Pfuzzer.fuzz ~faults:plan
-      { Pfuzzer.default_config with max_executions = 200; batch = 16 }
+      { Pfuzzer.default_config with max_executions = 200 }
       subject
   in
-  Alcotest.(check int) "every mid-batch fault fired" (List.length indices)
+  Alcotest.(check int) "every mid-loop fault fired" (List.length indices)
     (List.length (Fault.triggered plan));
   Alcotest.(check int) "each firing was contained" (List.length indices)
     r.crash_total;
-  Alcotest.(check int) "budget honoured through mid-batch crashes" 200
+  Alcotest.(check int) "budget honoured through mid-loop crashes" 200
     r.executions
-
-let test_grid_determinism_with_engines () =
-  (* The evaluation grid stays bit-deterministic under the compiled
-     default: parallel and sequential runs coincide. *)
-  let config =
-    {
-      Pdf_eval.Experiment.budget_units = 20_000;
-      seeds = [ 1; 2 ];
-      verbose = false;
-    }
-  in
-  let subjects = [ Catalog.find "paren"; Catalog.find "ini" ] in
-  let sequential = Pdf_eval.Experiment.run ~jobs:1 config subjects in
-  let parallel = Pdf_eval.Experiment.run ~jobs:3 config subjects in
-  Alcotest.(check bool) "jobs:1 = jobs:3 with compiled engine" true
-    (Pdf_eval.Experiment.equal sequential parallel)
 
 let prop_heuristic_monotone_in_coverage =
   QCheck.Test.make ~name:"heuristic is monotone in new coverage" ~count:100
@@ -664,19 +640,6 @@ let () =
           Alcotest.test_case "generational resets stay deterministic" `Quick
             test_generational_reset_determinism;
         ] );
-      ( "engine",
-        [
-          Alcotest.test_case "compiled = interpreted streams" `Quick
-            test_engine_equivalence;
-          Alcotest.test_case "batch size never changes results" `Quick
-            test_batch_size_independence;
-          Alcotest.test_case "checkpoint cadence not divisible by batch" `Quick
-            test_checkpoint_cadence_vs_batch;
-          Alcotest.test_case "crashes mid-batch are contained" `Quick
-            test_crash_mid_batch;
-          Alcotest.test_case "grid deterministic under compiled default" `Quick
-            test_grid_determinism_with_engines;
-        ] );
       ( "resilience",
         [
           Alcotest.test_case "checkpoint encode/decode round-trip" `Quick
@@ -685,6 +648,12 @@ let () =
             test_checkpoint_rejects_damage;
           Alcotest.test_case "digest mismatch outranks version skew" `Quick
             test_checkpoint_digest_before_version;
+          Alcotest.test_case "v3 checkpoint is a version mismatch" `Quick
+            test_checkpoint_v3_rejected;
+          Alcotest.test_case "checkpoint every 7 resumes exactly" `Quick
+            test_checkpoint_every_7;
+          Alcotest.test_case "crashes mid-loop are contained" `Quick
+            test_crash_mid_loop;
           Alcotest.test_case "checkpoint file round-trip" `Quick
             test_checkpoint_file_roundtrip;
           Alcotest.test_case "resume equivalence on every subject" `Slow

@@ -35,7 +35,6 @@ let mk_result ~valid ~cov ~hits ~execs ~hangs =
     Pfuzzer.valid_inputs = valid;
     valid_coverage = Coverage.of_list cov;
     hits = Hits.of_list hits;
-    engine = "compiled";
     executions = execs;
     candidates_created = 2 * execs;
     queue_peak = execs / 2;
@@ -185,6 +184,14 @@ let test_frame_damage () =
   check_reject "digest-before-version" "digest mismatch"
     (Frame.decode_body
        (corrupt_byte (corrupt_byte body 6) (String.length body - 1)))
+
+(* [fixtures/sync-frame-v2.bin] is a frame body encoded by the last v2
+   build, whose [Pfuzzer.result] still carried [engine]. Its digest is
+   intact, so only the version byte keeps it from being unmarshalled
+   into the wrong record layout. *)
+let test_frame_v2_rejected () =
+  let body = In_channel.with_open_bin "fixtures/sync-frame-v2.bin" In_channel.input_all in
+  check_reject "v2 fixture" "version mismatch" (Frame.decode_body body)
 
 (* {1 Streaming decoder} *)
 
@@ -514,6 +521,8 @@ let () =
           Alcotest.test_case "encode/decode round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "damage is rejected with one-line reasons" `Quick
             test_frame_damage;
+          Alcotest.test_case "v2 frame is a version mismatch" `Quick
+            test_frame_v2_rejected;
         ] );
       ( "decoder",
         [

@@ -34,9 +34,8 @@ let golden =
              seed = 1;
              max_executions = 500;
              incremental = true;
-             engine = "compiled";
            }),
-      {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true,"engine":"compiled"}|}
+      {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true}|}
     );
     ( stamp 10 1 (Event.Exec_start { len = 3; prefix = 2 }),
       {|{"ev":"exec_start","t":10,"n":1,"len":3,"prefix":2}|} );
@@ -45,7 +44,6 @@ let golden =
            {
              dur_ns = 900;
              verdict = "rejected";
-             engine = "compiled";
              cached = true;
              sub_index = 2;
              cov = 10;
@@ -53,7 +51,7 @@ let golden =
              valid = false;
              len = 3;
            }),
-      {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","engine":"compiled","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3}|}
+      {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3}|}
     );
     ( stamp 30 2 (Event.Valid { input = "a\tb\xff"; cov = 12; count = 1 }),
       {|{"ev":"valid","t":30,"n":2,"input":"a\tb\u00ff","cov":12,"count":1}|} );
@@ -137,21 +135,15 @@ let test_round_trip () =
    | _ -> Alcotest.fail "wrong event kind");
   Alcotest.check_raises "malformed line rejected" (Json.Malformed "expected '{' at 0")
     (fun () -> ignore (Event.of_json_line "not json"));
-  (* Traces written before the engine field existed still load, with the
-     tag defaulting to "interpreted". *)
+  (* Traces written while executions still carried an execution-tier
+     tag keep loading: the retired field is ignored. *)
   let old_line =
-    {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3}|}
+    {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","engine":"compiled","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3}|}
   in
   (match (Event.of_json_line old_line).Event.ev with
    | Event.Exec_done e ->
-     check Alcotest.string "engine defaults on old traces" "interpreted" e.engine
-   | _ -> Alcotest.fail "wrong event kind");
-  let old_meta =
-    {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true}|}
-  in
-  (match (Event.of_json_line old_meta).Event.ev with
-   | Event.Run_meta m ->
-     check Alcotest.string "run_meta engine defaults" "interpreted" m.engine
+     check Alcotest.int "old exec_done parses" 2 e.sub_index;
+     check Alcotest.string "old exec_done verdict" "rejected" e.verdict
    | _ -> Alcotest.fail "wrong event kind");
   (* Snapshot lines written before the rescue column existed parse with
      rescues = 0. *)
@@ -217,15 +209,15 @@ let test_observer_spans () =
 
 let test_progress_render () =
   check Alcotest.string "status line"
-    "[pfuzzer] 500/2000 execs | 1234/s | compiled | queue 42 | valid 7 | cov 50.0% | cache 99.0% | rescue 4 | plateau 12 | hang 2 | crash 3"
+    "[pfuzzer] 500/2000 execs | 1234/s | queue 42 | valid 7 | cov 50.0% | cache 99.0% | rescue 4 | plateau 12 | hang 2 | crash 3"
     (Progress.render ~execs:500 ~max_executions:2000 ~execs_per_sec:1234.0
-       ~engine:"compiled" ~depth:42 ~valid:7 ~cov:38 ~outcomes:76 ~hits:99
-       ~misses:1 ~rescues:4 ~plateau:12 ~hangs:2 ~crashes:3);
-  check Alcotest.string "no cache consultations, unknown engine"
-    "[pfuzzer] 1/10 execs | 0/s | ? | queue 0 | valid 0 | cov 0.0% | cache - | rescue 0 | plateau 1 | hang 0 | crash 0"
-    (Progress.render ~execs:1 ~max_executions:10 ~execs_per_sec:0.0 ~engine:""
-       ~depth:0 ~valid:0 ~cov:0 ~outcomes:0 ~hits:0 ~misses:0 ~rescues:0
-       ~plateau:1 ~hangs:0 ~crashes:0)
+       ~depth:42 ~valid:7 ~cov:38 ~outcomes:76 ~hits:99 ~misses:1 ~rescues:4
+       ~plateau:12 ~hangs:2 ~crashes:3);
+  check Alcotest.string "no cache consultations"
+    "[pfuzzer] 1/10 execs | 0/s | queue 0 | valid 0 | cov 0.0% | cache - | rescue 0 | plateau 1 | hang 0 | crash 0"
+    (Progress.render ~execs:1 ~max_executions:10 ~execs_per_sec:0.0 ~depth:0
+       ~valid:0 ~cov:0 ~outcomes:0 ~hits:0 ~misses:0 ~rescues:0 ~plateau:1
+       ~hangs:0 ~crashes:0)
 
 (* {1 A real traced run: schema, consistency with the result, report} *)
 
@@ -374,20 +366,14 @@ let test_disabled_path_allocation () =
    spans (well under the 2% overhead the phase machinery is allowed):
    no clock read, no event record, and — the part a timer on this noisy
    box can actually enforce deterministically — not one word of
-   allocation. The budget has ~35% headroom over the measured disabled
-   path (expr, interpreted engine: ~580 minor words/exec, all of it the
+   allocation. The budget has ~60% headroom over the measured disabled
+   path (expr, dev profile: ~490 minor words/exec, all of it the
    campaign's own working set); if it trips, a span site started paying
    for telemetry nobody asked for. *)
 
 let test_disabled_gen_span_allocation () =
   let subject = Catalog.find "expr" in
-  let config =
-    {
-      Pfuzzer.default_config with
-      max_executions = 2000;
-      engine = Pfuzzer.Interpreted;
-    }
-  in
+  let config = { Pfuzzer.default_config with max_executions = 2000 } in
   ignore (Pfuzzer.fuzz config subject) (* warm up *);
   let w0 = Gc.minor_words () in
   let result = Pfuzzer.fuzz config subject in
