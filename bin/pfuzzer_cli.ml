@@ -81,30 +81,17 @@ let tool_arg =
   Arg.(value & opt string "pfuzzer" & info [ "t"; "tool" ] ~docv:"TOOL" ~doc)
 
 (* Build the observer requested on the command line (None when no
-   telemetry flag is set) and run [f] with it. Every output file is
-   staged to a temporary and renamed into place only after [f] returns:
-   an interrupted or crashed run never leaves a truncated trace behind,
+   telemetry flag is set) and run [f] with it. The trace file is staged
+   to a temporary and renamed into place only after [f] returns: an
+   interrupted or crashed run never leaves a truncated trace behind,
    only the previous complete file (if any). *)
-let with_observer ~trace ~trace_chrome ~trace_sample ~metrics_file
-    ~flight_recorder ~stats_interval f =
-  let staged = ref [] in
-  let open_sink path mk =
-    let st = Pdf_util.Atomic_file.stage path in
-    staged := st :: !staged;
-    mk (Pdf_util.Atomic_file.channel st)
-  in
-  let sinks =
-    List.filter_map Fun.id
-      [
-        Option.map (fun p -> open_sink p Pdf_obs.Trace.jsonl) trace;
-        Option.map (fun p -> open_sink p Pdf_obs.Trace.chrome) trace_chrome;
-      ]
-  in
+let with_observer ~trace ~trace_sample ~metrics_file ~flight_recorder
+    ~stats_interval f =
+  let staged = Option.map Pdf_util.Atomic_file.stage trace in
   let sink =
-    match sinks with
-    | [] -> None
-    | [ s ] -> Some s
-    | s :: rest -> Some (List.fold_left Pdf_obs.Trace.tee s rest)
+    Option.map
+      (fun st -> Pdf_obs.Trace.jsonl (Pdf_util.Atomic_file.channel st))
+      staged
   in
   let progress =
     if stats_interval > 0.0 then
@@ -127,12 +114,12 @@ let with_observer ~trace ~trace_chrome ~trace_sample ~metrics_file
   match f obs with
   | v ->
     close_sink ();
-    List.iter Pdf_util.Atomic_file.commit !staged;
+    Option.iter Pdf_util.Atomic_file.commit staged;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     (try close_sink () with _ -> ());
-    List.iter Pdf_util.Atomic_file.abort !staged;
+    Option.iter Pdf_util.Atomic_file.abort staged;
     Printexc.raise_with_backtrace e bt
 
 (* Loading a checkpoint is the one place where a bad file must stop the
@@ -176,9 +163,8 @@ let minor_heap_arg =
 
 let fuzz_cmd =
   let run subject_name tool_name seed executions quiet no_incremental trace
-      trace_chrome trace_sample metrics_file flight_recorder
-      stats_interval checkpoint checkpoint_every resume crashes_out die_after
-      minor_heap =
+      trace_sample metrics_file flight_recorder stats_interval checkpoint
+      checkpoint_every resume crashes_out die_after minor_heap =
     match find_subject subject_name with
     | Error e -> Error e
     | Ok subject ->
@@ -234,7 +220,7 @@ let fuzz_cmd =
               Pdf_util.Gc_tune.default_minor_words
                 ~queue_bound:Pdf_core.Pfuzzer.default_config.queue_bound);
          let outcome =
-           with_observer ~trace ~trace_chrome ~trace_sample ~metrics_file
+           with_observer ~trace ~trace_sample ~metrics_file
              ~flight_recorder ~stats_interval (fun obs ->
                Pdf_eval.Tool.run ?obs ?on_checkpoint ?resume_from ?on_execution
                  ?checkpoint_every ~incremental:(not no_incremental) tool
@@ -289,15 +275,6 @@ let fuzz_cmd =
           ~doc:
             "Write a structured JSONL event trace of the run, one event per \
              line (see `trace-report').")
-  in
-  let trace_chrome =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the run's trace in Chrome trace_event format, loadable in \
-             chrome://tracing or Perfetto.")
   in
   let stats_interval =
     Arg.(
@@ -398,8 +375,8 @@ let fuzz_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ tool_arg $ seed_arg $ executions_arg 20_000
-         $ quiet $ no_incremental $ trace $ trace_chrome
-         $ trace_sample $ metrics_file $ flight_recorder $ stats_interval
+         $ quiet $ no_incremental $ trace $ trace_sample $ metrics_file
+         $ flight_recorder $ stats_interval
          $ checkpoint $ checkpoint_every $ resume $ crashes_out $ die_after
          $ minor_heap_arg))
   in
@@ -698,6 +675,7 @@ let evaluate_cmd =
         Pdf_util.Atomic_file.with_out path (fun oc -> run_grid (Some oc))
     in
     Pdf_eval.Report.full Format.std_formatter experiment;
+    Pdf_eval.Ablation.report Format.std_formatter ~budget_units:budget;
     match experiment.failures with
     | [] -> Ok ()
     | failures ->
@@ -713,7 +691,10 @@ let evaluate_cmd =
       value
       & opt (pos_int "budget") Pdf_eval.Experiment.default_config.budget_units
       & info [ "budget" ] ~docv:"UNITS"
-          ~doc:"Virtual budget per (tool, subject): 1 unit per AFL execution, 100 per pFuzzer/KLEE execution.")
+          ~doc:
+            "Virtual budget per (tool, subject): 1 unit per AFL execution, \
+             100 per pFuzzer/KLEE execution. The ablations and the pipeline \
+             derive their budgets from it.")
   in
   let seeds =
     Arg.(value & opt (list int) [ 1 ] & info [ "seeds" ] ~docv:"S1,S2,..." ~doc:"Seeds; best run is reported.")
@@ -752,7 +733,11 @@ let evaluate_cmd =
     Term.(term_result (const run $ budget $ seeds $ jobs $ retries $ trace))
   in
   Cmd.v
-    (Cmd.info "evaluate" ~doc:"Run the paper's full evaluation and print every table and figure.")
+    (Cmd.info "evaluate"
+       ~doc:
+         "Run the paper's full evaluation, then the ablations, the pipeline \
+          and the instrumentation-overhead measurement, and print every \
+          table and figure.")
     term
 
 (* trace-report *)

@@ -14,4 +14,4 @@ let () =
   Pdf_eval.Report.figure_2 Format.std_formatter experiment;
   Pdf_eval.Report.figure_3 Format.std_formatter experiment;
   Format.printf
-    "@.The full evaluation over all five subjects is@.  dune exec bin/pfuzzer_cli.exe -- evaluate@.or the bench harness:  dune exec bench/main.exe@."
+    "@.The full evaluation over all five subjects, with the ablations, is@.  dune exec bin/pfuzzer_cli.exe -- evaluate@."

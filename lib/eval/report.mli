@@ -2,9 +2,6 @@
     {!Experiment.t}, with the paper's reported values alongside for
     comparison. *)
 
-val table_1 : Format.formatter -> Pdf_subjects.Subject.t list -> unit
-(** Table 1: the evaluation subjects. *)
-
 val token_inventory : Format.formatter -> Pdf_subjects.Subject.t -> unit
 (** Tables 2–4: a subject's tokens grouped by length. *)
 
@@ -14,10 +11,6 @@ val figure_2 : Format.formatter -> Experiment.t -> unit
 
 val figure_3 : Format.formatter -> Experiment.t -> unit
 (** Figure 3: tokens generated per subject, tool and token length. *)
-
-val headline : Format.formatter -> Experiment.t -> unit
-(** The §5.3 aggregate shares for short (≤ 3) and long (> 3) tokens,
-    measured vs paper. *)
 
 val cache_report : Format.formatter -> Experiment.t -> unit
 (** pFuzzer's prefix-snapshot cache accounting per subject: hits, misses,
@@ -35,5 +28,8 @@ val failed_cells : Format.formatter -> Experiment.t -> unit
     prints nothing for a healthy grid. *)
 
 val full : Format.formatter -> Experiment.t -> unit
-(** All of the above in paper order, followed by the incremental-execution
-    accounting and the resilience summary. *)
+(** Table 1 (the evaluation subjects), the token inventories, Figures 2
+    and 3, and the §5.3 aggregate shares for short (≤ 3) and long (> 3)
+    tokens measured vs paper — in paper order — followed by the
+    incremental-execution accounting, throughput and the resilience
+    summary. *)

@@ -89,7 +89,18 @@ let parse_flat line =
            | '/' -> Buffer.add_char buf '/'
            | 'u' ->
              if !pos + 5 >= n then fail "short \\u escape";
-             let code = int_of_string ("0x" ^ String.sub line (!pos + 2) 4) in
+             let code = ref 0 in
+             for i = !pos + 2 to !pos + 5 do
+               let digit =
+                 match line.[i] with
+                 | '0' .. '9' as c -> Char.code c - Char.code '0'
+                 | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                 | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                 | c -> fail "bad hex digit %C in \\u escape at %d" c i
+               in
+               code := (!code * 16) + digit
+             done;
+             let code = !code in
              if code > 0xff then fail "non-latin \\u escape %04x" code
              else Buffer.add_char buf (Char.chr code);
              pos := !pos + 4

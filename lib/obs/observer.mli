@@ -7,8 +7,9 @@
     clock reads, no allocation. With an observer installed, phase spans
     cost two monotonic clock reads each and trace events one small
     allocation — but only on executions the sampling predicate selects,
-    so sampled modes run within a few percent of [None]; measured
-    overhead numbers live in BENCH_obs.json and BENCH_monitor.json. *)
+    so sampled modes run within a few percent of [None]. perfbench's
+    [observed] workload measures the sampled mode ([obs.overhead_frac]
+    in its traced run). *)
 
 type t
 
@@ -48,7 +49,7 @@ val sampled : t -> exec:int -> bool
     spans on the same predicate, so at [sample > 1] the span totals and
     histograms cover only the sampled executions — that is what keeps
     the sampled and flight-recorder modes within a few percent of an
-    unobserved run (BENCH_monitor.json). *)
+    unobserved run. *)
 
 val now_ns : t -> int
 (** Nanoseconds since the observer was created. *)

@@ -85,10 +85,11 @@ let dump_ring r path =
     (ring_events r);
   Pdf_util.Atomic_file.write_string path (Buffer.contents buf)
 
-(* {1 Chrome trace_event sink}
+(* {1 Chrome trace_event conversion}
 
    Writes the JSON-array flavour of the trace_event format, loadable in
-   chrome://tracing and Perfetto. Executions become complete ("X")
+   chrome://tracing and Perfetto; `trace-report --chrome' replays a
+   JSONL trace through it. Executions become complete ("X")
    spans, valid inputs instant events, coverage and queue depth counter
    tracks; high-frequency queue push/pop events are folded into the
    depth counter rather than emitted individually. *)

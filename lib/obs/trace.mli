@@ -22,11 +22,12 @@ val jsonl : out_channel -> sink
     back. *)
 
 val chrome : out_channel -> sink
-(** Chrome [trace_event] JSON array for chrome://tracing and Perfetto:
-    executions as complete spans, valid inputs as instant events,
-    coverage and queue depth as counter tracks, final phase totals as
-    spans on a second thread lane. {!close} writes the closing bracket
-    — forgetting it produces an unloadable file. *)
+(** Converter to a Chrome [trace_event] JSON array for chrome://tracing
+    and Perfetto, fed the events of a recorded trace ([trace-report
+    --chrome]): executions as complete spans, valid inputs as instant
+    events, coverage and queue depth as counter tracks, final phase
+    totals as spans on a second thread lane. {!close} writes the
+    closing bracket — forgetting it produces an unloadable file. *)
 
 val buffer : unit -> sink * (unit -> string)
 (** In-memory JSONL sink and an accessor for its contents so far. *)

@@ -1,7 +1,7 @@
 (** Crash-safe file output: write to a temp file, rename into place.
 
     Every artifact the fuzzer persists (traces, checkpoints, crash corpora,
-    bench dumps) goes through this module so that a process killed mid-write
+    metrics snapshots) goes through this module so that a process killed mid-write
     never leaves a truncated file at the destination path. The temp file
     lives next to the target ([<path>.tmp.<pid>]) so the final [rename] is
     atomic on POSIX filesystems; an aborted write leaves the destination

@@ -21,5 +21,3 @@ let default_minor_words ~queue_bound =
 let set_minor_heap words =
   if words > 0 && Gc.((get ()).minor_heap_size) <> words then
     Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
-
-let minor_heap_words () = Gc.((get ()).minor_heap_size)

@@ -12,6 +12,3 @@ val default_minor_words : queue_bound:int -> int
 val set_minor_heap : int -> unit
 (** [set_minor_heap words] resizes the minor heap (no-op when [words] is
     not positive or already current). *)
-
-val minor_heap_words : unit -> int
-(** The current minor-heap size in words. *)

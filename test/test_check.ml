@@ -270,14 +270,14 @@ let test_mutation_object_slip () =
    instead. The digest covers what [Invariants.runs_equal] compares —
    input, verdict with reject string, comparison log, coverage, trace,
    touched order, EOF access, stack depth and frames — over a fixed
-   corpus: the loop bench's inputs plus 50 [Producer.valid] and 50
-   [Producer.invalid] draws. The expected digests were recorded from the
+   corpus: a few hand-written inputs per subject plus 50
+   [Producer.valid] and 50 [Producer.invalid] draws. The expected digests were recorded from the
    previous, unstaged parsers, so they also witness that staging
    changed no observation. The text form avoids [Marshal], whose output
    depends on physical sharing (staged comparison kinds are shared,
    unstaged ones were not). *)
 
-let loop_corpus = function
+let fixed_inputs = function
   | "paren" ->
     [ "([]{})"; "<<[()]>>"; "()()"; "((((((()))))))"; "([{<>}])([{<>}])" ]
   | "expr" -> [ "1+2"; "10-2+3"; "(((7)))"; "-3+42-17+(9-(8))"; "123456789" ]
@@ -303,7 +303,7 @@ let golden_corpus name =
   let draw f = List.filter_map (fun _ -> f rng o) (List.init 50 Fun.id) in
   let valid = draw Producer.valid in
   let invalid = draw Producer.invalid in
-  loop_corpus name @ valid @ invalid
+  fixed_inputs name @ valid @ invalid
 
 let kind_text = function
   | Comparison.Char_eq c -> Printf.sprintf "eq %C" c

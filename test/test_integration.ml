@@ -127,6 +127,44 @@ let test_determinism_across_stack () =
   let a = run () and b = run () in
   Alcotest.(check (pair (list string) (list string))) "fully deterministic" a b
 
+(* Two ablation shapes from EXPERIMENTS.md, pinned at seed 1 and 20k
+   executions (the budget/100 of a default evaluation). *)
+let valid_count ?(heuristic = Pdf_core.Heuristic.Prose) subject =
+  let result =
+    Pdf_core.Pfuzzer.fuzz
+      { Pdf_core.Pfuzzer.default_config with heuristic; max_executions = 20_000 }
+      subject
+  in
+  List.length result.valid_inputs
+
+(* A1, §3: pure depth-first search never closes its brackets; the
+   combined heuristic and breadth-first both do. *)
+let test_dyck_strategy_shape () =
+  let paren = Catalog.find "paren" in
+  let valid heuristic = valid_count ~heuristic paren in
+  Alcotest.(check int) "depth-first finds no valid input" 0
+    (valid Pdf_core.Heuristic.Dfs);
+  Alcotest.(check bool) "pFuzzer heuristic finds valid inputs" true
+    (valid Pdf_core.Heuristic.Prose >= 1);
+  Alcotest.(check bool) "breadth-first finds valid inputs" true
+    (valid Pdf_core.Heuristic.Bfs >= 1)
+
+(* A4, §7.1: out of the box, code coverage starves the search on a
+   table-driven parser; table-element coverage plus diagnostics
+   restores guidance, beyond the recursive-descent parser of the same
+   language. *)
+let test_table_driven_shape () =
+  let naive = valid_count Pdf_tables.Grammars.table_expr_naive in
+  let cells = valid_count Pdf_tables.Grammars.table_expr in
+  let descent = valid_count (Catalog.find "expr") in
+  Alcotest.(check bool)
+    (Printf.sprintf "out of the box starves (%d valid)" naive)
+    true (naive <= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "table cells (%d valid) beat recursive descent (%d)" cells
+       descent)
+    true (cells > descent)
+
 let () =
   Alcotest.run "integration"
     [
@@ -144,5 +182,12 @@ let () =
             test_pipeline_on_all_evaluation_subjects;
           Alcotest.test_case "determinism across the stack" `Quick
             test_determinism_across_stack;
+        ] );
+      ( "ablation shapes",
+        [
+          Alcotest.test_case "A1 depth-first starves on paren" `Quick
+            test_dyck_strategy_shape;
+          Alcotest.test_case "A4 table-driven coverage" `Quick
+            test_table_driven_shape;
         ] );
     ]

@@ -165,6 +165,35 @@ let test_normalize () =
   check Alcotest.string "timing keys zeroed" expected (Trace.normalize_line line);
   check Alcotest.string "non-json passes through" "garbage" (Trace.normalize_line "garbage")
 
+(* A \u escape whose four characters are not hex digits is malformed
+   like any other bad line: the reader raises Json.Malformed, never a
+   stray Failure, so normalize_line passes the line through and
+   read_channel reports its line number. *)
+let test_bad_unicode_escape () =
+  check Alcotest.bool "hex escape decodes" true
+    (Json.parse_flat {|{"a":"\u0041\u00fF"}|} = [ ("a", Json.S "A\xff") ]);
+  let bad = [ {|{"a":"\uzzzz"}|}; {|{"a":"\u+041"}|}; {|{"a":"\u_041"}|} ] in
+  List.iter
+    (fun line ->
+      (match Json.parse_flat line with
+       | _ -> Alcotest.failf "parse_flat accepted %s" line
+       | exception Json.Malformed _ -> ());
+      check Alcotest.string "passes through normalize" line
+        (Trace.normalize_line line))
+    bad;
+  let path = Filename.temp_file "pdf_obs" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (Event.to_json_line (stamp 1 1 Event.Cache_miss) ^ "\n" ^ List.hd bad ^ "\n"));
+  let outcome =
+    match Trace.read_file path with
+    | _ -> "accepted"
+    | exception Failure m -> m
+  in
+  Sys.remove path;
+  check Alcotest.bool ("read_channel names the line: " ^ outcome) true
+    (String.starts_with ~prefix:"trace line 2: " outcome)
+
 (* {1 Observer stamping with a deterministic clock} *)
 
 let test_observer_stamps () =
@@ -697,6 +726,8 @@ let () =
           Alcotest.test_case "golden JSONL lines" `Quick test_golden_lines;
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "normalize" `Quick test_normalize;
+          Alcotest.test_case "bad unicode escape" `Quick
+            test_bad_unicode_escape;
         ] );
       ( "observer",
         [
