@@ -562,24 +562,27 @@ let maybe_snapshot st =
 
 exception Budget_exhausted
 
+(* Cache the suspension at input position [pos]. The presence probe
+   hashes the prefix in place; the prefix string is only materialised
+   for a genuine store (a miss), which the steady state almost never
+   takes. *)
+let remember_at cache journal input pos =
+  if pos > 0 && pos <= String.length input
+     && not (Runner.Cache.mem_prefix cache input ~len:pos)
+  then
+    match Runner.snapshot_at journal pos with
+    | Some snap -> Runner.Cache.store cache (String.sub input 0 pos) snap
+    | None -> ()
+
 (* After an incremental run, remember the suspensions future executions
    will want: the one at the substitution index (children are
    [prefix ^ repl] sharing exactly that prefix) and the one at the end of
    the input (the extension probe [input ^ c] resumes there). *)
 let remember_snapshots cache journal (run : Runner.run) =
-  let store pos =
-    if pos > 0 && pos <= String.length run.input then begin
-      (* The presence probe hashes the prefix in place; the prefix
-         string is only materialised for a genuine store (a miss),
-         which the steady state almost never takes. *)
-      if not (Runner.Cache.mem_prefix cache run.input ~len:pos) then
-        match Runner.snapshot_at journal pos with
-        | Some snap -> Runner.Cache.store cache (String.sub run.input 0 pos) snap
-        | None -> ()
-    end
-  in
-  (match Runner.substitution_index run with Some i -> store i | None -> ());
-  store (String.length run.input)
+  (match Runner.substitution_index run with
+   | Some i -> remember_at cache journal run.input i
+   | None -> ());
+  remember_at cache journal run.input (String.length run.input)
 
 (* Busy-wait used by [Slow] faults: deterministic work the optimizer
    cannot delete, with no observable effect besides wall clock. *)
@@ -830,61 +833,64 @@ let push_candidate st (candidate : Candidate.t) =
 
 (* Algorithm 1, [addInputs]: one child per comparison made against the
    last compared input position, splicing in the expected character(s).
-   The loop is allocation-disciplined: the parent prefix is hashed once
-   in place, each replacement extends that hash, and the dedupe table is
-   probed before anything is built — a rejected duplicate allocates no
-   string at all. Only a genuinely fresh child is materialised, with a
-   single [Bytes] blit. Dedupe and construction time lands in the [Gen]
-   phase span; scoring and queue maintenance stay in [Score]/[Queue]
-   inside [enqueue]. *)
+   The loop is allocation-disciplined: the comparison log is walked in
+   place and each comparison streams its replacements
+   ({!Comparison.iter_replacements}) into one [propose] closure built
+   per call; the parent prefix is hashed once in place, each
+   replacement extends that hash, and the dedupe table is probed before
+   anything is built — a rejected duplicate allocates nothing at all.
+   Only a genuinely fresh child is materialised, with a single [Bytes]
+   blit. Dedupe and construction time lands in the [Gen] phase span;
+   scoring and queue maintenance stay in [Score]/[Queue] inside
+   [enqueue]. *)
 let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
   match Runner.substitution_index run with
   | None -> ()
-  | Some index ->
+  | Some sub_index ->
     let t_gen = ref (span_begin st) in
     (* One substitution-index computation feeds every derived fact —
-       the [~index] variants skip the per-call comparison-log rescan. *)
-    let parent_coverage = Runner.coverage_up_to run ~index in
-    let comps = Runner.comparisons_at run ~index in
+       the [~index] variant skips the per-call comparison-log rescan. *)
+    let parent_coverage = Runner.coverage_up_to run ~index:sub_index in
     let avg_stack = Runner.avg_stack_of_last_two run in
     let path_count = note_path st run in
     let input = run.input in
-    let index = min index (String.length input) in
+    let index = min sub_index (String.length input) in
     let prefix_hash = Fnv.prefix input index in
-    List.iter
-      (fun (comp : Comparison.t) ->
-        List.iter
-          (fun repl ->
-            let len = index + String.length repl in
-            (* A child equal to the parent input would only re-queue it;
-               equal length plus a matching splice means equal strings
-               (the prefix is shared by construction). *)
-            let is_parent =
-              len = String.length input && ends_with_at input index repl
-            in
-            if (not is_parent) && len <= st.config.max_input_len then begin
-              let h =
-                if st.config.dedupe then Fnv.continue prefix_hash repl else 0
-              in
-              if not (st.config.dedupe && seen_mem st h input index repl)
-              then begin
-                let data = concat_blit input index repl in
-                if st.config.dedupe then seen_add st h data;
-                span_end st Phase.Gen !t_gen;
-                enqueue st
-                  {
-                    Candidate.data;
-                    repl;
-                    parents = parent.parents + 1;
-                    parent_coverage;
-                    avg_stack;
-                    path_count;
-                  };
-                t_gen := span_begin st
-              end
-            end)
-          (Comparison.replacements st.rng comp))
-      comps;
+    let propose repl =
+      let len = index + String.length repl in
+      (* A child equal to the parent input would only re-queue it;
+         equal length plus a matching splice means equal strings (the
+         prefix is shared by construction). *)
+      let is_parent =
+        len = String.length input && ends_with_at input index repl
+      in
+      if (not is_parent) && len <= st.config.max_input_len then begin
+        let h = if st.config.dedupe then Fnv.continue prefix_hash repl else 0 in
+        if not (st.config.dedupe && seen_mem st h input index repl) then begin
+          let data = concat_blit input index repl in
+          if st.config.dedupe then seen_add st h data;
+          span_end st Phase.Gen !t_gen;
+          enqueue st
+            {
+              Candidate.data;
+              repl;
+              parents = parent.parents + 1;
+              parent_coverage;
+              avg_stack;
+              path_count;
+            };
+          t_gen := span_begin st
+        end
+      end
+    in
+    (* The comparisons at [sub_index] in log order — the order
+       [Runner.comparisons_at] lists them in. *)
+    let cs = run.comparisons in
+    for i = 0 to Array.length cs - 1 do
+      let c = Array.unsafe_get cs i in
+      if c.Comparison.index = sub_index then
+        Comparison.iter_replacements st.rng c propose
+    done;
     span_end st Phase.Gen !t_gen
 
 (* Algorithm 1, [validInp]: report, extend vBr, re-rank the queue. *)
@@ -1158,7 +1164,33 @@ let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
   st.crash_total <- ck.ck_crash_total;
   (st, ck.ck_current)
 
-let drive st ~first ~checkpoint_every ~on_checkpoint =
+(* The campaign so far as a result record, straight from loop state:
+   [Checkpoint.partial_result (checkpoint_of st c)] without sorting the
+   queue or flattening the dedupe and path tables, which a result does
+   not carry. The hit-counts are copied through their canonical list
+   form, as the checkpoint does, so the record is Marshal-identical to
+   the checkpoint's and stays valid while the campaign goes on. *)
+let partial_result st =
+  {
+    valid_inputs = List.rev st.valid_rev;
+    valid_coverage = st.vbr;
+    hits = Pdf_instr.Hits.of_list (Pdf_instr.Hits.to_list st.hits);
+    executions = st.executions;
+    candidates_created = st.candidates_created;
+    queue_peak = st.queue_peak;
+    first_valid_at = st.first_valid_at;
+    dedupe_resets = st.dedupe_resets;
+    path_resets = st.path_resets;
+    cache = no_cache_stats;
+    crashes =
+      List.rev_map (fun key -> Hashtbl.find st.crash_tab key) st.crash_order_rev;
+    crash_total = st.crash_total;
+    hangs = st.hangs;
+    wall_clock_s = 0.0;
+    execs_per_sec = 0.0;
+  }
+
+let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
   let t_start = Pdf_obs.Clock.now_ns () in
   (match st.obs with
    | None -> ()
@@ -1207,12 +1239,18 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
   (try
      let candidate = ref first in
      let last_checkpoint = ref st.executions in
+     let hooked = Option.is_some on_checkpoint || Option.is_some on_progress in
      while true do
-       (match on_checkpoint with
-        | Some save when st.executions - !last_checkpoint >= checkpoint_every ->
-          save (checkpoint_of st !candidate);
-          last_checkpoint := st.executions
-        | _ -> ());
+       if hooked && st.executions - !last_checkpoint >= checkpoint_every
+       then begin
+         (match on_checkpoint with
+          | Some save -> save (checkpoint_of st !candidate)
+          | None -> ());
+         (match on_progress with
+          | Some report -> report (partial_result st)
+          | None -> ());
+         last_checkpoint := st.executions
+       end;
        let c = !candidate in
        (* A queued candidate is [prefix ^ repl] for an already-executed
           parent input sharing [prefix] — exactly the part a cached
@@ -1276,15 +1314,15 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
   }
 
 let fuzz ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs ?faults
-    ?(checkpoint_every = 1000) ?on_checkpoint ?(initial_inputs = []) config
-    subject =
+    ?(checkpoint_every = 1000) ?on_checkpoint ?on_progress
+    ?(initial_inputs = []) config subject =
   let st =
     make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
       ~rng:(Rng.make config.seed) config subject
   in
   List.iter (fun input -> push_candidate st (Candidate.seed input)) initial_inputs;
   let first = seed_of_char (random_char st) in
-  drive st ~first ~checkpoint_every ~on_checkpoint
+  drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress
 
 let resume_from ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
     ?faults ?(checkpoint_every = 1000) ?on_checkpoint checkpoint subject =
@@ -1292,4 +1330,4 @@ let resume_from ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
     restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
       checkpoint subject
   in
-  drive st ~first ~checkpoint_every ~on_checkpoint
+  drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress:None

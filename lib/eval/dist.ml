@@ -329,21 +329,14 @@ let run_shard ?obs ?metrics ?frame_every ?send p subject sh =
   let snap seq =
     Option.map (fun m -> Metrics.snapshot ~origin:sh.shard_id ~clock:seq m) metrics
   in
-  let on_checkpoint =
+  let on_progress =
     Option.map
-      (fun send ck ->
-        let seq = Pfuzzer.Checkpoint.executions ck in
-        send
-          {
-            Frame.shard = sh.shard_id;
-            seq;
-            final = false;
-            result = Pfuzzer.Checkpoint.partial_result ck;
-            metrics = snap seq;
-          })
+      (fun send (result : Pfuzzer.result) ->
+        let seq = result.executions in
+        send { Frame.shard = sh.shard_id; seq; final = false; result; metrics = snap seq })
       send
   in
-  Pfuzzer.fuzz ?obs ?checkpoint_every:frame_every ?on_checkpoint cfg subject
+  Pfuzzer.fuzz ?obs ?checkpoint_every:frame_every ?on_progress cfg subject
 
 let reference ?shards config subject =
   let p = plan ?shards config in

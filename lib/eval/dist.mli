@@ -5,8 +5,9 @@
     shards — each an independent {!Pdf_core.Pfuzzer} run with its own
     SplitMix64-derived seed and budget slice — and the shards are dealt
     round-robin to [N] worker processes. Workers stream sync frames
-    (periodic {!Pdf_core.Pfuzzer.Checkpoint.partial_result} progress
-    plus one final per-shard result) back over pipes; the coordinator
+    (periodic progress results from {!Pdf_core.Pfuzzer.fuzz}'s
+    [on_progress] hook, plus one final per-shard result) back over
+    pipes; the coordinator
     folds them into a per-shard newest-frame map whose join is
     commutative, associative and idempotent, then merges the final
     per-shard results in shard order.
@@ -204,7 +205,7 @@ val run_campaign :
     order), fold the frame streams, replay missing shards, merge.
 
     [frame_every] (default 500) is the progress-frame cadence in
-    per-shard executions — frames ride the checkpoint hook, so it is a
+    per-shard executions — frames ride the progress hook, so it is a
     [checkpoint_every]. [retries] (default 2) bounds how many replay
     rounds a failing set of shards gets, in the spirit of
     {!Parallel.map_retry}; a shard still missing after the last round

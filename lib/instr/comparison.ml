@@ -18,49 +18,69 @@ type t = {
 (* Small satisfying sets (symbol alphabets, digits) are enumerated in
    full — the parser really compared against each of those values.
    Proposing every member of e.g. a 95-character printable-set comparison
-   would flood the queue, so large classes are sampled. *)
+   would flood the queue, so large classes are sampled: four distinct
+   members. *)
 let enumerate_bound = 16
-let sample_bound = 4
 
 (* Replacement strings are overwhelmingly single characters, and
-   [replacements] runs for every comparison a rejected input logged —
-   interning the 256 singletons means proposing one never allocates the
-   string again (the list cells still do). *)
+   [iter_replacements] runs for every comparison a rejected input
+   logged — interning the 256 singletons means proposing one never
+   allocates a string. *)
 let singleton = Array.init 256 (fun i -> String.make 1 (Char.chr i))
 
-let sample_set rng set =
-  let n = Charset.cardinal set in
-  if n = 0 then []
-  else if n <= enumerate_bound then begin
-    (* Enumerate ascending, built back to front from the interned
-       singletons — same list [to_list]-then-map produced, without the
-       intermediate char list or fresh strings. *)
-    let acc = ref [] in
-    for c = 255 downto 0 do
-      if Charset.mem (Char.chr c) set then acc := singleton.(c) :: !acc
-    done;
-    !acc
-  end
-  else
-    let rec draw acc k =
-      if k = 0 then acc
-      else
-        match Charset.pick rng set with
-        | None -> acc
-        | Some c ->
-          let s = singleton.(Char.code c) in
-          if List.mem s acc then draw acc k else draw (s :: acc) (k - 1)
-    in
-    draw [] sample_bound
+(* The [k]-th member, in ascending order, of the satisfying set of a
+   [Char_range] or [Char_set] kind. A range is contiguous, so its
+   members are plain arithmetic and no [Charset] is ever built. *)
+let member kind k =
+  match kind with
+  | Char_range (lo, _) -> singleton.(Char.code lo + k)
+  | Char_set (set, _) -> singleton.(Char.code (Charset.nth set k))
+  | Char_eq _ | Str_eq _ -> assert false
+
+(* Four distinct draws of [Rng.int rng n] (a repeat is redrawn), kept
+   in int locals and reported last-drawn first. Requires [n >= 4]. *)
+let sample rng kind n f =
+  let k1 = Rng.int rng n in
+  let k2 = ref (Rng.int rng n) in
+  while !k2 = k1 do
+    k2 := Rng.int rng n
+  done;
+  let k2 = !k2 in
+  let k3 = ref (Rng.int rng n) in
+  while !k3 = k1 || !k3 = k2 do
+    k3 := Rng.int rng n
+  done;
+  let k3 = !k3 in
+  let k4 = ref (Rng.int rng n) in
+  while !k4 = k1 || !k4 = k2 || !k4 = k3 do
+    k4 := Rng.int rng n
+  done;
+  f (member kind !k4);
+  f (member kind k3);
+  f (member kind k2);
+  f (member kind k1)
+
+let iter_members rng kind n f =
+  if n <= enumerate_bound then
+    for k = 0 to n - 1 do
+      f (member kind k)
+    done
+  else sample rng kind n f
+
+let iter_replacements rng t f =
+  match t.kind with
+  | Char_eq c -> f singleton.(Char.code c)
+  | Char_range (lo, hi) as kind ->
+    iter_members rng kind (Char.code hi - Char.code lo + 1) f
+  | Char_set (set, _) as kind -> iter_members rng kind (Charset.cardinal set) f
+  | Str_eq { expected; offset } ->
+    if offset < String.length expected then
+      f (String.sub expected offset (String.length expected - offset))
 
 let replacements rng t =
-  match t.kind with
-  | Char_eq c -> [ singleton.(Char.code c) ]
-  | Char_range (lo, hi) -> sample_set rng (Charset.range lo hi)
-  | Char_set (set, _) -> sample_set rng set
-  | Str_eq { expected; offset } ->
-    if offset >= String.length expected then []
-    else [ String.sub expected offset (String.length expected - offset) ]
+  let acc = ref [] in
+  iter_replacements rng t (fun s -> acc := s :: !acc);
+  List.rev !acc
 
 let satisfying_set = function
   | Char_eq c -> Charset.singleton c

@@ -26,13 +26,22 @@ type t = {
   stack_depth : int;
 }
 
+val iter_replacements : Pdf_util.Rng.t -> t -> (string -> unit) -> unit
+(** [iter_replacements rng c f] calls [f] on each substitution string
+    this comparison suggests for the input position [index]: the
+    character(s) that would have made it succeed. A set of at most 16
+    members (a [Char_range] or [Char_set]) is enumerated in ascending
+    order; a larger one yields four distinct random members, last drawn
+    first. For [Str_eq], the single suggestion is the keyword's
+    remaining suffix, which is what lets the fuzzer synthesise whole
+    keywords (and why the heuristic rewards replacement length).
+    Single characters are interned strings, and nothing is allocated
+    per member: this streams straight into the fuzzer's dedupe and
+    enqueue step. *)
+
 val replacements : Pdf_util.Rng.t -> t -> string list
-(** The substitution strings this comparison suggests for the input
-    position [index]: the character(s) that would have made it succeed.
-    For a large set (e.g. a range), a bounded random sample is drawn. For
-    [Str_eq], the single suggestion is the keyword's remaining suffix,
-    which is what lets the fuzzer synthesise whole keywords (and why the
-    heuristic rewards replacement length). *)
+(** The strings {!iter_replacements} yields, in order, as a list; draws
+    from [rng] exactly as {!iter_replacements} does. *)
 
 val char_constraint : t -> Pdf_util.Charset.t
 (** The set of characters that would make this comparison evaluate to

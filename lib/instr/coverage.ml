@@ -82,9 +82,9 @@ let of_iter iter =
 
 let of_list l = of_iter (fun f -> List.iter f l)
 
-(* Direct loops rather than [of_iter]: this builds the parent-coverage
-   set once per candidate-generating execution, and the iterator version
-   pays two closure allocations per call. *)
+(* Direct loops rather than [of_iter]: this builds every run's coverage
+   and the parent-coverage set of every candidate-generating execution,
+   and the iterator version pays two closure allocations per call. *)
 let of_array ?len a =
   let len =
     match len with None -> Array.length a | Some l -> min l (Array.length a)

@@ -55,7 +55,9 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     comparisons = Vec.create dummy_comparison;
     covered = Bytes.make (2 * Site.site_count registry) '\000';
     touched = Vec.create 0;
-    trace = Vec.create ~capacity:64 0;
+    (* Only AFL's bitmap and the trace-agreement check ask for the
+       trace; an untraced run should not pay for its buffer. *)
+    trace = Vec.create ~capacity:(if track_trace then 64 else 0) 0;
     stack = 0;
     max_stack = 0;
     fuel;
@@ -368,7 +370,6 @@ let reject _t reason = raise (Reject reason)
 
 let comparisons t = Vec.to_list t.comparisons
 let comparisons_array t = Vec.to_array t.comparisons
-let coverage t = Coverage.of_iter (fun f -> Vec.iter f t.touched)
 let trace t = Vec.to_array t.trace
 let touched t = Vec.to_array t.touched
 let eof_access t = t.eof_access

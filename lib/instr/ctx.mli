@@ -189,7 +189,6 @@ val comparisons : t -> Comparison.t list
 val comparisons_array : t -> Comparison.t array
 (** In event order, without an intermediate list. *)
 
-val coverage : t -> Coverage.t
 val trace : t -> int array
 (** Outcome ids in the order they were recorded; empty unless the
     context was created with [~track_trace:true]. *)

@@ -34,13 +34,14 @@ type run = {
 }
 
 let package ctx input verdict =
+  let touched = Ctx.touched ctx in
   {
     input;
     verdict;
     comparisons = Ctx.comparisons_array ctx;
-    coverage = Ctx.coverage ctx;
+    coverage = Coverage.of_array touched;
     trace = Ctx.trace ctx;
-    touched = Ctx.touched ctx;
+    touched;
     eof_access = Ctx.eof_access ctx;
     max_depth = Ctx.max_depth ctx;
     frames = Ctx.frames ctx;
@@ -234,11 +235,21 @@ let resume (snap : snapshot) input =
    Keys are input prefixes, but the hot-path lookup is always "the first
    [len] characters of this input" — and materialising that prefix as a
    string per execution was two of the fuzzer's three per-exec
-   allocations. So the table is keyed by an FNV-1a hash computed over
-   the range in place ({!Pdf_util.Fnv}), with small collision buckets
-   verified by in-place character comparison against the (string, len)
-   pair. Full-string [find]/[remove] are the prefix variants at
-   [len = length key]. *)
+   allocations. So entries are found by an FNV-1a hash computed over the
+   range in place ({!Pdf_util.Fnv}) and verified by in-place character
+   comparison against the (string, len) pair. Full-string
+   [find]/[remove] are the prefix variants at [len = length key].
+
+   Everything lives in flat arrays allocated once. An entry is an id
+   below [bound] naming a slot in the parallel key, hash, snapshot and
+   recency-link arrays; recency is a doubly linked list threaded
+   through the int arrays [prev] and [next]. An open-addressed index
+   (linear probing, backward-shift deletion) maps the prefix hash to
+   the entry id, and a stack holds the free ids. A lookup indexes by
+   the FNV hash itself, with no generic [Hashtbl.hash] call; a hit
+   returns the stored [Some]; a recency update writes ints only, where
+   option-linked nodes would write a fresh [Some] block into an old,
+   already promoted node every time (DESIGN.md §13). *)
 
 module Cache = struct
   module Fnv = Pdf_util.Fnv
@@ -250,43 +261,59 @@ module Cache = struct
     mutable chars_saved : int;
   }
 
-  type node = {
-    key : string;
-    hash : int;  (* Fnv.string key, cached for bucket maintenance *)
-    mutable snap : snapshot;
-    mutable prev : node option;  (* towards most-recent *)
-    mutable next : node option;  (* towards least-recent *)
-  }
-
   type t = {
     bound : int;
-    table : (int, node list) Hashtbl.t;  (* hash -> collision bucket *)
+    (* Per entry id; a free id has key [""] and snapshot [None]. *)
+    keys : string array;
+    hashes : int array;  (* Fnv.string key, for the index's home slot *)
+    snaps : snapshot option array;
+    prev : int array;  (* towards most-recent; -1 at the head *)
+    next : int array;  (* towards least-recent; -1 at the tail *)
+    (* Open-addressed index: entry id per slot, -1 = empty. Its
+       capacity is a power of two at least [2 * bound], so probe chains
+       stay short and always reach an empty slot. *)
+    index : int array;
+    mask : int;
+    free : int array;  (* stack of unused ids, [free.(0 .. free_top - 1)] *)
+    mutable free_top : int;
     mutable count : int;
-    mutable head : node option;  (* most recently used *)
-    mutable tail : node option;  (* least recently used *)
+    mutable head : int;  (* most recently used, -1 when empty *)
+    mutable tail : int;  (* least recently used, -1 when empty *)
     stats : stats;
   }
 
   let create ?(bound = 4096) () =
+    let bound = max 1 bound in
+    let cap = ref 2 in
+    while !cap < 2 * bound do
+      cap := 2 * !cap
+    done;
     {
-      bound = max 1 bound;
-      table = Hashtbl.create 256;
+      bound;
+      keys = Array.make bound "";
+      hashes = Array.make bound 0;
+      snaps = Array.make bound None;
+      prev = Array.make bound (-1);
+      next = Array.make bound (-1);
+      index = Array.make !cap (-1);
+      mask = !cap - 1;
+      free = Array.init bound (fun i -> bound - 1 - i);
+      free_top = bound;
       count = 0;
-      head = None;
-      tail = None;
+      head = -1;
+      tail = -1;
       stats = { hits = 0; misses = 0; evictions = 0; chars_saved = 0 };
     }
 
   let stats t = t.stats
   let length t = t.count
 
-  (* Does [node.key] equal the first [len] characters of [s]? *)
-  let key_matches node s len =
-    String.length node.key = len
+  (* Does [k] equal the first [len] characters of [s]? *)
+  let key_matches k s len =
+    String.length k = len
     &&
-    let k = node.key in
     (* [while] over a ref rather than a local [let rec]: the probe runs
-       per bucket node on every lookup, and the captured-variable
+       per candidate entry on every lookup, and the captured-variable
        closure would be allocated each time. *)
     let i = ref 0 in
     while !i < len && String.unsafe_get k !i = String.unsafe_get s !i do
@@ -294,90 +321,125 @@ module Cache = struct
     done;
     !i >= len
 
-  let rec bucket_find bucket s len =
-    match bucket with
-    | [] -> None
-    | n :: rest -> if key_matches n s len then Some n else bucket_find rest s len
+  (* Index slot holding the entry for the first [len] characters of
+     [s], or -1. *)
+  let find_slot t s len =
+    let h = Fnv.prefix s len in
+    let i = ref (h land t.mask) in
+    let res = ref (-2) in
+    while !res = -2 do
+      let id = Array.unsafe_get t.index !i in
+      if id < 0 then res := -1
+      else if
+        Array.unsafe_get t.hashes id = h
+        && key_matches (Array.unsafe_get t.keys id) s len
+      then res := !i
+      else i := (!i + 1) land t.mask
+    done;
+    !res
 
-  let find_node t s len =
-    (* Exception-style lookup: this probe runs several times per
-       execution, and [find_opt]'s [Some] wrapper is pure garbage. *)
-    match Hashtbl.find t.table (Fnv.prefix s len) with
-    | bucket -> bucket_find bucket s len
-    | exception Not_found -> None
+  (* Index slot holding entry [id], which must be resident. *)
+  let slot_of t id =
+    let i = ref (t.hashes.(id) land t.mask) in
+    while Array.unsafe_get t.index !i <> id do
+      i := (!i + 1) land t.mask
+    done;
+    !i
+
+  (* Backward-shift deletion: empty slot [i], then walk the probe chain
+     after it and move back every entry whose home slot does not lie
+     cyclically in (hole, j] — the entries whose probe would otherwise
+     stop at the hole. No tombstones, so chains never lengthen. *)
+  let clear_slot t i =
+    let hole = ref i and j = ref ((i + 1) land t.mask) in
+    while Array.unsafe_get t.index !j >= 0 do
+      let id = Array.unsafe_get t.index !j in
+      let home = t.hashes.(id) land t.mask in
+      let stays =
+        if !hole <= !j then !hole < home && home <= !j
+        else !hole < home || home <= !j
+      in
+      if not stays then begin
+        t.index.(!hole) <- id;
+        hole := !j
+      end;
+      j := (!j + 1) land t.mask
+    done;
+    t.index.(!hole) <- -1
 
   (* No recency update, no counter traffic: the fuzzer probes before a
      store so that an already-cached prefix is never materialised as a
      string. *)
-  let mem_prefix t s ~len = find_node t s len <> None
+  let mem_prefix t s ~len = find_slot t s len >= 0
 
-  let unlink t node =
-    (match node.prev with
-     | Some p -> p.next <- node.next
-     | None -> t.head <- node.next);
-    (match node.next with
-     | Some n -> n.prev <- node.prev
-     | None -> t.tail <- node.prev);
-    node.prev <- None;
-    node.next <- None
+  let unlink t id =
+    let p = t.prev.(id) and n = t.next.(id) in
+    if p >= 0 then t.next.(p) <- n else t.head <- n;
+    if n >= 0 then t.prev.(n) <- p else t.tail <- p;
+    t.prev.(id) <- -1;
+    t.next.(id) <- -1
 
-  let push_front t node =
-    node.next <- t.head;
-    (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-    t.head <- Some node
+  let push_front t id =
+    t.next.(id) <- t.head;
+    if t.head >= 0 then t.prev.(t.head) <- id else t.tail <- id;
+    t.head <- id
 
-  let drop_from_bucket t node =
-    match Hashtbl.find_opt t.table node.hash with
-    | None -> ()
-    | Some bucket ->
-      (match List.filter (fun n -> n != node) bucket with
-       | [] -> Hashtbl.remove t.table node.hash
-       | rest -> Hashtbl.replace t.table node.hash rest);
-      t.count <- t.count - 1
+  (* Drop resident entry [id], held in index slot [slot], and free its
+     id; its key and snapshot are released for collection. *)
+  let drop t id slot =
+    unlink t id;
+    clear_slot t slot;
+    t.keys.(id) <- "";
+    t.snaps.(id) <- None;
+    t.free.(t.free_top) <- id;
+    t.free_top <- t.free_top + 1;
+    t.count <- t.count - 1
 
   let find_prefix t s ~len =
-    match find_node t s len with
-    | None ->
+    let slot = find_slot t s len in
+    if slot < 0 then begin
       t.stats.misses <- t.stats.misses + 1;
       None
-    | Some node ->
+    end
+    else begin
+      let id = t.index.(slot) in
       t.stats.hits <- t.stats.hits + 1;
       t.stats.chars_saved <- t.stats.chars_saved + len;
-      if t.head != Some node then begin
-        unlink t node;
-        push_front t node
+      if t.head <> id then begin
+        unlink t id;
+        push_front t id
       end;
-      Some node.snap
+      t.snaps.(id)
+    end
 
   let find t key = find_prefix t key ~len:(String.length key)
 
   let store t key snap =
     let len = String.length key in
-    if find_node t key len = None then begin
+    if find_slot t key len < 0 then begin
       if t.count >= t.bound then begin
-        match t.tail with
-        | None -> ()
-        | Some lru ->
-          unlink t lru;
-          drop_from_bucket t lru;
-          t.stats.evictions <- t.stats.evictions + 1
+        let lru = t.tail in
+        drop t lru (slot_of t lru);
+        t.stats.evictions <- t.stats.evictions + 1
       end;
-      let hash = Fnv.prefix key len in
-      let node = { key; hash; snap; prev = None; next = None } in
-      let bucket =
-        match Hashtbl.find_opt t.table hash with Some b -> b | None -> []
-      in
-      Hashtbl.replace t.table hash (node :: bucket);
+      t.free_top <- t.free_top - 1;
+      let id = t.free.(t.free_top) in
+      let h = Fnv.prefix key len in
+      t.keys.(id) <- key;
+      t.hashes.(id) <- h;
+      t.snaps.(id) <- Some snap;
+      let i = ref (h land t.mask) in
+      while Array.unsafe_get t.index !i >= 0 do
+        i := (!i + 1) land t.mask
+      done;
+      t.index.(!i) <- id;
       t.count <- t.count + 1;
-      push_front t node
+      push_front t id
     end
 
   let remove_prefix t s ~len =
-    match find_node t s len with
-    | None -> ()
-    | Some node ->
-      unlink t node;
-      drop_from_bucket t node
+    let slot = find_slot t s len in
+    if slot >= 0 then drop t t.index.(slot) slot
 
   let remove t key = remove_prefix t key ~len:(String.length key)
 
@@ -385,35 +447,37 @@ module Cache = struct
 
   let corrupt_all t =
     let poisoned = Machine.Peek (fun _ _ -> raise Corrupted_snapshot) in
-    Hashtbl.iter
-      (fun _ bucket ->
-        List.iter
-          (fun node -> node.snap <- { node.snap with s_step = poisoned })
-          bucket)
-      t.table
+    Array.iteri
+      (fun id snap ->
+        match snap with
+        | None -> ()
+        | Some s -> t.snaps.(id) <- Some { s with s_step = poisoned })
+      t.snaps
 end
 
 let accepted run = run.verdict = Accepted
-
-let max_index_where pred run =
-  Array.fold_left
-    (fun acc (c : Comparison.t) ->
-      if pred c then
-        match acc with None -> Some c.index | Some i -> Some (max i c.index)
-      else acc)
-    None run.comparisons
-
-let last_compared_index run = max_index_where (fun _ -> true) run
 
 (* The first invalid character: the rightmost position where the parser's
    expectation failed. Positions beyond it may have been touched by
    class-membership probes (e.g. "is this still a letter?") whose success
    carries no substitution information, so failed comparisons take
-   precedence. *)
+   precedence; with none failed, the rightmost compared position. One
+   pass over the log, with the two maxima in int locals. *)
 let substitution_index run =
-  match max_index_where (fun (c : Comparison.t) -> not c.result) run with
-  | Some _ as failed -> failed
-  | None -> last_compared_index run
+  let cs = run.comparisons in
+  let any = ref min_int and failed = ref min_int and has_failed = ref false in
+  for i = 0 to Array.length cs - 1 do
+    let c = Array.unsafe_get cs i in
+    let index = c.Comparison.index in
+    if index > !any then any := index;
+    if not c.Comparison.result then begin
+      has_failed := true;
+      if index > !failed then failed := index
+    end
+  done;
+  if !has_failed then Some !failed
+  else if Array.length cs > 0 then Some !any
+  else None
 
 (* The [~index] variants let a caller that already computed
    {!substitution_index} reuse it — the fuzzer derives several facts per

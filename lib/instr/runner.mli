@@ -201,13 +201,11 @@ end
 
 (** {1 Derived observations used by the search} *)
 
-val last_compared_index : run -> int option
-(** The rightmost input index involved in any comparison. *)
-
 val substitution_index : run -> int option
 (** The position of the first invalid character: the rightmost index with
-    a {e failed} comparison, falling back to {!last_compared_index} when
-    every comparison succeeded. Substitutions are applied here. *)
+    a {e failed} comparison, falling back to the rightmost index of any
+    comparison when every comparison succeeded; [None] for an empty
+    comparison log. Substitutions are applied here. *)
 
 val comparisons_at : run -> index:int -> Comparison.t list
 (** All comparison events touching input position [index], in trace

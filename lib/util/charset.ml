@@ -98,9 +98,15 @@ let inter = map2 ( land )
 let diff a b = map2 (fun x y -> x land lnot y land mask32) a b
 let complement t = diff full t
 
-let popcount32 x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+(* SWAR population count of one 32-bit word, as in [Coverage]. The
+   final multiply must be masked to a byte: an OCaml int is wider than
+   32 bits, so the byte sums a 32-bit register would discard survive
+   above bit 32. *)
+let popcount32 v =
+  let v = v - ((v lsr 1) land 0x5555_5555) in
+  let v = (v land 0x3333_3333) + ((v lsr 2) land 0x3333_3333) in
+  let v = (v + (v lsr 4)) land 0x0f0f_0f0f in
+  (v * 0x0101_0101) lsr 24 land 0xff
 
 let cardinal t =
   popcount32 t.w0 + popcount32 t.w1 + popcount32 t.w2 + popcount32 t.w3
@@ -133,24 +139,26 @@ let min_elt t =
   let rec go c = if c > 255 then None else if mem (Char.chr c) t then Some (Char.chr c) else go (c + 1) in
   go 0
 
+(* Skip whole words by their popcount, then clear the [k] lowest set
+   bits of the word that holds the member and count the trailing zeros
+   of what is left: no closure, no exception, no allocation. *)
+let nth t k =
+  if k < 0 then invalid_arg "Charset.nth";
+  let k = ref k and i = ref 0 in
+  while !i < 8 && !k >= popcount32 (word t !i) do
+    k := !k - popcount32 (word t !i);
+    incr i
+  done;
+  if !i = 8 then invalid_arg "Charset.nth";
+  let w = ref (word t !i) in
+  for _ = 1 to !k do
+    w := !w land (!w - 1)
+  done;
+  Char.unsafe_chr ((32 * !i) + popcount32 ((!w land (- !w)) - 1))
+
 let pick rng t =
   let n = cardinal t in
-  if n = 0 then None
-  else begin
-    let k = Rng.int rng n in
-    let found = ref None and seen = ref 0 in
-    (try
-       iter
-         (fun c ->
-           if !seen = k then begin
-             found := Some c;
-             raise Exit
-           end;
-           incr seen)
-         t
-     with Exit -> ());
-    !found
-  end
+  if n = 0 then None else Some (nth t (Rng.int rng n))
 
 let digits = range '0' '9'
 let letters = union (range 'a' 'z') (range 'A' 'Z')

@@ -41,8 +41,14 @@ val to_list : t -> char list
 (** Ascending order. *)
 
 val min_elt : t -> char option
+val nth : t -> int -> char
+(** [nth t k] is the [k]-th member in ascending order, counting from 0:
+    [List.nth (to_list t) k] without building the list. Raises
+    [Invalid_argument] unless [0 <= k < cardinal t]. *)
+
 val pick : Rng.t -> t -> char option
-(** [pick rng t] draws a uniformly random member, or [None] if empty. *)
+(** [pick rng t] draws a uniformly random member, or [None] if empty:
+    [nth t (Rng.int rng (cardinal t))]. *)
 
 val digits : t
 val letters : t

@@ -87,6 +87,138 @@ let prop_char_constraint =
       let set = Comparison.char_constraint cmp in
       Charset.mem observed set = (if result then observed = expected else observed <> expected))
 
+(* {2 Streamed replacements against the list-based model}
+
+   The model is the list-building implementation the streamed
+   [iter_replacements] replaced: a closure-based [pick] that walks the
+   set until the drawn rank, and a [sample_set] that enumerates a small
+   set and draws a large one into a [List.mem]-checked list. Streamed
+   and listed forms must yield the same strings in the same order and
+   leave the generator in the same state. *)
+
+let model_singleton = Array.init 256 (fun i -> String.make 1 (Char.chr i))
+
+let model_pick rng set =
+  let n = List.length (Charset.to_list set) in
+  if n = 0 then None
+  else begin
+    let k = Rng.int rng n in
+    let found = ref None and seen = ref 0 in
+    (try
+       Charset.iter
+         (fun c ->
+           if !seen = k then begin
+             found := Some c;
+             raise Exit
+           end;
+           incr seen)
+         set
+     with Exit -> ());
+    !found
+  end
+
+let model_sample_set rng set =
+  let members = Charset.to_list set in
+  if List.length members <= 16 then
+    List.map (fun c -> model_singleton.(Char.code c)) members
+  else
+    let rec draw acc k =
+      if k = 0 then acc
+      else
+        match model_pick rng set with
+        | None -> acc
+        | Some c ->
+          let s = model_singleton.(Char.code c) in
+          if List.mem s acc then draw acc k else draw (s :: acc) (k - 1)
+    in
+    draw [] 4
+
+let model_replacements rng (t : Comparison.t) =
+  match t.kind with
+  | Comparison.Char_eq c -> [ model_singleton.(Char.code c) ]
+  | Comparison.Char_range (lo, hi) -> model_sample_set rng (Charset.range lo hi)
+  | Comparison.Char_set (set, _) -> model_sample_set rng set
+  | Comparison.Str_eq { expected; offset } ->
+    if offset >= String.length expected then []
+    else [ String.sub expected offset (String.length expected - offset) ]
+
+let char_of_int = QCheck.Gen.map Char.chr (QCheck.Gen.int_range 0 255)
+
+(* Every shape the sampling policy distinguishes: inverted, narrow
+   (enumerated) and wide (sampled) ranges; empty, small, large and full
+   sets. *)
+let kind_gen =
+  let open QCheck.Gen in
+  let range_of_width w_lo w_hi =
+    int_range w_lo w_hi >>= fun w ->
+    int_range 0 (255 - w) >|= fun lo ->
+    Comparison.Char_range (Char.chr lo, Char.chr (lo + w))
+  in
+  let set_of n_lo n_hi =
+    list_size (int_range n_lo n_hi) char_of_int >|= fun cs ->
+    Comparison.Char_set (Charset.of_list cs, "s")
+  in
+  frequency
+    [
+      (2, char_of_int >|= fun c -> Comparison.Char_eq c);
+      ( 1,
+        int_range 0 254 >>= fun hi ->
+        int_range (hi + 1) 255 >|= fun lo ->
+        Comparison.Char_range (Char.chr lo, Char.chr hi) );
+      (2, range_of_width 0 15);
+      (2, range_of_width 16 255);
+      (1, return (Comparison.Char_set (Charset.empty, "empty")));
+      (2, set_of 1 12);
+      (2, set_of 17 120);
+      (1, return (Comparison.Char_set (Charset.full, "full")));
+      (1, return (Comparison.Char_set (Charset.printable, "printable")));
+      ( 2,
+        string_size ~gen:printable (int_range 0 8) >>= fun expected ->
+        int_range 0 (String.length expected + 1) >|= fun offset ->
+        Comparison.Str_eq { expected; offset } );
+    ]
+
+let comparison_list_arb =
+  QCheck.make
+    ~print:(fun (seed, kinds) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat "; "
+           (List.map (fun k -> Format.asprintf "%a" Comparison.pp (mk_cmp k)) kinds)))
+    QCheck.Gen.(pair small_nat (list_size (int_range 1 6) kind_gen))
+
+let prop_replacements_match_model =
+  QCheck.Test.make ~name:"streamed replacements = list-based model" ~count:1000
+    comparison_list_arb (fun (seed, kinds) ->
+      let cmps = List.map mk_cmp kinds in
+      let r_model = Rng.make seed
+      and r_list = Rng.make seed
+      and r_iter = Rng.make seed in
+      let model = List.map (model_replacements r_model) cmps in
+      let listed = List.map (Comparison.replacements r_list) cmps in
+      let streamed =
+        List.map
+          (fun c ->
+            let acc = ref [] in
+            Comparison.iter_replacements r_iter c (fun s -> acc := s :: !acc);
+            List.rev !acc)
+          cmps
+      in
+      model = listed && model = streamed
+      && Rng.state r_model = Rng.state r_list
+      && Rng.state r_model = Rng.state r_iter)
+
+let prop_str_eq_every_offset =
+  QCheck.Test.make ~name:"Str_eq replacements at every offset" ~count:200
+    QCheck.(string_gen_of_size (Gen.int_range 0 10) Gen.printable)
+    (fun expected ->
+      List.for_all
+        (fun offset ->
+          let c = mk_cmp (Comparison.Str_eq { expected; offset }) in
+          let rng = Rng.make 7 in
+          Comparison.replacements rng c = model_replacements (Rng.make 7) c
+          && Rng.state rng = Rng.state (Rng.make 7))
+        (List.init (String.length expected + 2) Fun.id))
+
 (* {1 Ctx: a toy parser} *)
 
 let toy_registry = Site.create_registry "toy"
@@ -191,7 +323,7 @@ let test_ctx_untracked () =
   (try toy_parse ctx with Ctx.Reject _ -> ());
   check Alcotest.int "no comparison events" 0 (List.length (Ctx.comparisons ctx));
   Alcotest.(check bool) "coverage still recorded" true
-    (Coverage.cardinal (Ctx.coverage ctx) > 0)
+    (Coverage.cardinal (Coverage.of_array (Ctx.touched ctx)) > 0)
 
 let test_ctx_untainted_no_event () =
   let registry = Site.create_registry "untainted" in
@@ -313,6 +445,55 @@ let test_subst_untainted_last () =
   check Alcotest.int "one event at it" 1
     (List.length (Runner.comparisons_at_last_index run))
 
+(* [substitution_index] against the fold it replaced, on random logs
+   (empty and all-successful ones included). *)
+let model_substitution_index (run : Runner.run) =
+  let max_index_where pred =
+    Array.fold_left
+      (fun acc (c : Comparison.t) ->
+        if pred c then
+          match acc with None -> Some c.index | Some i -> Some (max i c.index)
+        else acc)
+      None run.comparisons
+  in
+  match max_index_where (fun c -> not c.result) with
+  | Some _ as failed -> failed
+  | None -> max_index_where (fun _ -> true)
+
+let run_of_log log =
+  {
+    Runner.input = "";
+    verdict = Runner.Rejected "synthetic";
+    comparisons =
+      Array.of_list
+        (List.map
+           (fun (index, result) -> mk_cmp ~index ~result (Comparison.Char_eq 'x'))
+           log);
+    coverage = Coverage.empty;
+    trace = [||];
+    touched = [||];
+    eof_access = false;
+    max_depth = 0;
+    frames = [||];
+  }
+
+let prop_substitution_index_model =
+  QCheck.Test.make ~name:"substitution_index = fold model" ~count:1000
+    QCheck.(
+      pair bool (small_list (pair (int_range 0 24) bool)))
+    (fun (all_ok, log) ->
+      let log = if all_ok then List.map (fun (i, _) -> (i, true)) log else log in
+      let run = run_of_log log in
+      Runner.substitution_index run = model_substitution_index run)
+
+let test_substitution_index_edges () =
+  check Alcotest.(option int) "empty log" None
+    (Runner.substitution_index (run_of_log []));
+  check Alcotest.(option int) "all successful: rightmost compared" (Some 9)
+    (Runner.substitution_index (run_of_log [ (3, true); (9, true); (4, true) ]));
+  check Alcotest.(option int) "failed beats a later success" (Some 4)
+    (Runner.substitution_index (run_of_log [ (4, false); (9, true); (2, false) ]))
+
 (* {1 Snapshot / resume} *)
 
 module Subject = Pdf_subjects.Subject
@@ -410,6 +591,171 @@ let test_prefix_cache_lru () =
   check Alcotest.int "misses" 1 s.Runner.Cache.misses;
   check Alcotest.int "evictions" 1 s.Runner.Cache.evictions;
   Alcotest.(check bool) "chars saved counted" true (s.Runner.Cache.chars_saved > 0)
+
+(* {2 The array cache against a list-based LRU model}
+
+   Random operation sequences over bounds 1-8 and keys from a 2-3
+   letter alphabet, so probe chains in the open-addressed index
+   collide, wrap around and shift back on deletion. The model is a
+   most-recent-first association list with the same counters. After
+   every step the two agree on membership of every key the alphabet
+   can spell, on the length and on all four counters; lookups must
+   return the snapshot the model holds (snapshots are told apart by
+   their prefix position). *)
+
+let cache_pool_input = {|{"a": [1, true]}|}
+
+let cache_pool =
+  let _, j = exec_json cache_pool_input in
+  Array.init (String.length cache_pool_input) (fun p ->
+      Option.get (Runner.snapshot_at j (p + 1)))
+
+type cache_op =
+  | Store of string * int  (* key, pool index of the snapshot *)
+  | Find of string
+  | Find_prefix of string * int
+  | Mem_prefix of string * int
+  | Remove of string
+  | Remove_prefix of string * int
+
+let pp_cache_op = function
+  | Store (k, v) -> Printf.sprintf "store %S #%d" k v
+  | Find k -> Printf.sprintf "find %S" k
+  | Find_prefix (s, n) -> Printf.sprintf "find_prefix %S ~len:%d" s n
+  | Mem_prefix (s, n) -> Printf.sprintf "mem_prefix %S ~len:%d" s n
+  | Remove k -> Printf.sprintf "remove %S" k
+  | Remove_prefix (s, n) -> Printf.sprintf "remove_prefix %S ~len:%d" s n
+
+let all_keys alphabet =
+  let rec words n =
+    if n = 0 then [ "" ]
+    else
+      List.concat_map
+        (fun w -> List.map (fun c -> w ^ String.make 1 c) alphabet)
+        (words (n - 1))
+  in
+  List.concat_map words [ 0; 1; 2; 3 ]
+
+let cache_case_gen =
+  let open QCheck.Gen in
+  int_range 1 8 >>= fun bound ->
+  oneofl [ [ 'a'; 'b' ]; [ 'a'; 'b'; 'c' ] ] >>= fun alphabet ->
+  let key = int_range 0 3 >>= fun n -> string_size ~gen:(oneofl alphabet) (return n) in
+  let prefixed =
+    int_range 0 4 >>= fun n ->
+    string_size ~gen:(oneofl alphabet) (return n) >>= fun s ->
+    int_range 0 (String.length s) >|= fun len -> (s, len)
+  in
+  let op =
+    frequency
+      [
+        (5, pair key (int_range 0 (Array.length cache_pool - 1)) >|= fun (k, v) -> Store (k, v));
+        (2, key >|= fun k -> Find k);
+        (3, prefixed >|= fun (s, n) -> Find_prefix (s, n));
+        (2, prefixed >|= fun (s, n) -> Mem_prefix (s, n));
+        (1, key >|= fun k -> Remove k);
+        (2, prefixed >|= fun (s, n) -> Remove_prefix (s, n));
+      ]
+  in
+  list_size (int_range 1 60) op >|= fun ops -> (bound, alphabet, ops)
+
+let cache_case_arb =
+  QCheck.make
+    ~print:(fun (bound, alphabet, ops) ->
+      Printf.sprintf "bound %d, alphabet %s: %s" bound
+        (String.of_seq (List.to_seq alphabet))
+        (String.concat "; " (List.map pp_cache_op ops)))
+    cache_case_gen
+
+type lru_model = {
+  mutable entries : (string * int) list;  (* most recent first *)
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_evictions : int;
+  mutable m_saved : int;
+}
+
+let model_find m key =
+  match List.assoc_opt key m.entries with
+  | None ->
+    m.m_misses <- m.m_misses + 1;
+    None
+  | Some v ->
+    m.m_hits <- m.m_hits + 1;
+    m.m_saved <- m.m_saved + String.length key;
+    m.entries <- (key, v) :: List.remove_assoc key m.entries;
+    Some v
+
+let model_store m bound key v =
+  if not (List.mem_assoc key m.entries) then begin
+    if List.length m.entries >= bound then begin
+      m.entries <- List.filteri (fun i _ -> i < bound - 1) m.entries;
+      m.m_evictions <- m.m_evictions + 1
+    end;
+    m.entries <- (key, v) :: m.entries
+  end
+
+let pool_id snap = Runner.snapshot_pos snap - 1
+
+let prop_cache_model =
+  QCheck.Test.make ~name:"array cache = list-based LRU model" ~count:500
+    cache_case_arb (fun (bound, alphabet, ops) ->
+      let cache = Runner.Cache.create ~bound () in
+      let m = { entries = []; m_hits = 0; m_misses = 0; m_evictions = 0; m_saved = 0 } in
+      let keys = all_keys alphabet in
+      let agree () =
+        let s = Runner.Cache.stats cache in
+        List.for_all
+          (fun k ->
+            Runner.Cache.mem_prefix cache (k ^ "zz") ~len:(String.length k)
+            = List.mem_assoc k m.entries)
+          keys
+        && Runner.Cache.length cache = List.length m.entries
+        && s.Runner.Cache.hits = m.m_hits
+        && s.Runner.Cache.misses = m.m_misses
+        && s.Runner.Cache.evictions = m.m_evictions
+        && s.Runner.Cache.chars_saved = m.m_saved
+      in
+      let step op =
+        let same_lookup got want = Option.map pool_id got = want in
+        (match op with
+         | Store (k, v) ->
+           Runner.Cache.store cache k cache_pool.(v);
+           model_store m bound k v;
+           true
+         | Find k -> same_lookup (Runner.Cache.find cache k) (model_find m k)
+         | Find_prefix (s, len) ->
+           same_lookup
+             (Runner.Cache.find_prefix cache s ~len)
+             (model_find m (String.sub s 0 len))
+         | Mem_prefix (s, len) ->
+           Runner.Cache.mem_prefix cache s ~len
+           = List.mem_assoc (String.sub s 0 len) m.entries
+         | Remove k ->
+           Runner.Cache.remove cache k;
+           m.entries <- List.remove_assoc k m.entries;
+           true
+         | Remove_prefix (s, len) ->
+           Runner.Cache.remove_prefix cache s ~len;
+           m.entries <- List.remove_assoc (String.sub s 0 len) m.entries;
+           true)
+        && agree ()
+      in
+      List.for_all step ops
+      &&
+      (* Poisoning reaches every resident entry, whatever the probe
+         chains look like: each one resumes into a contained crash. *)
+      (Runner.Cache.corrupt_all cache;
+       List.for_all
+         (fun (k, _) ->
+           match Runner.Cache.find cache k with
+           | None -> false
+           | Some snap -> (
+             match (fst (Runner.resume snap cache_pool_input)).Runner.verdict with
+             | Runner.Crash c ->
+               c.Runner.exn = Printexc.exn_slot_name Runner.Cache.Corrupted_snapshot
+             | _ -> false))
+         m.entries))
 
 (* {1 Crash containment}
 
@@ -552,6 +898,8 @@ let () =
       ( "comparison",
         [
           Alcotest.test_case "replacements" `Quick test_replacements;
+          qtest prop_replacements_match_model;
+          qtest prop_str_eq_every_offset;
           qtest prop_char_constraint;
         ] );
       ( "ctx",
@@ -577,6 +925,9 @@ let () =
           Alcotest.test_case "substitution: index 0" `Quick test_subst_index_zero;
           Alcotest.test_case "substitution: all successful" `Quick test_subst_all_successful;
           Alcotest.test_case "substitution: untainted last" `Quick test_subst_untainted_last;
+          Alcotest.test_case "substitution: synthetic logs" `Quick
+            test_substitution_index_edges;
+          qtest prop_substitution_index_model;
         ] );
       ( "snapshot",
         [
@@ -586,6 +937,7 @@ let () =
             test_snapshot_unread_positions;
           Alcotest.test_case "resume chains" `Quick test_resume_chains;
           Alcotest.test_case "prefix cache LRU" `Quick test_prefix_cache_lru;
+          qtest prop_cache_model;
         ] );
       ( "crash containment",
         [

@@ -139,6 +139,62 @@ let prop_charset_pick_member =
       | None -> Charset.is_empty set
       | Some c -> Charset.mem c set)
 
+(* Sets from a few random runs and whole ranges, so members land on
+   every word boundary and sets run from empty to full. *)
+let charset_arb =
+  QCheck.make ~print:(fun set -> Format.asprintf "%a" Charset.pp set)
+    QCheck.Gen.(
+      list_size (int_range 0 6)
+        (pair (int_range 0 255) (int_range 0 255)
+        >|= fun (a, b) -> Charset.range (Char.chr (min a b)) (Char.chr (max a b)))
+      >>= fun ranges ->
+      small_list (int_range 0 255) >|= fun cs ->
+      List.fold_left Charset.union
+        (Charset.of_list (List.map Char.chr cs))
+        ranges)
+
+let prop_charset_nth =
+  QCheck.Test.make ~name:"nth = List.nth of to_list" ~count:500 charset_arb
+    (fun set ->
+      let members = Charset.to_list set in
+      let n = List.length members in
+      let out_of_range k =
+        match Charset.nth set k with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.for_all2 (fun k c -> Charset.nth set k = c) (List.init n Fun.id) members
+      && out_of_range n && out_of_range (-1))
+
+(* [pick] against the closure-based walk it replaced: same member, same
+   generator state afterwards. *)
+let model_pick rng set =
+  let n = List.length (Charset.to_list set) in
+  if n = 0 then None
+  else begin
+    let k = Rng.int rng n in
+    let found = ref None and seen = ref 0 in
+    (try
+       Charset.iter
+         (fun c ->
+           if !seen = k then begin
+             found := Some c;
+             raise Exit
+           end;
+           incr seen)
+         set
+     with Exit -> ());
+    !found
+  end
+
+let prop_charset_pick_model =
+  QCheck.Test.make ~name:"pick = closure-based model" ~count:500
+    QCheck.(pair small_nat charset_arb)
+    (fun (seed, set) ->
+      let a = Rng.make seed and b = Rng.make seed in
+      let picks rng f = List.init 5 (fun _ -> f rng set) in
+      picks a Charset.pick = picks b model_pick && Rng.state a = Rng.state b)
+
 let test_charset_subset () =
   Alcotest.(check bool) "digits subset printable" true
     (Charset.subset Charset.digits Charset.printable);
@@ -527,6 +583,8 @@ let () =
           qtest prop_charset_complement;
           qtest prop_charset_cardinal;
           qtest prop_charset_pick_member;
+          qtest prop_charset_nth;
+          qtest prop_charset_pick_model;
         ] );
       ( "pqueue",
         [
