@@ -4,8 +4,7 @@
      pfuzzer fuzz --subject json --trace t.jsonl --stats-interval 1
      pfuzzer fuzz --subject json --trace-sample 100 --flight-recorder fr
      pfuzzer campaign --subject json --workers 4 --executions 20000
-     pfuzzer campaign --subject json --workers 4 --metrics-file m.prom
-     pfuzzer monitor m.prom
+     pfuzzer campaign --subject json --workers 4 --out summary.json
      pfuzzer trace-report t.jsonl
      pfuzzer run --subject tinyc "if(a<2)b=1;"
      pfuzzer evaluate --budget 2000000 --seeds 1,2,3
@@ -85,8 +84,7 @@ let tool_arg =
    to a temporary and renamed into place only after [f] returns: an
    interrupted or crashed run never leaves a truncated trace behind,
    only the previous complete file (if any). *)
-let with_observer ~trace ~trace_sample ~metrics_file ~flight_recorder
-    ~stats_interval f =
+let with_observer ~trace ~trace_sample ~flight_recorder ~stats_interval f =
   let staged = Option.map Pdf_util.Atomic_file.stage trace in
   let sink =
     Option.map
@@ -100,13 +98,12 @@ let with_observer ~trace ~trace_sample ~metrics_file ~flight_recorder
   in
   let ring = Option.map (fun _ -> Pdf_obs.Trace.ring 512) flight_recorder in
   let obs =
-    match (sink, progress, ring, metrics_file) with
-    | None, None, None, None -> None
+    match (sink, progress, ring) with
+    | None, None, None -> None
     | _ ->
       Some
         (Pdf_obs.Observer.create ?sink ?ring ?postmortem:flight_recorder
-           ~sample:trace_sample ?metrics_file ?progress
-           ~metrics:(Pdf_obs.Metrics.create ()) ())
+           ~sample:trace_sample ?progress ~metrics:(Pdf_obs.Metrics.create ()) ())
   in
   let close_sink () =
     match sink with Some s -> Pdf_obs.Trace.close s | None -> ()
@@ -150,21 +147,10 @@ let write_crash_corpus path (crashes : Pdf_core.Pfuzzer.crash list) =
     crashes;
   Pdf_util.Atomic_file.write_string path (Buffer.contents buf)
 
-let minor_heap_arg =
-  Arg.(
-    value
-    & opt (nonneg_int "minor heap size") 0
-    & info [ "minor-heap" ] ~docv:"WORDS"
-        ~doc:
-          "Minor-heap size in words for this campaign. 0 (default) derives a \
-           size from the campaign's working set (32 words per queue slot, \
-           clamped to [256k, 4M] words). Purely GC pacing: results are \
-           bit-identical for every value.")
-
 let fuzz_cmd =
   let run subject_name tool_name seed executions quiet no_incremental trace
-      trace_sample metrics_file flight_recorder stats_interval checkpoint
-      checkpoint_every resume crashes_out die_after minor_heap =
+      trace_sample flight_recorder stats_interval checkpoint checkpoint_every
+      resume crashes_out die_after =
     match find_subject subject_name with
     | Error e -> Error e
     | Ok subject ->
@@ -214,14 +200,9 @@ let fuzz_cmd =
                  end)
            end
          in
-         Pdf_util.Gc_tune.set_minor_heap
-           (if minor_heap > 0 then minor_heap
-            else
-              Pdf_util.Gc_tune.default_minor_words
-                ~queue_bound:Pdf_core.Pfuzzer.default_config.queue_bound);
          let outcome =
-           with_observer ~trace ~trace_sample ~metrics_file
-             ~flight_recorder ~stats_interval (fun obs ->
+           with_observer ~trace ~trace_sample ~flight_recorder ~stats_interval
+             (fun obs ->
                Pdf_eval.Tool.run ?obs ?on_checkpoint ?resume_from ?on_execution
                  ?checkpoint_every ~incremental:(not no_incremental) tool
                  ~budget_units ~seed subject)
@@ -299,17 +280,6 @@ let fuzz_cmd =
              (valid inputs, crashes, hangs, faults, rescues) are always \
              recorded. 1 (default) records everything.")
   in
-  let metrics_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-file" ] ~docv:"FILE"
-          ~doc:
-            "Atomically rewrite FILE with a Prometheus text snapshot of the \
-             run's metrics on each status interval (1s when no \
-             --stats-interval is set). Watch it live with `pfuzzer monitor \
-             FILE'.")
-  in
   let flight_recorder =
     Arg.(
       value
@@ -375,28 +345,32 @@ let fuzz_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ tool_arg $ seed_arg $ executions_arg 20_000
-         $ quiet $ no_incremental $ trace $ trace_sample $ metrics_file
-         $ flight_recorder $ stats_interval
-         $ checkpoint $ checkpoint_every $ resume $ crashes_out $ die_after
-         $ minor_heap_arg))
+         $ quiet $ no_incremental $ trace $ trace_sample $ flight_recorder
+         $ stats_interval $ checkpoint $ checkpoint_every $ resume $ crashes_out
+         $ die_after))
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Fuzz one subject with one tool.") term
 
 (* campaign *)
 
+(* The key of a fleet metric in the --out summary: '/' and other
+   characters outside [a-zA-Z0-9_] become '_', under a "pfuzzer_"
+   prefix ("phase/exec_ns" is "pfuzzer_phase_exec_ns"). *)
+let metric_name name =
+  "pfuzzer_"
+  ^ String.map
+      (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_')
+      name
+
 let campaign_cmd =
   let run subject_name seed executions workers shards frame_every retries
-      kill_worker trace metrics_file postmortem out quiet minor_heap =
+      kill_worker trace postmortem out quiet =
     match find_subject subject_name with
     | Error e -> Error e
     | Ok subject ->
       let config =
         { Pdf_core.Pfuzzer.default_config with seed; max_executions = executions }
       in
-      (* Workers inherit the coordinator's GC sizing through fork. *)
-      Pdf_util.Gc_tune.set_minor_heap
-        (if minor_heap > 0 then minor_heap
-         else Pdf_util.Gc_tune.default_minor_words ~queue_bound:config.queue_bound);
       let staged = Option.map Pdf_util.Atomic_file.stage trace in
       let sink =
         Option.map
@@ -406,8 +380,7 @@ let campaign_cmd =
       let obs = Option.map (fun s -> Pdf_obs.Observer.create ~sink:s ()) sink in
       (match
          Pdf_eval.Dist.run_campaign ~workers ~shards ~frame_every ~retries
-           ~trace:(trace <> None) ?obs ?metrics_file ?postmortem ?kill_worker
-           config subject
+           ~trace:(trace <> None) ?obs ?postmortem ?kill_worker config subject
        with
        | exception Failure msg ->
          (* Replay rounds exhausted, or fork unavailable (a domain was
@@ -485,19 +458,19 @@ let campaign_cmd =
             let open Pdf_obs.Json in
             (* The merged-metrics block keeps only the deterministic
                parts of the fleet totals — counters and histogram
-               counts. Gauges and timing quantiles are
-               scheduling-dependent and would break the byte-identity
-               of --out across worker counts. *)
+               counts. Timing quantiles are scheduling-dependent and
+               would break the byte-identity of --out across worker
+               counts. *)
             let metric_fields =
               match outcome.metrics with
               | None -> []
               | Some s ->
                 List.map
-                  (fun (n, v) -> (Pdf_obs.Exposition.metric_name n, I v))
+                  (fun (n, v) -> (metric_name n, I v))
                   s.Pdf_obs.Metrics.counters
                 @ List.map
                     (fun (n, h) ->
-                      ( Pdf_obs.Exposition.metric_name n ^ "_count",
+                      ( metric_name n ^ "_count",
                         I (Pdf_util.Stats.Histogram.count h) ))
                     s.Pdf_obs.Metrics.histograms
             in
@@ -582,16 +555,6 @@ let campaign_cmd =
              lifecycle events, then every worker's per-shard event stream \
              concatenated in shard order.")
   in
-  let metrics_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-file" ] ~docv:"FILE"
-          ~doc:
-            "Atomically rewrite FILE with a Prometheus text snapshot of the \
-             fleet's merged metrics as sync frames arrive. Watch it live with \
-             `pfuzzer monitor FILE'.")
-  in
   let postmortem =
     Arg.(
       value
@@ -620,8 +583,8 @@ let campaign_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ seed_arg $ executions_arg 20_000 $ workers
-         $ shards $ frame_every $ retries $ kill_worker $ trace $ metrics_file
-         $ postmortem $ out $ quiet $ minor_heap_arg))
+         $ shards $ frame_every $ retries $ kill_worker $ trace $ postmortem
+         $ out $ quiet))
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -931,65 +894,6 @@ let check_cmd =
           --chaos) fault-injection drills.")
     term
 
-(* monitor *)
-
-let monitor_cmd =
-  let run file once interval =
-    let render_once () =
-      match Pdf_util.Atomic_file.read_string file with
-      | exception Sys_error _ ->
-        (* The fuzzer may not have written its first snapshot yet; a
-           transient miss is part of normal startup, not an error. *)
-        Printf.printf "[pfuzzer monitor] waiting for %s\n" file
-      | text ->
-        print_string (Pdf_obs.Exposition.render (Pdf_obs.Exposition.parse text))
-    in
-    if once then begin
-      render_once ();
-      flush stdout;
-      Ok ()
-    end
-    else begin
-      let tty = try Unix.isatty Unix.stdout with Unix.Unix_error _ -> false in
-      let rec loop () =
-        if tty then print_string "\027[2J\027[H";
-        render_once ();
-        flush stdout;
-        Unix.sleepf interval;
-        loop ()
-      in
-      loop ()
-    end
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Prometheus text file written by --metrics-file.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:"Render the current snapshot once and exit (for scripts and CI).")
-  in
-  let interval =
-    Arg.(
-      value
-      & opt (nonneg_float "refresh interval") 1.0
-      & info [ "interval" ] ~docv:"SECS" ~doc:"Refresh cadence.")
-  in
-  let term = Term.(term_result (const run $ file $ once $ interval)) in
-  Cmd.v
-    (Cmd.info "monitor"
-       ~doc:
-         "Render a live dashboard from a --metrics-file snapshot: re-read \
-          the file every --interval seconds (atomic rewrites mean a read \
-          never sees a torn snapshot) and print one aligned block per \
-          metric family.")
-    term
-
 (* subjects *)
 
 let subjects_cmd =
@@ -1020,6 +924,5 @@ let () =
             mine_cmd;
             pipeline_cmd;
             check_cmd;
-            monitor_cmd;
             subjects_cmd;
           ]))

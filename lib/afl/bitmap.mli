@@ -19,9 +19,6 @@ type sparse = (int * int) list
 
 type builder
 
-val size : int
-(** Number of map cells (65536, as in AFL). *)
-
 val create : unit -> t
 val builder : unit -> builder
 

@@ -16,6 +16,3 @@ val havoc : Pdf_util.Rng.t -> string -> string
 val splice : Pdf_util.Rng.t -> string -> string -> string
 (** AFL's splice stage: the head of one input glued to the tail of
     another, then havoc'd. *)
-
-val interesting_bytes : char list
-(** The substitution alphabet of the interesting-byte stage. *)

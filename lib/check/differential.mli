@@ -43,5 +43,4 @@ val run :
     executions, seeded by [seed] (default 1). Stops early after 10
     disagreements. *)
 
-val pp_kind : Format.formatter -> kind -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -17,12 +17,6 @@ type t = {
           the known-valid producer's sampling source *)
 }
 
-val paren : t
-val expr : t
-val ini : t
-val csv : t
-val json : t
-
 val all : t list
 (** The five seed-subject oracles, in catalog order. *)
 

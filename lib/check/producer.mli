@@ -8,9 +8,6 @@
     inputs are oracle-rejected mutants of valid ones, which keeps them
     {e near} the language boundary where disagreements live. *)
 
-val grammar_of_cfg : Pdf_tables.Cfg.t -> Pdf_grammar.Grammar.t
-(** Character terminals become single-character terminal strings. *)
-
 val valid : Pdf_util.Rng.t -> Oracle.t -> string option
 (** A grammar-derived input the oracle accepts, or [None] when the
     bounded retry budget only produced oracle-rejected sentences. *)

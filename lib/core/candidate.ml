@@ -16,7 +16,3 @@ let seed data =
     avg_stack = 0.0;
     path_count = 0;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "%S (repl=%S, parents=%d, stack=%.1f)" t.data t.repl t.parents
-    t.avg_stack

@@ -17,5 +17,3 @@ type t = {
 
 val seed : string -> t
 (** A fresh random seed input with neutral metadata. *)
-
-val pp : Format.formatter -> t -> unit

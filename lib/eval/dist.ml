@@ -7,7 +7,6 @@ module Event = Pdf_obs.Event
 module Trace = Pdf_obs.Trace
 module Metrics = Pdf_obs.Metrics
 module Progress = Pdf_obs.Progress
-module Exposition = Pdf_obs.Exposition
 
 (* {1 Shard plan} *)
 
@@ -69,10 +68,11 @@ module Frame = struct
 
   (* v2: frames carry an optional metrics snapshot.
      v3: [Pfuzzer.result] lost its [engine] field.
+     v4: [Metrics.snapshot] lost its [gauges] field.
      Frames only ever cross a pipe between a coordinator and the workers
      it forked — both ends are the same binary — so a bump is hygiene
      against a stale reader. *)
-  let version = 3
+  let version = 4
 
   (* Frames cross a pipe, not a filesystem: anything claiming to be
      larger than this is a corrupted length prefix, not a real frame. *)
@@ -450,9 +450,9 @@ let worker_main ~fd ~frame_every ~trace_dir p subject shards =
         buffered;
       (* Deterministic per-shard tallies: pure functions of the shard
          result, so summed fleet counters are reproducible across worker
-         counts. Gauges and the timing histograms the observer recorded
-         are the scheduling-dependent part; deterministic reports
-         (result digests, --out) must not include them. *)
+         counts. The timing histograms the observer recorded are the
+         scheduling-dependent part; deterministic reports (result
+         digests, --out) must not include their values. *)
       let tally name v = Metrics.add (Metrics.counter metrics name) v in
       tally "shard/executions" result.Pfuzzer.executions;
       tally "shard/valid" (List.length result.Pfuzzer.valid_inputs);
@@ -526,8 +526,7 @@ let rec read_eintr fd buf =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_eintr fd buf
 
 let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
-    ?(trace = false) ?obs ?metrics_file ?postmortem ?kill_worker config subject
-    =
+    ?(trace = false) ?obs ?postmortem ?kill_worker config subject =
   let t0 = Unix.gettimeofday () in
   let p = plan ?shards config in
   (* Coordinator-side flight recorder: a SIGKILLed worker cannot dump
@@ -556,18 +555,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
      is idempotent, so a replayed shard re-delivering snapshots the dead
      worker already sent changes nothing. *)
   let telemetry = ref Metrics.Fleet.empty in
-  let last_metrics_write = ref 0.0 in
-  let write_metrics ~force =
-    match metrics_file with
-    | None -> ()
-    | Some path ->
-      let now = Unix.gettimeofday () in
-      if force || now -. !last_metrics_write >= 1.0 then begin
-        last_metrics_write := now;
-        Atomic_file.write_string path
-          (Exposition.prometheus (Metrics.Fleet.totals !telemetry))
-      end
-  in
   (* The live fleet status line: always on when stderr is a tty (no
      opt-in flag needed), absent otherwise — a redirected campaign log
      stays clean. Rendering reuses the single-run line, extended with
@@ -666,7 +653,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
     emit
       (Event.Worker_frame
          { worker = w.w_id; shard = f.shard; seq = f.seq; final = f.final });
-    write_metrics ~force:false;
     paint_live ~final:false st;
     if (not w.w_killed) && kill_worker = Some w.w_id then begin
       w.w_killed <- true;
@@ -791,7 +777,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
   replay ();
   paint_live ~final:true !st;
   (match live with None -> () | Some pl -> Progress.finish pl);
-  write_metrics ~force:true;
   let finals =
     List.map
       (fun (f : Frame.t) ->

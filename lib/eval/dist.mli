@@ -48,12 +48,6 @@ val shard_config : plan -> shard -> Pfuzzer.config
 (** The config a shard's fuzzing run uses: the base config with the
     shard's seed and budget substituted. *)
 
-val shard_offsets : plan -> int array
-(** Exclusive prefix sums of the shard budgets: shard [i]'s executions
-    occupy global indices [offsets.(i) + 1 .. offsets.(i) + budget], so
-    per-shard execution counters translate into one campaign-global
-    clock. *)
-
 (** {1 Sync frames}
 
     One frame carries one shard's campaign-so-far as a
@@ -79,8 +73,6 @@ module Frame : sig
             without a registry. The coordinator folds these with
             {!Pdf_obs.Metrics.Fleet}. *)
   }
-
-  val version : int
 
   val encode : t -> string
   (** Length prefix plus body, ready to write to a pipe. *)
@@ -139,9 +131,6 @@ module Merge : sig
 
   val frames : state -> Frame.t list
   (** Newest frame per shard, in shard-id order. *)
-
-  val missing : plan -> state -> shard list
-  (** Plan shards that do not yet have a {e final} frame. *)
 end
 
 val merge_results : plan -> Pfuzzer.result list -> Pfuzzer.result
@@ -152,8 +141,9 @@ val merge_results : plan -> Pfuzzer.result list -> Pfuzzer.result
     branch hit-counts the pointwise sum; crashes are re-keyed by
     [(exn, site)] with counts summed and first-witness data from the
     earliest global execution index; [first_valid_at] and each crash's
-    [first_at] are translated through {!shard_offsets} onto the
-    campaign-global clock; counters sum, [queue_peak] takes the max.
+    [first_at] are translated onto the campaign-global clock (shard
+    [i]'s executions occupy the global indices after the budgets of
+    shards [0 .. i-1]); counters sum, [queue_peak] takes the max.
     Wall-clock and throughput are zeroed —
     they are scheduling-dependent, and the merged result is the part of
     a campaign that must be deterministic (timing lives in
@@ -181,9 +171,10 @@ type outcome = {
   metrics : Pdf_obs.Metrics.snapshot option;
       (** fleet totals ({!Pdf_obs.Metrics.Fleet.totals}) folded from the
           snapshots riding the frames; [None] when no frame carried one.
-          Deliberately outside [result]: counters are deterministic, but
-          gauges and timing histograms are scheduling-dependent, and
-          [result] must stay bit-identical across worker counts. *)
+          Deliberately outside [result]: counters and histogram counts
+          are deterministic, but timing histogram values are
+          scheduling-dependent, and [result] must stay bit-identical
+          across worker counts. *)
   wall_clock_s : float;
 }
 
@@ -194,7 +185,6 @@ val run_campaign :
   ?retries:int ->
   ?trace:bool ->
   ?obs:Pdf_obs.Observer.t ->
-  ?metrics_file:string ->
   ?postmortem:string ->
   ?kill_worker:int ->
   Pfuzzer.config ->
@@ -213,14 +203,12 @@ val run_campaign :
     worker and returns the streams in {!outcome.shard_traces}. [obs]
     receives the coordinator's lifecycle events ({!Pdf_obs.Event.Shard},
     [Worker_spawn], [Worker_frame], [Worker_exit], plus a [Retry] per
-    shard replay). [metrics_file] atomically rewrites a Prometheus text
-    snapshot of the fleet totals (time-throttled, plus a final write) as
-    frames arrive — [pfuzzer_cli monitor] renders it. [postmortem]
-    attaches a coordinator-side flight recorder to the lifecycle stream
-    and dumps it to [<postmortem>-worker<id>.jsonl] when a worker dies
-    abnormally or leaves shards unfinished. [kill_worker] is the chaos
-    hook: SIGKILL that worker on its first accepted frame — the campaign
-    must still produce the bit-identical merged result via replay.
+    shard replay). [postmortem] attaches a coordinator-side flight
+    recorder to the lifecycle stream and dumps it to
+    [<postmortem>-worker<id>.jsonl] when a worker dies abnormally or
+    leaves shards unfinished. [kill_worker] is the chaos hook: SIGKILL
+    that worker on its first accepted frame — the campaign must still
+    produce the bit-identical merged result via replay.
 
     When stderr is a tty the coordinator also paints a live fleet-wide
     status line (the single-run line plus per-worker health columns),

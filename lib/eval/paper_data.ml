@@ -4,9 +4,6 @@ let table1_loc =
 let headline_short = [ (Tool.Afl, 91.5); (Tool.Klee, 28.7); (Tool.Pfuzzer, 81.9) ]
 let headline_long = [ (Tool.Afl, 5.0); (Tool.Klee, 7.5); (Tool.Pfuzzer, 52.5) ]
 
-let tinyc_token_share =
-  [ (Tool.Pfuzzer, 86.0); (Tool.Afl, 80.0); (Tool.Klee, 66.0) ]
-
 let coverage_order =
   [
     ("ini", "AFL");
@@ -15,5 +12,3 @@ let coverage_order =
     ("tinyc", "pFuzzer");
     ("mjs", "AFL");
   ]
-
-let json_keyword_finders = [ "KLEE"; "pFuzzer" ]

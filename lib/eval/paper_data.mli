@@ -10,12 +10,6 @@ val headline_short : (Tool.name * float) list
 val headline_long : (Tool.name * float) list
 (** §5.3: share of tokens of length > 3 found. *)
 
-val tinyc_token_share : (Tool.name * float) list
-(** §5.3 prose: token share on tinyC (pFuzzer 86%, AFL 80%, KLEE 66%). *)
-
 val coverage_order : (string * string) list
 (** Figure 2 qualitative outcome per subject: which tool achieved the
     highest branch coverage (subject → tool display name). *)
-
-val json_keyword_finders : string list
-(** Tools the paper reports generating the json keywords. *)

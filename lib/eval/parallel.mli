@@ -12,17 +12,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism to
     use when the caller asks for "as many workers as make sense". *)
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] computes [List.map f items], running up to
-    [jobs] tasks concurrently on separate domains. Results are returned
-    in input order regardless of completion order, so output is
-    deterministic whenever [f] is. [jobs] is honoured as requested,
-    clamped only to the number of items (use {!default_jobs} for a
-    machine-sized pool);
-    with [jobs <= 1] (the default) this {e is} [List.map f items] — same
-    order of evaluation, no domain is spawned. If [f] raises, the first
-    exception in input order is re-raised after all workers finish. *)
-
 val map_retry :
   ?jobs:int ->
   ?retries:int ->
@@ -31,10 +20,14 @@ val map_retry :
   ('a -> 'b) ->
   'a list ->
   ('b, exn) result list
-(** Resilient {!map}: a task whose [f] raises (including one whose
-    worker domain died mid-task) does not sink the whole grid. The first
-    pass runs exactly like {!map} but captures each item's outcome as a
-    [result]; failed items are then retried up to [retries] (default 2)
+(** [map_retry ~jobs f items] computes [List.map f items], running up to
+    [jobs] tasks concurrently on separate domains ([jobs] is honoured as
+    requested, clamped only to the number of items; with [jobs <= 1],
+    the default, no domain is spawned). Results come back in input order
+    regardless of completion order, so output is deterministic whenever
+    [f] is. A task whose [f] raises (including one whose worker domain
+    died mid-task) does not sink the whole grid: the first pass captures
+    each item's outcome as a [result]; failed items are then retried up to [retries] (default 2)
     more times, sequentially on the calling domain, sleeping
     [backoff_s × attempt] seconds before each retry (default 0 — tasks
     here are deterministic, so backoff only matters for callers whose

@@ -12,21 +12,6 @@ val figure_2 : Format.formatter -> Experiment.t -> unit
 val figure_3 : Format.formatter -> Experiment.t -> unit
 (** Figure 3: tokens generated per subject, tool and token length. *)
 
-val cache_report : Format.formatter -> Experiment.t -> unit
-(** pFuzzer's prefix-snapshot cache accounting per subject: hits, misses,
-    hit rate, evictions and prefix characters saved. *)
-
-val throughput : Format.formatter -> Experiment.t -> unit
-(** Real (wall-clock) cost per cell: executions, seconds, execs/sec. *)
-
-val resilience : Format.formatter -> Experiment.t -> unit
-(** Hangs and contained crashes per misbehaving cell, or a one-line
-    all-clear when no cell misbehaved. *)
-
-val failed_cells : Format.formatter -> Experiment.t -> unit
-(** The cells that exhausted their retries ({!Experiment.t.failures});
-    prints nothing for a healthy grid. *)
-
 val full : Format.formatter -> Experiment.t -> unit
 (** Table 1 (the evaluation subjects), the token inventories, Figures 2
     and 3, and the §5.3 aggregate shares for short (≤ 3) and long (> 3)

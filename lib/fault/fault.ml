@@ -16,13 +16,6 @@ let kind_label = function
   | Corrupt_cache -> "corrupt_cache"
   | Kill_worker -> "kill_worker"
 
-let pp_kind ppf = function
-  | Raise msg -> Format.fprintf ppf "raise(%s)" msg
-  | Starve_fuel -> Format.pp_print_string ppf "starve_fuel"
-  | Slow n -> Format.fprintf ppf "slow(%d)" n
-  | Corrupt_cache -> Format.pp_print_string ppf "corrupt_cache"
-  | Kill_worker -> Format.pp_print_string ppf "kill_worker"
-
 type plan = {
   faults : (int, kind) Hashtbl.t;
   mutable triggered_rev : (int * kind) list;
@@ -70,11 +63,6 @@ let seeded ~seed ~executions ~count =
     { faults; triggered_rev = []; on_trigger = None }
   end
 
-let is_empty plan = Hashtbl.length plan.faults = 0
-let size plan = Hashtbl.length plan.faults
-
-let find plan index = Hashtbl.find_opt plan.faults index
-
 let set_on_trigger plan f = plan.on_trigger <- Some f
 
 let consume plan index =
@@ -86,10 +74,3 @@ let consume plan index =
     hit
 
 let triggered plan = List.rev plan.triggered_rev
-
-let count_triggered plan pred =
-  List.fold_left
-    (fun acc (_, k) -> if pred k then acc + 1 else acc)
-    0 plan.triggered_rev
-
-let reset plan = plan.triggered_rev <- []

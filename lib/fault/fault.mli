@@ -36,7 +36,6 @@ type kind =
 
 type plan
 
-val empty : unit -> plan
 val of_list : (int * kind) list -> plan
 (** Explicit plan; later bindings for the same index win. Negative
     indices are rejected. *)
@@ -46,12 +45,6 @@ val seeded : seed:int -> executions:int -> count:int -> plan
     indices in [\[0, executions)] and assigns each a fault kind
     (uniformly among [Raise]/[Starve_fuel]/[Slow]/[Corrupt_cache]),
     deterministically from [seed]. *)
-
-val is_empty : plan -> bool
-val size : plan -> int
-
-val find : plan -> int -> kind option
-(** Look up without recording a trigger. *)
 
 val consume : plan -> int -> kind option
 (** Look up, recording the hit in the trigger log when present (and
@@ -67,11 +60,5 @@ val set_on_trigger : plan -> (int -> kind -> unit) -> unit
 val triggered : plan -> (int * kind) list
 (** Faults that actually fired, in firing order. *)
 
-val count_triggered : plan -> (kind -> bool) -> int
-val reset : plan -> unit
-(** Clear the trigger log (for reusing one plan across runs). *)
-
 val kind_label : kind -> string
 (** Short stable label for events/logs: ["raise"], ["starve_fuel"], … *)
-
-val pp_kind : Format.formatter -> kind -> unit

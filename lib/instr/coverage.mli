@@ -24,11 +24,6 @@ val of_array : ?len:int -> int array -> t
     a trace prefix or a touched-outcome buffer into coverage without
     element-by-element rebuilding. *)
 
-val of_iter : ((int -> unit) -> unit) -> t
-(** [of_iter iter] builds a set from a push-style iterator. [iter] is
-    invoked twice (sizing pass, fill pass) and must enumerate the same
-    elements both times. *)
-
 val to_list : t -> int list
 (** In increasing order. *)
 

@@ -1,5 +1,1 @@
 type event = Enter of { site : Site.t; pos : int } | Exit of { pos : int }
-
-let pp ppf = function
-  | Enter { site; pos } -> Format.fprintf ppf "enter %s@%d" (Site.name site) pos
-  | Exit { pos } -> Format.fprintf ppf "exit@%d" pos

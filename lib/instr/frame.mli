@@ -6,5 +6,3 @@
 type event =
   | Enter of { site : Site.t; pos : int }
   | Exit of { pos : int }
-
-val pp : Format.formatter -> event -> unit

@@ -2,8 +2,6 @@ type t = { mutable counts : int array }
 
 let create () = { counts = [||] }
 
-let copy t = { counts = Array.copy t.counts }
-
 let ensure t n =
   let len = Array.length t.counts in
   if len < n then begin
@@ -30,11 +28,6 @@ let equal a b =
   let n = max (Array.length a.counts) (Array.length b.counts) in
   let rec go i = i >= n || (count a i = count b i && go (i + 1)) in
   go 0
-
-let cardinal t =
-  Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 t.counts
-
-let total t = Array.fold_left ( + ) 0 t.counts
 
 let to_list t =
   let acc = ref [] in

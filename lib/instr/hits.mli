@@ -19,8 +19,6 @@ type t
 val create : unit -> t
 (** A fresh all-zero counter (the merge identity). *)
 
-val copy : t -> t
-
 val record : t -> int array -> unit
 (** [record t touched] bumps the count of every outcome id in [touched]
     by one. Passing a run's [touched] array (first-occurrence outcome
@@ -28,22 +26,12 @@ val record : t -> int array -> unit
     branch hit-counts in the FairFuzz sense, not loop iteration
     counts. *)
 
-val count : t -> int -> int
-(** Hits recorded for one outcome id (0 for ids never seen). *)
-
 val merge : t -> t -> t
 (** Pointwise sum, into a fresh counter. Commutative and associative;
     [merge t (create ())] equals [t]. *)
 
 val equal : t -> t -> bool
 (** Same count for every outcome id; internal capacity is ignored. *)
-
-val cardinal : t -> int
-(** Outcome ids with a non-zero count. *)
-
-val total : t -> int
-(** Sum of all counts — the number of (execution, branch) observations
-    recorded. *)
 
 val to_list : t -> (int * int) list
 (** Non-zero [(outcome id, count)] pairs in increasing id order — the

@@ -36,7 +36,3 @@ val run : Ctx.t -> recognizer -> unit
 (** Drive a recognizer to completion, delivering each read from the
     context. Equivalent to a direct-style parse: {!Ctx.Reject} and
     {!Ctx.Out_of_fuel} propagate to the caller. *)
-
-val drive : Ctx.t -> step -> unit
-(** Drive a pending step (e.g. one restored from a snapshot) to
-    completion. *)

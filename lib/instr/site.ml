@@ -24,7 +24,6 @@ let declare registry name kind =
 let block registry name = declare registry name Block
 let branch registry name = declare registry name Branch
 
-let kind t = t.kind
 let name t = t.name
 let id t = t.id
 
@@ -35,7 +34,6 @@ let outcome t taken =
   | Block -> 2 * t.id
   | Branch -> (2 * t.id) + if taken then 1 else 0
 
-let registry_name r = r.reg_name
 let site_count r = r.next_id
 
 let total_outcomes r =

@@ -22,7 +22,6 @@ val block : registry -> string -> t
 val branch : registry -> string -> t
 (** Declare a branch site. *)
 
-val kind : t -> kind
 val name : t -> string
 val id : t -> int
 (** Dense ids, unique within the registry. *)
@@ -31,7 +30,6 @@ val outcome : t -> bool -> int
 (** [outcome site taken] is the dense outcome identifier recorded in
     coverage sets and traces. For a block site, [taken] is ignored. *)
 
-val registry_name : registry -> string
 val site_count : registry -> int
 val total_outcomes : registry -> int
 (** Blocks contribute 1, branches 2. The denominator of coverage %. *)

@@ -5,6 +5,7 @@ type t =
       seed : int;
       max_executions : int;
       incremental : bool;
+      sample : int;
     }
   | Cell of { tool : string; subject : string; seed : int }
   | Exec_start of { len : int; prefix : int }
@@ -93,6 +94,7 @@ let fields ev =
       ("seed", I m.seed);
       ("max_executions", I m.max_executions);
       ("incremental", B m.incremental);
+      ("sample", I m.sample);
     ]
   | Cell c -> [ ("tool", S c.tool); ("subject", S c.subject); ("seed", I c.seed) ]
   | Exec_start e -> [ ("len", I e.len); ("prefix", I e.prefix) ]
@@ -216,6 +218,7 @@ let of_fields fields =
           seed = int_field f "seed";
           max_executions = int_field f "max_executions";
           incremental = bool_field f "incremental";
+          sample = int_field_default f "sample" 1;
         }
     | "cell" ->
       Cell

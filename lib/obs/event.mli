@@ -14,6 +14,10 @@ type t =
       seed : int;
       max_executions : int;
       incremental : bool;
+      sample : int;
+          (** the observer's sample rate: exec-level events and phase
+              spans cover 1 in [sample] executions; 1 when a trace
+              predates the field *)
     }  (** first event of a fuzzing run *)
   | Cell of { tool : string; subject : string; seed : int }
       (** marks the start of one evaluation-grid cell in a merged trace *)
@@ -96,5 +100,3 @@ val to_json_line : stamped -> string
 val of_json_line : string -> stamped
 (** Inverse of {!to_json_line}. Raises {!Json.Malformed} on anything
     that is not a well-formed event line. *)
-
-val of_fields : (string * Json.v) list -> stamped

@@ -8,8 +8,6 @@ exception Malformed of string
 val fail : ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Malformed} with a formatted message. *)
 
-val escape : Buffer.t -> string -> unit
-val add_value : Buffer.t -> v -> unit
 val write_flat : Buffer.t -> (string * v) list -> unit
 val flat_to_string : (string * v) list -> string
 

@@ -1,11 +1,9 @@
 module Histogram = Pdf_util.Stats.Histogram
 
 type counter = int ref
-type gauge = float ref
 
 type entry =
   | Counter of counter
-  | Gauge of gauge
   | Hist of Histogram.t
 
 type t = { entries : (string, entry) Hashtbl.t }
@@ -31,18 +29,6 @@ let counter t name =
     (function Counter c -> Some c | _ -> None)
 
 let add c by = c := !c + by
-let incr c = add c 1
-let value c = !c
-
-let gauge t name =
-  find_or_add t name
-    (fun () ->
-      let g = ref 0.0 in
-      (Gauge g, g))
-    (function Gauge g -> Some g | _ -> None)
-
-let set g v = g := v
-let gauge_value g = !g
 
 let histogram t name =
   find_or_add t name
@@ -55,29 +41,19 @@ type snapshot = {
   origin : int;
   clock : int;
   counters : (string * int) list;
-  gauges : (string * float) list;
   histograms : (string * Histogram.t) list;
 }
 
 let by_name (a, _) (b, _) = compare (a : string) b
 
 let snapshot ?(origin = 0) ?(clock = 0) t =
-  let cs = ref [] and gs = ref [] and hs = ref [] in
+  let cs = ref [] and hs = ref [] in
   Hashtbl.iter
     (fun name -> function
       | Counter c -> cs := (name, !c) :: !cs
-      | Gauge g -> gs := (name, !g) :: !gs
       | Hist h -> hs := (name, h) :: !hs)
     t.entries;
-  {
-    origin;
-    clock;
-    counters = List.sort by_name !cs;
-    gauges = List.sort by_name !gs;
-    histograms = List.sort by_name !hs;
-  }
-
-let empty_snapshot = { origin = -1; clock = 0; counters = []; gauges = []; histograms = [] }
+  { origin; clock; counters = List.sort by_name !cs; histograms = List.sort by_name !hs }
 
 (* {1 Fleet merge}
 
@@ -112,11 +88,6 @@ module Fleet = struct
 
   let join a b = List.fold_left add a b
   let equal (a : t) (b : t) = a = b
-  let snapshots t = t
-
-  (* Latest-by-clock across origins, ties to the higher origin: fold in
-     ascending (clock, origin) order and let later snapshots overwrite. *)
-  let latest_order a b = compare (a.clock, a.origin) (b.clock, b.origin)
 
   let totals t =
     let sum_int m (name, v) =
@@ -132,20 +103,10 @@ module Fleet = struct
       List.sort by_name
         (List.fold_left (fun m s -> List.fold_left sum_int m s.counters) [] t)
     in
-    let gauges =
-      List.sort by_name
-        (List.fold_left
-           (fun m s ->
-             List.fold_left
-               (fun m (name, v) -> (name, v) :: List.remove_assoc name m)
-               m s.gauges)
-           []
-           (List.sort latest_order t))
-    in
     let histograms =
       List.sort by_name
         (List.fold_left (fun m s -> List.fold_left merge_hist m s.histograms) [] t)
     in
     let clock = List.fold_left (fun acc s -> max acc s.clock) 0 t in
-    { origin = -1; clock; counters; gauges; histograms }
+    { origin = -1; clock; counters; histograms }
 end

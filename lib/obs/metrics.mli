@@ -1,4 +1,4 @@
-(** A small counter/gauge/histogram registry.
+(** A small counter/histogram registry.
 
     Handles are cheap mutable cells resolved once by name; the hot path
     touches the cell, never the table. Histograms are
@@ -15,15 +15,7 @@ val counter : t -> string -> counter
 (** Resolve (registering on first use). Raises [Invalid_argument] if the
     name is already registered as a different instrument type. *)
 
-val incr : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
-
-type gauge
-
-val gauge : t -> string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : t -> string -> Pdf_util.Stats.Histogram.t
 
@@ -33,16 +25,13 @@ type snapshot = {
           campaigns, [0] for a local run, [-1] for fleet totals *)
   clock : int;
       (** logical stamp — the execution count (or frame sequence) when
-          the snapshot was taken; drives latest-wins gauge merging *)
+          the snapshot was taken; the fleet keeps the latest per origin *)
   counters : (string * int) list;
-  gauges : (string * float) list;
   histograms : (string * Pdf_util.Stats.Histogram.t) list;
 }
 
 val snapshot : ?origin:int -> ?clock:int -> t -> snapshot
 (** Name-sorted, deterministic ordering. Defaults: origin 0, clock 0. *)
-
-val empty_snapshot : snapshot
 
 (** Coordinator-side fold of fleet snapshots, mirroring [Dist.Merge]:
     keyed per origin, latest clock wins (ties broken by a total
@@ -56,11 +45,7 @@ module Fleet : sig
   val join : t -> t -> t
   val equal : t -> t -> bool
 
-  val snapshots : t -> snapshot list
-  (** Current per-origin snapshots, in origin order. *)
-
   val totals : t -> snapshot
-  (** Cross-origin aggregate: counters sum, gauges take the value from
-      the latest snapshot by [(clock, origin)], histograms merge. The
-      result has [origin = -1] and the fleet's maximum clock. *)
+  (** Cross-origin aggregate: counters sum, histograms merge. The result
+      has [origin = -1] and the fleet's maximum clock. *)
 end

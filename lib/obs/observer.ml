@@ -5,8 +5,6 @@ type t = {
   ring : Trace.ring option;
   postmortem : string option;  (* path prefix for flight-recorder dumps *)
   sample : int;  (* exec-level events recorded 1-in-[sample] *)
-  metrics : Metrics.t option;
-  metrics_file : string option;
   progress : Progress.t option;
   phase_ns : int array;  (* cumulative span per Phase.t, always kept *)
   phase_hist : Pdf_util.Stats.Histogram.t array option;  (* iff metrics *)
@@ -18,7 +16,7 @@ type t = {
 }
 
 let create ?(clock = Clock.now_ns) ?sink ?ring ?postmortem ?(sample = 1)
-    ?metrics ?metrics_file ?progress () =
+    ?metrics ?progress () =
   if sample < 1 then invalid_arg "Observer.create: sample must be >= 1";
   let t0 = clock () in
   {
@@ -36,8 +34,6 @@ let create ?(clock = Clock.now_ns) ?sink ?ring ?postmortem ?(sample = 1)
     ring;
     postmortem;
     sample;
-    metrics;
-    metrics_file;
     progress;
     phase_ns = Array.make Phase.count 0;
     phase_hist =
@@ -52,12 +48,9 @@ let create ?(clock = Clock.now_ns) ?sink ?ring ?postmortem ?(sample = 1)
     (* Snapshots fire on the progress cadence only: a trace without a
        live status line stays structurally deterministic (no
        time-driven events), which the jobs:1 ≡ jobs:N merged-trace
-       check relies on. A metrics file needs the same cadence, so it
-       opts in to snapshots exactly like a progress line does. *)
+       check relies on. *)
     snapshot_interval_ns =
-      (match progress with
-       | Some p -> max 1 (Progress.interval_ns p)
-       | None -> (match metrics_file with Some _ -> 1_000_000_000 | None -> 0));
+      (match progress with Some p -> max 1 (Progress.interval_ns p) | None -> 0);
     max_executions = 0;
     outcomes = 0;
     last_snap_t = 0;
@@ -66,13 +59,10 @@ let create ?(clock = Clock.now_ns) ?sink ?ring ?postmortem ?(sample = 1)
 
 let tracing t = t.sink <> None
 let now_ns t = t.clock () - t.t0
-let wall_ns = now_ns
-let metrics t = t.metrics
 
 (* Deterministic on the execution index alone — never on wall clock —
    so jobs:1 and jobs:N shards sample identical executions and merged
-   traces stay reproducible. [sample = 1] keeps every event, making an
-   unsampled trace byte-identical to the pre-sampling format. *)
+   traces stay reproducible. [sample = 1] keeps every event. *)
 let sampled t ~exec = t.sample <= 1 || exec mod t.sample = 0
 
 let emit t ~exec ev =
@@ -81,8 +71,6 @@ let emit t ~exec ev =
   | Some sink -> sink.Trace.emit { Event.t_ns = now_ns t; exec; ev }
 
 (* {1 Flight recorder} *)
-
-let flight_recorder t = t.ring
 
 let flight_dump t ~reason =
   match (t.ring, t.postmortem) with
@@ -119,7 +107,8 @@ let run_meta t ~subject ~outcomes ~seed ~max_executions ~incremental =
   t.max_executions <- max_executions;
   t.outcomes <- outcomes;
   emit t ~exec:0
-    (Event.Run_meta { subject; outcomes; seed; max_executions; incremental })
+    (Event.Run_meta
+       { subject; outcomes; seed; max_executions; incremental; sample = t.sample })
 
 let snapshot_due t =
   t.snapshot_interval_ns > 0 && now_ns t - t.last_snap_t >= t.snapshot_interval_ns
@@ -127,13 +116,6 @@ let snapshot_due t =
 let rate t ~now ~exec =
   let dt = now - t.last_snap_t in
   if dt <= 0 then 0.0 else float_of_int (exec - t.last_snap_exec) *. 1e9 /. float_of_int dt
-
-let write_metrics_file t ~exec =
-  match (t.metrics_file, t.metrics) with
-  | Some path, Some m ->
-    Pdf_util.Atomic_file.write_string path
-      (Exposition.prometheus (Metrics.snapshot ~origin:0 ~clock:exec m))
-  | _ -> ()
 
 let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~rescues ~plateau ~hangs
     ~crashes =
@@ -155,7 +137,6 @@ let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~rescues ~plateau ~hangs
          hangs;
          crashes;
        });
-  write_metrics_file t ~exec;
   match t.progress with
   | None -> ()
   | Some p ->
@@ -195,5 +176,4 @@ let finish t ~exec ~valid ~cov =
               (if wall <= 0 then 0.0 else float_of_int exec *. 1e9 /. float_of_int wall);
           })
    end);
-  write_metrics_file t ~exec;
   match t.progress with None -> () | Some p -> Progress.finish p

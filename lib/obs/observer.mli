@@ -20,7 +20,6 @@ val create :
   ?postmortem:string ->
   ?sample:int ->
   ?metrics:Metrics.t ->
-  ?metrics_file:string ->
   ?progress:Progress.t ->
   unit ->
   t
@@ -30,11 +29,8 @@ val create :
     the same (sampled) event stream as the sink, with or without one.
     [postmortem] is the path prefix {!flight_dump} writes under.
     [sample] records exec-level events for 1-in-N executions (default 1
-    = everything); raises [Invalid_argument] when < 1. [metrics_file]
-    atomically rewrites a Prometheus text snapshot on each status
-    interval (enabling the snapshot cadence even without a progress
-    line). [clock] overrides the monotonic clock for deterministic
-    tests. *)
+    = everything); raises [Invalid_argument] when < 1. [clock] overrides
+    the monotonic clock for deterministic tests. *)
 
 val tracing : t -> bool
 (** Is a sink or ring attached? Event construction should be guarded on
@@ -58,11 +54,7 @@ val emit : t -> exec:int -> Event.t -> unit
 (** Stamp with the current clock and the given execution count, and
     forward to the sink and ring (no-op without either). *)
 
-val metrics : t -> Metrics.t option
-
 (** {1 Flight recorder} *)
-
-val flight_recorder : t -> Trace.ring option
 
 val flight_dump : t -> reason:string -> string option
 (** Dump the ring's retained events to [<postmortem>-<reason>.jsonl]
@@ -99,8 +91,8 @@ val run_meta :
 
 val snapshot_due : t -> bool
 (** True when the status cadence has elapsed. Always false without a
-    progress line or metrics file, so purely-traced runs contain no
-    time-driven events and merged traces stay deterministic. *)
+    progress line, so purely-traced runs contain no time-driven events
+    and merged traces stay deterministic. *)
 
 val snapshot :
   t ->
@@ -115,14 +107,10 @@ val snapshot :
   hangs:int ->
   crashes:int ->
   unit
-(** Emit a {!Event.Snapshot}, rewrite the metrics file, and repaint the
-    live line. Throughput is computed from the delta since the previous
-    snapshot. *)
+(** Emit a {!Event.Snapshot} and repaint the live line. Throughput is
+    computed from the delta since the previous snapshot. *)
 
 val finish : t -> exec:int -> valid:int -> cov:int -> unit
 (** End of run: emit {!Event.Phases} (with p50/p99 per phase when
-    metrics are attached) and {!Event.Run_done}, write the final metrics
-    file state, and release the live line. Does not close the sink — its
-    opener owns it. *)
-
-val wall_ns : t -> int
+    metrics are attached) and {!Event.Run_done}, and release the live
+    line. Does not close the sink — its opener owns it. *)

@@ -1,7 +1,5 @@
 type sink = { emit : Event.stamped -> unit; close : unit -> unit }
 
-let null = { emit = (fun _ -> ()); close = (fun () -> ()) }
-
 let emit sink ev = sink.emit ev
 let close sink = sink.close ()
 

@@ -8,9 +8,6 @@
 
 type sink = { emit : Event.stamped -> unit; close : unit -> unit }
 
-val null : sink
-(** Swallows everything. *)
-
 val emit : sink -> Event.stamped -> unit
 
 val close : sink -> unit
@@ -18,7 +15,7 @@ val close : sink -> unit
     owns them. *)
 
 val jsonl : out_channel -> sink
-(** One event per line, flat JSON; the format {!read_channel} reads
+(** One event per line, flat JSON; the format {!read_file} reads
     back. *)
 
 val chrome : out_channel -> sink
@@ -60,11 +57,9 @@ val dump_ring : ring -> string -> unit
     {!Pdf_util.Atomic_file}); a crash mid-dump never leaves a truncated
     post-mortem. *)
 
-val read_channel : in_channel -> Event.stamped list
-(** Parse a JSONL trace; blank lines are skipped. Raises [Failure] with
-    the offending line number on malformed input. *)
-
 val read_file : string -> Event.stamped list
+(** Parse a JSONL trace file; blank lines are skipped. Raises [Failure]
+    with the offending line number on malformed input. *)
 
 val normalize_line : string -> string
 (** Zero the wall-clock-dependent fields ([t], any [*_ns],

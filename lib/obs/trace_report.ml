@@ -6,6 +6,7 @@ type meta = {
   seed : int;
   max_executions : int;
   incremental : bool;
+  sample : int;
 }
 
 type point = { exec : int; t_ns : int; cov : int; valid : int }
@@ -27,7 +28,7 @@ type t = {
   final_valid : int;
   execs_per_sec : float;
   curve : point list;  (* one point per execution, in order *)
-  phases : (string * int) list;  (* cumulative span totals *)
+  phases : (string * int) list;  (* cumulative span totals, scaled by [sample] *)
   phase_percentiles : (string * int) list;  (* <phase>_p50 / _p99 entries *)
   slowest : slow list;  (* top-N by duration, longest first *)
   cache_hits : int;
@@ -92,6 +93,7 @@ let analyse ?(top = 10) ?cell events =
               seed = m.seed;
               max_executions = m.max_executions;
               incremental = m.incremental;
+              sample = m.sample;
             }
       | Event.Exec_done e ->
         cov := e.cov;
@@ -128,6 +130,11 @@ let analyse ?(top = 10) ?cell events =
       | _ -> ())
     events;
   let wall = if !wall > 0 then !wall else !last_t in
+  (* A sampled run times the phases of 1 in [sample] executions only;
+     scaling the totals estimates the whole run, so "other" stays the
+     time outside the phases. Percentiles describe single spans and
+     need no scaling. *)
+  let sample = match !meta with Some m -> m.sample | None -> 1 in
   let slowest =
     List.sort (fun a b -> compare b.s_dur_ns a.s_dur_ns) !slow_all
     |> List.filteri (fun i _ -> i < top)
@@ -144,7 +151,7 @@ let analyse ?(top = 10) ?cell events =
        else if wall > 0 then float_of_int !execs *. 1e9 /. float_of_int wall
        else 0.0);
     curve = List.rev !curve_rev;
-    phases = !phases;
+    phases = List.map (fun (name, ns) -> (name, ns * sample)) !phases;
     phase_percentiles = !phase_percentiles;
     slowest;
     cache_hits = !hits;
@@ -273,7 +280,15 @@ let render ?(rows = 20) ppf t =
                pick "_p99";
              ])
     in
-    Render.table ppf ~title:"per-phase time breakdown"
+    let title =
+      match t.meta with
+      | Some m when m.sample > 1 ->
+        Printf.sprintf
+          "per-phase time breakdown (spans of 1 in %d executions, totals scaled x%d)"
+          m.sample m.sample
+      | _ -> "per-phase time breakdown"
+    in
+    Render.table ppf ~title
       ~header:[ "phase"; "total (s)"; "% of wall"; "p50 (us)"; "p99 (us)" ]
       (rows
       @ [

@@ -9,6 +9,7 @@ type meta = {
   seed : int;
   max_executions : int;
   incremental : bool;
+  sample : int;  (** 1-in-[sample] exec-level sampling of the run *)
 }
 
 type point = { exec : int; t_ns : int; cov : int; valid : int }
@@ -31,6 +32,8 @@ type t = {
   execs_per_sec : float;
   curve : point list;  (** full resolution, one point per execution *)
   phases : (string * int) list;
+      (** per-phase span totals, multiplied by [meta.sample]: a sampled
+          run's totals estimate the whole run *)
   phase_percentiles : (string * int) list;
   slowest : slow list;
   cache_hits : int;
@@ -46,12 +49,6 @@ type t = {
 val analyse : ?top:int -> ?cell:string * string * int -> Event.stamped list -> t
 (** Fold one run's events. [top] (default 10) bounds the slowest-
     execution list. *)
-
-val segments :
-  Event.stamped list ->
-  ((string * string * int) option * Event.stamped list) list
-(** Split a merged evaluate trace at its [Cell] markers; a trace without
-    them is a single anonymous segment. *)
 
 val bucketed : rows:int -> t -> point list
 (** The curve thinned to at most [rows] evenly spaced execution counts,

@@ -4,8 +4,6 @@ module Comparison = Pdf_instr.Comparison
 module Charset = Pdf_util.Charset
 module Tstring = Pdf_taint.Tstring
 
-let whitespace = Charset.of_string " \t\r\n"
-
 let rec skip_set ctx site ~label set =
   match Ctx.peek ctx with
   | None -> ()

@@ -24,9 +24,6 @@ val peek_is : Ctx.t -> Site.t -> char -> bool
 val eat_if : Ctx.t -> Site.t -> char -> bool
 (** [peek_is] and consume on success. *)
 
-val whitespace : Pdf_util.Charset.t
-(** Space, tab, CR, LF. *)
-
 (** Staged continuation-style counterparts of the helpers above, for
     machine-form (resumable) parsers. A parser fragment is a [k];
     sequencing is by continuation, and every input observation goes

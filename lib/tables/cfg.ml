@@ -34,16 +34,3 @@ let production_index t production =
     | p :: rest -> if p == production || p = production then i else find (i + 1) rest
   in
   find 0 t.productions
-
-let pp_symbol ppf = function
-  | T c -> Format.fprintf ppf "%C" c
-  | N name -> Format.fprintf ppf "<%s>" name
-
-let pp ppf t =
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "<%s> ::=" p.lhs;
-      if p.rhs = [] then Format.fprintf ppf " ε"
-      else List.iter (fun sym -> Format.fprintf ppf " %a" pp_symbol sym) p.rhs;
-      Format.fprintf ppf "@.")
-    t.productions

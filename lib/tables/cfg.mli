@@ -25,5 +25,3 @@ val nonterminals : t -> string list
 
 val production_index : t -> production -> int
 (** Position in {!productions}; used as the table entry payload. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,8 +9,8 @@ module Iset = Set.Make (Int)
    positions) fall back to a real integer set.
 
    Invariant: [Interval] has [lo <= hi]; [Set] is non-empty and
-   non-contiguous. Every constructor re-normalises, so structural
-   comparison of cases is sound in [equal]. *)
+   non-contiguous. Every constructor re-normalises, so each taint has
+   exactly one representation. *)
 type t = Empty | Interval of { lo : int; hi : int } | Set of Iset.t
 
 let empty = Empty
@@ -73,14 +73,3 @@ let to_list = function
   | Set s -> Iset.elements s
 
 let of_list l = of_set (Iset.of_list l)
-
-let equal a b =
-  match (a, b) with
-  | Empty, Empty -> true
-  | Interval { lo = l1; hi = h1 }, Interval { lo = l2; hi = h2 } ->
-    l1 = l2 && h1 = h2
-  | Set s1, Set s2 -> Iset.equal s1 s2
-  | _ -> false
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int (to_list t)))

@@ -36,5 +36,3 @@ val to_list : t -> int list
 (** Ascending. *)
 
 val of_list : int list -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

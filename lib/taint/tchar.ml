@@ -1,6 +1,5 @@
 type t = { ch : char; taint : Taint.t }
 
-let make ch taint = { ch; taint }
 let untainted ch = { ch; taint = Taint.empty }
 let input i ch = { ch; taint = Taint.singleton i }
 let code t = Char.code t.ch
@@ -9,7 +8,3 @@ let map f t = { t with ch = f t.ch }
 let combine f a b = { ch = f a.ch b.ch; taint = Taint.union a.taint b.taint }
 
 let is_tainted t = not (Taint.is_empty t.taint)
-
-let pp ppf t =
-  if t.ch >= ' ' && t.ch <= '~' then Format.fprintf ppf "%C%a" t.ch Taint.pp t.taint
-  else Format.fprintf ppf "'\\x%02x'%a" (Char.code t.ch) Taint.pp t.taint

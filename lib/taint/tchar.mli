@@ -2,8 +2,6 @@
 
 type t = { ch : char; taint : Taint.t }
 
-val make : char -> Taint.t -> t
-
 val untainted : char -> t
 (** A constant character (empty taint). *)
 
@@ -23,4 +21,3 @@ val combine : (char -> char -> char) -> t -> t -> t
 (** Derived from two tainted characters; taints accumulate. *)
 
 val is_tainted : t -> bool
-val pp : Format.formatter -> t -> unit

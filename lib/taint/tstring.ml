@@ -21,5 +21,3 @@ let equal_payload a b =
   && (let ok = ref true in
       Array.iteri (fun i (c : Tchar.t) -> if c.ch <> b.(i).Tchar.ch then ok := false) a;
       !ok)
-
-let pp ppf t = Format.fprintf ppf "%S" (to_string t)

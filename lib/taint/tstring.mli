@@ -27,5 +27,3 @@ val taint_of_char : t -> int -> Taint.t
 val chars : t -> Tchar.t list
 val equal_payload : t -> t -> bool
 (** Payload equality, ignoring taints. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,8 +11,6 @@
 let offset_basis = 0x811c9dc5
 let prime = 0x0100_0193
 
-let[@inline] byte h c = (h lxor Char.code c) * prime land max_int
-
 let range s pos len =
   let h = ref offset_basis in
   for i = pos to pos + len - 1 do

@@ -6,12 +6,6 @@
     deterministic across processes — safe as [Hashtbl] keys and safe to
     round-trip through checkpoints. *)
 
-val byte : int -> char -> int
-(** Fold one character into a running hash. *)
-
-val range : string -> int -> int -> int
-(** [range s pos len] hashes [s.[pos .. pos+len-1]]. *)
-
 val prefix : string -> int -> int
 (** [prefix s len] = [range s 0 len]. *)
 

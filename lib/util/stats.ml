@@ -141,11 +141,4 @@ module Histogram = struct
       end
     end
 
-  let to_list t =
-    let rec go i acc =
-      if i < 0 then acc
-      else if t.counts.(i) > 0 then go (i - 1) ((bucket_lower i, t.counts.(i)) :: acc)
-      else go (i - 1) acc
-    in
-    go (num_buckets - 1) []
 end

@@ -53,9 +53,6 @@ module Histogram : sig
       ranks (which return the tracked min/max), within the bucket's
       quantization bound otherwise. 0 when empty. *)
 
-  val to_list : t -> (int * int) list
-  (** Non-empty buckets as [(lower_bound, count)], increasing. *)
-
   (** Bucket geometry, exposed for property tests. *)
 
   val num_buckets : int

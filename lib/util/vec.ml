@@ -20,7 +20,6 @@ let of_prefix arr ~len dummy =
   { data = arr; len; cap = len; dummy }
 
 let[@inline] length t = t.len
-let[@inline] is_empty t = t.len = 0
 
 let grow t =
   let ncap = if t.len = 0 then 16 else 2 * t.len in
@@ -39,31 +38,6 @@ let[@inline] push t x =
 let[@inline] get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
   t.data.(i)
-
-let last t = if t.len = 0 then None else Some t.data.(t.len - 1)
-
-let clear t =
-  (* A borrowed backing array (cap < length data only happens for
-     borrowed prefixes) must not be scrubbed: it is shared with the
-     lender. Dropping the reference is enough. *)
-  if t.cap = Array.length t.data then Array.fill t.data 0 t.len t.dummy
-  else begin
-    t.data <- [||];
-    t.cap <- 0
-  end;
-  t.len <- 0
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
 
 let to_array t = Array.sub t.data 0 t.len
 

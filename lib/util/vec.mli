@@ -22,7 +22,6 @@ val of_prefix : 'a array -> len:int -> 'a -> 'a t
     bounds. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 (** Append one element, growing the backing array geometrically. *)
@@ -30,17 +29,6 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** [get t i] is the [i]-th element; raises [Invalid_argument] out of
     bounds. *)
-
-val last : 'a t -> 'a option
-
-val clear : 'a t -> unit
-(** Reset the length to 0 and overwrite occupied slots with the dummy so
-    previous contents can be collected. Capacity is retained. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** In insertion order. *)
-
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val to_array : 'a t -> 'a array
 (** Fresh array of exactly [length t] elements. *)

@@ -185,13 +185,19 @@ let test_frame_damage () =
     (Frame.decode_body
        (corrupt_byte (corrupt_byte body 6) (String.length body - 1)))
 
-(* [fixtures/sync-frame-v2.bin] is a frame body encoded by the last v2
-   build, whose [Pfuzzer.result] still carried [engine]. Its digest is
-   intact, so only the version byte keeps it from being unmarshalled
-   into the wrong record layout. *)
-let test_frame_v2_rejected () =
-  let body = In_channel.with_open_bin "fixtures/sync-frame-v2.bin" In_channel.input_all in
-  check_reject "v2 fixture" "version mismatch" (Frame.decode_body body)
+(* Frame bodies encoded by the last build of each older version:
+   [sync-frame-v2.bin], whose [Pfuzzer.result] still carried [engine],
+   and [sync-frame-v3.bin], whose metrics snapshot still carried
+   [gauges]. Their digests are intact, so only the version byte keeps
+   them from being unmarshalled into the wrong record layout. *)
+let test_old_frames_rejected () =
+  List.iter
+    (fun v ->
+      let path = Printf.sprintf "fixtures/sync-frame-v%d.bin" v in
+      let body = In_channel.with_open_bin path In_channel.input_all in
+      check_reject (Printf.sprintf "v%d fixture" v) "version mismatch"
+        (Frame.decode_body body))
+    [ 2; 3 ]
 
 (* {1 Streaming decoder} *)
 
@@ -434,6 +440,40 @@ let test_campaign_kill_worker () =
        (killed.replays > 0)
    | Some _ | None -> ())
 
+(* The fleet metrics of a forked campaign: the frames' per-shard
+   snapshots folded by the coordinator. Their counters and histogram
+   counts are what [campaign --out] writes, so they must not depend on
+   the worker count or on a worker's death and replay. *)
+let test_campaign_fleet_metrics () =
+  let subject = subject "json" in
+  let config = { Pfuzzer.default_config with max_executions = 1200; seed = 5 } in
+  let deterministic_part (o : Dist.outcome) =
+    match o.metrics with
+    | None -> Alcotest.fail "campaign returned no fleet metrics"
+    | Some s ->
+      ( s.Metrics.counters,
+        List.map
+          (fun (n, h) -> (n, Pdf_util.Stats.Histogram.count h))
+          s.Metrics.histograms )
+  in
+  let run ?kill_worker workers =
+    Dist.run_campaign ~workers ~shards:4 ~frame_every:10 ?kill_worker config
+      subject
+  in
+  let w1 = run 1 in
+  let counters, hist_counts = deterministic_part w1 in
+  List.iter
+    (fun (label, o) ->
+      Alcotest.(check (pair (list (pair string int)) (list (pair string int))))
+        (label ^ ": counters and histogram counts equal workers:1's")
+        (counters, hist_counts) (deterministic_part o))
+    [ ("workers:2", run 2); ("workers:2, worker 1 killed", run ~kill_worker:1 2) ];
+  Alcotest.(check int) "shard/executions is the merged execution count"
+    w1.result.Pfuzzer.executions
+    (List.assoc "shard/executions" counters);
+  Alcotest.(check bool) "phase/exec_ns recorded spans" true
+    (List.assoc "phase/exec_ns" hist_counts > 0)
+
 let test_campaign_traces_in_shard_order () =
   let subject = subject "paren" in
   let config = { Pfuzzer.default_config with max_executions = 160; seed = 2 } in
@@ -521,8 +561,8 @@ let () =
           Alcotest.test_case "encode/decode round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "damage is rejected with one-line reasons" `Quick
             test_frame_damage;
-          Alcotest.test_case "v2 frame is a version mismatch" `Quick
-            test_frame_v2_rejected;
+          Alcotest.test_case "v2 and v3 frames are a version mismatch" `Quick
+            test_old_frames_rejected;
         ] );
       ( "decoder",
         [
@@ -546,6 +586,8 @@ let () =
             test_campaign_worker_invariance;
           Alcotest.test_case "SIGKILLed worker is replayed" `Slow
             test_campaign_kill_worker;
+          Alcotest.test_case "fleet metrics are worker-invariant" `Slow
+            test_campaign_fleet_metrics;
           Alcotest.test_case "per-shard traces in shard order" `Quick
             test_campaign_traces_in_shard_order;
           Alcotest.test_case "coordinator lifecycle events" `Quick

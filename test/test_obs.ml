@@ -14,7 +14,6 @@ module Trace_report = Pdf_obs.Trace_report
 module Pfuzzer = Pdf_core.Pfuzzer
 module Coverage = Pdf_instr.Coverage
 module Catalog = Pdf_subjects.Catalog
-module Exposition = Pdf_obs.Exposition
 module Histogram = Pdf_util.Stats.Histogram
 
 let check = Alcotest.check
@@ -34,8 +33,9 @@ let golden =
              seed = 1;
              max_executions = 500;
              incremental = true;
+             sample = 1;
            }),
-      {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true}|}
+      {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true,"sample":1}|}
     );
     ( stamp 10 1 (Event.Exec_start { len = 3; prefix = 2 }),
       {|{"ev":"exec_start","t":10,"n":1,"len":3,"prefix":2}|} );
@@ -150,9 +150,17 @@ let test_round_trip () =
   let old_snapshot =
     {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"plateau":2,"hangs":1,"crashes":0}|}
   in
-  match (Event.of_json_line old_snapshot).Event.ev with
-  | Event.Snapshot s ->
-    check Alcotest.int "rescues defaults on old traces" 0 s.rescues
+  (match (Event.of_json_line old_snapshot).Event.ev with
+   | Event.Snapshot s ->
+     check Alcotest.int "rescues defaults on old traces" 0 s.rescues
+   | _ -> Alcotest.fail "wrong event kind");
+  (* Run headers written before the sample rate was recorded read as
+     unsampled. *)
+  let old_meta =
+    {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true}|}
+  in
+  match (Event.of_json_line old_meta).Event.ev with
+  | Event.Run_meta m -> check Alcotest.int "sample defaults on old traces" 1 m.sample
   | _ -> Alcotest.fail "wrong event kind"
 
 let test_normalize () =
@@ -168,7 +176,7 @@ let test_normalize () =
 (* A \u escape whose four characters are not hex digits is malformed
    like any other bad line: the reader raises Json.Malformed, never a
    stray Failure, so normalize_line passes the line through and
-   read_channel reports its line number. *)
+   read_file reports its line number. *)
 let test_bad_unicode_escape () =
   check Alcotest.bool "hex escape decodes" true
     (Json.parse_flat {|{"a":"\u0041\u00fF"}|} = [ ("a", Json.S "A\xff") ]);
@@ -347,6 +355,56 @@ let test_trace_report_matches_run () =
   Format.pp_print_flush ppf ();
   check Alcotest.bool "render nonempty" true (Buffer.length buf > 100)
 
+(* A sampled run times the phases of 1 in [sample] executions, so the
+   report scales the span totals by the rate recorded in run_meta;
+   percentiles describe single spans and stay as recorded. *)
+let test_trace_report_scales_sampled_phases () =
+  let events sample =
+    [
+      stamp 0 0
+        (Event.Run_meta
+           {
+             subject = "json";
+             outcomes = 76;
+             seed = 1;
+             max_executions = 500;
+             incremental = true;
+             sample;
+           });
+      stamp 10_000_000_000 500
+        (Event.Phases
+           {
+             spans = [ ("exec", 30_000_000); ("score", 10_000_000); ("exec_p50", 1_500) ];
+             wall_ns = 10_000_000_000;
+           });
+    ]
+  in
+  let full = Trace_report.analyse (events 1) in
+  let sampled = Trace_report.analyse (events 100) in
+  check
+    Alcotest.(list (pair string int))
+    "sample 100 scales the totals x100"
+    [ ("exec", 3_000_000_000); ("score", 1_000_000_000) ]
+    sampled.Trace_report.phases;
+  check
+    Alcotest.(list (pair string int))
+    "sample 1 keeps the totals" [ ("exec", 30_000_000); ("score", 10_000_000) ]
+    full.Trace_report.phases;
+  check
+    Alcotest.(list (pair string int))
+    "percentiles unscaled" full.phase_percentiles sampled.phase_percentiles;
+  (* "other" is the wall clock minus the scaled sum: 10 - 3 - 1 s. *)
+  let other_seconds a =
+    let text = Format.asprintf "%a" (fun ppf -> Trace_report.render ppf) a in
+    match
+      List.find_opt (String.starts_with ~prefix:"| other ") (String.split_on_char '\n' text)
+    with
+    | Some row -> String.trim (List.nth (String.split_on_char '|' row) 2)
+    | None -> Alcotest.fail "no other row"
+  in
+  check Alcotest.string "other = wall - scaled sum" "6.000" (other_seconds sampled);
+  check Alcotest.string "other unsampled" "9.960" (other_seconds full)
+
 let test_chrome_sink () =
   let _, events = traced_run () in
   let path = Filename.temp_file "pdf_obs" ".chrome.json" in
@@ -436,11 +494,10 @@ let test_result_timing () =
    associative and idempotent on these — duplicate and out-of-order
    snapshot delivery over the frame channel is then invisible. *)
 
-let mk_snapshot ~origin ~clock ~execs ~valid ~rate ~spans =
+let mk_snapshot ~origin ~clock ~execs ~valid ~spans =
   let m = Metrics.create () in
   Metrics.add (Metrics.counter m "shard/executions") execs;
   Metrics.add (Metrics.counter m "shard/valid") valid;
-  Metrics.set (Metrics.gauge m "rate") rate;
   let h = Metrics.histogram m "phase/exec_ns" in
   List.iter (Histogram.record h) spans;
   Metrics.snapshot ~origin ~clock m
@@ -451,10 +508,8 @@ let gen_snapshot =
     let* clock = int_range 0 5 in
     let* execs = int_range 0 50 in
     let* valid = int_range 0 10 in
-    (* Integer-valued rates keep structural comparison exact. *)
-    let* rate = int_range 0 1000 in
     let* spans = small_list (int_range 1 100_000) in
-    return (mk_snapshot ~origin ~clock ~execs ~valid ~rate:(float_of_int rate) ~spans))
+    return (mk_snapshot ~origin ~clock ~execs ~valid ~spans))
 
 let arb_snapshots =
   QCheck.make
@@ -496,8 +551,8 @@ let prop_fleet_duplicate_delivery =
     (fun ss -> Metrics.Fleet.equal (fleet_of ss) (fleet_of (ss @ ss)))
 
 let test_fleet_totals () =
-  let s0 = mk_snapshot ~origin:0 ~clock:10 ~execs:100 ~valid:3 ~rate:50.0 ~spans:[ 10; 20 ] in
-  let s1 = mk_snapshot ~origin:1 ~clock:25 ~execs:40 ~valid:1 ~rate:75.0 ~spans:[ 30 ] in
+  let s0 = mk_snapshot ~origin:0 ~clock:10 ~execs:100 ~valid:3 ~spans:[ 10; 20 ] in
+  let s1 = mk_snapshot ~origin:1 ~clock:25 ~execs:40 ~valid:1 ~spans:[ 30 ] in
   let t = Metrics.Fleet.totals (fleet_of [ s0; s1 ]) in
   check Alcotest.int "totals origin" (-1) t.Metrics.origin;
   check Alcotest.int "totals clock is the fleet max" 25 t.Metrics.clock;
@@ -505,8 +560,6 @@ let test_fleet_totals () =
     (List.assoc "shard/executions" t.Metrics.counters);
   check Alcotest.int "counters sum (valid)" 4
     (List.assoc "shard/valid" t.Metrics.counters);
-  check (Alcotest.float 0.0) "gauge is latest by clock" 75.0
-    (List.assoc "rate" t.Metrics.gauges);
   check Alcotest.int "histograms merge" 3
     (Histogram.count (List.assoc "phase/exec_ns" t.Metrics.histograms))
 
@@ -627,63 +680,6 @@ let test_sampling_thins_exec_events () =
     (Invalid_argument "Observer.create: sample must be >= 1") (fun () ->
       ignore (Observer.create ~sample:0 ()))
 
-(* {1 Prometheus exposition and the monitor dashboard} *)
-
-let test_exposition_golden () =
-  let m = Metrics.create () in
-  Metrics.add (Metrics.counter m "shard/executions") 500;
-  Metrics.set (Metrics.gauge m "rate") 1234.5;
-  let text = Exposition.prometheus (Metrics.snapshot ~origin:0 ~clock:500 m) in
-  check Alcotest.string "exposition text"
-    "# TYPE pfuzzer_snapshot_clock gauge\n\
-     pfuzzer_snapshot_clock 500\n\
-     # TYPE pfuzzer_shard_executions counter\n\
-     pfuzzer_shard_executions 500\n\
-     # TYPE pfuzzer_rate gauge\n\
-     pfuzzer_rate 1234.5\n"
-    text
-
-let test_exposition_roundtrip () =
-  let m = Metrics.create () in
-  Metrics.add (Metrics.counter m "shard/executions") 42;
-  Metrics.set (Metrics.gauge m "rate") 7.0;
-  let h = Metrics.histogram m "phase/exec_ns" in
-  List.iter (Histogram.record h) [ 100; 200; 300 ];
-  let text = Exposition.prometheus (Metrics.snapshot ~origin:0 ~clock:9 m) in
-  let fams = Exposition.parse text in
-  check
-    Alcotest.(list (pair string string))
-    "family names and types in declaration order"
-    [
-      ("pfuzzer_snapshot_clock", "gauge");
-      ("pfuzzer_shard_executions", "counter");
-      ("pfuzzer_rate", "gauge");
-      ("pfuzzer_phase_exec_ns", "summary");
-    ]
-    (List.map (fun f -> (f.Exposition.fname, f.Exposition.ftype)) fams);
-  (* The summary family owns its quantile, _sum and _count series. *)
-  let summary =
-    List.find (fun f -> f.Exposition.fname = "pfuzzer_phase_exec_ns") fams
-  in
-  check Alcotest.int "summary series count" 5
-    (List.length summary.Exposition.samples);
-  check (Alcotest.float 0.0) "count series" 3.0
-    (List.assoc "pfuzzer_phase_exec_ns_count" summary.Exposition.samples);
-  (* The dashboard render is pure and headed by the family count. *)
-  let rendered = Exposition.render fams in
-  check Alcotest.bool "render headed by family count" true
-    (String.length rendered > 0
-    && List.hd (String.split_on_char '\n' rendered)
-       = "[pfuzzer monitor] 4 families");
-  (* Unparseable lines are skipped, not fatal. *)
-  check
-    Alcotest.(list (pair string string))
-    "garbage lines skipped"
-    [ ("pfuzzer_x", "counter") ]
-    (List.map
-       (fun f -> (f.Exposition.fname, f.Exposition.ftype))
-       (Exposition.parse "# TYPE pfuzzer_x counter\nnot a sample line\npfuzzer_x 1\n"))
-
 (* {1 jobs:1 ≡ jobs:N merged-trace determinism} *)
 
 let grid_trace ~jobs =
@@ -761,17 +757,13 @@ let () =
           Alcotest.test_case "sample N thins exec events" `Quick
             test_sampling_thins_exec_events;
         ] );
-      ( "exposition",
-        [
-          Alcotest.test_case "prometheus golden" `Quick test_exposition_golden;
-          Alcotest.test_case "parse and render" `Quick
-            test_exposition_roundtrip;
-        ] );
       ( "traced run",
         [
           Alcotest.test_case "schema and consistency" `Quick test_traced_run_schema;
           Alcotest.test_case "trace-report matches run" `Quick
             test_trace_report_matches_run;
+          Alcotest.test_case "trace-report scales sampled phases" `Quick
+            test_trace_report_scales_sampled_phases;
           Alcotest.test_case "chrome sink" `Quick test_chrome_sink;
         ] );
       ( "overhead",
