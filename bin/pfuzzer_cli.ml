@@ -2,7 +2,7 @@
 
      pfuzzer fuzz --subject json --tool pfuzzer --executions 20000
      pfuzzer fuzz --subject json --trace t.jsonl --stats-interval 1
-     pfuzzer fuzz --subject json --trace-sample 100 --flight-recorder fr
+     pfuzzer fuzz --subject json --trace t.jsonl --trace-sample 100
      pfuzzer campaign --subject json --workers 4 --executions 20000
      pfuzzer campaign --subject json --workers 4 --out summary.json
      pfuzzer trace-report t.jsonl
@@ -84,7 +84,7 @@ let tool_arg =
    to a temporary and renamed into place only after [f] returns: an
    interrupted or crashed run never leaves a truncated trace behind,
    only the previous complete file (if any). *)
-let with_observer ~trace ~trace_sample ~flight_recorder ~stats_interval f =
+let with_observer ~trace ~trace_sample ~stats_interval f =
   let staged = Option.map Pdf_util.Atomic_file.stage trace in
   let sink =
     Option.map
@@ -96,14 +96,13 @@ let with_observer ~trace ~trace_sample ~flight_recorder ~stats_interval f =
       Some (Pdf_obs.Progress.create ~interval_s:stats_interval ())
     else None
   in
-  let ring = Option.map (fun _ -> Pdf_obs.Trace.ring 512) flight_recorder in
   let obs =
-    match (sink, progress, ring) with
-    | None, None, None -> None
+    match (sink, progress) with
+    | None, None -> None
     | _ ->
       Some
-        (Pdf_obs.Observer.create ?sink ?ring ?postmortem:flight_recorder
-           ~sample:trace_sample ?progress ~metrics:(Pdf_obs.Metrics.create ()) ())
+        (Pdf_obs.Observer.create ?sink ~sample:trace_sample ?progress
+           ~metrics:(Pdf_obs.Metrics.create ()) ())
   in
   let close_sink () =
     match sink with Some s -> Pdf_obs.Trace.close s | None -> ()
@@ -149,8 +148,8 @@ let write_crash_corpus path (crashes : Pdf_core.Pfuzzer.crash list) =
 
 let fuzz_cmd =
   let run subject_name tool_name seed executions quiet no_incremental trace
-      trace_sample flight_recorder stats_interval checkpoint checkpoint_every
-      resume crashes_out die_after =
+      trace_sample stats_interval checkpoint checkpoint_every resume
+      crashes_out die_after =
     match find_subject subject_name with
     | Error e -> Error e
     | Ok subject ->
@@ -201,7 +200,7 @@ let fuzz_cmd =
            end
          in
          let outcome =
-           with_observer ~trace ~trace_sample ~flight_recorder ~stats_interval
+           with_observer ~trace ~trace_sample ~stats_interval
              (fun obs ->
                Pdf_eval.Tool.run ?obs ?on_checkpoint ?resume_from ?on_execution
                  ?checkpoint_every ~incremental:(not no_incremental) tool
@@ -274,22 +273,12 @@ let fuzz_cmd =
       & opt (pos_int "sample interval") 1
       & info [ "trace-sample" ] ~docv:"N"
           ~doc:
-            "Record exec-level trace events for 1-in-N executions, chosen \
-             deterministically on the execution index (so sampled traces are \
-             reproducible and shard-merge deterministic). Structural events \
-             (valid inputs, crashes, hangs, faults, rescues) are always \
-             recorded. 1 (default) records everything.")
-  in
-  let flight_recorder =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight-recorder" ] ~docv:"PREFIX"
-          ~doc:
-            "Keep the last 512 trace events in an in-memory ring (cheap even \
-             with file tracing off) and dump them to PREFIX-<reason>.jsonl \
-             when a fresh crash is recorded, a hang fires, or a fault drill \
-             triggers.")
+            "Record exec-level trace events and phase timings for 1 in N \
+             search-loop iterations, chosen deterministically from the \
+             execution count at the top of each iteration (so sampled traces \
+             are reproducible and shard-merge deterministic). Structural \
+             events (valid inputs, crashes, hangs, faults, rescues) are \
+             always recorded. 1 (default) records everything.")
   in
   let checkpoint =
     Arg.(
@@ -345,9 +334,8 @@ let fuzz_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ tool_arg $ seed_arg $ executions_arg 20_000
-         $ quiet $ no_incremental $ trace $ trace_sample $ flight_recorder
-         $ stats_interval $ checkpoint $ checkpoint_every $ resume $ crashes_out
-         $ die_after))
+         $ quiet $ no_incremental $ trace $ trace_sample $ stats_interval
+         $ checkpoint $ checkpoint_every $ resume $ crashes_out $ die_after))
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Fuzz one subject with one tool.") term
 
@@ -364,7 +352,7 @@ let metric_name name =
 
 let campaign_cmd =
   let run subject_name seed executions workers shards frame_every retries
-      kill_worker trace postmortem out quiet =
+      kill_worker trace out quiet =
     match find_subject subject_name with
     | Error e -> Error e
     | Ok subject ->
@@ -380,7 +368,7 @@ let campaign_cmd =
       let obs = Option.map (fun s -> Pdf_obs.Observer.create ~sink:s ()) sink in
       (match
          Pdf_eval.Dist.run_campaign ~workers ~shards ~frame_every ~retries
-           ~trace:(trace <> None) ?obs ?postmortem ?kill_worker config subject
+           ~trace:(trace <> None) ?obs ?kill_worker config subject
        with
        | exception Failure msg ->
          (* Replay rounds exhausted, or fork unavailable (a domain was
@@ -555,16 +543,6 @@ let campaign_cmd =
              lifecycle events, then every worker's per-shard event stream \
              concatenated in shard order.")
   in
-  let postmortem =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "postmortem" ] ~docv:"PREFIX"
-          ~doc:
-            "Attach a flight recorder to the coordinator's lifecycle events \
-             and dump it to PREFIX-worker<W>.jsonl when worker W dies \
-             abnormally or leaves shards unfinished.")
-  in
   let out =
     Arg.(
       value
@@ -583,8 +561,7 @@ let campaign_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ seed_arg $ executions_arg 20_000 $ workers
-         $ shards $ frame_every $ retries $ kill_worker $ trace $ postmortem
-         $ out $ quiet))
+         $ shards $ frame_every $ retries $ kill_worker $ trace $ out $ quiet))
   in
   Cmd.v
     (Cmd.info "campaign"

@@ -17,7 +17,6 @@ type config = {
   max_input_len : int;
   heuristic : Heuristic.variant;
   queue_bound : int;
-  dedupe : bool;
   incremental : bool;
 }
 
@@ -28,7 +27,6 @@ let default_config =
     max_input_len = 64;
     heuristic = Heuristic.Prose;
     queue_bound = 50_000;
-    dedupe = true;
     incremental = true;
   }
 
@@ -120,68 +118,20 @@ module Checkpoint = struct
 
   (* v2: [config] gained the [engine] and [batch] fields.
      v3: the payload gained [ck_hits], the global branch hit-counts.
-     v4: [config] lost [engine] and [batch] again. *)
-  let version = 4
-  let magic = "pfckpt"
+     v4: [config] lost [engine] and [batch] again.
+     v5: [config] lost [dedupe]. *)
+  let version = 5
+
+  let envelope =
+    { Pdf_util.Envelope.magic = "pfckpt"; version; noun = "checkpoint" }
 
   let subject_name t = t.ck_subject
   let executions t = t.ck_executions
   let config t = t.ck_config
+  let encode (t : t) = Pdf_util.Envelope.encode envelope t
 
-  let encode t =
-    let payload = Marshal.to_string t [] in
-    let b = Buffer.create (String.length payload + 32) in
-    Buffer.add_string b magic;
-    Buffer.add_char b (Char.chr version);
-    Buffer.add_string b (Digest.string payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
-
-  (* Error precedence is part of the decode contract and deliberately
-     explicit: length, then magic, then DIGEST, then version, then
-     unmarshal. The digest is verified before the version byte is
-     interpreted — the header layout (magic | version | MD5 | payload)
-     is frozen across versions precisely so this is well-defined — which
-     means corruption is never misreported as version skew: a file whose
-     bytes rotted reports "corrupted" even if the rot also hit the
-     version byte, while a clean checkpoint from another build reports a
-     genuine version mismatch. *)
-  (* [range_equal a apos b bpos len]: are the two ranges byte-equal?
-     The header checks below run in place over the encoded string — a
-     decode allocates nothing besides the unmarshalled payload
-     ([Digest.substring] hashes the payload range directly and
-     [Marshal.from_string] reads at an offset, so neither the magic, the
-     digest, nor the payload is ever copied out first). *)
-  let range_equal a apos b bpos len =
-    let rec go i =
-      i >= len
-      || (String.unsafe_get a (apos + i) = String.unsafe_get b (bpos + i)
-          && go (i + 1))
-    in
-    go 0
-
-  let decode s =
-    let mlen = String.length magic in
-    let hlen = mlen + 1 + 16 in
-    if String.length s < hlen then Error "checkpoint file too short to be valid"
-    else if not (range_equal s 0 magic 0 mlen) then
-      Error "not a pfuzzer checkpoint (bad magic)"
-    else
-      let computed = Digest.substring s hlen (String.length s - hlen) in
-      if not (range_equal s (mlen + 1) computed 0 16) then
-        Error "checkpoint corrupted (payload digest mismatch)"
-      else
-        let v = Char.code s.[mlen] in
-        if v <> version then
-          Error
-            (Printf.sprintf
-               "checkpoint version mismatch (file has v%d, this build reads v%d)"
-               v version)
-        else
-          match (Marshal.from_string s hlen : payload) with
-          | p -> Ok p
-          | exception _ ->
-            Error "checkpoint payload unreadable (truncated or incompatible)"
+  let decode s : (t, string) Stdlib.result =
+    Pdf_util.Envelope.decode envelope s ~pos:0 ~len:(String.length s)
 
   (* The campaign-so-far as a result record — what a sync frame in a
      distributed campaign carries. Cache accounting and wall-clock are
@@ -437,7 +387,10 @@ type state = {
      off. Every emission site matches on [obs] *before* constructing
      its event. *)
   obs : Obs.t option;
-  mutable evictions_seen : int;
+  (* Does the current loop iteration record its exec-level events and
+     phase spans? Decided at the top of each iteration from the
+     execution count ({!Obs.sampled}); false without an observer. *)
+  mutable sampled : bool;
   mutable vbr : Coverage.t;  (* branches covered by valid inputs *)
   (* Global branch hit-counts: how many executions reached each outcome,
      across every verdict. The distributed sync protocol merges these
@@ -502,33 +455,24 @@ let observed_snapshot st =
 let[@inline] tsink st =
   match st.obs with Some o when Obs.tracing o -> Some o | _ -> None
 
-(* High-frequency exec-level sites (exec_start/exec_done, cache
-   consult, queue push/pop) additionally respect the observer's
-   deterministic sampling predicate, keyed on the execution counter the
-   event would be stamped with. Structural events (valid, crash, hang,
-   fault, rescue, resets) always record — they are rare and are exactly
-   what a post-mortem needs. *)
+(* High-frequency exec-level sites (exec_done, cache consult, queue
+   push/pop) record only in sampled iterations ([st.sampled]).
+   Structural events (valid, crash, hang, fault, rescue) always record —
+   they are rare. *)
 let[@inline] tsink_exec st =
   match st.obs with
-  | Some o when Obs.tracing o && Obs.sampled o ~exec:st.executions -> Some o
+  | Some o when st.sampled && Obs.tracing o -> Some o
   | _ -> None
 
-(* Dump the flight recorder (when one is attached) on triage-worthy
-   moments: fresh crash identities, the first hang, fault drills. *)
-let flight_dump st reason =
-  match st.obs with None -> () | Some o -> ignore (Obs.flight_dump o ~reason)
-
-(* Phase spans obey the same sampling predicate as exec-level events:
-   at [sample > 1] only the sampled executions pay the monotonic-clock
-   reads, which is what keeps the always-on modes (sampled trace,
-   flight recorder) within a few percent of running blind. A skipped
+(* Phase spans follow the same per-iteration decision: in an unsampled
+   iteration no monotonic clock is read, which is what keeps sampled
+   tracing within a few percent of running blind. A skipped
    [span_begin] returns the sentinel 0 and [span_end]/[span_next]
-   discard it, so a begin/end pair never mixes a real timestamp with a
-   skipped one even if the execution counter moves between them.
-   (CLOCK_MONOTONIC is ns since boot — it is never 0 in practice.) *)
+   discard it. (CLOCK_MONOTONIC is ns since boot — it is never 0 in
+   practice.) *)
 let[@inline] span_begin st =
   match st.obs with
-  | Some o when Obs.sampled o ~exec:st.executions -> Obs.span_start o
+  | Some o when st.sampled -> Obs.span_start o
   | _ -> 0
 
 let[@inline] span_end st phase t0 =
@@ -650,11 +594,6 @@ let execute st ~prefix_len input =
      | Some o ->
        Obs.emit o ~exec:st.executions
          (Event.Fault { kind = Fault.kind_label kind }));
-  (match tsink_exec st with
-   | None -> ()
-   | Some o ->
-     Obs.emit o ~exec:st.executions
-       (Event.Exec_start { len = String.length input; prefix = prefix_len }));
   let injected =
     match fault with
     | None -> None
@@ -713,14 +652,6 @@ let execute st ~prefix_len input =
          let t_store = span_begin st in
          remember_snapshots cache journal run;
          span_end st Phase.Cache t_store;
-         (match tsink st with
-          | None -> ()
-          | Some o ->
-            let ev = (Runner.Cache.stats cache).Runner.Cache.evictions in
-            if ev > st.evictions_seen then begin
-              st.evictions_seen <- ev;
-              Obs.emit o ~exec:st.executions (Event.Cache_evict { evictions = ev })
-            end);
          (run, cached)
        | _ ->
          let t_exec = span_begin st in
@@ -745,27 +676,16 @@ let note_path st run =
   else begin
     if Paths.count st.path_counts >= path_counts_cap st.config then begin
       Paths.reset st.path_counts;
-      st.path_resets <- st.path_resets + 1;
-      match tsink st with
-      | None -> ()
-      | Some o -> Obs.emit o ~exec:st.executions (Event.Reset { table = "path" })
+      st.path_resets <- st.path_resets + 1
     end;
     Paths.add st.path_counts h 1;
     0
   end
 
-(* Is [input[0..index) ^ repl] already in the dedupe table? [h] must be
-   the FNV hash of that concatenation. *)
-let seen_mem st h input index repl =
-  Seen.mem_parts st.seen_inputs h input index repl
-
 let seen_add st h data =
   if Seen.count st.seen_inputs >= seen_inputs_cap st.config then begin
     Seen.reset st.seen_inputs;
-    st.dedupe_resets <- st.dedupe_resets + 1;
-    match tsink st with
-    | None -> ()
-    | Some o -> Obs.emit o ~exec:st.executions (Event.Reset { table = "dedupe" })
+    st.dedupe_resets <- st.dedupe_resets + 1
   end;
   Seen.add st.seen_inputs h data
 
@@ -803,31 +723,24 @@ let enqueue st (candidate : Candidate.t) =
   (* Truncate with hysteresis: a full drop sorts the heap, so only do
      it after the queue has doubled past its bound. *)
   if Pqueue.length st.queue > 2 * st.config.queue_bound then begin
-    let before = Pqueue.length st.queue in
     let t_trunc = span_begin st in
     Pqueue.drop_worst st.queue st.config.queue_bound;
     span_end st Phase.Queue t_trunc;
-    (match st.on_queue_event with
-     | None -> ()
-     | Some f -> f (Truncated (observed_snapshot st)));
-    match tsink st with
+    match st.on_queue_event with
     | None -> ()
-    | Some o ->
-      let depth = Pqueue.length st.queue in
-      Obs.emit o ~exec:st.executions
-        (Event.Queue_trunc { dropped = before - depth; depth })
+    | Some f -> f (Truncated (observed_snapshot st))
   end;
   st.queue_peak <- max st.queue_peak (Pqueue.length st.queue)
 
 (* Entry point for already-materialised candidates (seed inputs). *)
 let push_candidate st (candidate : Candidate.t) =
   let data = candidate.Candidate.data in
-  let h = if st.config.dedupe then Fnv.string data else 0 in
-  let fresh =
-    (not st.config.dedupe) || not (seen_mem st h data (String.length data) "")
-  in
-  if fresh && String.length data <= st.config.max_input_len then begin
-    if st.config.dedupe then seen_add st h data;
+  let h = Fnv.string data in
+  if
+    (not (Seen.mem_parts st.seen_inputs h data (String.length data) ""))
+    && String.length data <= st.config.max_input_len
+  then begin
+    seen_add st h data;
     enqueue st candidate
   end
 
@@ -865,10 +778,10 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
         len = String.length input && ends_with_at input index repl
       in
       if (not is_parent) && len <= st.config.max_input_len then begin
-        let h = if st.config.dedupe then Fnv.continue prefix_hash repl else 0 in
-        if not (st.config.dedupe && seen_mem st h input index repl) then begin
+        let h = Fnv.continue prefix_hash repl in
+        if not (Seen.mem_parts st.seen_inputs h input index repl) then begin
           let data = concat_blit input index repl in
-          if st.config.dedupe then seen_add st h data;
+          seen_add st h data;
           span_end st Phase.Gen !t_gen;
           enqueue st
             {
@@ -928,11 +841,6 @@ let valid_input st ~(parent : Candidate.t) (run : Runner.run) =
   (match st.on_queue_event with
    | None -> ()
    | Some f -> f (Reranked (observed_snapshot st)));
-  (match tsink st with
-   | None -> ()
-   | Some o ->
-     Obs.emit o ~exec:st.executions
-       (Event.Queue_rerank { depth = Pqueue.length st.queue }));
   add_inputs st ~parent run
 
 let verdict_string (run : Runner.run) =
@@ -969,13 +877,12 @@ let record_crash st (run : Runner.run) (c : Runner.crash) =
       end
       else false
   in
-  (match tsink st with
-   | None -> ()
-   | Some o ->
-     Obs.emit o ~exec:st.executions
-       (Event.Crash
-          { exn = c.Runner.exn; site = c.Runner.site; fresh; total = st.crash_total }));
-  if fresh then flight_dump st "crash"
+  match tsink st with
+  | None -> ()
+  | Some o ->
+    Obs.emit o ~exec:st.executions
+      (Event.Crash
+         { exn = c.Runner.exn; site = c.Runner.site; fresh; total = st.crash_total })
 
 let crashed (run : Runner.run) =
   match run.Runner.verdict with Runner.Crash _ -> true | _ -> false
@@ -983,22 +890,16 @@ let crashed (run : Runner.run) =
 (* Algorithm 1, [runCheck]: an input counts as valid only if it is
    accepted and covers branches no previous valid input covered. *)
 let run_check st ~parent ~prefix_len input =
-  (* [execute] will bump the counter, so the sampling decision for this
-     execution's [Exec_done] keys on [executions + 1] — read the clock
-     only when that event will actually be recorded. *)
-  let t0 =
-    match st.obs with
-    | Some o when Obs.sampled o ~exec:(st.executions + 1) -> Obs.now_ns o
-    | _ -> 0
-  in
+  (* Read the clock only when this execution's [Exec_done] will be
+     recorded. *)
+  let t0 = match tsink_exec st with Some o -> Obs.now_ns o | None -> 0 in
   let run, cached = execute st ~prefix_len input in
   (match run.Runner.verdict with
    | Runner.Hang -> begin
      st.hangs <- st.hangs + 1;
-     (match tsink st with
-      | None -> ()
-      | Some o -> Obs.emit o ~exec:st.executions (Event.Hang { total = st.hangs }));
-     if st.hangs = 1 then flight_dump st "hang"
+     match tsink st with
+     | None -> ()
+     | Some o -> Obs.emit o ~exec:st.executions (Event.Hang { total = st.hangs })
    end
    | Runner.Crash c -> record_crash st run c
    | _ -> ());
@@ -1046,14 +947,6 @@ let extend data c =
 
 let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
     subject =
-  (* Fault drills dump the flight recorder the moment they fire, via
-     pdf_fault's telemetry-agnostic trigger hook: the post-mortem shows
-     the events leading up to the drill. *)
-  (match (faults, obs) with
-   | Some plan, Some o ->
-     Fault.set_on_trigger plan (fun _index kind ->
-         ignore (Obs.flight_dump o ~reason:("fault-" ^ Fault.kind_label kind)))
-   | _ -> ());
   let machine = if config.incremental then subject.Subject.machine else None in
   {
     config;
@@ -1068,7 +961,7 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
     on_queue_event;
     faults;
     obs;
-    evictions_seen = 0;
+    sampled = (match obs with Some o -> Obs.sampled o ~exec:0 | None -> false);
     vbr = Coverage.empty;
     hits = Pdf_instr.Hits.create ();
     valid_rev = [];
@@ -1204,7 +1097,7 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
        nobody is listening, take the value-only pop and skip the
        (prio, value) pair allocation. Both paths remove the same entry. *)
     match st.on_queue_event with
-    | None when tsink st = None ->
+    | None when tsink_exec st = None ->
       let t_pop = span_begin st in
       let popped = Pqueue.pop st.queue in
       span_end st Phase.Queue t_pop;
@@ -1241,6 +1134,12 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
      let last_checkpoint = ref st.executions in
      let hooked = Option.is_some on_checkpoint || Option.is_some on_progress in
      while true do
+       (* One sampling decision per iteration, keyed on the execution
+          count at its top: both executions, the children they queue and
+          the pop that ends the iteration are recorded, or none are. *)
+       (match st.obs with
+        | None -> ()
+        | Some o -> st.sampled <- Obs.sampled o ~exec:st.executions);
        if hooked && st.executions - !last_checkpoint >= checkpoint_every
        then begin
          (match on_checkpoint with

@@ -15,7 +15,6 @@ type config = {
   max_input_len : int;  (** candidates longer than this are discarded *)
   heuristic : Heuristic.variant;
   queue_bound : int;  (** queue is truncated to this many entries *)
-  dedupe : bool;  (** drop candidates whose input was already queued *)
   incremental : bool;
       (** resume children from their parent's cached parse state instead
           of re-parsing the shared prefix (subjects with a machine-form
@@ -24,7 +23,8 @@ type config = {
 
 val default_config : config
 (** seed 1, 2000 executions, inputs up to 64 characters, {!Heuristic.Prose},
-    queue bound 50_000, dedupe on, incremental on. *)
+    queue bound 50_000, incremental on. Candidates whose input was
+    already queued are always dropped. *)
 
 type cache_stats = {
   hits : int;  (** executions that resumed from a cached suspension *)
@@ -103,18 +103,19 @@ type queue_event =
     valid-branch set, the dedupe/path tables, all counters, and the
     crash corpus. The prefix-snapshot cache is excluded — resuming with
     a cold cache is safe because incremental execution is bit-identical
-    to full execution. On disk a checkpoint is
-    [magic "pfckpt" | version byte | MD5 of payload | payload], written
-    atomically; decoding rejects wrong magic, wrong version, and any
-    payload that fails its digest, each with a one-line error. *)
+    to full execution. On disk a checkpoint is a {!Pdf_util.Envelope}
+    under magic ["pfckpt"], written atomically; decoding rejects wrong
+    magic, wrong version, and any payload that fails its digest, each
+    with a one-line error. *)
 
 module Checkpoint : sig
   type t
 
   val version : int
-  (** Format version this build reads and writes (currently 4; v2 added
+  (** Format version this build reads and writes (currently 5; v2 added
       the [engine] and [batch] config fields, v3 the global branch
-      hit-counts, v4 removed [engine] and [batch]). *)
+      hit-counts, v4 removed [engine] and [batch], v5 removed
+      [dedupe]). *)
 
   val subject_name : t -> string
   val executions : t -> int

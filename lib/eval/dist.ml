@@ -64,28 +64,20 @@ module Frame = struct
     metrics : Metrics.snapshot option;
   }
 
-  let magic = "pfsync"
-
   (* v2: frames carry an optional metrics snapshot.
      v3: [Pfuzzer.result] lost its [engine] field.
      v4: [Metrics.snapshot] lost its [gauges] field.
      Frames only ever cross a pipe between a coordinator and the workers
      it forked — both ends are the same binary — so a bump is hygiene
      against a stale reader. *)
-  let version = 4
+  let envelope =
+    { Pdf_util.Envelope.magic = "pfsync"; version = 4; noun = "sync frame" }
 
   (* Frames cross a pipe, not a filesystem: anything claiming to be
      larger than this is a corrupted length prefix, not a real frame. *)
   let max_body = 1 lsl 28
 
-  let encode_body t =
-    let payload = Marshal.to_string t [] in
-    let b = Buffer.create (String.length payload + 32) in
-    Buffer.add_string b magic;
-    Buffer.add_char b (Char.chr version);
-    Buffer.add_string b (Digest.string payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
+  let encode_body (t : t) = Pdf_util.Envelope.encode envelope t
 
   let encode t =
     let body = encode_body t in
@@ -95,32 +87,8 @@ module Frame = struct
     Bytes.blit_string body 0 b 4 n;
     Bytes.unsafe_to_string b
 
-  (* Same precedence contract as [Pfuzzer.Checkpoint.decode]: length,
-     magic, digest, version, unmarshal — digest before version, so
-     corruption is never misreported as version skew. *)
-  let decode_body s =
-    let mlen = String.length magic in
-    let hlen = mlen + 1 + 16 in
-    if String.length s < hlen then Error "sync frame too short to be valid"
-    else if String.sub s 0 mlen <> magic then
-      Error "not a pfuzzer sync frame (bad magic)"
-    else
-      let digest = String.sub s (mlen + 1) 16 in
-      let payload = String.sub s hlen (String.length s - hlen) in
-      if not (String.equal (Digest.string payload) digest) then
-        Error "sync frame corrupted (payload digest mismatch)"
-      else
-        let v = Char.code s.[mlen] in
-        if v <> version then
-          Error
-            (Printf.sprintf
-               "sync frame version mismatch (frame has v%d, this build reads v%d)"
-               v version)
-        else
-          match (Marshal.from_string payload 0 : t) with
-          | f -> Ok f
-          | exception _ ->
-            Error "sync frame payload unreadable (truncated or incompatible)"
+  let decode_body s : (t, string) result =
+    Pdf_util.Envelope.decode envelope s ~pos:0 ~len:(String.length s)
 
   module Decoder = struct
     type frame = t
@@ -146,12 +114,6 @@ module Frame = struct
         d.pending <- Bytes.unsafe_to_string b;
         d.off <- 0
 
-    let u32 s i =
-      (Char.code s.[i] lsl 24)
-      lor (Char.code s.[i + 1] lsl 16)
-      lor (Char.code s.[i + 2] lsl 8)
-      lor Char.code s.[i + 3]
-
     let next d : [ `Frame of frame | `Reject of string | `Await ] =
       match d.status with
       | Dead -> `Await
@@ -159,7 +121,7 @@ module Frame = struct
         let avail = String.length d.pending - d.off in
         if avail < 4 then `Await
         else
-          let n = u32 d.pending d.off in
+          let n = Int32.to_int (String.get_int32_be d.pending d.off) land 0xFFFF_FFFF in
           if n > max_body then begin
             (* A garbage length prefix leaves nothing to resynchronise
                on: the stream is dead, its owner will be replayed. *)
@@ -168,9 +130,12 @@ module Frame = struct
           end
           else if avail < 4 + n then `Await
           else begin
-            let body = String.sub d.pending (d.off + 4) n in
-            d.off <- d.off + 4 + n;
-            match decode_body body with
+            let pos = d.off + 4 in
+            d.off <- pos + n;
+            match
+              (Pdf_util.Envelope.decode envelope d.pending ~pos ~len:n
+                : (frame, string) result)
+            with
             | Ok f -> `Frame f
             | Error e -> `Reject e
           end
@@ -526,22 +491,10 @@ let rec read_eintr fd buf =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_eintr fd buf
 
 let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
-    ?(trace = false) ?obs ?postmortem ?kill_worker config subject =
+    ?(trace = false) ?obs ?kill_worker config subject =
   let t0 = Unix.gettimeofday () in
   let p = plan ?shards config in
-  (* Coordinator-side flight recorder: a SIGKILLed worker cannot dump
-     its own post-mortem, so the coordinator retains the fleet's
-     lifecycle events and writes them the moment a worker dies
-     abnormally or leaves shards behind. *)
-  let recorder =
-    Option.map
-      (fun prefix -> Observer.create ~ring:(Trace.ring 512) ~postmortem:prefix ())
-      postmortem
-  in
-  let emit ev =
-    (match obs with Some o -> Observer.emit o ~exec:0 ev | None -> ());
-    match recorder with Some r -> Observer.emit r ~exec:0 ev | None -> ()
-  in
+  let emit ev = match obs with Some o -> Observer.emit o ~exec:0 ev | None -> () in
   List.iter
     (fun sh ->
       emit (Event.Shard { shard = sh.shard_id; seed = sh.shard_seed; budget = sh.shard_budget }))
@@ -711,16 +664,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
                     (Event.Worker_exit
                        { worker = w.w_id; status; missing = List.length missing });
                   Hashtbl.replace worker_health w.w_id status;
-                  (* Abnormal death: dump the coordinator's retained
-                     lifecycle events as the post-mortem — the worker
-                     itself is in no state to write one. *)
-                  if status <> "exit:0" || missing <> [] then
-                    Option.iter
-                      (fun r ->
-                        ignore
-                          (Observer.flight_dump r
-                             ~reason:(Printf.sprintf "worker%d" w.w_id)))
-                      recorder;
                   paint_live ~final:false !st;
                   false
                 end

@@ -54,7 +54,7 @@ val shard_config : plan -> shard -> Pfuzzer.config
     {!Pfuzzer.result}. On the wire a frame is a 4-byte big-endian body
     length followed by the body
     [magic "pfsync" | version byte | MD5 of payload | payload]
-    — the checkpoint envelope of {!Pfuzzer.Checkpoint}, under a
+    — the {!Pdf_util.Envelope} of {!Pfuzzer.Checkpoint}, under a
     distinct magic so a sync frame can never be mistaken for an
     on-disk checkpoint. *)
 
@@ -185,7 +185,6 @@ val run_campaign :
   ?retries:int ->
   ?trace:bool ->
   ?obs:Pdf_obs.Observer.t ->
-  ?postmortem:string ->
   ?kill_worker:int ->
   Pfuzzer.config ->
   Pdf_subjects.Subject.t ->
@@ -203,10 +202,7 @@ val run_campaign :
     worker and returns the streams in {!outcome.shard_traces}. [obs]
     receives the coordinator's lifecycle events ({!Pdf_obs.Event.Shard},
     [Worker_spawn], [Worker_frame], [Worker_exit], plus a [Retry] per
-    shard replay). [postmortem] attaches a coordinator-side flight
-    recorder to the lifecycle stream and dumps it to
-    [<postmortem>-worker<id>.jsonl] when a worker dies abnormally or
-    leaves shards unfinished. [kill_worker] is the chaos hook: SIGKILL
+    shard replay). [kill_worker] is the chaos hook: SIGKILL
     that worker on its first accepted frame — the campaign must still
     produce the bit-identical merged result via replay.
 

@@ -16,16 +16,9 @@ let kind_label = function
   | Corrupt_cache -> "corrupt_cache"
   | Kill_worker -> "kill_worker"
 
-type plan = {
-  faults : (int, kind) Hashtbl.t;
-  mutable triggered_rev : (int * kind) list;
-  (* Notified on every consumed fault. Generic so pdf_fault stays free
-     of telemetry dependencies; the fuzzer points it at the flight
-     recorder to dump a post-mortem when a drill fires. *)
-  mutable on_trigger : (int -> kind -> unit) option;
-}
+type plan = { faults : (int, kind) Hashtbl.t; mutable triggered_rev : (int * kind) list }
 
-let empty () = { faults = Hashtbl.create 0; triggered_rev = []; on_trigger = None }
+let empty () = { faults = Hashtbl.create 0; triggered_rev = [] }
 
 let of_list bindings =
   let faults = Hashtbl.create (List.length bindings) in
@@ -34,7 +27,7 @@ let of_list bindings =
       if index < 0 then invalid_arg "Fault.of_list: negative execution index";
       Hashtbl.replace faults index kind)
     bindings;
-  { faults; triggered_rev = []; on_trigger = None }
+  { faults; triggered_rev = [] }
 
 (* All injectable kinds except Kill_worker, which only makes sense for
    grid cells, not fuzzer execution indices. *)
@@ -60,17 +53,14 @@ let seeded ~seed ~executions ~count =
       if not (Hashtbl.mem faults index) then
         Hashtbl.replace faults index ((Rng.choose rng seeded_kinds) rng)
     done;
-    { faults; triggered_rev = []; on_trigger = None }
+    { faults; triggered_rev = [] }
   end
-
-let set_on_trigger plan f = plan.on_trigger <- Some f
 
 let consume plan index =
   match Hashtbl.find_opt plan.faults index with
   | None -> None
   | Some kind as hit ->
     plan.triggered_rev <- (index, kind) :: plan.triggered_rev;
-    (match plan.on_trigger with None -> () | Some f -> f index kind);
     hit
 
 let triggered plan = List.rev plan.triggered_rev

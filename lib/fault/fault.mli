@@ -47,15 +47,8 @@ val seeded : seed:int -> executions:int -> count:int -> plan
     deterministically from [seed]. *)
 
 val consume : plan -> int -> kind option
-(** Look up, recording the hit in the trigger log when present (and
-    notifying the {!set_on_trigger} hook). The fuzzer calls this once
-    per execution index. *)
-
-val set_on_trigger : plan -> (int -> kind -> unit) -> unit
-(** Install a callback fired on every consumed fault, with the execution
-    index and kind. Deliberately generic — pdf_fault knows nothing about
-    telemetry — so the fuzzer can point it at the flight recorder and
-    dump a post-mortem the moment a drill fires. *)
+(** Look up, recording the hit in the trigger log when present. The
+    fuzzer calls this once per execution index. *)
 
 val triggered : plan -> (int * kind) list
 (** Faults that actually fired, in firing order. *)

@@ -8,7 +8,6 @@ type t =
       sample : int;
     }
   | Cell of { tool : string; subject : string; seed : int }
-  | Exec_start of { len : int; prefix : int }
   | Exec_done of {
       dur_ns : int;
       verdict : string;
@@ -22,12 +21,8 @@ type t =
   | Valid of { input : string; cov : int; count : int }
   | Queue_push of { prio : float; len : int; depth : int }
   | Queue_pop of { prio : float; len : int; depth : int }
-  | Queue_rerank of { depth : int }
-  | Queue_trunc of { dropped : int; depth : int }
   | Cache_hit of { saved : int }
   | Cache_miss
-  | Cache_evict of { evictions : int }
-  | Reset of { table : string }
   | Hang of { total : int }
   | Crash of { exn : string; site : int; fresh : bool; total : int }
   | Fault of { kind : string }
@@ -57,17 +52,12 @@ type stamped = { t_ns : int; exec : int; ev : t }
 let kind = function
   | Run_meta _ -> "run_meta"
   | Cell _ -> "cell"
-  | Exec_start _ -> "exec_start"
   | Exec_done _ -> "exec_done"
   | Valid _ -> "valid"
   | Queue_push _ -> "queue_push"
   | Queue_pop _ -> "queue_pop"
-  | Queue_rerank _ -> "queue_rerank"
-  | Queue_trunc _ -> "queue_trunc"
   | Cache_hit _ -> "cache_hit"
   | Cache_miss -> "cache_miss"
-  | Cache_evict _ -> "cache_evict"
-  | Reset _ -> "reset"
   | Hang _ -> "hang"
   | Crash _ -> "crash"
   | Fault _ -> "fault"
@@ -97,7 +87,6 @@ let fields ev =
       ("sample", I m.sample);
     ]
   | Cell c -> [ ("tool", S c.tool); ("subject", S c.subject); ("seed", I c.seed) ]
-  | Exec_start e -> [ ("len", I e.len); ("prefix", I e.prefix) ]
   | Exec_done e ->
     [
       ("dur_ns", I e.dur_ns);
@@ -112,12 +101,8 @@ let fields ev =
   | Valid v -> [ ("input", S v.input); ("cov", I v.cov); ("count", I v.count) ]
   | Queue_push q -> [ ("prio", F q.prio); ("len", I q.len); ("depth", I q.depth) ]
   | Queue_pop q -> [ ("prio", F q.prio); ("len", I q.len); ("depth", I q.depth) ]
-  | Queue_rerank q -> [ ("depth", I q.depth) ]
-  | Queue_trunc q -> [ ("dropped", I q.dropped); ("depth", I q.depth) ]
   | Cache_hit c -> [ ("saved", I c.saved) ]
   | Cache_miss -> []
-  | Cache_evict c -> [ ("evictions", I c.evictions) ]
-  | Reset r -> [ ("table", S r.table) ]
   | Hang h -> [ ("total", I h.total) ]
   | Crash c ->
     [
@@ -227,8 +212,6 @@ let of_fields fields =
           subject = str_field f "subject";
           seed = int_field f "seed";
         }
-    | "exec_start" ->
-      Exec_start { len = int_field f "len"; prefix = int_field f "prefix" }
     | "exec_done" ->
       Exec_done
         {
@@ -262,13 +245,8 @@ let of_fields fields =
           len = int_field f "len";
           depth = int_field f "depth";
         }
-    | "queue_rerank" -> Queue_rerank { depth = int_field f "depth" }
-    | "queue_trunc" ->
-      Queue_trunc { dropped = int_field f "dropped"; depth = int_field f "depth" }
     | "cache_hit" -> Cache_hit { saved = int_field f "saved" }
     | "cache_miss" -> Cache_miss
-    | "cache_evict" -> Cache_evict { evictions = int_field f "evictions" }
-    | "reset" -> Reset { table = str_field f "table" }
     | "hang" -> Hang { total = int_field f "total" }
     | "crash" ->
       Crash

@@ -16,13 +16,11 @@ type t =
       incremental : bool;
       sample : int;
           (** the observer's sample rate: exec-level events and phase
-              spans cover 1 in [sample] executions; 1 when a trace
+              spans cover 1 in [sample] loop iterations; 1 when a trace
               predates the field *)
     }  (** first event of a fuzzing run *)
   | Cell of { tool : string; subject : string; seed : int }
       (** marks the start of one evaluation-grid cell in a merged trace *)
-  | Exec_start of { len : int; prefix : int }
-      (** an execution begins; [prefix] is the inherited-prefix hint *)
   | Exec_done of {
       dur_ns : int;  (** full processing span, including child generation *)
       verdict : string;  (** "accepted", "rejected" or "hang" *)
@@ -36,12 +34,8 @@ type t =
   | Valid of { input : string; cov : int; count : int }
   | Queue_push of { prio : float; len : int; depth : int }
   | Queue_pop of { prio : float; len : int; depth : int }
-  | Queue_rerank of { depth : int }
-  | Queue_trunc of { dropped : int; depth : int }
   | Cache_hit of { saved : int }  (** [saved] prefix chars not re-parsed *)
   | Cache_miss
-  | Cache_evict of { evictions : int }  (** cumulative eviction count *)
-  | Reset of { table : string }  (** "dedupe" or "path" generational reset *)
   | Hang of { total : int }
       (** an execution exhausted its fuel ([Ctx.Out_of_fuel]); [total]
           is the cumulative hang count *)

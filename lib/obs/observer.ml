@@ -1,10 +1,8 @@
 type t = {
   clock : unit -> int;
   t0 : int;
-  sink : Trace.sink option;  (* file sink and/or flight-recorder ring *)
-  ring : Trace.ring option;
-  postmortem : string option;  (* path prefix for flight-recorder dumps *)
-  sample : int;  (* exec-level events recorded 1-in-[sample] *)
+  sink : Trace.sink option;
+  sample : int;  (* loop iterations recorded 1-in-[sample] *)
   progress : Progress.t option;
   phase_ns : int array;  (* cumulative span per Phase.t, always kept *)
   phase_hist : Pdf_util.Stats.Histogram.t array option;  (* iff metrics *)
@@ -15,24 +13,13 @@ type t = {
   mutable last_snap_exec : int;
 }
 
-let create ?(clock = Clock.now_ns) ?sink ?ring ?postmortem ?(sample = 1)
-    ?metrics ?progress () =
+let create ?(clock = Clock.now_ns) ?sink ?(sample = 1) ?metrics ?progress () =
   if sample < 1 then invalid_arg "Observer.create: sample must be >= 1";
   let t0 = clock () in
   {
     clock;
     t0;
-    (* The ring is just another sink: events reach it through the same
-       emission path, so it sees exactly what a file trace would —
-       including the sampling filter. *)
-    sink =
-      (match (sink, ring) with
-       | None, None -> None
-       | Some s, None -> Some s
-       | None, Some r -> Some (Trace.ring_sink r)
-       | Some s, Some r -> Some (Trace.tee s (Trace.ring_sink r)));
-    ring;
-    postmortem;
+    sink;
     sample;
     progress;
     phase_ns = Array.make Phase.count 0;
@@ -60,25 +47,24 @@ let create ?(clock = Clock.now_ns) ?sink ?ring ?postmortem ?(sample = 1)
 let tracing t = t.sink <> None
 let now_ns t = t.clock () - t.t0
 
-(* Deterministic on the execution index alone — never on wall clock —
-   so jobs:1 and jobs:N shards sample identical executions and merged
-   traces stay reproducible. [sample = 1] keeps every event. *)
-let sampled t ~exec = t.sample <= 1 || exec mod t.sample = 0
+(* A 62-bit finalizer in the style of SplitMix64's: every bit of [exec]
+   reaches the low bits the modulus reads. [exec mod sample] alone would
+   not do: an iteration runs one or two executions, so a fixed residue
+   lands on the extension probe far more often than on the candidate. *)
+let mix x =
+  let x = (x lxor (x lsr 31)) * 0x3C79AC492BA7B653 in
+  let x = (x lxor (x lsr 29)) * 0x1C69B3F74AC4AE35 in
+  (x lxor (x lsr 32)) land max_int
+
+(* Deterministic on the execution count alone — never on wall clock —
+   so jobs:1 and jobs:N shards sample identical iterations and merged
+   traces stay reproducible. [sample = 1] keeps every iteration. *)
+let sampled t ~exec = t.sample <= 1 || mix exec mod t.sample = 0
 
 let emit t ~exec ev =
   match t.sink with
   | None -> ()
   | Some sink -> sink.Trace.emit { Event.t_ns = now_ns t; exec; ev }
-
-(* {1 Flight recorder} *)
-
-let flight_dump t ~reason =
-  match (t.ring, t.postmortem) with
-  | Some r, Some prefix ->
-    let path = Printf.sprintf "%s-%s.jsonl" prefix reason in
-    Trace.dump_ring r path;
-    Some path
-  | _ -> None
 
 (* {1 Phase spans} *)
 

@@ -1,23 +1,21 @@
 (** The fuzzer-facing telemetry handle, bundling a trace sink, a
-    flight-recorder ring, a metrics registry and a live progress line
-    behind one optional value.
+    metrics registry and a live progress line behind one optional
+    value.
 
     The contract with the hot path: the fuzzer holds an [Observer.t
     option]; with [None] nothing is computed — no event construction, no
     clock reads, no allocation. With an observer installed, phase spans
     cost two monotonic clock reads each and trace events one small
-    allocation — but only on executions the sampling predicate selects,
-    so sampled modes run within a few percent of [None]. perfbench's
-    [observed] workload measures the sampled mode ([obs.overhead_frac]
-    in its traced run). *)
+    allocation — but only in loop iterations the sampling predicate
+    selects, so sampled modes run within a few percent of [None].
+    perfbench's [observed] workload measures the sampled mode
+    ([obs.overhead_frac] in its traced run). *)
 
 type t
 
 val create :
   ?clock:(unit -> int) ->
   ?sink:Trace.sink ->
-  ?ring:Trace.ring ->
-  ?postmortem:string ->
   ?sample:int ->
   ?metrics:Metrics.t ->
   ?progress:Progress.t ->
@@ -25,42 +23,32 @@ val create :
   t
 (** All parts optional: sink-only gives tracing, progress-only gives the
     live line, metrics adds per-phase histograms (registered as
-    [phase/<name>_ns]). [ring] attaches a flight recorder — it receives
-    the same (sampled) event stream as the sink, with or without one.
-    [postmortem] is the path prefix {!flight_dump} writes under.
-    [sample] records exec-level events for 1-in-N executions (default 1
-    = everything); raises [Invalid_argument] when < 1. [clock] overrides
-    the monotonic clock for deterministic tests. *)
+    [phase/<name>_ns]). [sample] records exec-level events and phase
+    spans for 1 in N loop iterations (default 1 = everything); raises
+    [Invalid_argument] when < 1. [clock] overrides the monotonic clock
+    for deterministic tests. *)
 
 val tracing : t -> bool
-(** Is a sink or ring attached? Event construction should be guarded on
-    this. *)
+(** Is a sink attached? Event construction should be guarded on this. *)
 
 val sampled : t -> exec:int -> bool
-(** Should exec-level events for this execution index be recorded?
-    Deterministic on the index alone (never wall clock), so jobs:1 and
-    jobs:N shards sample identical executions; always true at
+(** Should the loop iteration that starts at execution count [exec] be
+    recorded? The fuzzer asks once per iteration, and every exec-level
+    event and phase span of that iteration follows the answer. It is a
+    deterministic hash of the count (never wall clock), so jobs:1 and
+    jobs:N shards sample identical iterations; always true at
     [sample = 1]. Structural events (valid, crash, hang, fault, rescue,
-    lifecycle) are not subject to sampling. The fuzzer gates its phase
-    spans on the same predicate, so at [sample > 1] the span totals and
-    histograms cover only the sampled executions — that is what keeps
-    the sampled and flight-recorder modes within a few percent of an
-    unobserved run. *)
+    lifecycle) are not subject to sampling. At [sample > 1] the span
+    totals and histograms cover only the sampled iterations — that is
+    what keeps the sampled mode within a few percent of an unobserved
+    run. *)
 
 val now_ns : t -> int
 (** Nanoseconds since the observer was created. *)
 
 val emit : t -> exec:int -> Event.t -> unit
 (** Stamp with the current clock and the given execution count, and
-    forward to the sink and ring (no-op without either). *)
-
-(** {1 Flight recorder} *)
-
-val flight_dump : t -> reason:string -> string option
-(** Dump the ring's retained events to [<postmortem>-<reason>.jsonl]
-    (atomic), returning the path. [None] when no ring or no postmortem
-    prefix is attached. Called on fresh crashes, hangs, fault-drill
-    triggers and worker deaths. *)
+    forward to the sink (no-op without one). *)
 
 (** {1 Phase spans} *)
 

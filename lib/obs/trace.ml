@@ -23,66 +23,6 @@ let buffer () =
     },
     fun () -> Buffer.contents buf )
 
-let tee a b =
-  {
-    emit =
-      (fun ev ->
-        a.emit ev;
-        b.emit ev);
-    close =
-      (fun () ->
-        a.close ();
-        b.close ());
-  }
-
-(* {1 Flight recorder}
-
-   A fixed-capacity ring of the most recent stamped events. Emission is
-   one array store and a counter bump — no serialization, no I/O — so it
-   can stay attached even when file tracing is off. JSON is paid only
-   when a post-mortem is actually dumped. *)
-
-type ring = {
-  ring_events : Event.stamped array;
-  ring_capacity : int;
-  mutable ring_total : int;
-}
-
-let ring capacity =
-  if capacity <= 0 then invalid_arg "Trace.ring: capacity must be positive";
-  {
-    ring_events =
-      Array.make capacity { Event.t_ns = 0; exec = 0; ev = Event.Cache_miss };
-    ring_capacity = capacity;
-    ring_total = 0;
-  }
-
-let ring_sink r =
-  {
-    emit =
-      (fun ev ->
-        r.ring_events.(r.ring_total mod r.ring_capacity) <- ev;
-        r.ring_total <- r.ring_total + 1);
-    close = (fun () -> ());
-  }
-
-let ring_total r = r.ring_total
-let ring_capacity r = r.ring_capacity
-
-let ring_events r =
-  let n = min r.ring_total r.ring_capacity in
-  let start = r.ring_total - n in
-  List.init n (fun i -> r.ring_events.((start + i) mod r.ring_capacity))
-
-let dump_ring r path =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf (Event.to_json_line ev);
-      Buffer.add_char buf '\n')
-    (ring_events r);
-  Pdf_util.Atomic_file.write_string path (Buffer.contents buf)
-
 (* {1 Chrome trace_event conversion}
 
    Writes the JSON-array flavour of the trace_event format, loadable in
@@ -187,6 +127,17 @@ let chrome oc =
 
 (* {1 Reading and normalizing} *)
 
+(* Kinds that older builds emitted from the search loop and nothing
+   read. Their lines are skipped, so those traces still load; any other
+   kind this build does not know is an error. *)
+let retired = [ "exec_start"; "queue_rerank"; "queue_trunc"; "cache_evict"; "reset" ]
+
+let is_retired line =
+  match List.assoc_opt "ev" (Json.parse_flat line) with
+  | Some (Json.S kind) -> List.mem kind retired
+  | _ -> false
+  | exception Json.Malformed _ -> false
+
 let read_channel ic =
   let rec go acc lineno =
     match input_line ic with
@@ -195,6 +146,7 @@ let read_channel ic =
     | line ->
       (match Event.of_json_line line with
        | ev -> go (ev :: acc) (lineno + 1)
+       | exception Json.Malformed _ when is_retired line -> go acc (lineno + 1)
        | exception Json.Malformed m ->
          failwith (Printf.sprintf "trace line %d: %s" lineno m))
   in

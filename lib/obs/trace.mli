@@ -1,8 +1,8 @@
 (** Trace sinks: where stamped events go.
 
-    A sink is a pair of closures, so callers can compose them ({!tee})
-    or buffer per-shard and merge deterministically afterwards
-    ({!buffer}, used by the parallel evaluation grid). The fuzzer holds
+    A sink is a pair of closures, so callers can buffer per-shard and
+    merge deterministically afterwards ({!buffer}, used by the parallel
+    evaluation grid and distributed workers). The fuzzer holds
     an optional observer; with no observer installed the hot path pays
     nothing — not even event construction. *)
 
@@ -29,37 +29,12 @@ val chrome : out_channel -> sink
 val buffer : unit -> sink * (unit -> string)
 (** In-memory JSONL sink and an accessor for its contents so far. *)
 
-val tee : sink -> sink -> sink
-
-(** {1 Flight recorder} *)
-
-type ring
-(** A fixed-capacity ring of the most recent stamped events, for
-    post-mortem dumps. Emission is one array store — no serialization —
-    so the recorder can stay attached even with file tracing off. *)
-
-val ring : int -> ring
-(** [ring capacity]. Raises [Invalid_argument] on capacity <= 0. *)
-
-val ring_sink : ring -> sink
-
-val ring_events : ring -> Event.stamped list
-(** Retained events, oldest first: the last [capacity] emitted (fewer if
-    the ring never wrapped). *)
-
-val ring_total : ring -> int
-(** Events emitted over the ring's lifetime, including overwritten ones. *)
-
-val ring_capacity : ring -> int
-
-val dump_ring : ring -> string -> unit
-(** Atomically write the retained events as JSONL to a path (via
-    {!Pdf_util.Atomic_file}); a crash mid-dump never leaves a truncated
-    post-mortem. *)
-
 val read_file : string -> Event.stamped list
-(** Parse a JSONL trace file; blank lines are skipped. Raises [Failure]
-    with the offending line number on malformed input. *)
+(** Parse a JSONL trace file. Blank lines are skipped, and so are lines
+    of the five event kinds that older builds emitted from the search
+    loop and this one no longer has, so their traces still load. Raises
+    [Failure] with the offending line number on malformed input,
+    including a line of any other unknown kind. *)
 
 val normalize_line : string -> string
 (** Zero the wall-clock-dependent fields ([t], any [*_ns],

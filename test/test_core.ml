@@ -152,16 +152,6 @@ let test_small_queue_bound () =
   Alcotest.(check bool) "still finds inputs with a tiny queue" true
     (List.length result.valid_inputs > 0)
 
-let test_dedupe_off () =
-  let subject = Catalog.find "expr" in
-  let result =
-    Pfuzzer.fuzz
-      { Pfuzzer.default_config with max_executions = 1500; dedupe = false }
-      subject
-  in
-  Alcotest.(check bool) "works without dedupe" true
-    (List.length result.valid_inputs > 0)
-
 let test_max_input_len () =
   let subject = Catalog.find "paren" in
   let result =
@@ -367,13 +357,18 @@ let test_checkpoint_digest_before_version () =
   expect_decode_error "skew then rot" (Bytes.to_string skew_then_rot)
     "digest mismatch"
 
-(* [fixtures/checkpoint-v3.bin] is a paren checkpoint encoded by the
-   last v3 build, whose [config] still carried [engine] and [batch]. Its
-   digest is intact, so only the version byte stands between it and an
+(* [fixtures/checkpoint-v<N>.bin] are paren checkpoints encoded by the
+   last build of each older version: v3's [config] still carried
+   [engine] and [batch], v4's still carried [dedupe]. Their digests are
+   intact, so only the version byte stands between them and an
    unmarshal into the wrong record layout. *)
 let test_checkpoint_v3_rejected () =
-  let enc = In_channel.with_open_bin "fixtures/checkpoint-v3.bin" In_channel.input_all in
-  expect_decode_error "v3 fixture" enc "version mismatch"
+  List.iter
+    (fun v ->
+      let path = Printf.sprintf "fixtures/checkpoint-v%d.bin" v in
+      let enc = In_channel.with_open_bin path In_channel.input_all in
+      expect_decode_error (Printf.sprintf "v%d fixture" v) enc "version mismatch")
+    [ 3; 4 ]
 
 let test_checkpoint_file_roundtrip () =
   let _, ck, _ = capture_checkpoint "csv" in
@@ -650,7 +645,6 @@ let () =
           Alcotest.test_case "first_valid_at" `Quick test_first_valid_at;
           Alcotest.test_case "queue statistics" `Quick test_queue_stats;
           Alcotest.test_case "small queue bound" `Quick test_small_queue_bound;
-          Alcotest.test_case "dedupe off" `Quick test_dedupe_off;
           Alcotest.test_case "max input length" `Quick test_max_input_len;
           Alcotest.test_case "works on table-driven subjects" `Quick
             test_fuzzer_on_table_subject;

@@ -37,8 +37,6 @@ let golden =
            }),
       {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true,"sample":1}|}
     );
-    ( stamp 10 1 (Event.Exec_start { len = 3; prefix = 2 }),
-      {|{"ev":"exec_start","t":10,"n":1,"len":3,"prefix":2}|} );
     ( stamp 20 1
         (Event.Exec_done
            {
@@ -60,8 +58,6 @@ let golden =
     ( stamp 50 2 (Event.Cache_hit { saved = 7 }),
       {|{"ev":"cache_hit","t":50,"n":2,"saved":7}|} );
     ( stamp 55 2 Event.Cache_miss, {|{"ev":"cache_miss","t":55,"n":2}|} );
-    ( stamp 60 3 (Event.Reset { table = "dedupe" }),
-      {|{"ev":"reset","t":60,"n":3,"table":"dedupe"}|} );
     ( stamp 70 4
         (Event.Snapshot
            {
@@ -210,7 +206,7 @@ let test_observer_stamps () =
   let sink, contents = Trace.buffer () in
   let obs = Observer.create ~clock ~sink () in
   Observer.emit obs ~exec:3 Event.Cache_miss;
-  Observer.emit obs ~exec:4 (Event.Reset { table = "path" });
+  Observer.emit obs ~exec:4 (Event.Hang { total = 1 });
   let lines = String.split_on_char '\n' (String.trim (contents ())) in
   let parsed = List.map Event.of_json_line lines in
   (match parsed with
@@ -221,7 +217,7 @@ let test_observer_stamps () =
      check Alcotest.int "second stamp" 200 b.Event.t_ns;
      check Alcotest.int "exec clock carried" 3 a.Event.exec;
      check Alcotest.bool "kinds" true
-       (a.Event.ev = Event.Cache_miss && b.Event.ev = Event.Reset { table = "path" })
+       (a.Event.ev = Event.Cache_miss && b.Event.ev = Event.Hang { total = 1 })
    | _ -> Alcotest.fail "expected exactly two lines");
   check Alcotest.bool "tracing on" true (Observer.tracing obs);
   check Alcotest.bool "tracing off" false
@@ -281,8 +277,6 @@ let test_traced_run_schema () =
       last_exec := s.exec)
     events;
   let count p = List.length (List.filter p events) in
-  check Alcotest.int "one exec_start per execution" result.executions
-    (count (fun s -> match s.Event.ev with Event.Exec_start _ -> true | _ -> false));
   check Alcotest.int "one exec_done per execution" result.executions
     (count (fun s -> match s.Event.ev with Event.Exec_done _ -> true | _ -> false));
   check Alcotest.int "one valid event per valid input"
@@ -563,74 +557,6 @@ let test_fleet_totals () =
   check Alcotest.int "histograms merge" 3
     (Histogram.count (List.assoc "phase/exec_ns" t.Metrics.histograms))
 
-(* {1 Flight recorder: wraparound and dump determinism} *)
-
-let test_ring_wraparound () =
-  let r = Trace.ring 4 in
-  let sink = Trace.ring_sink r in
-  for i = 1 to 10 do
-    Trace.emit sink (stamp (i * 10) i (Event.Cache_hit { saved = i }))
-  done;
-  check Alcotest.int "total emitted" 10 (Trace.ring_total r);
-  check Alcotest.int "capacity" 4 (Trace.ring_capacity r);
-  check
-    Alcotest.(list int)
-    "retains the newest events, oldest first" [ 7; 8; 9; 10 ]
-    (List.map (fun (s : Event.stamped) -> s.exec) (Trace.ring_events r));
-  (* Under capacity: everything retained, no dummy slots visible. *)
-  let r2 = Trace.ring 8 in
-  let sink2 = Trace.ring_sink r2 in
-  for i = 1 to 3 do
-    Trace.emit sink2 (stamp i i Event.Cache_miss)
-  done;
-  check Alcotest.int "partial fill" 3 (List.length (Trace.ring_events r2));
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Trace.ring: capacity must be positive") (fun () ->
-      ignore (Trace.ring 0))
-
-let test_ring_dump_deterministic () =
-  let r = Trace.ring 3 in
-  let sink = Trace.ring_sink r in
-  for i = 1 to 5 do
-    Trace.emit sink (stamp (i * 7) i (Event.Rescue { prefix = i }))
-  done;
-  let path = Filename.temp_file "pdf_obs" ".ring.jsonl" in
-  Trace.dump_ring r path;
-  let once = Pdf_util.Atomic_file.read_string path in
-  Trace.dump_ring r path;
-  let twice = Pdf_util.Atomic_file.read_string path in
-  Sys.remove path;
-  check Alcotest.string "dumping twice writes identical bytes" once twice;
-  check Alcotest.string "dump is the retained events as JSONL"
-    (String.concat ""
-       (List.map (fun s -> Event.to_json_line s ^ "\n") (Trace.ring_events r)))
-    once
-
-let test_observer_flight_dump () =
-  let dir = Filename.temp_dir "pdf_obs" "" in
-  let prefix = Filename.concat dir "pm" in
-  let obs =
-    Observer.create ~ring:(Trace.ring 16) ~postmortem:prefix ()
-  in
-  Observer.emit obs ~exec:1 (Event.Hang { total = 1 });
-  (match Observer.flight_dump obs ~reason:"hang" with
-   | None -> Alcotest.fail "flight_dump returned no path"
-   | Some path ->
-     check Alcotest.string "dump path" (prefix ^ "-hang.jsonl") path;
-     let content = Pdf_util.Atomic_file.read_string path in
-     check Alcotest.bool "dump holds the hang event" true
-       (match String.index_opt content '\n' with
-        | None -> false
-        | Some _ ->
-          (match (Event.of_json_line (List.hd (String.split_on_char '\n' content))).Event.ev with
-           | Event.Hang h -> h.total = 1
-           | _ -> false));
-     Sys.remove path);
-  Unix.rmdir dir;
-  (* No ring or no prefix: dump is a no-op. *)
-  check Alcotest.bool "no ring, no dump" true
-    (Observer.flight_dump (Observer.create ()) ~reason:"x" = None)
-
 (* {1 Sampled tracing: 1/1 is today's full trace, 1/N is deterministic} *)
 
 let sampled_trace ?sample () =
@@ -658,10 +584,7 @@ let test_sampling_thins_exec_events () =
   let result', sampled = sampled_trace ~sample:100 () in
   check Alcotest.int "fuzzing result unaffected by sampling"
     result.Pfuzzer.executions result'.Pfuzzer.executions;
-  let is_exec = function
-    | Event.Exec_start _ | Event.Exec_done _ -> true
-    | _ -> false
-  in
+  let is_exec = function Event.Exec_done _ -> true | _ -> false in
   let full_exec = count_events is_exec full in
   let sampled_exec = count_events is_exec sampled in
   check Alcotest.bool "exec-level events thinned" true
@@ -679,6 +602,95 @@ let test_sampling_thins_exec_events () =
   Alcotest.check_raises "sample must be >= 1"
     (Invalid_argument "Observer.create: sample must be >= 1") (fun () ->
       ignore (Observer.create ~sample:0 ()))
+
+(* Sampling is per loop iteration and uniform over the loop: at 1 in 10,
+   every exec-level kind and every phase's span count lands near a tenth
+   of the full run's. Keying on the execution index instead skews them:
+   an iteration runs one or two executions and queues children only
+   after the second, so a fixed residue over-weights the extension probe
+   (always a cache hit) and the children it queues. Structural events
+   are never sampled. *)
+let test_sampling_is_uniform () =
+  let run sample =
+    let subject = Catalog.find "json" in
+    let config = { Pfuzzer.default_config with seed = 1; max_executions = 20_000 } in
+    let sink, contents = Trace.buffer () in
+    let metrics = Metrics.create () in
+    let obs = Observer.create ~sink ~sample ~metrics () in
+    ignore (Pfuzzer.fuzz ~obs config subject);
+    let kinds = Hashtbl.create 16 in
+    String.split_on_char '\n' (contents ())
+    |> List.iter (fun l ->
+           if l <> "" then begin
+             let k = Event.kind (Event.of_json_line l).Event.ev in
+             Hashtbl.replace kinds k (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k))
+           end);
+    let spans =
+      List.map
+        (fun p ->
+          let name = Phase.name p in
+          (name, Histogram.count (Metrics.histogram metrics ("phase/" ^ name ^ "_ns"))))
+        Phase.all
+    in
+    (kinds, spans)
+  in
+  let full_kinds, full_spans = run 1 and kinds, spans = run 10 in
+  let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  let near what full got =
+    let expected = float_of_int full /. 10.0 in
+    if Float.abs (float_of_int got -. expected) > 0.25 *. expected then
+      Alcotest.failf "%s: %d at sample 10, expected %.0f +- 25%%" what got expected
+  in
+  let structural =
+    [ "run_meta"; "valid"; "hang"; "crash"; "fault"; "rescue"; "phases"; "run_done" ]
+  in
+  List.iter
+    (fun k -> check Alcotest.int (k ^ " never sampled") (count full_kinds k) (count kinds k))
+    structural;
+  Hashtbl.iter
+    (fun k full -> if not (List.mem k structural) then near k full (count kinds k))
+    full_kinds;
+  List.iter2
+    (fun (name, full) (_, got) ->
+      check Alcotest.bool (name ^ " spans recorded") true (full > 0);
+      near ("phase " ^ name ^ " spans") full got)
+    full_spans spans
+
+(* {1 Traces from older builds} *)
+
+(* One line of each kind the search loop used to emit, as the last build
+   that had them wrote it: reading skips them, and nothing else. *)
+let test_read_file_skips_retired_kinds () =
+  let first = stamp 1 1 (Event.Cache_hit { saved = 3 }) in
+  let last = stamp 9 2 (Event.Hang { total = 1 }) in
+  let write lines =
+    let path = Filename.temp_file "pdf_obs" ".jsonl" in
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    path
+  in
+  let read lines =
+    let path = write lines in
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Trace.read_file path)
+  in
+  let retired =
+    [
+      {|{"ev":"exec_start","t":2,"n":1,"len":3,"prefix":2}|};
+      {|{"ev":"queue_rerank","t":3,"n":1,"depth":9}|};
+      {|{"ev":"queue_trunc","t":4,"n":1,"dropped":5,"depth":9}|};
+      {|{"ev":"cache_evict","t":5,"n":1,"evictions":3}|};
+      {|{"ev":"reset","t":6,"n":2,"table":"dedupe"}|};
+    ]
+  in
+  check Alcotest.bool "retired kinds skipped" true
+    (read ((Event.to_json_line first :: retired) @ [ Event.to_json_line last ])
+     = [ first; last ]);
+  (* A kind no build ever emitted is still an error. *)
+  match read [ Event.to_json_line first; {|{"ev":"exec_begin","t":2,"n":1}|} ] with
+  | _ -> Alcotest.fail "an unknown kind was accepted"
+  | exception Failure m ->
+    check Alcotest.bool ("unknown kind names its line: " ^ m) true
+      (String.starts_with ~prefix:"trace line 2: " m)
 
 (* {1 jobs:1 ≡ jobs:N merged-trace determinism} *)
 
@@ -742,20 +754,19 @@ let () =
           qtest prop_fleet_duplicate_delivery;
           Alcotest.test_case "totals" `Quick test_fleet_totals;
         ] );
-      ( "flight recorder",
-        [
-          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "dump determinism" `Quick
-            test_ring_dump_deterministic;
-          Alcotest.test_case "observer flight dump" `Quick
-            test_observer_flight_dump;
-        ] );
       ( "sampling",
         [
           Alcotest.test_case "sample 1 is the full trace" `Quick
             test_sample_one_is_full_trace;
           Alcotest.test_case "sample N thins exec events" `Quick
             test_sampling_thins_exec_events;
+          Alcotest.test_case "sampling is uniform over iterations" `Quick
+            test_sampling_is_uniform;
+        ] );
+      ( "older traces",
+        [
+          Alcotest.test_case "retired kinds are skipped" `Quick
+            test_read_file_skips_retired_kinds;
         ] );
       ( "traced run",
         [

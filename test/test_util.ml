@@ -557,6 +557,50 @@ let test_atomic_stage_abort_idempotent () =
       check Alcotest.bool "destination never created" false (Sys.file_exists path);
       check Alcotest.(array string) "directory clean" [||] (Sys.readdir dir))
 
+(* {1 Envelope} *)
+
+module Envelope = Pdf_util.Envelope
+
+let spec = { Envelope.magic = "pftest"; version = 3; noun = "test envelope" }
+
+(* An envelope around [payload] bytes, digest intact. *)
+let wrap payload =
+  spec.magic ^ String.make 1 (Char.chr spec.version) ^ Digest.string payload ^ payload
+
+let test_envelope_round_trip_in_place () =
+  let v = ([ 1; 2; 3 ], "three") in
+  let e = Envelope.encode spec v in
+  check Alcotest.string "encode is the documented layout"
+    (wrap (Marshal.to_string v [])) e;
+  (* Decoded where it sits, between unrelated bytes. *)
+  let s = "junk" ^ e ^ "more junk" in
+  match
+    (Envelope.decode spec s ~pos:4 ~len:(String.length e)
+      : (int list * string, string) result)
+  with
+  | Ok v' -> check Alcotest.bool "round trip" true (v = v')
+  | Error m -> Alcotest.fail m
+
+(* [Marshal.from_string] reads to the end of the image, wherever the
+   envelope ends: an image with a tail, or one cut short while the rest
+   of its bytes follow the envelope, must be unreadable even though its
+   digest, which covers exactly the envelope's payload, is intact. *)
+let test_envelope_payload_size () =
+  let image = Marshal.to_string (List.init 50 Fun.id) [] in
+  let unreadable what s ~len =
+    match (Envelope.decode spec s ~pos:0 ~len : (int list, string) result) with
+    | Ok _ -> Alcotest.failf "%s decoded" what
+    | Error m ->
+      check Alcotest.string what "test envelope payload unreadable (truncated or incompatible)" m
+  in
+  let tailed = wrap (image ^ "xx") in
+  unreadable "image with a tail" tailed ~len:(String.length tailed);
+  let cut = String.length image - 3 in
+  let short = wrap (String.sub image 0 cut) in
+  unreadable "image cut short" (short ^ String.sub image cut 3) ~len:(String.length short);
+  let tiny = wrap "abc" in
+  unreadable "payload shorter than a header" tiny ~len:(String.length tiny)
+
 let () =
   Alcotest.run "pdf_util"
     [
@@ -621,6 +665,13 @@ let () =
             test_atomic_with_out_commit_and_abort;
           Alcotest.test_case "abort is idempotent" `Quick
             test_atomic_stage_abort_idempotent;
+        ] );
+      ( "envelope",
+        [
+          Alcotest.test_case "round trip in place" `Quick
+            test_envelope_round_trip_in_place;
+          Alcotest.test_case "payload size must match" `Quick
+            test_envelope_payload_size;
         ] );
       ( "render",
         [
