@@ -367,14 +367,29 @@ module Paths = struct
     !acc
 end
 
+(* The incremental engine: a machine-form parser, the prefix cache that
+   maps an input prefix to the snapshot suspended at its end, and the
+   journals of the current loop iteration's runs, newest first (after
+   the extension probe, its journal and then the candidate's). The
+   journals are cleared at the top of every iteration, so a snapshot
+   taken from them belongs to an input of this iteration. *)
+type engine = {
+  machine : Pdf_instr.Machine.recognizer;
+  cache : Runner.Cache.t;
+  mutable journal : Runner.journal option;
+  mutable prev_journal : Runner.journal option;
+  (* Extension probes that resumed from their candidate's journal, and
+     the prefix characters they skipped: hits the cache never saw. *)
+  mutable journal_hits : int;
+  mutable journal_chars_saved : int;
+}
+
 type state = {
   config : config;
   subject : Subject.t;
-  (* The incremental engine: present only when the config enables it and
-     the subject ships a machine-form parser. [cache] maps an input
-     prefix to the snapshot suspended at its end. *)
-  machine : Pdf_instr.Machine.recognizer option;
-  cache : Runner.Cache.t option;
+  (* Present only when the config enables incremental execution and the
+     subject ships a machine-form parser. *)
+  engine : engine option;
   rng : Rng.t;
   queue : Candidate.t Pqueue.t;
   on_queue_event : (queue_event -> unit) option;
@@ -484,11 +499,11 @@ let[@inline] span_next st phase t0 =
   else match st.obs with None -> 0 | Some o -> Obs.span_next o phase t0
 
 let cache_counters st =
-  match st.cache with
+  match st.engine with
   | None -> (0, 0)
-  | Some cache ->
-    let s = Runner.Cache.stats cache in
-    (s.Runner.Cache.hits, s.Runner.Cache.misses)
+  | Some e ->
+    let s = Runner.Cache.stats e.cache in
+    (s.Runner.Cache.hits + e.journal_hits, s.Runner.Cache.misses)
 
 let maybe_snapshot st =
   match st.obs with
@@ -506,27 +521,42 @@ let maybe_snapshot st =
 
 exception Budget_exhausted
 
-(* Cache the suspension at input position [pos]. The presence probe
-   hashes the prefix in place; the prefix string is only materialised
-   for a genuine store (a miss), which the steady state almost never
-   takes. *)
-let remember_at cache journal input pos =
-  if pos > 0 && pos <= String.length input
-     && not (Runner.Cache.mem_prefix cache input ~len:pos)
-  then
-    match Runner.snapshot_at journal pos with
-    | Some snap -> Runner.Cache.store cache (String.sub input 0 pos) snap
-    | None -> ()
+(* The cache holds only prefixes a queued input will read: a snapshot
+   stays resident for thousands of executions, long enough to be
+   promoted to the major heap, so one that nothing reads costs more
+   than the re-parse it could save. Two stores qualify. The miss store
+   (in [execute]) caches the prefix a miss consulted, which the
+   candidate's queued siblings share; the children store
+   ([remember_children]) caches the prefix shared by the children
+   [add_inputs] just queued. The extension probe needs neither: it
+   resumes from its candidate's own journal.
 
-(* After an incremental run, remember the suspensions future executions
-   will want: the one at the substitution index (children are
-   [prefix ^ repl] sharing exactly that prefix) and the one at the end of
-   the input (the extension probe [input ^ c] resumes there). *)
-let remember_snapshots cache journal (run : Runner.run) =
-  (match Runner.substitution_index run with
-   | Some i -> remember_at cache journal run.input i
-   | None -> ());
-  remember_at cache journal run.input (String.length run.input)
+   [remember] caches [snap], the suspension at input position [pos];
+   the prefix string is only materialised here, for a genuine store. *)
+let remember cache input pos snap =
+  match snap with
+  | Some snap -> Runner.Cache.store cache (String.sub input 0 pos) snap
+  | None -> ()
+
+(* The children store: [add_inputs] just queued children sharing
+   [input]'s first [pos] characters. The suspension there comes from
+   the newest journal of this loop iteration that read position [pos];
+   the presence probe hashes the prefix in place, so an already-cached
+   prefix costs no allocation. *)
+let remember_children st input pos =
+  match st.engine with
+  | None -> ()
+  | Some e ->
+    let t_store = span_begin st in
+    if pos > 0 && not (Runner.Cache.mem_prefix e.cache input ~len:pos) then
+      remember e.cache input pos
+        (match e.journal with
+         | None -> None
+         | Some j -> (
+           match Runner.snapshot_at j pos, e.prev_journal with
+           | None, Some older -> Runner.snapshot_at older pos
+           | found, _ -> found));
+    span_end st Phase.Cache t_store
 
 (* Busy-wait used by [Slow] faults: deterministic work the optimizer
    cannot delete, with no observable effect besides wall clock. *)
@@ -563,8 +593,8 @@ let faulted_run st kind input =
     spin n;
     None
   | Fault.Corrupt_cache ->
-    (match st.cache with
-     | Some cache -> Runner.Cache.corrupt_all cache
+    (match st.engine with
+     | Some e -> Runner.Cache.corrupt_all e.cache
      | None -> ());
     None
   | Fault.Kill_worker ->
@@ -575,10 +605,12 @@ let faulted_run st kind input =
 (* One execution of the subject. [prefix_len] is the caller's hint that
    the first [prefix_len] characters of [input] were inherited verbatim
    from an already-executed parent; when the incremental engine is on and
-   that prefix's suspension is cached, only the suffix is executed. The
-   observable run is bit-identical either way. Returns the run and
-   whether it resumed from a cached snapshot. *)
-let execute st ~prefix_len input =
+   that prefix's suspension is at hand, only the suffix is executed. It
+   is at hand in [from], the journal of a run on an input that shares
+   the prefix (the extension probe passes its candidate's), or failing
+   that in the cache. The observable run is bit-identical either way.
+   Returns the run and whether it resumed from a snapshot. *)
+let execute st ~from ~prefix_len input =
   if st.executions >= st.config.max_executions then raise Budget_exhausted;
   let fault =
     match st.faults with
@@ -607,13 +639,24 @@ let execute st ~prefix_len input =
     match injected with
     | Some run -> (run, false)
     | None ->
-      (match st.cache, st.machine with
-       | Some cache, Some machine ->
+      (match st.engine with
+       | Some ({ cache; machine; _ } as e) ->
          let t_cache = span_begin st in
          let consulted = prefix_len > 0 && prefix_len <= String.length input in
+         let own =
+           match from with
+           | Some journal when consulted -> Runner.snapshot_at journal prefix_len
+           | _ -> None
+         in
          let snap =
-           if consulted then Runner.Cache.find_prefix cache input ~len:prefix_len
-           else None
+           match own with
+           | Some _ ->
+             e.journal_hits <- e.journal_hits + 1;
+             e.journal_chars_saved <- e.journal_chars_saved + prefix_len;
+             own
+           | None ->
+             if consulted then Runner.Cache.find_prefix cache input ~len:prefix_len
+             else None
          in
          span_end st Phase.Cache t_cache;
          (if consulted then
@@ -629,13 +672,15 @@ let execute st ~prefix_len input =
            match snap with
            | Some snap -> begin
              let ((r, _) as resumed) = Runner.resume snap input in
-             (* A crashing resume is ambiguous: the subject may crash on
-                this input, or the snapshot may be corrupt. Invalidate
-                the entry and re-execute cold — a real subject crash
-                reproduces identically, a poisoned snapshot is healed
-                with zero observable difference. *)
+             (* A crashing resume from the cache is ambiguous: the
+                subject may crash on this input, or the snapshot may be
+                corrupt. Invalidate the entry and re-execute cold — a
+                real subject crash reproduces identically, a poisoned
+                snapshot is healed with zero observable difference. A
+                journal's own suspension is never poisoned, so its crash
+                is the subject's. *)
              match r.Runner.verdict with
-             | Runner.Crash _ ->
+             | Runner.Crash _ when Option.is_none own ->
                Runner.Cache.remove_prefix cache input ~len:prefix_len;
                st.cache_rescues <- st.cache_rescues + 1;
                (match tsink st with
@@ -649,11 +694,18 @@ let execute st ~prefix_len input =
            | None -> (Subject.exec_journaled st.subject machine input, false)
          in
          span_end st Phase.Exec t_exec;
-         let t_store = span_begin st in
-         remember_snapshots cache journal run;
-         span_end st Phase.Cache t_store;
+         (* The miss store: the cold run after a miss (or a rescue)
+            holds the consulted prefix, which the candidate's queued
+            siblings share. *)
+         if consulted && not cached then begin
+           let t_store = span_begin st in
+           remember cache input prefix_len (Runner.snapshot_at journal prefix_len);
+           span_end st Phase.Cache t_store
+         end;
+         e.prev_journal <- e.journal;
+         e.journal <- Some journal;
          (run, cached)
-       | _ ->
+       | None ->
          let t_exec = span_begin st in
          let run = Subject.run st.subject input in
          span_end st Phase.Exec t_exec;
@@ -798,13 +850,15 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
     in
     (* The comparisons at [sub_index] in log order — the order
        [Runner.comparisons_at] lists them in. *)
+    let created = st.candidates_created in
     let cs = run.comparisons in
     for i = 0 to Array.length cs - 1 do
       let c = Array.unsafe_get cs i in
       if c.Comparison.index = sub_index then
         Comparison.iter_replacements st.rng c propose
     done;
-    span_end st Phase.Gen !t_gen
+    span_end st Phase.Gen !t_gen;
+    if st.candidates_created > created then remember_children st input index
 
 (* Algorithm 1, [validInp]: report, extend vBr, re-rank the queue. *)
 let valid_input st ~(parent : Candidate.t) (run : Runner.run) =
@@ -889,11 +943,11 @@ let crashed (run : Runner.run) =
 
 (* Algorithm 1, [runCheck]: an input counts as valid only if it is
    accepted and covers branches no previous valid input covered. *)
-let run_check st ~parent ~prefix_len input =
+let run_check st ~parent ~from ~prefix_len input =
   (* Read the clock only when this execution's [Exec_done] will be
      recorded. *)
   let t0 = match tsink_exec st with Some o -> Obs.now_ns o | None -> 0 in
-  let run, cached = execute st ~prefix_len input in
+  let run, cached = execute st ~from ~prefix_len input in
   (match run.Runner.verdict with
    | Runner.Hang -> begin
      st.hangs <- st.hangs + 1;
@@ -947,15 +1001,22 @@ let extend data c =
 
 let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
     subject =
-  let machine = if config.incremental then subject.Subject.machine else None in
   {
     config;
     subject;
-    machine;
-    cache =
-      (match machine with
-       | Some _ -> Some (Runner.Cache.create ())
-       | None -> None);
+    engine =
+      (match subject.Subject.machine with
+       | Some machine when config.incremental ->
+         Some
+           {
+             machine;
+             cache = Runner.Cache.create ();
+             journal = None;
+             prev_journal = None;
+             journal_hits = 0;
+             journal_chars_saved = 0;
+           }
+       | _ -> None);
     rng;
     queue = Pqueue.create ();
     on_queue_event;
@@ -1091,7 +1152,7 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
      Obs.run_meta o ~subject:st.subject.Subject.name
        ~outcomes:(Pdf_instr.Site.total_outcomes st.subject.Subject.registry)
        ~seed:st.config.seed ~max_executions:st.config.max_executions
-       ~incremental:(st.machine <> None));
+       ~incremental:(Option.is_some st.engine));
   let next_candidate () =
     (* The popped priority is only ever reported to listeners; when
        nobody is listening, take the value-only pop and skip the
@@ -1140,6 +1201,11 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
        (match st.obs with
         | None -> ()
         | Some o -> st.sampled <- Obs.sampled o ~exec:st.executions);
+       (match st.engine with
+        | None -> ()
+        | Some e ->
+          e.journal <- None;
+          e.prev_journal <- None);
        if hooked && st.executions - !last_checkpoint >= checkpoint_every
        then begin
          (match on_checkpoint with
@@ -1155,17 +1221,20 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
           parent input sharing [prefix] — exactly the part a cached
           suspension lets us skip. *)
        let prefix_len = String.length c.data - String.length c.repl in
-       let valid, run = run_check st ~parent:c ~prefix_len c.data in
+       let valid, run = run_check st ~parent:c ~from:None ~prefix_len c.data in
        if (not valid) && not (crashed run) then begin
          (* Second execution: the same input extended by one random
             character, probing whether the parser wants more input. The
-            just-executed candidate is the extension's parent prefix. A
+            just-executed candidate is the extension's parent prefix, and
+            its journal (the newest) holds the suspension at its end. A
             crashed candidate is triaged and dropped instead — extending
             past the crash point would only reproduce it. *)
          let extended = extend c.data (random_char st) in
          if String.length extended <= st.config.max_input_len then begin
+           let from = match st.engine with Some e -> e.journal | None -> None in
            let valid2, run2 =
-             run_check st ~parent:c ~prefix_len:(String.length c.data) extended
+             run_check st ~parent:c ~from ~prefix_len:(String.length c.data)
+               extended
            in
            if (not valid2) && not (crashed run2) then add_inputs st ~parent:c run2
          end
@@ -1191,15 +1260,15 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
     dedupe_resets = st.dedupe_resets;
     path_resets = st.path_resets;
     cache =
-      (match st.cache with
+      (match st.engine with
        | None -> { no_cache_stats with rescues = st.cache_rescues }
-       | Some cache ->
-         let s = Runner.Cache.stats cache in
+       | Some e ->
+         let s = Runner.Cache.stats e.cache in
          {
-           hits = s.Runner.Cache.hits;
+           hits = s.Runner.Cache.hits + e.journal_hits;
            misses = s.misses;
            evictions = s.evictions;
-           chars_saved = s.chars_saved;
+           chars_saved = s.chars_saved + e.journal_chars_saved;
            rescues = st.cache_rescues;
          });
     crashes =

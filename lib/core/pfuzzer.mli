@@ -27,11 +27,15 @@ val default_config : config
     already queued are always dropped. *)
 
 type cache_stats = {
-  hits : int;  (** executions that resumed from a cached suspension *)
+  hits : int;
+      (** executions that resumed from a saved suspension: cache hits,
+          plus extension probes that resumed from their candidate's own
+          journal without consulting the cache *)
   misses : int;  (** cache consultations that found no entry *)
   evictions : int;
   chars_saved : int;
-      (** total prefix characters whose re-parsing hits avoided *)
+      (** total prefix characters whose re-parsing hits avoided (a
+          probe's resume saves its candidate's length) *)
   rescues : int;
       (** cached resumes that crashed (corrupt or genuinely crashing
           snapshot) and were recovered by invalidating the entry and

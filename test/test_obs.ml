@@ -608,8 +608,8 @@ let test_sampling_thins_exec_events () =
    of the full run's. Keying on the execution index instead skews them:
    an iteration runs one or two executions and queues children only
    after the second, so a fixed residue over-weights the extension probe
-   (always a cache hit) and the children it queues. Structural events
-   are never sampled. *)
+   (a hit whenever its candidate's parse read to the end) and the
+   children it queues. Structural events are never sampled. *)
 let test_sampling_is_uniform () =
   let run sample =
     let subject = Catalog.find "json" in
