@@ -263,8 +263,8 @@ let fuzz_cmd =
       & info [ "stats-interval" ] ~docv:"SECS"
           ~doc:
             "Paint a live status line (execs/sec, queue depth, \
-             valid inputs, coverage, cache hit rate, rescues, plateau age, \
-             hangs, crashes) on stderr every SECS seconds. 0 (default) \
+             valid inputs, coverage, cache hit rate, plateau age, hangs, \
+             crashes) on stderr every SECS seconds. 0 (default) \
              disables it.")
   in
   let trace_sample =
@@ -277,8 +277,8 @@ let fuzz_cmd =
              search-loop iterations, chosen deterministically from the \
              execution count at the top of each iteration (so sampled traces \
              are reproducible and shard-merge deterministic). Structural \
-             events (valid inputs, crashes, hangs, faults, rescues) are \
-             always recorded. 1 (default) records everything.")
+             events (valid inputs, crashes, hangs, faults) are always \
+             recorded. 1 (default) records everything.")
   in
   let checkpoint =
     Arg.(
@@ -855,9 +855,8 @@ let check_cmd =
       & info [ "chaos" ]
           ~doc:
             "Also run the chaos drills: seeded fault plans (injected \
-             exceptions, fuel starvation, slowdowns, snapshot corruption, \
-             worker death) must degrade the campaign gracefully, never \
-             corrupt it.")
+             exceptions, fuel starvation, slowdowns, worker death) must \
+             degrade the campaign gracefully, never corrupt it.")
   in
   let term =
     Term.(

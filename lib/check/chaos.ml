@@ -57,9 +57,9 @@ let run ?(execs = 400) ?(seed = 1) (subject : Subject.t) =
      add "chaos-survival" (fired > 0)
        (if fired > 0 then
           Printf.sprintf
-            "%d injected faults absorbed (%d crashes, %d hangs, %d rescues); \
-             %d valid inputs all intact"
-            fired r.crash_total r.hangs r.cache.rescues
+            "%d injected faults absorbed (%d crashes, %d hangs); %d valid \
+             inputs all intact"
+            fired r.crash_total r.hangs
             (List.length r.valid_inputs)
         else "no fault fired — plan too sparse for the budget"));
   (* Injected exceptions: every one must surface as exactly one
@@ -117,21 +117,6 @@ let run ?(execs = 400) ?(seed = 1) (subject : Subject.t) =
        Printf.sprintf "%d slowed executions; campaign bit-identical"
          (count_kind (Fault.Slow 20_000) slow_plan)
      else "slow faults perturbed the campaign");
-  (* Corrupting every cached snapshot mid-campaign must be invisible:
-     poisoned resumes are rescued by cold re-execution. *)
-  let corrupt_plan =
-    Fault.of_list (List.map (fun i -> (i, Fault.Corrupt_cache)) idxs)
-  in
-  let r_corrupt = Pfuzzer.fuzz ~faults:corrupt_plan config subject in
-  let corrupt_ok = Invariants.results_equal baseline r_corrupt in
-  add "snapshot-corruption-neutrality" corrupt_ok
-    (if corrupt_ok then
-       Printf.sprintf
-         "cache poisoned %d times; %d poisoned resumes rescued; campaign \
-          bit-identical"
-         (count_kind Fault.Corrupt_cache corrupt_plan)
-         r_corrupt.cache.rescues
-     else "cache corruption leaked into the campaign results");
   (* Worker-domain death in the parallel grid: a task that dies on its
      first attempts is retried to success; one that always dies is
      marked failed without sinking its neighbours. *)

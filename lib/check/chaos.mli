@@ -12,9 +12,6 @@
     - {b starvation hangs}: fuel-starved executions surface as hangs;
     - {b slowdown neutrality}: slowed executions leave the campaign
       bit-identical (wall clock aside);
-    - {b snapshot-corruption neutrality}: poisoning every cached parse
-      snapshot is invisible — crashed resumes are rescued by cold
-      re-execution;
     - {b worker-death retry}: in {!Pdf_eval.Parallel.map_retry}, a task
       whose domain dies transiently is retried to success and a
       permanently dying task is isolated as [Error] without sinking the

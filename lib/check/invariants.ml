@@ -149,8 +149,8 @@ let snapshot_resume_identity subject machine input =
 
 (* {1 The checks} *)
 
-(* Deliberately ignores wall-clock timing and cache accounting (hit
-   counts, rescues): those legitimately differ between cache-on/off,
+(* Deliberately ignores wall-clock timing and cache accounting (hit and
+   miss counts): those legitimately differ between cache-on/off,
    interrupted/uninterrupted and slow/fast runs of the same campaign. *)
 let results_equal (a : Pfuzzer.result) (b : Pfuzzer.result) =
   a.valid_inputs = b.valid_inputs

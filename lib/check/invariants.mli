@@ -35,8 +35,8 @@ val results_equal : Pdf_core.Pfuzzer.result -> Pdf_core.Pfuzzer.result -> bool
 (** Timing- and cache-insensitive campaign equality: same valid inputs,
     coverage, branch hit-counts, execution/candidate/queue counters,
     hang count and crash corpus. Wall-clock fields and cache accounting
-    (including snapshot rescues) are deliberately ignored — they may
-    differ between runs that are semantically the same campaign. *)
+    are deliberately ignored — they may differ between runs that are
+    semantically the same campaign. *)
 
 val runs_equal : Pdf_instr.Runner.run -> Pdf_instr.Runner.run -> bool
 (** Full observational equality of two executions: input, verdict,

@@ -35,11 +35,9 @@ type cache_stats = {
   misses : int;
   evictions : int;
   chars_saved : int;
-  rescues : int;
 }
 
-let no_cache_stats =
-  { hits = 0; misses = 0; evictions = 0; chars_saved = 0; rescues = 0 }
+let no_cache_stats = { hits = 0; misses = 0; evictions = 0; chars_saved = 0 }
 
 type crash = {
   exn : string;
@@ -434,7 +432,6 @@ type state = {
   mutable crash_order_rev : (string * int) list;
   mutable crash_total : int;
   mutable hangs : int;
-  mutable cache_rescues : int;
   on_valid : string -> unit;
   on_execution : (Runner.run -> unit) option;
 }
@@ -472,7 +469,7 @@ let[@inline] tsink st =
 
 (* High-frequency exec-level sites (exec_done, cache consult, queue
    push/pop) record only in sampled iterations ([st.sampled]).
-   Structural events (valid, crash, hang, fault, rescue) always record —
+   Structural events (valid, crash, hang, fault) always record —
    they are rare. *)
 let[@inline] tsink_exec st =
   match st.obs with
@@ -514,7 +511,7 @@ let maybe_snapshot st =
       Obs.snapshot o ~exec:st.executions ~depth:(Pqueue.length st.queue)
         ~valid:st.valid_count
         ~cov:(Coverage.cardinal st.vbr)
-        ~hits ~misses ~rescues:st.cache_rescues
+        ~hits ~misses
         ~plateau:(st.executions - st.last_progress_at)
         ~hangs:st.hangs ~crashes:st.crash_total
     end
@@ -570,9 +567,8 @@ let spin n =
 (* Run the subject under a planned fault. [Raise] and [Starve_fuel]
    replace the execution entirely (the faulty execution is skipped — its
    observations are whatever the degraded run saw); [Slow] burns time
-   and then falls through to the normal path; [Corrupt_cache] poisons
-   every cached snapshot first, exercising the rescue path below.
-   Returns [None] when the normal execution should proceed. *)
+   and then falls through to the normal path. Returns [None] when the
+   normal execution should proceed. *)
 let faulted_run st kind input =
   let registry = st.subject.Subject.registry in
   match kind with
@@ -591,15 +587,6 @@ let faulted_run st kind input =
          ~fuel:st.subject.Subject.fuel input)
   | Fault.Slow n ->
     spin n;
-    None
-  | Fault.Corrupt_cache ->
-    (match st.engine with
-     | Some e -> Runner.Cache.corrupt_all e.cache
-     | None -> ());
-    None
-  | Fault.Kill_worker ->
-    (* Worker death is a grid-level fault; inside the single-domain
-       fuzzer loop it degrades to a no-op. *)
     None
 
 (* One execution of the subject. [prefix_len] is the caller's hint that
@@ -668,35 +655,18 @@ let execute st ~from ~prefix_len input =
                  | Some s -> Event.Cache_hit { saved = Runner.snapshot_pos s }
                  | None -> Event.Cache_miss));
          let t_exec = span_begin st in
+         (* A resumed run is bit-identical to a cold one, so a crash
+            while resuming is the subject's and is triaged like any
+            other. *)
          let (run, journal), cached =
            match snap with
-           | Some snap -> begin
-             let ((r, _) as resumed) = Runner.resume snap input in
-             (* A crashing resume from the cache is ambiguous: the
-                subject may crash on this input, or the snapshot may be
-                corrupt. Invalidate the entry and re-execute cold — a
-                real subject crash reproduces identically, a poisoned
-                snapshot is healed with zero observable difference. A
-                journal's own suspension is never poisoned, so its crash
-                is the subject's. *)
-             match r.Runner.verdict with
-             | Runner.Crash _ when Option.is_none own ->
-               Runner.Cache.remove_prefix cache input ~len:prefix_len;
-               st.cache_rescues <- st.cache_rescues + 1;
-               (match tsink st with
-                | None -> ()
-                | Some o ->
-                  Obs.emit o ~exec:st.executions
-                    (Event.Rescue { prefix = prefix_len }));
-               (Subject.exec_journaled st.subject machine input, false)
-             | _ -> (resumed, true)
-           end
+           | Some snap -> (Runner.resume snap input, true)
            | None -> (Subject.exec_journaled st.subject machine input, false)
          in
          span_end st Phase.Exec t_exec;
-         (* The miss store: the cold run after a miss (or a rescue)
-            holds the consulted prefix, which the candidate's queued
-            siblings share. *)
+         (* The miss store: the cold run after a miss holds the
+            consulted prefix, which the candidate's queued siblings
+            share. *)
          if consulted && not cached then begin
            let t_store = span_begin st in
            remember cache input prefix_len (Runner.snapshot_at journal prefix_len);
@@ -1040,7 +1010,6 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
     crash_order_rev = [];
     crash_total = 0;
     hangs = 0;
-    cache_rescues = 0;
     on_valid;
     on_execution;
   }
@@ -1261,7 +1230,7 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
     path_resets = st.path_resets;
     cache =
       (match st.engine with
-       | None -> { no_cache_stats with rescues = st.cache_rescues }
+       | None -> no_cache_stats
        | Some e ->
          let s = Runner.Cache.stats e.cache in
          {
@@ -1269,7 +1238,6 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
            misses = s.misses;
            evictions = s.evictions;
            chars_saved = s.chars_saved + e.journal_chars_saved;
-           rescues = st.cache_rescues;
          });
     crashes =
       List.rev_map (fun key -> Hashtbl.find st.crash_tab key) st.crash_order_rev;

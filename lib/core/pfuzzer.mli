@@ -32,14 +32,10 @@ type cache_stats = {
           plus extension probes that resumed from their candidate's own
           journal without consulting the cache *)
   misses : int;  (** cache consultations that found no entry *)
-  evictions : int;
+  evictions : int;  (** stores that replaced a resident cache entry *)
   chars_saved : int;
       (** total prefix characters whose re-parsing hits avoided (a
           probe's resume saves its candidate's length) *)
-  rescues : int;
-      (** cached resumes that crashed (corrupt or genuinely crashing
-          snapshot) and were recovered by invalidating the entry and
-          re-executing cold *)
 }
 
 val no_cache_stats : cache_stats
@@ -178,8 +174,8 @@ val fuzz :
     events, per-phase timing spans, periodic status snapshots — when
     absent (the default) the telemetry paths cost one branch and allocate
     nothing. [faults] installs a deterministic chaos plan: planned
-    execution indices are degraded (crash, hang, slow-down, cache
-    corruption) instead of executed normally, and the campaign must keep
+    execution indices are degraded (crash, hang, slow-down) instead
+    of executed normally, and the campaign must keep
     going. [on_checkpoint] is called with a fresh {!Checkpoint.t} at the
     first loop-top instant (one candidate is up to two executions) at
     least [checkpoint_every] (default 1000) executions after the

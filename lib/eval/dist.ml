@@ -67,11 +67,12 @@ module Frame = struct
   (* v2: frames carry an optional metrics snapshot.
      v3: [Pfuzzer.result] lost its [engine] field.
      v4: [Metrics.snapshot] lost its [gauges] field.
+     v5: [Pfuzzer.cache_stats] lost its crashed-resume counter.
      Frames only ever cross a pipe between a coordinator and the workers
      it forked — both ends are the same binary — so a bump is hygiene
      against a stale reader. *)
   let envelope =
-    { Pdf_util.Envelope.magic = "pfsync"; version = 4; noun = "sync frame" }
+    { Pdf_util.Envelope.magic = "pfsync"; version = 5; noun = "sync frame" }
 
   (* Frames cross a pipe, not a filesystem: anything claiming to be
      larger than this is a corrupted length prefix, not a real frame. *)
@@ -204,7 +205,6 @@ let sum_cache (a : Pfuzzer.cache_stats) (b : Pfuzzer.cache_stats) =
     misses = a.misses + b.misses;
     evictions = a.evictions + b.evictions;
     chars_saved = a.chars_saved + b.chars_saved;
-    rescues = a.rescues + b.rescues;
   }
 
 let merge_results p (results : Pfuzzer.result list) =
@@ -425,7 +425,6 @@ let worker_main ~fd ~frame_every ~trace_dir p subject shards =
       tally "shard/hangs" result.Pfuzzer.hangs;
       tally "cache/hits" result.Pfuzzer.cache.Pfuzzer.hits;
       tally "cache/misses" result.Pfuzzer.cache.Pfuzzer.misses;
-      tally "cache/rescues" result.Pfuzzer.cache.Pfuzzer.rescues;
       let seq = sh.shard_budget + 1 in
       send
         {
@@ -544,7 +543,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
         in
         let hits = List.fold_left (stat (fun r -> r.Pfuzzer.cache.Pfuzzer.hits)) 0 frames in
         let misses = List.fold_left (stat (fun r -> r.Pfuzzer.cache.Pfuzzer.misses)) 0 frames in
-        let rescues = List.fold_left (stat (fun r -> r.Pfuzzer.cache.Pfuzzer.rescues)) 0 frames in
         let hangs = List.fold_left (stat (fun r -> r.Pfuzzer.hangs)) 0 frames in
         let crashes = List.fold_left (stat (fun r -> r.Pfuzzer.crash_total)) 0 frames in
         let queue =
@@ -565,7 +563,7 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
         let line =
           Progress.render ~execs ~max_executions:config.Pfuzzer.max_executions
             ~execs_per_sec ~depth:queue ~valid ~cov
-            ~outcomes:outcomes_total ~hits ~misses ~rescues ~plateau:0 ~hangs
+            ~outcomes:outcomes_total ~hits ~misses ~plateau:0 ~hangs
             ~crashes
         in
         Progress.print pl (if health = "" then line else line ^ " | " ^ health)

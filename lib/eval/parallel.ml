@@ -45,7 +45,7 @@ let map ?(jobs = 1) f items =
    tasks are expected to be rare, so the simple, observable order (all
    parallel work first, then retries in input order) wins over spawning
    replacement domains. *)
-let map_retry ?(jobs = 1) ?(retries = 2) ?(backoff_s = 0.0) ?on_retry f items =
+let map_retry ?(jobs = 1) ?(retries = 2) ?on_retry f items =
   let attempt x = match f x with v -> Ok v | exception e -> Error e in
   let first_pass = map ~jobs attempt items in
   let rec redo index x attempt_no last_err =
@@ -54,8 +54,6 @@ let map_retry ?(jobs = 1) ?(retries = 2) ?(backoff_s = 0.0) ?on_retry f items =
       (match on_retry with
        | Some cb -> cb ~index ~attempt:attempt_no last_err
        | None -> ());
-      if backoff_s > 0.0 then
-        Unix.sleepf (backoff_s *. float_of_int attempt_no);
       match f x with
       | v -> Ok v
       | exception e -> redo index x (attempt_no + 1) e

@@ -15,7 +15,6 @@ val default_jobs : unit -> int
 val map_retry :
   ?jobs:int ->
   ?retries:int ->
-  ?backoff_s:float ->
   ?on_retry:(index:int -> attempt:int -> exn -> unit) ->
   ('a -> 'b) ->
   'a list ->
@@ -27,11 +26,9 @@ val map_retry :
     regardless of completion order, so output is deterministic whenever
     [f] is. A task whose [f] raises (including one whose worker domain
     died mid-task) does not sink the whole grid: the first pass captures
-    each item's outcome as a [result]; failed items are then retried up to [retries] (default 2)
-    more times, sequentially on the calling domain, sleeping
-    [backoff_s × attempt] seconds before each retry (default 0 — tasks
-    here are deterministic, so backoff only matters for callers whose
-    failures are environmental). [on_retry ~index ~attempt e] fires just
+    each item's outcome as a [result]; failed items are then retried up
+    to [retries] (default 2) more times, immediately and sequentially on
+    the calling domain. [on_retry ~index ~attempt e] fires just
     before each retry with the input-order index of the failing item and
     the exception from the previous attempt. The returned list is in
     input order; [Error e] marks an item whose every attempt failed,

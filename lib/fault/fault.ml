@@ -6,15 +6,11 @@ type kind =
   | Raise of string
   | Starve_fuel
   | Slow of int
-  | Corrupt_cache
-  | Kill_worker
 
 let kind_label = function
   | Raise _ -> "raise"
   | Starve_fuel -> "starve_fuel"
   | Slow _ -> "slow"
-  | Corrupt_cache -> "corrupt_cache"
-  | Kill_worker -> "kill_worker"
 
 type plan = { faults : (int, kind) Hashtbl.t; mutable triggered_rev : (int * kind) list }
 
@@ -29,14 +25,11 @@ let of_list bindings =
     bindings;
   { faults; triggered_rev = [] }
 
-(* All injectable kinds except Kill_worker, which only makes sense for
-   grid cells, not fuzzer execution indices. *)
 let seeded_kinds =
   [|
     (fun _rng -> Raise "injected fault");
     (fun _rng -> Starve_fuel);
     (fun rng -> Slow (1_000 + Rng.int rng 10_000));
-    (fun _rng -> Corrupt_cache);
   |]
 
 let seeded ~seed ~executions ~count =

@@ -26,13 +26,6 @@ type kind =
       (** spin [n] iterations of busy work before executing normally —
           models a pathologically slow execution; observationally
           neutral apart from wall-clock *)
-  | Corrupt_cache
-      (** poison every cached prefix snapshot before executing — models
-          snapshot corruption; the fuzzer must rescue each poisoned hit
-          by re-executing cold *)
-  | Kill_worker
-      (** kill the worker processing a grid cell — consumed by the
-          eval-grid chaos tests, not by the fuzzer loop *)
 
 type plan
 
@@ -43,7 +36,7 @@ val of_list : (int * kind) list -> plan
 val seeded : seed:int -> executions:int -> count:int -> plan
 (** [seeded ~seed ~executions ~count] draws [count] distinct execution
     indices in [\[0, executions)] and assigns each a fault kind
-    (uniformly among [Raise]/[Starve_fuel]/[Slow]/[Corrupt_cache]),
+    (uniformly among [Raise]/[Starve_fuel]/[Slow]),
     deterministically from [seed]. *)
 
 val consume : plan -> int -> kind option

@@ -230,26 +230,21 @@ let resume (snap : snapshot) input =
       j_run = run;
     } )
 
-(* {1 Bounded LRU prefix cache}
+(* {1 Direct-mapped prefix cache}
 
    Keys are input prefixes, but the hot-path lookup is always "the first
    [len] characters of this input" — and materialising that prefix as a
    string per execution was two of the fuzzer's three per-exec
    allocations. So entries are found by an FNV-1a hash computed over the
    range in place ({!Pdf_util.Fnv}) and verified by in-place character
-   comparison against the (string, len) pair. Full-string
-   [find]/[remove] are the prefix variants at [len = length key].
+   comparison against the (string, len) pair. Full-string [find] is the
+   prefix variant at [len = length key].
 
-   Everything lives in flat arrays allocated once. An entry is an id
-   below [bound] naming a slot in the parallel key, hash, snapshot and
-   recency-link arrays; recency is a doubly linked list threaded
-   through the int arrays [prev] and [next]. An open-addressed index
-   (linear probing, backward-shift deletion) maps the prefix hash to
-   the entry id, and a stack holds the free ids. A lookup indexes by
-   the FNV hash itself, with no generic [Hashtbl.hash] call; a hit
-   returns the stored [Some]; a recency update writes ints only, where
-   option-linked nodes would write a fresh [Some] block into an old,
-   already promoted node every time (DESIGN.md §13). *)
+   A prefix lives only in the slot its hash selects, [hash land mask],
+   in parallel key, hash and snapshot arrays allocated once. A store
+   into an occupied slot replaces the resident entry, so a lookup or a
+   store touches one slot, and nothing but the counters is kept beside
+   the entries. A hit returns the stored [Some]. *)
 
 module Cache = struct
   module Fnv = Pdf_util.Fnv
@@ -262,46 +257,27 @@ module Cache = struct
   }
 
   type t = {
-    bound : int;
-    (* Per entry id; a free id has key [""] and snapshot [None]. *)
     keys : string array;
-    hashes : int array;  (* Fnv.string key, for the index's home slot *)
+    hashes : int array;  (* Fnv.prefix of the key; -1 marks an empty slot *)
     snaps : snapshot option array;
-    prev : int array;  (* towards most-recent; -1 at the head *)
-    next : int array;  (* towards least-recent; -1 at the tail *)
-    (* Open-addressed index: entry id per slot, -1 = empty. Its
-       capacity is a power of two at least [2 * bound], so probe chains
-       stay short and always reach an empty slot. *)
-    index : int array;
     mask : int;
-    free : int array;  (* stack of unused ids, [free.(0 .. free_top - 1)] *)
-    mutable free_top : int;
     mutable count : int;
-    mutable head : int;  (* most recently used, -1 when empty *)
-    mutable tail : int;  (* least recently used, -1 when empty *)
     stats : stats;
   }
 
-  let create ?(bound = 4096) () =
-    let bound = max 1 bound in
-    let cap = ref 2 in
-    while !cap < 2 * bound do
-      cap := 2 * !cap
+  let create ?(bound = 8192) () =
+    (* The largest power of two within [bound], so a slot is the hash's
+       low bits. *)
+    let slots = ref 1 in
+    while 2 * !slots <= bound do
+      slots := 2 * !slots
     done;
     {
-      bound;
-      keys = Array.make bound "";
-      hashes = Array.make bound 0;
-      snaps = Array.make bound None;
-      prev = Array.make bound (-1);
-      next = Array.make bound (-1);
-      index = Array.make !cap (-1);
-      mask = !cap - 1;
-      free = Array.init bound (fun i -> bound - 1 - i);
-      free_top = bound;
+      keys = Array.make !slots "";
+      hashes = Array.make !slots (-1);
+      snaps = Array.make !slots None;
+      mask = !slots - 1;
       count = 0;
-      head = -1;
-      tail = -1;
       stats = { hits = 0; misses = 0; evictions = 0; chars_saved = 0 };
     }
 
@@ -313,146 +289,52 @@ module Cache = struct
     String.length k = len
     &&
     (* [while] over a ref rather than a local [let rec]: the probe runs
-       per candidate entry on every lookup, and the captured-variable
-       closure would be allocated each time. *)
+       on every lookup, and the captured-variable closure would be
+       allocated each time. *)
     let i = ref 0 in
     while !i < len && String.unsafe_get k !i = String.unsafe_get s !i do
       incr i
     done;
     !i >= len
 
-  (* Index slot holding the entry for the first [len] characters of
-     [s], or -1. *)
-  let find_slot t s len =
+  (* Does slot [i], selected by hash [h], hold the first [len]
+     characters of [s]? FNV hashes are non-negative, so an empty slot
+     never matches. *)
+  let holds t i h s len =
+    Array.unsafe_get t.hashes i = h && key_matches (Array.unsafe_get t.keys i) s len
+
+  (* No counter traffic: the fuzzer probes before a store so that an
+     already-cached prefix is never materialised as a string. *)
+  let mem_prefix t s ~len =
     let h = Fnv.prefix s len in
-    let i = ref (h land t.mask) in
-    let res = ref (-2) in
-    while !res = -2 do
-      let id = Array.unsafe_get t.index !i in
-      if id < 0 then res := -1
-      else if
-        Array.unsafe_get t.hashes id = h
-        && key_matches (Array.unsafe_get t.keys id) s len
-      then res := !i
-      else i := (!i + 1) land t.mask
-    done;
-    !res
-
-  (* Index slot holding entry [id], which must be resident. *)
-  let slot_of t id =
-    let i = ref (t.hashes.(id) land t.mask) in
-    while Array.unsafe_get t.index !i <> id do
-      i := (!i + 1) land t.mask
-    done;
-    !i
-
-  (* Backward-shift deletion: empty slot [i], then walk the probe chain
-     after it and move back every entry whose home slot does not lie
-     cyclically in (hole, j] — the entries whose probe would otherwise
-     stop at the hole. No tombstones, so chains never lengthen. *)
-  let clear_slot t i =
-    let hole = ref i and j = ref ((i + 1) land t.mask) in
-    while Array.unsafe_get t.index !j >= 0 do
-      let id = Array.unsafe_get t.index !j in
-      let home = t.hashes.(id) land t.mask in
-      let stays =
-        if !hole <= !j then !hole < home && home <= !j
-        else !hole < home || home <= !j
-      in
-      if not stays then begin
-        t.index.(!hole) <- id;
-        hole := !j
-      end;
-      j := (!j + 1) land t.mask
-    done;
-    t.index.(!hole) <- -1
-
-  (* No recency update, no counter traffic: the fuzzer probes before a
-     store so that an already-cached prefix is never materialised as a
-     string. *)
-  let mem_prefix t s ~len = find_slot t s len >= 0
-
-  let unlink t id =
-    let p = t.prev.(id) and n = t.next.(id) in
-    if p >= 0 then t.next.(p) <- n else t.head <- n;
-    if n >= 0 then t.prev.(n) <- p else t.tail <- p;
-    t.prev.(id) <- -1;
-    t.next.(id) <- -1
-
-  let push_front t id =
-    t.next.(id) <- t.head;
-    if t.head >= 0 then t.prev.(t.head) <- id else t.tail <- id;
-    t.head <- id
-
-  (* Drop resident entry [id], held in index slot [slot], and free its
-     id; its key and snapshot are released for collection. *)
-  let drop t id slot =
-    unlink t id;
-    clear_slot t slot;
-    t.keys.(id) <- "";
-    t.snaps.(id) <- None;
-    t.free.(t.free_top) <- id;
-    t.free_top <- t.free_top + 1;
-    t.count <- t.count - 1
+    holds t (h land t.mask) h s len
 
   let find_prefix t s ~len =
-    let slot = find_slot t s len in
-    if slot < 0 then begin
-      t.stats.misses <- t.stats.misses + 1;
-      None
-    end
-    else begin
-      let id = t.index.(slot) in
+    let h = Fnv.prefix s len in
+    let i = h land t.mask in
+    if holds t i h s len then begin
       t.stats.hits <- t.stats.hits + 1;
       t.stats.chars_saved <- t.stats.chars_saved + len;
-      if t.head <> id then begin
-        unlink t id;
-        push_front t id
-      end;
-      t.snaps.(id)
+      Array.unsafe_get t.snaps i
+    end
+    else begin
+      t.stats.misses <- t.stats.misses + 1;
+      None
     end
 
   let find t key = find_prefix t key ~len:(String.length key)
 
   let store t key snap =
     let len = String.length key in
-    if find_slot t key len < 0 then begin
-      if t.count >= t.bound then begin
-        let lru = t.tail in
-        drop t lru (slot_of t lru);
-        t.stats.evictions <- t.stats.evictions + 1
-      end;
-      t.free_top <- t.free_top - 1;
-      let id = t.free.(t.free_top) in
-      let h = Fnv.prefix key len in
-      t.keys.(id) <- key;
-      t.hashes.(id) <- h;
-      t.snaps.(id) <- Some snap;
-      let i = ref (h land t.mask) in
-      while Array.unsafe_get t.index !i >= 0 do
-        i := (!i + 1) land t.mask
-      done;
-      t.index.(!i) <- id;
-      t.count <- t.count + 1;
-      push_front t id
+    let h = Fnv.prefix key len in
+    let i = h land t.mask in
+    if not (holds t i h key len) then begin
+      if t.hashes.(i) < 0 then t.count <- t.count + 1
+      else t.stats.evictions <- t.stats.evictions + 1;
+      t.keys.(i) <- key;
+      t.hashes.(i) <- h;
+      t.snaps.(i) <- Some snap
     end
-
-  let remove_prefix t s ~len =
-    let slot = find_slot t s len in
-    if slot >= 0 then drop t t.index.(slot) slot
-
-  let remove t key = remove_prefix t key ~len:(String.length key)
-
-  exception Corrupted_snapshot
-
-  let corrupt_all t =
-    let poisoned = Machine.Peek (fun _ _ -> raise Corrupted_snapshot) in
-    Array.iteri
-      (fun id snap ->
-        match snap with
-        | None -> ()
-        | Some s -> t.snaps.(id) <- Some { s with s_step = poisoned })
-      t.snaps
 end
 
 let accepted run = run.verdict = Accepted

@@ -135,11 +135,12 @@ val resume : snapshot -> string -> run * journal
     journal covers the newly executed suffix, so children of the child
     can be snapshotted in turn. *)
 
-(** {1 Bounded LRU prefix cache}
+(** {1 Direct-mapped prefix cache}
 
     Maps a prefix string to the snapshot suspended at its end. One cache
-    per fuzzing run (snapshots are registry-specific); bounded, with
-    least-recently-used eviction and accounting counters. *)
+    per fuzzing run (snapshots are registry-specific); a fixed table in
+    which each prefix has exactly one slot, its {!Pdf_util.Fnv} hash
+    modulo the slot count, with accounting counters. *)
 
 module Cache : sig
   type t
@@ -147,56 +148,40 @@ module Cache : sig
   type stats = {
     mutable hits : int;
     mutable misses : int;  (** lookups that found nothing *)
-    mutable evictions : int;
+    mutable evictions : int;  (** stores that replaced a resident entry *)
     mutable chars_saved : int;
         (** total prefix characters whose re-execution a hit avoided *)
   }
 
   val create : ?bound:int -> unit -> t
-  (** [bound] (default 4096, min 1) caps the number of cached prefixes. *)
+  (** [bound] (default 8192) caps the number of cached prefixes: the
+      table has the largest power of two of slots within it (one slot
+      when [bound < 2]). *)
 
   val find : t -> string -> snapshot option
-  (** Lookup by exact prefix; updates recency and the hit/miss/saved
-      counters. *)
+  (** Lookup by exact prefix; updates the hit/miss/saved counters. *)
 
   val find_prefix : t -> string -> len:int -> snapshot option
   (** [find_prefix t s ~len] is [find t (String.sub s 0 len)] without
-      allocating the substring: the prefix is hashed in place and
-      candidate entries verified by in-place comparison. This is the
+      allocating the substring: the prefix is hashed in place and the
+      resident entry verified by in-place comparison. This is the
       fuzzer's per-execution lookup — the input's inherited prefix never
       needs to exist as its own string. *)
 
   val mem_prefix : t -> string -> len:int -> bool
   (** Is the first [len] characters of [s] cached? Allocation-free, and
-      with no recency or counter side effects: the fuzzer probes before
-      {!store} so that an already-cached prefix is never materialised
-      as a string. *)
+      with no counter side effects: the fuzzer probes before {!store} so
+      that an already-cached prefix is never materialised as a string. *)
 
   val store : t -> string -> snapshot -> unit
-  (** Insert, evicting the least-recently-used entry at the bound. An
-      existing entry for the same prefix is kept (first-in wins — the
-      snapshots are equivalent by construction). *)
-
-  val remove : t -> string -> unit
-  (** Drop one entry (no-op when absent). Used by the fuzzer to
-      invalidate a snapshot whose resume crashed, before falling back
-      to cold execution. Does not count as an eviction. *)
-
-  val remove_prefix : t -> string -> len:int -> unit
-  (** Allocation-free [remove] keyed on the first [len] characters of
-      [s] — the rescue path's invalidation, which would otherwise be the
-      one remaining [String.sub] per crashing resume. *)
-
-  exception Corrupted_snapshot
-
-  val corrupt_all : t -> unit
-  (** Chaos hook: poison every cached snapshot so that resuming it
-      raises {!Corrupted_snapshot} (and is therefore contained as a
-      [Crash] run). Models on-disk/in-memory snapshot corruption; the
-      fuzzer must recover by invalidating and re-executing cold. *)
+  (** Insert into the prefix's slot. An entry for another prefix there
+      is replaced, which counts as an eviction; an existing entry for
+      the same prefix is kept (first-in wins — the snapshots are
+      equivalent by construction). *)
 
   val stats : t -> stats
   val length : t -> int
+  (** Occupied slots. *)
 end
 
 (** {1 Derived observations used by the search} *)

@@ -26,7 +26,6 @@ type t =
   | Hang of { total : int }
   | Crash of { exn : string; site : int; fresh : bool; total : int }
   | Fault of { kind : string }
-  | Rescue of { prefix : int }
   | Retry of { what : string; attempt : int; detail : string }
   | Snapshot of {
       execs_per_sec : float;
@@ -35,7 +34,6 @@ type t =
       cov : int;
       hits : int;
       misses : int;
-      rescues : int;
       plateau : int;
       hangs : int;
       crashes : int;
@@ -61,7 +59,6 @@ let kind = function
   | Hang _ -> "hang"
   | Crash _ -> "crash"
   | Fault _ -> "fault"
-  | Rescue _ -> "rescue"
   | Retry _ -> "retry"
   | Snapshot _ -> "snapshot"
   | Phases _ -> "phases"
@@ -112,7 +109,6 @@ let fields ev =
       ("total", I c.total);
     ]
   | Fault fa -> [ ("kind", S fa.kind) ]
-  | Rescue r -> [ ("prefix", I r.prefix) ]
   | Retry r ->
     [ ("what", S r.what); ("attempt", I r.attempt); ("detail", S r.detail) ]
   | Snapshot s ->
@@ -123,7 +119,6 @@ let fields ev =
       ("cov", I s.cov);
       ("hits", I s.hits);
       ("misses", I s.misses);
-      ("rescues", I s.rescues);
       ("plateau", I s.plateau);
       ("hangs", I s.hangs);
       ("crashes", I s.crashes);
@@ -177,7 +172,7 @@ let bool_field fields k =
   | _ -> Json.fail "missing bool field %S" k
 
 (* Traces written before a field existed parse with its default, so old
-   traces keep loading across schema growth ([rescues] arrived after the
+   traces keep loading across schema growth ([sample] arrived after the
    first release of the format). Fields a trace carries that this build
    no longer knows are ignored. *)
 let int_field_default fields k default =
@@ -257,7 +252,6 @@ let of_fields fields =
           total = int_field f "total";
         }
     | "fault" -> Fault { kind = str_field f "kind" }
-    | "rescue" -> Rescue { prefix = int_field f "prefix" }
     | "retry" ->
       Retry
         {
@@ -274,7 +268,6 @@ let of_fields fields =
           cov = int_field f "cov";
           hits = int_field f "hits";
           misses = int_field f "misses";
-          rescues = int_field_default f "rescues" 0;
           plateau = int_field f "plateau";
           hangs = int_field f "hangs";
           crashes = int_field f "crashes";

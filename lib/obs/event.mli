@@ -46,9 +46,6 @@ type t =
   | Fault of { kind : string }
       (** a planned fault fired at this execution (chaos runs only);
           [kind] is the {!Pdf_fault.Fault.kind_label} *)
-  | Rescue of { prefix : int }
-      (** a cached-snapshot resume crashed; the entry was invalidated
-          and the input re-executed cold *)
   | Retry of { what : string; attempt : int; detail : string }
       (** a failed unit of work (e.g. an evaluation-grid cell) is being
           retried; [attempt] counts from 1 *)
@@ -59,9 +56,6 @@ type t =
       cov : int;
       hits : int;
       misses : int;
-      rescues : int;
-          (** cumulative cache rescues (poisoned snapshot re-executed
-              cold); absent in pre-PR-9 traces, parsed as 0 *)
       plateau : int;  (** executions since valid coverage last grew *)
       hangs : int;
       crashes : int;

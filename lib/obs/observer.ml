@@ -103,8 +103,7 @@ let rate t ~now ~exec =
   let dt = now - t.last_snap_t in
   if dt <= 0 then 0.0 else float_of_int (exec - t.last_snap_exec) *. 1e9 /. float_of_int dt
 
-let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~rescues ~plateau ~hangs
-    ~crashes =
+let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~plateau ~hangs ~crashes =
   let now = now_ns t in
   let execs_per_sec = rate t ~now ~exec in
   t.last_snap_t <- now;
@@ -118,7 +117,6 @@ let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~rescues ~plateau ~hangs
          cov;
          hits;
          misses;
-         rescues;
          plateau;
          hangs;
          crashes;
@@ -129,7 +127,7 @@ let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~rescues ~plateau ~hangs
     Progress.print p
       (Progress.render ~execs:exec ~max_executions:t.max_executions ~execs_per_sec
          ~depth ~valid ~cov ~outcomes:t.outcomes ~hits ~misses
-         ~rescues ~plateau ~hangs ~crashes)
+         ~plateau ~hangs ~crashes)
 
 let finish t ~exec ~valid ~cov =
   let wall = now_ns t in

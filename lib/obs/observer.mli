@@ -37,8 +37,7 @@ val sampled : t -> exec:int -> bool
     event and phase span of that iteration follows the answer. It is a
     deterministic hash of the count (never wall clock), so jobs:1 and
     jobs:N shards sample identical iterations; always true at
-    [sample = 1]. Structural events (valid, crash, hang, fault, rescue,
-    lifecycle) are not subject to sampling. At [sample > 1] the span
+    [sample = 1]. Structural events (valid, crash, hang, fault, lifecycle) are not subject to sampling. At [sample > 1] the span
     totals and histograms cover only the sampled iterations — that is
     what keeps the sampled mode within a few percent of an unobserved
     run. *)
@@ -90,7 +89,6 @@ val snapshot :
   cov:int ->
   hits:int ->
   misses:int ->
-  rescues:int ->
   plateau:int ->
   hangs:int ->
   crashes:int ->

@@ -20,14 +20,14 @@ let create ?(out = stderr) ?(interval_s = 1.0) () =
 let interval_ns t = t.interval_ns
 
 let render ~execs ~max_executions ~execs_per_sec ~depth ~valid ~cov
-    ~outcomes ~hits ~misses ~rescues ~plateau ~hangs ~crashes =
+    ~outcomes ~hits ~misses ~plateau ~hangs ~crashes =
   let pct num den = if den = 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den in
   let cache =
     if hits + misses = 0 then "-" else Printf.sprintf "%.1f%%" (pct hits (hits + misses))
   in
   Printf.sprintf
-    "[pfuzzer] %d/%d execs | %.0f/s | queue %d | valid %d | cov %.1f%% | cache %s | rescue %d | plateau %d | hang %d | crash %d"
-    execs max_executions execs_per_sec depth valid (pct cov outcomes) cache rescues plateau hangs crashes
+    "[pfuzzer] %d/%d execs | %.0f/s | queue %d | valid %d | cov %.1f%% | cache %s | plateau %d | hang %d | crash %d"
+    execs max_executions execs_per_sec depth valid (pct cov outcomes) cache plateau hangs crashes
 
 let print t line =
   if t.tty then begin

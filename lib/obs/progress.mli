@@ -21,14 +21,12 @@ val render :
   outcomes:int ->
   hits:int ->
   misses:int ->
-  rescues:int ->
   plateau:int ->
   hangs:int ->
   crashes:int ->
   string
 (** One status line: executions, throughput, queue depth, valid count, coverage percentage,
-    cache hit rate ("-" before any consultation), cache rescue count,
-    plateau age in executions, and cumulative hang and crash counts. *)
+    cache hit rate ("-" before any consultation), plateau age in executions, and cumulative hang and crash counts. *)
 
 val print : t -> string -> unit
 val finish : t -> unit

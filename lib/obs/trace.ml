@@ -127,10 +127,12 @@ let chrome oc =
 
 (* {1 Reading and normalizing} *)
 
-(* Kinds that older builds emitted from the search loop and nothing
-   read. Their lines are skipped, so those traces still load; any other
-   kind this build does not know is an error. *)
-let retired = [ "exec_start"; "queue_rerank"; "queue_trunc"; "cache_evict"; "reset" ]
+(* Kinds that older builds emitted and this build no longer has: five
+   search-loop events nothing read, and the prefix cache's cold
+   re-execution of a crashed resume. Their lines are skipped, so those traces still load;
+   any other kind this build does not know is an error. *)
+let retired =
+  [ "exec_start"; "queue_rerank"; "queue_trunc"; "cache_evict"; "reset"; "rescue" ]
 
 let is_retired line =
   match List.assoc_opt "ev" (Json.parse_flat line) with

@@ -38,7 +38,6 @@ type t = {
   crashes : int;
   crash_unique : int;  (* distinct (exn, site) identities *)
   faults : int;  (* injected faults that fired (chaos runs) *)
-  rescues : int;  (* crashed cache resumes recovered by cold re-execution *)
 }
 
 (* Split a merged evaluate trace into per-cell runs. A trace with no
@@ -78,7 +77,6 @@ let analyse ?(top = 10) ?cell events =
   let crashes = ref 0 in
   let crash_unique = ref 0 in
   let faults = ref 0 in
-  let rescues = ref 0 in
   List.iter
     (fun (s : Event.stamped) ->
       last_t := max !last_t s.t_ns;
@@ -116,7 +114,6 @@ let analyse ?(top = 10) ?cell events =
         crashes := max !crashes c.total;
         if c.fresh then incr crash_unique
       | Event.Fault _ -> incr faults
-      | Event.Rescue _ -> incr rescues
       | Event.Phases p ->
         phases := List.filter (fun (name, _) -> List.mem name known_phases) p.spans;
         phase_percentiles :=
@@ -161,7 +158,6 @@ let analyse ?(top = 10) ?cell events =
     crashes = !crashes;
     crash_unique = !crash_unique;
     faults = !faults;
-    rescues = !rescues;
   }
 
 (* Thin the per-execution curve to at most [rows] evenly spaced points
@@ -229,11 +225,10 @@ let render ?(rows = 20) ppf t =
     Format.fprintf ppf "prefix cache: %d hits, %d misses (%.1f%% hit rate)@."
       t.cache_hits t.cache_misses
       (100.0 *. float_of_int t.cache_hits /. float_of_int (t.cache_hits + t.cache_misses));
-  if t.hangs + t.crashes + t.faults + t.rescues > 0 then begin
+  if t.hangs + t.crashes + t.faults > 0 then begin
     Format.fprintf ppf "resilience: %d hangs, %d crashes (%d unique)" t.hangs
       t.crashes t.crash_unique;
     if t.faults > 0 then Format.fprintf ppf ", %d injected faults" t.faults;
-    if t.rescues > 0 then Format.fprintf ppf ", %d snapshot rescues" t.rescues;
     Format.fprintf ppf "@."
   end;
   (* Coverage over time: the paper's Figure 2 as a table + bar chart. *)

@@ -43,7 +43,6 @@ type t = {
   crashes : int;  (** cumulative contained-crash count *)
   crash_unique : int;  (** distinct (exn, site) crash identities *)
   faults : int;  (** injected faults that fired (chaos runs only) *)
-  rescues : int;  (** crashed cache resumes recovered by re-execution *)
 }
 
 val analyse : ?top:int -> ?cell:string * string * int -> Event.stamped list -> t

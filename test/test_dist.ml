@@ -187,9 +187,10 @@ let test_frame_damage () =
 
 (* Frame bodies encoded by the last build of each older version:
    [sync-frame-v2.bin], whose [Pfuzzer.result] still carried [engine],
-   and [sync-frame-v3.bin], whose metrics snapshot still carried
-   [gauges]. Their digests are intact, so only the version byte keeps
-   them from being unmarshalled into the wrong record layout. *)
+   [sync-frame-v3.bin], whose metrics snapshot still carried [gauges],
+   and [sync-frame-v4.bin], whose cache stats still carried [rescues].
+   Their digests are intact, so only the version byte keeps them from
+   being unmarshalled into the wrong record layout. *)
 let test_old_frames_rejected () =
   List.iter
     (fun v ->
@@ -197,7 +198,7 @@ let test_old_frames_rejected () =
       let body = In_channel.with_open_bin path In_channel.input_all in
       check_reject (Printf.sprintf "v%d fixture" v) "version mismatch"
         (Frame.decode_body body))
-    [ 2; 3 ]
+    [ 2; 3; 4 ]
 
 (* {1 Streaming decoder} *)
 

@@ -565,43 +565,52 @@ let test_resume_chains () =
   Alcotest.(check bool) "grandchild identical via two hops" true
     (run_equal full resumed)
 
-let test_prefix_cache_lru () =
-  let snap input pos =
-    let _, j = exec_json input in
-    Option.get (Runner.snapshot_at j pos)
+let test_prefix_cache_direct_mapped () =
+  (* Snapshots told apart by their prefix position. *)
+  let snap =
+    let _, j = exec_json "[1,2]" in
+    fun pos -> Option.get (Runner.snapshot_at j pos)
   in
+  let pos found = Option.map Runner.snapshot_pos found in
   let cache = Runner.Cache.create ~bound:2 () in
-  Runner.Cache.store cache "[" (snap "[1]" 1);
-  Runner.Cache.store cache "[1" (snap "[1]" 2);
+  (* Two slots: [a] and [b] share one, [c] has the other. *)
+  let slot k = Pdf_util.Fnv.string k land 1 in
+  let letters = List.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
+  let a = List.hd letters in
+  let b = List.find (fun k -> k <> a && slot k = slot a) letters in
+  let c = List.find (fun k -> slot k <> slot a) letters in
+  Runner.Cache.store cache a (snap 1);
+  Runner.Cache.store cache c (snap 2);
   check Alcotest.int "both resident" 2 (Runner.Cache.length cache);
-  (* Touch "[" so that "[1" becomes the LRU victim. *)
-  Alcotest.(check bool) "hit" true (Runner.Cache.find cache "[" <> None);
-  Runner.Cache.store cache "[1," (snap "[1,2]" 3);
-  check Alcotest.int "bound respected" 2 (Runner.Cache.length cache);
-  Alcotest.(check bool) "least-recently-used entry evicted" true
-    (Runner.Cache.find cache "[1" = None);
-  Alcotest.(check bool) "recently-used entry survives" true
-    (Runner.Cache.find cache "[" <> None);
-  (* Duplicate store keeps the first entry and the length. *)
-  Runner.Cache.store cache "[" (snap "[2]" 1);
-  check Alcotest.int "duplicate store does not grow" 2
-    (Runner.Cache.length cache);
+  check Alcotest.(option int) "a found" (Some 1) (pos (Runner.Cache.find cache a));
+  check Alcotest.(option int) "c found" (Some 2) (pos (Runner.Cache.find cache c));
+  Runner.Cache.store cache b (snap 3);
+  check Alcotest.int "colliding store keeps the length" 2 (Runner.Cache.length cache);
+  check Alcotest.(option int) "a replaced" None (pos (Runner.Cache.find cache a));
+  check Alcotest.(option int) "b resident" (Some 3) (pos (Runner.Cache.find cache b));
+  check Alcotest.(option int) "other slot untouched" (Some 2)
+    (pos (Runner.Cache.find cache c));
+  (* A store of an equal key keeps the first snapshot. *)
+  Runner.Cache.store cache b (snap 1);
+  check Alcotest.(option int) "first store wins" (Some 3)
+    (pos (Runner.Cache.find cache b));
+  check Alcotest.int "equal key does not grow" 2 (Runner.Cache.length cache);
   let s = Runner.Cache.stats cache in
-  check Alcotest.int "hits" 2 s.Runner.Cache.hits;
+  check Alcotest.int "hits" 5 s.Runner.Cache.hits;
   check Alcotest.int "misses" 1 s.Runner.Cache.misses;
   check Alcotest.int "evictions" 1 s.Runner.Cache.evictions;
-  Alcotest.(check bool) "chars saved counted" true (s.Runner.Cache.chars_saved > 0)
+  check Alcotest.int "chars saved" 5 s.Runner.Cache.chars_saved
 
-(* {2 The array cache against a list-based LRU model}
+(* {2 The direct-mapped cache against a slot-array model}
 
    Random operation sequences over bounds 1-8 and keys from a 2-3
-   letter alphabet, so probe chains in the open-addressed index
-   collide, wrap around and shift back on deletion. The model is a
-   most-recent-first association list with the same counters. After
-   every step the two agree on membership of every key the alphabet
-   can spell, on the length and on all four counters; lookups must
-   return the snapshot the model holds (snapshots are told apart by
-   their prefix position). *)
+   letter alphabet, so several keys share a slot and replace each
+   other. The model is an array of optional (key, snapshot) pairs
+   indexed by the key's FNV hash, with the same counters. After every
+   step the two agree on membership of every key the alphabet can
+   spell, on the length and on all four counters; lookups must return
+   the snapshot the model holds (snapshots are told apart by their
+   prefix position). *)
 
 let cache_pool_input = {|{"a": [1, true]}|}
 
@@ -615,16 +624,12 @@ type cache_op =
   | Find of string
   | Find_prefix of string * int
   | Mem_prefix of string * int
-  | Remove of string
-  | Remove_prefix of string * int
 
 let pp_cache_op = function
   | Store (k, v) -> Printf.sprintf "store %S #%d" k v
   | Find k -> Printf.sprintf "find %S" k
   | Find_prefix (s, n) -> Printf.sprintf "find_prefix %S ~len:%d" s n
   | Mem_prefix (s, n) -> Printf.sprintf "mem_prefix %S ~len:%d" s n
-  | Remove k -> Printf.sprintf "remove %S" k
-  | Remove_prefix (s, n) -> Printf.sprintf "remove_prefix %S ~len:%d" s n
 
 let all_keys alphabet =
   let rec words n =
@@ -653,8 +658,6 @@ let cache_case_gen =
         (2, key >|= fun k -> Find k);
         (3, prefixed >|= fun (s, n) -> Find_prefix (s, n));
         (2, prefixed >|= fun (s, n) -> Mem_prefix (s, n));
-        (1, key >|= fun k -> Remove k);
-        (2, prefixed >|= fun (s, n) -> Remove_prefix (s, n));
       ]
   in
   list_size (int_range 1 60) op >|= fun ops -> (bound, alphabet, ops)
@@ -667,50 +670,64 @@ let cache_case_arb =
         (String.concat "; " (List.map pp_cache_op ops)))
     cache_case_gen
 
-type lru_model = {
-  mutable entries : (string * int) list;  (* most recent first *)
+type slot_model = {
+  slots : (string * int) option array;  (* power-of-two length *)
   mutable m_hits : int;
   mutable m_misses : int;
   mutable m_evictions : int;
   mutable m_saved : int;
 }
 
+let model_slot m key = Pdf_util.Fnv.string key land (Array.length m.slots - 1)
+
+let model_mem m key =
+  match m.slots.(model_slot m key) with Some (k, _) -> k = key | None -> false
+
 let model_find m key =
-  match List.assoc_opt key m.entries with
-  | None ->
-    m.m_misses <- m.m_misses + 1;
-    None
-  | Some v ->
+  match m.slots.(model_slot m key) with
+  | Some (k, v) when k = key ->
     m.m_hits <- m.m_hits + 1;
     m.m_saved <- m.m_saved + String.length key;
-    m.entries <- (key, v) :: List.remove_assoc key m.entries;
     Some v
+  | _ ->
+    m.m_misses <- m.m_misses + 1;
+    None
 
-let model_store m bound key v =
-  if not (List.mem_assoc key m.entries) then begin
-    if List.length m.entries >= bound then begin
-      m.entries <- List.filteri (fun i _ -> i < bound - 1) m.entries;
-      m.m_evictions <- m.m_evictions + 1
-    end;
-    m.entries <- (key, v) :: m.entries
-  end
+let model_store m key v =
+  let i = model_slot m key in
+  match m.slots.(i) with
+  | Some (k, _) when k = key -> ()
+  | resident ->
+    if resident <> None then m.m_evictions <- m.m_evictions + 1;
+    m.slots.(i) <- Some (key, v)
 
 let pool_id snap = Runner.snapshot_pos snap - 1
 
 let prop_cache_model =
-  QCheck.Test.make ~name:"array cache = list-based LRU model" ~count:500
+  QCheck.Test.make ~name:"direct-mapped cache = slot-array model" ~count:500
     cache_case_arb (fun (bound, alphabet, ops) ->
       let cache = Runner.Cache.create ~bound () in
-      let m = { entries = []; m_hits = 0; m_misses = 0; m_evictions = 0; m_saved = 0 } in
+      (* The largest power of two within [bound]. *)
+      let rec slots n = if 2 * n <= bound then slots (2 * n) else n in
+      let m =
+        {
+          slots = Array.make (slots 1) None;
+          m_hits = 0;
+          m_misses = 0;
+          m_evictions = 0;
+          m_saved = 0;
+        }
+      in
       let keys = all_keys alphabet in
       let agree () =
         let s = Runner.Cache.stats cache in
         List.for_all
           (fun k ->
             Runner.Cache.mem_prefix cache (k ^ "zz") ~len:(String.length k)
-            = List.mem_assoc k m.entries)
+            = model_mem m k)
           keys
-        && Runner.Cache.length cache = List.length m.entries
+        && Runner.Cache.length cache
+           = Array.fold_left (fun n e -> if e = None then n else n + 1) 0 m.slots
         && s.Runner.Cache.hits = m.m_hits
         && s.Runner.Cache.misses = m.m_misses
         && s.Runner.Cache.evictions = m.m_evictions
@@ -721,7 +738,7 @@ let prop_cache_model =
         (match op with
          | Store (k, v) ->
            Runner.Cache.store cache k cache_pool.(v);
-           model_store m bound k v;
+           model_store m k v;
            true
          | Find k -> same_lookup (Runner.Cache.find cache k) (model_find m k)
          | Find_prefix (s, len) ->
@@ -729,33 +746,10 @@ let prop_cache_model =
              (Runner.Cache.find_prefix cache s ~len)
              (model_find m (String.sub s 0 len))
          | Mem_prefix (s, len) ->
-           Runner.Cache.mem_prefix cache s ~len
-           = List.mem_assoc (String.sub s 0 len) m.entries
-         | Remove k ->
-           Runner.Cache.remove cache k;
-           m.entries <- List.remove_assoc k m.entries;
-           true
-         | Remove_prefix (s, len) ->
-           Runner.Cache.remove_prefix cache s ~len;
-           m.entries <- List.remove_assoc (String.sub s 0 len) m.entries;
-           true)
+           Runner.Cache.mem_prefix cache s ~len = model_mem m (String.sub s 0 len))
         && agree ()
       in
-      List.for_all step ops
-      &&
-      (* Poisoning reaches every resident entry, whatever the probe
-         chains look like: each one resumes into a contained crash. *)
-      (Runner.Cache.corrupt_all cache;
-       List.for_all
-         (fun (k, _) ->
-           match Runner.Cache.find cache k with
-           | None -> false
-           | Some snap -> (
-             match (fst (Runner.resume snap cache_pool_input)).Runner.verdict with
-             | Runner.Crash c ->
-               c.Runner.exn = Printexc.exn_slot_name Runner.Cache.Corrupted_snapshot
-             | _ -> false))
-         m.entries))
+      List.for_all step ops)
 
 (* {1 Crash containment}
 
@@ -936,7 +930,8 @@ let () =
           Alcotest.test_case "unread positions have no snapshot" `Quick
             test_snapshot_unread_positions;
           Alcotest.test_case "resume chains" `Quick test_resume_chains;
-          Alcotest.test_case "prefix cache LRU" `Quick test_prefix_cache_lru;
+          Alcotest.test_case "prefix cache direct-mapped" `Quick
+            test_prefix_cache_direct_mapped;
           qtest prop_cache_model;
         ] );
       ( "crash containment",

@@ -67,12 +67,11 @@ let golden =
              cov = 12;
              hits = 3;
              misses = 1;
-             rescues = 2;
              plateau = 2;
              hangs = 1;
              crashes = 0;
            }),
-      {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"rescues":2,"plateau":2,"hangs":1,"crashes":0}|}
+      {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"plateau":2,"hangs":1,"crashes":0}|}
     );
     ( stamp 72 4 (Event.Hang { total = 3 }),
       {|{"ev":"hang","t":72,"n":4,"total":3}|} );
@@ -83,8 +82,6 @@ let golden =
     );
     ( stamp 76 4 (Event.Fault { kind = "starve_fuel" }),
       {|{"ev":"fault","t":76,"n":4,"kind":"starve_fuel"}|} );
-    ( stamp 77 4 (Event.Rescue { prefix = 5 }),
-      {|{"ev":"rescue","t":77,"n":4,"prefix":5}|} );
     ( stamp 78 4 (Event.Retry { what = "cell"; attempt = 2; detail = "oops" }),
       {|{"ev":"retry","t":78,"n":4,"what":"cell","attempt":2,"detail":"oops"}|}
     );
@@ -141,14 +138,15 @@ let test_round_trip () =
      check Alcotest.int "old exec_done parses" 2 e.sub_index;
      check Alcotest.string "old exec_done verdict" "rejected" e.verdict
    | _ -> Alcotest.fail "wrong event kind");
-  (* Snapshot lines written before the rescue column existed parse with
-     rescues = 0. *)
+  (* Snapshot lines written while the cache still counted rescues keep
+     loading: the retired column is ignored. *)
   let old_snapshot =
-    {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"plateau":2,"hangs":1,"crashes":0}|}
+    {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"rescues":2,"plateau":2,"hangs":1,"crashes":0}|}
   in
   (match (Event.of_json_line old_snapshot).Event.ev with
    | Event.Snapshot s ->
-     check Alcotest.int "rescues defaults on old traces" 0 s.rescues
+     check Alcotest.int "old snapshot misses" 1 s.misses;
+     check Alcotest.int "old snapshot plateau" 2 s.plateau
    | _ -> Alcotest.fail "wrong event kind");
   (* Run headers written before the sample rate was recorded read as
      unsampled. *)
@@ -242,15 +240,15 @@ let test_observer_spans () =
 
 let test_progress_render () =
   check Alcotest.string "status line"
-    "[pfuzzer] 500/2000 execs | 1234/s | queue 42 | valid 7 | cov 50.0% | cache 99.0% | rescue 4 | plateau 12 | hang 2 | crash 3"
+    "[pfuzzer] 500/2000 execs | 1234/s | queue 42 | valid 7 | cov 50.0% | cache 99.0% | plateau 12 | hang 2 | crash 3"
     (Progress.render ~execs:500 ~max_executions:2000 ~execs_per_sec:1234.0
-       ~depth:42 ~valid:7 ~cov:38 ~outcomes:76 ~hits:99 ~misses:1 ~rescues:4
-       ~plateau:12 ~hangs:2 ~crashes:3);
+       ~depth:42 ~valid:7 ~cov:38 ~outcomes:76 ~hits:99 ~misses:1 ~plateau:12
+       ~hangs:2 ~crashes:3);
   check Alcotest.string "no cache consultations"
-    "[pfuzzer] 1/10 execs | 0/s | queue 0 | valid 0 | cov 0.0% | cache - | rescue 0 | plateau 1 | hang 0 | crash 0"
+    "[pfuzzer] 1/10 execs | 0/s | queue 0 | valid 0 | cov 0.0% | cache - | plateau 1 | hang 0 | crash 0"
     (Progress.render ~execs:1 ~max_executions:10 ~execs_per_sec:0.0 ~depth:0
-       ~valid:0 ~cov:0 ~outcomes:0 ~hits:0 ~misses:0 ~rescues:0 ~plateau:1
-       ~hangs:0 ~crashes:0)
+       ~valid:0 ~cov:0 ~outcomes:0 ~hits:0 ~misses:0 ~plateau:1 ~hangs:0
+       ~crashes:0)
 
 (* {1 A real traced run: schema, consistency with the result, report} *)
 
@@ -642,7 +640,7 @@ let test_sampling_is_uniform () =
       Alcotest.failf "%s: %d at sample 10, expected %.0f +- 25%%" what got expected
   in
   let structural =
-    [ "run_meta"; "valid"; "hang"; "crash"; "fault"; "rescue"; "phases"; "run_done" ]
+    [ "run_meta"; "valid"; "hang"; "crash"; "fault"; "phases"; "run_done" ]
   in
   List.iter
     (fun k -> check Alcotest.int (k ^ " never sampled") (count full_kinds k) (count kinds k))
@@ -680,6 +678,7 @@ let test_read_file_skips_retired_kinds () =
       {|{"ev":"queue_trunc","t":4,"n":1,"dropped":5,"depth":9}|};
       {|{"ev":"cache_evict","t":5,"n":1,"evictions":3}|};
       {|{"ev":"reset","t":6,"n":2,"table":"dedupe"}|};
+      {|{"ev":"rescue","t":7,"n":2,"prefix":5}|};
     ]
   in
   check Alcotest.bool "retired kinds skipped" true
