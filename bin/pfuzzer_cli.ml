@@ -359,38 +359,26 @@ let campaign_cmd =
       let config =
         { Pdf_core.Pfuzzer.default_config with seed; max_executions = executions }
       in
-      let staged = Option.map Pdf_util.Atomic_file.stage trace in
-      let sink =
-        Option.map
-          (fun st -> Pdf_obs.Trace.jsonl (Pdf_util.Atomic_file.channel st))
-          staged
-      in
-      let obs = Option.map (fun s -> Pdf_obs.Observer.create ~sink:s ()) sink in
       (match
          Pdf_eval.Dist.run_campaign ~workers ~shards ~frame_every ~retries
-           ~trace:(trace <> None) ?obs ?kill_worker config subject
+           ~trace:(trace <> None) ?kill_worker config subject
        with
        | exception Failure msg ->
          (* Replay rounds exhausted, or fork unavailable (a domain was
             spawned earlier in this process). Same distinctive status as
             an unusable checkpoint: not a CLI error, not a crash. *)
-         Option.iter (fun s -> try Pdf_obs.Trace.close s with _ -> ()) sink;
-         Option.iter Pdf_util.Atomic_file.abort staged;
          Printf.eprintf "pfuzzer: campaign failed: %s\n%!" msg;
          exit 2
        | outcome ->
-         (* One JSONL file, readable by trace-report: the coordinator's
-            lifecycle events first, then each worker's per-shard stream
-            in shard order — the concatenation order is the plan order,
-            not the scheduling order. *)
-         (match (staged, sink) with
-          | Some st, Some s ->
-            Pdf_obs.Trace.close s;
-            let oc = Pdf_util.Atomic_file.channel st in
-            List.iter (output_string oc) outcome.shard_traces;
-            Pdf_util.Atomic_file.commit st;
-            Printf.printf "# campaign trace written to %s\n" (Option.get trace)
-          | _ -> ());
+         (* One JSONL file, readable by trace-report: each worker's
+            per-shard stream in shard order — the concatenation order is
+            the plan order, not the scheduling order. *)
+         Option.iter
+           (fun path ->
+             Pdf_util.Atomic_file.with_out path (fun oc ->
+                 List.iter (output_string oc) outcome.shard_traces);
+             Printf.printf "# campaign trace written to %s\n" path)
+           trace;
          let r = outcome.result in
          if not quiet then
            List.iter (fun input -> Printf.printf "%S\n" input) r.valid_inputs;
@@ -427,7 +415,7 @@ let campaign_cmd =
          (match outcome.metrics with
           | None -> ()
           | Some s ->
-            Printf.printf "# fleet metrics (clock %d): %s\n" s.Pdf_obs.Metrics.clock
+            Printf.printf "# fleet metrics: %s\n"
               (String.concat ", "
                  (List.map
                     (fun (n, v) -> Printf.sprintf "%s=%d" n v)
@@ -539,9 +527,8 @@ let campaign_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Write a JSONL trace: the coordinator's shard plan and worker \
-             lifecycle events, then every worker's per-shard event stream \
-             concatenated in shard order.")
+            "Write a JSONL trace: every shard's event stream, concatenated \
+             in shard order. `trace-report' prints one report per shard.")
   in
   let out =
     Arg.(
@@ -718,7 +705,8 @@ let trace_report_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"JSONL trace written by fuzz/evaluate --trace.")
+      & info [] ~docv:"FILE"
+          ~doc:"JSONL trace written by fuzz/evaluate/campaign --trace.")
   in
   let rows =
     Arg.(

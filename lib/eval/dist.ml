@@ -3,7 +3,6 @@ module Rng = Pdf_util.Rng
 module Atomic_file = Pdf_util.Atomic_file
 module Subject = Pdf_subjects.Subject
 module Observer = Pdf_obs.Observer
-module Event = Pdf_obs.Event
 module Trace = Pdf_obs.Trace
 module Metrics = Pdf_obs.Metrics
 module Progress = Pdf_obs.Progress
@@ -57,10 +56,9 @@ module Frame = struct
     seq : int;
     final : bool;
     result : Pfuzzer.result;
-    (* Per-shard metrics snapshot riding the existing sync frame — the
-       fleet telemetry channel. [None] from pre-metrics senders (the
-       in-process simulation, tests); the coordinator folds whatever
-       arrives. *)
+    (* Per-shard metrics snapshot riding the sync frame — the fleet
+       telemetry channel. [None] from senders without a registry (the
+       in-process simulation, tests). *)
     metrics : Metrics.snapshot option;
   }
 
@@ -68,11 +66,12 @@ module Frame = struct
      v3: [Pfuzzer.result] lost its [engine] field.
      v4: [Metrics.snapshot] lost its [gauges] field.
      v5: [Pfuzzer.cache_stats] lost its crashed-resume counter.
+     v6: [Metrics.snapshot] lost its [origin] and [clock] fields.
      Frames only ever cross a pipe between a coordinator and the workers
      it forked — both ends are the same binary — so a bump is hygiene
      against a stale reader. *)
   let envelope =
-    { Pdf_util.Envelope.magic = "pfsync"; version = 5; noun = "sync frame" }
+    { Pdf_util.Envelope.magic = "pfsync"; version = 6; noun = "sync frame" }
 
   (* Frames cross a pipe, not a filesystem: anything claiming to be
      larger than this is a corrupted length prefix, not a real frame. *)
@@ -153,48 +152,38 @@ module Frame = struct
   end
 end
 
-(* {1 Merge} *)
+(* {1 Slots} *)
 
-module IntMap = Map.Make (Int)
+module Slots = struct
+  type t = { shards : shard list; slots : Frame.t option array }
 
-module Merge = struct
-  type entry = { e_frame : Frame.t; e_bytes : string }
-  type state = entry IntMap.t
+  let create (p : plan) =
+    { shards = p.shards; slots = Array.make (List.length p.shards) None }
 
-  let entry f = { e_frame = f; e_bytes = Frame.encode_body f }
+  (* A final is never replaced; until one arrives, the newest progress
+     frame replaces the last. One owner streams a shard's frames over
+     one FIFO pipe, and a shard is replayed only after that pipe reached
+     EOF without its final, so a final arrives at most once. *)
+  let add t (f : Frame.t) =
+    let n = Array.length t.slots in
+    if f.shard < 0 || f.shard >= n then
+      Error (Printf.sprintf "sync frame for shard %d, outside the %d-shard plan" f.shard n)
+    else begin
+      (match t.slots.(f.shard) with
+       | Some { Frame.final = true; _ } -> ()
+       | _ -> t.slots.(f.shard) <- Some f);
+      Ok ()
+    end
 
-  (* Total order on a shard's frames: progress clock, then finality,
-     then the canonical encoded bytes. The bytes tie-break makes the
-     order total on {e arbitrary} frames (the property tests feed
-     adversarial ones with colliding [seq]), which is what turns
-     per-shard max into a true semilattice join. *)
-  let cmp a b =
-    let c = compare a.e_frame.Frame.seq b.e_frame.Frame.seq in
-    if c <> 0 then c
-    else
-      let c = Bool.compare a.e_frame.Frame.final b.e_frame.Frame.final in
-      if c <> 0 then c else String.compare a.e_bytes b.e_bytes
+  let latest t = List.filter_map Fun.id (Array.to_list t.slots)
 
-  let add_entry st e =
-    IntMap.update e.e_frame.Frame.shard
-      (function
-        | None -> Some e
-        | Some cur -> Some (if cmp e cur > 0 then e else cur))
-      st
-
-  let empty = IntMap.empty
-  let add st f = add_entry st (entry f)
-  let join a b = IntMap.fold (fun _ e acc -> add_entry acc e) b a
-  let equal a b = IntMap.equal (fun x y -> String.equal x.e_bytes y.e_bytes) a b
-  let frames st = List.map (fun (_, e) -> e.e_frame) (IntMap.bindings st)
-
-  let missing p st =
+  let missing t =
     List.filter
       (fun sh ->
-        match IntMap.find_opt sh.shard_id st with
-        | Some { e_frame = { Frame.final = true; _ }; _ } -> false
+        match t.slots.(sh.shard_id) with
+        | Some { Frame.final = true; _ } -> false
         | _ -> true)
-      p.shards
+      t.shards
 end
 
 (* {1 Result merge} *)
@@ -287,18 +276,30 @@ let merge_results p (results : Pfuzzer.result list) =
     execs_per_sec = 0.0;
   }
 
+(* The campaign result, once every slot holds its shard's final. *)
+let merge_finals p slots =
+  merge_results p
+    (List.map
+       (fun (f : Frame.t) ->
+         assert f.final;
+         f.result)
+       (Slots.latest slots))
+
 (* {1 Shard execution (shared by workers and the reference)} *)
 
 let run_shard ?obs ?metrics ?frame_every ?send p subject sh =
   let cfg = shard_config p sh in
-  let snap seq =
-    Option.map (fun m -> Metrics.snapshot ~origin:sh.shard_id ~clock:seq m) metrics
-  in
   let on_progress =
     Option.map
       (fun send (result : Pfuzzer.result) ->
-        let seq = result.executions in
-        send { Frame.shard = sh.shard_id; seq; final = false; result; metrics = snap seq })
+        send
+          {
+            Frame.shard = sh.shard_id;
+            seq = result.executions;
+            final = false;
+            result;
+            metrics = Option.map Metrics.snapshot metrics;
+          })
       send
   in
   Pfuzzer.fuzz ?obs ?checkpoint_every:frame_every ?on_progress cfg subject
@@ -309,9 +310,9 @@ let reference ?shards config subject =
 
 (* In-process re-enactment of an N-worker campaign: same shard plan,
    same round-robin assignment, and the full wire path (encode, chunked
-   decode, order-insensitive merge) — only the fork is missing. This is
-   the fallback when the process has already spawned domains, which
-   OCaml 5 forbids mixing with [Unix.fork]. *)
+   decode, slots) — only the fork is missing. This is the fallback when
+   the process has already spawned domains, which OCaml 5 forbids
+   mixing with [Unix.fork]. *)
 let simulate_campaign ?shards ?(frame_every = 500) ~workers config subject =
   let p = plan ?shards config in
   let nspawn = min (max 1 workers) (List.length p.shards) in
@@ -337,7 +338,8 @@ let simulate_campaign ?shards ?(frame_every = 500) ~workers config subject =
   let streams = Array.init nspawn stream in
   let pos = Array.make nspawn 0 in
   let decs = Array.init nspawn (fun _ -> Frame.Decoder.create ()) in
-  let st = ref Merge.empty in
+  let slots = Slots.create p in
+  let fail reason = failwith ("Dist.simulate_campaign: " ^ reason) in
   (* Interleave the worker streams in odd-sized chunks so frames arrive
      split across reads, as they do from a real pipe. *)
   let chunk = 4093 in
@@ -357,23 +359,16 @@ let simulate_campaign ?shards ?(frame_every = 500) ~workers config subject =
           let rec drain () =
             match Frame.Decoder.next decs.(w) with
             | `Frame f ->
-              st := Merge.add !st f;
+              Result.iter_error fail (Slots.add slots f);
               drain ()
-            | `Reject reason -> failwith ("Dist.simulate_campaign: " ^ reason)
+            | `Reject reason -> fail reason
             | `Await -> ()
           in
           drain ()
         end)
       streams
   done;
-  let finals =
-    List.map
-      (fun (f : Frame.t) ->
-        assert f.final;
-        f.result)
-      (Merge.frames !st)
-  in
-  merge_results p finals
+  merge_finals p slots
 
 (* {1 Worker processes} *)
 
@@ -393,8 +388,8 @@ let worker_main ~fd ~frame_every ~trace_dir p subject shards =
   List.iter
     (fun sh ->
       (* Every shard gets a metrics registry regardless of tracing: its
-         snapshots ride the sync frames, so the coordinator always has
-         fleet telemetry to fold. *)
+         final snapshot rides the final frame, so the coordinator always
+         has fleet telemetry to sum. *)
       let metrics = Metrics.create () in
       let buffered =
         Option.map (fun dir -> (dir, Trace.buffer ())) trace_dir
@@ -425,14 +420,13 @@ let worker_main ~fd ~frame_every ~trace_dir p subject shards =
       tally "shard/hangs" result.Pfuzzer.hangs;
       tally "cache/hits" result.Pfuzzer.cache.Pfuzzer.hits;
       tally "cache/misses" result.Pfuzzer.cache.Pfuzzer.misses;
-      let seq = sh.shard_budget + 1 in
       send
         {
           Frame.shard = sh.shard_id;
-          seq;
+          seq = sh.shard_budget + 1;
           final = true;
           result = scrub result;
-          metrics = Some (Metrics.snapshot ~origin:sh.shard_id ~clock:seq metrics);
+          metrics = Some (Metrics.snapshot metrics);
         })
     shards
 
@@ -448,9 +442,9 @@ type outcome = {
   worker_status : (int * string) list;
   shard_traces : string list;
   metrics : Metrics.snapshot option;
-      (* fleet totals folded from the per-shard snapshots on the frames;
-         kept out of [result] so the merged result stays bit-identical
-         across worker counts *)
+      (* fleet totals summed from the final frames' snapshots; kept out
+         of [result] so the merged result stays bit-identical across
+         worker counts *)
   wall_clock_s : float;
 }
 
@@ -459,7 +453,6 @@ type wrec = {
   w_pid : int;
   w_fd : Unix.file_descr;
   w_dec : Frame.Decoder.t;
-  w_shards : shard list;
   mutable w_killed : bool;
 }
 
@@ -490,23 +483,15 @@ let rec read_eintr fd buf =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_eintr fd buf
 
 let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
-    ?(trace = false) ?obs ?kill_worker config subject =
+    ?(trace = false) ?kill_worker config subject =
   let t0 = Unix.gettimeofday () in
   let p = plan ?shards config in
-  let emit ev = match obs with Some o -> Observer.emit o ~exec:0 ev | None -> () in
-  List.iter
-    (fun sh ->
-      emit (Event.Shard { shard = sh.shard_id; seed = sh.shard_seed; budget = sh.shard_budget }))
-    p.shards;
   let trace_dir = if trace then Some (Filename.temp_dir "pfdist" "") else None in
+  let slots = Slots.create p in
   let accepted = ref 0 in
   let rejected = ref [] in
   let statuses = ref [] in
   let replays = ref 0 in
-  (* Fleet telemetry: fold every snapshot that rides a frame. The join
-     is idempotent, so a replayed shard re-delivering snapshots the dead
-     worker already sent changes nothing. *)
-  let telemetry = ref Metrics.Fleet.empty in
   (* The live fleet status line: always on when stderr is a tty (no
      opt-in flag needed), absent otherwise — a redirected campaign log
      stays clean. Rendering reuses the single-run line, extended with
@@ -522,13 +507,13 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
   in
   let last_paint = ref t0 in
   let last_paint_execs = ref 0 in
-  let paint_live ~final st =
+  let paint_live ~final =
     match live with
     | None -> ()
     | Some pl ->
       let now = Unix.gettimeofday () in
       if final || now -. !last_paint >= 0.5 then begin
-        let frames = Merge.frames st in
+        let frames = Slots.latest slots in
         let stat f acc (fr : Frame.t) = acc + f fr.result in
         let execs = List.fold_left (stat (fun r -> r.Pfuzzer.executions)) 0 frames in
         let valid =
@@ -585,58 +570,39 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
        with _ -> Unix._exit 3)
     | pid ->
       Unix.close w;
-      emit (Event.Worker_spawn { worker = w_id; pid; shards = List.length shards });
       Hashtbl.replace worker_health w_id "run";
-      {
-        w_id;
-        w_pid = pid;
-        w_fd = r;
-        w_dec = Frame.Decoder.create ();
-        w_shards = shards;
-        w_killed = false;
-      }
-  in
-  let on_frame st w (f : Frame.t) =
-    incr accepted;
-    (match f.metrics with
-     | Some s -> telemetry := Metrics.Fleet.add !telemetry s
-     | None -> ());
-    emit
-      (Event.Worker_frame
-         { worker = w.w_id; shard = f.shard; seq = f.seq; final = f.final });
-    paint_live ~final:false st;
-    if (not w.w_killed) && kill_worker = Some w.w_id then begin
-      w.w_killed <- true;
-      Unix.kill w.w_pid Sys.sigkill
-    end
+      { w_id; w_pid = pid; w_fd = r; w_dec = Frame.Decoder.create (); w_killed = false }
   in
   let on_reject w reason = rejected := (w.w_id, reason) :: !rejected in
-  let drain st w =
-    let rec go st =
-      match Frame.Decoder.next w.w_dec with
-      | `Frame f ->
-        let st = Merge.add st f in
-        on_frame st w f;
-        go st
-      | `Reject reason ->
-        on_reject w reason;
-        go st
-      | `Await -> st
-    in
-    go st
+  let rec drain w =
+    match Frame.Decoder.next w.w_dec with
+    | `Frame f ->
+      (match Slots.add slots f with
+       | Error reason -> on_reject w reason
+       | Ok () ->
+         incr accepted;
+         paint_live ~final:false;
+         if (not w.w_killed) && kill_worker = Some w.w_id then begin
+           w.w_killed <- true;
+           Unix.kill w.w_pid Sys.sigkill
+         end);
+      drain w
+    | `Reject reason ->
+      on_reject w reason;
+      drain w
+    | `Await -> ()
   in
   let buf = Bytes.create 65536 in
-  (* Read every live pipe until all workers reach EOF; frames arrive in
-     whatever order the kernel delivers them, which is exactly what the
-     order-insensitive merge absorbs. *)
-  let rec supervise st live =
+  (* Read every live pipe until all workers reach EOF. Each pipe carries
+     one owner's frames in order; the interleaving across pipes is the
+     kernel's and does not matter, since every shard has its own slot. *)
+  let rec supervise live =
     match live with
-    | [] -> st
+    | [] -> ()
     | _ -> (
       match Unix.select (List.map (fun w -> w.w_fd) live) [] [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> supervise st live
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> supervise live
       | ready, _, _ ->
-        let st = ref st in
         let live =
           List.filter
             (fun w ->
@@ -645,7 +611,7 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
                 let n = read_eintr w.w_fd buf in
                 if n > 0 then begin
                   Frame.Decoder.feed w.w_dec buf n;
-                  st := drain !st w;
+                  drain w;
                   true
                 end
                 else begin
@@ -655,20 +621,14 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
                   Unix.close w.w_fd;
                   let status = status_string (waitpid_eintr w.w_pid) in
                   statuses := (w.w_id, status) :: !statuses;
-                  let missing =
-                    Merge.missing { p with shards = w.w_shards } !st
-                  in
-                  emit
-                    (Event.Worker_exit
-                       { worker = w.w_id; status; missing = List.length missing });
                   Hashtbl.replace worker_health w.w_id status;
-                  paint_live ~final:false !st;
+                  paint_live ~final:false;
                   false
                 end
               end)
             live
         in
-        supervise !st live)
+        supervise live)
   in
   (* Initial fleet: shards dealt round-robin across the worker count. *)
   let nworkers = max 1 workers in
@@ -681,14 +641,14 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
     let extra_close = List.map (fun w -> w.w_fd) !fleet in
     fleet := spawn ~extra_close w_id (assignment w_id) :: !fleet
   done;
-  let st = ref (supervise Merge.empty (List.rev !fleet)) in
+  supervise (List.rev !fleet);
   (* Replay rounds: shards whose final frame never arrived get a fresh
      worker, [retries] times — the process-level analogue of
      [Parallel.map_retry]'s bounded sequential retries. *)
   let next_id = ref nspawn in
   let attempt = ref 0 in
   let rec replay () =
-    match Merge.missing p !st with
+    match Slots.missing slots with
     | [] -> ()
     | miss ->
       incr attempt;
@@ -699,33 +659,15 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
              (String.concat ", "
                 (List.map (fun sh -> string_of_int sh.shard_id) miss))
              retries);
-      List.iter
-        (fun sh ->
-          incr replays;
-          emit
-            (Event.Retry
-               {
-                 what = "shard";
-                 attempt = !attempt;
-                 detail = Printf.sprintf "shard %d replayed after worker death" sh.shard_id;
-               }))
-        miss;
+      replays := !replays + List.length miss;
       let w = spawn ~extra_close:[] !next_id miss in
       incr next_id;
-      st := supervise !st [ w ];
+      supervise [ w ];
       replay ()
   in
   replay ();
-  paint_live ~final:true !st;
+  paint_live ~final:true;
   (match live with None -> () | Some pl -> Progress.finish pl);
-  let finals =
-    List.map
-      (fun (f : Frame.t) ->
-        assert f.final;
-        f.result)
-      (Merge.frames !st)
-  in
-  let result = merge_results p finals in
   let shard_traces =
     match trace_dir with
     | None -> []
@@ -739,8 +681,9 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
       (try Unix.rmdir dir with Unix.Unix_error _ -> ());
       streams
   in
+  let snapshots = List.filter_map (fun (f : Frame.t) -> f.metrics) (Slots.latest slots) in
   {
-    result;
+    result = merge_finals p slots;
     o_plan = p;
     workers = nworkers;
     frames_accepted = !accepted;
@@ -748,8 +691,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
     replays = !replays;
     worker_status = List.rev !statuses;
     shard_traces;
-    metrics =
-      (if Metrics.Fleet.equal !telemetry Metrics.Fleet.empty then None
-       else Some (Metrics.Fleet.totals !telemetry));
+    metrics = (if snapshots = [] then None else Some (Metrics.sum snapshots));
     wall_clock_s = Unix.gettimeofday () -. t0;
   }

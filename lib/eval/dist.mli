@@ -7,18 +7,17 @@
     round-robin to [N] worker processes. Workers stream sync frames
     (periodic progress results from {!Pdf_core.Pfuzzer.fuzz}'s
     [on_progress] hook, plus one final per-shard result) back over
-    pipes; the coordinator
-    folds them into a per-shard newest-frame map whose join is
-    commutative, associative and idempotent, then merges the final
-    per-shard results in shard order.
+    pipes; the coordinator keeps one {!Slots} slot per shard, which
+    holds the shard's final frame once it arrives, then merges the
+    finals in shard order.
 
     The determinism contract: for a fixed plan (same config, same shard
     count), the merged result is {e bit-identical} regardless of worker
-    count, worker scheduling, frame arrival order, or worker death
-    followed by replay — the plan, not the process topology, defines the
-    computation. [pfuzzer check] enforces this as the [dist-equivalence]
-    invariant; the wire protocol and the merge semantics are documented
-    in DESIGN.md §12. *)
+    count, worker scheduling, the interleaving of the workers' pipes, or
+    worker death followed by replay — the plan, not the process
+    topology, defines the computation. [pfuzzer check] enforces this as
+    the [dist-equivalence] invariant; the wire protocol and the slot
+    rule are documented in DESIGN.md §12. *)
 
 module Pfuzzer = Pdf_core.Pfuzzer
 
@@ -62,24 +61,25 @@ module Frame : sig
   type t = {
     shard : int;
     seq : int;
-        (** per-shard progress clock: the shard's execution count at
-            frame time. The final frame uses [budget + 1], so it always
-            supersedes every progress frame in the merge. *)
+        (** the shard's execution count at frame time; [budget + 1] on
+            the final frame. Nothing is ordered by it: a shard's frames
+            arrive in order over its owner's pipe. *)
     final : bool;  (** carries the shard's finished result *)
     result : Pfuzzer.result;
     metrics : Pdf_obs.Metrics.snapshot option;
-        (** per-shard metrics snapshot piggybacking on the sync channel
-            ([origin] = shard id, [clock] = [seq]); [None] from senders
-            without a registry. The coordinator folds these with
-            {!Pdf_obs.Metrics.Fleet}. *)
+        (** per-shard metrics snapshot piggybacking on the sync channel;
+            [None] from senders without a registry. The coordinator
+            reads only the final frames' and sums them
+            ({!Pdf_obs.Metrics.sum}) into {!outcome.metrics}. *)
   }
 
   val encode : t -> string
   (** Length prefix plus body, ready to write to a pipe. *)
 
   val encode_body : t -> string
-  (** The body alone (no length prefix) — the canonical bytes the merge
-      uses as its deterministic tie-break. *)
+  (** The body alone (no length prefix), as {!decode_body} reads it.
+      Frames are pure data scrubbed of timing, so equal frames have
+      equal bodies. *)
 
   val decode_body : string -> (t, string) result
   (** [Error] carries a one-line reason. Error precedence matches
@@ -112,25 +112,32 @@ module Frame : sig
   end
 end
 
-(** {1 Merge}
+(** {1 Slots}
 
-    The coordinator's accumulator: per shard, the newest frame under
-    the total order (seq, finality, encoded bytes). [join] is a
-    semilattice join — commutative, associative, idempotent — even on
-    adversarial frames, so the fold is insensitive to arrival order
-    and to duplicate delivery (a replayed shard re-sends frames the
-    dead worker already sent). Property-tested in [test_dist]. *)
+    The coordinator's accumulator: one slot per plan shard. A slot
+    holds its shard's final frame once it arrives, and nothing ever
+    replaces a final; until then it holds the shard's newest progress
+    frame, which only the live status line reads. This is exact: a
+    shard has one owner at a time, whose frames cross one FIFO pipe,
+    and a shard is replayed only after its owner's pipe reached EOF
+    without the final, so a final arrives at most once. *)
 
-module Merge : sig
-  type state
+module Slots : sig
+  type t
 
-  val empty : state
-  val add : state -> Frame.t -> state
-  val join : state -> state -> state
-  val equal : state -> state -> bool
+  val create : plan -> t
+  (** Every slot empty. *)
 
-  val frames : state -> Frame.t list
-  (** Newest frame per shard, in shard-id order. *)
+  val add : t -> Frame.t -> (unit, string) result
+  (** Fill the frame's slot by the rule above. [Error] with a one-line
+      reason, and no change, for a frame whose shard is outside the
+      plan. *)
+
+  val latest : t -> Frame.t list
+  (** The frame in each filled slot, in shard-id order. *)
+
+  val missing : t -> shard list
+  (** The plan shards whose slot holds no final, in shard-id order. *)
 end
 
 val merge_results : plan -> Pfuzzer.result list -> Pfuzzer.result
@@ -159,8 +166,9 @@ type outcome = {
   workers : int;  (** worker processes requested *)
   frames_accepted : int;
   frames_rejected : (int * string) list;
-      (** (worker id, one-line reason) for every damaged frame, in
-          arrival order — damage never crashes the coordinator *)
+      (** (worker id, one-line reason) for every damaged frame and every
+          frame for a shard outside the plan, in arrival order — neither
+          crashes the coordinator *)
   replays : int;  (** shard replays after worker death *)
   worker_status : (int * string) list;
       (** (worker id, ["exit:<code>"] or ["signal:<signum>"]) in reap
@@ -169,10 +177,10 @@ type outcome = {
       (** per-shard JSONL trace streams in shard-id order, collected
           from the workers; [[]] unless [~trace:true] *)
   metrics : Pdf_obs.Metrics.snapshot option;
-      (** fleet totals ({!Pdf_obs.Metrics.Fleet.totals}) folded from the
-          snapshots riding the frames; [None] when no frame carried one.
-          Deliberately outside [result]: counters and histogram counts
-          are deterministic, but timing histogram values are
+      (** fleet totals: {!Pdf_obs.Metrics.sum} of the final frames'
+          snapshots; [None] when no final carried one. Deliberately
+          outside [result]: counters and histogram counts are
+          deterministic, but timing histogram values are
           scheduling-dependent, and [result] must stay bit-identical
           across worker counts. *)
   wall_clock_s : float;
@@ -184,14 +192,14 @@ val run_campaign :
   ?frame_every:int ->
   ?retries:int ->
   ?trace:bool ->
-  ?obs:Pdf_obs.Observer.t ->
   ?kill_worker:int ->
   Pfuzzer.config ->
   Pdf_subjects.Subject.t ->
   outcome
 (** Fork [workers] (default 2) processes, run the shard plan (shards
     dealt round-robin, each worker running its shards in ascending
-    order), fold the frame streams, replay missing shards, merge.
+    order), fill the slots from the frame streams, replay missing
+    shards, merge the finals.
 
     [frame_every] (default 500) is the progress-frame cadence in
     per-shard executions — frames ride the progress hook, so it is a
@@ -199,12 +207,10 @@ val run_campaign :
     rounds a failing set of shards gets, in the spirit of
     {!Parallel.map_retry}; a shard still missing after the last round
     raises [Failure]. [trace] buffers each shard's telemetry in its
-    worker and returns the streams in {!outcome.shard_traces}. [obs]
-    receives the coordinator's lifecycle events ({!Pdf_obs.Event.Shard},
-    [Worker_spawn], [Worker_frame], [Worker_exit], plus a [Retry] per
-    shard replay). [kill_worker] is the chaos hook: SIGKILL
-    that worker on its first accepted frame — the campaign must still
-    produce the bit-identical merged result via replay.
+    worker and returns the streams in {!outcome.shard_traces}.
+    [kill_worker] is the chaos hook: SIGKILL that worker on its first
+    accepted frame — the campaign must still produce the bit-identical
+    merged result via replay.
 
     When stderr is a tty the coordinator also paints a live fleet-wide
     status line (the single-run line plus per-worker health columns),
@@ -232,7 +238,7 @@ val simulate_campaign :
     plan and round-robin assignment as {!run_campaign}, each simulated
     worker's frames encoded to bytes and decoded back through
     {!Frame.Decoder} with the streams interleaved in odd-sized chunks,
-    then folded through {!Merge} and merged. Everything but the fork.
+    then filled into {!Slots} and merged. Everything but the fork.
 
     This exists because OCaml 5 refuses [Unix.fork] in any process
     that has ever spawned a domain — {!run_campaign} raises [Failure]

@@ -40,10 +40,6 @@ type t =
     }
   | Phases of { spans : (string * int) list; wall_ns : int }
   | Run_done of { valid : int; cov : int; wall_ns : int; execs_per_sec : float }
-  | Shard of { shard : int; seed : int; budget : int }
-  | Worker_spawn of { worker : int; pid : int; shards : int }
-  | Worker_frame of { worker : int; shard : int; seq : int; final : bool }
-  | Worker_exit of { worker : int; status : string; missing : int }
 
 type stamped = { t_ns : int; exec : int; ev : t }
 
@@ -63,10 +59,6 @@ let kind = function
   | Snapshot _ -> "snapshot"
   | Phases _ -> "phases"
   | Run_done _ -> "run_done"
-  | Shard _ -> "shard"
-  | Worker_spawn _ -> "worker_spawn"
-  | Worker_frame _ -> "worker_frame"
-  | Worker_exit _ -> "worker_exit"
 
 (* Payload fields, in the order they are serialized. Span totals in
    [Phases] serialize as one field per span named [<span>_ns], so the
@@ -133,19 +125,6 @@ let fields ev =
       ("wall_ns", I r.wall_ns);
       ("execs_per_sec", F r.execs_per_sec);
     ]
-  | Shard s ->
-    [ ("shard", I s.shard); ("seed", I s.seed); ("budget", I s.budget) ]
-  | Worker_spawn w ->
-    [ ("worker", I w.worker); ("pid", I w.pid); ("shards", I w.shards) ]
-  | Worker_frame w ->
-    [
-      ("worker", I w.worker);
-      ("shard", I w.shard);
-      ("seq", I w.seq);
-      ("final", B w.final);
-    ]
-  | Worker_exit w ->
-    [ ("worker", I w.worker); ("status", S w.status); ("missing", I w.missing) ]
 
 let to_json_line { t_ns; exec; ev } =
   Json.flat_to_string
@@ -293,35 +272,6 @@ let of_fields fields =
           cov = int_field f "cov";
           wall_ns = int_field f "wall_ns";
           execs_per_sec = float_field f "execs_per_sec";
-        }
-    | "shard" ->
-      Shard
-        {
-          shard = int_field f "shard";
-          seed = int_field f "seed";
-          budget = int_field f "budget";
-        }
-    | "worker_spawn" ->
-      Worker_spawn
-        {
-          worker = int_field f "worker";
-          pid = int_field f "pid";
-          shards = int_field f "shards";
-        }
-    | "worker_frame" ->
-      Worker_frame
-        {
-          worker = int_field f "worker";
-          shard = int_field f "shard";
-          seq = int_field f "seq";
-          final = bool_field f "final";
-        }
-    | "worker_exit" ->
-      Worker_exit
-        {
-          worker = int_field f "worker";
-          status = str_field f "status";
-          missing = int_field f "missing";
         }
     | k -> Json.fail "unknown event kind %S" k
   in

@@ -64,20 +64,6 @@ type t =
       (** cumulative per-phase wall-clock spans at end of run; spans
           serialize as one [<name>_ns] field each *)
   | Run_done of { valid : int; cov : int; wall_ns : int; execs_per_sec : float }
-  | Shard of { shard : int; seed : int; budget : int }
-      (** one entry of a distributed campaign's shard plan, emitted by
-          the coordinator before any worker is spawned *)
-  | Worker_spawn of { worker : int; pid : int; shards : int }
-      (** a campaign worker process was forked; [shards] is how many
-          plan entries it owns *)
-  | Worker_frame of { worker : int; shard : int; seq : int; final : bool }
-      (** the coordinator accepted a sync frame; [seq] is the frame's
-          per-shard sequence number, [final] marks the shard's result
-          frame (progress frames have [final = false]) *)
-  | Worker_exit of { worker : int; status : string; missing : int }
-      (** a worker's pipe reached EOF and it was reaped; [status] is
-          ["exit:<code>"] or ["signal:<signum>"], [missing] counts its
-          shards that still lack a final frame (each will be replayed) *)
 
 type stamped = { t_ns : int; exec : int; ev : t }
 

@@ -128,11 +128,16 @@ let chrome oc =
 (* {1 Reading and normalizing} *)
 
 (* Kinds that older builds emitted and this build no longer has: five
-   search-loop events nothing read, and the prefix cache's cold
-   re-execution of a crashed resume. Their lines are skipped, so those traces still load;
-   any other kind this build does not know is an error. *)
+   search-loop events nothing read, the prefix cache's cold
+   re-execution of a crashed resume, and the campaign coordinator's
+   shard plan and worker lifecycle. Their lines are skipped, so those
+   traces still load; any other kind this build does not know is an
+   error. *)
 let retired =
-  [ "exec_start"; "queue_rerank"; "queue_trunc"; "cache_evict"; "reset"; "rescue" ]
+  [
+    "exec_start"; "queue_rerank"; "queue_trunc"; "cache_evict"; "reset"; "rescue";
+    "shard"; "worker_spawn"; "worker_frame"; "worker_exit";
+  ]
 
 let is_retired line =
   match List.assoc_opt "ev" (Json.parse_flat line) with

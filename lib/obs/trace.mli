@@ -31,10 +31,11 @@ val buffer : unit -> sink * (unit -> string)
 
 val read_file : string -> Event.stamped list
 (** Parse a JSONL trace file. Blank lines are skipped, and so are lines
-    of the six event kinds that older builds emitted from the search
-    loop and this one no longer has, so their traces still load. Raises
-    [Failure] with the offending line number on malformed input,
-    including a line of any other unknown kind. *)
+    of the ten event kinds that older builds emitted from the search
+    loop, the prefix cache or the campaign coordinator and this one no
+    longer has, so their traces still load. Raises [Failure] with the
+    offending line number on malformed input, including a line of any
+    other unknown kind. *)
 
 val normalize_line : string -> string
 (** Zero the wall-clock-dependent fields ([t], any [*_ns],

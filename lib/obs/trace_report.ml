@@ -40,21 +40,28 @@ type t = {
   faults : int;  (* injected faults that fired (chaos runs) *)
 }
 
-(* Split a merged evaluate trace into per-cell runs. A trace with no
-   Cell events is one anonymous segment. *)
+(* Split a trace into runs. A merged evaluate trace heads each cell
+   with a Cell event, which its run's Run_meta follows; a campaign
+   trace is its shards' streams back to back, each opening with a
+   Run_meta. So a segment ends at a Cell, and at a Run_meta when it
+   already holds one. A trace with neither is one anonymous segment. *)
 let segments events =
   let flush cell acc segs =
     match (cell, acc) with
     | None, [] -> segs
     | _ -> (cell, List.rev acc) :: segs
   in
-  let rec go cell acc segs = function
+  let rec go cell meta acc segs = function
     | [] -> List.rev (flush cell acc segs)
     | ({ Event.ev = Event.Cell c; _ } : Event.stamped) :: rest ->
-      go (Some (c.tool, c.subject, c.seed)) [] (flush cell acc segs) rest
-    | ev :: rest -> go cell (ev :: acc) segs rest
+      go (Some (c.tool, c.subject, c.seed)) false [] (flush cell acc segs) rest
+    | ({ Event.ev = Event.Run_meta _; _ } as ev) :: rest when meta ->
+      go None true [ ev ] (flush cell acc segs) rest
+    | ({ Event.ev = Event.Run_meta _; _ } as ev) :: rest ->
+      go cell true (ev :: acc) segs rest
+    | ev :: rest -> go cell meta (ev :: acc) segs rest
   in
-  go None [] [] events
+  go None false [] [] events
 
 let known_phases = List.map Phase.name Phase.all
 

@@ -65,4 +65,6 @@ val render : ?rows:int -> Format.formatter -> t -> unit
 
 val report_events : ?rows:int -> ?top:int -> Format.formatter -> Event.stamped list -> t list
 (** Segment, analyse and render every run in a trace; returns the
-    analyses in trace order. *)
+    analyses in trace order. A run starts at a [Cell] event (a merged
+    evaluate trace) or at a [Run_meta] after another one (the shard
+    streams of a campaign trace). *)

@@ -1,14 +1,15 @@
-(* Tests for distributed campaign orchestration: the semilattice laws of
-   the coordinator's frame merge (on adversarial QCheck frames), a
-   model-based replay of a recorded 2-worker campaign against the
-   sequential reference, frame-decode damage (truncation, version skew,
-   digest corruption, interleaved partial frames), and forked end-to-end
-   campaigns — workers:1 = workers:2 = workers:4 bit-identical, worker
-   death + replay included. *)
+(* Tests for distributed campaign orchestration: the slot rule of the
+   coordinator's per-shard accumulator (on hand-picked frames, and on
+   QCheck-generated one-owner delivery), a model-based replay of a
+   recorded 2-worker campaign against the sequential reference,
+   frame-decode damage (truncation, version skew, digest corruption,
+   interleaved partial frames), and forked end-to-end campaigns —
+   workers:1 = workers:2 = workers:4 bit-identical, worker death +
+   replay included. *)
 
 module Dist = Pdf_eval.Dist
 module Frame = Dist.Frame
-module Merge = Dist.Merge
+module Slots = Dist.Slots
 module Pfuzzer = Pdf_core.Pfuzzer
 module Coverage = Pdf_instr.Coverage
 module Hits = Pdf_instr.Hits
@@ -16,6 +17,7 @@ module Catalog = Pdf_subjects.Catalog
 module Invariants = Pdf_check.Invariants
 module Event = Pdf_obs.Event
 module Metrics = Pdf_obs.Metrics
+module Histogram = Pdf_util.Stats.Histogram
 module Rng = Pdf_util.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -23,12 +25,6 @@ let qtest = QCheck_alcotest.to_alcotest
 let subject name =
   try Catalog.find name
   with Not_found -> Alcotest.failf "no subject %S in the catalog" name
-
-(* {1 Frame generators}
-
-   Adversarial by design: colliding shard ids, colliding sequence
-   numbers, progress and final frames mixed freely. The merge laws must
-   hold on these, not just on well-formed campaign traffic. *)
 
 let mk_result ~valid ~cov ~hits ~execs ~hangs =
   {
@@ -48,83 +44,6 @@ let mk_result ~valid ~cov ~hits ~execs ~hangs =
     wall_clock_s = 0.0;
     execs_per_sec = 0.0;
   }
-
-let gen_result =
-  QCheck.Gen.(
-    let* valid = small_list (string_size (int_range 0 3)) in
-    let* cov = small_list (int_range 0 40) in
-    let* hits = small_list (pair (int_range 0 20) (int_range 1 4)) in
-    let* execs = int_range 0 60 in
-    let* hangs = int_range 0 3 in
-    return (mk_result ~valid ~cov ~hits ~execs ~hangs))
-
-let gen_metrics =
-  QCheck.Gen.(
-    let* present = bool in
-    if not present then return None
-    else
-      let* clock = int_range 0 5 in
-      let* execs = int_range 0 100 in
-      let m = Metrics.create () in
-      Metrics.add (Metrics.counter m "shard/executions") execs;
-      return (Some (Metrics.snapshot ~origin:0 ~clock m)))
-
-let gen_frame =
-  QCheck.Gen.(
-    let* shard = int_range 0 3 in
-    let* seq = int_range 0 5 in
-    let* final = bool in
-    let* result = gen_result in
-    let* metrics = gen_metrics in
-    return { Frame.shard; seq; final; result; metrics })
-
-let arb_frames =
-  QCheck.make
-    ~print:(fun fs ->
-      String.concat ";"
-        (List.map
-           (fun (f : Frame.t) ->
-             Printf.sprintf "(shard %d, seq %d%s)" f.shard f.seq
-               (if f.final then ", final" else ""))
-           fs))
-    QCheck.Gen.(list_size (int_range 0 12) gen_frame)
-
-let state_of frames = List.fold_left Merge.add Merge.empty frames
-
-(* {1 Merge laws} *)
-
-let prop_merge_commutative =
-  QCheck.Test.make ~name:"merge join is commutative" ~count:300
-    (QCheck.pair arb_frames arb_frames)
-    (fun (fa, fb) ->
-      let a = state_of fa and b = state_of fb in
-      Merge.equal (Merge.join a b) (Merge.join b a))
-
-let prop_merge_associative =
-  QCheck.Test.make ~name:"merge join is associative" ~count:300
-    (QCheck.triple arb_frames arb_frames arb_frames)
-    (fun (fa, fb, fc) ->
-      let a = state_of fa and b = state_of fb and c = state_of fc in
-      Merge.equal
-        (Merge.join a (Merge.join b c))
-        (Merge.join (Merge.join a b) c))
-
-let prop_merge_idempotent =
-  QCheck.Test.make ~name:"merge join is idempotent" ~count:300 arb_frames
-    (fun fs ->
-      let a = state_of fs in
-      Merge.equal (Merge.join a a) a)
-
-let prop_merge_arrival_order_invariant =
-  QCheck.Test.make ~name:"fold order and duplicate delivery are invisible"
-    ~count:300
-    (QCheck.pair arb_frames QCheck.small_int)
-    (fun (fs, seed) ->
-      let arr = Array.of_list fs in
-      Rng.shuffle (Rng.make seed) arr;
-      (* Shuffled, and with every frame delivered twice. *)
-      let twice = Array.to_list arr @ Array.to_list arr in
-      Merge.equal (state_of fs) (state_of twice))
 
 (* {1 Frame wire format} *)
 
@@ -163,6 +82,32 @@ let test_frame_roundtrip () =
       && f'.seq = f.seq && f'.final = f.final
       && f'.result.Pfuzzer.executions = f.result.Pfuzzer.executions)
 
+(* A final frame's metrics snapshot, in the layout frames marshal since
+   version 6, arrives with every counter and histogram intact: the
+   fleet totals are summed from these. *)
+let test_frame_metrics_roundtrip () =
+  let m = Metrics.create () in
+  Metrics.add (Metrics.counter m "shard/executions") 40;
+  Metrics.add (Metrics.counter m "shard/valid") 2;
+  List.iter
+    (Histogram.record (Metrics.histogram m "phase/exec_ns"))
+    [ 120; 4_000; 90_000 ];
+  let snap = Metrics.snapshot m in
+  let f = { (sample_frame ()) with Frame.metrics = Some snap } in
+  match Frame.decode_body (Frame.encode_body f) with
+  | Error e -> Alcotest.failf "round-trip failed: %s" e
+  | Ok { Frame.metrics = None; _ } -> Alcotest.fail "metrics snapshot lost"
+  | Ok { Frame.metrics = Some s; _ } ->
+    Alcotest.(check (list (pair string int))) "counters survive"
+      snap.Metrics.counters s.Metrics.counters;
+    Alcotest.(check (list string)) "histogram names survive"
+      (List.map fst snap.Metrics.histograms)
+      (List.map fst s.Metrics.histograms);
+    List.iter2
+      (fun (name, h) (_, h') ->
+        Alcotest.(check bool) (name ^ " survives") true (Histogram.equal h h'))
+      snap.Metrics.histograms s.Metrics.histograms
+
 let corrupt_byte s i =
   let b = Bytes.of_string s in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
@@ -188,9 +133,10 @@ let test_frame_damage () =
 (* Frame bodies encoded by the last build of each older version:
    [sync-frame-v2.bin], whose [Pfuzzer.result] still carried [engine],
    [sync-frame-v3.bin], whose metrics snapshot still carried [gauges],
-   and [sync-frame-v4.bin], whose cache stats still carried [rescues].
-   Their digests are intact, so only the version byte keeps them from
-   being unmarshalled into the wrong record layout. *)
+   [sync-frame-v4.bin], whose cache stats still carried [rescues], and
+   [sync-frame-v5.bin], whose metrics snapshot still carried [origin]
+   and [clock]. Their digests are intact, so only the version byte
+   keeps them from being unmarshalled into the wrong record layout. *)
 let test_old_frames_rejected () =
   List.iter
     (fun v ->
@@ -198,7 +144,148 @@ let test_old_frames_rejected () =
       let body = In_channel.with_open_bin path In_channel.input_all in
       check_reject (Printf.sprintf "v%d fixture" v) "version mismatch"
         (Frame.decode_body body))
-    [ 2; 3; 4 ]
+    [ 2; 3; 4; 5 ]
+
+(* {1 Slots} *)
+
+let test_slots () =
+  let config = { Pfuzzer.default_config with max_executions = 300; seed = 1 } in
+  let slots = Slots.create (Dist.plan ~shards:3 config) in
+  let add (f : Frame.t) =
+    match Slots.add slots f with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "frame for shard %d refused: %s" f.shard e
+  in
+  let held () =
+    List.map (fun (f : Frame.t) -> (f.shard, f.seq, f.final)) (Slots.latest slots)
+  in
+  let check_held msg expect =
+    Alcotest.(check (list (triple int int bool))) msg expect (held ())
+  in
+  let check_missing msg expect =
+    Alcotest.(check (list int)) msg expect
+      (List.map (fun (sh : Dist.shard) -> sh.Dist.shard_id) (Slots.missing slots))
+  in
+  check_missing "every shard lacks a final at first" [ 0; 1; 2 ];
+  add (sample_frame ~shard:1 ~seq:10 ~final:false ());
+  add (sample_frame ~shard:1 ~seq:20 ~final:false ());
+  check_held "a newer progress frame replaces an older one" [ (1, 20, false) ];
+  add (sample_frame ~shard:1 ~seq:101 ~final:true ());
+  add (sample_frame ~shard:1 ~seq:30 ~final:false ());
+  check_held "a progress frame never replaces a final" [ (1, 101, true) ];
+  add (sample_frame ~shard:1 ~seq:999 ~final:true ());
+  check_held "a second final never replaces the first" [ (1, 101, true) ];
+  add (sample_frame ~shard:2 ~seq:40 ~final:false ());
+  check_missing "a progress frame is not a final" [ 0; 2 ];
+  add (sample_frame ~shard:0 ~seq:101 ~final:true ());
+  check_missing "missing lists exactly the shards without a final" [ 2 ];
+  List.iter
+    (fun shard ->
+      check_reject
+        (Printf.sprintf "shard %d" shard)
+        "outside the 3-shard plan"
+        (Slots.add slots (sample_frame ~shard ~final:true ())))
+    [ 3; 4; -1 ];
+  check_held "refused frames change no slot"
+    [ (0, 101, true); (1, 101, true); (2, 40, false) ]
+
+(* One-owner delivery, as a campaign produces it: each shard's frames
+   cross its owner's FIFO pipe in order, progress frames then the
+   final, and the pipes interleave arbitrarily. A killed owner's stream
+   stops short of the final; the replay streams the shard in full, and
+   only after that owner's pipe reached EOF. Per shard, the generator
+   picks the number of progress frames and, for a killed owner, how
+   many of them got through. *)
+let arb_delivery =
+  QCheck.make
+    ~print:QCheck.Print.(pair (list (pair int (option int))) int)
+    QCheck.Gen.(
+      let* shards = int_range 1 4 in
+      let* streams =
+        list_repeat shards (pair (int_range 0 4) (opt (int_range 0 4)))
+      in
+      let* order = int_bound 1_000_000 in
+      return (streams, order))
+
+(* Pop the head of a random non-empty stream until all are drained:
+   each stream keeps its own order, the interleaving is [rng]'s. *)
+let interleave_streams rng streams =
+  let queues = Array.of_list streams in
+  let rec go acc =
+    let live = List.init (Array.length queues) Fun.id in
+    match List.filter (fun i -> queues.(i) <> []) live with
+    | [] -> List.rev acc
+    | live ->
+      let i = List.nth live (Rng.int rng (List.length live)) in
+      (match queues.(i) with
+       | f :: rest ->
+         queues.(i) <- rest;
+         go (f :: acc)
+       | [] -> assert false)
+  in
+  go []
+
+let prop_slots_one_owner_delivery =
+  QCheck.Test.make ~name:"one-owner delivery ends at each shard's final"
+    ~count:300 arb_delivery
+    (fun (streams, order) ->
+      let config = { Pfuzzer.default_config with max_executions = 300; seed = 1 } in
+      let p = Dist.plan ~shards:(List.length streams) config in
+      let frame (sh : Dist.shard) ~final execs =
+        {
+          Frame.shard = sh.shard_id;
+          seq = (if final then sh.shard_budget + 1 else execs);
+          final;
+          result =
+            mk_result
+              ~valid:(if final then [ string_of_int sh.shard_id ] else [])
+              ~cov:[ sh.shard_id ] ~hits:[] ~execs ~hangs:0;
+          metrics = None;
+        }
+      in
+      let full =
+        List.map2
+          (fun (sh : Dist.shard) (progress, _) ->
+            List.init progress (fun i -> frame sh ~final:false (10 * (i + 1)))
+            @ [ frame sh ~final:true sh.shard_budget ])
+          p.Dist.shards streams
+      in
+      let owners, replays =
+        List.split
+          (List.map2
+             (fun stream (progress, killed) ->
+               match killed with
+               | None -> (stream, [])
+               | Some k -> (List.filteri (fun i _ -> i < min k progress) stream, stream))
+             full streams)
+      in
+      let killed =
+        List.filter_map
+          (fun ((sh : Dist.shard), (_, k)) ->
+            Option.map (fun _ -> sh.shard_id) k)
+          (List.combine p.Dist.shards streams)
+      in
+      let slots = Slots.create p in
+      let rng = Rng.make order in
+      let deliver streams =
+        List.iter
+          (fun f -> Result.iter_error failwith (Slots.add slots f))
+          (interleave_streams rng streams)
+      in
+      let last stream = List.nth_opt (List.rev stream) 0 in
+      let bodies frames = List.map Frame.encode_body frames in
+      let missing () =
+        List.map (fun (sh : Dist.shard) -> sh.Dist.shard_id) (Slots.missing slots)
+      in
+      deliver owners;
+      (* Before the replays: each slot holds its owner's newest frame,
+         and exactly the killed owners' shards lack a final. *)
+      let held = bodies (Slots.latest slots) = bodies (List.filter_map last owners) in
+      let lacking = missing () = killed in
+      deliver replays;
+      held && lacking
+      && missing () = []
+      && bodies (Slots.latest slots) = bodies (List.filter_map last full))
 
 (* {1 Streaming decoder} *)
 
@@ -309,8 +396,8 @@ let test_decoder_implausible_length () =
 
    Record the frame streams a 2-worker campaign would produce (each
    worker's shards run in-process, frames captured instead of piped),
-   interleave them in several adversarial delivery orders, and demand
-   that every fold reaches the same state and that the merged result
+   interleave them in several delivery orders, and demand that every
+   order leaves the same finals in the slots and that their merge
    equals the sequential reference. *)
 
 let record_shard_frames p subject (sh : Dist.shard) =
@@ -364,24 +451,33 @@ let test_model_replay () =
       interleave (w1, w0) @ w0;  (* alternation plus duplicate delivery *)
     ]
   in
-  let states = List.map state_of deliveries in
-  (match states with
-   | first :: rest ->
-     List.iteri
-       (fun i st ->
-         Alcotest.(check bool)
-           (Printf.sprintf "delivery order %d folds to the same state" (i + 1))
-           true (Merge.equal first st))
-       rest
-   | [] -> assert false);
-  let finals =
-    List.map
-      (fun (f : Frame.t) ->
-        Alcotest.(check bool) "completed state holds final frames" true f.final;
-        f.result)
-      (Merge.frames (List.hd states))
+  let finals delivery =
+    let slots = Slots.create p in
+    List.iter
+      (fun f ->
+        match Slots.add slots f with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "frame refused: %s" e)
+      delivery;
+    Alcotest.(check int) "every shard holds its final" 0
+      (List.length (Slots.missing slots));
+    Slots.latest slots
   in
-  let merged = Dist.merge_results p finals in
+  let bodies frames = List.map Frame.encode_body frames in
+  let first, rest =
+    match List.map finals deliveries with
+    | first :: rest -> (first, rest)
+    | [] -> assert false
+  in
+  List.iteri
+    (fun i frames ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "delivery order %d leaves byte-identical finals" (i + 2))
+        (bodies first) (bodies frames))
+    rest;
+  let merged =
+    Dist.merge_results p (List.map (fun (f : Frame.t) -> f.result) first)
+  in
   let reference = Dist.reference ~shards:4 config subject in
   Alcotest.(check bool)
     "replayed 2-worker campaign equals the sequential reference" true
@@ -498,38 +594,79 @@ let test_campaign_traces_in_shard_order () =
                sh.Dist.shard_id)
             sh.Dist.shard_seed m.seed
         | _ -> Alcotest.fail "shard trace does not start with run_meta"))
-    p.Dist.shards o.shard_traces
+    p.Dist.shards o.shard_traces;
+  (* The streams back to back, as [campaign --trace] writes them:
+     trace-report must see one run per shard, not one run in all. *)
+  let events =
+    List.concat_map
+      (fun stream ->
+        String.split_on_char '\n' stream
+        |> List.filter (fun l -> l <> "")
+        |> List.map Event.of_json_line)
+      o.shard_traces
+  in
+  let silent = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let reports = Pdf_obs.Trace_report.report_events silent events in
+  Alcotest.(check int) "trace-report finds one run per shard"
+    (List.length p.Dist.shards) (List.length reports);
+  List.iter2
+    (fun (sh : Dist.shard) (r : Pdf_obs.Trace_report.t) ->
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d report covers its budget" sh.Dist.shard_id)
+        sh.Dist.shard_budget r.execs;
+      Alcotest.(check (option int))
+        (Printf.sprintf "shard %d report has its seed" sh.Dist.shard_id)
+        (Some sh.Dist.shard_seed)
+        (Option.map (fun (m : Pdf_obs.Trace_report.meta) -> m.seed) r.meta))
+    p.Dist.shards reports
 
-let test_campaign_lifecycle_events () =
+(* A worker killed mid-shard never wrote that shard's stream; its replay
+   writes the whole of it. So [--trace] still holds one complete stream
+   per shard, equal to an undisturbed campaign's up to timing. *)
+let test_campaign_traces_survive_kill () =
+  let subject = subject "json" in
+  let config = { Pfuzzer.default_config with max_executions = 1200; seed = 2 } in
+  let run ?kill_worker () =
+    Dist.run_campaign ~workers:2 ~shards:3 ~frame_every:10 ~trace:true
+      ?kill_worker config subject
+  in
+  let undisturbed = run () and killed = run ~kill_worker:1 () in
+  Alcotest.(check int) "one stream per shard"
+    (List.length undisturbed.shard_traces)
+    (List.length killed.shard_traces);
+  List.iteri
+    (fun shard (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d stream equals the undisturbed one up to timing"
+           shard)
+        true
+        (Pdf_obs.Trace.normalize a = Pdf_obs.Trace.normalize b))
+    (List.combine undisturbed.shard_traces killed.shard_traces)
+
+(* What the summary line reports of an undisturbed campaign: one clean
+   exit per worker, no replays, no rejected frames, and a frame count
+   that the plan alone fixes — finals plus one progress frame per
+   [frame_every] executions, whichever worker ran the shard. *)
+let test_campaign_accounting () =
   let subject = subject "paren" in
   let config = { Pfuzzer.default_config with max_executions = 120; seed = 4 } in
-  let sink, contents = Pdf_obs.Trace.buffer () in
-  let obs = Pdf_obs.Observer.create ~sink () in
-  let o = Dist.run_campaign ~workers:2 ~shards:2 ~frame_every:30 ~obs config subject in
-  Pdf_obs.Trace.close sink;
-  let events =
-    String.split_on_char '\n' (contents ())
-    |> List.filter (fun l -> String.length l > 0)
-    |> List.map Event.of_json_line
+  let run workers =
+    Dist.run_campaign ~workers ~shards:2 ~frame_every:30 config subject
   in
-  let count pred = List.length (List.filter pred events) in
-  Alcotest.(check int) "one shard event per plan entry" 2
-    (count (fun e -> match e.Event.ev with Event.Shard _ -> true | _ -> false));
-  Alcotest.(check int) "one spawn per worker" 2
-    (count (fun e ->
-         match e.Event.ev with Event.Worker_spawn _ -> true | _ -> false));
-  Alcotest.(check int) "one exit per worker" 2
-    (count (fun e ->
-         match e.Event.ev with Event.Worker_exit _ -> true | _ -> false));
-  Alcotest.(check int) "every accepted frame has an event" o.frames_accepted
-    (count (fun e ->
-         match e.Event.ev with Event.Worker_frame _ -> true | _ -> false));
-  Alcotest.(check bool) "final frames observed for both shards" true
-    (count (fun e ->
-         match e.Event.ev with
-         | Event.Worker_frame { final = true; _ } -> true
-         | _ -> false)
-    = 2)
+  let w1 = run 1 and w2 = run 2 in
+  Alcotest.(check (list (pair int string))) "one clean exit per worker"
+    [ (0, "exit:0"); (1, "exit:0") ]
+    (List.sort compare w2.worker_status);
+  List.iter
+    (fun (label, (o : Dist.outcome)) ->
+      Alcotest.(check int) (label ^ ": no replays") 0 o.replays;
+      Alcotest.(check (list (pair int string))) (label ^ ": no frames rejected")
+        [] o.frames_rejected)
+    [ ("workers:1", w1); ("workers:2", w2) ];
+  Alcotest.(check bool) "progress frames besides the two finals" true
+    (w1.frames_accepted > 2);
+  Alcotest.(check int) "frame count does not depend on the worker count"
+    w1.frames_accepted w2.frames_accepted
 
 (* {1 Plan determinism} *)
 
@@ -550,19 +687,19 @@ let test_plan_determinism () =
 let () =
   Alcotest.run "dist"
     [
-      ( "merge-laws",
+      ( "slots",
         [
-          qtest prop_merge_commutative;
-          qtest prop_merge_associative;
-          qtest prop_merge_idempotent;
-          qtest prop_merge_arrival_order_invariant;
+          Alcotest.test_case "final is never replaced" `Quick test_slots;
+          qtest prop_slots_one_owner_delivery;
         ] );
       ( "wire-format",
         [
           Alcotest.test_case "encode/decode round-trip" `Quick test_frame_roundtrip;
+          Alcotest.test_case "metrics snapshot survives the round-trip" `Quick
+            test_frame_metrics_roundtrip;
           Alcotest.test_case "damage is rejected with one-line reasons" `Quick
             test_frame_damage;
-          Alcotest.test_case "v2 and v3 frames are a version mismatch" `Quick
+          Alcotest.test_case "v2 to v5 frames are a version mismatch" `Quick
             test_old_frames_rejected;
         ] );
       ( "decoder",
@@ -591,7 +728,9 @@ let () =
             test_campaign_fleet_metrics;
           Alcotest.test_case "per-shard traces in shard order" `Quick
             test_campaign_traces_in_shard_order;
-          Alcotest.test_case "coordinator lifecycle events" `Quick
-            test_campaign_lifecycle_events;
+          Alcotest.test_case "per-shard traces survive a killed worker" `Slow
+            test_campaign_traces_survive_kill;
+          Alcotest.test_case "worker exits, replays and frame count" `Quick
+            test_campaign_accounting;
         ] );
     ]

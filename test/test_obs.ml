@@ -93,17 +93,6 @@ let golden =
         (Event.Run_done { valid = 1; cov = 12; wall_ns = 400; execs_per_sec = 50.5 }),
       {|{"ev":"run_done","t":90,"n":5,"valid":1,"cov":12,"wall_ns":400,"execs_per_sec":50.5}|}
     );
-    ( stamp 91 0 (Event.Shard { shard = 2; seed = 77; budget = 500 }),
-      {|{"ev":"shard","t":91,"n":0,"shard":2,"seed":77,"budget":500}|} );
-    ( stamp 92 0 (Event.Worker_spawn { worker = 1; pid = 4242; shards = 2 }),
-      {|{"ev":"worker_spawn","t":92,"n":0,"worker":1,"pid":4242,"shards":2}|} );
-    ( stamp 93 0
-        (Event.Worker_frame { worker = 1; shard = 2; seq = 250; final = false }),
-      {|{"ev":"worker_frame","t":93,"n":0,"worker":1,"shard":2,"seq":250,"final":false}|}
-    );
-    ( stamp 94 0 (Event.Worker_exit { worker = 1; status = "signal:9"; missing = 1 }),
-      {|{"ev":"worker_exit","t":94,"n":0,"worker":1,"status":"signal:9","missing":1}|}
-    );
   ]
 
 let test_golden_lines () =
@@ -397,6 +386,94 @@ let test_trace_report_scales_sampled_phases () =
   check Alcotest.string "other = wall - scaled sum" "6.000" (other_seconds sampled);
   check Alcotest.string "other unsampled" "9.960" (other_seconds full)
 
+(* A trace file may hold several runs: an evaluation grid's cells, each
+   headed by a cell event, or a campaign's shard streams back to back,
+   each opening with its own run_meta. The report gives one analysis per
+   run, in file order. *)
+let run_meta ~seed =
+  Event.Run_meta
+    {
+      subject = "json";
+      outcomes = 76;
+      seed;
+      max_executions = 100;
+      incremental = true;
+      sample = 1;
+    }
+
+let exec_done ~valid =
+  Event.Exec_done
+    {
+      dur_ns = 1_000;
+      verdict = (if valid then "accepted" else "rejected");
+      cached = false;
+      sub_index = -1;
+      cov = 3;
+      cov_delta = 0;
+      valid;
+      len = 2;
+    }
+
+(* Each report's cell, and its run_meta seed, executions and valid
+   inputs. *)
+let check_runs msg expect events =
+  let silent = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  check
+    Alcotest.(list (pair (option (triple string string int)) (triple (option int) int int)))
+    msg expect
+    (List.map
+       (fun (a : Trace_report.t) ->
+         ( a.cell,
+           ( Option.map (fun (m : Trace_report.meta) -> m.seed) a.meta,
+             a.execs,
+             a.final_valid ) ))
+       (Trace_report.report_events silent events))
+
+let test_trace_report_campaign_runs () =
+  check_runs "one report per shard stream"
+    [ (None, (Some 11, 3, 2)); (None, (Some 22, 2, 1)) ]
+    [
+      stamp 0 0 (run_meta ~seed:11);
+      stamp 1 1 (exec_done ~valid:true);
+      stamp 2 2 (exec_done ~valid:false);
+      stamp 3 3 (exec_done ~valid:true);
+      stamp 0 0 (run_meta ~seed:22);
+      stamp 1 1 (exec_done ~valid:false);
+      stamp 2 2 (exec_done ~valid:true);
+    ]
+
+(* pFuzzer cells carry their own run_meta after the cell event; AFL and
+   KLEE cells carry only a run summary. *)
+let test_trace_report_cell_runs () =
+  let cell tool seed = Event.Cell { tool; subject = "json"; seed } in
+  let summary valid = Event.Run_done { valid; cov = 3; wall_ns = 5; execs_per_sec = 8.0 } in
+  check_runs "one report per cell, each keeping its run_meta"
+    [
+      (Some ("AFL", "json", 1), (None, 40, 1));
+      (Some ("pFuzzer", "json", 1), (Some 1, 1, 1));
+      (Some ("pFuzzer", "json", 2), (Some 2, 2, 0));
+      (Some ("KLEE", "json", 1), (None, 30, 2));
+    ]
+    [
+      stamp 0 0 (cell "AFL" 1);
+      stamp 5 40 (summary 1);
+      stamp 0 0 (cell "pFuzzer" 1);
+      stamp 0 0 (run_meta ~seed:1);
+      stamp 1 1 (exec_done ~valid:true);
+      stamp 0 0 (cell "pFuzzer" 2);
+      stamp 0 0 (run_meta ~seed:2);
+      stamp 1 1 (exec_done ~valid:false);
+      stamp 2 2 (exec_done ~valid:false);
+      stamp 0 0 (cell "KLEE" 1);
+      stamp 5 30 (summary 2);
+    ]
+
+let test_trace_report_headerless_run () =
+  check_runs "a trace without headers is one run"
+    [ (None, (None, 2, 1)) ]
+    [ stamp 1 1 (exec_done ~valid:false); stamp 2 2 (exec_done ~valid:true) ];
+  check_runs "an empty trace has no runs" [] []
+
 let test_chrome_sink () =
   let _, events = traced_run () in
   let path = Filename.temp_file "pdf_obs" ".chrome.json" in
@@ -479,81 +556,82 @@ let test_result_timing () =
        (result.execs_per_sec -. (float_of_int result.executions /. result.wall_clock_s))
      < 1.0)
 
-(* {1 Metrics fleet merge: the same semilattice laws as Dist.Merge}
+(* {1 Fleet totals} *)
 
-   Snapshots are adversarial by design: colliding origins, colliding
-   clocks, disagreeing contents. The join must be commutative,
-   associative and idempotent on these — duplicate and out-of-order
-   snapshot delivery over the frame channel is then invisible. *)
-
-let mk_snapshot ~origin ~clock ~execs ~valid ~spans =
+let mk_snapshot ~execs ~valid ~spans =
   let m = Metrics.create () in
   Metrics.add (Metrics.counter m "shard/executions") execs;
   Metrics.add (Metrics.counter m "shard/valid") valid;
   let h = Metrics.histogram m "phase/exec_ns" in
   List.iter (Histogram.record h) spans;
-  Metrics.snapshot ~origin ~clock m
-
-let gen_snapshot =
-  QCheck.Gen.(
-    let* origin = int_range 0 3 in
-    let* clock = int_range 0 5 in
-    let* execs = int_range 0 50 in
-    let* valid = int_range 0 10 in
-    let* spans = small_list (int_range 1 100_000) in
-    return (mk_snapshot ~origin ~clock ~execs ~valid ~spans))
-
-let arb_snapshots =
-  QCheck.make
-    ~print:(fun ss ->
-      String.concat ";"
-        (List.map
-           (fun (s : Metrics.snapshot) ->
-             Printf.sprintf "(origin %d, clock %d)" s.origin s.clock)
-           ss))
-    QCheck.Gen.(list_size (int_range 0 12) gen_snapshot)
-
-let fleet_of ss = List.fold_left Metrics.Fleet.add Metrics.Fleet.empty ss
-
-let prop_fleet_commutative =
-  QCheck.Test.make ~name:"fleet join is commutative" ~count:300
-    (QCheck.pair arb_snapshots arb_snapshots)
-    (fun (sa, sb) ->
-      let a = fleet_of sa and b = fleet_of sb in
-      Metrics.Fleet.equal (Metrics.Fleet.join a b) (Metrics.Fleet.join b a))
-
-let prop_fleet_associative =
-  QCheck.Test.make ~name:"fleet join is associative" ~count:300
-    (QCheck.triple arb_snapshots arb_snapshots arb_snapshots)
-    (fun (sa, sb, sc) ->
-      let a = fleet_of sa and b = fleet_of sb and c = fleet_of sc in
-      Metrics.Fleet.equal
-        (Metrics.Fleet.join a (Metrics.Fleet.join b c))
-        (Metrics.Fleet.join (Metrics.Fleet.join a b) c))
-
-let prop_fleet_idempotent =
-  QCheck.Test.make ~name:"fleet join is idempotent" ~count:300 arb_snapshots
-    (fun ss ->
-      let a = fleet_of ss in
-      Metrics.Fleet.equal (Metrics.Fleet.join a a) a)
-
-let prop_fleet_duplicate_delivery =
-  QCheck.Test.make ~name:"snapshot duplicate delivery is invisible" ~count:300
-    arb_snapshots
-    (fun ss -> Metrics.Fleet.equal (fleet_of ss) (fleet_of (ss @ ss)))
+  Metrics.snapshot m
 
 let test_fleet_totals () =
-  let s0 = mk_snapshot ~origin:0 ~clock:10 ~execs:100 ~valid:3 ~spans:[ 10; 20 ] in
-  let s1 = mk_snapshot ~origin:1 ~clock:25 ~execs:40 ~valid:1 ~spans:[ 30 ] in
-  let t = Metrics.Fleet.totals (fleet_of [ s0; s1 ]) in
-  check Alcotest.int "totals origin" (-1) t.Metrics.origin;
-  check Alcotest.int "totals clock is the fleet max" 25 t.Metrics.clock;
+  let s0 = mk_snapshot ~execs:100 ~valid:3 ~spans:[ 10; 20 ] in
+  let s1 = mk_snapshot ~execs:40 ~valid:1 ~spans:[ 30 ] in
+  let t = Metrics.sum [ s0; s1 ] in
   check Alcotest.int "counters sum" 140
     (List.assoc "shard/executions" t.Metrics.counters);
   check Alcotest.int "counters sum (valid)" 4
     (List.assoc "shard/valid" t.Metrics.counters);
   check Alcotest.int "histograms merge" 3
     (Histogram.count (List.assoc "phase/exec_ns" t.Metrics.histograms))
+
+(* The fleet totals are what one registry would hold had it seen every
+   shard's adds and records: counters sum, histograms merge, and a name
+   that only some shards registered carries over. *)
+type op = Count of string * int | Record of string * int
+
+let arb_shard_ops =
+  let gen_op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2
+            (fun n v -> Count (n, v))
+            (oneofl [ "shard/executions"; "shard/valid"; "cache/hits" ])
+            (int_range 0 50);
+          map2
+            (fun n v -> Record (n, v))
+            (oneofl [ "phase/exec_ns"; "phase/score_ns" ])
+            (int_range 1 100_000);
+        ])
+  in
+  let print_op = function
+    | Count (n, v) -> Printf.sprintf "%s += %d" n v
+    | Record (n, v) -> Printf.sprintf "%s <- %d" n v
+  in
+  QCheck.make
+    ~print:(fun shards ->
+      String.concat " | "
+        (List.map (fun ops -> String.concat "; " (List.map print_op ops)) shards))
+    QCheck.Gen.(list_size (int_range 0 5) (small_list gen_op))
+
+let prop_sum_is_one_registry =
+  QCheck.Test.make ~name:"sum equals one registry fed every shard's data"
+    ~count:300 arb_shard_ops
+    (fun shards ->
+      let apply m =
+        List.iter (function
+          | Count (n, v) -> Metrics.add (Metrics.counter m n) v
+          | Record (n, v) -> Histogram.record (Metrics.histogram m n) v)
+      in
+      let whole = Metrics.create () in
+      let parts =
+        List.map
+          (fun ops ->
+            let m = Metrics.create () in
+            apply m ops;
+            apply whole ops;
+            Metrics.snapshot m)
+          shards
+      in
+      let s = Metrics.sum parts and w = Metrics.snapshot whole in
+      s.Metrics.counters = w.Metrics.counters
+      && List.map fst s.Metrics.histograms = List.map fst w.Metrics.histograms
+      && List.for_all2
+           (fun (_, a) (_, b) -> Histogram.equal a b)
+           s.Metrics.histograms w.Metrics.histograms)
 
 (* {1 Sampled tracing: 1/1 is today's full trace, 1/N is deterministic} *)
 
@@ -656,8 +734,9 @@ let test_sampling_is_uniform () =
 
 (* {1 Traces from older builds} *)
 
-(* One line of each kind the search loop used to emit, as the last build
-   that had them wrote it: reading skips them, and nothing else. *)
+(* One line of each kind that older builds emitted from the search
+   loop, the prefix cache and the campaign coordinator, as the last
+   build that had them wrote it: reading skips them, and nothing else. *)
 let test_read_file_skips_retired_kinds () =
   let first = stamp 1 1 (Event.Cache_hit { saved = 3 }) in
   let last = stamp 9 2 (Event.Hang { total = 1 }) in
@@ -679,6 +758,10 @@ let test_read_file_skips_retired_kinds () =
       {|{"ev":"cache_evict","t":5,"n":1,"evictions":3}|};
       {|{"ev":"reset","t":6,"n":2,"table":"dedupe"}|};
       {|{"ev":"rescue","t":7,"n":2,"prefix":5}|};
+      {|{"ev":"shard","t":91,"n":0,"shard":2,"seed":77,"budget":500}|};
+      {|{"ev":"worker_spawn","t":92,"n":0,"worker":1,"pid":4242,"shards":2}|};
+      {|{"ev":"worker_frame","t":93,"n":0,"worker":1,"shard":2,"seq":250,"final":false}|};
+      {|{"ev":"worker_exit","t":94,"n":0,"worker":1,"status":"signal:9","missing":1}|};
     ]
   in
   check Alcotest.bool "retired kinds skipped" true
@@ -747,11 +830,8 @@ let () =
       ("progress", [ Alcotest.test_case "render" `Quick test_progress_render ]);
       ( "fleet metrics",
         [
-          qtest prop_fleet_commutative;
-          qtest prop_fleet_associative;
-          qtest prop_fleet_idempotent;
-          qtest prop_fleet_duplicate_delivery;
           Alcotest.test_case "totals" `Quick test_fleet_totals;
+          qtest prop_sum_is_one_registry;
         ] );
       ( "sampling",
         [
@@ -774,6 +854,12 @@ let () =
             test_trace_report_matches_run;
           Alcotest.test_case "trace-report scales sampled phases" `Quick
             test_trace_report_scales_sampled_phases;
+          Alcotest.test_case "trace-report: one run per shard stream" `Quick
+            test_trace_report_campaign_runs;
+          Alcotest.test_case "trace-report: one run per grid cell" `Quick
+            test_trace_report_cell_runs;
+          Alcotest.test_case "trace-report: a headerless trace is one run" `Quick
+            test_trace_report_headerless_run;
           Alcotest.test_case "chrome sink" `Quick test_chrome_sink;
         ] );
       ( "overhead",
