@@ -14,51 +14,90 @@ type report = { subject : string; checks : check list }
 
    A list in insertion order with explicit sequence numbers. Pop must
    return the entry with maximal priority, earliest insertion first on
-   ties — exactly {!Pdf_util.Pqueue}'s contract. Snapshot events
-   (rerank, truncation) replace the population while preserving relative
-   insertion order. *)
+   ties — exactly {!Pdf_util.Pqueue}'s contract. Snapshot events are
+   checked, not trusted: a re-rank must keep every entry in insertion
+   order and may only lower priorities (vBr only grows, so
+   [|parent_coverage \ vBr|] only shrinks, and every heuristic variant
+   weighs it by +1 or 0), and a truncation must keep exactly the best
+   [bound] entries. *)
 
 module Queue_model = struct
   type entry = { prio : float; seq : int; data : string }
 
-  type t = { mutable entries : entry list; mutable next_seq : int }
+  type t = {
+    mutable entries : entry list;
+    mutable next_seq : int;
+    mutable reranks : int;
+    mutable truncations : int;
+  }
 
-  let create () = { entries = []; next_seq = 0 }
-
-  let fresh_seq t =
-    let s = t.next_seq in
-    t.next_seq <- s + 1;
-    s
+  let create () = { entries = []; next_seq = 0; reranks = 0; truncations = 0 }
 
   let push t prio data =
-    t.entries <- t.entries @ [ { prio; seq = fresh_seq t; data } ]
+    t.entries <- t.entries @ [ { prio; seq = t.next_seq; data } ];
+    t.next_seq <- t.next_seq + 1
 
-  let replace t snapshot =
-    t.entries <- List.map (fun (prio, data) -> { prio; seq = fresh_seq t; data }) snapshot
+  (* Pop order: priority descending, then insertion ascending. *)
+  let order a b =
+    if a.prio > b.prio then -1 else if a.prio < b.prio then 1 else compare a.seq b.seq
 
   let best t =
     match t.entries with
     | [] -> None
     | e :: rest ->
-      Some
-        (List.fold_left
-           (fun acc e ->
-             if e.prio > acc.prio || (e.prio = acc.prio && e.seq < acc.seq) then e
-             else acc)
-           e rest)
+      Some (List.fold_left (fun acc e -> if order e acc < 0 then e else acc) e rest)
 
   let remove t e = t.entries <- List.filter (fun e' -> e'.seq <> e.seq) t.entries
+
+  let rerank t snapshot =
+    t.reranks <- t.reranks + 1;
+    let rec go acc entries snapshot =
+      match (entries, snapshot) with
+      | [], [] ->
+        t.entries <- List.rev acc;
+        None
+      | e :: entries, (prio, data) :: snapshot ->
+        if not (String.equal data e.data) then
+          Some (Printf.sprintf "re-rank put %S where the model has %S" data e.data)
+        else if prio > e.prio then
+          Some (Printf.sprintf "re-rank raised %S from %g to %g" data e.prio prio)
+        else go ({ e with prio } :: acc) entries snapshot
+      | _ ->
+        Some
+          (Printf.sprintf "re-rank left %d entries, the model has %d"
+             (List.length snapshot) (List.length t.entries))
+    in
+    go [] t.entries snapshot
+
+  let truncate t ~bound snapshot =
+    t.truncations <- t.truncations + 1;
+    let kept =
+      List.sort (fun a b -> compare a.seq b.seq)
+        (List.filteri (fun i _ -> i < bound) (List.sort order t.entries))
+    in
+    if List.map (fun e -> (e.prio, e.data)) kept <> snapshot then
+      Some
+        (Printf.sprintf "truncation kept %d entries that are not the model's best %d"
+           (List.length snapshot) (List.length kept))
+    else begin
+      t.entries <- kept;
+      None
+    end
 end
 
-(* Replay the fuzzer's queue events; return the first violation. *)
-let replay_queue_events config subject =
+(* Replay the fuzzer's queue events; return the model (for its counts)
+   and the first violation. *)
+let replay_queue_events (config : Pfuzzer.config) subject =
   let model = Queue_model.create () in
   let violation = ref None in
   let fail fmt = Printf.ksprintf (fun m -> if !violation = None then violation := Some m) fmt in
   let on_queue_event = function
     | Pfuzzer.Pushed (prio, data) -> Queue_model.push model prio data
-    | Pfuzzer.Reranked snapshot | Pfuzzer.Truncated snapshot ->
-      Queue_model.replace model snapshot
+    | Pfuzzer.Reranked snapshot ->
+      Option.iter (fail "%s") (Queue_model.rerank model snapshot)
+    | Pfuzzer.Truncated snapshot ->
+      Option.iter (fail "%s")
+        (Queue_model.truncate model ~bound:config.queue_bound snapshot)
     | Pfuzzer.Popped (prio, data) -> begin
       match Queue_model.best model with
       | None -> fail "popped %S from an empty model queue" data
@@ -70,7 +109,7 @@ let replay_queue_events config subject =
     end
   in
   ignore (Pfuzzer.fuzz ~on_queue_event config subject);
-  !violation
+  (model, !violation)
 
 (* {1 Trace/coverage agreement} *)
 
@@ -256,12 +295,23 @@ let run ?(execs = 400) ?(seed = 1) subject =
                "interrupted at execution %d, resumed to an identical campaign"
                (Pfuzzer.Checkpoint.executions ck')
            else "resumed campaign diverged from the uninterrupted run")));
-  (match replay_queue_events config subject with
-   | None ->
+  (* Replayed twice: with the campaign's own bound, and with one small
+     enough that the queue truncates. *)
+  let small_bound = { config with queue_bound = 32 } in
+  (match
+     (replay_queue_events config subject, replay_queue_events small_bound subject)
+   with
+   | (m, None), (m_small, None) ->
      add "queue-priority-monotonicity" true
-       (Printf.sprintf "%d candidates replayed against the model"
-          r1.candidates_created)
-   | Some violation -> add "queue-priority-monotonicity" false violation);
+       (Printf.sprintf
+          "%d candidates replayed against the model, %d re-ranks checked; \
+           at bound %d, %d re-ranks and %d truncations checked"
+          r1.candidates_created m.reranks small_bound.queue_bound
+          m_small.reranks m_small.truncations)
+   | (_, Some violation), _ -> add "queue-priority-monotonicity" false violation
+   | _, (_, Some violation) ->
+     add "queue-priority-monotonicity" false
+       (Printf.sprintf "at bound %d: %s" small_bound.queue_bound violation));
   (* Coverage-union monotonicity: replay the valid inputs in discovery
      order. Each must be accepted, contribute new coverage over its
      predecessors, and their union must be the reported set. *)

@@ -6,7 +6,10 @@
     - {b queue-priority monotonicity}: every queue operation the fuzzer
       performs, replayed against a reference model (sorted list with
       insertion-order tie-break), pops exactly the entry the model
-      predicts;
+      predicts; a re-rank keeps the same entries in insertion order and
+      raises no priority, and a truncation keeps exactly the model's
+      best [queue_bound] entries. The replay runs at the campaign's
+      bound and again at a bound of 32, where the queue truncates;
     - {b coverage-union monotonicity}: the reported valid coverage is
       the union of the valid inputs' coverage, and each valid input
       contributed branches new at its discovery time (Algorithm 1's

@@ -22,31 +22,32 @@ let all =
     ("bfs", Bfs);
   ]
 
-(* [score] split on its one coverage-dependent input: [new_cov] is the
-   count of parent-coverage outcomes not yet in vBr, and everything else
-   is a pure function of the candidate. The fuzzer caches [new_cov] per
-   queued candidate and re-scores through this entry point, so an
-   incremental re-rank reproduces [score]'s floats bit-for-bit — the
-   arithmetic below is the single definition both paths share, and
-   float addition order matters for that identity. *)
-let score_with_cov variant ~new_cov (c : Candidate.t) =
+(* The one scoring definition, over the raw fields of a candidate:
+   [new_cov] is the count of parent-coverage outcomes not yet in vBr,
+   [len] and [repl] are the lengths of the input and of its
+   replacement. [score] calls it on a [Candidate.t]; the candidate queue
+   calls it on its columns, with the new-coverage count it keeps per
+   sibling group. Float addition is not associative, so this operation
+   order is what makes both paths agree bit for bit. *)
+let score_parts variant ~new_cov ~len ~repl ~avg_stack ~parents ~path_count =
   let new_cov = float_of_int new_cov in
-  let len = float_of_int (String.length c.data) in
-  let repl = float_of_int (String.length c.repl) in
-  let parents = float_of_int c.parents in
-  let path_penalty = float_of_int c.path_count in
+  let len = float_of_int len in
+  let repl = float_of_int repl in
+  let parents = float_of_int parents in
+  let path_penalty = float_of_int path_count in
   match variant with
-  | Prose -> new_cov -. len +. (2.0 *. repl) -. c.avg_stack -. parents -. path_penalty
+  | Prose -> new_cov -. len +. (2.0 *. repl) -. avg_stack -. parents -. path_penalty
   | Paper_formula ->
-    new_cov -. len +. (2.0 *. repl) -. c.avg_stack +. parents -. path_penalty
+    new_cov -. len +. (2.0 *. repl) -. avg_stack +. parents -. path_penalty
   | No_stack -> new_cov -. len +. (2.0 *. repl) -. parents -. path_penalty
-  | No_length -> new_cov +. (2.0 *. repl) -. c.avg_stack -. parents -. path_penalty
-  | No_replacement -> new_cov -. len -. c.avg_stack -. parents -. path_penalty
+  | No_length -> new_cov +. (2.0 *. repl) -. avg_stack -. parents -. path_penalty
+  | No_replacement -> new_cov -. len -. avg_stack -. parents -. path_penalty
   | Coverage_only -> new_cov
   | Dfs -> len
   | Bfs -> -.len
 
 let score variant ~vbr (c : Candidate.t) =
-  score_with_cov variant
+  score_parts variant
     ~new_cov:(Coverage.new_against c.parent_coverage ~baseline:vbr)
-    c
+    ~len:(String.length c.data) ~repl:(String.length c.repl)
+    ~avg_stack:c.avg_stack ~parents:c.parents ~path_count:c.path_count

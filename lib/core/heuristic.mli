@@ -26,9 +26,18 @@ val score : variant -> vbr:Pdf_instr.Coverage.t -> Candidate.t -> float
 (** Priority of a candidate against the current valid-branch set; higher
     runs earlier. *)
 
-val score_with_cov : variant -> new_cov:int -> Candidate.t -> float
-(** [score] with the coverage-dependent input supplied directly:
-    [new_cov] must equal [Coverage.new_against c.parent_coverage
-    ~baseline:vbr]. This is the entry point the incremental queue
-    re-rank uses with its cached per-candidate counts; the arithmetic is
-    shared with {!score}, so the resulting float is bit-identical. *)
+val score_parts :
+  variant ->
+  new_cov:int ->
+  len:int ->
+  repl:int ->
+  avg_stack:float ->
+  parents:int ->
+  path_count:int ->
+  float
+(** [score] over raw fields: [new_cov] is [Coverage.new_against
+    parent_coverage ~baseline:vbr], [len] and [repl] are the lengths of
+    the input and of its replacement, and the rest are the candidate's
+    fields of the same names. {!score} is defined through it, so a
+    caller that keeps these fields in its own layout — the candidate
+    queue's columns — gets bit-identical priorities. *)

@@ -1,5 +1,4 @@
 module Rng = Pdf_util.Rng
-module Pqueue = Pdf_util.Pqueue
 module Fnv = Pdf_util.Fnv
 module Atomic_file = Pdf_util.Atomic_file
 module Coverage = Pdf_instr.Coverage
@@ -389,7 +388,7 @@ type state = {
      subject ships a machine-form parser. *)
   engine : engine option;
   rng : Rng.t;
-  queue : Candidate.t Pqueue.t;
+  queue : Candidate_queue.t;
   on_queue_event : (queue_event -> unit) option;
   (* Deterministic chaos: when a plan is installed, each execution index
      is looked up and a planned fault replaces or degrades that single
@@ -458,7 +457,9 @@ let path_counts_cap = seen_inputs_cap
 (* Queue snapshot for the observer, in insertion order. Only built when
    an observer is installed (see [emit]'s laziness). *)
 let observed_snapshot st =
-  List.map (fun (prio, (c : Candidate.t)) -> (prio, c.data)) (Pqueue.snapshot st.queue)
+  List.map
+    (fun (prio, (c : Candidate.t)) -> (prio, c.data))
+    (Candidate_queue.snapshot st.queue)
 
 (* Telemetry helpers. [tsink] answers "is a trace sink attached" without
    allocating, so hot-path call sites construct events only behind it;
@@ -508,7 +509,7 @@ let maybe_snapshot st =
   | Some o ->
     if Obs.snapshot_due o then begin
       let hits, misses = cache_counters st in
-      Obs.snapshot o ~exec:st.executions ~depth:(Pqueue.length st.queue)
+      Obs.snapshot o ~exec:st.executions ~depth:(Candidate_queue.length st.queue)
         ~valid:st.valid_count
         ~cov:(Coverage.cardinal st.vbr)
         ~hits ~misses
@@ -719,51 +720,59 @@ let concat_blit input index repl =
   Bytes.blit_string repl 0 b index rl;
   Bytes.unsafe_to_string b
 
-(* Score and enqueue a candidate that already passed the dedupe and
-   length gates. The queue entry carries the candidate's new-coverage
-   count as aux scratch, letting a later valid input re-rank the queue
-   incrementally (see [valid_input]). *)
-let enqueue st (candidate : Candidate.t) =
+(* Score and enqueue a member of the open sibling group [g] that
+   already passed the dedupe and length gates. *)
+let enqueue st g ~data ~repl ~parents ~avg_stack ~path_count =
   st.candidates_created <- st.candidates_created + 1;
   let t_score = span_begin st in
-  let new_cov =
-    Coverage.new_against candidate.parent_coverage ~baseline:st.vbr
+  let prio =
+    Candidate_queue.score st.queue g ~data ~repl ~parents ~avg_stack ~path_count
   in
-  let prio = Heuristic.score_with_cov st.config.heuristic ~new_cov candidate in
   let t_queue = span_next st Phase.Score t_score in
-  Pqueue.push ~aux:new_cov st.queue prio candidate;
+  Candidate_queue.push st.queue g prio ~data ~repl ~parents ~avg_stack
+    ~path_count;
   span_end st Phase.Queue t_queue;
   (match st.on_queue_event with
    | None -> ()
-   | Some f -> f (Pushed (prio, candidate.data)));
+   | Some f -> f (Pushed (prio, data)));
   (match tsink_exec st with
    | None -> ()
    | Some o ->
      Obs.emit o ~exec:st.executions
        (Event.Queue_push
-          { prio; len = String.length candidate.data; depth = Pqueue.length st.queue }));
-  (* Truncate with hysteresis: a full drop sorts the heap, so only do
-     it after the queue has doubled past its bound. *)
-  if Pqueue.length st.queue > 2 * st.config.queue_bound then begin
+          {
+            prio;
+            len = String.length data;
+            depth = Candidate_queue.length st.queue;
+          }));
+  (* Truncate with hysteresis: selection is linear in the queue, so only
+     do it after the queue has doubled past its bound. *)
+  if Candidate_queue.full st.queue then begin
     let t_trunc = span_begin st in
-    Pqueue.drop_worst st.queue st.config.queue_bound;
+    Candidate_queue.truncate st.queue;
     span_end st Phase.Queue t_trunc;
     match st.on_queue_event with
     | None -> ()
     | Some f -> f (Truncated (observed_snapshot st))
   end;
-  st.queue_peak <- max st.queue_peak (Pqueue.length st.queue)
+  st.queue_peak <- max st.queue_peak (Candidate_queue.length st.queue)
 
-(* Entry point for already-materialised candidates (seed inputs). *)
-let push_candidate st (candidate : Candidate.t) =
-  let data = candidate.Candidate.data in
+(* Entry point for the initial corpus: each seed is a group of one. *)
+let push_seed st data =
   let h = Fnv.string data in
   if
     (not (Seen.mem_parts st.seen_inputs h data (String.length data) ""))
     && String.length data <= st.config.max_input_len
   then begin
     seen_add st h data;
-    enqueue st candidate
+    let (c : Candidate.t) = Candidate.seed data in
+    let g =
+      Candidate_queue.open_group st.queue ~parent_coverage:c.parent_coverage
+        ~vbr:st.vbr
+    in
+    enqueue st g ~data ~repl:c.repl ~parents:c.parents ~avg_stack:c.avg_stack
+      ~path_count:c.path_count;
+    Candidate_queue.close_group st.queue g
   end
 
 (* Algorithm 1, [addInputs]: one child per comparison made against the
@@ -788,6 +797,12 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
     let parent_coverage = Runner.coverage_up_to run ~index:sub_index in
     let avg_stack = Runner.avg_stack_of_last_two run in
     let path_count = note_path st run in
+    let parents = parent.parents + 1 in
+    (* The children of this call are one sibling group: they share
+       [parent_coverage], so the queue counts its new coverage once. *)
+    let group =
+      Candidate_queue.open_group st.queue ~parent_coverage ~vbr:st.vbr
+    in
     let input = run.input in
     let index = min sub_index (String.length input) in
     let prefix_hash = Fnv.prefix input index in
@@ -805,15 +820,7 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
           let data = concat_blit input index repl in
           seen_add st h data;
           span_end st Phase.Gen !t_gen;
-          enqueue st
-            {
-              Candidate.data;
-              repl;
-              parents = parent.parents + 1;
-              parent_coverage;
-              avg_stack;
-              path_count;
-            };
+          enqueue st group ~data ~repl ~parents ~avg_stack ~path_count;
           t_gen := span_begin st
         end
       end
@@ -828,6 +835,7 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
         Comparison.iter_replacements st.rng c propose
     done;
     span_end st Phase.Gen !t_gen;
+    Candidate_queue.close_group st.queue group;
     if st.candidates_created > created then remember_children st input index
 
 (* Algorithm 1, [validInp]: report, extend vBr, re-rank the queue. *)
@@ -848,19 +856,12 @@ let valid_input st ~(parent : Candidate.t) (run : Runner.run) =
        (Event.Valid
           { input = run.input; cov = Coverage.cardinal st.vbr; count = st.valid_count }));
   (* Incremental re-rank: a candidate's score depends on vBr only
-     through [new_cov = |parent_coverage \ vBr|], and vBr just grew by
-     [delta] (disjoint from the old vBr by construction), so the updated
-     count is the cached one minus [|parent_coverage ∩ delta|].
-     Candidates that miss the delta keep bit-identical priorities and
-     are skipped; the rest re-score through the same arithmetic a full
-     rerank would use. The re-scoring lands in the Score phase. *)
+     through [|parent_coverage \ vBr|], and vBr just grew by [delta]
+     (disjoint from the old vBr by construction), so the queue subtracts
+     [|parent_coverage ∩ delta|] per sibling group and re-scores only
+     the groups that moved. The re-scoring lands in the Score phase. *)
   let t_rerank = span_begin st in
-  Pqueue.update st.queue (fun (candidate : Candidate.t) ~aux ->
-      let d = Coverage.inter_cardinal candidate.parent_coverage delta in
-      if d = 0 then None
-      else
-        let new_cov = aux - d in
-        Some (Heuristic.score_with_cov st.config.heuristic ~new_cov candidate, new_cov));
+  Candidate_queue.rerank st.queue ~delta;
   span_end st Phase.Score t_rerank;
   (match st.on_queue_event with
    | None -> ()
@@ -988,7 +989,7 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
            }
        | _ -> None);
     rng;
-    queue = Pqueue.create ();
+    queue = Candidate_queue.create config.heuristic ~bound:config.queue_bound;
     on_queue_event;
     faults;
     obs;
@@ -1023,7 +1024,7 @@ let checkpoint_of st (current : Candidate.t) : Checkpoint.t =
     ck_subject = st.subject.Subject.name;
     ck_config = st.config;
     ck_rng = Rng.state st.rng;
-    ck_queue = Pqueue.snapshot st.queue;
+    ck_queue = Candidate_queue.snapshot st.queue;
     ck_current = current;
     ck_vbr = st.vbr;
     ck_valid_rev = st.valid_rev;
@@ -1058,17 +1059,11 @@ let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
   in
   (* The queue snapshot is in insertion order; re-pushing in that order
      preserves the heap's priority/insertion-order total order, so the
-     resumed run pops the exact sequence the original would have. *)
-  (* vBr must be restored before the queue so each re-pushed entry's
-     cached new-coverage aux is computed against the same baseline the
-     snapshot priorities reflect. *)
+     resumed run pops the exact sequence the original would have. vBr
+     must be restored first: each restored entry's new-coverage count is
+     taken against it. *)
   st.vbr <- ck.ck_vbr;
-  List.iter
-    (fun (prio, (c : Candidate.t)) ->
-      Pqueue.push
-        ~aux:(Coverage.new_against c.parent_coverage ~baseline:st.vbr)
-        st.queue prio c)
-    ck.ck_queue;
+  Candidate_queue.restore st.queue ~vbr:st.vbr ck.ck_queue;
   List.iter (fun s -> Seen.add st.seen_inputs (Fnv.string s) s) ck.ck_seen;
   List.iter (fun (h, n) -> Paths.add st.path_counts h n) ck.ck_paths;
   List.iter (fun (key, cr) -> Hashtbl.replace st.crash_tab key cr) ck.ck_crashes;
@@ -1129,14 +1124,14 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
     match st.on_queue_event with
     | None when tsink_exec st = None ->
       let t_pop = span_begin st in
-      let popped = Pqueue.pop st.queue in
+      let popped = Candidate_queue.pop st.queue in
       span_end st Phase.Queue t_pop;
       (match popped with
        | Some c -> c
        | None -> seed_of_char (random_char st))
     | listener -> (
       let t_pop = span_begin st in
-      let popped = Pqueue.pop_with_priority st.queue in
+      let popped = Candidate_queue.pop_with_priority st.queue in
       span_end st Phase.Queue t_pop;
       match popped with
       | Some (prio, c) ->
@@ -1151,7 +1146,7 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
                 {
                   prio;
                   len = String.length c.Candidate.data;
-                  depth = Pqueue.length st.queue;
+                  depth = Candidate_queue.length st.queue;
                 }));
         c
       | None ->
@@ -1256,7 +1251,7 @@ let fuzz ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs ?faults
     make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
       ~rng:(Rng.make config.seed) config subject
   in
-  List.iter (fun input -> push_candidate st (Candidate.seed input)) initial_inputs;
+  List.iter (push_seed st) initial_inputs;
   let first = seed_of_char (random_char st) in
   drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress
 

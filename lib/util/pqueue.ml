@@ -1,112 +1,146 @@
-(* [aux] is caller-owned scratch carried with the entry — the fuzzer
-   caches each candidate's coverage-dependent score component there so a
-   re-rank can adjust priorities incrementally instead of re-deriving
-   them from the value. The queue itself never interprets it.
+(* The heap lives in four parallel arrays indexed by heap position:
+   priorities, insertion sequence numbers, [aux] scratch and values.
+   There is no per-entry record, so a push allocates nothing once the
+   arrays have grown, and a comparison reads two unboxed floats and, on a
+   tie, two ints — never a pointer.
 
-   Priorities live in a [float array] parallel to the entry array rather
-   than in the entries themselves: a float field in a mixed record is
-   boxed, so storing it there costs an allocation per push and a pointer
-   chase per comparison, and sift comparisons are the hottest thing this
-   module does. The parallel array keeps every priority unboxed. *)
-type 'a entry = { seq : int; value : 'a; mutable aux : int }
+   [aux] is caller-owned scratch carried with the entry: the fuzzer's
+   candidate queue stores each slot's sibling-group id there, so a
+   re-rank decides from one int whether an entry's priority can have
+   moved. The queue itself never interprets it.
+
+   Values are kept as [Obj.t], not ['a]. A vacated position must not
+   keep its popped value alive, so it is overwritten with [vacant]; an
+   ['a array] has no value to overwrite it with, and casting an
+   immediate to ['a] is unsound once the code is specialised at
+   ['a = float], where the compiler would read the array as a flat float
+   array. An [Obj.t array] is created from an immediate, so it is never
+   a flat float array, and because its element type is abstract every
+   access takes the generic path that checks the array's tag: a float
+   value is stored as its box and read back as the same box. *)
 
 type 'a t = {
-  mutable prios : float array;  (* prios.(i) is heap.(i)'s priority *)
-  mutable heap : 'a entry array;
+  mutable prios : float array;
+  mutable seqs : int array;
+  mutable auxs : int array;
+  mutable values : Obj.t array;  (* each an ['a], or [vacant] *)
   mutable size : int;
   mutable next_seq : int;
 }
 
-(* Sentinel entry filling every slot at index >= size. Vacated slots must
-   not keep pointing at popped entries: the backing array would otherwise
-   retain dead values (and their whole candidate payloads) until the slot
-   happens to be overwritten. The sentinel is a single shared record whose
-   payload is [()]; it is never returned, so the unsafe cast never
-   escapes. *)
-let dummy : unit entry = { seq = -1; value = (); aux = 0 }
-let dummy_entry () : 'a entry = Obj.magic dummy
+let vacant = Obj.repr ()
 
-let create () = { prios = [||]; heap = [||]; size = 0; next_seq = 0 }
+let create () =
+  { prios = [||]; seqs = [||]; auxs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* Max-heap order between slots: higher priority first; on equal
-   priority, lower seq (earlier insertion) first. Sequence numbers are
-   unique, so this is a total order. Callers guarantee [i], [j] are live
-   slots. *)
+let[@inline] value t i : 'a = Obj.obj (Array.unsafe_get t.values i)
+
+(* Max-heap order: higher priority first; on equal priority, lower seq
+   (earlier insertion) first. Sequence numbers are unique, so this is a
+   total order. [beats] compares two (priority, seq) pairs; [before]
+   compares the entries at two live positions. *)
+let[@inline] beats (p : float) (s : int) pj sj = p > pj || (p = pj && s < sj)
+
 let[@inline] before t i j =
-  let pi = Array.unsafe_get t.prios i and pj = Array.unsafe_get t.prios j in
-  pi > pj
-  || (pi = pj
-      && (Array.unsafe_get t.heap i).seq < (Array.unsafe_get t.heap j).seq)
+  beats (Array.unsafe_get t.prios i) (Array.unsafe_get t.seqs i)
+    (Array.unsafe_get t.prios j) (Array.unsafe_get t.seqs j)
+
+let[@inline] move t ~src ~dst =
+  Array.unsafe_set t.prios dst (Array.unsafe_get t.prios src);
+  Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
+  Array.unsafe_set t.auxs dst (Array.unsafe_get t.auxs src);
+  Array.unsafe_set t.values dst (Array.unsafe_get t.values src)
+
+let[@inline] place t i p s a v =
+  Array.unsafe_set t.prios i p;
+  Array.unsafe_set t.seqs i s;
+  Array.unsafe_set t.auxs i a;
+  Array.unsafe_set t.values i v
 
 let swap t i j =
-  let p = t.prios.(i) in
-  t.prios.(i) <- t.prios.(j);
-  t.prios.(j) <- p;
-  let e = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- e
+  let p = t.prios.(i) and s = t.seqs.(i) and a = t.auxs.(i) and v = t.values.(i) in
+  move t ~src:j ~dst:i;
+  place t j p s a v
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Both sifts move a hole instead of swapping: the entry being placed is
+   held in locals, each entry it passes moves once into the hole, and
+   the entry is written once where the hole stops. *)
+let sift_up t i =
+  let p = t.prios.(i) and s = t.seqs.(i) and a = t.auxs.(i) and v = t.values.(i) in
+  let hole = ref i in
+  let continue = ref true in
+  while !continue && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    if beats p s (Array.unsafe_get t.prios parent) (Array.unsafe_get t.seqs parent)
+    then begin
+      move t ~src:parent ~dst:!hole;
+      hole := parent
     end
-  end
+    else continue := false
+  done;
+  place t !hole p s a v
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = if l < t.size && before t l i then l else i in
-  let best = if r < t.size && before t r best then r else best in
-  if best <> i then begin
-    swap t i best;
-    sift_down t best
-  end
+let sift_down t i =
+  let p = t.prios.(i) and s = t.seqs.(i) and a = t.auxs.(i) and v = t.values.(i) in
+  let size = t.size in
+  let hole = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !hole) + 1 in
+    if l >= size then continue := false
+    else begin
+      let r = l + 1 in
+      let c = if r < size && before t r l then r else l in
+      if beats (Array.unsafe_get t.prios c) (Array.unsafe_get t.seqs c) p s then begin
+        move t ~src:c ~dst:!hole;
+        hole := c
+      end
+      else continue := false
+    end
+  done;
+  place t !hole p s a v
 
 let grow t =
-  let cap = Array.length t.heap in
+  let cap = Array.length t.prios in
   if t.size = cap then begin
     let ncap = max 16 (2 * cap) in
-    let nheap = Array.make ncap (dummy_entry ()) in
-    Array.blit t.heap 0 nheap 0 t.size;
-    t.heap <- nheap;
-    let nprios = Array.make ncap neg_infinity in
-    Array.blit t.prios 0 nprios 0 t.size;
-    t.prios <- nprios
+    let extend a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 t.size;
+      b
+    in
+    t.prios <- extend t.prios neg_infinity;
+    t.seqs <- extend t.seqs 0;
+    t.auxs <- extend t.auxs 0;
+    t.values <- extend t.values vacant
   end
 
-let push ?(aux = 0) t prio value =
-  let entry = { seq = t.next_seq; value; aux } in
-  t.next_seq <- t.next_seq + 1;
+let push ?(aux = 0) t prio v =
   grow t;
-  t.heap.(t.size) <- entry;
-  t.prios.(t.size) <- prio;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  let i = t.size in
+  place t i prio t.next_seq aux (Obj.repr v);
+  t.next_seq <- t.next_seq + 1;
+  t.size <- i + 1;
+  sift_up t i
 
 (* Caller guarantees [size > 0]. *)
 let remove_top t =
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    t.prios.(0) <- t.prios.(t.size);
-    t.heap.(t.size) <- dummy_entry ();
-    t.prios.(t.size) <- neg_infinity;
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    move t ~src:last ~dst:0;
+    t.values.(last) <- vacant;
     sift_down t 0
   end
-  else begin
-    t.heap.(0) <- dummy_entry ();
-    t.prios.(0) <- neg_infinity
-  end
+  else t.values.(0) <- vacant
 
 let pop t =
   if t.size = 0 then None
   else begin
-    let v = t.heap.(0).value in
+    let v = value t 0 in
     remove_top t;
     Some v
   end
@@ -115,16 +149,16 @@ let pop_with_priority t =
   if t.size = 0 then None
   else begin
     let prio = t.prios.(0) in
-    let v = t.heap.(0).value in
+    let v = value t 0 in
     remove_top t;
     Some (prio, v)
   end
 
-let peek t = if t.size = 0 then None else Some t.heap.(0).value
+let peek t = if t.size = 0 then None else Some (value t 0)
 
 let iter f t =
   for i = 0 to t.size - 1 do
-    f t.heap.(i).value
+    f (value t i)
   done
 
 let heapify t =
@@ -134,7 +168,7 @@ let heapify t =
 
 let rerank t f =
   for i = 0 to t.size - 1 do
-    t.prios.(i) <- f t.heap.(i).value
+    t.prios.(i) <- f (value t i)
   done;
   heapify t
 
@@ -149,26 +183,24 @@ let rerank t f =
 let update t f =
   let changed = ref false in
   for i = 0 to t.size - 1 do
-    let e = t.heap.(i) in
-    match f e.value ~aux:e.aux with
+    match f (value t i) ~aux:t.auxs.(i) with
     | None -> ()
     | Some (prio, aux) ->
       if prio <> t.prios.(i) then changed := true;
       t.prios.(i) <- prio;
-      e.aux <- aux
+      t.auxs.(i) <- aux
   done;
   if !changed then heapify t
 
-(* Selection for [drop_worst]: rearrange live slots so the [n] best
+(* Selection for [drop_worst]: rearrange live positions so the [n] best
    under the total order occupy [0..n). Median-of-three Lomuto
-   quickselect, average O(size) — replacing a full [Array.sort] whose
-   O(size log size) comparator calls dominated truncation cost. The kept
-   set is identical to what sorting kept ([before] is a total order, so
-   "the best n" is unique), and pops from the rebuilt heap are
-   layout-independent, so the change is invisible to results. *)
+   quickselect, average O(size). The kept set is unique ([before] is a
+   total order, so "the best n" is well defined), and pops from the
+   rebuilt heap are layout-independent, so the selection strategy is
+   invisible to results. *)
 let partition t lo hi =
   let mid = lo + ((hi - lo) / 2) in
-  (* Move the median of slots (lo, mid, hi) to [hi] as the pivot. *)
+  (* Move the median of positions (lo, mid, hi) to [hi] as the pivot. *)
   let m =
     if before t lo mid then
       if before t mid hi then mid else if before t lo hi then hi else lo
@@ -192,18 +224,15 @@ let rec select t lo hi n =
     let p = partition t lo hi in
     if p > n then select t lo (p - 1) n
     else if p < n - 1 then select t (p + 1) hi n
-    (* p = n - 1 or p = n: every slot below [n] comes before every slot
-       at or beyond it — selection done. *)
+    (* p = n - 1 or p = n: every position below [n] comes before every
+       position at or beyond it — selection done. *)
   end
 
 let drop_worst t n =
   if t.size > n then begin
     let n = max 0 n in
     if n > 0 then select t 0 (t.size - 1) n;
-    for i = n to t.size - 1 do
-      t.heap.(i) <- dummy_entry ();
-      t.prios.(i) <- neg_infinity
-    done;
+    Array.fill t.values n (t.size - n) vacant;
     t.size <- n;
     heapify t
   end
@@ -211,11 +240,11 @@ let drop_worst t n =
 let to_list t =
   let acc = ref [] in
   for i = t.size - 1 downto 0 do
-    acc := (t.prios.(i), t.heap.(i).value) :: !acc
+    acc := (t.prios.(i), value t i) :: !acc
   done;
   !acc
 
 let snapshot t =
-  let pairs = Array.init t.size (fun i -> (t.prios.(i), t.heap.(i))) in
-  Array.sort (fun (_, a) (_, b) -> compare a.seq b.seq) pairs;
-  Array.to_list (Array.map (fun (p, e) -> (p, e.value)) pairs)
+  let order = Array.init t.size Fun.id in
+  Array.sort (fun i j -> compare t.seqs.(i) t.seqs.(j)) order;
+  Array.fold_right (fun i acc -> (t.prios.(i), value t i) :: acc) order []

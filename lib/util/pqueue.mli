@@ -1,9 +1,12 @@
 (** Mutable max-priority queue over float priorities.
 
-    Backing store for the pFuzzer candidate queue (Algorithm 1). Supports
-    the operation the algorithm needs when a valid input is found: a full
-    re-prioritisation of all pending entries ({!rerank}) without re-running
-    them. *)
+    The heap under the pFuzzer candidate queue (Algorithm 1), which
+    stores slot ids here and keeps the candidates in its own columns.
+    Each entry carries an int [aux] beside its value; the candidate
+    queue puts the slot's sibling-group id there, so that when a valid
+    input is found, {!update} re-scores only the entries whose group's
+    new coverage moved — the algorithm's re-prioritisation of all
+    pending entries, without re-running them. *)
 
 type 'a t
 

@@ -651,6 +651,212 @@ let prop_all_variants_total =
           Float.is_finite s)
         Heuristic.all)
 
+(* {1 Candidate queue}
+
+   The column store against a from-scratch model: a list of candidates
+   in insertion order whose priorities are [Heuristic.score ~vbr],
+   recomputed on every observation. Pushes come in sibling groups that
+   share one parent coverage; re-rank deltas are disjoint from the
+   model's vBr, as the fuzzer's are. After every step the queue's
+   snapshot must equal the model's, its columns must stay within the
+   cap, and no group may outlive its members. *)
+
+module Cq = Pdf_core.Candidate_queue
+
+type sibling = {
+  s_data : string;
+  s_repl : string;
+  s_parents : int;
+  s_avg_stack : float;
+  s_path_count : int;
+}
+
+type cq_op =
+  | Group of int list * sibling list  (** shared parent coverage, members *)
+  | Pop of bool  (** with its priority? *)
+  | Rerank of int list
+  | Truncate
+  | Round_trip  (** snapshot, then restore into a fresh queue *)
+
+module Cq_model = struct
+  type entry = { seq : int; cand : Candidate.t }
+
+  type t = {
+    variant : Heuristic.variant;
+    bound : int;
+    mutable vbr : Coverage.t;
+    mutable entries : entry list;  (* insertion order *)
+    mutable next_seq : int;
+  }
+
+  let prio m e = Heuristic.score m.variant ~vbr:m.vbr e.cand
+
+  let order m a b =
+    let pa = prio m a and pb = prio m b in
+    if pa > pb then -1 else if pa < pb then 1 else compare a.seq b.seq
+
+  let push m cand =
+    m.entries <- m.entries @ [ { seq = m.next_seq; cand } ];
+    m.next_seq <- m.next_seq + 1
+
+  let pop m =
+    match List.sort (order m) m.entries with
+    | [] -> None
+    | e :: _ ->
+      let p = prio m e in
+      m.entries <- List.filter (fun e' -> e'.seq <> e.seq) m.entries;
+      Some (p, e.cand)
+
+  let truncate m =
+    m.entries <-
+      List.sort (fun a b -> compare a.seq b.seq)
+        (List.filteri (fun i _ -> i < m.bound) (List.sort (order m) m.entries))
+
+  let snapshot m = List.map (fun e -> (prio m e, e.cand)) m.entries
+end
+
+let sibling_gen =
+  QCheck.Gen.(
+    map
+      (fun ((s_data, s_repl), (s_parents, s_avg_stack, s_path_count)) ->
+        { s_data; s_repl; s_parents; s_avg_stack; s_path_count })
+      (pair
+         (pair
+            (string_size ~gen:(char_range 'a' 'c') (int_range 0 6))
+            (string_size ~gen:(char_range 'a' 'c') (int_range 0 2)))
+         (triple (int_range 0 4) (oneofl [ 0.0; 0.5; 1.5; 3.25 ]) (int_range 0 3))))
+
+(* Outcomes span three bitset words. *)
+let outcomes_gen = QCheck.Gen.(list_size (int_range 0 12) (int_range 0 140))
+
+let cq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map
+            (fun (cov, sibs) -> Group (cov, sibs))
+            (pair outcomes_gen (list_size (int_range 1 5) sibling_gen)) );
+        (3, map (fun p -> Pop p) bool);
+        (2, map (fun d -> Rerank d) outcomes_gen);
+        (1, return Truncate);
+        (1, return Round_trip);
+      ])
+
+let print_cq_op = function
+  | Group (cov, sibs) ->
+    Printf.sprintf "group [%s] {%s}"
+      (String.concat "," (List.map string_of_int cov))
+      (String.concat "; "
+         (List.map
+            (fun s ->
+              Printf.sprintf "%S/%S p%d a%g n%d" s.s_data s.s_repl s.s_parents
+                s.s_avg_stack s.s_path_count)
+            sibs))
+  | Pop p -> if p then "pop_with_priority" else "pop"
+  | Rerank d ->
+    Printf.sprintf "rerank [%s]" (String.concat "," (List.map string_of_int d))
+  | Truncate -> "truncate"
+  | Round_trip -> "round-trip"
+
+let cq_case =
+  QCheck.make
+    ~print:(fun (v, bound, ops) ->
+      Printf.sprintf "%s, bound %d: %s"
+        (fst (List.nth Heuristic.all v))
+        bound
+        (String.concat "; " (List.map print_cq_op ops)))
+    QCheck.Gen.(
+      triple
+        (int_range 0 (List.length Heuristic.all - 1))
+        (int_range (-2) 6)
+        (list_size (int_range 0 60) cq_op_gen))
+
+let cq_check (m : Cq_model.t) q =
+  if Cq.length q <> List.length m.entries then
+    QCheck.Test.fail_reportf "length %d, model %d" (Cq.length q) (List.length m.entries);
+  if Cq.snapshot q <> Cq_model.snapshot m then QCheck.Test.fail_report "snapshot differs";
+  let cap = (2 * max 0 m.bound) + 2 in
+  if Cq.slot_capacity q > cap || Cq.group_capacity q > cap then
+    QCheck.Test.fail_reportf "capacity %d slots, %d groups over %d" (Cq.slot_capacity q)
+      (Cq.group_capacity q) cap;
+  if Cq.live_groups q > Cq.length q then
+    QCheck.Test.fail_reportf "%d live groups for %d entries" (Cq.live_groups q)
+      (Cq.length q)
+
+let cq_step (m : Cq_model.t) q = function
+  | Group (cov, sibs) ->
+    let parent_coverage = Coverage.of_list cov in
+    let g = Cq.open_group !q ~parent_coverage ~vbr:m.vbr in
+    List.iter
+      (fun s ->
+        let cand =
+          {
+            Candidate.data = s.s_data;
+            repl = s.s_repl;
+            parents = s.s_parents;
+            parent_coverage;
+            avg_stack = s.s_avg_stack;
+            path_count = s.s_path_count;
+          }
+        in
+        let prio =
+          Cq.score !q g ~data:s.s_data ~repl:s.s_repl ~parents:s.s_parents
+            ~avg_stack:s.s_avg_stack ~path_count:s.s_path_count
+        in
+        if prio <> Heuristic.score m.variant ~vbr:m.vbr cand then
+          QCheck.Test.fail_report "score differs from Heuristic.score";
+        Cq.push !q g prio ~data:s.s_data ~repl:s.s_repl ~parents:s.s_parents
+          ~avg_stack:s.s_avg_stack ~path_count:s.s_path_count;
+        Cq_model.push m cand;
+        (* The fuzzer's hysteresis: truncate once past twice the bound. *)
+        let over = List.length m.entries > 2 * m.bound in
+        if Cq.full !q <> over then QCheck.Test.fail_report "full disagrees";
+        if over then begin
+          Cq.truncate !q;
+          Cq_model.truncate m
+        end)
+      sibs;
+    Cq.close_group !q g
+  | Pop with_priority ->
+    let want = Cq_model.pop m in
+    if with_priority then begin
+      if Cq.pop_with_priority !q <> want then QCheck.Test.fail_report "pop differs"
+    end
+    else if Cq.pop !q <> Option.map snd want then QCheck.Test.fail_report "pop differs"
+  | Rerank d ->
+    let delta = Coverage.diff (Coverage.of_list d) m.vbr in
+    m.vbr <- Coverage.union m.vbr delta;
+    Cq.rerank !q ~delta
+  | Truncate ->
+    Cq.truncate !q;
+    Cq_model.truncate m
+  | Round_trip ->
+    let fresh = Cq.create m.variant ~bound:m.bound in
+    Cq.restore fresh ~vbr:m.vbr (Cq.snapshot !q);
+    q := fresh
+
+let prop_candidate_queue_model =
+  QCheck.Test.make ~name:"candidate queue agrees with a rescoring model" ~count:500
+    cq_case (fun (v, bound, ops) ->
+      let variant = snd (List.nth Heuristic.all v) in
+      let m =
+        { Cq_model.variant; bound; vbr = Coverage.empty; entries = []; next_seq = 0 }
+      in
+      let q = ref (Cq.create variant ~bound) in
+      List.iter
+        (fun op ->
+          cq_step m q op;
+          cq_check m !q)
+        ops;
+      (* Drain: every remaining entry pops in the model's order, and the
+         last pop frees the last group. *)
+      while m.entries <> [] do
+        cq_step m q (Pop true)
+      done;
+      cq_check m !q;
+      Cq.live_groups !q = 0)
+
 let () =
   Alcotest.run "pdf_core"
     [
@@ -664,6 +870,7 @@ let () =
           qtest prop_heuristic_monotone_in_coverage;
           qtest prop_all_variants_total;
         ] );
+      ("candidate queue", [ qtest prop_candidate_queue_model ]);
       ( "fuzzer",
         [
           Alcotest.test_case "finds expr inputs" `Quick test_finds_expr_inputs;

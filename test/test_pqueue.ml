@@ -7,22 +7,32 @@
    order. The model is a plain association list with explicit sequence
    numbers, so every observable — pop, peek, length, snapshot — can be
    predicted exactly, not just up to ties. Priorities are drawn from a
-   tiny set to make ties the common case rather than the rare one. *)
+   tiny set to make ties the common case rather than the rare one.
+   Entries carry [aux] scratch, and [update] — the selective re-rank the
+   fuzzer's candidate queue calls — must hand each selected entry its
+   current [aux]. *)
 
 module Pqueue = Pdf_util.Pqueue
 
 let qtest = QCheck_alcotest.to_alcotest
 
-type op = Push of int | Pop | Peek | Rerank of int | Drop_worst of int
+type op =
+  | Push of int * int  (** priority, aux *)
+  | Pop
+  | Peek
+  | Rerank of int
+  | Update of int
+  | Drop_worst of int
 
 let op_gen =
   QCheck.(
     oneof
       [
-        map (fun p -> Push (abs p mod 4)) small_int;
+        map (fun (p, a) -> Push (abs p mod 4, abs a mod 8)) (pair small_int small_int);
         always Pop;
         always Peek;
         map (fun k -> Rerank (abs k mod 5)) small_int;
+        map (fun k -> Update (abs k mod 5)) small_int;
         map (fun n -> Drop_worst (abs n mod 6)) small_int;
       ])
 
@@ -33,23 +43,24 @@ let ops_gen =
         String.concat ";"
           (List.map
              (function
-               | Push p -> Printf.sprintf "push %d" p
+               | Push (p, a) -> Printf.sprintf "push %d ~aux:%d" p a
                | Pop -> "pop"
                | Peek -> "peek"
                | Rerank k -> Printf.sprintf "rerank %d" k
+               | Update k -> Printf.sprintf "update %d" k
                | Drop_worst n -> Printf.sprintf "drop_worst %d" n)
              ops))
       Gen.(list_size (int_range 0 40) (QCheck.gen op_gen)))
 
 (* Reference model: entries in insertion order with explicit seqs. *)
 module Model = struct
-  type entry = { mutable prio : float; seq : int; value : int }
+  type entry = { mutable prio : float; seq : int; value : int; mutable aux : int }
   type t = { mutable entries : entry list; mutable next_seq : int }
 
   let create () = { entries = []; next_seq = 0 }
 
-  let push t prio value =
-    t.entries <- t.entries @ [ { prio; seq = t.next_seq; value } ];
+  let push t prio value aux =
+    t.entries <- t.entries @ [ { prio; seq = t.next_seq; value; aux } ];
     t.next_seq <- t.next_seq + 1
 
   let order a b =
@@ -72,6 +83,18 @@ module Model = struct
 
   let rerank t f = List.iter (fun e -> e.prio <- f e.value) t.entries
 
+  let aux t value = (List.find (fun e -> e.value = value) t.entries).aux
+
+  let update t f =
+    List.iter
+      (fun e ->
+        match f e.value ~aux:e.aux with
+        | None -> ()
+        | Some (prio, aux) ->
+          e.prio <- prio;
+          e.aux <- aux)
+      t.entries
+
   let drop_worst t n =
     let kept = List.filteri (fun i _ -> i < n) (List.sort order t.entries) in
     t.entries <-
@@ -87,6 +110,12 @@ end
 
 let rerank_fn k v = float_of_int ((v * (k + 2)) mod 5)
 
+(* [update]'s selector: every entry whose value is a multiple of [k + 2]
+   moves to a re-ranked priority (often one it already had, so ties
+   stay common) and a new aux derived from the one it carried. *)
+let update_fn k v ~aux =
+  if v mod (k + 2) = 0 then Some (rerank_fn k v, aux + k + 1) else None
+
 let check_snapshot model q =
   if Pqueue.length q <> Model.length model then
     QCheck.Test.fail_reportf "length %d, model %d" (Pqueue.length q)
@@ -99,12 +128,12 @@ let check_snapshot model q =
 
 let apply model q counter op =
   match op with
-  | Push p ->
+  | Push (p, aux) ->
     let v = !counter in
     incr counter;
     let prio = float_of_int p in
-    Pqueue.push q prio v;
-    Model.push model prio v
+    Pqueue.push ~aux q prio v;
+    Model.push model prio v aux
   | Pop ->
     let got = Pqueue.pop_with_priority q and want = Model.pop model in
     if got <> want then QCheck.Test.fail_report "pop_with_priority mismatch"
@@ -114,6 +143,14 @@ let apply model q counter op =
   | Rerank k ->
     Pqueue.rerank q (rerank_fn k);
     Model.rerank model (rerank_fn k)
+  | Update k ->
+    Pqueue.update q (fun v ~aux ->
+        let want = Model.aux model v in
+        if aux <> want then
+          QCheck.Test.fail_reportf "update saw aux %d for %d, model has %d" aux v
+            want;
+        update_fn k v ~aux);
+    Model.update model (update_fn k)
   | Drop_worst n ->
     Pqueue.drop_worst q n;
     Model.drop_worst model n
@@ -165,6 +202,33 @@ let test_rerank_keeps_tie_order =
       let order = List.init n (fun _ -> Option.get (Pqueue.pop q)) in
       order = List.init n Fun.id)
 
+(* Values are stored untyped; a float payload must come back as the
+   same float, in the model's order, after sifts, [update] and
+   truncation have moved it. *)
+let test_float_values =
+  QCheck.Test.make ~name:"float values survive sifts, update and truncation"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 40) (pair (int_range 0 3) float))
+    (fun pairs ->
+      let q = Pqueue.create () in
+      List.iter (fun (p, v) -> Pqueue.push q (float_of_int p) v) pairs;
+      let reprio p v = if v > 0.0 then 4.0 else float_of_int p in
+      Pqueue.update q (fun v ~aux -> if v > 0.0 then Some (4.0, aux) else None);
+      let n = List.length pairs / 2 in
+      Pqueue.drop_worst q n;
+      let want =
+        List.mapi (fun seq (p, v) -> (reprio p v, seq, v)) pairs
+        |> List.sort (fun (pa, sa, _) (pb, sb, _) ->
+               if pa <> pb then compare pb pa else compare sa sb)
+        |> List.filteri (fun i _ -> i < n)
+        |> List.map (fun (_, _, v) -> v)
+      in
+      let drained =
+        List.init (Pqueue.length q) (fun _ -> Option.get (Pqueue.pop q))
+      in
+      (* [compare], not [=]: the generator draws nan too. *)
+      compare drained want = 0)
+
 let () =
   Alcotest.run "pqueue"
     [
@@ -173,5 +237,6 @@ let () =
           qtest test_ops_model;
           qtest test_fifo_on_ties;
           qtest test_rerank_keeps_tie_order;
+          qtest test_float_values;
         ] );
     ]
