@@ -17,17 +17,19 @@ type t = {
   heap : int Pqueue.t;  (* slot ids; each entry's aux is its slot's group *)
   (* Slot columns. Slots below [slots_used] have been handed out at
      least once; the rest of each column is unused capacity. *)
-  mutable data : string array;
   mutable repl : string array;
-  mutable parents : int array;
-  mutable path_count : int array;
-  mutable avg_stack : float array;
   mutable slot_group : int array;
   mutable slots_used : int;
   mutable free_slot : int;
-  (* Group columns, laid out the same way. [refs] counts the group's
-     queued members, plus one while it is open. [moved] is the re-rank
-     epoch at which [new_cov] last changed. *)
+  (* Group columns, laid out the same way. A member's input is
+     [input.(g)[0 .. cut.(g)) ^ repl]. [refs] counts the group's queued
+     members, plus one while it is open. [moved] is the re-rank epoch at
+     which [new_cov] last changed. *)
+  mutable input : string array;
+  mutable cut : int array;
+  mutable parents : int array;
+  mutable avg_stack : float array;
+  mutable path_count : int array;
   mutable coverage : Coverage.t array;
   mutable new_cov : int array;
   mutable refs : int array;
@@ -46,14 +48,15 @@ let create variant ~bound =
     bound;
     cap = (2 * bound) + 2;
     heap = Pqueue.create ();
-    data = [||];
     repl = [||];
-    parents = [||];
-    path_count = [||];
-    avg_stack = [||];
     slot_group = [||];
     slots_used = 0;
     free_slot = -1;
+    input = [||];
+    cut = [||];
+    parents = [||];
+    avg_stack = [||];
+    path_count = [||];
     coverage = [||];
     new_cov = [||];
     refs = [||];
@@ -66,7 +69,7 @@ let create variant ~bound =
 
 let length t = Pqueue.length t.heap
 let full t = Pqueue.length t.heap > 2 * t.bound
-let slot_capacity t = Array.length t.data
+let slot_capacity t = Array.length t.repl
 let group_capacity t = Array.length t.refs
 let live_groups t = t.live_groups
 
@@ -87,13 +90,9 @@ let alloc_slot t =
     s
   end
   else begin
-    if t.slots_used = Array.length t.data then begin
+    if t.slots_used = Array.length t.repl then begin
       let n = next_capacity t t.slots_used in
-      t.data <- resize t.data n "";
       t.repl <- resize t.repl n "";
-      t.parents <- resize t.parents n 0;
-      t.path_count <- resize t.path_count n 0;
-      t.avg_stack <- resize t.avg_stack n 0.0;
       t.slot_group <- resize t.slot_group n 0
     end;
     let s = t.slots_used in
@@ -111,6 +110,11 @@ let alloc_group t =
   else begin
     if t.groups_used = Array.length t.refs then begin
       let n = next_capacity t t.groups_used in
+      t.input <- resize t.input n "";
+      t.cut <- resize t.cut n 0;
+      t.parents <- resize t.parents n 0;
+      t.avg_stack <- resize t.avg_stack n 0.0;
+      t.path_count <- resize t.path_count n 0;
       t.coverage <- resize t.coverage n Coverage.empty;
       t.new_cov <- resize t.new_cov n 0;
       t.refs <- resize t.refs n 0;
@@ -125,6 +129,7 @@ let release t g =
   let r = t.refs.(g) - 1 in
   if r > 0 then t.refs.(g) <- r
   else begin
+    t.input.(g) <- "";
     t.coverage.(g) <- Coverage.empty;
     t.refs.(g) <- link t.free_group;
     t.free_group <- g;
@@ -133,14 +138,21 @@ let release t g =
 
 let free_slot t s =
   let g = t.slot_group.(s) in
-  t.data.(s) <- "";
   t.repl.(s) <- "";
   t.slot_group.(s) <- link t.free_slot;
   t.free_slot <- s;
   release t g
 
-let open_group t ~parent_coverage ~vbr =
+let open_group t ~input ~cut ~parents ~avg_stack ~path_count ~parent_coverage
+    ~vbr =
+  if cut < 0 || cut > String.length input then
+    invalid_arg "Candidate_queue.open_group: cut outside the input";
   let g = alloc_group t in
+  t.input.(g) <- input;
+  t.cut.(g) <- cut;
+  t.parents.(g) <- parents;
+  t.avg_stack.(g) <- avg_stack;
+  t.path_count.(g) <- path_count;
   t.coverage.(g) <- parent_coverage;
   t.new_cov.(g) <- Coverage.new_against parent_coverage ~baseline:vbr;
   t.refs.(g) <- 1;
@@ -148,35 +160,40 @@ let open_group t ~parent_coverage ~vbr =
 
 let close_group = release
 
-let score t g ~data ~repl ~parents ~avg_stack ~path_count =
-  Heuristic.score_parts t.variant ~new_cov:t.new_cov.(g)
-    ~len:(String.length data) ~repl:(String.length repl) ~avg_stack ~parents
-    ~path_count
+let score t g ~repl =
+  let rl = String.length repl in
+  Heuristic.score_parts t.variant ~new_cov:t.new_cov.(g) ~len:(t.cut.(g) + rl)
+    ~repl:rl ~avg_stack:t.avg_stack.(g) ~parents:t.parents.(g)
+    ~path_count:t.path_count.(g)
 
-let score_slot t s g =
-  score t g ~data:t.data.(s) ~repl:t.repl.(s) ~parents:t.parents.(s)
-    ~avg_stack:t.avg_stack.(s) ~path_count:t.path_count.(s)
-
-let push t g prio ~data ~repl ~parents ~avg_stack ~path_count =
+let push t g prio ~repl =
   if full t then invalid_arg "Candidate_queue.push: queue is full";
   let s = alloc_slot t in
-  t.data.(s) <- data;
   t.repl.(s) <- repl;
-  t.parents.(s) <- parents;
-  t.path_count.(s) <- path_count;
-  t.avg_stack.(s) <- avg_stack;
   t.slot_group.(s) <- g;
   t.refs.(g) <- t.refs.(g) + 1;
   Pqueue.push ~aux:g t.heap prio s
 
+(* One allocation: the prefix and the replacement blitted into a fresh
+   string. [open_group] checked the cut against the input. *)
+let member_data t g ~repl =
+  let cut = t.cut.(g) in
+  let rl = String.length repl in
+  let b = Bytes.create (cut + rl) in
+  Bytes.blit_string t.input.(g) 0 b 0 cut;
+  Bytes.blit_string repl 0 b cut rl;
+  Bytes.unsafe_to_string b
+
 let candidate t s =
+  let g = t.slot_group.(s) in
+  let repl = t.repl.(s) in
   {
-    Candidate.data = t.data.(s);
-    repl = t.repl.(s);
-    parents = t.parents.(s);
-    parent_coverage = t.coverage.(t.slot_group.(s));
-    avg_stack = t.avg_stack.(s);
-    path_count = t.path_count.(s);
+    Candidate.data = member_data t g ~repl;
+    repl;
+    parents = t.parents.(g);
+    parent_coverage = t.coverage.(g);
+    avg_stack = t.avg_stack.(g);
+    path_count = t.path_count.(g);
   }
 
 let pop t =
@@ -215,7 +232,8 @@ let rerank t ~delta =
   done;
   if !any then
     Pqueue.update t.heap (fun s ~aux:g ->
-        if t.moved.(g) = epoch then Some (score_slot t s g, g) else None)
+        if t.moved.(g) = epoch then Some (score t g ~repl:t.repl.(s), g)
+        else None)
 
 let truncate t =
   if Pqueue.length t.heap > t.bound then begin
@@ -233,8 +251,14 @@ let snapshot t =
 let restore t ~vbr entries =
   List.iter
     (fun (prio, (c : Candidate.t)) ->
-      let g = open_group t ~parent_coverage:c.parent_coverage ~vbr in
-      push t g prio ~data:c.data ~repl:c.repl ~parents:c.parents
-        ~avg_stack:c.avg_stack ~path_count:c.path_count;
+      if not (String.ends_with ~suffix:c.repl c.data) then
+        invalid_arg "Candidate_queue.restore: data does not end with repl";
+      let g =
+        open_group t ~input:c.data
+          ~cut:(String.length c.data - String.length c.repl)
+          ~parents:c.parents ~avg_stack:c.avg_stack ~path_count:c.path_count
+          ~parent_coverage:c.parent_coverage ~vbr
+      in
+      push t g prio ~repl:c.repl;
       close_group t g)
     entries

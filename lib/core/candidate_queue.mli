@@ -1,25 +1,29 @@
 (** The fuzzer's candidate queue (Algorithm 1's [Q]), stored as columns.
 
-    A queued candidate occupies a {e slot}: its [data] and [repl]
-    strings, [parents], [path_count] and [avg_stack] sit in parallel
-    arrays indexed by slot id, and an inner {!Pdf_util.Pqueue} orders
-    the slot ids by priority, with each entry's [aux] holding the slot's
-    group id. A queued candidate therefore costs one heap block, its
-    [data] string, plus its [repl] when that is longer than one
-    character (single characters are interned).
-
     A {e group} is a set of siblings: the children of one [add_inputs]
     call, one seed, or one entry restored from a checkpoint. Siblings
-    share their parent coverage, so the group stores it once, together
-    with its new-coverage count [|parent_coverage \ vBr|]. That count is
-    the only part of a priority that depends on vBr, so {!rerank}
-    intersects each live group's coverage with the delta once and
-    re-scores only the entries of the groups whose count moved.
+    differ only in their replacement, so everything else sits once in
+    the group columns: the parent input and the cut (the substitution
+    index) that the children's inputs share, [parents], [avg_stack],
+    [path_count], and the parent coverage with its new-coverage count
+    [|parent_coverage \ vBr|].
 
-    Priorities are {!Heuristic.score_parts} over the columns and are
-    bit-identical to {!Heuristic.score} on the candidate's record. Pop
-    order is priority descending, then insertion order ascending, as in
-    {!Pdf_util.Pqueue}.
+    A queued candidate occupies a {e slot}, which holds only its [repl]
+    and its group id. Its input is [input[0..cut) ^ repl] and is built
+    only when the candidate leaves the queue ({!pop}) or is looked at
+    ({!snapshot}, {!member_data}). A queued candidate therefore costs no
+    heap block of its own: single-character replacements are interned
+    by the comparison log, and only a keyword replacement is a string of
+    its own.
+
+    The new-coverage count is the only part of a priority that depends
+    on vBr, so {!rerank} intersects each live group's coverage with the
+    delta once and re-scores only the entries of the groups whose count
+    moved. Priorities are {!Heuristic.score_parts} over the columns and
+    are bit-identical to {!Heuristic.score} on the candidate's record.
+    Pop order is priority descending, then insertion order ascending, as
+    in {!Pdf_util.Pqueue}, which orders the slot ids with each entry's
+    [aux] holding the slot's group id.
 
     Slots and groups are recycled through free lists. The queue holds at
     most [2 * bound + 1] entries, and its slot and group columns grow by
@@ -43,41 +47,37 @@ val full : t -> bool
     per-push path. *)
 
 val open_group :
-  t -> parent_coverage:Pdf_instr.Coverage.t -> vbr:Pdf_instr.Coverage.t -> group
-(** Starts a sibling group whose members share [parent_coverage],
-    counting its outcomes outside [vbr]. The group stays allocated until
-    {!close_group}, even if truncation drops every member pushed so
-    far. *)
+  t ->
+  input:string ->
+  cut:int ->
+  parents:int ->
+  avg_stack:float ->
+  path_count:int ->
+  parent_coverage:Pdf_instr.Coverage.t ->
+  vbr:Pdf_instr.Coverage.t ->
+  group
+(** Starts a sibling group whose members run [input[0..cut) ^ repl] and
+    share the other arguments, counting the outcomes of
+    [parent_coverage] outside [vbr]. The group stays allocated until
+    {!close_group}, even if truncation drops every member pushed so far.
+    Raises [Invalid_argument] unless [0 <= cut <= String.length input]. *)
 
 val close_group : t -> group -> unit
 (** Ends the group's pushes. It is freed now if no member is queued, or
     else when its last member leaves. *)
 
-val score :
-  t ->
-  group ->
-  data:string ->
-  repl:string ->
-  parents:int ->
-  avg_stack:float ->
-  path_count:int ->
-  float
-(** The priority of a would-be member of the group under the current
-    vBr. *)
+val score : t -> group -> repl:string -> float
+(** The priority, under the current vBr, of a would-be member of the
+    group with replacement [repl]. *)
 
-val push :
-  t ->
-  group ->
-  float ->
-  data:string ->
-  repl:string ->
-  parents:int ->
-  avg_stack:float ->
-  path_count:int ->
-  unit
-(** [push q g prio ...] queues a member of the open group [g] at [prio].
-    Raises [Invalid_argument] if the queue already holds
+val push : t -> group -> float -> repl:string -> unit
+(** [push q g prio ~repl] queues a member of the open group [g] at
+    [prio]. Raises [Invalid_argument] if the queue already holds
     [2 * bound + 1] entries. *)
+
+val member_data : t -> group -> repl:string -> string
+(** [input[0..cut) ^ repl] for the live group's input and cut, built
+    afresh: the input of its member with replacement [repl]. *)
 
 val pop : t -> Candidate.t option
 (** Removes the best entry and frees its slot. *)
@@ -101,9 +101,12 @@ val snapshot : t -> (float * Candidate.t) list
 val restore :
   t -> vbr:Pdf_instr.Coverage.t -> (float * Candidate.t) list -> unit
 (** Queues a {!snapshot}'s entries in order, each as a group of its own
-    at its recorded priority. Into an empty queue, this rebuilds one
-    that pops, re-ranks and truncates exactly as the snapshotted queue
-    would. *)
+    at its recorded priority, with its [data] as the group's input and
+    its [repl] as the suffix after the cut. Into an empty queue, this
+    rebuilds one that pops, re-ranks and truncates exactly as the
+    snapshotted queue would. Raises [Invalid_argument] if an entry's
+    [data] does not end with its [repl], which no queued candidate's
+    does. *)
 
 (** {1 Occupancy} *)
 

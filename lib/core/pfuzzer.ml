@@ -160,18 +160,10 @@ module Checkpoint = struct
     | exception Sys_error msg -> Error msg
 end
 
-(* {1 Candidate dedupe, hash-before-allocate}
-
-   Membership of a would-be child [input[0..index) ^ repl] is decided by
-   hashing the parts in place ({!Pdf_util.Fnv}) and verifying stored
-   strings with in-place comparison, so a duplicate child is rejected
-   without the child string ever existing. *)
-
 (* Does [s.[pos ..]] start with [repl]? Bounds are the caller's: [s] is
-   known to be long enough. *)
-(* These comparisons run for every proposed child (the parent-equality
-   gate and dedupe probes), so they are [while] loops over register-able
-   refs — a captured-variable [let rec] would cost a closure allocation
+   known to be long enough. It runs for every proposed child (the
+   parent-equality gate), so it is a [while] loop over a register-able
+   ref — a captured-variable [let rec] would cost a closure allocation
    per call. *)
 let ends_with_at s pos repl =
   let rl = String.length repl in
@@ -183,115 +175,11 @@ let ends_with_at s pos repl =
   done;
   !i >= rl
 
-(* Does [s] (of length [index + length repl], checked by the caller)
-   equal [input[0..index) ^ repl]? *)
-let matches_concat s input index repl =
-  let i = ref 0 in
-  while !i < index && String.unsafe_get s !i = String.unsafe_get input !i do
-    incr i
-  done;
-  !i >= index && ends_with_at s index repl
-
-(* The dedupe set: open-addressed linear probing over parallel
-   (hash, string) arrays. A generic [Hashtbl] here costs a generic-hash
-   call plus a bucket-cons allocation per insert and shows up directly
-   in candidate-generation time; this table allocates nothing per
-   operation (the arrays double rarely, and entries are never deleted —
-   the campaign resets the whole generation instead, see
-   [seen_inputs_cap]). FNV hashes are non-negative, so [-1] marks an
-   empty slot. *)
-module Seen = struct
-  type t = {
-    mutable hashes : int array;  (* -1 = empty slot *)
-    mutable vals : string array;
-    mutable mask : int;  (* Array.length hashes - 1; length a power of 2 *)
-    mutable count : int;
-  }
-
-  let create () =
-    {
-      hashes = Array.make 1024 (-1);
-      vals = Array.make 1024 "";
-      mask = 1023;
-      count = 0;
-    }
-
-  let count t = t.count
-
-  (* Is a string equal to [input[0..index) ^ repl] present? [h] must be
-     the FNV hash of that concatenation. *)
-  (* The probe loops are [while]s over a mutable slot index rather than
-     local recursive functions: the compiler turns these non-escaping
-     refs into registers, whereas a captured-variable [let rec] costs a
-     closure allocation per call — on the hottest path in the fuzzer. *)
-  let mem_parts t h input index repl =
-    let n = index + String.length repl in
-    let mask = t.mask in
-    let hashes = t.hashes and vals = t.vals in
-    let i = ref (h land mask) in
-    let res = ref false in
-    let probing = ref true in
-    while !probing do
-      let hi = Array.unsafe_get hashes !i in
-      if hi = -1 then probing := false
-      else if
-        hi = h
-        &&
-        let s = Array.unsafe_get vals !i in
-        String.length s = n && matches_concat s input index repl
-      then begin
-        res := true;
-        probing := false
-      end
-      else i := (!i + 1) land mask
-    done;
-    !res
-
-  let insert_raw t h v =
-    let mask = t.mask in
-    let hashes = t.hashes in
-    let i = ref (h land mask) in
-    while Array.unsafe_get hashes !i >= 0 do
-      i := (!i + 1) land mask
-    done;
-    hashes.(!i) <- h;
-    t.vals.(!i) <- v
-
-  let grow t =
-    let old_h = t.hashes and old_v = t.vals in
-    let n = 2 * Array.length old_h in
-    t.hashes <- Array.make n (-1);
-    t.vals <- Array.make n "";
-    t.mask <- n - 1;
-    Array.iteri (fun i h -> if h >= 0 then insert_raw t h old_v.(i)) old_h
-
-  (* The caller has already checked membership; duplicates are its
-     problem. Load factor stays below 1/2. *)
-  let add t h v =
-    if 2 * (t.count + 1) > Array.length t.hashes then grow t;
-    insert_raw t h v;
-    t.count <- t.count + 1
-
-  (* Generational reset: clear in place, keeping the grown capacity.
-     Values must be cleared too or the dead generation's strings stay
-     reachable. *)
-  let reset t =
-    Array.fill t.hashes 0 (Array.length t.hashes) (-1);
-    Array.fill t.vals 0 (Array.length t.vals) "";
-    t.count <- 0
-
-  let fold f t acc =
-    let acc = ref acc in
-    for i = 0 to Array.length t.hashes - 1 do
-      if Array.unsafe_get t.hashes i >= 0 then acc := f t.vals.(i) !acc
-    done;
-    !acc
-end
-
-(* Path-novelty counts, same open-addressed scheme with int values. The
-   key is already a path hash ({!Runner.path_hash}), so the table maps
-   hash -> count exactly as the [Hashtbl] it replaces did (hash
-   collisions conflate paths in both). *)
+(* Path-novelty counts: open addressing with linear probing, as in
+   {!Dedupe}, over parallel (hash, count) arrays. The key is already a
+   path hash ({!Runner.path_hash}), so the table maps hash -> count
+   exactly as the [Hashtbl] it replaces did (hash collisions conflate
+   paths in both). *)
 module Paths = struct
   type t = {
     mutable hashes : int array;  (* -1 = empty slot *)
@@ -419,12 +307,12 @@ type state = {
   mutable dedupe_resets : int;
   mutable path_resets : int;
   path_counts : Paths.t;
-  (* Candidate dedupe, keyed by content hash with stored strings
-     verified by in-place comparison. Hash-keying is what lets
-     [add_inputs] test "was prefix^repl already queued?" before the
-     child string exists: hash the prefix once per run, extend it over
-     each replacement, and only allocate on a genuinely fresh child. *)
-  seen_inputs : Seen.t;
+  (* Candidate dedupe, keyed by content hash with stored bytes verified
+     by in-place comparison. Hash-keying is what lets [add_inputs] test
+     "was prefix^repl already queued?" without building the child: hash
+     the prefix once per run, extend it over each replacement, and copy
+     only a genuinely fresh child's parts into the set's arena. *)
+  seen_inputs : Dedupe.t;
   (* Crash triage: bounded dedup table keyed on (exn, site) plus the
      first-seen order, so the corpus lists crashes in discovery order. *)
   crash_tab : (string * int, crash) Hashtbl.t;
@@ -435,11 +323,11 @@ type state = {
   on_execution : (Runner.run -> unit) option;
 }
 
-(* The dedupe table would otherwise grow without bound over a long run:
-   every distinct candidate string ever queued stays referenced. Cap it
-   at a small multiple of the queue bound and reset generationally —
-   after a reset some early duplicates may be re-executed once, which is
-   cheap compared to retaining millions of dead strings. *)
+(* The dedupe set would otherwise grow without bound over a long run:
+   every distinct candidate ever queued stays in its arena. Cap it at a
+   small multiple of the queue bound and reset generationally — after a
+   reset some early duplicates may be re-executed once, which is cheap
+   compared to retaining millions of dead inputs. *)
 let seen_inputs_cap config = 4 * config.queue_bound
 
 (* Same bound and policy for the path-novelty table: its keys are path
@@ -705,46 +593,34 @@ let note_path st run =
     0
   end
 
-let seen_add st h data =
-  if Seen.count st.seen_inputs >= seen_inputs_cap st.config then begin
-    Seen.reset st.seen_inputs;
+(* [input[0..index) ^ repl] joins the dedupe set, which is reset
+   generationally once it reaches its cap. *)
+let seen_add st h input index repl =
+  if Dedupe.count st.seen_inputs >= seen_inputs_cap st.config then begin
+    Dedupe.reset st.seen_inputs;
     st.dedupe_resets <- st.dedupe_resets + 1
   end;
-  Seen.add st.seen_inputs h data
+  Dedupe.add st.seen_inputs h input index repl
 
-(* [String.sub input 0 index ^ repl] in a single allocation. *)
-let concat_blit input index repl =
-  let rl = String.length repl in
-  let b = Bytes.create (index + rl) in
-  Bytes.blit_string input 0 b 0 index;
-  Bytes.blit_string repl 0 b index rl;
-  Bytes.unsafe_to_string b
-
-(* Score and enqueue a member of the open sibling group [g] that
-   already passed the dedupe and length gates. *)
-let enqueue st g ~data ~repl ~parents ~avg_stack ~path_count =
+(* Score and enqueue the member of the open sibling group [g] whose
+   replacement is [repl] and whose input is [len] long; it already
+   passed the dedupe and length gates. The input itself is built only
+   for a queue listener. *)
+let enqueue st g ~len repl =
   st.candidates_created <- st.candidates_created + 1;
   let t_score = span_begin st in
-  let prio =
-    Candidate_queue.score st.queue g ~data ~repl ~parents ~avg_stack ~path_count
-  in
+  let prio = Candidate_queue.score st.queue g ~repl in
   let t_queue = span_next st Phase.Score t_score in
-  Candidate_queue.push st.queue g prio ~data ~repl ~parents ~avg_stack
-    ~path_count;
+  Candidate_queue.push st.queue g prio ~repl;
   span_end st Phase.Queue t_queue;
   (match st.on_queue_event with
    | None -> ()
-   | Some f -> f (Pushed (prio, data)));
+   | Some f -> f (Pushed (prio, Candidate_queue.member_data st.queue g ~repl)));
   (match tsink_exec st with
    | None -> ()
    | Some o ->
      Obs.emit o ~exec:st.executions
-       (Event.Queue_push
-          {
-            prio;
-            len = String.length data;
-            depth = Candidate_queue.length st.queue;
-          }));
+       (Event.Queue_push { prio; len; depth = Candidate_queue.length st.queue }));
   (* Truncate with hysteresis: selection is linear in the queue, so only
      do it after the queue has doubled past its bound. *)
   if Candidate_queue.full st.queue then begin
@@ -760,18 +636,19 @@ let enqueue st g ~data ~repl ~parents ~avg_stack ~path_count =
 (* Entry point for the initial corpus: each seed is a group of one. *)
 let push_seed st data =
   let h = Fnv.string data in
+  let len = String.length data in
   if
-    (not (Seen.mem_parts st.seen_inputs h data (String.length data) ""))
-    && String.length data <= st.config.max_input_len
+    (not (Dedupe.mem st.seen_inputs h data len ""))
+    && len <= st.config.max_input_len
   then begin
-    seen_add st h data;
+    seen_add st h data len "";
     let (c : Candidate.t) = Candidate.seed data in
     let g =
-      Candidate_queue.open_group st.queue ~parent_coverage:c.parent_coverage
-        ~vbr:st.vbr
+      Candidate_queue.open_group st.queue ~input:data ~cut:len
+        ~parents:c.parents ~avg_stack:c.avg_stack ~path_count:c.path_count
+        ~parent_coverage:c.parent_coverage ~vbr:st.vbr
     in
-    enqueue st g ~data ~repl:c.repl ~parents:c.parents ~avg_stack:c.avg_stack
-      ~path_count:c.path_count;
+    enqueue st g ~len c.repl;
     Candidate_queue.close_group st.queue g
   end
 
@@ -781,10 +658,11 @@ let push_seed st data =
    place and each comparison streams its replacements
    ({!Comparison.iter_replacements}) into one [propose] closure built
    per call; the parent prefix is hashed once in place, each
-   replacement extends that hash, and the dedupe table is probed before
-   anything is built — a rejected duplicate allocates nothing at all.
-   Only a genuinely fresh child is materialised, with a single [Bytes]
-   blit. Dedupe and construction time lands in the [Gen] phase span;
+   replacement extends that hash, and the dedupe table is probed in
+   place. No child is built here at all: a fresh one is copied into the
+   dedupe arena in parts and queued as its replacement in the sibling
+   group, which holds the parent input and the cut, and its input is
+   built when it is popped. Dedupe time lands in the [Gen] phase span;
    scoring and queue maintenance stay in [Score]/[Queue] inside
    [enqueue]. *)
 let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
@@ -798,13 +676,15 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
     let avg_stack = Runner.avg_stack_of_last_two run in
     let path_count = note_path st run in
     let parents = parent.parents + 1 in
-    (* The children of this call are one sibling group: they share
-       [parent_coverage], so the queue counts its new coverage once. *)
-    let group =
-      Candidate_queue.open_group st.queue ~parent_coverage ~vbr:st.vbr
-    in
     let input = run.input in
     let index = min sub_index (String.length input) in
+    (* The children of this call are one sibling group: they share
+       everything but their replacement, so the queue stores it once and
+       counts the new coverage once. *)
+    let group =
+      Candidate_queue.open_group st.queue ~input ~cut:index ~parents
+        ~avg_stack ~path_count ~parent_coverage ~vbr:st.vbr
+    in
     let prefix_hash = Fnv.prefix input index in
     let propose repl =
       let len = index + String.length repl in
@@ -816,11 +696,10 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
       in
       if (not is_parent) && len <= st.config.max_input_len then begin
         let h = Fnv.continue prefix_hash repl in
-        if not (Seen.mem_parts st.seen_inputs h input index repl) then begin
-          let data = concat_blit input index repl in
-          seen_add st h data;
+        if not (Dedupe.mem st.seen_inputs h input index repl) then begin
+          seen_add st h input index repl;
           span_end st Phase.Gen !t_gen;
-          enqueue st group ~data ~repl ~parents ~avg_stack ~path_count;
+          enqueue st group ~len repl;
           t_gen := span_begin st
         end
       end
@@ -1006,7 +885,7 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
     dedupe_resets = 0;
     path_resets = 0;
     path_counts = Paths.create ();
-    seen_inputs = Seen.create ();
+    seen_inputs = Dedupe.create ();
     crash_tab = Hashtbl.create 16;
     crash_order_rev = [];
     crash_total = 0;
@@ -1036,7 +915,7 @@ let checkpoint_of st (current : Candidate.t) : Checkpoint.t =
     ck_queue_peak = st.queue_peak;
     ck_dedupe_resets = st.dedupe_resets;
     ck_path_resets = st.path_resets;
-    ck_seen = Seen.fold (fun s acc -> s :: acc) st.seen_inputs [];
+    ck_seen = Dedupe.fold (fun s acc -> s :: acc) st.seen_inputs [];
     ck_paths = Paths.fold (fun k v acc -> (k, v) :: acc) st.path_counts [];
     ck_hits = Pdf_instr.Hits.to_list st.hits;
     ck_hangs = st.hangs;
@@ -1064,7 +943,9 @@ let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
      taken against it. *)
   st.vbr <- ck.ck_vbr;
   Candidate_queue.restore st.queue ~vbr:st.vbr ck.ck_queue;
-  List.iter (fun s -> Seen.add st.seen_inputs (Fnv.string s) s) ck.ck_seen;
+  List.iter
+    (fun s -> Dedupe.add st.seen_inputs (Fnv.string s) s (String.length s) "")
+    ck.ck_seen;
   List.iter (fun (h, n) -> Paths.add st.path_counts h n) ck.ck_paths;
   List.iter (fun (key, cr) -> Hashtbl.replace st.crash_tab key cr) ck.ck_crashes;
   st.crash_order_rev <- List.rev_map fst ck.ck_crashes;

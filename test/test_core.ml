@@ -656,23 +656,28 @@ let prop_all_variants_total =
    The column store against a from-scratch model: a list of candidates
    in insertion order whose priorities are [Heuristic.score ~vbr],
    recomputed on every observation. Pushes come in sibling groups that
-   share one parent coverage; re-rank deltas are disjoint from the
+   share one parent input, cut, [parents], [avg_stack], [path_count]
+   and parent coverage, with one replacement per member, so a member's
+   input is [input[0..cut) ^ repl]; re-rank deltas are disjoint from the
    model's vBr, as the fuzzer's are. After every step the queue's
-   snapshot must equal the model's, its columns must stay within the
-   cap, and no group may outlive its members. *)
+   snapshot (inputs included) must equal the model's, its columns must
+   stay within the cap, and no group may outlive its members. Every
+   popped input is the model's, so it too is [input[0..cut) ^ repl]. *)
 
 module Cq = Pdf_core.Candidate_queue
 
-type sibling = {
-  s_data : string;
-  s_repl : string;
+type siblings = {
+  s_input : string;
+  s_cut : int;
   s_parents : int;
   s_avg_stack : float;
   s_path_count : int;
+  s_coverage : int list;
+  s_repls : string list;  (** one member each *)
 }
 
 type cq_op =
-  | Group of int list * sibling list  (** shared parent coverage, members *)
+  | Group of siblings
   | Pop of bool  (** with its priority? *)
   | Rerank of int list
   | Truncate
@@ -715,28 +720,27 @@ module Cq_model = struct
   let snapshot m = List.map (fun e -> (prio m e, e.cand)) m.entries
 end
 
-let sibling_gen =
-  QCheck.Gen.(
-    map
-      (fun ((s_data, s_repl), (s_parents, s_avg_stack, s_path_count)) ->
-        { s_data; s_repl; s_parents; s_avg_stack; s_path_count })
-      (pair
-         (pair
-            (string_size ~gen:(char_range 'a' 'c') (int_range 0 6))
-            (string_size ~gen:(char_range 'a' 'c') (int_range 0 2)))
-         (triple (int_range 0 4) (oneofl [ 0.0; 0.5; 1.5; 3.25 ]) (int_range 0 3))))
-
 (* Outcomes span three bitset words. *)
 let outcomes_gen = QCheck.Gen.(list_size (int_range 0 12) (int_range 0 140))
+
+let siblings_gen =
+  QCheck.Gen.(
+    let* s_input = string_size ~gen:(char_range 'a' 'c') (int_range 0 6) in
+    let* s_cut = int_range 0 (String.length s_input) in
+    let* s_parents, s_avg_stack, s_path_count =
+      triple (int_range 0 4) (oneofl [ 0.0; 0.5; 1.5; 3.25 ]) (int_range 0 3)
+    in
+    let* s_coverage = outcomes_gen in
+    let+ s_repls =
+      list_size (int_range 1 5) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2))
+    in
+    { s_input; s_cut; s_parents; s_avg_stack; s_path_count; s_coverage; s_repls })
 
 let cq_op_gen =
   QCheck.Gen.(
     frequency
       [
-        ( 4,
-          map
-            (fun (cov, sibs) -> Group (cov, sibs))
-            (pair outcomes_gen (list_size (int_range 1 5) sibling_gen)) );
+        (4, map (fun s -> Group s) siblings_gen);
         (3, map (fun p -> Pop p) bool);
         (2, map (fun d -> Rerank d) outcomes_gen);
         (1, return Truncate);
@@ -744,15 +748,11 @@ let cq_op_gen =
       ])
 
 let print_cq_op = function
-  | Group (cov, sibs) ->
-    Printf.sprintf "group [%s] {%s}"
-      (String.concat "," (List.map string_of_int cov))
-      (String.concat "; "
-         (List.map
-            (fun s ->
-              Printf.sprintf "%S/%S p%d a%g n%d" s.s_data s.s_repl s.s_parents
-                s.s_avg_stack s.s_path_count)
-            sibs))
+  | Group s ->
+    Printf.sprintf "group %S cut %d p%d a%g n%d [%s] {%s}" s.s_input s.s_cut
+      s.s_parents s.s_avg_stack s.s_path_count
+      (String.concat "," (List.map string_of_int s.s_coverage))
+      (String.concat "; " (List.map (Printf.sprintf "%S") s.s_repls))
   | Pop p -> if p then "pop_with_priority" else "pop"
   | Rerank d ->
     Printf.sprintf "rerank [%s]" (String.concat "," (List.map string_of_int d))
@@ -785,29 +785,31 @@ let cq_check (m : Cq_model.t) q =
       (Cq.length q)
 
 let cq_step (m : Cq_model.t) q = function
-  | Group (cov, sibs) ->
-    let parent_coverage = Coverage.of_list cov in
-    let g = Cq.open_group !q ~parent_coverage ~vbr:m.vbr in
+  | Group s ->
+    let parent_coverage = Coverage.of_list s.s_coverage in
+    let g =
+      Cq.open_group !q ~input:s.s_input ~cut:s.s_cut ~parents:s.s_parents
+        ~avg_stack:s.s_avg_stack ~path_count:s.s_path_count ~parent_coverage
+        ~vbr:m.vbr
+    in
     List.iter
-      (fun s ->
+      (fun repl ->
         let cand =
           {
-            Candidate.data = s.s_data;
-            repl = s.s_repl;
+            Candidate.data = String.sub s.s_input 0 s.s_cut ^ repl;
+            repl;
             parents = s.s_parents;
             parent_coverage;
             avg_stack = s.s_avg_stack;
             path_count = s.s_path_count;
           }
         in
-        let prio =
-          Cq.score !q g ~data:s.s_data ~repl:s.s_repl ~parents:s.s_parents
-            ~avg_stack:s.s_avg_stack ~path_count:s.s_path_count
-        in
+        if Cq.member_data !q g ~repl <> cand.data then
+          QCheck.Test.fail_report "member data differs from input[0..cut) ^ repl";
+        let prio = Cq.score !q g ~repl in
         if prio <> Heuristic.score m.variant ~vbr:m.vbr cand then
           QCheck.Test.fail_report "score differs from Heuristic.score";
-        Cq.push !q g prio ~data:s.s_data ~repl:s.s_repl ~parents:s.s_parents
-          ~avg_stack:s.s_avg_stack ~path_count:s.s_path_count;
+        Cq.push !q g prio ~repl;
         Cq_model.push m cand;
         (* The fuzzer's hysteresis: truncate once past twice the bound. *)
         let over = List.length m.entries > 2 * m.bound in
@@ -816,7 +818,7 @@ let cq_step (m : Cq_model.t) q = function
           Cq.truncate !q;
           Cq_model.truncate m
         end)
-      sibs;
+      s.s_repls;
     Cq.close_group !q g
   | Pop with_priority ->
     let want = Cq_model.pop m in
@@ -857,6 +859,148 @@ let prop_candidate_queue_model =
       cq_check m !q;
       Cq.live_groups !q = 0)
 
+(* {1 Dedupe set}
+
+   The byte arena against a string-set model. Entries arrive in parts,
+   [input[0..index) ^ repl], over a three-letter alphabet so that the
+   same string often arrives split in different places. A bulk add
+   forces several doublings of the table and the arena; a long add
+   stores an entry of more than 65,535 bytes, which a span packed into
+   16 bits would truncate. Half the cases hash with FNV masked to two
+   bits, so that most probes reach the byte comparison. Every case ends
+   with a fold-and-rebuild round trip, as a checkpoint does. *)
+
+module Dedupe = Pdf_core.Dedupe
+module Fnv = Pdf_util.Fnv
+
+type dd_op =
+  | Mem of string * int * string
+  | Add of string * int * string  (** after a [mem], as the fuzzer does *)
+  | Bulk of char * int  (** that many distinct entries *)
+  | Long of int  (** an entry of [65_536 + n] bytes, cut at [n] *)
+  | Reset
+
+let dd_hash ~weak input index repl =
+  let h = Fnv.continue (Fnv.prefix input index) repl in
+  if weak then h land 3 else h
+
+(* Failure reports stay readable when the entry is 65k long. *)
+let dd_show s =
+  if String.length s <= 24 then Printf.sprintf "%S" s
+  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 24) (String.length s)
+
+let dd_add ~weak t model input index repl =
+  let whole = String.sub input 0 index ^ repl in
+  let h = dd_hash ~weak input index repl in
+  let present = Dedupe.mem t h input index repl in
+  if present <> Hashtbl.mem model whole then
+    QCheck.Test.fail_reportf "mem %s says %b" (dd_show whole) present;
+  if not present then begin
+    Dedupe.add t h input index repl;
+    Hashtbl.replace model whole ()
+  end
+
+let dd_parts_gen =
+  QCheck.Gen.(
+    let* input = string_size ~gen:(char_range 'a' 'c') (int_range 0 8) in
+    let* index = int_range 0 (String.length input) in
+    let+ repl = string_size ~gen:(char_range 'a' 'c') (int_range 0 3) in
+    (input, index, repl))
+
+let dd_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun (i, k, r) -> Mem (i, k, r)) dd_parts_gen);
+        (6, map (fun (i, k, r) -> Add (i, k, r)) dd_parts_gen);
+        (1, map2 (fun c n -> Bulk (c, n)) (char_range 'd' 'z') (int_range 100 3000));
+        (1, map (fun n -> Long n) (int_range 0 3));
+        (1, return Reset);
+      ])
+
+let print_dd_op = function
+  | Mem (i, k, r) -> Printf.sprintf "mem %S %d %S" i k r
+  | Add (i, k, r) -> Printf.sprintf "add %S %d %S" i k r
+  | Bulk (c, n) -> Printf.sprintf "bulk %C x%d" c n
+  | Long n -> Printf.sprintf "long %d" (65_536 + n)
+  | Reset -> "reset"
+
+let dd_step ~weak t model = function
+  | Mem (input, index, repl) ->
+    let whole = String.sub input 0 index ^ repl in
+    if Dedupe.mem t (dd_hash ~weak input index repl) input index repl
+       <> Hashtbl.mem model whole
+    then QCheck.Test.fail_reportf "mem %s disagrees" (dd_show whole)
+  | Add (input, index, repl) -> dd_add ~weak t model input index repl
+  | Bulk (c, n) ->
+    (* A colliding hash makes probes linear in the set; keep it small. *)
+    for i = 0 to (if weak then min n 200 else n) - 1 do
+      let input = Printf.sprintf "%c%d" c i in
+      dd_add ~weak t model input (i mod (String.length input + 1)) "-"
+    done
+  | Long n ->
+    let input = String.init (65_536 + n) (fun i -> Char.chr (97 + (i mod 3))) in
+    dd_add ~weak t model input n (String.sub input n (String.length input - n))
+  | Reset ->
+    Dedupe.reset t;
+    Hashtbl.reset model
+
+let dd_entries model =
+  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model [])
+
+let prop_dedupe_model =
+  QCheck.Test.make ~name:"dedupe set agrees with a string-set model" ~count:100
+    (QCheck.make
+       ~print:(fun (weak, ops) ->
+         Printf.sprintf "%s: %s"
+           (if weak then "2-bit hash" else "FNV")
+           (String.concat "; " (List.map print_dd_op ops)))
+       QCheck.Gen.(pair bool (list_size (int_range 0 40) dd_op_gen)))
+    (fun (weak, ops) ->
+      let t = Dedupe.create () and model = Hashtbl.create 64 in
+      (* A 0-byte entry, arriving in its only split. *)
+      dd_add ~weak t model "" 0 "";
+      List.iter
+        (fun op ->
+          dd_step ~weak t model op;
+          if Dedupe.count t <> Hashtbl.length model then
+            QCheck.Test.fail_reportf "count %d, model %d" (Dedupe.count t)
+              (Hashtbl.length model))
+        ops;
+      let entries = dd_entries model in
+      let folded = List.sort compare (Dedupe.fold List.cons t []) in
+      if folded <> entries then QCheck.Test.fail_report "fold differs from the model";
+      let whole s = dd_hash ~weak s (String.length s) "" in
+      List.iter
+        (fun s ->
+          if not (Dedupe.mem t (whole s) s (String.length s) "") then
+            QCheck.Test.fail_reportf "%s lost" (dd_show s))
+        entries;
+      (* The round trip a checkpoint makes: fold, then add each string
+         whole to a fresh set. The rebuilt set must answer for the same
+         strings arriving in parts. *)
+      let rebuilt = Dedupe.create () in
+      List.iter (fun s -> Dedupe.add rebuilt (whole s) s (String.length s) "") folded;
+      Dedupe.count rebuilt = List.length entries
+      && List.sort compare (Dedupe.fold List.cons rebuilt []) = entries
+      && List.for_all
+           (fun s ->
+             let k = String.length s / 2 in
+             let repl = String.sub s k (String.length s - k) in
+             Dedupe.mem rebuilt (dd_hash ~weak s k repl) s k repl)
+           entries)
+
+let test_dedupe_rejects_bad_parts () =
+  let t = Dedupe.create () in
+  Alcotest.check_raises "index past the input"
+    (Invalid_argument "Dedupe.mem: index 3 outside the input") (fun () ->
+      ignore (Dedupe.mem t 0 "ab" 3 ""));
+  Alcotest.check_raises "negative index"
+    (Invalid_argument "Dedupe.add: index -1 outside the input") (fun () ->
+      Dedupe.add t 0 "ab" (-1) "");
+  Alcotest.check_raises "negative hash" (Invalid_argument "Dedupe.add: negative hash")
+    (fun () -> Dedupe.add t (-1) "ab" 1 "")
+
 let () =
   Alcotest.run "pdf_core"
     [
@@ -871,6 +1015,12 @@ let () =
           qtest prop_all_variants_total;
         ] );
       ("candidate queue", [ qtest prop_candidate_queue_model ]);
+      ( "dedupe",
+        [
+          qtest prop_dedupe_model;
+          Alcotest.test_case "rejects bad parts" `Quick
+            test_dedupe_rejects_bad_parts;
+        ] );
       ( "fuzzer",
         [
           Alcotest.test_case "finds expr inputs" `Quick test_finds_expr_inputs;
