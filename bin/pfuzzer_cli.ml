@@ -341,18 +341,9 @@ let fuzz_cmd =
 
 (* campaign *)
 
-(* The key of a fleet metric in the --out summary: '/' and other
-   characters outside [a-zA-Z0-9_] become '_', under a "pfuzzer_"
-   prefix ("phase/exec_ns" is "pfuzzer_phase_exec_ns"). *)
-let metric_name name =
-  "pfuzzer_"
-  ^ String.map
-      (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_')
-      name
-
 let campaign_cmd =
-  let run subject_name seed executions workers shards frame_every retries
-      kill_worker trace out quiet =
+  let run subject_name seed executions workers shards retries kill_worker trace out
+      quiet =
     match find_subject subject_name with
     | Error e -> Error e
     | Ok subject ->
@@ -360,8 +351,8 @@ let campaign_cmd =
         { Pdf_core.Pfuzzer.default_config with seed; max_executions = executions }
       in
       (match
-         Pdf_eval.Dist.run_campaign ~workers ~shards ~frame_every ~retries
-           ~trace:(trace <> None) ?kill_worker config subject
+         Pdf_eval.Dist.run_campaign ~workers ~shards ~retries ~trace:(trace <> None)
+           ?kill_worker config subject
        with
        | exception Failure msg ->
          (* Replay rounds exhausted, or fork unavailable (a domain was
@@ -412,14 +403,6 @@ let campaign_cmd =
            (fun (w, reason) ->
              Printf.printf "# worker %d rejected frame: %s\n" w reason)
            outcome.frames_rejected;
-         (match outcome.metrics with
-          | None -> ()
-          | Some s ->
-            Printf.printf "# fleet metrics: %s\n"
-              (String.concat ", "
-                 (List.map
-                    (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-                    s.Pdf_obs.Metrics.counters)));
          (match out with
           | None -> ()
           | Some path ->
@@ -432,42 +415,23 @@ let campaign_cmd =
             in
             let buf = Buffer.create 256 in
             let open Pdf_obs.Json in
-            (* The merged-metrics block keeps only the deterministic
-               parts of the fleet totals — counters and histogram
-               counts. Timing quantiles are scheduling-dependent and
-               would break the byte-identity of --out across worker
-               counts. *)
-            let metric_fields =
-              match outcome.metrics with
-              | None -> []
-              | Some s ->
-                List.map
-                  (fun (n, v) -> (metric_name n, I v))
-                  s.Pdf_obs.Metrics.counters
-                @ List.map
-                    (fun (n, h) ->
-                      ( metric_name n ^ "_count",
-                        I (Pdf_util.Stats.Histogram.count h) ))
-                    s.Pdf_obs.Metrics.histograms
-            in
             write_flat buf
-              ([
-                 ("subject", S subject.name);
-                 ("seed", I seed);
-                 ("executions", I r.executions);
-                 ("shards", I (List.length outcome.o_plan.shards));
-                 ("shard_budgets", S budgets);
-                 ("valid_inputs", I (List.length r.valid_inputs));
-                 ( "coverage_pct",
-                   F (Pdf_instr.Coverage.percent r.valid_coverage subject.registry)
-                 );
-                 ("first_valid_at", I (Option.value r.first_valid_at ~default:(-1)));
-                 ("crash_identities", I (List.length r.crashes));
-                 ("crash_total", I r.crash_total);
-                 ("hangs", I r.hangs);
-                 ("result_digest", S digest);
-               ]
-              @ metric_fields);
+              [
+                ("subject", S subject.name);
+                ("seed", I seed);
+                ("executions", I r.executions);
+                ("shards", I (List.length outcome.o_plan.shards));
+                ("shard_budgets", S budgets);
+                ("valid_inputs", I (List.length r.valid_inputs));
+                ( "coverage_pct",
+                  F (Pdf_instr.Coverage.percent r.valid_coverage subject.registry)
+                );
+                ("first_valid_at", I (Option.value r.first_valid_at ~default:(-1)));
+                ("crash_identities", I (List.length r.crashes));
+                ("crash_total", I r.crash_total);
+                ("hangs", I r.hangs);
+                ("result_digest", S digest);
+              ];
             Buffer.add_char buf '\n';
             Pdf_util.Atomic_file.write_string path (Buffer.contents buf);
             Printf.printf "# campaign summary written to %s\n" path);
@@ -494,13 +458,6 @@ let campaign_cmd =
              workers. Changing S changes the campaign; changing --workers \
              does not.")
   in
-  let frame_every =
-    Arg.(
-      value
-      & opt (pos_int "frame interval") 500
-      & info [ "frame-every" ] ~docv:"N"
-          ~doc:"Per-shard executions between progress sync frames.")
-  in
   let retries =
     Arg.(
       value
@@ -517,9 +474,9 @@ let campaign_cmd =
       & opt (some (nonneg_int "worker id")) None
       & info [ "kill-worker" ] ~docv:"W"
           ~doc:
-            "Chaos drill: SIGKILL worker W at its first accepted frame. The \
-             campaign must still produce the bit-identical merged result by \
-             replaying the lost shards.")
+            "Chaos drill: worker W is SIGKILLed right after it is forked, \
+             before it runs a shard. The campaign must still produce the \
+             bit-identical merged result by replaying every shard W owned.")
   in
   let trace =
     Arg.(
@@ -536,10 +493,9 @@ let campaign_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Write a one-line JSON campaign summary with no timing fields \
-             (plus the deterministic slice of the fleet metrics: counters and \
-             histogram counts): byte-identical across worker counts, so CI \
-             can diff the files from --workers 1 and --workers 4 directly.")
+            "Write a one-line JSON campaign summary with no timing fields: \
+             byte-identical across worker counts, so CI can diff the files \
+             from --workers 1 and --workers 4 directly.")
   in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print the summary lines.")
@@ -548,14 +504,15 @@ let campaign_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ seed_arg $ executions_arg 20_000 $ workers
-         $ shards $ frame_every $ retries $ kill_worker $ trace $ out $ quiet))
+         $ shards $ retries $ kill_worker $ trace $ out $ quiet))
   in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
          "Run a distributed fuzzing campaign: a deterministic shard plan \
-          executed by N forked workers streaming sync frames to a merging \
-          coordinator. The result is bit-identical for every worker count.")
+          executed by N forked workers, each sending one final sync frame \
+          per shard to a merging coordinator. The result is bit-identical \
+          for every worker count.")
     term
 
 (* run *)

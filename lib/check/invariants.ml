@@ -372,12 +372,9 @@ let run ?(execs = 400) ?(seed = 1) subject =
      exercised by [test_dist] and the CLI, which fork first). *)
   let dist_shards = 4 in
   let dist_ref = Dist.reference ~shards:dist_shards config subject in
-  let frame_every = max 1 (execs / (2 * dist_shards)) in
   let dist_results =
     List.map
-      (fun workers ->
-        Dist.simulate_campaign ~workers ~shards:dist_shards ~frame_every
-          config subject)
+      (fun workers -> Dist.simulate_campaign ~workers ~shards:dist_shards config subject)
       [ 1; 2; 4 ]
   in
   let dist_vs_ref = List.for_all (results_equal dist_ref) dist_results in

@@ -130,9 +130,8 @@ module Checkpoint = struct
   let decode s : (t, string) Stdlib.result =
     Pdf_util.Envelope.decode envelope s ~pos:0 ~len:(String.length s)
 
-  (* The campaign-so-far as a result record — what a sync frame in a
-     distributed campaign carries. Cache accounting and wall-clock are
-     zero: a checkpoint deliberately excludes them. *)
+  (* The campaign-so-far as a result record. Cache accounting and
+     wall-clock are zero: a checkpoint deliberately excludes them. *)
   let partial_result t =
     {
       valid_inputs = List.rev t.ck_valid_rev;
@@ -963,33 +962,7 @@ let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
   st.crash_total <- ck.ck_crash_total;
   (st, ck.ck_current)
 
-(* The campaign so far as a result record, straight from loop state:
-   [Checkpoint.partial_result (checkpoint_of st c)] without sorting the
-   queue or flattening the dedupe and path tables, which a result does
-   not carry. The hit-counts are copied through their canonical list
-   form, as the checkpoint does, so the record is Marshal-identical to
-   the checkpoint's and stays valid while the campaign goes on. *)
-let partial_result st =
-  {
-    valid_inputs = List.rev st.valid_rev;
-    valid_coverage = st.vbr;
-    hits = Pdf_instr.Hits.of_list (Pdf_instr.Hits.to_list st.hits);
-    executions = st.executions;
-    candidates_created = st.candidates_created;
-    queue_peak = st.queue_peak;
-    first_valid_at = st.first_valid_at;
-    dedupe_resets = st.dedupe_resets;
-    path_resets = st.path_resets;
-    cache = no_cache_stats;
-    crashes =
-      List.rev_map (fun key -> Hashtbl.find st.crash_tab key) st.crash_order_rev;
-    crash_total = st.crash_total;
-    hangs = st.hangs;
-    wall_clock_s = 0.0;
-    execs_per_sec = 0.0;
-  }
-
-let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
+let drive st ~first ~checkpoint_every ~on_checkpoint =
   let t_start = Pdf_obs.Clock.now_ns () in
   (match st.obs with
    | None -> ()
@@ -1038,7 +1011,6 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
   (try
      let candidate = ref first in
      let last_checkpoint = ref st.executions in
-     let hooked = Option.is_some on_checkpoint || Option.is_some on_progress in
      while true do
        (* One sampling decision per iteration, keyed on the execution
           count at its top: both executions, the children they queue and
@@ -1051,16 +1023,11 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
         | Some e ->
           e.journal <- None;
           e.prev_journal <- None);
-       if hooked && st.executions - !last_checkpoint >= checkpoint_every
-       then begin
-         (match on_checkpoint with
-          | Some save -> save (checkpoint_of st !candidate)
-          | None -> ());
-         (match on_progress with
-          | Some report -> report (partial_result st)
-          | None -> ());
-         last_checkpoint := st.executions
-       end;
+       (match on_checkpoint with
+        | Some save when st.executions - !last_checkpoint >= checkpoint_every ->
+          save (checkpoint_of st !candidate);
+          last_checkpoint := st.executions
+        | _ -> ());
        let c = !candidate in
        (* A queued candidate is [prefix ^ repl] for an already-executed
           parent input sharing [prefix] — exactly the part a cached
@@ -1126,15 +1093,14 @@ let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
   }
 
 let fuzz ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs ?faults
-    ?(checkpoint_every = 1000) ?on_checkpoint ?on_progress
-    ?(initial_inputs = []) config subject =
+    ?(checkpoint_every = 1000) ?on_checkpoint ?(initial_inputs = []) config subject =
   let st =
     make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
       ~rng:(Rng.make config.seed) config subject
   in
   List.iter (push_seed st) initial_inputs;
   let first = seed_of_char (random_char st) in
-  drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress
+  drive st ~first ~checkpoint_every ~on_checkpoint
 
 let resume_from ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
     ?faults ?(checkpoint_every = 1000) ?on_checkpoint checkpoint subject =
@@ -1142,4 +1108,4 @@ let resume_from ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
     restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
       checkpoint subject
   in
-  drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress:None
+  drive st ~first ~checkpoint_every ~on_checkpoint

@@ -126,9 +126,7 @@ module Checkpoint : sig
       record: valid inputs in discovery order, valid coverage, branch
       hit-counts, crash corpus and all deterministic counters at the
       checkpoint instant. Cache accounting and wall-clock fields are
-      zero (checkpoints deliberately exclude them). {!fuzz}'s
-      [on_progress] hook delivers the same record without taking a
-      checkpoint. *)
+      zero (checkpoints deliberately exclude them). *)
 
   val encode : t -> string
 
@@ -158,7 +156,6 @@ val fuzz :
   ?faults:Pdf_fault.Fault.plan ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Checkpoint.t -> unit) ->
-  ?on_progress:(result -> unit) ->
   ?initial_inputs:string list ->
   config ->
   Pdf_subjects.Subject.t ->
@@ -181,12 +178,7 @@ val fuzz :
     least [checkpoint_every] (default 1000) executions after the
     previous one;
     what to do with it (typically {!Checkpoint.save}) is the caller's
-    choice. [on_progress] is called at the same instants with the
-    campaign so far, equal (Marshal-identical) to
-    {!Checkpoint.partial_result} of the checkpoint taken there, but
-    built straight from the loop state without taking one: the queue is
-    not sorted and the dedupe and path tables are not flattened.
-    Distributed workers send it as their periodic sync frames.
+    choice.
 
     Exception contract: subject exceptions never escape [fuzz] — they
     are contained as [Crash] verdicts by {!Pdf_instr.Runner} and triaged

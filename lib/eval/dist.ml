@@ -5,7 +5,6 @@ module Subject = Pdf_subjects.Subject
 module Observer = Pdf_obs.Observer
 module Trace = Pdf_obs.Trace
 module Metrics = Pdf_obs.Metrics
-module Progress = Pdf_obs.Progress
 
 (* {1 Shard plan} *)
 
@@ -56,9 +55,7 @@ module Frame = struct
     seq : int;
     final : bool;
     result : Pfuzzer.result;
-    (* Per-shard metrics snapshot riding the sync frame — the fleet
-       telemetry channel. [None] from senders without a registry (the
-       in-process simulation, tests). *)
+    (* Workers send [None]; the field keeps the v6 layout. *)
     metrics : Metrics.snapshot option;
   }
 
@@ -160,30 +157,23 @@ module Slots = struct
   let create (p : plan) =
     { shards = p.shards; slots = Array.make (List.length p.shards) None }
 
-  (* A final is never replaced; until one arrives, the newest progress
-     frame replaces the last. One owner streams a shard's frames over
-     one FIFO pipe, and a shard is replayed only after that pipe reached
-     EOF without its final, so a final arrives at most once. *)
+  (* A shard's owner sends one frame for it, its final, over one FIFO
+     pipe, and a shard is replayed only after that pipe reached EOF
+     without the final, so a final arrives at most once; a second would
+     change nothing. *)
   let add t (f : Frame.t) =
     let n = Array.length t.slots in
     if f.shard < 0 || f.shard >= n then
       Error (Printf.sprintf "sync frame for shard %d, outside the %d-shard plan" f.shard n)
+    else if not f.final then
+      Error (Printf.sprintf "sync frame for shard %d is not a final" f.shard)
     else begin
-      (match t.slots.(f.shard) with
-       | Some { Frame.final = true; _ } -> ()
-       | _ -> t.slots.(f.shard) <- Some f);
+      if Option.is_none t.slots.(f.shard) then t.slots.(f.shard) <- Some f;
       Ok ()
     end
 
-  let latest t = List.filter_map Fun.id (Array.to_list t.slots)
-
-  let missing t =
-    List.filter
-      (fun sh ->
-        match t.slots.(sh.shard_id) with
-        | Some { Frame.final = true; _ } -> false
-        | _ -> true)
-      t.shards
+  let finals t = List.filter_map Fun.id (Array.to_list t.slots)
+  let missing t = List.filter (fun sh -> Option.is_none t.slots.(sh.shard_id)) t.shards
 end
 
 (* {1 Result merge} *)
@@ -278,31 +268,20 @@ let merge_results p (results : Pfuzzer.result list) =
 
 (* The campaign result, once every slot holds its shard's final. *)
 let merge_finals p slots =
-  merge_results p
-    (List.map
-       (fun (f : Frame.t) ->
-         assert f.final;
-         f.result)
-       (Slots.latest slots))
+  merge_results p (List.map (fun (f : Frame.t) -> f.result) (Slots.finals slots))
 
 (* {1 Shard execution (shared by workers and the reference)} *)
 
-let run_shard ?obs ?metrics ?frame_every ?send p subject sh =
-  let cfg = shard_config p sh in
-  let on_progress =
-    Option.map
-      (fun send (result : Pfuzzer.result) ->
-        send
-          {
-            Frame.shard = sh.shard_id;
-            seq = result.executions;
-            final = false;
-            result;
-            metrics = Option.map Metrics.snapshot metrics;
-          })
-      send
-  in
-  Pfuzzer.fuzz ?obs ?checkpoint_every:frame_every ?on_progress cfg subject
+let run_shard ?obs p subject sh = Pfuzzer.fuzz ?obs (shard_config p sh) subject
+
+let final_frame sh result =
+  {
+    Frame.shard = sh.shard_id;
+    seq = sh.shard_budget + 1;
+    final = true;
+    result = scrub result;
+    metrics = None;
+  }
 
 let reference ?shards config subject =
   let p = plan ?shards config in
@@ -313,25 +292,15 @@ let reference ?shards config subject =
    decode, slots) — only the fork is missing. This is the fallback when
    the process has already spawned domains, which OCaml 5 forbids
    mixing with [Unix.fork]. *)
-let simulate_campaign ?shards ?(frame_every = 500) ~workers config subject =
+let simulate_campaign ?shards ~workers config subject =
   let p = plan ?shards config in
   let nspawn = min (max 1 workers) (List.length p.shards) in
   let stream w_id =
     let buf = Buffer.create 4096 in
-    let send f = Buffer.add_string buf (Frame.encode f) in
     List.iter
       (fun sh ->
-        if sh.shard_id mod nspawn = w_id then begin
-          let result = run_shard ~frame_every ~send p subject sh in
-          send
-            {
-              Frame.shard = sh.shard_id;
-              seq = sh.shard_budget + 1;
-              final = true;
-              result = scrub result;
-              metrics = None;
-            }
-        end)
+        if sh.shard_id mod nspawn = w_id then
+          Buffer.add_string buf (Frame.encode (final_frame sh (run_shard p subject sh))))
       p.shards;
     Buffer.contents buf
   in
@@ -381,53 +350,26 @@ let rec write_all fd b off len =
 let shard_trace_path dir sh = Filename.concat dir (Printf.sprintf "shard%04d.jsonl" sh.shard_id)
 
 (* Runs inside the forked child: execute the assigned shards in
-   ascending order, streaming frames to [fd]. Per-shard telemetry is
-   buffered in-process and dropped into [trace_dir] at shard end, so
-   the coordinator can concatenate the streams in shard order. *)
-let worker_main ~fd ~frame_every ~trace_dir p subject shards =
+   ascending order, writing each one's final frame to [fd]. Only a
+   traced campaign attaches an observer; its telemetry is buffered
+   in-process and dropped into [trace_dir] at shard end, so the
+   coordinator can concatenate the streams in shard order. *)
+let worker_main ~fd ~trace_dir p subject shards =
   List.iter
     (fun sh ->
-      (* Every shard gets a metrics registry regardless of tracing: its
-         final snapshot rides the final frame, so the coordinator always
-         has fleet telemetry to sum. *)
-      let metrics = Metrics.create () in
-      let buffered =
-        Option.map (fun dir -> (dir, Trace.buffer ())) trace_dir
-      in
+      let buffered = Option.map (fun dir -> (dir, Trace.buffer ())) trace_dir in
       let obs =
-        match buffered with
-        | Some (_, (sink, _)) -> Observer.create ~sink ~metrics ()
-        | None -> Observer.create ~metrics ()
+        Option.map
+          (fun (_, (sink, _)) -> Observer.create ~sink ~metrics:(Metrics.create ()) ())
+          buffered
       in
-      let send f =
-        let s = Frame.encode f in
-        write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
-      in
-      let result = run_shard ~obs ~metrics ~frame_every ~send p subject sh in
+      let result = run_shard ?obs p subject sh in
       Option.iter
         (fun (dir, (_, contents)) ->
           Atomic_file.write_string (shard_trace_path dir sh) (contents ()))
         buffered;
-      (* Deterministic per-shard tallies: pure functions of the shard
-         result, so summed fleet counters are reproducible across worker
-         counts. The timing histograms the observer recorded are the
-         scheduling-dependent part; deterministic reports (result
-         digests, --out) must not include their values. *)
-      let tally name v = Metrics.add (Metrics.counter metrics name) v in
-      tally "shard/executions" result.Pfuzzer.executions;
-      tally "shard/valid" (List.length result.Pfuzzer.valid_inputs);
-      tally "shard/crashes" result.Pfuzzer.crash_total;
-      tally "shard/hangs" result.Pfuzzer.hangs;
-      tally "cache/hits" result.Pfuzzer.cache.Pfuzzer.hits;
-      tally "cache/misses" result.Pfuzzer.cache.Pfuzzer.misses;
-      send
-        {
-          Frame.shard = sh.shard_id;
-          seq = sh.shard_budget + 1;
-          final = true;
-          result = scrub result;
-          metrics = Some (Metrics.snapshot metrics);
-        })
+      let s = Frame.encode (final_frame sh result) in
+      write_all fd (Bytes.unsafe_of_string s) 0 (String.length s))
     shards
 
 (* {1 The coordinator} *)
@@ -441,10 +383,6 @@ type outcome = {
   replays : int;
   worker_status : (int * string) list;
   shard_traces : string list;
-  metrics : Metrics.snapshot option;
-      (* fleet totals summed from the final frames' snapshots; kept out
-         of [result] so the merged result stays bit-identical across
-         worker counts *)
   wall_clock_s : float;
 }
 
@@ -453,7 +391,6 @@ type wrec = {
   w_pid : int;
   w_fd : Unix.file_descr;
   w_dec : Frame.Decoder.t;
-  mutable w_killed : bool;
 }
 
 let status_string = function
@@ -482,8 +419,8 @@ let rec read_eintr fd buf =
   | n -> n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_eintr fd buf
 
-let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
-    ?(trace = false) ?kill_worker config subject =
+let run_campaign ?(workers = 2) ?shards ?(retries = 2) ?(trace = false) ?kill_worker
+    config subject =
   let t0 = Unix.gettimeofday () in
   let p = plan ?shards config in
   let trace_dir = if trace then Some (Filename.temp_dir "pfdist" "") else None in
@@ -492,86 +429,25 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
   let rejected = ref [] in
   let statuses = ref [] in
   let replays = ref 0 in
-  (* The live fleet status line: always on when stderr is a tty (no
-     opt-in flag needed), absent otherwise — a redirected campaign log
-     stays clean. Rendering reuses the single-run line, extended with
-     per-worker health columns. *)
-  let live =
-    if (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false) then
-      Some (Progress.create ())
-    else None
-  in
-  let worker_health : (int, string) Hashtbl.t = Hashtbl.create 8 in
-  let outcomes_total =
-    Pdf_instr.Site.total_outcomes subject.Subject.registry
-  in
-  let last_paint = ref t0 in
-  let last_paint_execs = ref 0 in
-  let paint_live ~final =
-    match live with
-    | None -> ()
-    | Some pl ->
-      let now = Unix.gettimeofday () in
-      if final || now -. !last_paint >= 0.5 then begin
-        let frames = Slots.latest slots in
-        let stat f acc (fr : Frame.t) = acc + f fr.result in
-        let execs = List.fold_left (stat (fun r -> r.Pfuzzer.executions)) 0 frames in
-        let valid =
-          List.fold_left (stat (fun r -> List.length r.Pfuzzer.valid_inputs)) 0 frames
-        in
-        let cov =
-          Pdf_instr.Coverage.cardinal
-            (List.fold_left
-               (fun acc (fr : Frame.t) ->
-                 Pdf_instr.Coverage.union acc fr.result.Pfuzzer.valid_coverage)
-               Pdf_instr.Coverage.empty frames)
-        in
-        let hits = List.fold_left (stat (fun r -> r.Pfuzzer.cache.Pfuzzer.hits)) 0 frames in
-        let misses = List.fold_left (stat (fun r -> r.Pfuzzer.cache.Pfuzzer.misses)) 0 frames in
-        let hangs = List.fold_left (stat (fun r -> r.Pfuzzer.hangs)) 0 frames in
-        let crashes = List.fold_left (stat (fun r -> r.Pfuzzer.crash_total)) 0 frames in
-        let queue =
-          List.fold_left (fun acc (fr : Frame.t) -> max acc fr.result.Pfuzzer.queue_peak) 0 frames
-        in
-        let dt = now -. !last_paint in
-        let execs_per_sec =
-          if dt <= 0.0 then 0.0 else float_of_int (execs - !last_paint_execs) /. dt
-        in
-        last_paint := now;
-        last_paint_execs := execs;
-        let health =
-          Hashtbl.fold (fun w s acc -> (w, s) :: acc) worker_health []
-          |> List.sort compare
-          |> List.map (fun (w, s) -> Printf.sprintf "w%d:%s" w s)
-          |> String.concat " "
-        in
-        let line =
-          Progress.render ~execs ~max_executions:config.Pfuzzer.max_executions
-            ~execs_per_sec ~depth:queue ~valid ~cov
-            ~outcomes:outcomes_total ~hits ~misses ~plateau:0 ~hangs
-            ~crashes
-        in
-        Progress.print pl (if health = "" then line else line ^ " | " ^ health)
-      end
-  in
   let spawn ~extra_close w_id shards =
     let r, w = Unix.pipe () in
     match Unix.fork () with
     | 0 ->
       (* Child: sees only its own write end. [_exit], not [exit] — the
          parent's at_exit handlers and channel buffers are not ours to
-         run or flush. *)
+         run or flush. The kill drill's worker dies here, before it
+         runs a shard, so every shard it owns is replayed. *)
       (try
+         if kill_worker = Some w_id then Unix.kill (Unix.getpid ()) Sys.sigkill;
          Unix.close r;
          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) extra_close;
-         worker_main ~fd:w ~frame_every ~trace_dir p subject shards;
+         worker_main ~fd:w ~trace_dir p subject shards;
          Unix.close w;
          Unix._exit 0
        with _ -> Unix._exit 3)
     | pid ->
       Unix.close w;
-      Hashtbl.replace worker_health w_id "run";
-      { w_id; w_pid = pid; w_fd = r; w_dec = Frame.Decoder.create (); w_killed = false }
+      { w_id; w_pid = pid; w_fd = r; w_dec = Frame.Decoder.create () }
   in
   let on_reject w reason = rejected := (w.w_id, reason) :: !rejected in
   let rec drain w =
@@ -579,13 +455,7 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
     | `Frame f ->
       (match Slots.add slots f with
        | Error reason -> on_reject w reason
-       | Ok () ->
-         incr accepted;
-         paint_live ~final:false;
-         if (not w.w_killed) && kill_worker = Some w.w_id then begin
-           w.w_killed <- true;
-           Unix.kill w.w_pid Sys.sigkill
-         end);
+       | Ok () -> incr accepted);
       drain w
     | `Reject reason ->
       on_reject w reason;
@@ -619,10 +489,7 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
                    | Some reason -> on_reject w reason
                    | None -> ());
                   Unix.close w.w_fd;
-                  let status = status_string (waitpid_eintr w.w_pid) in
-                  statuses := (w.w_id, status) :: !statuses;
-                  Hashtbl.replace worker_health w.w_id status;
-                  paint_live ~final:false;
+                  statuses := (w.w_id, status_string (waitpid_eintr w.w_pid)) :: !statuses;
                   false
                 end
               end)
@@ -666,8 +533,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
       replay ()
   in
   replay ();
-  paint_live ~final:true;
-  (match live with None -> () | Some pl -> Progress.finish pl);
   let shard_traces =
     match trace_dir with
     | None -> []
@@ -681,7 +546,6 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
       (try Unix.rmdir dir with Unix.Unix_error _ -> ());
       streams
   in
-  let snapshots = List.filter_map (fun (f : Frame.t) -> f.metrics) (Slots.latest slots) in
   {
     result = merge_finals p slots;
     o_plan = p;
@@ -691,6 +555,5 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
     replays = !replays;
     worker_status = List.rev !statuses;
     shard_traces;
-    metrics = (if snapshots = [] then None else Some (Metrics.sum snapshots));
     wall_clock_s = Unix.gettimeofday () -. t0;
   }

@@ -4,12 +4,10 @@
     A campaign's execution budget is split into a fixed plan of [S]
     shards — each an independent {!Pdf_core.Pfuzzer} run with its own
     SplitMix64-derived seed and budget slice — and the shards are dealt
-    round-robin to [N] worker processes. Workers stream sync frames
-    (periodic progress results from {!Pdf_core.Pfuzzer.fuzz}'s
-    [on_progress] hook, plus one final per-shard result) back over
-    pipes; the coordinator keeps one {!Slots} slot per shard, which
-    holds the shard's final frame once it arrives, then merges the
-    finals in shard order.
+    round-robin to [N] worker processes. A worker sends one sync frame
+    per shard back over its pipe, carrying the shard's final result;
+    the coordinator keeps one {!Slots} slot per shard, which holds that
+    frame once it arrives, then merges the finals in shard order.
 
     The determinism contract: for a fixed plan (same config, same shard
     count), the merged result is {e bit-identical} regardless of worker
@@ -49,7 +47,7 @@ val shard_config : plan -> shard -> Pfuzzer.config
 
 (** {1 Sync frames}
 
-    One frame carries one shard's campaign-so-far as a
+    One frame carries one shard's finished result as a
     {!Pfuzzer.result}. On the wire a frame is a 4-byte big-endian body
     length followed by the body
     [magic "pfsync" | version byte | MD5 of payload | payload]
@@ -61,16 +59,13 @@ module Frame : sig
   type t = {
     shard : int;
     seq : int;
-        (** the shard's execution count at frame time; [budget + 1] on
-            the final frame. Nothing is ordered by it: a shard's frames
-            arrive in order over its owner's pipe. *)
+        (** [budget + 1] on a worker's frame, which is always its
+            shard's final. Nothing reads it. *)
     final : bool;  (** carries the shard's finished result *)
     result : Pfuzzer.result;
     metrics : Pdf_obs.Metrics.snapshot option;
-        (** per-shard metrics snapshot piggybacking on the sync channel;
-            [None] from senders without a registry. The coordinator
-            reads only the final frames' and sums them
-            ({!Pdf_obs.Metrics.sum}) into {!outcome.metrics}. *)
+        (** [None] from every worker; nothing reads it. It and [seq]
+            keep the frame layout at version 6. *)
   }
 
   val encode : t -> string
@@ -114,13 +109,12 @@ end
 
 (** {1 Slots}
 
-    The coordinator's accumulator: one slot per plan shard. A slot
-    holds its shard's final frame once it arrives, and nothing ever
-    replaces a final; until then it holds the shard's newest progress
-    frame, which only the live status line reads. This is exact: a
-    shard has one owner at a time, whose frames cross one FIFO pipe,
-    and a shard is replayed only after its owner's pipe reached EOF
-    without the final, so a final arrives at most once. *)
+    The coordinator's accumulator: one slot per plan shard, which holds
+    the shard's final frame once it arrives. Nothing replaces it, and
+    nothing needs to: a shard has one owner at a time, which sends only
+    the shard's final over one FIFO pipe, and a shard is replayed only
+    after its owner's pipe reached EOF without the final, so a final
+    arrives at most once. *)
 
 module Slots : sig
   type t
@@ -129,12 +123,12 @@ module Slots : sig
   (** Every slot empty. *)
 
   val add : t -> Frame.t -> (unit, string) result
-  (** Fill the frame's slot by the rule above. [Error] with a one-line
-      reason, and no change, for a frame whose shard is outside the
-      plan. *)
+  (** Fill the frame's slot unless it already holds a final. [Error]
+      with a one-line reason, and no change, for a frame that is not a
+      final or whose shard is outside the plan. *)
 
-  val latest : t -> Frame.t list
-  (** The frame in each filled slot, in shard-id order. *)
+  val finals : t -> Frame.t list
+  (** The final in each filled slot, in shard-id order. *)
 
   val missing : t -> shard list
   (** The plan shards whose slot holds no final, in shard-id order. *)
@@ -166,9 +160,9 @@ type outcome = {
   workers : int;  (** worker processes requested *)
   frames_accepted : int;
   frames_rejected : (int * string) list;
-      (** (worker id, one-line reason) for every damaged frame and every
-          frame for a shard outside the plan, in arrival order — neither
-          crashes the coordinator *)
+      (** (worker id, one-line reason) for every damaged frame, every
+          frame that is not a final and every frame for a shard outside
+          the plan, in arrival order — none crashes the coordinator *)
   replays : int;  (** shard replays after worker death *)
   worker_status : (int * string) list;
       (** (worker id, ["exit:<code>"] or ["signal:<signum>"]) in reap
@@ -176,20 +170,12 @@ type outcome = {
   shard_traces : string list;
       (** per-shard JSONL trace streams in shard-id order, collected
           from the workers; [[]] unless [~trace:true] *)
-  metrics : Pdf_obs.Metrics.snapshot option;
-      (** fleet totals: {!Pdf_obs.Metrics.sum} of the final frames'
-          snapshots; [None] when no final carried one. Deliberately
-          outside [result]: counters and histogram counts are
-          deterministic, but timing histogram values are
-          scheduling-dependent, and [result] must stay bit-identical
-          across worker counts. *)
   wall_clock_s : float;
 }
 
 val run_campaign :
   ?workers:int ->
   ?shards:int ->
-  ?frame_every:int ->
   ?retries:int ->
   ?trace:bool ->
   ?kill_worker:int ->
@@ -198,23 +184,18 @@ val run_campaign :
   outcome
 (** Fork [workers] (default 2) processes, run the shard plan (shards
     dealt round-robin, each worker running its shards in ascending
-    order), fill the slots from the frame streams, replay missing
-    shards, merge the finals.
+    order and sending one final frame per shard), fill the slots,
+    replay missing shards, merge the finals.
 
-    [frame_every] (default 500) is the progress-frame cadence in
-    per-shard executions — frames ride the progress hook, so it is a
-    [checkpoint_every]. [retries] (default 2) bounds how many replay
-    rounds a failing set of shards gets, in the spirit of
-    {!Parallel.map_retry}; a shard still missing after the last round
-    raises [Failure]. [trace] buffers each shard's telemetry in its
-    worker and returns the streams in {!outcome.shard_traces}.
-    [kill_worker] is the chaos hook: SIGKILL that worker on its first
-    accepted frame — the campaign must still produce the bit-identical
-    merged result via replay.
-
-    When stderr is a tty the coordinator also paints a live fleet-wide
-    status line (the single-run line plus per-worker health columns),
-    refreshed as frames arrive; redirected output stays clean.
+    [retries] (default 2) bounds how many replay rounds a failing set
+    of shards gets, in the spirit of {!Parallel.map_retry}; a shard
+    still missing after the last round raises [Failure]. [trace]
+    attaches an observer to each shard, buffers its telemetry in the
+    worker and returns the streams in {!outcome.shard_traces}; without
+    it shards run unobserved. [kill_worker] is the chaos hook: that
+    worker SIGKILLs itself right after it is forked, before it runs a
+    shard, so every shard it owns is replayed — the campaign must still
+    produce the bit-identical merged result.
 
     Worker-side subject crashes are ordinary {!Pfuzzer} crash verdicts
     inside the shard result ({!Pdf_instr.Runner.exec}'s containment
@@ -229,14 +210,13 @@ val reference : ?shards:int -> Pfuzzer.config -> Pdf_subjects.Subject.t ->
 
 val simulate_campaign :
   ?shards:int ->
-  ?frame_every:int ->
   workers:int ->
   Pfuzzer.config ->
   Pdf_subjects.Subject.t ->
   Pfuzzer.result
 (** An N-worker campaign re-enacted in one process: the same shard
     plan and round-robin assignment as {!run_campaign}, each simulated
-    worker's frames encoded to bytes and decoded back through
+    worker's final frames encoded to bytes and decoded back through
     {!Frame.Decoder} with the streams interleaved in odd-sized chunks,
     then filled into {!Slots} and merged. Everything but the fork.
 

@@ -1,33 +1,23 @@
-(** A small counter/histogram registry.
+(** A registry of named histograms.
 
-    Handles are cheap mutable cells resolved once by name; the hot path
-    touches the cell, never the table. Histograms are
-    {!Pdf_util.Stats.Histogram}s, so the snapshots of several registries
-    sum into one. *)
+    A handle is resolved once by name; the hot path records into the
+    histogram, never into the table. The observer registers one per
+    phase ([phase/<name>_ns]), and whoever holds the registry can read
+    them back by the same names. *)
 
 type t
 
 val create : unit -> t
 
-type counter
-
-val counter : t -> string -> counter
-(** Resolve (registering on first use). Raises [Invalid_argument] if the
-    name is already registered as a different instrument type. *)
-
-val add : counter -> int -> unit
-
 val histogram : t -> string -> Pdf_util.Stats.Histogram.t
+(** The histogram registered under the name, registering an empty one
+    on first use. *)
 
 type snapshot = {
   counters : (string * int) list;
   histograms : (string * Pdf_util.Stats.Histogram.t) list;
 }
-
-val snapshot : t -> snapshot
-(** Name-sorted, deterministic ordering. *)
-
-val sum : snapshot list -> snapshot
-(** Name by name across the snapshots: counters sum, histograms
-    merge. A distributed campaign's fleet totals are the sum of its
-    shards' final snapshots. *)
+(** A registry frozen into name-sorted plain data: the layout of a
+    campaign sync frame's [metrics] field (version 6). Workers send
+    [None] there, so nothing builds one; the type stays so that the
+    frame layout does not change. *)

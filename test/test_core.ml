@@ -584,32 +584,6 @@ let test_generational_reset_determinism () =
       true
       (Pdf_check.Invariants.results_equal full resumed)
 
-(* Progress results are built from loop state instead of a checkpoint,
-   so they must equal, to the byte, the partial result of the
-   checkpoint taken at the same instant. Both hooks fire back to back,
-   checkpoint first; each value is marshalled the moment it arrives. *)
-let test_progress_equals_checkpoint () =
-  let subject = Catalog.find "json" in
-  let config = { Pfuzzer.default_config with max_executions = 6000 } in
-  let from_checkpoints = ref [] and from_progress = ref [] in
-  ignore
-    (Pfuzzer.fuzz ~checkpoint_every:500
-       ~on_checkpoint:(fun ck ->
-         from_checkpoints :=
-           Marshal.to_string (Pfuzzer.Checkpoint.partial_result ck) []
-           :: !from_checkpoints)
-       ~on_progress:(fun r ->
-         from_progress := Marshal.to_string r [] :: !from_progress)
-       config subject);
-  Alcotest.(check int) "one progress result per checkpoint"
-    (List.length !from_checkpoints) (List.length !from_progress);
-  Alcotest.(check bool) "frames taken" true (List.length !from_progress >= 10);
-  List.iteri
-    (fun i (a, b) ->
-      if not (String.equal a b) then
-        Alcotest.failf "progress result %d differs from the checkpoint's" i)
-    (List.combine (List.rev !from_checkpoints) (List.rev !from_progress))
-
 let test_crash_mid_loop () =
   (* Faults that fire on consecutive executions in the middle of the
      main loop are contained like any other crash: the loop keeps
@@ -1063,8 +1037,6 @@ let () =
             test_checkpoint_every_7;
           Alcotest.test_case "crashes mid-loop are contained" `Quick
             test_crash_mid_loop;
-          Alcotest.test_case "progress results equal checkpoint partials" `Quick
-            test_progress_equals_checkpoint;
           Alcotest.test_case "checkpoint file round-trip" `Quick
             test_checkpoint_file_roundtrip;
           Alcotest.test_case "resume equivalence on every subject" `Slow

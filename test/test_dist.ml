@@ -1,11 +1,11 @@
 (* Tests for distributed campaign orchestration: the slot rule of the
    coordinator's per-shard accumulator (on hand-picked frames, and on
    QCheck-generated one-owner delivery), a model-based replay of a
-   recorded 2-worker campaign against the sequential reference,
-   frame-decode damage (truncation, version skew, digest corruption,
-   interleaved partial frames), and forked end-to-end campaigns —
-   workers:1 = workers:2 = workers:4 bit-identical, worker death +
-   replay included. *)
+   recorded 2-worker campaign and the in-process re-enactment against
+   the sequential reference, frame-decode damage (truncation, version
+   skew, digest corruption, interleaved partial frames), and forked
+   end-to-end campaigns — workers:1 = workers:2 = workers:4
+   bit-identical, worker death + replay included. *)
 
 module Dist = Pdf_eval.Dist
 module Frame = Dist.Frame
@@ -82,17 +82,19 @@ let test_frame_roundtrip () =
       && f'.seq = f.seq && f'.final = f.final
       && f'.result.Pfuzzer.executions = f.result.Pfuzzer.executions)
 
-(* A final frame's metrics snapshot, in the layout frames marshal since
-   version 6, arrives with every counter and histogram intact: the
-   fleet totals are summed from these. *)
+(* A metrics snapshot, in the layout frames marshal since version 6,
+   arrives with every counter and histogram intact. Workers send none,
+   but the field is part of the frame, and the v2 to v5 fixtures below
+   are told apart from it. *)
 let test_frame_metrics_roundtrip () =
-  let m = Metrics.create () in
-  Metrics.add (Metrics.counter m "shard/executions") 40;
-  Metrics.add (Metrics.counter m "shard/valid") 2;
-  List.iter
-    (Histogram.record (Metrics.histogram m "phase/exec_ns"))
-    [ 120; 4_000; 90_000 ];
-  let snap = Metrics.snapshot m in
+  let h = Histogram.create () in
+  List.iter (Histogram.record h) [ 120; 4_000; 90_000 ];
+  let snap =
+    {
+      Metrics.counters = [ ("shard/executions", 40); ("shard/valid", 2) ];
+      histograms = [ ("phase/exec_ns", h) ];
+    }
+  in
   let f = { (sample_frame ()) with Frame.metrics = Some snap } in
   match Frame.decode_body (Frame.encode_body f) with
   | Error e -> Alcotest.failf "round-trip failed: %s" e
@@ -157,55 +159,63 @@ let test_slots () =
     | Error e -> Alcotest.failf "frame for shard %d refused: %s" f.shard e
   in
   let held () =
-    List.map (fun (f : Frame.t) -> (f.shard, f.seq, f.final)) (Slots.latest slots)
+    List.map (fun (f : Frame.t) -> (f.shard, f.seq)) (Slots.finals slots)
   in
   let check_held msg expect =
-    Alcotest.(check (list (triple int int bool))) msg expect (held ())
+    Alcotest.(check (list (pair int int))) msg expect (held ())
   in
   let check_missing msg expect =
     Alcotest.(check (list int)) msg expect
       (List.map (fun (sh : Dist.shard) -> sh.Dist.shard_id) (Slots.missing slots))
   in
   check_missing "every shard lacks a final at first" [ 0; 1; 2 ];
-  add (sample_frame ~shard:1 ~seq:10 ~final:false ());
-  add (sample_frame ~shard:1 ~seq:20 ~final:false ());
-  check_held "a newer progress frame replaces an older one" [ (1, 20, false) ];
-  add (sample_frame ~shard:1 ~seq:101 ~final:true ());
-  add (sample_frame ~shard:1 ~seq:30 ~final:false ());
-  check_held "a progress frame never replaces a final" [ (1, 101, true) ];
-  add (sample_frame ~shard:1 ~seq:999 ~final:true ());
-  check_held "a second final never replaces the first" [ (1, 101, true) ];
-  add (sample_frame ~shard:2 ~seq:40 ~final:false ());
-  check_missing "a progress frame is not a final" [ 0; 2 ];
-  add (sample_frame ~shard:0 ~seq:101 ~final:true ());
+  check_reject "progress frame" "not a final"
+    (Slots.add slots (sample_frame ~shard:1 ~seq:10 ~final:false ()));
+  check_missing "a refused progress frame fills no slot" [ 0; 1; 2 ];
+  add (sample_frame ~shard:1 ~seq:101 ());
+  check_held "a final fills its slot" [ (1, 101) ];
+  add (sample_frame ~shard:1 ~seq:999 ());
+  check_held "a second final never replaces the first" [ (1, 101) ];
+  check_reject "progress frame after the final" "not a final"
+    (Slots.add slots (sample_frame ~shard:1 ~seq:30 ~final:false ()));
+  add (sample_frame ~shard:0 ~seq:101 ());
   check_missing "missing lists exactly the shards without a final" [ 2 ];
   List.iter
     (fun shard ->
       check_reject
         (Printf.sprintf "shard %d" shard)
         "outside the 3-shard plan"
-        (Slots.add slots (sample_frame ~shard ~final:true ())))
+        (Slots.add slots (sample_frame ~shard ())))
     [ 3; 4; -1 ];
-  check_held "refused frames change no slot"
-    [ (0, 101, true); (1, 101, true); (2, 40, false) ]
+  check_held "refused frames change no slot" [ (0, 101); (1, 101) ];
+  check_missing "refused frames fill no slot" [ 2 ]
 
-(* One-owner delivery, as a campaign produces it: each shard's frames
-   cross its owner's FIFO pipe in order, progress frames then the
-   final, and the pipes interleave arbitrarily. A killed owner's stream
-   stops short of the final; the replay streams the shard in full, and
-   only after that owner's pipe reached EOF. Per shard, the generator
-   picks the number of progress frames and, for a killed owner, how
-   many of them got through. *)
+(* One-owner delivery, as a campaign produces it: shards are dealt
+   round-robin to the workers, each worker sends its shards' finals in
+   ascending order over its own FIFO pipe, and the pipes interleave
+   arbitrarily. A worker that dies ([Some k]) got only its first [k]
+   finals through; the replay sends the rest, and only after every
+   owner's pipe reached EOF. A surviving worker may send a shard's
+   final twice ([resend]); the second must not replace the first.
+   Stray frames no worker sends — one that is not a final, one for a
+   shard outside the plan — arrive anywhere and must be refused. *)
 let arb_delivery =
   QCheck.make
-    ~print:QCheck.Print.(pair (list (pair int (option int))) int)
+    ~print:
+      QCheck.Print.(
+        fun (shards, deaths, (resend, strays), order) ->
+          Printf.sprintf "shards %d, deaths %s, resend %b, strays %d, order %d"
+            shards
+            (list (option int) deaths)
+            resend strays order)
     QCheck.Gen.(
-      let* shards = int_range 1 4 in
-      let* streams =
-        list_repeat shards (pair (int_range 0 4) (opt (int_range 0 4)))
-      in
+      let* shards = int_range 1 6 in
+      let* workers = int_range 1 3 in
+      let* deaths = list_repeat workers (opt (int_range 0 2)) in
+      let* resend = bool in
+      let* strays = int_range 0 4 in
       let* order = int_bound 1_000_000 in
-      return (streams, order))
+      return (shards, deaths, (resend, strays), order))
 
 (* Pop the head of a random non-empty stream until all are drained:
    each stream keeps its own order, the interleaving is [rng]'s. *)
@@ -228,64 +238,77 @@ let interleave_streams rng streams =
 let prop_slots_one_owner_delivery =
   QCheck.Test.make ~name:"one-owner delivery ends at each shard's final"
     ~count:300 arb_delivery
-    (fun (streams, order) ->
+    (fun (shards, deaths, (resend, strays), order) ->
       let config = { Pfuzzer.default_config with max_executions = 300; seed = 1 } in
-      let p = Dist.plan ~shards:(List.length streams) config in
-      let frame (sh : Dist.shard) ~final execs =
+      let p = Dist.plan ~shards config in
+      let workers = List.length deaths in
+      let final ?(seq = 0) (sh : Dist.shard) =
         {
           Frame.shard = sh.shard_id;
-          seq = (if final then sh.shard_budget + 1 else execs);
-          final;
+          seq = (if seq = 0 then sh.shard_budget + 1 else seq);
+          final = true;
           result =
-            mk_result
-              ~valid:(if final then [ string_of_int sh.shard_id ] else [])
-              ~cov:[ sh.shard_id ] ~hits:[] ~execs ~hangs:0;
+            mk_result ~valid:[ string_of_int sh.shard_id ] ~cov:[ sh.shard_id ]
+              ~hits:[] ~execs:sh.shard_budget ~hangs:0;
           metrics = None;
         }
       in
-      let full =
-        List.map2
-          (fun (sh : Dist.shard) (progress, _) ->
-            List.init progress (fun i -> frame sh ~final:false (10 * (i + 1)))
-            @ [ frame sh ~final:true sh.shard_budget ])
-          p.Dist.shards streams
+      let owned w =
+        List.filter (fun (sh : Dist.shard) -> sh.shard_id mod workers = w) p.Dist.shards
       in
-      let owners, replays =
+      let sent, lost =
         List.split
-          (List.map2
-             (fun stream (progress, killed) ->
-               match killed with
-               | None -> (stream, [])
-               | Some k -> (List.filteri (fun i _ -> i < min k progress) stream, stream))
-             full streams)
+          (List.mapi
+             (fun w death ->
+               let mine = owned w in
+               match death with
+               | None -> (mine, [])
+               | Some k ->
+                 (List.filteri (fun i _ -> i < k) mine, List.filteri (fun i _ -> i >= k) mine))
+             deaths)
       in
-      let killed =
-        List.filter_map
-          (fun ((sh : Dist.shard), (_, k)) ->
-            Option.map (fun _ -> sh.shard_id) k)
-          (List.combine p.Dist.shards streams)
+      let owner_streams =
+        List.map2
+          (fun mine death ->
+            let resent =
+              match (mine, death) with
+              | sh :: _, None when resend -> [ final ~seq:1 sh ]
+              | _ -> []
+            in
+            List.map final mine @ resent)
+          sent deaths
       in
+      let stray i =
+        let sh = List.nth p.Dist.shards (i mod shards) in
+        if i mod 2 = 0 then { (final sh) with Frame.final = false; seq = i + 1 }
+        else { (final sh) with Frame.shard = (if i mod 4 = 1 then shards + i else -i) }
+      in
+      let by_id = List.sort (fun (a : Dist.shard) b -> compare a.shard_id b.shard_id) in
+      let ids l = List.map (fun (sh : Dist.shard) -> sh.shard_id) l in
+      let bodies frames = List.map Frame.encode_body frames in
       let slots = Slots.create p in
       let rng = Rng.make order in
+      let accepted = ref 0 and refused = ref 0 in
       let deliver streams =
         List.iter
-          (fun f -> Result.iter_error failwith (Slots.add slots f))
+          (fun f ->
+            match Slots.add slots f with
+            | Ok () -> incr accepted
+            | Error _ -> incr refused)
           (interleave_streams rng streams)
       in
-      let last stream = List.nth_opt (List.rev stream) 0 in
-      let bodies frames = List.map Frame.encode_body frames in
-      let missing () =
-        List.map (fun (sh : Dist.shard) -> sh.Dist.shard_id) (Slots.missing slots)
-      in
-      deliver owners;
-      (* Before the replays: each slot holds its owner's newest frame,
-         and exactly the killed owners' shards lack a final. *)
-      let held = bodies (Slots.latest slots) = bodies (List.filter_map last owners) in
-      let lacking = missing () = killed in
-      deliver replays;
-      held && lacking
-      && missing () = []
-      && bodies (Slots.latest slots) = bodies (List.filter_map last full))
+      deliver (owner_streams @ List.init strays (fun i -> [ stray i ]));
+      (* Before the replay: the slots hold the finals that got through,
+         each its first, and exactly the dead owners' cut-off shards
+         lack one. *)
+      let delivered = by_id (List.concat sent) in
+      let held = bodies (Slots.finals slots) = bodies (List.map final delivered) in
+      let lacking = ids (Slots.missing slots) = ids (by_id (List.concat lost)) in
+      deliver [ List.map final (by_id (List.concat lost)) ];
+      held && lacking && !refused = strays
+      && !accepted = List.length (List.concat owner_streams) + List.length (List.concat lost)
+      && Slots.missing slots = []
+      && bodies (Slots.finals slots) = bodies (List.map final p.Dist.shards))
 
 (* {1 Streaming decoder} *)
 
@@ -400,24 +423,10 @@ let test_decoder_implausible_length () =
    order leaves the same finals in the slots and that their merge
    equals the sequential reference. *)
 
+(* What a worker sends for a shard: its final frame, and nothing else. *)
 let record_shard_frames p subject (sh : Dist.shard) =
-  let frames = ref [] in
-  let send f = frames := f :: !frames in
-  let cfg = Dist.shard_config p sh in
-  let result =
-    Pfuzzer.fuzz ~checkpoint_every:20
-      ~on_checkpoint:(fun ck ->
-        send
-          {
-            Frame.shard = sh.Dist.shard_id;
-            seq = Pfuzzer.Checkpoint.executions ck;
-            final = false;
-            result = Pfuzzer.Checkpoint.partial_result ck;
-            metrics = None;
-          })
-      cfg subject
-  in
-  send
+  let result = Pfuzzer.fuzz (Dist.shard_config p sh) subject in
+  [
     {
       Frame.shard = sh.Dist.shard_id;
       seq = sh.Dist.shard_budget + 1;
@@ -425,7 +434,7 @@ let record_shard_frames p subject (sh : Dist.shard) =
       result = { result with Pfuzzer.wall_clock_s = 0.0; execs_per_sec = 0.0 };
       metrics = None;
     };
-  List.rev !frames
+  ]
 
 let test_model_replay () =
   let subject = subject "paren" in
@@ -461,7 +470,7 @@ let test_model_replay () =
       delivery;
     Alcotest.(check int) "every shard holds its final" 0
       (List.length (Slots.missing slots));
-    Slots.latest slots
+    Slots.finals slots
   in
   let bodies frames = List.map Frame.encode_body frames in
   let first, rest =
@@ -483,6 +492,23 @@ let test_model_replay () =
     "replayed 2-worker campaign equals the sequential reference" true
     (Invariants.results_equal reference merged)
 
+(* The in-process re-enactment takes the whole wire path but the fork —
+   finals encoded, streams interleaved in odd-sized chunks, decoded,
+   slotted and merged — so for every worker count, more workers than
+   shards included, it equals the sequential reference. *)
+let test_simulated_campaign () =
+  let subject = subject "paren" in
+  let config = { Pfuzzer.default_config with max_executions = 300; seed = 5 } in
+  let reference = Dist.reference ~shards:3 config subject in
+  List.iter
+    (fun workers ->
+      Alcotest.(check bool)
+        (Printf.sprintf "workers:%d equals the reference" workers)
+        true
+        (Invariants.results_equal reference
+           (Dist.simulate_campaign ~shards:3 ~workers config subject)))
+    [ 1; 2; 3; 5 ]
+
 (* {1 Forked campaigns} *)
 
 let campaign_bytes (o : Dist.outcome) = Marshal.to_string o.result []
@@ -494,7 +520,7 @@ let test_campaign_worker_invariance () =
   let outcomes =
     List.map
       (fun workers ->
-        Dist.run_campaign ~workers ~shards:4 ~frame_every:40 config subject)
+        Dist.run_campaign ~workers ~shards:4 config subject)
       [ 1; 2; 4 ]
   in
   List.iter
@@ -515,68 +541,26 @@ let test_campaign_worker_invariance () =
       rest
   | [] -> assert false
 
+(* The kill drill SIGKILLs worker 1 as soon as it is forked, so both of
+   its shards (1 and 3 of 4) are replayed on every run. *)
 let test_campaign_kill_worker () =
   let subject = subject "json" in
   let config = { Pfuzzer.default_config with max_executions = 1200; seed = 3 } in
-  let undisturbed =
-    Dist.run_campaign ~workers:2 ~shards:4 ~frame_every:10 config subject
-  in
-  let killed =
-    Dist.run_campaign ~workers:2 ~shards:4 ~frame_every:10 ~kill_worker:1 config
-      subject
-  in
+  let undisturbed = Dist.run_campaign ~workers:2 ~shards:4 config subject in
+  let killed = Dist.run_campaign ~workers:2 ~shards:4 ~kill_worker:1 config subject in
   Alcotest.(check string)
     "merged result identical despite a SIGKILLed worker"
     (campaign_bytes undisturbed) (campaign_bytes killed);
-  (* The kill should normally land mid-campaign; when it does, the
-     worker's missing shards must have been replayed. *)
-  (match List.assoc_opt 1 killed.worker_status with
-   | Some status when String.length status >= 6 && String.sub status 0 6 = "signal"
-     ->
-     Alcotest.(check bool) "killed worker's shards were replayed" true
-       (killed.replays > 0)
-   | Some _ | None -> ())
-
-(* The fleet metrics of a forked campaign: the frames' per-shard
-   snapshots folded by the coordinator. Their counters and histogram
-   counts are what [campaign --out] writes, so they must not depend on
-   the worker count or on a worker's death and replay. *)
-let test_campaign_fleet_metrics () =
-  let subject = subject "json" in
-  let config = { Pfuzzer.default_config with max_executions = 1200; seed = 5 } in
-  let deterministic_part (o : Dist.outcome) =
-    match o.metrics with
-    | None -> Alcotest.fail "campaign returned no fleet metrics"
-    | Some s ->
-      ( s.Metrics.counters,
-        List.map
-          (fun (n, h) -> (n, Pdf_util.Stats.Histogram.count h))
-          s.Metrics.histograms )
-  in
-  let run ?kill_worker workers =
-    Dist.run_campaign ~workers ~shards:4 ~frame_every:10 ?kill_worker config
-      subject
-  in
-  let w1 = run 1 in
-  let counters, hist_counts = deterministic_part w1 in
-  List.iter
-    (fun (label, o) ->
-      Alcotest.(check (pair (list (pair string int)) (list (pair string int))))
-        (label ^ ": counters and histogram counts equal workers:1's")
-        (counters, hist_counts) (deterministic_part o))
-    [ ("workers:2", run 2); ("workers:2, worker 1 killed", run ~kill_worker:1 2) ];
-  Alcotest.(check int) "shard/executions is the merged execution count"
-    w1.result.Pfuzzer.executions
-    (List.assoc "shard/executions" counters);
-  Alcotest.(check bool) "phase/exec_ns recorded spans" true
-    (List.assoc "phase/exec_ns" hist_counts > 0)
+  Alcotest.(check (option string)) "worker 1 died of SIGKILL" (Some "signal:9")
+    (List.assoc_opt 1 killed.worker_status);
+  Alcotest.(check int) "both of worker 1's shards were replayed" 2 killed.replays;
+  Alcotest.(check int) "one final per shard" 4 killed.frames_accepted
 
 let test_campaign_traces_in_shard_order () =
   let subject = subject "paren" in
   let config = { Pfuzzer.default_config with max_executions = 160; seed = 2 } in
   let o =
-    Dist.run_campaign ~workers:2 ~shards:3 ~frame_every:50 ~trace:true config
-      subject
+    Dist.run_campaign ~workers:2 ~shards:3 ~trace:true config subject
   in
   let p = o.o_plan in
   Alcotest.(check int) "one trace stream per shard"
@@ -620,17 +604,22 @@ let test_campaign_traces_in_shard_order () =
         (Option.map (fun (m : Pdf_obs.Trace_report.meta) -> m.seed) r.meta))
     p.Dist.shards reports
 
-(* A worker killed mid-shard never wrote that shard's stream; its replay
-   writes the whole of it. So [--trace] still holds one complete stream
-   per shard, equal to an undisturbed campaign's up to timing. *)
+(* A killed worker never wrote its shards' streams; their replay writes
+   the whole of them. So [--trace] still holds one complete stream per
+   shard, equal to an undisturbed campaign's up to timing. *)
 let test_campaign_traces_survive_kill () =
   let subject = subject "json" in
   let config = { Pfuzzer.default_config with max_executions = 1200; seed = 2 } in
   let run ?kill_worker () =
-    Dist.run_campaign ~workers:2 ~shards:3 ~frame_every:10 ~trace:true
-      ?kill_worker config subject
+    Dist.run_campaign ~workers:2 ~shards:3 ~trace:true ?kill_worker config subject
   in
   let undisturbed = run () and killed = run ~kill_worker:1 () in
+  (* Of 3 shards dealt to 2 workers, worker 1 owns shard 1 alone; the
+     replay runs it on worker 2. *)
+  Alcotest.(check (list (pair int string))) "shard 1 was replayed"
+    [ (1, "signal:9"); (2, "exit:0") ]
+    (List.filter (fun (w, _) -> w <> 0) killed.worker_status);
+  Alcotest.(check int) "one shard replay" 1 killed.replays;
   Alcotest.(check int) "one stream per shard"
     (List.length undisturbed.shard_traces)
     (List.length killed.shard_traces);
@@ -643,16 +632,55 @@ let test_campaign_traces_survive_kill () =
         (Pdf_obs.Trace.normalize a = Pdf_obs.Trace.normalize b))
     (List.combine undisturbed.shard_traces killed.shard_traces)
 
+(* With its only worker killed, a campaign replays every shard on one
+   fresh worker and still equals the sequential reference. *)
+let test_campaign_only_worker_killed () =
+  let subject = subject "paren" in
+  let config = { Pfuzzer.default_config with max_executions = 300; seed = 6 } in
+  let o = Dist.run_campaign ~workers:1 ~shards:3 ~kill_worker:0 config subject in
+  Alcotest.(check (list (pair int string)))
+    "worker 0 died of SIGKILL, replay worker 1 exited cleanly"
+    [ (0, "signal:9"); (1, "exit:0") ]
+    o.worker_status;
+  Alcotest.(check int) "every shard was replayed" 3 o.replays;
+  Alcotest.(check int) "one final per shard" 3 o.frames_accepted;
+  Alcotest.(check bool) "merged result equals the reference" true
+    (Invariants.results_equal (Dist.reference ~shards:3 config subject) o.result)
+
+(* Replay rounds are bounded: with none allowed, the shards a killed
+   worker owned stay missing and the campaign fails, naming them. *)
+let test_campaign_retries_bound () =
+  let subject = subject "paren" in
+  let config = { Pfuzzer.default_config with max_executions = 120; seed = 4 } in
+  match
+    Dist.run_campaign ~workers:2 ~shards:4 ~retries:0 ~kill_worker:1 config subject
+  with
+  | _ -> Alcotest.fail "a campaign with shards still missing returned"
+  | exception Failure msg ->
+    Alcotest.(check string) "the failure names the missing shards"
+      "dist: shard(s) 1, 3 produced no final frame after 0 replay round(s)" msg
+
+(* Only a traced campaign attaches an observer to its shards. The
+   observer watches and never steers, so the traced merged result is
+   the untraced one to the byte. *)
+let test_campaign_trace_neutral () =
+  let subject = subject "json" in
+  let config = { Pfuzzer.default_config with max_executions = 600; seed = 8 } in
+  let run trace = Dist.run_campaign ~workers:2 ~shards:3 ~trace config subject in
+  let traced = run true and untraced = run false in
+  Alcotest.(check int) "traced: one stream per shard" 3
+    (List.length traced.shard_traces);
+  Alcotest.(check int) "untraced: no streams" 0 (List.length untraced.shard_traces);
+  Alcotest.(check bool) "merged results bit-identical" true
+    (String.equal (campaign_bytes traced) (campaign_bytes untraced))
+
 (* What the summary line reports of an undisturbed campaign: one clean
-   exit per worker, no replays, no rejected frames, and a frame count
-   that the plan alone fixes — finals plus one progress frame per
-   [frame_every] executions, whichever worker ran the shard. *)
+   exit per worker, no replays, no rejected frames, and one frame per
+   shard, its final, whichever worker ran the shard. *)
 let test_campaign_accounting () =
   let subject = subject "paren" in
   let config = { Pfuzzer.default_config with max_executions = 120; seed = 4 } in
-  let run workers =
-    Dist.run_campaign ~workers ~shards:2 ~frame_every:30 config subject
-  in
+  let run workers = Dist.run_campaign ~workers ~shards:2 config subject in
   let w1 = run 1 and w2 = run 2 in
   Alcotest.(check (list (pair int string))) "one clean exit per worker"
     [ (0, "exit:0"); (1, "exit:0") ]
@@ -661,12 +689,9 @@ let test_campaign_accounting () =
     (fun (label, (o : Dist.outcome)) ->
       Alcotest.(check int) (label ^ ": no replays") 0 o.replays;
       Alcotest.(check (list (pair int string))) (label ^ ": no frames rejected")
-        [] o.frames_rejected)
-    [ ("workers:1", w1); ("workers:2", w2) ];
-  Alcotest.(check bool) "progress frames besides the two finals" true
-    (w1.frames_accepted > 2);
-  Alcotest.(check int) "frame count does not depend on the worker count"
-    w1.frames_accepted w2.frames_accepted
+        [] o.frames_rejected;
+      Alcotest.(check int) (label ^ ": one frame per shard") 2 o.frames_accepted)
+    [ ("workers:1", w1); ("workers:2", w2) ]
 
 (* {1 Plan determinism} *)
 
@@ -716,6 +741,8 @@ let () =
         [
           Alcotest.test_case "recorded 2-worker campaign = reference" `Quick
             test_model_replay;
+          Alcotest.test_case "simulated campaign = reference" `Quick
+            test_simulated_campaign;
         ] );
       ( "campaigns",
         [
@@ -724,8 +751,12 @@ let () =
             test_campaign_worker_invariance;
           Alcotest.test_case "SIGKILLed worker is replayed" `Slow
             test_campaign_kill_worker;
-          Alcotest.test_case "fleet metrics are worker-invariant" `Slow
-            test_campaign_fleet_metrics;
+          Alcotest.test_case "only worker killed: every shard replayed" `Quick
+            test_campaign_only_worker_killed;
+          Alcotest.test_case "replays stop at the retry bound" `Quick
+            test_campaign_retries_bound;
+          Alcotest.test_case "tracing leaves the merged result alone" `Quick
+            test_campaign_trace_neutral;
           Alcotest.test_case "per-shard traces in shard order" `Quick
             test_campaign_traces_in_shard_order;
           Alcotest.test_case "per-shard traces survive a killed worker" `Slow

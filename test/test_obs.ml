@@ -17,7 +17,6 @@ module Catalog = Pdf_subjects.Catalog
 module Histogram = Pdf_util.Stats.Histogram
 
 let check = Alcotest.check
-let qtest = QCheck_alcotest.to_alcotest
 
 (* {1 Golden serialization: the JSONL schema is a stable format} *)
 
@@ -304,6 +303,22 @@ let test_traced_run_schema () =
      in
      check Alcotest.bool "phases sum <= wall" true (spent <= wall_ns))
 
+(* An observer watches and never steers: a run with one, sampling every
+   iteration into a metrics registry, finds exactly what the same run
+   finds without one. Campaign workers rely on this, attaching an
+   observer only when the campaign is traced. *)
+let test_observer_is_neutral () =
+  List.iter
+    (fun name ->
+      let subject = Catalog.find name in
+      let config = { Pfuzzer.default_config with max_executions = 400; seed = 3 } in
+      let sink, _ = Trace.buffer () in
+      let obs = Observer.create ~sink ~metrics:(Metrics.create ()) () in
+      let observed = Pfuzzer.fuzz ~obs config subject in
+      check Alcotest.bool (name ^ ": same result with and without an observer") true
+        (Pdf_check.Invariants.results_equal (Pfuzzer.fuzz config subject) observed))
+    [ "json"; "expr"; "ini" ]
+
 let test_trace_report_matches_run () =
   let result, events = traced_run () in
   let a = Trace_report.analyse events in
@@ -556,83 +571,6 @@ let test_result_timing () =
        (result.execs_per_sec -. (float_of_int result.executions /. result.wall_clock_s))
      < 1.0)
 
-(* {1 Fleet totals} *)
-
-let mk_snapshot ~execs ~valid ~spans =
-  let m = Metrics.create () in
-  Metrics.add (Metrics.counter m "shard/executions") execs;
-  Metrics.add (Metrics.counter m "shard/valid") valid;
-  let h = Metrics.histogram m "phase/exec_ns" in
-  List.iter (Histogram.record h) spans;
-  Metrics.snapshot m
-
-let test_fleet_totals () =
-  let s0 = mk_snapshot ~execs:100 ~valid:3 ~spans:[ 10; 20 ] in
-  let s1 = mk_snapshot ~execs:40 ~valid:1 ~spans:[ 30 ] in
-  let t = Metrics.sum [ s0; s1 ] in
-  check Alcotest.int "counters sum" 140
-    (List.assoc "shard/executions" t.Metrics.counters);
-  check Alcotest.int "counters sum (valid)" 4
-    (List.assoc "shard/valid" t.Metrics.counters);
-  check Alcotest.int "histograms merge" 3
-    (Histogram.count (List.assoc "phase/exec_ns" t.Metrics.histograms))
-
-(* The fleet totals are what one registry would hold had it seen every
-   shard's adds and records: counters sum, histograms merge, and a name
-   that only some shards registered carries over. *)
-type op = Count of string * int | Record of string * int
-
-let arb_shard_ops =
-  let gen_op =
-    QCheck.Gen.(
-      oneof
-        [
-          map2
-            (fun n v -> Count (n, v))
-            (oneofl [ "shard/executions"; "shard/valid"; "cache/hits" ])
-            (int_range 0 50);
-          map2
-            (fun n v -> Record (n, v))
-            (oneofl [ "phase/exec_ns"; "phase/score_ns" ])
-            (int_range 1 100_000);
-        ])
-  in
-  let print_op = function
-    | Count (n, v) -> Printf.sprintf "%s += %d" n v
-    | Record (n, v) -> Printf.sprintf "%s <- %d" n v
-  in
-  QCheck.make
-    ~print:(fun shards ->
-      String.concat " | "
-        (List.map (fun ops -> String.concat "; " (List.map print_op ops)) shards))
-    QCheck.Gen.(list_size (int_range 0 5) (small_list gen_op))
-
-let prop_sum_is_one_registry =
-  QCheck.Test.make ~name:"sum equals one registry fed every shard's data"
-    ~count:300 arb_shard_ops
-    (fun shards ->
-      let apply m =
-        List.iter (function
-          | Count (n, v) -> Metrics.add (Metrics.counter m n) v
-          | Record (n, v) -> Histogram.record (Metrics.histogram m n) v)
-      in
-      let whole = Metrics.create () in
-      let parts =
-        List.map
-          (fun ops ->
-            let m = Metrics.create () in
-            apply m ops;
-            apply whole ops;
-            Metrics.snapshot m)
-          shards
-      in
-      let s = Metrics.sum parts and w = Metrics.snapshot whole in
-      s.Metrics.counters = w.Metrics.counters
-      && List.map fst s.Metrics.histograms = List.map fst w.Metrics.histograms
-      && List.for_all2
-           (fun (_, a) (_, b) -> Histogram.equal a b)
-           s.Metrics.histograms w.Metrics.histograms)
-
 (* {1 Sampled tracing: 1/1 is today's full trace, 1/N is deterministic} *)
 
 let sampled_trace ?sample () =
@@ -828,11 +766,6 @@ let () =
           Alcotest.test_case "phase spans" `Quick test_observer_spans;
         ] );
       ("progress", [ Alcotest.test_case "render" `Quick test_progress_render ]);
-      ( "fleet metrics",
-        [
-          Alcotest.test_case "totals" `Quick test_fleet_totals;
-          qtest prop_sum_is_one_registry;
-        ] );
       ( "sampling",
         [
           Alcotest.test_case "sample 1 is the full trace" `Quick
@@ -850,6 +783,8 @@ let () =
       ( "traced run",
         [
           Alcotest.test_case "schema and consistency" `Quick test_traced_run_schema;
+          Alcotest.test_case "an observer does not change the result" `Quick
+            test_observer_is_neutral;
           Alcotest.test_case "trace-report matches run" `Quick
             test_trace_report_matches_run;
           Alcotest.test_case "trace-report scales sampled phases" `Quick
