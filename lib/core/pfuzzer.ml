@@ -367,9 +367,8 @@ let[@inline] tsink_exec st =
 (* Phase spans follow the same per-iteration decision: in an unsampled
    iteration no monotonic clock is read, which is what keeps sampled
    tracing within a few percent of running blind. A skipped
-   [span_begin] returns the sentinel 0 and [span_end]/[span_next]
-   discard it. (CLOCK_MONOTONIC is ns since boot — it is never 0 in
-   practice.) *)
+   [span_begin] returns the sentinel 0 and [span_end] discards it.
+   (CLOCK_MONOTONIC is ns since boot — it is never 0 in practice.) *)
 let[@inline] span_begin st =
   match st.obs with
   | Some o when st.sampled -> Obs.span_start o
@@ -378,10 +377,6 @@ let[@inline] span_begin st =
 let[@inline] span_end st phase t0 =
   if t0 <> 0 then
     match st.obs with None -> () | Some o -> Obs.span_end o phase t0
-
-let[@inline] span_next st phase t0 =
-  if t0 = 0 then 0
-  else match st.obs with None -> 0 | Some o -> Obs.span_next o phase t0
 
 let cache_counters st =
   match st.engine with
@@ -601,27 +596,36 @@ let seen_add st h input index repl =
   end;
   Dedupe.add st.seen_inputs h input index repl
 
-(* Score and enqueue the member of the open sibling group [g] whose
-   replacement is [repl] and whose input is [len] long; it already
-   passed the dedupe and length gates. The input itself is built only
-   for a queue listener. *)
+(* Enqueue the member of the open sibling group [g] whose replacement
+   is [repl] and whose input is [len] long; it already passed the
+   dedupe and length gates. The queue scores it only if it starts a
+   run, so that lands in the Queue phase; the member's priority and
+   input are computed again only for a listener. *)
 let enqueue st g ~len repl =
   st.candidates_created <- st.candidates_created + 1;
-  let t_score = span_begin st in
-  let prio = Candidate_queue.score st.queue g ~repl in
-  let t_queue = span_next st Phase.Score t_score in
-  Candidate_queue.push st.queue g prio ~repl;
+  let t_queue = span_begin st in
+  Candidate_queue.push st.queue g ~repl;
   span_end st Phase.Queue t_queue;
   (match st.on_queue_event with
    | None -> ()
-   | Some f -> f (Pushed (prio, Candidate_queue.member_data st.queue g ~repl)));
+   | Some f ->
+     f
+       (Pushed
+          ( Candidate_queue.score st.queue g ~repl,
+            Candidate_queue.member_data st.queue g ~repl )));
   (match tsink_exec st with
    | None -> ()
    | Some o ->
      Obs.emit o ~exec:st.executions
-       (Event.Queue_push { prio; len; depth = Candidate_queue.length st.queue }));
-  (* Truncate with hysteresis: selection is linear in the queue, so only
-     do it after the queue has doubled past its bound. *)
+       (Event.Queue_push
+          {
+            prio = Candidate_queue.score st.queue g ~repl;
+            len;
+            depth = Candidate_queue.length st.queue;
+          }));
+  (* Truncate with hysteresis: a truncation sorts every run, so it waits
+     until the queue has doubled past its bound, at least [bound] pushes
+     after the last one. *)
   if Candidate_queue.full st.queue then begin
     let t_trunc = span_begin st in
     Candidate_queue.truncate st.queue;
@@ -662,8 +666,8 @@ let push_seed st data =
    dedupe arena in parts and queued as its replacement in the sibling
    group, which holds the parent input and the cut, and its input is
    built when it is popped. Dedupe time lands in the [Gen] phase span;
-   scoring and queue maintenance stay in [Score]/[Queue] inside
-   [enqueue]. *)
+   a push, with the scoring of a push that starts a run, lands in the
+   [Queue] span inside [enqueue]. *)
 let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
   match Runner.substitution_index run with
   | None -> ()

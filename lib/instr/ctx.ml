@@ -225,10 +225,26 @@ let[@inline] emit_tainted t (c : Tchar.t) kind result =
   let index = Taint.max_index_raw c.taint in
   if index >= 0 then emit t ~index ~kind ~result
 
+(* The [Char_eq] kind of every byte, so an equality event shares its
+   kind block instead of allocating one per call. The table is built on
+   first use, so a process that never parses does not hold it. Domains
+   that race here each build an equal table and either one is kept; the
+   [Atomic.set] publishes it whole. *)
+let char_eq_kinds = Atomic.make [||]
+
+let build_char_eq_kinds () =
+  let kinds = Array.init 256 (fun i -> Comparison.Char_eq (Char.chr i)) in
+  Atomic.set char_eq_kinds kinds;
+  kinds
+
+let[@inline] char_eq c =
+  let kinds = Atomic.get char_eq_kinds in
+  let kinds = if Array.length kinds = 0 then build_char_eq_kinds () else kinds in
+  Array.unsafe_get kinds (Char.code c)
+
 let eq t site c expected =
   let result = c.Tchar.ch = expected in
-  if t.track_comparisons then
-    emit_tainted t c (Comparison.Char_eq expected) result;
+  if t.track_comparisons then emit_tainted t c (char_eq expected) result;
   branch t site result
 
 let in_range t site c lo hi =
@@ -283,77 +299,62 @@ let[@inline] in_set_slot t sl (c : Tchar.t) set =
 let[@inline] one_of_slot t sl (c : Tchar.t) chars =
   slot_result t sl c (String.contains chars c.Tchar.ch)
 
-(* Instrumented strcmp. Walk the token and the keyword in lockstep,
-   emitting a per-position character event; on a mismatch after partial
-   progress, additionally emit the keyword-suffix event whose replacement
-   completes the keyword in one substitution. *)
-let rec str_eq t site (tok : Tstring.t) keyword =
-  if not t.track_comparisons then begin
-    (* Untracked fast path: plain lockstep compare, no taint fold and no
-       event payloads. *)
-    let tok_len = Tstring.length tok and kw_len = String.length keyword in
-    let rec same i =
-      if i >= tok_len then i >= kw_len
-      else if i >= kw_len then false
-      else (Tstring.get tok i).Tchar.ch = keyword.[i] && same (i + 1)
-    in
-    branch t site (same 0)
-  end
-  else str_eq_tracked t site tok keyword
+(* Instrumented strcmp. The token and the keyword are compared in
+   lockstep up to their first difference; a tracked run then logs one
+   character event per matched position, in order, and the mismatch
+   events. On a mismatch after partial progress, the keyword-suffix
+   event's replacement completes the keyword in one substitution. The
+   events are built from taint indices read in place ([max_index_raw])
+   and the shared [Char_eq] kinds, so the only blocks allocated are the
+   events themselves. *)
+let emit_suffix t ~index keyword ~offset =
+  emit t ~index ~kind:(Comparison.Str_eq { expected = keyword; offset }) ~result:false
 
-and str_eq_tracked t site (tok : Tstring.t) keyword =
+let str_eq t site (tok : Tstring.t) keyword =
   let tok_len = Tstring.length tok and kw_len = String.length keyword in
-  let next_input_index () =
-    (* Position just past the token in the input: where an extension of
-       the token would have to appear. *)
-    match Taint.max_index (Tstring.taint tok) with
-    | Some i -> Some (i + 1)
-    | None -> None
-  in
-  let emit_char_event i result =
-    let c = Tstring.get tok i in
-    let index = Taint.max_index_raw c.Tchar.taint in
-    if index >= 0 then emit t ~index ~kind:(Comparison.Char_eq keyword.[i]) ~result
-  in
-  let emit_suffix_event ~index ~offset =
-    emit t ~index ~kind:(Comparison.Str_eq { expected = keyword; offset }) ~result:false
-  in
-  let rec walk i =
-    if i >= tok_len && i >= kw_len then true (* full match *)
-    else if i >= tok_len then begin
-      (* Token is a proper prefix of the keyword: the mismatch is at the
-         position just past the token. *)
-      (match next_input_index () with
-       | None -> ()
-       | Some index ->
-         emit t ~index ~kind:(Comparison.Char_eq keyword.[i]) ~result:false;
-         if i > 0 then emit_suffix_event ~index ~offset:i);
-      false
-    end
-    else if i >= kw_len then begin
-      (* Token is longer than the keyword: no substitution can help at
-         this position, but record the failed comparison for coverage. *)
-      (match Taint.max_index (Tstring.get tok i).Tchar.taint with
-       | None -> ()
-       | Some index ->
-         emit t ~index
-           ~kind:(Comparison.Str_eq { expected = keyword; offset = kw_len })
-           ~result:false);
-      false
-    end
-    else if (Tstring.get tok i).Tchar.ch = keyword.[i] then begin
-      emit_char_event i true;
-      walk (i + 1)
+  let n = if tok_len < kw_len then tok_len else kw_len in
+  let i = ref 0 in
+  while !i < n && (Tstring.get tok !i).Tchar.ch = String.unsafe_get keyword !i do
+    incr i
+  done;
+  let i = !i in
+  let matched = i = tok_len && i = kw_len in
+  if t.track_comparisons then begin
+    for j = 0 to i - 1 do
+      let index = Taint.max_index_raw (Tstring.get tok j).Tchar.taint in
+      if index >= 0 then emit t ~index ~kind:(char_eq keyword.[j]) ~result:true
+    done;
+    if matched then ()
+    else if i = tok_len then begin
+      (* The token is a proper prefix of the keyword: the mismatch is at
+         the position just past the token, where an extension of it
+         would have to appear. *)
+      let last = ref (-1) in
+      for j = 0 to tok_len - 1 do
+        let index = Taint.max_index_raw (Tstring.get tok j).Tchar.taint in
+        if index > !last then last := index
+      done;
+      if !last >= 0 then begin
+        let index = !last + 1 in
+        emit t ~index ~kind:(char_eq keyword.[i]) ~result:false;
+        if i > 0 then emit_suffix t ~index keyword ~offset:i
+      end
     end
     else begin
-      emit_char_event i false;
-      (match Taint.max_index (Tstring.get tok i).Tchar.taint with
-       | Some index when i > 0 -> emit_suffix_event ~index ~offset:i
-       | Some _ | None -> ());
-      false
+      let index = Taint.max_index_raw (Tstring.get tok i).Tchar.taint in
+      if index >= 0 then
+        if i = kw_len then
+          (* The token is longer than the keyword: no substitution can
+             help at this position, but the failed comparison is
+             recorded for coverage. *)
+          emit_suffix t ~index keyword ~offset:kw_len
+        else begin
+          emit t ~index ~kind:(char_eq keyword.[i]) ~result:false;
+          if i > 0 then emit_suffix t ~index keyword ~offset:i
+        end
     end
-  in
-  branch t site (walk 0)
+  end;
+  branch t site matched
 
 (* §7.2 token-taint recovery: a parser that demands a specific token can
    report the expectation at the token's input position even though the

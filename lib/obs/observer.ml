@@ -79,11 +79,6 @@ let record_span t phase d =
 
 let span_end t phase start = record_span t phase (t.clock () - start)
 
-let span_next t phase start =
-  let now = t.clock () in
-  record_span t phase (now - start);
-  now
-
 let phase_totals t =
   List.map (fun p -> (Phase.name p, t.phase_ns.(Phase.index p))) Phase.all
 

@@ -57,10 +57,6 @@ val span_end : t -> Phase.t -> int -> unit
     the phase's cumulative total and, when a metrics registry is
     attached, its histogram. *)
 
-val span_next : t -> Phase.t -> int -> int
-(** Like {!span_end}, but returns the end timestamp so back-to-back
-    spans share one clock read: [span_end t p2 (span_next t p1 start)]. *)
-
 val phase_totals : t -> (string * int) list
 
 (** {1 Run lifecycle} *)

@@ -11,6 +11,6 @@ let index = function Exec -> 0 | Cache -> 1 | Score -> 2 | Queue -> 3 | Gen -> 4
 let name = function
   | Exec -> "exec"  (* subject execution: parse of the candidate input *)
   | Cache -> "cache"  (* prefix-snapshot lookup, store and accounting *)
-  | Score -> "score"  (* heuristic scoring, including queue reranks *)
-  | Queue -> "queue"  (* priority-queue push/pop/truncate maintenance *)
+  | Score -> "score"  (* queue re-ranks: re-scoring after vBr grows *)
+  | Queue -> "queue"  (* queue push (scoring a new run)/pop/truncate *)
   | Gen -> "gen"  (* candidate generation: dedupe, child construction *)

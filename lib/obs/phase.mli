@@ -3,8 +3,10 @@
 type t =
   | Exec  (** subject execution: parsing the candidate input *)
   | Cache  (** prefix-snapshot lookup, store and accounting *)
-  | Score  (** heuristic scoring, including queue reranks *)
-  | Queue  (** priority-queue push/pop/truncate maintenance *)
+  | Score  (** queue re-ranks: re-scoring after vBr grows *)
+  | Queue
+      (** queue push (including the scoring of a push that starts a
+          run), pop and truncate *)
   | Gen
       (** candidate generation: path-novelty accounting, the
           hash-before-allocate dedupe probe and child construction in

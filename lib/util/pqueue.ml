@@ -1,13 +1,8 @@
-(* The heap lives in four parallel arrays indexed by heap position:
-   priorities, insertion sequence numbers, [aux] scratch and values.
-   There is no per-entry record, so a push allocates nothing once the
-   arrays have grown, and a comparison reads two unboxed floats and, on a
-   tie, two ints — never a pointer.
-
-   [aux] is caller-owned scratch carried with the entry: the fuzzer's
-   candidate queue stores each slot's sibling-group id there, so a
-   re-rank decides from one int whether an entry's priority can have
-   moved. The queue itself never interprets it.
+(* The heap lives in three parallel arrays indexed by heap position:
+   priorities, insertion sequence numbers and values. There is no
+   per-entry record, so a push allocates nothing once the arrays have
+   grown, and a comparison reads two unboxed floats and, on a tie, two
+   ints — never a pointer.
 
    Values are kept as [Obj.t], not ['a]. A vacated position must not
    keep its popped value alive, so it is overwritten with [vacant]; an
@@ -22,7 +17,6 @@
 type 'a t = {
   mutable prios : float array;
   mutable seqs : int array;
-  mutable auxs : int array;
   mutable values : Obj.t array;  (* each an ['a], or [vacant] *)
   mutable size : int;
   mutable next_seq : int;
@@ -31,10 +25,9 @@ type 'a t = {
 let vacant = Obj.repr ()
 
 let create () =
-  { prios = [||]; seqs = [||]; auxs = [||]; values = [||]; size = 0; next_seq = 0 }
+  { prios = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
-let is_empty t = t.size = 0
 
 let[@inline] value t i : 'a = Obj.obj (Array.unsafe_get t.values i)
 
@@ -51,25 +44,23 @@ let[@inline] before t i j =
 let[@inline] move t ~src ~dst =
   Array.unsafe_set t.prios dst (Array.unsafe_get t.prios src);
   Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
-  Array.unsafe_set t.auxs dst (Array.unsafe_get t.auxs src);
   Array.unsafe_set t.values dst (Array.unsafe_get t.values src)
 
-let[@inline] place t i p s a v =
+let[@inline] place t i p s v =
   Array.unsafe_set t.prios i p;
   Array.unsafe_set t.seqs i s;
-  Array.unsafe_set t.auxs i a;
   Array.unsafe_set t.values i v
 
 let swap t i j =
-  let p = t.prios.(i) and s = t.seqs.(i) and a = t.auxs.(i) and v = t.values.(i) in
+  let p = t.prios.(i) and s = t.seqs.(i) and v = t.values.(i) in
   move t ~src:j ~dst:i;
-  place t j p s a v
+  place t j p s v
 
 (* Both sifts move a hole instead of swapping: the entry being placed is
    held in locals, each entry it passes moves once into the hole, and
    the entry is written once where the hole stops. *)
 let sift_up t i =
-  let p = t.prios.(i) and s = t.seqs.(i) and a = t.auxs.(i) and v = t.values.(i) in
+  let p = t.prios.(i) and s = t.seqs.(i) and v = t.values.(i) in
   let hole = ref i in
   let continue = ref true in
   while !continue && !hole > 0 do
@@ -81,11 +72,12 @@ let sift_up t i =
     end
     else continue := false
   done;
-  place t !hole p s a v
+  place t !hole p s v
 
-let sift_down t i =
-  let p = t.prios.(i) and s = t.seqs.(i) and a = t.auxs.(i) and v = t.values.(i) in
-  let size = t.size in
+(* Sifts within positions [0, size), which is the whole heap except
+   while [iter_ranked] sorts it. *)
+let sift_down_within t i size =
+  let p = t.prios.(i) and s = t.seqs.(i) and v = t.values.(i) in
   let hole = ref i in
   let continue = ref true in
   while !continue do
@@ -101,7 +93,9 @@ let sift_down t i =
       else continue := false
     end
   done;
-  place t !hole p s a v
+  place t !hole p s v
+
+let sift_down t i = sift_down_within t i t.size
 
 let grow t =
   let cap = Array.length t.prios in
@@ -114,14 +108,13 @@ let grow t =
     in
     t.prios <- extend t.prios neg_infinity;
     t.seqs <- extend t.seqs 0;
-    t.auxs <- extend t.auxs 0;
     t.values <- extend t.values vacant
   end
 
-let push ?(aux = 0) t prio v =
+let push t prio v =
   grow t;
   let i = t.size in
-  place t i prio t.next_seq aux (Obj.repr v);
+  place t i prio t.next_seq (Obj.repr v);
   t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
   sift_up t i
@@ -145,52 +138,52 @@ let pop t =
     Some v
   end
 
-let pop_with_priority t =
-  if t.size = 0 then None
-  else begin
-    let prio = t.prios.(0) in
-    let v = value t 0 in
-    remove_top t;
-    Some (prio, v)
-  end
+let top t =
+  if t.size = 0 then invalid_arg "Pqueue.top: empty queue";
+  value t 0
 
-let peek t = if t.size = 0 then None else Some (value t 0)
-
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f (value t i)
-  done
+let top_priority t =
+  if t.size = 0 then invalid_arg "Pqueue.top_priority: empty queue";
+  t.prios.(0)
 
 let heapify t =
   for i = (t.size / 2) - 1 downto 0 do
     sift_down t i
   done
 
-let rerank t f =
-  for i = 0 to t.size - 1 do
-    t.prios.(i) <- f (value t i)
-  done;
-  heapify t
-
-(* Selective re-rank: [f value ~aux] returns [None] to leave an entry
-   untouched or [Some (prio, aux)] to update it. The heap is restored
-   only if something actually changed, so a delta that misses every
-   pending entry costs one pass and no sifting. Equivalent to [rerank]
-   whenever [f]'s [None] means "the recomputed priority equals the
-   stored one": untouched entries keep bit-identical priorities and
-   sequence numbers, so the heap pops in the same sequence a full
-   rerank would produce. *)
+(* Selective re-score: [f value] returns [None] to leave an entry
+   untouched or [Some prio] to re-score it. The heap is restored only if
+   a priority actually changed, so a delta that misses every pending
+   entry costs one pass and no sifting. Untouched entries keep
+   bit-identical priorities and sequence numbers, so the heap pops in
+   the sequence a re-score of every entry would produce. *)
 let update t f =
   let changed = ref false in
   for i = 0 to t.size - 1 do
-    match f (value t i) ~aux:t.auxs.(i) with
+    match f (value t i) with
     | None -> ()
-    | Some (prio, aux) ->
+    | Some prio ->
       if prio <> t.prios.(i) then changed := true;
-      t.prios.(i) <- prio;
-      t.auxs.(i) <- aux
+      t.prios.(i) <- prio
   done;
   if !changed then heapify t
+
+(* Heapsort leaves the best entry last, so the sorted positions are then
+   reversed: an array sorted best first is itself a valid heap. *)
+let iter_ranked f t =
+  for last = t.size - 1 downto 1 do
+    swap t 0 last;
+    sift_down_within t 0 last
+  done;
+  let i = ref 0 and j = ref (t.size - 1) in
+  while !i < !j do
+    swap t !i !j;
+    incr i;
+    decr j
+  done;
+  for i = 0 to t.size - 1 do
+    f (value t i)
+  done
 
 (* Selection for [drop_worst]: rearrange live positions so the [n] best
    under the total order occupy [0..n). Median-of-three Lomuto
@@ -236,13 +229,6 @@ let drop_worst t n =
     t.size <- n;
     heapify t
   end
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    acc := (t.prios.(i), value t i) :: !acc
-  done;
-  !acc
 
 let snapshot t =
   let order = Array.init t.size Fun.id in

@@ -632,13 +632,29 @@ let prop_all_variants_total =
    recomputed on every observation. Pushes come in sibling groups that
    share one parent input, cut, [parents], [avg_stack], [path_count]
    and parent coverage, with one replacement per member, so a member's
-   input is [input[0..cut) ^ repl]; re-rank deltas are disjoint from the
-   model's vBr, as the fuzzer's are. After every step the queue's
-   snapshot (inputs included) must equal the model's, its columns must
-   stay within the cap, and no group may outlive its members. Every
-   popped input is the model's, so it too is [input[0..cut) ^ repl]. *)
+   input is [input[0..cut) ^ repl]. A group's replacements mostly repeat
+   one length around a keyword-length one, so its members form runs,
+   and pops and truncations may come between its pushes: a pop often
+   takes the front of the group's own run, and the pushes after it then
+   extend that run (equal priority) or start one above it (a keyword).
+   The bound is small, so truncations cut through runs. Re-rank deltas
+   are disjoint from the model's vBr, as the fuzzer's are.
+
+   The model keys each member by its run: a push continues the run of
+   the push before it if both are in one group, with one replacement
+   length, and no truncation dropped members between them. After every
+   step the queue's snapshot (inputs included) must equal the model's,
+   its heap must hold exactly one entry per run that still has a
+   member, its columns must stay within the bounds its interface
+   states, and no closed group may outlive its members. Every popped
+   input is the model's, so it too is [input[0..cut) ^ repl]. *)
 
 module Cq = Pdf_core.Candidate_queue
+
+type member_step =
+  | Member of string  (** push this replacement *)
+  | Pop_inside of bool  (** with its priority? *)
+  | Cut  (** truncate *)
 
 type siblings = {
   s_input : string;
@@ -647,7 +663,7 @@ type siblings = {
   s_avg_stack : float;
   s_path_count : int;
   s_coverage : int list;
-  s_repls : string list;  (** one member each *)
+  s_steps : member_step list;
 }
 
 type cq_op =
@@ -658,7 +674,7 @@ type cq_op =
   | Round_trip  (** snapshot, then restore into a fresh queue *)
 
 module Cq_model = struct
-  type entry = { seq : int; cand : Candidate.t }
+  type entry = { seq : int; run : int; cand : Candidate.t }
 
   type t = {
     variant : Heuristic.variant;
@@ -666,7 +682,22 @@ module Cq_model = struct
     mutable vbr : Coverage.t;
     mutable entries : entry list;  (* insertion order *)
     mutable next_seq : int;
+    mutable runs : int;  (* runs started *)
+    mutable last : int option;
+        (* the replacement length of the last push, until its group
+           closes or a truncation drops members *)
   }
+
+  let create variant bound =
+    {
+      variant;
+      bound;
+      vbr = Coverage.empty;
+      entries = [];
+      next_seq = 0;
+      runs = 0;
+      last = None;
+    }
 
   let prio m e = Heuristic.score m.variant ~vbr:m.vbr e.cand
 
@@ -675,7 +706,10 @@ module Cq_model = struct
     if pa > pb then -1 else if pa < pb then 1 else compare a.seq b.seq
 
   let push m cand =
-    m.entries <- m.entries @ [ { seq = m.next_seq; cand } ];
+    let len = String.length cand.Candidate.repl in
+    if m.last <> Some len then m.runs <- m.runs + 1;
+    m.last <- Some len;
+    m.entries <- m.entries @ [ { seq = m.next_seq; run = m.runs; cand } ];
     m.next_seq <- m.next_seq + 1
 
   let pop m =
@@ -687,15 +721,44 @@ module Cq_model = struct
       Some (p, e.cand)
 
   let truncate m =
+    if List.length m.entries > m.bound then m.last <- None;
     m.entries <-
       List.sort (fun a b -> compare a.seq b.seq)
         (List.filteri (fun i _ -> i < m.bound) (List.sort (order m) m.entries))
 
+  (* A restored entry is a group, and so a run, of its own. *)
+  let restore m =
+    m.last <- None;
+    m.entries <-
+      List.map
+        (fun e ->
+          m.runs <- m.runs + 1;
+          { e with run = m.runs })
+        m.entries
+
   let snapshot m = List.map (fun e -> (prio m e, e.cand)) m.entries
+
+  let live_runs m =
+    List.length (List.sort_uniq compare (List.map (fun e -> e.run) m.entries))
 end
 
 (* Outcomes span three bitset words. *)
 let outcomes_gen = QCheck.Gen.(list_size (int_range 0 12) (int_range 0 140))
+
+(* Runs of one length around a keyword, or lengths at random. *)
+let repls_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          let* len = int_range 0 2 in
+          let one = string_size ~gen:(char_range 'a' 'c') (return len) in
+          let* before = list_size (int_range 0 5) one in
+          let* keyword = opt (oneofl [ "true"; "null"; "while"; "let" ]) in
+          let+ after = list_size (int_range 0 5) one in
+          before @ Option.to_list keyword @ after );
+        (1, list_size (int_range 1 5) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2)));
+      ])
 
 let siblings_gen =
   QCheck.Gen.(
@@ -705,10 +768,24 @@ let siblings_gen =
       triple (int_range 0 4) (oneofl [ 0.0; 0.5; 1.5; 3.25 ]) (int_range 0 3)
     in
     let* s_coverage = outcomes_gen in
-    let+ s_repls =
-      list_size (int_range 1 5) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2))
+    let* repls = repls_gen in
+    let+ steps =
+      flatten_l
+        (List.map
+           (fun repl ->
+             let+ before =
+               frequency
+                 [
+                   (6, return []);
+                   (2, map (fun p -> [ Pop_inside p ]) bool);
+                   (1, return [ Cut ]);
+                 ]
+             in
+             before @ [ Member repl ])
+           repls)
     in
-    { s_input; s_cut; s_parents; s_avg_stack; s_path_count; s_coverage; s_repls })
+    let s_steps = List.concat steps in
+    { s_input; s_cut; s_parents; s_avg_stack; s_path_count; s_coverage; s_steps })
 
 let cq_op_gen =
   QCheck.Gen.(
@@ -721,12 +798,17 @@ let cq_op_gen =
         (1, return Round_trip);
       ])
 
+let print_step = function
+  | Member r -> Printf.sprintf "%S" r
+  | Pop_inside p -> if p then "pop_with_priority" else "pop"
+  | Cut -> "truncate"
+
 let print_cq_op = function
   | Group s ->
     Printf.sprintf "group %S cut %d p%d a%g n%d [%s] {%s}" s.s_input s.s_cut
       s.s_parents s.s_avg_stack s.s_path_count
       (String.concat "," (List.map string_of_int s.s_coverage))
-      (String.concat "; " (List.map (Printf.sprintf "%S") s.s_repls))
+      (String.concat "; " (List.map print_step s.s_steps))
   | Pop p -> if p then "pop_with_priority" else "pop"
   | Rerank d ->
     Printf.sprintf "rerank [%s]" (String.concat "," (List.map string_of_int d))
@@ -746,17 +828,33 @@ let cq_case =
         (int_range (-2) 6)
         (list_size (int_range 0 60) cq_op_gen))
 
-let cq_check (m : Cq_model.t) q =
+(* [open_groups] groups may be open, and count as live with no member. *)
+let cq_check ?(open_groups = 0) (m : Cq_model.t) q =
   if Cq.length q <> List.length m.entries then
     QCheck.Test.fail_reportf "length %d, model %d" (Cq.length q) (List.length m.entries);
   if Cq.snapshot q <> Cq_model.snapshot m then QCheck.Test.fail_report "snapshot differs";
+  if Cq.runs q <> Cq_model.live_runs m then
+    QCheck.Test.fail_reportf "%d heap entries for %d runs" (Cq.runs q) (Cq_model.live_runs m);
   let cap = (2 * max 0 m.bound) + 2 in
-  if Cq.slot_capacity q > cap || Cq.group_capacity q > cap then
-    QCheck.Test.fail_reportf "capacity %d slots, %d groups over %d" (Cq.slot_capacity q)
+  if Cq.run_capacity q > cap || Cq.group_capacity q > cap then
+    QCheck.Test.fail_reportf "capacity %d runs, %d groups over %d" (Cq.run_capacity q)
       (Cq.group_capacity q) cap;
-  if Cq.live_groups q > Cq.length q then
+  if Cq.column_capacity q > 2 * cap then
+    QCheck.Test.fail_reportf "column capacity %d over %d" (Cq.column_capacity q) (2 * cap);
+  if Cq.live_groups q > Cq.length q + open_groups then
     QCheck.Test.fail_reportf "%d live groups for %d entries" (Cq.live_groups q)
       (Cq.length q)
+
+let cq_pop (m : Cq_model.t) q with_priority =
+  let want = Cq_model.pop m in
+  if with_priority then begin
+    if Cq.pop_with_priority q <> want then QCheck.Test.fail_report "pop differs"
+  end
+  else if Cq.pop q <> Option.map snd want then QCheck.Test.fail_report "pop differs"
+
+let cq_truncate (m : Cq_model.t) q =
+  Cq.truncate q;
+  Cq_model.truncate m
 
 let cq_step (m : Cq_model.t) q = function
   | Group s ->
@@ -767,58 +865,52 @@ let cq_step (m : Cq_model.t) q = function
         ~vbr:m.vbr
     in
     List.iter
-      (fun repl ->
-        let cand =
-          {
-            Candidate.data = String.sub s.s_input 0 s.s_cut ^ repl;
-            repl;
-            parents = s.s_parents;
-            parent_coverage;
-            avg_stack = s.s_avg_stack;
-            path_count = s.s_path_count;
-          }
-        in
-        if Cq.member_data !q g ~repl <> cand.data then
-          QCheck.Test.fail_report "member data differs from input[0..cut) ^ repl";
-        let prio = Cq.score !q g ~repl in
-        if prio <> Heuristic.score m.variant ~vbr:m.vbr cand then
-          QCheck.Test.fail_report "score differs from Heuristic.score";
-        Cq.push !q g prio ~repl;
-        Cq_model.push m cand;
-        (* The fuzzer's hysteresis: truncate once past twice the bound. *)
-        let over = List.length m.entries > 2 * m.bound in
-        if Cq.full !q <> over then QCheck.Test.fail_report "full disagrees";
-        if over then begin
-          Cq.truncate !q;
-          Cq_model.truncate m
-        end)
-      s.s_repls;
-    Cq.close_group !q g
-  | Pop with_priority ->
-    let want = Cq_model.pop m in
-    if with_priority then begin
-      if Cq.pop_with_priority !q <> want then QCheck.Test.fail_report "pop differs"
-    end
-    else if Cq.pop !q <> Option.map snd want then QCheck.Test.fail_report "pop differs"
+      (fun step ->
+        (match step with
+         | Member repl ->
+           let cand =
+             {
+               Candidate.data = String.sub s.s_input 0 s.s_cut ^ repl;
+               repl;
+               parents = s.s_parents;
+               parent_coverage;
+               avg_stack = s.s_avg_stack;
+               path_count = s.s_path_count;
+             }
+           in
+           if Cq.member_data !q g ~repl <> cand.data then
+             QCheck.Test.fail_report "member data differs from input[0..cut) ^ repl";
+           if Cq.score !q g ~repl <> Heuristic.score m.variant ~vbr:m.vbr cand then
+             QCheck.Test.fail_report "score differs from Heuristic.score";
+           Cq.push !q g ~repl;
+           Cq_model.push m cand;
+           (* The fuzzer's hysteresis: truncate once past twice the bound. *)
+           let over = List.length m.entries > 2 * m.bound in
+           if Cq.full !q <> over then QCheck.Test.fail_report "full disagrees";
+           if over then cq_truncate m !q
+         | Pop_inside with_priority -> cq_pop m !q with_priority
+         | Cut -> cq_truncate m !q);
+        cq_check ~open_groups:1 m !q)
+      s.s_steps;
+    Cq.close_group !q g;
+    m.last <- None
+  | Pop with_priority -> cq_pop m !q with_priority
   | Rerank d ->
     let delta = Coverage.diff (Coverage.of_list d) m.vbr in
     m.vbr <- Coverage.union m.vbr delta;
     Cq.rerank !q ~delta
-  | Truncate ->
-    Cq.truncate !q;
-    Cq_model.truncate m
+  | Truncate -> cq_truncate m !q
   | Round_trip ->
     let fresh = Cq.create m.variant ~bound:m.bound in
     Cq.restore fresh ~vbr:m.vbr (Cq.snapshot !q);
+    Cq_model.restore m;
     q := fresh
 
 let prop_candidate_queue_model =
   QCheck.Test.make ~name:"candidate queue agrees with a rescoring model" ~count:500
     cq_case (fun (v, bound, ops) ->
       let variant = snd (List.nth Heuristic.all v) in
-      let m =
-        { Cq_model.variant; bound; vbr = Coverage.empty; entries = []; next_seq = 0 }
-      in
+      let m = Cq_model.create variant bound in
       let q = ref (Cq.create variant ~bound) in
       List.iter
         (fun op ->
@@ -832,6 +924,78 @@ let prop_candidate_queue_model =
       done;
       cq_check m !q;
       Cq.live_groups !q = 0)
+
+(* {1 Pop order, end to end}
+
+   The candidates a campaign pops, with their priorities, pinned by
+   digest on three subjects. A bound of 300 truncates the queue every
+   few executions, so these digests move with any change to how the
+   queue orders, re-ranks, truncates or restores its entries. The
+   resumed stream runs from a checkpoint (encoded and decoded) taken
+   halfway; it must also be the tail of the uninterrupted stream. *)
+
+let popped_config =
+  { Pfuzzer.default_config with seed = 3; max_executions = 4000; queue_bound = 300 }
+
+(* Pops as [%h] priority and [%S] input, one a line, and their count. *)
+let popped_recorder () =
+  let lines = ref [] in
+  let on_queue_event = function
+    | Pfuzzer.Popped (prio, data) -> lines := Printf.sprintf "%h %S\n" prio data :: !lines
+    | Pushed _ | Reranked _ | Truncated _ -> ()
+  in
+  (on_queue_event, lines)
+
+let popped_digest lines =
+  (List.length lines, Digest.to_hex (Digest.string (String.concat "" (List.rev lines))))
+
+let golden_pops =
+  [
+    ("json", (2006, "f2d02420a0a7f02c5708c5798fcac704"));
+    ("tinyc", (2001, "99200f046b63597b017bd8712c320549"));
+    ("mjs", (2000, "87d4f1489c7416602383d7f9288eff23"));
+  ]
+
+let golden_resumed_pops = ("json", (999, "6fb05aaad427eb2b6d6d66e9350c0acd"))
+
+let test_pop_order_golden () =
+  List.iter
+    (fun (name, want) ->
+      let on_queue_event, lines = popped_recorder () in
+      ignore (Pfuzzer.fuzz ~on_queue_event popped_config (Catalog.find name));
+      Alcotest.(check (pair int string))
+        (Printf.sprintf "%s: pops and their digest" name)
+        want (popped_digest !lines))
+    golden_pops
+
+let test_resumed_pop_order_golden () =
+  let name, want = golden_resumed_pops in
+  let subject = Catalog.find name in
+  let on_queue_event, lines = popped_recorder () in
+  let captured = ref None in
+  ignore
+    (Pfuzzer.fuzz ~on_queue_event ~checkpoint_every:500
+       ~on_checkpoint:(fun ck ->
+         if !captured = None && Pfuzzer.Checkpoint.executions ck >= 2000 then
+           captured := Some (ck, List.length !lines))
+       popped_config subject);
+  match !captured with
+  | None -> Alcotest.fail "no checkpoint captured halfway"
+  | Some (ck, popped_before) ->
+    let ck =
+      match Pfuzzer.Checkpoint.(decode (encode ck)) with
+      | Ok ck -> ck
+      | Error e -> Alcotest.failf "checkpoint round trip: %s" e
+    in
+    let on_queue_event, resumed = popped_recorder () in
+    ignore (Pfuzzer.resume_from ~on_queue_event ck subject);
+    let tail = List.filteri (fun i _ -> i < List.length !lines - popped_before) !lines in
+    Alcotest.(check (pair int string))
+      "resumed pops are the uninterrupted tail" (popped_digest tail)
+      (popped_digest !resumed);
+    Alcotest.(check (pair int string))
+      (Printf.sprintf "%s resumed: pops and their digest" name)
+      want (popped_digest !resumed)
 
 (* {1 Dedupe set}
 
@@ -988,7 +1152,13 @@ let () =
           qtest prop_heuristic_monotone_in_coverage;
           qtest prop_all_variants_total;
         ] );
-      ("candidate queue", [ qtest prop_candidate_queue_model ]);
+      ( "candidate queue",
+        [
+          qtest prop_candidate_queue_model;
+          Alcotest.test_case "pop order golden" `Quick test_pop_order_golden;
+          Alcotest.test_case "resumed pop order golden" `Quick
+            test_resumed_pop_order_golden;
+        ] );
       ( "dedupe",
         [
           qtest prop_dedupe_model;

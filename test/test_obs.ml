@@ -216,8 +216,9 @@ let test_observer_spans () =
   let s = Observer.span_start obs in
   Observer.span_end obs Phase.Exec s;
   let s = Observer.span_start obs in
-  let s2 = Observer.span_next obs Phase.Cache s in
-  Observer.span_end obs Phase.Queue s2;
+  Observer.span_end obs Phase.Cache s;
+  let s = Observer.span_start obs in
+  Observer.span_end obs Phase.Queue s;
   check
     Alcotest.(list (pair string int))
     "phase totals"
@@ -632,12 +633,16 @@ let test_sampling_is_uniform () =
     let metrics = Metrics.create () in
     let obs = Observer.create ~sink ~sample ~metrics () in
     ignore (Pfuzzer.fuzz ~obs config subject);
-    let kinds = Hashtbl.create 16 in
+    let kinds = Hashtbl.create 16 and valid_execs = ref 0 in
     String.split_on_char '\n' (contents ())
     |> List.iter (fun l ->
            if l <> "" then begin
-             let k = Event.kind (Event.of_json_line l).Event.ev in
-             Hashtbl.replace kinds k (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k))
+             let ev = (Event.of_json_line l).Event.ev in
+             let k = Event.kind ev in
+             Hashtbl.replace kinds k (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k));
+             match ev with
+             | Event.Exec_done { valid = true; _ } -> incr valid_execs
+             | _ -> ()
            end);
     let spans =
       List.map
@@ -646,14 +651,21 @@ let test_sampling_is_uniform () =
           (name, Histogram.count (Metrics.histogram metrics ("phase/" ^ name ^ "_ns"))))
         Phase.all
     in
-    (kinds, spans)
+    (kinds, spans, !valid_execs)
   in
-  let full_kinds, full_spans = run 1 and kinds, spans = run 10 in
+  let full_kinds, full_spans, full_valid = run 1 and kinds, spans, valid_execs = run 10 in
   let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
   let near what full got =
     let expected = float_of_int full /. 10.0 in
     if Float.abs (float_of_int got -. expected) > 0.25 *. expected then
       Alcotest.failf "%s: %d at sample 10, expected %.0f +- 25%%" what got expected
+  in
+  (* Three standard deviations of a 1-in-10 binomial sample, plus one. *)
+  let near_binomial what full got =
+    let expected = float_of_int full /. 10.0 in
+    let spread = (3.0 *. sqrt (0.09 *. float_of_int full)) +. 1.0 in
+    if Float.abs (float_of_int got -. expected) > spread then
+      Alcotest.failf "%s: %d at sample 10, expected %.1f +- %.1f" what got expected spread
   in
   let structural =
     [ "run_meta"; "valid"; "hang"; "crash"; "fault"; "phases"; "run_done" ]
@@ -664,11 +676,28 @@ let test_sampling_is_uniform () =
   Hashtbl.iter
     (fun k full -> if not (List.mem k structural) then near k full (count kinds k))
     full_kinds;
+  (* A 25% bound needs hundreds of spans. The score phase records one
+     span per re-rank, that is per valid input (19 in this campaign; a
+     push's scoring is part of its queue span), so it is held to the
+     binomial spread instead. *)
   List.iter2
     (fun (name, full) (_, got) ->
       check Alcotest.bool (name ^ " spans recorded") true (full > 0);
-      near ("phase " ^ name ^ " spans") full got)
-    full_spans spans
+      if full >= 400 then near ("phase " ^ name ^ " spans") full got
+      else near_binomial ("phase " ^ name ^ " spans") full got)
+    full_spans spans;
+  (* That spread cannot tell a sampler that drops score spans from one
+     that keeps a tenth of them, so the score spans must also be exactly
+     the re-ranks of the sampled iterations: one per valid execution
+     whose [exec_done] the trace kept, which follows the same decision.
+     At 1 in 10 that is none of the 19 here, so it is checked at 1 in 2
+     as well, where it is 8. *)
+  let score spans = List.assoc (Phase.name Phase.Score) spans in
+  check Alcotest.int "score spans at sample 1" full_valid (score full_spans);
+  check Alcotest.int "score spans at sample 10" valid_execs (score spans);
+  let _, spans, valid_execs = run 2 in
+  check Alcotest.bool "valid executions sampled at 2" true (valid_execs > 0);
+  check Alcotest.int "score spans at sample 2" valid_execs (score spans)
 
 (* {1 Traces from older builds} *)
 

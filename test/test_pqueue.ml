@@ -2,37 +2,37 @@
    model.
 
    The queue's contract is total: pop order is (priority desc, insertion
-   order asc), and [rerank] keeps original insertion order for
-   tie-breaking while [drop_worst] keeps the n best under the same
-   order. The model is a plain association list with explicit sequence
-   numbers, so every observable — pop, peek, length, snapshot — can be
-   predicted exactly, not just up to ties. Priorities are drawn from a
-   tiny set to make ties the common case rather than the rare one.
-   Entries carry [aux] scratch, and [update] — the selective re-rank the
-   fuzzer's candidate queue calls — must hand each selected entry its
-   current [aux]. *)
+   order asc), [update] keeps original insertion order for tie-breaking,
+   [iter_ranked] visits the entries in pop order, and [drop_worst] keeps
+   the n best under the same order. The model is a plain association
+   list with explicit sequence numbers, so every observable — pop, top,
+   length, snapshot, the ranked order — can be predicted exactly, not
+   just up to ties. Priorities are drawn from a tiny set to make ties
+   the common case rather than the rare one. *)
 
 module Pqueue = Pdf_util.Pqueue
 
 let qtest = QCheck_alcotest.to_alcotest
 
 type op =
-  | Push of int * int  (** priority, aux *)
+  | Push of int  (** priority *)
   | Pop
-  | Peek
-  | Rerank of int
+  | Top
+  | Rerank of int  (** [update] of every entry *)
   | Update of int
+  | Iter_ranked
   | Drop_worst of int
 
 let op_gen =
   QCheck.(
     oneof
       [
-        map (fun (p, a) -> Push (abs p mod 4, abs a mod 8)) (pair small_int small_int);
+        map (fun p -> Push (abs p mod 4)) small_int;
         always Pop;
-        always Peek;
+        always Top;
         map (fun k -> Rerank (abs k mod 5)) small_int;
         map (fun k -> Update (abs k mod 5)) small_int;
+        always Iter_ranked;
         map (fun n -> Drop_worst (abs n mod 6)) small_int;
       ])
 
@@ -43,24 +43,25 @@ let ops_gen =
         String.concat ";"
           (List.map
              (function
-               | Push (p, a) -> Printf.sprintf "push %d ~aux:%d" p a
+               | Push p -> Printf.sprintf "push %d" p
                | Pop -> "pop"
-               | Peek -> "peek"
+               | Top -> "top"
                | Rerank k -> Printf.sprintf "rerank %d" k
                | Update k -> Printf.sprintf "update %d" k
+               | Iter_ranked -> "iter_ranked"
                | Drop_worst n -> Printf.sprintf "drop_worst %d" n)
              ops))
       Gen.(list_size (int_range 0 40) (QCheck.gen op_gen)))
 
 (* Reference model: entries in insertion order with explicit seqs. *)
 module Model = struct
-  type entry = { mutable prio : float; seq : int; value : int; mutable aux : int }
+  type entry = { mutable prio : float; seq : int; value : int }
   type t = { mutable entries : entry list; mutable next_seq : int }
 
   let create () = { entries = []; next_seq = 0 }
 
-  let push t prio value aux =
-    t.entries <- t.entries @ [ { prio; seq = t.next_seq; value; aux } ];
+  let push t prio value =
+    t.entries <- t.entries @ [ { prio; seq = t.next_seq; value } ];
     t.next_seq <- t.next_seq + 1
 
   let order a b =
@@ -79,21 +80,12 @@ module Model = struct
       t.entries <- List.filter (fun e' -> e'.seq <> e.seq) t.entries;
       Some (e.prio, e.value)
 
-  let peek t = Option.map (fun e -> e.value) (best t)
+  let top t = Option.map (fun e -> e.value) (best t)
 
-  let rerank t f = List.iter (fun e -> e.prio <- f e.value) t.entries
-
-  let aux t value = (List.find (fun e -> e.value = value) t.entries).aux
+  let ranked t = List.map (fun e -> e.value) (List.sort order t.entries)
 
   let update t f =
-    List.iter
-      (fun e ->
-        match f e.value ~aux:e.aux with
-        | None -> ()
-        | Some (prio, aux) ->
-          e.prio <- prio;
-          e.aux <- aux)
-      t.entries
+    List.iter (fun e -> match f e.value with None -> () | Some prio -> e.prio <- prio) t.entries
 
   let drop_worst t n =
     let kept = List.filteri (fun i _ -> i < n) (List.sort order t.entries) in
@@ -111,46 +103,54 @@ end
 let rerank_fn k v = float_of_int ((v * (k + 2)) mod 5)
 
 (* [update]'s selector: every entry whose value is a multiple of [k + 2]
-   moves to a re-ranked priority (often one it already had, so ties
-   stay common) and a new aux derived from the one it carried. *)
-let update_fn k v ~aux =
-  if v mod (k + 2) = 0 then Some (rerank_fn k v, aux + k + 1) else None
+   moves to a re-ranked priority, often one it already had, so ties stay
+   common. *)
+let update_fn k v = if v mod (k + 2) = 0 then Some (rerank_fn k v) else None
+
+(* [pop] with the priority [top_priority] read just before it. *)
+let pop_with_priority q =
+  if Pqueue.length q = 0 then None
+  else
+    let prio = Pqueue.top_priority q in
+    Option.map (fun v -> (prio, v)) (Pqueue.pop q)
 
 let check_snapshot model q =
   if Pqueue.length q <> Model.length model then
     QCheck.Test.fail_reportf "length %d, model %d" (Pqueue.length q)
       (Model.length model);
-  let snap = Pqueue.snapshot q and msnap = Model.snapshot model in
-  if snap <> msnap then QCheck.Test.fail_report "snapshot mismatch";
-  (* to_list is order-free; compare as multisets. *)
-  if List.sort compare (Pqueue.to_list q) <> List.sort compare msnap then
-    QCheck.Test.fail_report "to_list multiset mismatch"
+  if Pqueue.snapshot q <> Model.snapshot model then
+    QCheck.Test.fail_report "snapshot mismatch"
 
 let apply model q counter op =
   match op with
-  | Push (p, aux) ->
+  | Push p ->
     let v = !counter in
     incr counter;
     let prio = float_of_int p in
-    Pqueue.push ~aux q prio v;
-    Model.push model prio v aux
+    Pqueue.push q prio v;
+    Model.push model prio v
   | Pop ->
-    let got = Pqueue.pop_with_priority q and want = Model.pop model in
-    if got <> want then QCheck.Test.fail_report "pop_with_priority mismatch"
-  | Peek ->
-    if Pqueue.peek q <> Model.peek model then
-      QCheck.Test.fail_report "peek mismatch"
+    let got = pop_with_priority q and want = Model.pop model in
+    if got <> want then QCheck.Test.fail_report "pop mismatch"
+  | Top -> (
+    match Model.top model with
+    | Some v -> if Pqueue.top q <> v then QCheck.Test.fail_report "top mismatch"
+    | None -> (
+      match Pqueue.top q with
+      | _ -> QCheck.Test.fail_report "top of an empty queue"
+      | exception Invalid_argument _ -> ()))
   | Rerank k ->
-    Pqueue.rerank q (rerank_fn k);
-    Model.rerank model (rerank_fn k)
+    let f v = Some (rerank_fn k v) in
+    Pqueue.update q f;
+    Model.update model f
   | Update k ->
-    Pqueue.update q (fun v ~aux ->
-        let want = Model.aux model v in
-        if aux <> want then
-          QCheck.Test.fail_reportf "update saw aux %d for %d, model has %d" aux v
-            want;
-        update_fn k v ~aux);
+    Pqueue.update q (update_fn k);
     Model.update model (update_fn k)
+  | Iter_ranked ->
+    let seen = ref [] in
+    Pqueue.iter_ranked (fun v -> seen := v :: !seen) q;
+    if List.rev !seen <> Model.ranked model then
+      QCheck.Test.fail_report "iter_ranked order differs from pop order"
   | Drop_worst n ->
     Pqueue.drop_worst q n;
     Model.drop_worst model n
@@ -167,13 +167,12 @@ let test_ops_model =
         ops;
       (* Drain: full pop order must match the model's. *)
       let rec drain () =
-        let got = Pqueue.pop_with_priority q and want = Model.pop model in
+        let got = pop_with_priority q and want = Model.pop model in
         if got <> want then QCheck.Test.fail_report "drain order mismatch";
         if got <> None then drain ()
       in
       drain ();
-      if not (Pqueue.is_empty q) then
-        QCheck.Test.fail_report "queue not empty after drain";
+      if Pqueue.length q <> 0 then QCheck.Test.fail_report "queue not empty after drain";
       true)
 
 let test_fifo_on_ties =
@@ -196,9 +195,9 @@ let test_rerank_keeps_tie_order =
         (* Distinct priorities going in... *)
         Pqueue.push q (float_of_int v) v
       done;
-      (* ...collapsed to one tie class by rerank: insertion order must
-         decide the pop order. *)
-      Pqueue.rerank q (fun _ -> 0.0);
+      (* ...collapsed to one tie class by a full update: insertion order
+         must decide the pop order. *)
+      Pqueue.update q (fun _ -> Some 0.0);
       let order = List.init n (fun _ -> Option.get (Pqueue.pop q)) in
       order = List.init n Fun.id)
 
@@ -213,7 +212,7 @@ let test_float_values =
       let q = Pqueue.create () in
       List.iter (fun (p, v) -> Pqueue.push q (float_of_int p) v) pairs;
       let reprio p v = if v > 0.0 then 4.0 else float_of_int p in
-      Pqueue.update q (fun v ~aux -> if v > 0.0 then Some (4.0, aux) else None);
+      Pqueue.update q (fun v -> if v > 0.0 then Some 4.0 else None);
       let n = List.length pairs / 2 in
       Pqueue.drop_worst q n;
       let want =

@@ -240,9 +240,9 @@ let test_pqueue_rerank () =
   Pqueue.push q 1.0 10;
   Pqueue.push q 2.0 20;
   Pqueue.push q 3.0 30;
-  Pqueue.rerank q (fun v -> -.float_of_int v);
-  check Alcotest.(option int) "rerank inverts order" (Some 10) (Pqueue.pop q);
-  check Alcotest.(option int) "rerank inverts order" (Some 20) (Pqueue.pop q)
+  Pqueue.update q (fun v -> Some (-.float_of_int v));
+  check Alcotest.(option int) "update inverts order" (Some 10) (Pqueue.pop q);
+  check Alcotest.(option int) "update inverts order" (Some 20) (Pqueue.pop q)
 
 let test_pqueue_drop_worst () =
   let q = Pqueue.create () in
@@ -256,9 +256,10 @@ let test_pqueue_drop_worst () =
 
 let test_pqueue_empty () =
   let q = Pqueue.create () in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
+  check Alcotest.int "length" 0 (Pqueue.length q);
   check Alcotest.(option int) "pop empty" None (Pqueue.pop q);
-  check Alcotest.(option int) "peek empty" None (Pqueue.peek q)
+  Alcotest.check_raises "top empty" (Invalid_argument "Pqueue.top: empty queue")
+    (fun () -> ignore (Pqueue.top q))
 
 (* Regression test for the heap's space leak: a popped (or truncated)
    entry must not stay strongly reachable from the queue's backing
@@ -286,14 +287,18 @@ let test_pqueue_no_retention () =
     (Pqueue.push q 1.0 (Bytes.make 1 'c');
      Pqueue.pop q <> None)
 
-let test_pqueue_iter_tolist () =
+let test_pqueue_iter_snapshot () =
   let q = Pqueue.create () in
   List.iter (fun (p, v) -> Pqueue.push q p v) [ (1.0, 1); (3.0, 3); (2.0, 2) ];
-  let seen = ref 0 in
-  Pqueue.iter (fun _ -> incr seen) q;
-  check Alcotest.int "iter visits all" 3 !seen;
-  check Alcotest.int "to_list length" 3 (List.length (Pqueue.to_list q));
-  check Alcotest.(option int) "peek is max" (Some 3) (Pqueue.peek q)
+  let seen = ref [] in
+  Pqueue.iter_ranked (fun v -> seen := v :: !seen) q;
+  check Alcotest.(list int) "iter_ranked visits best first" [ 3; 2; 1 ] (List.rev !seen);
+  check
+    Alcotest.(list (pair (float 0.0) int))
+    "snapshot in insertion order"
+    [ (1.0, 1); (3.0, 3); (2.0, 2) ]
+    (Pqueue.snapshot q);
+  check Alcotest.int "top is max" 3 (Pqueue.top q)
 
 (* {1 Stats} *)
 
@@ -636,7 +641,7 @@ let () =
           Alcotest.test_case "rerank" `Quick test_pqueue_rerank;
           Alcotest.test_case "drop_worst" `Quick test_pqueue_drop_worst;
           Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "iter/to_list/peek" `Quick test_pqueue_iter_tolist;
+          Alcotest.test_case "iter_ranked/snapshot/top" `Quick test_pqueue_iter_snapshot;
           Alcotest.test_case "no retention after pop" `Quick test_pqueue_no_retention;
           qtest prop_pqueue_pop_sorted;
         ] );
