@@ -1,138 +1,142 @@
-(* Open addressing with linear probing over parallel int arrays. Slot
-   [i] holds its entry's hash in [hashes.(i)], or -1 when empty (hashes
-   are non-negative), and the entry's offset in the arena in
-   [offsets.(i)]. At that offset the arena holds the entry's length as
-   an unsigned LEB128 varint (one byte below 128), then its bytes. A
-   span is thus one int in the table plus a header of a byte or so,
-   whatever the length: no offset or length is ever squeezed into a
-   fixed number of bits, and the table costs two words a slot.
+(* Open addressing with linear probing over one int array of slot
+   pairs: slot [i] holds a node's prefix hash at [2i], or -1 when empty
+   (hashes are non-negative), and the node's id at [2i + 1], so a probe
+   reads the hash and the id from one cache line. Node [k]'s prefix is
+   the arena bytes [starts.(k), starts.(k + 1)) (nodes are appended in
+   id order), and its row is the 32 bytes of [rows] from [32 k]: bit
+   [c land 7] of the row's byte [c lsr 3] is set when the prefix
+   followed by byte [c] is a member.
 
-   Entries are never deleted: the fuzzer resets the whole generation
-   instead, which rewinds the arena. The load factor stays below 1/2,
-   and the table and the arena both grow by doubling, so an operation
-   allocates nothing except on the rare growth.
+   Nodes are never deleted: the fuzzer resets the whole generation
+   instead, which empties the table and rewinds the nodes and the
+   arena. A row is cleared when its node is made, so a reset does not
+   touch the rows. The load factor stays below 1/2, and every array
+   grows by doubling, so an operation allocates nothing except on the
+   rare growth.
+
+   The open prefix's node is looked up once, by [open_prefix], and kept
+   in [open_node]. Only a one-byte [add] can make that node: any other
+   [add] makes a node for a prefix of another length. So [open_node]
+   stays exact while the prefix is open as long as that [add] and
+   [reset] update it.
 
    The probe loops are [while]s over refs, not local recursive
    functions: the compiler keeps non-escaping refs in registers,
    whereas a [let rec] capturing variables costs a closure per call, on
    the hottest path in the fuzzer. *)
 
+module Fnv = Pdf_util.Fnv
+
 type t = {
-  mutable hashes : int array;  (* -1 = empty slot *)
-  mutable offsets : int array;
-  mutable mask : int;  (* Array.length hashes - 1; length a power of 2 *)
-  mutable count : int;
+  mutable table : int array;  (* (hash, node) pairs; hash -1 = empty slot *)
+  mutable mask : int;  (* slots - 1; the slot count is a power of 2 *)
+  mutable nodes : int;
+  mutable starts : int array;  (* [nodes + 1] in use; [starts.(0) = 0] *)
+  mutable rows : Bytes.t;  (* 32 bytes per node *)
   mutable arena : Bytes.t;
-  mutable used : int;  (* arena bytes holding entries *)
+  mutable count : int;  (* members, the empty string included *)
+  mutable empty : bool;  (* is the empty string a member? *)
+  mutable open_input : string;
+  mutable open_len : int;
+  mutable open_hash : int;  (* Fnv.prefix open_input open_len *)
+  mutable open_node : int;  (* the open prefix's node, or -1 *)
 }
 
 let initial_slots = 1024
+let initial_nodes = 256
 let initial_arena = 8192
 
 let create () =
   {
-    hashes = Array.make initial_slots (-1);
-    offsets = Array.make initial_slots 0;
+    table = Array.make (2 * initial_slots) (-1);
     mask = initial_slots - 1;
-    count = 0;
+    nodes = 0;
+    starts = Array.make (initial_nodes + 1) 0;
+    rows = Bytes.create (32 * initial_nodes);
     arena = Bytes.create initial_arena;
-    used = 0;
+    count = 0;
+    empty = false;
+    open_input = "";
+    open_len = 0;
+    open_hash = Fnv.prefix "" 0;
+    open_node = -1;
   }
 
 let count t = t.count
 
-(* Every arena and input read below is unchecked, so the parts are
-   checked once here: [input[0..index)] must exist. *)
-let check_parts fn input index =
-  if index < 0 || index > String.length input then
-    invalid_arg (Printf.sprintf "Dedupe.%s: index %d outside the input" fn index)
-
-(* If the entry at [off] is [n] bytes long, the offset of its bytes,
-   else -1. Header bytes are read only while they agree with [n]'s
-   encoding, and a header's last byte is the first one below 128, so
-   no read passes the end of the stored header. *)
-let skip_header arena off n =
-  let pos = ref off and rest = ref n and agree = ref true in
-  while !agree && !rest >= 128 do
-    if Char.code (Bytes.unsafe_get arena !pos) = !rest land 127 lor 128 then begin
-      incr pos;
-      rest := !rest lsr 7
-    end
-    else agree := false
-  done;
-  if !agree && Char.code (Bytes.unsafe_get arena !pos) = !rest then !pos + 1
-  else -1
-
-(* Does [arena.[off ..]] start with [input[0..index) ^ repl]? The
-   header has matched, so the entry is that long and every read is in
-   bounds. *)
-let matches arena off input index repl =
+(* Is node [k]'s prefix [input[0..a) ^ repl[0..b)]? Both parts are
+   known to exist, and the lengths are compared first, so every read is
+   in bounds. *)
+let matches t k input a repl b =
+  let off = Array.unsafe_get t.starts k in
+  Array.unsafe_get t.starts (k + 1) - off = a + b
+  &&
+  let arena = t.arena in
   let i = ref 0 in
   while
-    !i < index
-    && Bytes.unsafe_get arena (off + !i) = String.unsafe_get input !i
+    !i < a && Bytes.unsafe_get arena (off + !i) = String.unsafe_get input !i
   do
     incr i
   done;
-  !i >= index
+  !i >= a
   &&
-  let rl = String.length repl in
-  let off = off + index in
+  let off = off + a in
   let j = ref 0 in
   while
-    !j < rl && Bytes.unsafe_get arena (off + !j) = String.unsafe_get repl !j
+    !j < b && Bytes.unsafe_get arena (off + !j) = String.unsafe_get repl !j
   do
     incr j
   done;
-  !j >= rl
+  !j >= b
 
-let mem t h input index repl =
-  check_parts "mem" input index;
-  let n = index + String.length repl in
-  let mask = t.mask in
-  let hashes = t.hashes and offsets = t.offsets and arena = t.arena in
+(* The node whose prefix is [input[0..a) ^ repl[0..b)], hashed [h], or
+   -1. *)
+let find t h input a repl b =
+  let table = t.table and mask = t.mask in
   let i = ref (h land mask) in
-  let res = ref false in
-  let probing = ref true in
-  while !probing do
-    let hi = Array.unsafe_get hashes !i in
-    if hi = -1 then probing := false
+  let res = ref (-2) in
+  while !res = -2 do
+    let hi = Array.unsafe_get table (2 * !i) in
+    if hi = -1 then res := -1
     else if
-      hi = h
-      &&
-      let off = skip_header arena (Array.unsafe_get offsets !i) n in
-      off >= 0 && matches arena off input index repl
-    then begin
-      res := true;
-      probing := false
-    end
+      hi = h && matches t (Array.unsafe_get table ((2 * !i) + 1)) input a repl b
+    then res := Array.unsafe_get table ((2 * !i) + 1)
     else i := (!i + 1) land mask
   done;
   !res
 
-let insert_slot t h off =
-  let mask = t.mask in
-  let hashes = t.hashes in
+let insert_slot t h k =
+  let table = t.table and mask = t.mask in
   let i = ref (h land mask) in
-  while Array.unsafe_get hashes !i >= 0 do
+  while Array.unsafe_get table (2 * !i) >= 0 do
     i := (!i + 1) land mask
   done;
-  hashes.(!i) <- h;
-  t.offsets.(!i) <- off
+  table.(2 * !i) <- h;
+  table.((2 * !i) + 1) <- k
 
 let grow_table t =
-  let old_h = t.hashes and old_o = t.offsets in
-  let n = 2 * Array.length old_h in
-  t.hashes <- Array.make n (-1);
-  t.offsets <- Array.make n 0;
-  t.mask <- n - 1;
-  Array.iteri (fun i h -> if h >= 0 then insert_slot t h old_o.(i)) old_h
+  let old = t.table in
+  (* The old table holds [Array.length old / 2] slots: twice that many
+     are [Array.length old]. *)
+  let slots = Array.length old in
+  t.table <- Array.make (2 * slots) (-1);
+  t.mask <- slots - 1;
+  for i = 0 to (slots / 2) - 1 do
+    let h = old.(2 * i) in
+    if h >= 0 then insert_slot t h old.((2 * i) + 1)
+  done
 
-let rec header_size n = if n < 128 then 1 else 1 + header_size (n lsr 7)
+let grow_nodes t =
+  let cap = Array.length t.starts - 1 in
+  let starts = Array.make ((2 * cap) + 1) 0 in
+  Array.blit t.starts 0 starts 0 (t.nodes + 1);
+  t.starts <- starts;
+  let rows = Bytes.create (64 * cap) in
+  Bytes.blit t.rows 0 rows 0 (32 * t.nodes);
+  t.rows <- rows
 
-(* Room for [n] more arena bytes, doubling as often as that takes. *)
-let reserve t n =
-  let need = t.used + n in
+(* Room for arena bytes up to [need], doubling as often as that takes. *)
+let reserve t need =
   let len = Bytes.length t.arena in
   if need > len then begin
     let cap = ref (2 * len) in
@@ -140,51 +144,124 @@ let reserve t n =
       cap := 2 * !cap
     done;
     let a = Bytes.create !cap in
-    Bytes.blit t.arena 0 a 0 t.used;
+    Bytes.blit t.arena 0 a 0 t.starts.(t.nodes);
     t.arena <- a
   end
 
-let add t h input index repl =
-  check_parts "add" input index;
-  if h < 0 then invalid_arg "Dedupe.add: negative hash";
+(* A node with an empty row for the prefix [input[0..a) ^ repl[0..b)],
+   hashed [h], which the caller has found absent. *)
+let make_node t h input a repl b =
+  if 4 * (t.nodes + 1) > Array.length t.table then grow_table t;
+  let k = t.nodes in
+  if k + 1 = Array.length t.starts then grow_nodes t;
+  let off = t.starts.(k) in
+  let stop = off + a + b in
+  reserve t stop;
+  Bytes.blit_string input 0 t.arena off a;
+  Bytes.blit_string repl 0 t.arena (off + a) b;
+  t.starts.(k + 1) <- stop;
+  Bytes.fill t.rows (32 * k) 32 '\000';
+  t.nodes <- k + 1;
+  insert_slot t h k;
+  k
+
+let has t k c =
+  let c = Char.code c in
+  Char.code (Bytes.unsafe_get t.rows ((k lsl 5) lor (c lsr 3)))
+  land (1 lsl (c land 7))
+  <> 0
+
+let set t k c =
+  let c = Char.code c in
+  let pos = (k lsl 5) lor (c lsr 3) in
+  let row = Char.code (Bytes.unsafe_get t.rows pos) in
+  let bit = 1 lsl (c land 7) in
+  if row land bit = 0 then begin
+    Bytes.unsafe_set t.rows pos (Char.unsafe_chr (row lor bit));
+    t.count <- t.count + 1
+  end
+
+let open_prefix t input index =
+  if index < 0 || index > String.length input then
+    invalid_arg
+      (Printf.sprintf "Dedupe.open_prefix: index %d outside the input" index);
+  let h = Fnv.prefix input index in
+  t.open_input <- input;
+  t.open_len <- index;
+  t.open_hash <- h;
+  t.open_node <- find t h input index "" 0
+
+(* [mem] and [add] split [p ^ repl], [p] the open prefix, by the length
+   of [repl]: one byte is a bit in the open node's row; a longer [repl]
+   keeps its last byte for the row and joins the rest to [p] as the
+   prefix; an empty [repl] leaves [p]'s last byte for the row, or is
+   the empty string. *)
+let mem t repl =
   let rl = String.length repl in
-  let n = index + rl in
-  if 2 * (t.count + 1) > Array.length t.hashes then grow_table t;
-  reserve t (header_size n + n);
-  let off = t.used in
-  let pos = ref off and rest = ref n in
-  while !rest >= 128 do
-    Bytes.set t.arena !pos (Char.unsafe_chr (!rest land 127 lor 128));
-    incr pos;
-    rest := !rest lsr 7
-  done;
-  Bytes.set t.arena !pos (Char.unsafe_chr !rest);
-  let body = !pos + 1 in
-  Bytes.blit_string input 0 t.arena body index;
-  Bytes.blit_string repl 0 t.arena (body + index) rl;
-  t.used <- body + n;
-  insert_slot t h off;
-  t.count <- t.count + 1
+  if rl = 1 then
+    t.open_node >= 0 && has t t.open_node (String.unsafe_get repl 0)
+  else if rl > 1 then
+    let b = rl - 1 in
+    let k =
+      find t (Fnv.extend t.open_hash repl b) t.open_input t.open_len repl b
+    in
+    k >= 0 && has t k (String.unsafe_get repl b)
+  else if t.open_len = 0 then t.empty
+  else
+    let a = t.open_len - 1 in
+    let k = find t (Fnv.prefix t.open_input a) t.open_input a "" 0 in
+    k >= 0 && has t k (String.unsafe_get t.open_input a)
+
+let find_or_make t h input a repl b =
+  let k = find t h input a repl b in
+  if k >= 0 then k else make_node t h input a repl b
+
+let add t repl =
+  let rl = String.length repl in
+  if rl = 1 then begin
+    if t.open_node < 0 then
+      t.open_node <- make_node t t.open_hash t.open_input t.open_len "" 0;
+    set t t.open_node (String.unsafe_get repl 0)
+  end
+  else if rl > 1 then
+    let b = rl - 1 in
+    let h = Fnv.extend t.open_hash repl b in
+    let k = find_or_make t h t.open_input t.open_len repl b in
+    set t k (String.unsafe_get repl b)
+  else if t.open_len = 0 then begin
+    if not t.empty then begin
+      t.empty <- true;
+      t.count <- t.count + 1
+    end
+  end
+  else
+    let a = t.open_len - 1 in
+    let h = Fnv.prefix t.open_input a in
+    let k = find_or_make t h t.open_input a "" 0 in
+    set t k (String.unsafe_get t.open_input a)
 
 let reset t =
-  Array.fill t.hashes 0 (Array.length t.hashes) (-1);
-  t.used <- 0;
-  t.count <- 0
-
-(* The entry at [off] as a fresh string. *)
-let entry arena off =
-  let pos = ref off and n = ref 0 and shift = ref 0 in
-  while Char.code (Bytes.get arena !pos) >= 128 do
-    n := !n lor ((Char.code (Bytes.get arena !pos) land 127) lsl !shift);
-    shift := !shift + 7;
-    incr pos
-  done;
-  n := !n lor (Char.code (Bytes.get arena !pos) lsl !shift);
-  Bytes.sub_string arena (!pos + 1) !n
+  Array.fill t.table 0 (Array.length t.table) (-1);
+  t.nodes <- 0;
+  t.count <- 0;
+  t.empty <- false;
+  t.open_node <- -1
 
 let fold f t acc =
-  let acc = ref acc in
-  for i = 0 to Array.length t.hashes - 1 do
-    if Array.unsafe_get t.hashes i >= 0 then acc := f (entry t.arena t.offsets.(i)) !acc
+  let acc = ref (if t.empty then f "" acc else acc) in
+  for k = 0 to t.nodes - 1 do
+    let off = t.starts.(k) in
+    let len = t.starts.(k + 1) - off in
+    for byte = 0 to 31 do
+      let row = Char.code (Bytes.get t.rows ((32 * k) + byte)) in
+      for bit = 0 to 7 do
+        if row land (1 lsl bit) <> 0 then begin
+          let s = Bytes.create (len + 1) in
+          Bytes.blit t.arena off s 0 len;
+          Bytes.set s len (Char.chr ((8 * byte) + bit));
+          acc := f (Bytes.unsafe_to_string s) !acc
+        end
+      done
+    done
   done;
   !acc

@@ -1,5 +1,4 @@
 module Rng = Pdf_util.Rng
-module Fnv = Pdf_util.Fnv
 module Atomic_file = Pdf_util.Atomic_file
 module Coverage = Pdf_instr.Coverage
 module Runner = Pdf_instr.Runner
@@ -175,7 +174,7 @@ let ends_with_at s pos repl =
   !i >= rl
 
 (* Path-novelty counts: open addressing with linear probing, as in
-   {!Dedupe}, over parallel (hash, count) arrays. The key is already a
+   {!Dedupe}, here over parallel (hash, count) arrays. The key is already a
    path hash ({!Runner.path_hash}), so the table maps hash -> count
    exactly as the [Hashtbl] it replaces did (hash collisions conflate
    paths in both). *)
@@ -306,11 +305,11 @@ type state = {
   mutable dedupe_resets : int;
   mutable path_resets : int;
   path_counts : Paths.t;
-  (* Candidate dedupe, keyed by content hash with stored bytes verified
-     by in-place comparison. Hash-keying is what lets [add_inputs] test
-     "was prefix^repl already queued?" without building the child: hash
-     the prefix once per run, extend it over each replacement, and copy
-     only a genuinely fresh child's parts into the set's arena. *)
+  (* Candidate dedupe: every input queued since the last reset, stored
+     as a prefix node plus a bit for the last byte. [add_inputs] opens
+     its sibling group's prefix once, so "was prefix^repl already
+     queued?" is a bit test for a one-byte replacement and a probe for a
+     keyword, and no child is built to ask it. *)
   seen_inputs : Dedupe.t;
   (* Crash triage: bounded dedup table keyed on (exn, site) plus the
      first-seen order, so the corpus lists crashes in discovery order. *)
@@ -323,7 +322,7 @@ type state = {
 }
 
 (* The dedupe set would otherwise grow without bound over a long run:
-   every distinct candidate ever queued stays in its arena. Cap it at a
+   every distinct candidate ever queued stays in it. Cap it at a
    small multiple of the queue bound and reset generationally — after a
    reset some early duplicates may be re-executed once, which is cheap
    compared to retaining millions of dead inputs. *)
@@ -587,14 +586,14 @@ let note_path st run =
     0
   end
 
-(* [input[0..index) ^ repl] joins the dedupe set, which is reset
-   generationally once it reaches its cap. *)
-let seen_add st h input index repl =
+(* [p ^ repl], [p] the dedupe set's open prefix, joins the set, which
+   is reset generationally once it reaches its cap. *)
+let seen_add st repl =
   if Dedupe.count st.seen_inputs >= seen_inputs_cap st.config then begin
     Dedupe.reset st.seen_inputs;
     st.dedupe_resets <- st.dedupe_resets + 1
   end;
-  Dedupe.add st.seen_inputs h input index repl
+  Dedupe.add st.seen_inputs repl
 
 (* Enqueue the member of the open sibling group [g] whose replacement
    is [repl] and whose input is [len] long; it already passed the
@@ -638,13 +637,11 @@ let enqueue st g ~len repl =
 
 (* Entry point for the initial corpus: each seed is a group of one. *)
 let push_seed st data =
-  let h = Fnv.string data in
   let len = String.length data in
-  if
-    (not (Dedupe.mem st.seen_inputs h data len ""))
-    && len <= st.config.max_input_len
+  Dedupe.open_prefix st.seen_inputs "" 0;
+  if (not (Dedupe.mem st.seen_inputs data)) && len <= st.config.max_input_len
   then begin
-    seen_add st h data len "";
+    seen_add st data;
     let (c : Candidate.t) = Candidate.seed data in
     let g =
       Candidate_queue.open_group st.queue ~input:data ~cut:len
@@ -660,14 +657,15 @@ let push_seed st data =
    The loop is allocation-disciplined: the comparison log is walked in
    place and each comparison streams its replacements
    ({!Comparison.iter_replacements}) into one [propose] closure built
-   per call; the parent prefix is hashed once in place, each
-   replacement extends that hash, and the dedupe table is probed in
-   place. No child is built here at all: a fresh one is copied into the
-   dedupe arena in parts and queued as its replacement in the sibling
-   group, which holds the parent input and the cut, and its input is
-   built when it is popped. Dedupe time lands in the [Gen] phase span;
-   a push, with the scoring of a push that starts a run, lands in the
-   [Queue] span inside [enqueue]. *)
+   per call. The children share the prefix [input[0..index)], so the
+   dedupe set opens it once, with one table probe for its node; a
+   one-byte replacement is then a bit test and a bit set in that node's
+   row, and only a keyword completion probes the table again. No child
+   is built here at all: a fresh one is queued as its replacement in
+   the sibling group, which holds the parent input and the cut, and its
+   input is built when it is popped. Dedupe time lands in the [Gen]
+   phase span; a push, with the scoring of a push that starts a run,
+   lands in the [Queue] span inside [enqueue]. *)
 let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
   match Runner.substitution_index run with
   | None -> ()
@@ -688,7 +686,7 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
       Candidate_queue.open_group st.queue ~input ~cut:index ~parents
         ~avg_stack ~path_count ~parent_coverage ~vbr:st.vbr
     in
-    let prefix_hash = Fnv.prefix input index in
+    Dedupe.open_prefix st.seen_inputs input index;
     let propose repl =
       let len = index + String.length repl in
       (* A child equal to the parent input would only re-queue it;
@@ -697,14 +695,15 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
       let is_parent =
         len = String.length input && ends_with_at input index repl
       in
-      if (not is_parent) && len <= st.config.max_input_len then begin
-        let h = Fnv.continue prefix_hash repl in
-        if not (Dedupe.mem st.seen_inputs h input index repl) then begin
-          seen_add st h input index repl;
-          span_end st Phase.Gen !t_gen;
-          enqueue st group ~len repl;
-          t_gen := span_begin st
-        end
+      if
+        (not is_parent)
+        && len <= st.config.max_input_len
+        && not (Dedupe.mem st.seen_inputs repl)
+      then begin
+        seen_add st repl;
+        span_end st Phase.Gen !t_gen;
+        enqueue st group ~len repl;
+        t_gen := span_begin st
       end
     in
     (* The comparisons at [sub_index] in log order — the order
@@ -946,9 +945,10 @@ let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
      taken against it. *)
   st.vbr <- ck.ck_vbr;
   Candidate_queue.restore st.queue ~vbr:st.vbr ck.ck_queue;
-  List.iter
-    (fun s -> Dedupe.add st.seen_inputs (Fnv.string s) s (String.length s) "")
-    ck.ck_seen;
+  (* The dedupe set's members come back whole, under the empty prefix,
+     in any order. *)
+  Dedupe.open_prefix st.seen_inputs "" 0;
+  List.iter (Dedupe.add st.seen_inputs) ck.ck_seen;
   List.iter (fun (h, n) -> Paths.add st.path_counts h n) ck.ck_paths;
   List.iter (fun (key, cr) -> Hashtbl.replace st.crash_tab key cr) ck.ck_crashes;
   st.crash_order_rev <- List.rev_map fst ck.ck_crashes;

@@ -337,7 +337,7 @@ module Cache = struct
     end
 end
 
-let accepted run = run.verdict = Accepted
+let accepted run = match run.verdict with Accepted -> true | _ -> false
 
 (* The first invalid character: the rightmost position where the parser's
    expectation failed. Positions beyond it may have been touched by

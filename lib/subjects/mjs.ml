@@ -263,14 +263,31 @@ let b_semicolon = branch "stmt.semicolon"
 
 type state = { ctx : Ctx.t; mutable tok : token }
 
+(* Token equality by pattern, and membership in a list by it: [=] and
+   [List.mem] on tokens or strings would call the polymorphic
+   [caml_equal] for every token test the parser makes. *)
+let tok_eq a b =
+  match (a, b) with
+  | Punct x, Punct y | Kw x, Kw y -> String.equal x y
+  | Ident, Ident | Number, Number | Str, Str | Eof, Eof -> true
+  | (Punct _ | Kw _ | Ident | Number | Str | Eof), _ -> false
+
+let rec tok_mem tok = function
+  | [] -> false
+  | t :: rest -> tok_eq tok t || tok_mem tok rest
+
+let rec str_mem s = function
+  | [] -> false
+  | x :: rest -> String.equal s x || str_mem s rest
+
 let advance st = st.tok <- next_token st.ctx
 
 let expect st expected site =
-  if Ctx.branch st.ctx site (st.tok = Punct expected) then advance st
+  if Ctx.branch st.ctx site (tok_eq st.tok (Punct expected)) then advance st
   else Ctx.reject st.ctx (Printf.sprintf "expected %S" expected)
 
 let expect_kw st kw site =
-  if Ctx.branch st.ctx site (st.tok = Kw kw) then advance st
+  if Ctx.branch st.ctx site (tok_eq st.tok (Kw kw)) then advance st
   else Ctx.reject st.ctx (Printf.sprintf "expected keyword %S" kw)
 
 let b_expect_lparen = branch "expect.lparen"
@@ -285,7 +302,7 @@ let b_expect_ident = branch "expect.ident"
 let assign_ops =
   [ "="; "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "<<="; ">>="; ">>>=" ]
 
-let is_assign_op = function Punct p -> List.mem p assign_ops | _ -> false
+let is_assign_op = function Punct p -> str_mem p assign_ops | _ -> false
 
 (* Binary operator precedence tiers, loosest first. [Kw] entries cover
    [instanceof] and [in]. *)
@@ -330,7 +347,8 @@ let rec statement st =
     expect st ";" b_semicolon
   | Kw "return" ->
     advance st;
-    if Ctx.branch st.ctx b_return_value (st.tok <> Punct ";") then expression st;
+    if Ctx.branch st.ctx b_return_value (not (tok_eq st.tok (Punct ";"))) then
+      expression st;
     expect st ";" b_semicolon
   | Kw "throw" ->
     advance st;
@@ -346,7 +364,10 @@ and block_stmt st =
   Ctx.with_frame st.ctx s_block @@ fun () ->
   expect st "{" b_expect_lbrace;
   let rec stmts () =
-    if Ctx.branch st.ctx b_block_more (st.tok <> Punct "}" && st.tok <> Eof) then begin
+    if
+      Ctx.branch st.ctx b_block_more
+        ((not (tok_eq st.tok (Punct "}"))) && not (tok_eq st.tok Eof))
+    then begin
       statement st;
       stmts ()
     end
@@ -363,13 +384,13 @@ and var_stmt st =
 
 and var_declarations st =
   let rec decl () =
-    (if Ctx.branch st.ctx b_expect_ident (st.tok = Ident) then advance st
+    (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
      else Ctx.reject st.ctx "expected variable name");
-    if Ctx.branch st.ctx b_var_init (st.tok = Punct "=") then begin
+    if Ctx.branch st.ctx b_var_init (tok_eq st.tok (Punct "=")) then begin
       advance st;
       assignment st
     end;
-    if Ctx.branch st.ctx b_var_more (st.tok = Punct ",") then begin
+    if Ctx.branch st.ctx b_var_more (tok_eq st.tok (Punct ",")) then begin
       advance st;
       decl ()
     end
@@ -383,7 +404,7 @@ and if_stmt st =
   expression st;
   expect st ")" b_expect_rparen;
   statement st;
-  if Ctx.branch st.ctx b_else (st.tok = Kw "else") then begin
+  if Ctx.branch st.ctx b_else (tok_eq st.tok (Kw "else")) then begin
     advance st;
     statement st
   end
@@ -418,13 +439,13 @@ and for_stmt st =
      advance st;
      var_declarations st
    | Punct _ | Kw _ | Ident | Number | Str | Eof -> expression st);
-  if Ctx.branch st.ctx b_for_in (st.tok = Kw "in") then begin
+  if Ctx.branch st.ctx b_for_in (tok_eq st.tok (Kw "in")) then begin
     advance st;
     expression st;
     expect st ")" b_expect_rparen;
     statement st
   end
-  else if st.tok = Punct ")" then begin
+  else if tok_eq st.tok (Punct ")") then begin
     (* for (x in y): the [in] was consumed inside the initialiser
        expression (the relational tier), leaving the closing paren. *)
     advance st;
@@ -432,9 +453,11 @@ and for_stmt st =
   end
   else begin
     expect st ";" b_semicolon;
-    if Ctx.branch st.ctx b_for_cond (st.tok <> Punct ";") then expression st;
+    if Ctx.branch st.ctx b_for_cond (not (tok_eq st.tok (Punct ";"))) then
+      expression st;
     expect st ";" b_semicolon;
-    if Ctx.branch st.ctx b_for_step (st.tok <> Punct ")") then expression st;
+    if Ctx.branch st.ctx b_for_step (not (tok_eq st.tok (Punct ")"))) then
+      expression st;
     expect st ")" b_expect_rparen;
     statement st
   end
@@ -447,14 +470,15 @@ and switch_stmt st =
   expect st ")" b_expect_rparen;
   expect st "{" b_expect_lbrace;
   let rec clauses () =
-    if Ctx.branch st.ctx b_case_more (st.tok = Kw "case") then begin
+    if Ctx.branch st.ctx b_case_more (tok_eq st.tok (Kw "case")) then begin
       advance st;
       expression st;
       expect st ":" b_expect_colon;
       clause_stmts ();
       clauses ()
     end
-    else if Ctx.branch st.ctx b_case_default (st.tok = Kw "default") then begin
+    else if Ctx.branch st.ctx b_case_default (tok_eq st.tok (Kw "default"))
+    then begin
       advance st;
       expect st ":" b_expect_colon;
       clause_stmts ();
@@ -462,8 +486,10 @@ and switch_stmt st =
     end
   and clause_stmts () =
     if
-      st.tok <> Kw "case" && st.tok <> Kw "default" && st.tok <> Punct "}"
-      && st.tok <> Eof
+      (not (tok_eq st.tok (Kw "case")))
+      && (not (tok_eq st.tok (Kw "default")))
+      && (not (tok_eq st.tok (Punct "}")))
+      && not (tok_eq st.tok Eof)
     then begin
       statement st;
       clause_stmts ()
@@ -476,16 +502,16 @@ and try_stmt st =
   Ctx.with_frame st.ctx s_try @@ fun () ->
   advance st;
   block_stmt st;
-  let caught = Ctx.branch st.ctx b_catch (st.tok = Kw "catch") in
+  let caught = Ctx.branch st.ctx b_catch (tok_eq st.tok (Kw "catch")) in
   if caught then begin
     advance st;
     expect st "(" b_expect_lparen;
-    (if Ctx.branch st.ctx b_expect_ident (st.tok = Ident) then advance st
+    (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
      else Ctx.reject st.ctx "expected exception name");
     expect st ")" b_expect_rparen;
     block_stmt st
   end;
-  if Ctx.branch st.ctx b_finally (st.tok = Kw "finally") then begin
+  if Ctx.branch st.ctx b_finally (tok_eq st.tok (Kw "finally")) then begin
     advance st;
     block_stmt st
   end
@@ -503,14 +529,14 @@ and function_decl st ~named =
   Ctx.with_frame st.ctx s_function @@ fun () ->
   advance st;
   (* function *)
-  if Ctx.branch st.ctx b_fn_anonymous (st.tok = Ident) then advance st
+  if Ctx.branch st.ctx b_fn_anonymous (tok_eq st.tok Ident) then advance st
   else if named then Ctx.reject st.ctx "expected function name";
   expect st "(" b_expect_lparen;
-  (if st.tok <> Punct ")" then
+  (if not (tok_eq st.tok (Punct ")")) then
      let rec params () =
-       (if Ctx.branch st.ctx b_expect_ident (st.tok = Ident) then advance st
+       (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
         else Ctx.reject st.ctx "expected parameter name");
-       if Ctx.branch st.ctx b_fn_params_more (st.tok = Punct ",") then begin
+       if Ctx.branch st.ctx b_fn_params_more (tok_eq st.tok (Punct ",")) then begin
          advance st;
          params ()
        end
@@ -533,7 +559,7 @@ and assignment st =
 and conditional st =
   Ctx.with_frame st.ctx s_cond @@ fun () ->
   binary st binary_tiers;
-  if Ctx.branch st.ctx b_ternary (st.tok = Punct "?") then begin
+  if Ctx.branch st.ctx b_ternary (tok_eq st.tok (Punct "?")) then begin
     advance st;
     assignment st;
     expect st ":" b_expect_colon;
@@ -548,7 +574,7 @@ and binary st tiers =
     binary st rest;
     let rec more () =
       Ctx.tick st.ctx;
-      if Ctx.branch st.ctx b_binop (List.mem st.tok ops) then begin
+      if Ctx.branch st.ctx b_binop (tok_mem st.tok ops) then begin
         advance st;
         binary st rest;
         more ()
@@ -558,13 +584,13 @@ and binary st tiers =
 
 and unary st =
   Ctx.with_frame st.ctx s_unary @@ fun () ->
-  if Ctx.branch st.ctx b_unop (List.mem st.tok unary_ops) then begin
+  if Ctx.branch st.ctx b_unop (tok_mem st.tok unary_ops) then begin
     advance st;
     unary st
   end
   else
     match st.tok with
-    | Kw kw when List.mem kw unary_kws ->
+    | Kw kw when str_mem kw unary_kws ->
       advance st;
       unary st
     | Kw "new" -> new_expr st
@@ -575,31 +601,34 @@ and new_expr st =
   advance st;
   (* new *)
   primary st;
-  if Ctx.branch st.ctx b_new_args (st.tok = Punct "(") then call_args st;
+  if Ctx.branch st.ctx b_new_args (tok_eq st.tok (Punct "(")) then call_args st;
   call_tail st
 
 and postfix st =
   Ctx.with_frame st.ctx s_postfix @@ fun () ->
   primary st;
   call_tail st;
-  if Ctx.branch st.ctx b_postop (st.tok = Punct "++" || st.tok = Punct "--") then
+  if
+    Ctx.branch st.ctx b_postop
+      (tok_eq st.tok (Punct "++") || tok_eq st.tok (Punct "--"))
+  then
     advance st
 
 and call_tail st =
   Ctx.with_frame st.ctx s_call @@ fun () ->
   let rec tail () =
     Ctx.tick st.ctx;
-    if Ctx.branch st.ctx b_call_more (st.tok = Punct ".") then begin
+    if Ctx.branch st.ctx b_call_more (tok_eq st.tok (Punct ".")) then begin
       advance_member st;
       tail ()
     end
-    else if st.tok = Punct "[" then begin
+    else if tok_eq st.tok (Punct "[") then begin
       advance st;
       expression st;
       expect st "]" b_expect_rbracket;
       tail ()
     end
-    else if st.tok = Punct "(" then begin
+    else if tok_eq st.tok (Punct "(") then begin
       call_args st;
       tail ()
     end
@@ -629,10 +658,10 @@ and advance_member st =
 
 and call_args st =
   expect st "(" b_expect_lparen;
-  (if st.tok <> Punct ")" then
+  (if not (tok_eq st.tok (Punct ")")) then
      let rec args () =
        assignment st;
-       if Ctx.branch st.ctx b_args_more (st.tok = Punct ",") then begin
+       if Ctx.branch st.ctx b_args_more (tok_eq st.tok (Punct ",")) then begin
          advance st;
          args ()
        end
@@ -660,10 +689,10 @@ and array_literal st =
   Ctx.with_frame st.ctx s_array_lit @@ fun () ->
   advance st;
   (* '[' *)
-  (if st.tok <> Punct "]" then
+  (if not (tok_eq st.tok (Punct "]")) then
      let rec elems () =
        assignment st;
-       if Ctx.branch st.ctx b_elem_more (st.tok = Punct ",") then begin
+       if Ctx.branch st.ctx b_elem_more (tok_eq st.tok (Punct ",")) then begin
          advance st;
          elems ()
        end
@@ -675,7 +704,7 @@ and object_literal st =
   Ctx.with_frame st.ctx s_object_lit @@ fun () ->
   advance st;
   (* '{' *)
-  (if st.tok <> Punct "}" then
+  (if not (tok_eq st.tok (Punct "}")) then
      let rec props () =
        (match st.tok with
         | Ident | Str | Number | Kw _ ->
@@ -686,7 +715,7 @@ and object_literal st =
           Ctx.reject st.ctx "expected property key");
        expect st ":" b_expect_colon;
        assignment st;
-       if Ctx.branch st.ctx b_prop_more (st.tok = Punct ",") then begin
+       if Ctx.branch st.ctx b_prop_more (tok_eq st.tok (Punct ",")) then begin
          advance st;
          props ()
        end
@@ -697,15 +726,15 @@ and object_literal st =
 let parse ctx =
   Ctx.with_frame ctx s_program @@ fun () ->
   let st = { ctx; tok = next_token ctx } in
-  if st.tok = Eof then Ctx.reject ctx "empty program";
+  if tok_eq st.tok Eof then Ctx.reject ctx "empty program";
   let rec stmts () =
-    if st.tok <> Eof then begin
+    if not (tok_eq st.tok Eof) then begin
       statement st;
       stmts ()
     end
   in
   stmts ();
-  ignore (Ctx.branch ctx b_trailing (st.tok <> Eof))
+  ignore (Ctx.branch ctx b_trailing (not (tok_eq st.tok Eof)))
 
 (* {1 Token inventory (Table 4 shape)} *)
 

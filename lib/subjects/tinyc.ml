@@ -3,6 +3,29 @@ module Site = Pdf_instr.Site
 module Charset = Pdf_util.Charset
 module Tstring = Pdf_taint.Tstring
 
+type token =
+  | Sym of char
+  | Kw_if
+  | Kw_else
+  | Kw_while
+  | Kw_do
+  | Id of int  (** variable index 0..25 *)
+  | Num of int
+  | Eof
+
+(* Token equality by pattern: [=] on tokens would call the polymorphic
+   [caml_equal] for every token test the parser makes. It is defined
+   outside the functor: the parser's per-call [with_frame] closures
+   would each capture a function of the functor's body, a word apiece. *)
+let tok_eq a b =
+  match (a, b) with
+  | Sym x, Sym y -> Char.equal x y
+  | Id x, Id y | Num x, Num y -> Int.equal x y
+  | Kw_if, Kw_if | Kw_else, Kw_else | Kw_while, Kw_while | Kw_do, Kw_do | Eof, Eof
+    ->
+    true
+  | (Sym _ | Kw_if | Kw_else | Kw_while | Kw_do | Id _ | Num _ | Eof), _ -> false
+
 (* The subject is functorised so the paper-faithful parser and the Â§7.2
    token-taint variant share one implementation: the only difference is
    whether a token-kind expectation emits a comparison event at the
@@ -70,16 +93,6 @@ let b_exec_cond = Site.branch registry "exec.cond?"
 let b_exec_less = Site.branch registry "exec.less?"
 let b_sem_defined = Site.branch registry "exec.sem-defined?"
 let b_trailing = Site.branch registry "parse.trailing?"
-
-type token =
-  | Sym of char
-  | Kw_if
-  | Kw_else
-  | Kw_while
-  | Kw_do
-  | Id of int  (** variable index 0..25 *)
-  | Num of int
-  | Eof
 
 type expr =
   | E_assign of int * expr
@@ -158,7 +171,7 @@ let advance st =
    happened; the structural check here has no data flow from the input
    (Â§7.2), unless the token-taint extension re-attaches it. *)
 let expect_sym st c site =
-  let matched = st.tok = Sym c in
+  let matched = tok_eq st.tok (Sym c) in
   let matched =
     if Config.token_taints then
       Ctx.expect_token st.ctx site ~at:st.tok_start ~spelling:(String.make 1 c)
@@ -171,7 +184,7 @@ let expect_sym st c site =
 let rec expr st =
   Ctx.with_frame st.ctx s_expr @@ fun () ->
   let left = test st in
-  if Ctx.branch st.ctx b_assign (st.tok = Sym '=') then begin
+  if Ctx.branch st.ctx b_assign (tok_eq st.tok (Sym '=')) then begin
     match left with
     | E_id v ->
       ignore (Ctx.branch st.ctx b_lvalue true);
@@ -186,7 +199,7 @@ let rec expr st =
 and test st =
   Ctx.with_frame st.ctx s_test @@ fun () ->
   let left = sum st in
-  if Ctx.branch st.ctx b_less (st.tok = Sym '<') then begin
+  if Ctx.branch st.ctx b_less (tok_eq st.tok (Sym '<')) then begin
     advance st;
     E_less (left, sum st)
   end
@@ -195,11 +208,11 @@ and test st =
 and sum st =
   Ctx.with_frame st.ctx s_sum @@ fun () ->
   let rec more acc =
-    if Ctx.branch st.ctx b_add (st.tok = Sym '+') then begin
+    if Ctx.branch st.ctx b_add (tok_eq st.tok (Sym '+')) then begin
       advance st;
       more (E_add (acc, term st))
     end
-    else if Ctx.branch st.ctx b_sub (st.tok = Sym '-') then begin
+    else if Ctx.branch st.ctx b_sub (tok_eq st.tok (Sym '-')) then begin
       advance st;
       more (E_sub (acc, term st))
     end
@@ -235,25 +248,25 @@ and paren_expr st =
 let rec statement st =
   Ctx.with_frame st.ctx s_statement @@ fun () ->
   Ctx.tick st.ctx;
-  if Ctx.branch st.ctx b_stmt_if (st.tok = Kw_if) then begin
+  if Ctx.branch st.ctx b_stmt_if (tok_eq st.tok Kw_if) then begin
     advance st;
     let cond = paren_expr st in
     let then_branch = statement st in
-    if Ctx.branch st.ctx b_stmt_else (st.tok = Kw_else) then begin
+    if Ctx.branch st.ctx b_stmt_else (tok_eq st.tok Kw_else) then begin
       advance st;
       S_if (cond, then_branch, Some (statement st))
     end
     else S_if (cond, then_branch, None)
   end
-  else if Ctx.branch st.ctx b_stmt_while (st.tok = Kw_while) then begin
+  else if Ctx.branch st.ctx b_stmt_while (tok_eq st.tok Kw_while) then begin
     advance st;
     let cond = paren_expr st in
     S_while (cond, statement st)
   end
-  else if Ctx.branch st.ctx b_stmt_do (st.tok = Kw_do) then begin
+  else if Ctx.branch st.ctx b_stmt_do (tok_eq st.tok Kw_do) then begin
     advance st;
     let body = statement st in
-    let matched = st.tok = Kw_while in
+    let matched = tok_eq st.tok Kw_while in
     let matched =
       if Config.token_taints then
         Ctx.expect_token st.ctx b_do_while ~at:st.tok_start ~spelling:"while"
@@ -268,10 +281,13 @@ let rec statement st =
     end
     else Ctx.reject st.ctx "expected 'while' after do-body"
   end
-  else if Ctx.branch st.ctx b_stmt_block (st.tok = Sym '{') then begin
+  else if Ctx.branch st.ctx b_stmt_block (tok_eq st.tok (Sym '{')) then begin
     advance st;
     let rec stmts acc =
-      if Ctx.branch st.ctx b_block_more (st.tok <> Sym '}' && st.tok <> Eof) then
+      if
+        Ctx.branch st.ctx b_block_more
+          ((not (tok_eq st.tok (Sym '}'))) && not (tok_eq st.tok Eof))
+      then
         stmts (statement st :: acc)
       else begin
         expect_sym st '}' b_stmt_block;
@@ -280,7 +296,7 @@ let rec statement st =
     in
     stmts []
   end
-  else if Ctx.branch st.ctx b_stmt_empty (st.tok = Sym ';') then begin
+  else if Ctx.branch st.ctx b_stmt_empty (tok_eq st.tok (Sym ';')) then begin
     advance st;
     S_empty
   end
@@ -346,9 +362,9 @@ let parse ctx =
   Ctx.with_frame ctx s_parse @@ fun () ->
   let tok, tok_start = next_token ctx in
   let st = { ctx; tok; tok_start } in
-  if st.tok = Eof then Ctx.reject ctx "empty program";
+  if tok_eq st.tok Eof then Ctx.reject ctx "empty program";
   let program = statement st in
-  if Ctx.branch ctx b_trailing (st.tok <> Eof) then
+  if Ctx.branch ctx b_trailing (not (tok_eq st.tok Eof)) then
     Ctx.reject ctx "trailing input after statement";
   exec ctx program
 

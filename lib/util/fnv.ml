@@ -11,23 +11,17 @@
 let offset_basis = 0x811c9dc5
 let prime = 0x0100_0193
 
-let range s pos len =
-  let h = ref offset_basis in
-  for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * prime land max_int
-  done;
-  !h
-
-let prefix s len = range s 0 len
-
-let string s = range s 0 (String.length s)
-
-(* Resume a hash produced by [prefix]/[range] over another string, as if
-   the two ranges had been concatenated: [continue (prefix a n) b] equals
-   [string (String.sub a 0 n ^ b)] without building the concatenation. *)
-let continue h s =
+(* Resume a hash over [s[0..len)], as if the two ranges had been
+   concatenated: [extend (prefix a n) b k] equals
+   [string (String.sub a 0 n ^ String.sub b 0 k)] without building
+   either. *)
+let extend h s len =
   let r = ref h in
-  for i = 0 to String.length s - 1 do
+  for i = 0 to len - 1 do
     r := (!r lxor Char.code (String.unsafe_get s i)) * prime land max_int
   done;
   !r
+
+let prefix s len = extend offset_basis s len
+
+let string s = prefix s (String.length s)

@@ -434,7 +434,7 @@ let test_resume_equivalence_all_subjects () =
         (Printf.sprintf "resumed = uninterrupted on %s" name)
         true
         (Pdf_check.Invariants.results_equal full resumed))
-    [ "paren"; "ini"; "csv"; "json"; "expr" ]
+    [ "paren"; "ini"; "csv"; "json"; "expr"; "tinyc"; "mjs" ]
 
 let test_resume_rejects_wrong_subject () =
   let _, ck, _ = capture_checkpoint "json" in
@@ -999,51 +999,81 @@ let test_resumed_pop_order_golden () =
 
 (* {1 Dedupe set}
 
-   The byte arena against a string-set model. Entries arrive in parts,
-   [input[0..index) ^ repl], over a three-letter alphabet so that the
-   same string often arrives split in different places. A bulk add
-   forces several doublings of the table and the arena; a long add
-   stores an entry of more than 65,535 bytes, which a span packed into
-   16 bits would truncate. Half the cases hash with FNV masked to two
-   bits, so that most probes reach the byte comparison. Every case ends
-   with a fold-and-rebuild round trip, as a checkpoint does. *)
+   The prefix nodes against a string-set model. Entries arrive in
+   parts, [input[0..index) ^ repl] with [input[0..index)] the open
+   prefix, over a small alphabet so that the same string often arrives
+   split in different places: as a one-byte replacement that sets a bit
+   in the open node's row, as a longer one that probes a node of its
+   own, or whole. A fifth of the characters are bytes 0, 128 and 255,
+   the first and last bits of a row and the first byte past ASCII. A
+   sibling group opens one prefix and proposes several children, as the
+   fuzzer does, with resets in the middle. A bulk add forces several
+   doublings of the table, the nodes and the arena; a long add stores
+   a prefix of more than 65,535 bytes. Every case ends with a
+   fold-and-rebuild round trip, as a checkpoint does. *)
 
 module Dedupe = Pdf_core.Dedupe
-module Fnv = Pdf_util.Fnv
+
+type dd_child = Child of string | Cut  (** a reset mid-group *)
 
 type dd_op =
   | Mem of string * int * string
   | Add of string * int * string  (** after a [mem], as the fuzzer does *)
+  | Siblings of string * int * dd_child list
   | Bulk of char * int  (** that many distinct entries *)
   | Long of int  (** an entry of [65_536 + n] bytes, cut at [n] *)
   | Reset
-
-let dd_hash ~weak input index repl =
-  let h = Fnv.continue (Fnv.prefix input index) repl in
-  if weak then h land 3 else h
 
 (* Failure reports stay readable when the entry is 65k long. *)
 let dd_show s =
   if String.length s <= 24 then Printf.sprintf "%S" s
   else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 24) (String.length s)
 
-let dd_add ~weak t model input index repl =
+(* Propose [p ^ repl] under the open prefix [p = input[0..index)]: the
+   set must answer as the model does, and a fresh string is added. A
+   member added again must leave the count alone. *)
+let dd_child t model input index repl =
   let whole = String.sub input 0 index ^ repl in
-  let h = dd_hash ~weak input index repl in
-  let present = Dedupe.mem t h input index repl in
+  let present = Dedupe.mem t repl in
   if present <> Hashtbl.mem model whole then
     QCheck.Test.fail_reportf "mem %s says %b" (dd_show whole) present;
-  if not present then begin
-    Dedupe.add t h input index repl;
-    Hashtbl.replace model whole ()
-  end
+  let before = Dedupe.count t in
+  Dedupe.add t repl;
+  if not present then Hashtbl.replace model whole ();
+  if present && Dedupe.count t <> before then
+    QCheck.Test.fail_reportf "re-adding %s changed the count" (dd_show whole)
+
+let dd_add t model input index repl =
+  Dedupe.open_prefix t input index;
+  dd_child t model input index repl
+
+let dd_char_gen =
+  QCheck.Gen.(
+    frequency [ (4, char_range 'a' 'c'); (1, oneofl [ '\000'; '\128'; '\255' ]) ])
+
+let dd_string_gen lo hi = QCheck.Gen.(string_size ~gen:dd_char_gen (int_range lo hi))
+
+let dd_prefix_gen =
+  QCheck.Gen.(
+    let* input = dd_string_gen 0 8 in
+    let+ index = int_range 0 (String.length input) in
+    (input, index))
 
 let dd_parts_gen =
   QCheck.Gen.(
-    let* input = string_size ~gen:(char_range 'a' 'c') (int_range 0 8) in
-    let* index = int_range 0 (String.length input) in
-    let+ repl = string_size ~gen:(char_range 'a' 'c') (int_range 0 3) in
+    let* input, index = dd_prefix_gen in
+    let+ repl = dd_string_gen 0 3 in
     (input, index, repl))
+
+let dd_children_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 12)
+      (frequency
+         [
+           (8, map (fun c -> Child (String.make 1 c)) dd_char_gen);
+           (2, map (fun r -> Child r) (dd_string_gen 0 3));
+           (1, return Cut);
+         ]))
 
 let dd_op_gen =
   QCheck.Gen.(
@@ -1051,6 +1081,7 @@ let dd_op_gen =
       [
         (4, map (fun (i, k, r) -> Mem (i, k, r)) dd_parts_gen);
         (6, map (fun (i, k, r) -> Add (i, k, r)) dd_parts_gen);
+        (4, map2 (fun (i, k) cs -> Siblings (i, k, cs)) dd_prefix_gen dd_children_gen);
         (1, map2 (fun c n -> Bulk (c, n)) (char_range 'd' 'z') (int_range 100 3000));
         (1, map (fun n -> Long n) (int_range 0 3));
         (1, return Reset);
@@ -1059,26 +1090,38 @@ let dd_op_gen =
 let print_dd_op = function
   | Mem (i, k, r) -> Printf.sprintf "mem %S %d %S" i k r
   | Add (i, k, r) -> Printf.sprintf "add %S %d %S" i k r
+  | Siblings (i, k, cs) ->
+    Printf.sprintf "siblings %S %d [%s]" i k
+      (String.concat " "
+         (List.map (function Child r -> Printf.sprintf "%S" r | Cut -> "reset") cs))
   | Bulk (c, n) -> Printf.sprintf "bulk %C x%d" c n
   | Long n -> Printf.sprintf "long %d" (65_536 + n)
   | Reset -> "reset"
 
-let dd_step ~weak t model = function
+let dd_step t model = function
   | Mem (input, index, repl) ->
     let whole = String.sub input 0 index ^ repl in
-    if Dedupe.mem t (dd_hash ~weak input index repl) input index repl
-       <> Hashtbl.mem model whole
-    then QCheck.Test.fail_reportf "mem %s disagrees" (dd_show whole)
-  | Add (input, index, repl) -> dd_add ~weak t model input index repl
+    Dedupe.open_prefix t input index;
+    if Dedupe.mem t repl <> Hashtbl.mem model whole then
+      QCheck.Test.fail_reportf "mem %s disagrees" (dd_show whole)
+  | Add (input, index, repl) -> dd_add t model input index repl
+  | Siblings (input, index, children) ->
+    Dedupe.open_prefix t input index;
+    List.iter
+      (function
+        | Child repl -> dd_child t model input index repl
+        | Cut ->
+          Dedupe.reset t;
+          Hashtbl.reset model)
+      children
   | Bulk (c, n) ->
-    (* A colliding hash makes probes linear in the set; keep it small. *)
-    for i = 0 to (if weak then min n 200 else n) - 1 do
+    for i = 0 to n - 1 do
       let input = Printf.sprintf "%c%d" c i in
-      dd_add ~weak t model input (i mod (String.length input + 1)) "-"
+      dd_add t model input (i mod (String.length input + 1)) "-"
     done
   | Long n ->
     let input = String.init (65_536 + n) (fun i -> Char.chr (97 + (i mod 3))) in
-    dd_add ~weak t model input n (String.sub input n (String.length input - n))
+    dd_add t model input n (String.sub input n (String.length input - n))
   | Reset ->
     Dedupe.reset t;
     Hashtbl.reset model
@@ -1089,18 +1132,15 @@ let dd_entries model =
 let prop_dedupe_model =
   QCheck.Test.make ~name:"dedupe set agrees with a string-set model" ~count:100
     (QCheck.make
-       ~print:(fun (weak, ops) ->
-         Printf.sprintf "%s: %s"
-           (if weak then "2-bit hash" else "FNV")
-           (String.concat "; " (List.map print_dd_op ops)))
-       QCheck.Gen.(pair bool (list_size (int_range 0 40) dd_op_gen)))
-    (fun (weak, ops) ->
+       ~print:(fun ops -> String.concat "; " (List.map print_dd_op ops))
+       QCheck.Gen.(list_size (int_range 0 40) dd_op_gen))
+    (fun ops ->
       let t = Dedupe.create () and model = Hashtbl.create 64 in
       (* A 0-byte entry, arriving in its only split. *)
-      dd_add ~weak t model "" 0 "";
+      dd_add t model "" 0 "";
       List.iter
         (fun op ->
-          dd_step ~weak t model op;
+          dd_step t model op;
           if Dedupe.count t <> Hashtbl.length model then
             QCheck.Test.fail_reportf "count %d, model %d" (Dedupe.count t)
               (Hashtbl.length model))
@@ -1108,36 +1148,96 @@ let prop_dedupe_model =
       let entries = dd_entries model in
       let folded = List.sort compare (Dedupe.fold List.cons t []) in
       if folded <> entries then QCheck.Test.fail_report "fold differs from the model";
-      let whole s = dd_hash ~weak s (String.length s) "" in
       List.iter
         (fun s ->
-          if not (Dedupe.mem t (whole s) s (String.length s) "") then
-            QCheck.Test.fail_reportf "%s lost" (dd_show s))
+          Dedupe.open_prefix t s (String.length s);
+          if not (Dedupe.mem t "") then QCheck.Test.fail_reportf "%s lost" (dd_show s))
         entries;
       (* The round trip a checkpoint makes: fold, then add each string
          whole to a fresh set. The rebuilt set must answer for the same
          strings arriving in parts. *)
       let rebuilt = Dedupe.create () in
-      List.iter (fun s -> Dedupe.add rebuilt (whole s) s (String.length s) "") folded;
+      Dedupe.open_prefix rebuilt "" 0;
+      List.iter (Dedupe.add rebuilt) folded;
       Dedupe.count rebuilt = List.length entries
       && List.sort compare (Dedupe.fold List.cons rebuilt []) = entries
       && List.for_all
            (fun s ->
              let k = String.length s / 2 in
-             let repl = String.sub s k (String.length s - k) in
-             Dedupe.mem rebuilt (dd_hash ~weak s k repl) s k repl)
+             Dedupe.open_prefix rebuilt s k;
+             Dedupe.mem rebuilt (String.sub s k (String.length s - k)))
            entries)
+
+(* The cases the node format introduces, one by one. *)
+let test_dedupe_nodes () =
+  let t = Dedupe.create () in
+  let mem input index repl =
+    Dedupe.open_prefix t input index;
+    Dedupe.mem t repl
+  and add input index repl =
+    Dedupe.open_prefix t input index;
+    Dedupe.add t repl
+  in
+  let check what expected input index repl =
+    Alcotest.(check bool) what expected (mem input index repl)
+  in
+  (* The empty string is a flag, not a node. *)
+  check "empty absent" false "" 0 "";
+  add "xyz" 0 "";
+  check "empty added" true "" 0 "";
+  Alcotest.(check int) "empty counts" 1 (Dedupe.count t);
+  Alcotest.(check (list string)) "empty folds" [ "" ] (Dedupe.fold List.cons t []);
+  (* Two strings that share all but their last byte share a node. *)
+  add "abq" 2 "c";
+  add "ab" 2 "d";
+  check "sibling c" true "abc" 3 "";
+  check "sibling d" true "" 0 "abd";
+  check "their prefix is no member" false "ab" 2 "";
+  check "nor another sibling" false "ab" 2 "e";
+  Alcotest.(check int) "siblings count" 3 (Dedupe.count t);
+  (* Last bytes at both ends of a row and past ASCII. *)
+  List.iter (fun c -> add "ab" 2 (String.make 1 c)) [ '\000'; '\127'; '\128'; '\255' ];
+  List.iter
+    (fun c -> check (Printf.sprintf "last byte %d" (Char.code c)) true "" 0 ("ab" ^ String.make 1 c))
+    [ '\000'; '\127'; '\128'; '\255' ];
+  check "byte 254 stays clear" false "ab" 2 "\254";
+  check "byte 1 stays clear" false "ab" 2 "\001";
+  add "" 0 "\255";
+  check "one high byte" true "\255" 0 "\255";
+  (* Added with a keyword, probed with one byte, and the reverse. *)
+  add "pq" 0 "while";
+  check "keyword, then one byte" true "whil" 4 "e";
+  check "keyword, then its prefix" false "whil" 4 "";
+  add "do" 2 "n";
+  check "one byte, then a keyword" true "" 0 "don";
+  check "one byte, then a keyword split inside" true "dx" 1 "on";
+  (* Adding a member again changes nothing. *)
+  let n = Dedupe.count t in
+  add "don" 1 "on";
+  Alcotest.(check int) "re-add" n (Dedupe.count t);
+  (* A reset clears the rows: re-added nodes start empty. *)
+  Dedupe.reset t;
+  Alcotest.(check int) "reset empties" 0 (Dedupe.count t);
+  check "empty gone" false "" 0 "";
+  check "sibling gone after reset" false "ab" 2 "c";
+  add "ab" 2 "e";
+  check "re-added" true "ab" 2 "e";
+  check "old sibling stays gone" false "ab" 2 "c";
+  check "old high byte stays gone" false "ab" 2 "\255";
+  add "ab" 1 "zz";
+  check "a second node after reset" true "azq" 2 "z";
+  check "old keyword stays gone" false "whil" 4 "e";
+  Alcotest.(check (list string)) "fold after reset" [ "abe"; "azz" ]
+    (List.sort compare (Dedupe.fold List.cons t []))
 
 let test_dedupe_rejects_bad_parts () =
   let t = Dedupe.create () in
   Alcotest.check_raises "index past the input"
-    (Invalid_argument "Dedupe.mem: index 3 outside the input") (fun () ->
-      ignore (Dedupe.mem t 0 "ab" 3 ""));
+    (Invalid_argument "Dedupe.open_prefix: index 3 outside the input") (fun () ->
+      Dedupe.open_prefix t "ab" 3);
   Alcotest.check_raises "negative index"
-    (Invalid_argument "Dedupe.add: index -1 outside the input") (fun () ->
-      Dedupe.add t 0 "ab" (-1) "");
-  Alcotest.check_raises "negative hash" (Invalid_argument "Dedupe.add: negative hash")
-    (fun () -> Dedupe.add t (-1) "ab" 1 "")
+    (Invalid_argument "Dedupe.open_prefix: index -1 outside the input") (fun () ->
+      Dedupe.open_prefix t "ab" (-1))
 
 let () =
   Alcotest.run "pdf_core"
@@ -1162,6 +1262,7 @@ let () =
       ( "dedupe",
         [
           qtest prop_dedupe_model;
+          Alcotest.test_case "node format" `Quick test_dedupe_nodes;
           Alcotest.test_case "rejects bad parts" `Quick
             test_dedupe_rejects_bad_parts;
         ] );

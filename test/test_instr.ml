@@ -880,6 +880,25 @@ let subject_invariants (subject : Pdf_subjects.Subject.t) =
 let invariant_tests =
   List.map (fun s -> qtest (subject_invariants s)) Pdf_subjects.Catalog.all
 
+(* [Hits.record] grows its counts once per run, to the length that
+   growing for each outcome in turn reaches: a counter fed whole runs
+   marshals to the same bytes as one fed their outcomes one at a time,
+   capacity included, since campaign summaries digest a result's
+   Marshal form. *)
+let prop_hits_record_per_outcome =
+  QCheck.Test.make ~name:"hits: a run grows the counts as its outcomes would"
+    ~count:200
+    QCheck.(list (array_of_size Gen.(int_range 0 12) (int_range 0 300)))
+    (fun runs ->
+      let whole = Pdf_instr.Hits.create () and single = Pdf_instr.Hits.create () in
+      List.iter
+        (fun touched ->
+          Pdf_instr.Hits.record whole touched;
+          Array.iter (fun oid -> Pdf_instr.Hits.record single [| oid |]) touched)
+        runs;
+      Marshal.to_string whole [] = Marshal.to_string single []
+      && Pdf_instr.Hits.to_list whole = Pdf_instr.Hits.to_list single)
+
 let () =
   Alcotest.run "pdf_instr"
     [
@@ -889,6 +908,7 @@ let () =
           Alcotest.test_case "outcome names" `Quick test_site_outcome_names;
         ] );
       ("coverage", [ Alcotest.test_case "set operations" `Quick test_coverage ]);
+      ("hits", [ qtest prop_hits_record_per_outcome ]);
       ( "comparison",
         [
           Alcotest.test_case "replacements" `Quick test_replacements;
