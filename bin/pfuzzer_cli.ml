@@ -277,8 +277,8 @@ let fuzz_cmd =
              search-loop iterations, chosen deterministically from the \
              execution count at the top of each iteration (so sampled traces \
              are reproducible and shard-merge deterministic). Structural \
-             events (valid inputs, crashes, hangs, faults) are always \
-             recorded. 1 (default) records everything.")
+             events (valid inputs, crashes, hangs) are always recorded. 1 \
+             (default) records everything.")
   in
   let checkpoint =
     Arg.(

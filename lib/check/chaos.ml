@@ -12,9 +12,10 @@ let spread_indices execs =
     [ execs / 7; execs / 3; execs / 2; 2 * execs / 3; (5 * execs / 6) + 1 ]
   |> List.filter (fun i -> i > 0 && i < execs)
 
-let count_kind kind plan =
-  List.length
-    (List.filter (fun (_, k) -> k = kind) (Fault.triggered plan))
+let count_kind p plan =
+  List.length (List.filter (fun (_, k) -> p k) (Fault.triggered plan))
+
+let is_raise = function Fault.Raise _ -> true | _ -> false
 
 (* The campaign-level degradation invariants: the budget is exhausted
    (a fault never aborts the loop), every reported valid input is still
@@ -49,19 +50,25 @@ let run ?(execs = 400) ?(seed = 1) (subject : Subject.t) =
   let plan =
     Fault.seeded ~seed ~executions:execs ~count:(max 4 (execs / 20))
   in
-  let r = Pfuzzer.fuzz ~faults:plan config subject in
+  let r = Pfuzzer.fuzz config (Fault.subject plan subject) in
   let fired = List.length (Fault.triggered plan) in
+  let raised = count_kind is_raise plan in
+  let starved = count_kind (( = ) Fault.Starve_fuel) plan in
   (match campaign_intact subject r execs with
    | Some why -> add "chaos-survival" false why
+   | None when fired = 0 ->
+     add "chaos-survival" false "no fault fired — plan too sparse for the budget"
+   | None when r.crash_total < raised || r.hangs < starved ->
+     add "chaos-survival" false
+       (Printf.sprintf
+          "%d raises and %d starvations fired, but only %d crashes and %d hangs"
+          raised starved r.crash_total r.hangs)
    | None ->
-     add "chaos-survival" (fired > 0)
-       (if fired > 0 then
-          Printf.sprintf
-            "%d injected faults absorbed (%d crashes, %d hangs); %d valid \
-             inputs all intact"
-            fired r.crash_total r.hangs
-            (List.length r.valid_inputs)
-        else "no fault fired — plan too sparse for the budget"));
+     add "chaos-survival" true
+       (Printf.sprintf
+          "%d injected faults absorbed (%d crashes, %d hangs); %d valid inputs \
+           all intact"
+          fired r.crash_total r.hangs (List.length r.valid_inputs)));
   (* Injected exceptions: every one must surface as exactly one
      contained crash, and they all share one (exception, site)
      identity, so the corpus stays deduplicated. *)
@@ -69,8 +76,8 @@ let run ?(execs = 400) ?(seed = 1) (subject : Subject.t) =
   let raise_plan =
     Fault.of_list (List.map (fun i -> (i, Fault.Raise "chaos raise")) idxs)
   in
-  let r_raise = Pfuzzer.fuzz ~faults:raise_plan config subject in
-  let raised = count_kind (Fault.Raise "chaos raise") raise_plan in
+  let r_raise = Pfuzzer.fuzz config (Fault.subject raise_plan subject) in
+  let raised = count_kind is_raise raise_plan in
   let contained =
     raised = List.length idxs
     && r_raise.crash_total >= raised
@@ -93,8 +100,8 @@ let run ?(execs = 400) ?(seed = 1) (subject : Subject.t) =
   let starve_plan =
     Fault.of_list (List.map (fun i -> (i, Fault.Starve_fuel)) idxs)
   in
-  let r_starve = Pfuzzer.fuzz ~faults:starve_plan config subject in
-  let starved = count_kind Fault.Starve_fuel starve_plan in
+  let r_starve = Pfuzzer.fuzz config (Fault.subject starve_plan subject) in
+  let starved = count_kind (( = ) Fault.Starve_fuel) starve_plan in
   let starve_ok =
     starved = List.length idxs
     && r_starve.hangs >= starved
@@ -110,12 +117,12 @@ let run ?(execs = 400) ?(seed = 1) (subject : Subject.t) =
   let slow_plan =
     Fault.of_list (List.map (fun i -> (i, Fault.Slow 20_000)) idxs)
   in
-  let r_slow = Pfuzzer.fuzz ~faults:slow_plan config subject in
+  let r_slow = Pfuzzer.fuzz config (Fault.subject slow_plan subject) in
   let slow_ok = Invariants.results_equal baseline r_slow in
   add "slowdown-neutrality" slow_ok
     (if slow_ok then
        Printf.sprintf "%d slowed executions; campaign bit-identical"
-         (count_kind (Fault.Slow 20_000) slow_plan)
+         (count_kind (( = ) (Fault.Slow 20_000)) slow_plan)
      else "slow faults perturbed the campaign");
   (* Worker-domain death in the parallel grid: a task that dies on its
      first attempts is retried to success; one that always dies is

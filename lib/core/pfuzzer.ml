@@ -4,7 +4,6 @@ module Coverage = Pdf_instr.Coverage
 module Runner = Pdf_instr.Runner
 module Comparison = Pdf_instr.Comparison
 module Subject = Pdf_subjects.Subject
-module Fault = Pdf_fault.Fault
 module Obs = Pdf_obs.Observer
 module Event = Pdf_obs.Event
 module Phase = Pdf_obs.Phase
@@ -276,10 +275,6 @@ type state = {
   rng : Rng.t;
   queue : Candidate_queue.t;
   on_queue_event : (queue_event -> unit) option;
-  (* Deterministic chaos: when a plan is installed, each execution index
-     is looked up and a planned fault replaces or degrades that single
-     execution. [None] is the production path. *)
-  faults : Fault.plan option;
   (* Telemetry. [obs = None] is the fast path: no events, no clock
      reads, no allocation — the observability layer costs nothing when
      off. Every emission site matches on [obs] *before* constructing
@@ -354,10 +349,9 @@ let observed_snapshot st =
 let[@inline] tsink st =
   match st.obs with Some o when Obs.tracing o -> Some o | _ -> None
 
-(* High-frequency exec-level sites (exec_done, cache consult, queue
-   push/pop) record only in sampled iterations ([st.sampled]).
-   Structural events (valid, crash, hang, fault) always record —
-   they are rare. *)
+(* High-frequency exec-level sites (exec_done, cache consult) record
+   only in sampled iterations ([st.sampled]). Structural events (valid,
+   crash, hang) always record — they are rare. *)
 let[@inline] tsink_exec st =
   match st.obs with
   | Some o when st.sampled && Obs.tracing o -> Some o
@@ -437,40 +431,6 @@ let remember_children st input pos =
            | found, _ -> found));
     span_end st Phase.Cache t_store
 
-(* Busy-wait used by [Slow] faults: deterministic work the optimizer
-   cannot delete, with no observable effect besides wall clock. *)
-let spin n =
-  let acc = ref 0 in
-  for i = 1 to n do
-    acc := !acc + (i land 7)
-  done;
-  ignore (Sys.opaque_identity !acc)
-
-(* Run the subject under a planned fault. [Raise] and [Starve_fuel]
-   replace the execution entirely (the faulty execution is skipped — its
-   observations are whatever the degraded run saw); [Slow] burns time
-   and then falls through to the normal path. Returns [None] when the
-   normal execution should proceed. *)
-let faulted_run st kind input =
-  let registry = st.subject.Subject.registry in
-  match kind with
-  | Fault.Raise msg ->
-    Some
-      (Runner.exec ~registry
-         ~parse:(fun _ -> raise (Fault.Injected msg))
-         ~fuel:st.subject.Subject.fuel input)
-  | Fault.Starve_fuel ->
-    (* Raise [Out_of_fuel] before the parse makes any progress: a
-       guaranteed [Hang] for every subject, including those whose parsers
-       never consume fuel themselves. *)
-    Some
-      (Runner.exec ~registry
-         ~parse:(fun _ -> raise Pdf_instr.Ctx.Out_of_fuel)
-         ~fuel:st.subject.Subject.fuel input)
-  | Fault.Slow n ->
-    spin n;
-    None
-
 (* One execution of the subject. [prefix_len] is the caller's hint that
    the first [prefix_len] characters of [input] were inherited verbatim
    from an already-executed parent; when the incremental engine is on and
@@ -481,87 +441,60 @@ let faulted_run st kind input =
    Returns the run and whether it resumed from a snapshot. *)
 let execute st ~from ~prefix_len input =
   if st.executions >= st.config.max_executions then raise Budget_exhausted;
-  let fault =
-    match st.faults with
-    | None -> None
-    | Some plan -> Fault.consume plan st.executions
-  in
   st.executions <- st.executions + 1;
-  (match fault with
-   | None -> ()
-   | Some kind ->
-     match tsink st with
-     | None -> ()
-     | Some o ->
-       Obs.emit o ~exec:st.executions
-         (Event.Fault { kind = Fault.kind_label kind }));
-  let injected =
-    match fault with
-    | None -> None
-    | Some kind ->
-      let t_exec = span_begin st in
-      let run = faulted_run st kind input in
-      span_end st Phase.Exec t_exec;
-      run
-  in
   let run, cached =
-    match injected with
-    | Some run -> (run, false)
+    match st.engine with
+    | Some ({ cache; machine; _ } as e) ->
+      let t_cache = span_begin st in
+      let consulted = prefix_len > 0 && prefix_len <= String.length input in
+      let own =
+        match from with
+        | Some journal when consulted -> Runner.snapshot_at journal prefix_len
+        | _ -> None
+      in
+      let snap =
+        match own with
+        | Some _ ->
+          e.journal_hits <- e.journal_hits + 1;
+          e.journal_chars_saved <- e.journal_chars_saved + prefix_len;
+          own
+        | None ->
+          if consulted then Runner.Cache.find_prefix cache input ~len:prefix_len
+          else None
+      in
+      span_end st Phase.Cache t_cache;
+      (if consulted then
+         match tsink_exec st with
+         | None -> ()
+         | Some o ->
+           Obs.emit o ~exec:st.executions
+             (match snap with
+              | Some s -> Event.Cache_hit { saved = Runner.snapshot_pos s }
+              | None -> Event.Cache_miss));
+      let t_exec = span_begin st in
+      (* A resumed run is bit-identical to a cold one, so a crash while
+         resuming is the subject's and is triaged like any other. *)
+      let (run, journal), cached =
+        match snap with
+        | Some snap -> (Runner.resume snap input, true)
+        | None -> (Subject.exec_journaled st.subject machine input, false)
+      in
+      span_end st Phase.Exec t_exec;
+      (* The miss store: the cold run after a miss holds the consulted
+         prefix, which the candidate's queued siblings share. *)
+      if consulted && not cached then begin
+        let t_store = span_begin st in
+        remember cache input prefix_len (Runner.snapshot_at journal prefix_len);
+        span_end st Phase.Cache t_store
+      end;
+      e.prev_journal <- e.journal;
+      e.journal <- Some journal;
+      (run, cached)
     | None ->
-      (match st.engine with
-       | Some ({ cache; machine; _ } as e) ->
-         let t_cache = span_begin st in
-         let consulted = prefix_len > 0 && prefix_len <= String.length input in
-         let own =
-           match from with
-           | Some journal when consulted -> Runner.snapshot_at journal prefix_len
-           | _ -> None
-         in
-         let snap =
-           match own with
-           | Some _ ->
-             e.journal_hits <- e.journal_hits + 1;
-             e.journal_chars_saved <- e.journal_chars_saved + prefix_len;
-             own
-           | None ->
-             if consulted then Runner.Cache.find_prefix cache input ~len:prefix_len
-             else None
-         in
-         span_end st Phase.Cache t_cache;
-         (if consulted then
-            match tsink_exec st with
-            | None -> ()
-            | Some o ->
-              Obs.emit o ~exec:st.executions
-                (match snap with
-                 | Some s -> Event.Cache_hit { saved = Runner.snapshot_pos s }
-                 | None -> Event.Cache_miss));
-         let t_exec = span_begin st in
-         (* A resumed run is bit-identical to a cold one, so a crash
-            while resuming is the subject's and is triaged like any
-            other. *)
-         let (run, journal), cached =
-           match snap with
-           | Some snap -> (Runner.resume snap input, true)
-           | None -> (Subject.exec_journaled st.subject machine input, false)
-         in
-         span_end st Phase.Exec t_exec;
-         (* The miss store: the cold run after a miss holds the
-            consulted prefix, which the candidate's queued siblings
-            share. *)
-         if consulted && not cached then begin
-           let t_store = span_begin st in
-           remember cache input prefix_len (Runner.snapshot_at journal prefix_len);
-           span_end st Phase.Cache t_store
-         end;
-         e.prev_journal <- e.journal;
-         e.journal <- Some journal;
-         (run, cached)
-       | None ->
-         let t_exec = span_begin st in
-         let run = Subject.run st.subject input in
-         span_end st Phase.Exec t_exec;
-         (run, false))
+      let t_exec = span_begin st in
+      let run = Subject.run st.subject input in
+      span_end st Phase.Exec t_exec;
+      (run, false)
   in
   Pdf_instr.Hits.record st.hits run.Runner.touched;
   (match st.on_execution with None -> () | Some f -> f run);
@@ -596,11 +529,11 @@ let seen_add st repl =
   Dedupe.add st.seen_inputs repl
 
 (* Enqueue the member of the open sibling group [g] whose replacement
-   is [repl] and whose input is [len] long; it already passed the
-   dedupe and length gates. The queue scores it only if it starts a
-   run, so that lands in the Queue phase; the member's priority and
-   input are computed again only for a listener. *)
-let enqueue st g ~len repl =
+   is [repl]; it already passed the dedupe and length gates. The queue
+   scores it only if it starts a run, so that lands in the Queue phase;
+   the member's priority and input are computed again only for a
+   listener. *)
+let enqueue st g repl =
   st.candidates_created <- st.candidates_created + 1;
   let t_queue = span_begin st in
   Candidate_queue.push st.queue g ~repl;
@@ -612,16 +545,6 @@ let enqueue st g ~len repl =
        (Pushed
           ( Candidate_queue.score st.queue g ~repl,
             Candidate_queue.member_data st.queue g ~repl )));
-  (match tsink_exec st with
-   | None -> ()
-   | Some o ->
-     Obs.emit o ~exec:st.executions
-       (Event.Queue_push
-          {
-            prio = Candidate_queue.score st.queue g ~repl;
-            len;
-            depth = Candidate_queue.length st.queue;
-          }));
   (* Truncate with hysteresis: a truncation sorts every run, so it waits
      until the queue has doubled past its bound, at least [bound] pushes
      after the last one. *)
@@ -648,7 +571,7 @@ let push_seed st data =
         ~parents:c.parents ~avg_stack:c.avg_stack ~path_count:c.path_count
         ~parent_coverage:c.parent_coverage ~vbr:st.vbr
     in
-    enqueue st g ~len c.repl;
+    enqueue st g c.repl;
     Candidate_queue.close_group st.queue g
   end
 
@@ -702,7 +625,7 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
       then begin
         seen_add st repl;
         span_end st Phase.Gen !t_gen;
-        enqueue st group ~len repl;
+        enqueue st group repl;
         t_gen := span_begin st
       end
     in
@@ -832,6 +755,7 @@ let run_check st ~parent ~from ~prefix_len input =
             cov_delta = cov_now - cov_before;
             valid;
             len = String.length run.input;
+            depth = Candidate_queue.length st.queue;
           }));
   maybe_snapshot st;
   (valid, run)
@@ -851,7 +775,7 @@ let extend data c =
   Bytes.unsafe_set b n c;
   Bytes.unsafe_to_string b
 
-let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
+let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~rng config
     subject =
   {
     config;
@@ -872,7 +796,6 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults ~rng config
     rng;
     queue = Candidate_queue.create config.heuristic ~bound:config.queue_bound;
     on_queue_event;
-    faults;
     obs;
     sampled = (match obs with Some o -> Obs.sampled o ~exec:0 | None -> false);
     vbr = Coverage.empty;
@@ -927,7 +850,7 @@ let checkpoint_of st (current : Candidate.t) : Checkpoint.t =
     ck_crash_total = st.crash_total;
   }
 
-let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
+let restore_state ~on_valid ~on_queue_event ~on_execution ~obs
     (ck : Checkpoint.t) subject =
   if not (String.equal subject.Subject.name ck.ck_subject) then
     invalid_arg
@@ -935,7 +858,7 @@ let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
          "Pfuzzer.resume_from: checkpoint was taken for subject %S, not %S"
          ck.ck_subject subject.Subject.name);
   let st =
-    make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
+    make_state ~on_valid ~on_queue_event ~on_execution ~obs
       ~rng:(Rng.of_state ck.ck_rng) ck.ck_config subject
   in
   (* The queue snapshot is in insertion order; re-pushing in that order
@@ -976,41 +899,28 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
        ~seed:st.config.seed ~max_executions:st.config.max_executions
        ~incremental:(Option.is_some st.engine));
   let next_candidate () =
-    (* The popped priority is only ever reported to listeners; when
+    (* The popped priority is only ever reported to a listener; when
        nobody is listening, take the value-only pop and skip the
-       (prio, value) pair allocation. Both paths remove the same entry. *)
+       (prio, value) pair allocation. Both paths remove the same entry.
+       An exhausted queue restarts from a fresh random character, as at
+       the beginning of the search. *)
     match st.on_queue_event with
-    | None when tsink_exec st = None ->
+    | None ->
       let t_pop = span_begin st in
       let popped = Candidate_queue.pop st.queue in
       span_end st Phase.Queue t_pop;
       (match popped with
        | Some c -> c
        | None -> seed_of_char (random_char st))
-    | listener -> (
+    | Some f -> (
       let t_pop = span_begin st in
       let popped = Candidate_queue.pop_with_priority st.queue in
       span_end st Phase.Queue t_pop;
       match popped with
       | Some (prio, c) ->
-        (match listener with
-         | None -> ()
-         | Some f -> f (Popped (prio, c.Candidate.data)));
-        (match tsink_exec st with
-         | None -> ()
-         | Some o ->
-           Obs.emit o ~exec:st.executions
-             (Event.Queue_pop
-                {
-                  prio;
-                  len = String.length c.Candidate.data;
-                  depth = Candidate_queue.length st.queue;
-                }));
+        f (Popped (prio, c.Candidate.data));
         c
-      | None ->
-        (* Queue exhausted: restart from a fresh random character, as at
-           the beginning of the search. *)
-        seed_of_char (random_char st))
+      | None -> seed_of_char (random_char st))
   in
   (try
      let candidate = ref first in
@@ -1096,10 +1006,10 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
        else float_of_int st.executions /. wall_clock_s);
   }
 
-let fuzz ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs ?faults
+let fuzz ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
     ?(checkpoint_every = 1000) ?on_checkpoint ?(initial_inputs = []) config subject =
   let st =
-    make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
+    make_state ~on_valid ~on_queue_event ~on_execution ~obs
       ~rng:(Rng.make config.seed) config subject
   in
   List.iter (push_seed st) initial_inputs;
@@ -1107,9 +1017,9 @@ let fuzz ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs ?faults
   drive st ~first ~checkpoint_every ~on_checkpoint
 
 let resume_from ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
-    ?faults ?(checkpoint_every = 1000) ?on_checkpoint checkpoint subject =
+    ?(checkpoint_every = 1000) ?on_checkpoint checkpoint subject =
   let st, first =
-    restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
-      checkpoint subject
+    restore_state ~on_valid ~on_queue_event ~on_execution ~obs checkpoint
+      subject
   in
   drive st ~first ~checkpoint_every ~on_checkpoint

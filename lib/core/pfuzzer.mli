@@ -153,7 +153,6 @@ val fuzz :
   ?on_queue_event:(queue_event -> unit) ->
   ?on_execution:(Pdf_instr.Runner.run -> unit) ->
   ?obs:Pdf_obs.Observer.t ->
-  ?faults:Pdf_fault.Fault.plan ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Checkpoint.t -> unit) ->
   ?initial_inputs:string list ->
@@ -168,12 +167,9 @@ val fuzz :
     priority monotonicity. [on_execution] observes every completed run in
     execution order — the incremental≡full equivalence invariant compares
     these streams. [obs] attaches a telemetry observer: structured trace
-    events, per-phase timing spans, periodic status snapshots — when
-    absent (the default) the telemetry paths cost one branch and allocate
-    nothing. [faults] installs a deterministic chaos plan: planned
-    execution indices are degraded (crash, hang, slow-down) instead
-    of executed normally, and the campaign must keep
-    going. [on_checkpoint] is called with a fresh {!Checkpoint.t} at the
+    events, per-phase timing spans, a live status line — when absent
+    (the default) the telemetry paths cost one branch and allocate
+    nothing. [on_checkpoint] is called with a fresh {!Checkpoint.t} at the
     first loop-top instant (one candidate is up to two executions) at
     least [checkpoint_every] (default 1000) executions after the
     previous one;
@@ -196,7 +192,6 @@ val resume_from :
   ?on_queue_event:(queue_event -> unit) ->
   ?on_execution:(Pdf_instr.Runner.run -> unit) ->
   ?obs:Pdf_obs.Observer.t ->
-  ?faults:Pdf_fault.Fault.plan ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Checkpoint.t -> unit) ->
   Checkpoint.t ->

@@ -45,7 +45,7 @@ let empty_outcome tool ~subject =
 let throughput ~executions wall_clock_s =
   if wall_clock_s <= 0.0 then 0.0 else float_of_int executions /. wall_clock_s
 
-let run ?(incremental = true) ?obs ?faults ?checkpoint_every ?on_checkpoint ?resume_from ?on_execution tool
+let run ?(incremental = true) ?obs ?checkpoint_every ?on_checkpoint ?resume_from ?on_execution tool
     ~budget_units ~seed subject =
   let max_executions = max 1 (budget_units / cost_per_execution tool) in
   match tool with
@@ -93,7 +93,7 @@ let run ?(incremental = true) ?obs ?faults ?checkpoint_every ?on_checkpoint ?res
     let result =
       match resume_from with
       | Some checkpoint ->
-        Pdf_core.Pfuzzer.resume_from ?obs ?faults ?checkpoint_every
+        Pdf_core.Pfuzzer.resume_from ?obs ?checkpoint_every
           ?on_checkpoint ?on_execution checkpoint subject
       | None ->
         let config =
@@ -104,7 +104,7 @@ let run ?(incremental = true) ?obs ?faults ?checkpoint_every ?on_checkpoint ?res
             incremental;
           }
         in
-        Pdf_core.Pfuzzer.fuzz ?obs ?faults ?checkpoint_every ?on_checkpoint
+        Pdf_core.Pfuzzer.fuzz ?obs ?checkpoint_every ?on_checkpoint
           ?on_execution config subject
     in
     {

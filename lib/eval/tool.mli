@@ -41,7 +41,6 @@ val empty_outcome : name -> subject:string -> outcome
 val run :
   ?incremental:bool ->
   ?obs:Pdf_obs.Observer.t ->
-  ?faults:Pdf_fault.Fault.plan ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Pdf_core.Pfuzzer.Checkpoint.t -> unit) ->
   ?resume_from:Pdf_core.Pfuzzer.Checkpoint.t ->
@@ -52,8 +51,7 @@ val run :
     the other tools ignore it. [obs] attaches a telemetry observer to
     pFuzzer's run (the other tools are merely wall-clock timed). The
     resilience arguments apply to pFuzzer only and are ignored by AFL and
-    KLEE: [faults] installs a deterministic chaos plan, [on_checkpoint]
-    receives a checkpoint every [checkpoint_every] executions,
-    [resume_from] continues a checkpointed campaign (its config overrides
-    [budget_units] and [seed]), and [on_execution] observes every
-    completed run. *)
+    KLEE: [on_checkpoint] receives a checkpoint every [checkpoint_every]
+    executions, [resume_from] continues a checkpointed campaign (its
+    config overrides [budget_units] and [seed]), and [on_execution]
+    observes every completed run. *)

@@ -1,4 +1,5 @@
 module Rng = Pdf_util.Rng
+module Subject = Pdf_subjects.Subject
 
 exception Injected of string
 
@@ -6,11 +7,6 @@ type kind =
   | Raise of string
   | Starve_fuel
   | Slow of int
-
-let kind_label = function
-  | Raise _ -> "raise"
-  | Starve_fuel -> "starve_fuel"
-  | Slow _ -> "slow"
 
 type plan = { faults : (int, kind) Hashtbl.t; mutable triggered_rev : (int * kind) list }
 
@@ -37,23 +33,50 @@ let seeded ~seed ~executions ~count =
   else begin
     let rng = Rng.make (0x7a17 lxor seed) in
     let faults = Hashtbl.create count in
-    (* Sample without replacement so [count] distinct executions fault. *)
+    (* Sample without replacement so [count] distinct executions fault,
+       and deal the kinds round-robin, so that a plan of three or more
+       faults holds every kind. *)
     let attempts = ref 0 in
     while Hashtbl.length faults < min count executions && !attempts < count * 64 do
       incr attempts;
       (* Index 0 is the campaign's very first execution; keep it faultable. *)
       let index = Rng.int rng executions in
-      if not (Hashtbl.mem faults index) then
-        Hashtbl.replace faults index ((Rng.choose rng seeded_kinds) rng)
+      if not (Hashtbl.mem faults index) then begin
+        let deal = seeded_kinds.(Hashtbl.length faults mod Array.length seeded_kinds) in
+        Hashtbl.replace faults index (deal rng)
+      end
     done;
     { faults; triggered_rev = [] }
   end
 
-let consume plan index =
-  match Hashtbl.find_opt plan.faults index with
-  | None -> None
-  | Some kind as hit ->
-    plan.triggered_rev <- (index, kind) :: plan.triggered_rev;
-    hit
+(* Busy-wait used by [Slow] faults: deterministic work the optimizer
+   cannot delete, with no observable effect besides wall clock. *)
+let spin n =
+  let acc = ref 0 in
+  for i = 1 to n do
+    acc := !acc + (i land 7)
+  done;
+  ignore (Sys.opaque_identity !acc)
+
+(* [Starve_fuel] raises [Out_of_fuel] before the parse makes any
+   progress: a guaranteed [Hang] for every subject, including those
+   whose parsers never consume fuel themselves. *)
+let subject plan (s : Subject.t) =
+  let calls = ref 0 in
+  let parse ctx =
+    let index = !calls in
+    incr calls;
+    match Hashtbl.find_opt plan.faults index with
+    | None -> s.parse ctx
+    | Some kind -> (
+      plan.triggered_rev <- (index, kind) :: plan.triggered_rev;
+      match kind with
+      | Raise msg -> raise (Injected msg)
+      | Starve_fuel -> raise Pdf_instr.Ctx.Out_of_fuel
+      | Slow n ->
+        spin n;
+        s.parse ctx)
+  in
+  { s with machine = None; parse }
 
 let triggered plan = List.rev plan.triggered_rev

@@ -1,14 +1,15 @@
 (** Deterministic fault injection for resilience testing.
 
-    A {!plan} maps execution indices (0-based, in campaign order) to
-    faults. The fuzzer consults the plan before each execution and — when
-    an index is planned — degrades that one execution instead of running
-    the subject normally. Because plans are keyed on the deterministic
-    execution counter and built from a seed, a chaos run is exactly
-    reproducible: same plan, same faults, same campaign.
+    A {!plan} maps call indices (0-based) to faults, and {!subject}
+    wraps a subject so that its parse meets the fault planned for its
+    own call count. The wrapped subject has no machine form, so the
+    fuzzer runs every execution as one cold parse and call [i] is
+    execution [i] of the campaign. Because plans are built from a list
+    or a seed, a chaos run is exactly reproducible: same plan, same
+    faults, same campaign.
 
-    The plan mutates only on the driving domain (it records which faults
-    actually fired); it is not safe to share across domains. *)
+    The plan records which faults fired; it mutates on the domain that
+    parses and is not safe to share across domains. *)
 
 exception Injected of string
 (** The exception a {!Raise} fault makes the subject throw. Contained by
@@ -35,16 +36,15 @@ val of_list : (int * kind) list -> plan
 
 val seeded : seed:int -> executions:int -> count:int -> plan
 (** [seeded ~seed ~executions ~count] draws [count] distinct execution
-    indices in [\[0, executions)] and assigns each a fault kind
-    (uniformly among [Raise]/[Starve_fuel]/[Slow]),
-    deterministically from [seed]. *)
+    indices in [\[0, executions)], deterministically from [seed], and
+    deals them the kinds [Raise], [Starve_fuel] and [Slow] round-robin
+    in draw order, so any [count >= 3] plans every kind. *)
 
-val consume : plan -> int -> kind option
-(** Look up, recording the hit in the trigger log when present. The
-    fuzzer calls this once per execution index. *)
+val subject : plan -> Pdf_subjects.Subject.t -> Pdf_subjects.Subject.t
+(** [subject plan s] is [s] without its machine form, whose parse
+    counts its calls from 0 and degrades call [i] by the fault planned
+    for [i], recording it in {!triggered}. Unplanned calls parse as [s]
+    does, so with an empty plan every run equals the bare subject's. *)
 
 val triggered : plan -> (int * kind) list
 (** Faults that actually fired, in firing order. *)
-
-val kind_label : kind -> string
-(** Short stable label for events/logs: ["raise"], ["starve_fuel"], … *)

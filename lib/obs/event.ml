@@ -17,27 +17,14 @@ type t =
       cov_delta : int;
       valid : bool;
       len : int;
+      depth : int;
     }
   | Valid of { input : string; cov : int; count : int }
-  | Queue_push of { prio : float; len : int; depth : int }
-  | Queue_pop of { prio : float; len : int; depth : int }
   | Cache_hit of { saved : int }
   | Cache_miss
   | Hang of { total : int }
   | Crash of { exn : string; site : int; fresh : bool; total : int }
-  | Fault of { kind : string }
   | Retry of { what : string; attempt : int; detail : string }
-  | Snapshot of {
-      execs_per_sec : float;
-      depth : int;
-      valid : int;
-      cov : int;
-      hits : int;
-      misses : int;
-      plateau : int;
-      hangs : int;
-      crashes : int;
-    }
   | Phases of { spans : (string * int) list; wall_ns : int }
   | Run_done of { valid : int; cov : int; wall_ns : int; execs_per_sec : float }
 
@@ -48,15 +35,11 @@ let kind = function
   | Cell _ -> "cell"
   | Exec_done _ -> "exec_done"
   | Valid _ -> "valid"
-  | Queue_push _ -> "queue_push"
-  | Queue_pop _ -> "queue_pop"
   | Cache_hit _ -> "cache_hit"
   | Cache_miss -> "cache_miss"
   | Hang _ -> "hang"
   | Crash _ -> "crash"
-  | Fault _ -> "fault"
   | Retry _ -> "retry"
-  | Snapshot _ -> "snapshot"
   | Phases _ -> "phases"
   | Run_done _ -> "run_done"
 
@@ -86,10 +69,9 @@ let fields ev =
       ("cov_delta", I e.cov_delta);
       ("valid", B e.valid);
       ("len", I e.len);
+      ("depth", I e.depth);
     ]
   | Valid v -> [ ("input", S v.input); ("cov", I v.cov); ("count", I v.count) ]
-  | Queue_push q -> [ ("prio", F q.prio); ("len", I q.len); ("depth", I q.depth) ]
-  | Queue_pop q -> [ ("prio", F q.prio); ("len", I q.len); ("depth", I q.depth) ]
   | Cache_hit c -> [ ("saved", I c.saved) ]
   | Cache_miss -> []
   | Hang h -> [ ("total", I h.total) ]
@@ -100,21 +82,8 @@ let fields ev =
       ("fresh", B c.fresh);
       ("total", I c.total);
     ]
-  | Fault fa -> [ ("kind", S fa.kind) ]
   | Retry r ->
     [ ("what", S r.what); ("attempt", I r.attempt); ("detail", S r.detail) ]
-  | Snapshot s ->
-    [
-      ("execs_per_sec", F s.execs_per_sec);
-      ("depth", I s.depth);
-      ("valid", I s.valid);
-      ("cov", I s.cov);
-      ("hits", I s.hits);
-      ("misses", I s.misses);
-      ("plateau", I s.plateau);
-      ("hangs", I s.hangs);
-      ("crashes", I s.crashes);
-    ]
   | Phases p ->
     List.map (fun (name, ns) -> (name ^ "_ns", Json.I ns)) p.spans
     @ [ ("wall_ns", I p.wall_ns) ]
@@ -151,9 +120,9 @@ let bool_field fields k =
   | _ -> Json.fail "missing bool field %S" k
 
 (* Traces written before a field existed parse with its default, so old
-   traces keep loading across schema growth ([sample] arrived after the
-   first release of the format). Fields a trace carries that this build
-   no longer knows are ignored. *)
+   traces keep loading across schema growth ([sample] and [exec_done]'s
+   [depth] arrived after the first release of the format). Fields a
+   trace carries that this build no longer knows are ignored. *)
 let int_field_default fields k default =
   match get fields k with Some (Json.I i) -> i | _ -> default
 
@@ -197,6 +166,7 @@ let of_fields fields =
           cov_delta = int_field f "cov_delta";
           valid = bool_field f "valid";
           len = int_field f "len";
+          depth = int_field_default f "depth" 0;
         }
     | "valid" ->
       Valid
@@ -204,20 +174,6 @@ let of_fields fields =
           input = str_field f "input";
           cov = int_field f "cov";
           count = int_field f "count";
-        }
-    | "queue_push" ->
-      Queue_push
-        {
-          prio = float_field f "prio";
-          len = int_field f "len";
-          depth = int_field f "depth";
-        }
-    | "queue_pop" ->
-      Queue_pop
-        {
-          prio = float_field f "prio";
-          len = int_field f "len";
-          depth = int_field f "depth";
         }
     | "cache_hit" -> Cache_hit { saved = int_field f "saved" }
     | "cache_miss" -> Cache_miss
@@ -230,26 +186,12 @@ let of_fields fields =
           fresh = bool_field f "fresh";
           total = int_field f "total";
         }
-    | "fault" -> Fault { kind = str_field f "kind" }
     | "retry" ->
       Retry
         {
           what = str_field f "what";
           attempt = int_field f "attempt";
           detail = str_field f "detail";
-        }
-    | "snapshot" ->
-      Snapshot
-        {
-          execs_per_sec = float_field f "execs_per_sec";
-          depth = int_field f "depth";
-          valid = int_field f "valid";
-          cov = int_field f "cov";
-          hits = int_field f "hits";
-          misses = int_field f "misses";
-          plateau = int_field f "plateau";
-          hangs = int_field f "hangs";
-          crashes = int_field f "crashes";
         }
     | "phases" ->
       let spans =

@@ -30,10 +30,11 @@ type t =
       cov_delta : int;  (** branches this execution added to it *)
       valid : bool;
       len : int;
+      depth : int;
+          (** candidate-queue length when the event was recorded; 0 when
+              a trace predates the field *)
     }
   | Valid of { input : string; cov : int; count : int }
-  | Queue_push of { prio : float; len : int; depth : int }
-  | Queue_pop of { prio : float; len : int; depth : int }
   | Cache_hit of { saved : int }  (** [saved] prefix chars not re-parsed *)
   | Cache_miss
   | Hang of { total : int }
@@ -43,23 +44,9 @@ type t =
       (** the subject crashed; [fresh] marks the first sighting of this
           [(exn, site)] identity, duplicates have [fresh = false];
           [total] is the cumulative crash count *)
-  | Fault of { kind : string }
-      (** a planned fault fired at this execution (chaos runs only);
-          [kind] is the {!Pdf_fault.Fault.kind_label} *)
   | Retry of { what : string; attempt : int; detail : string }
       (** a failed unit of work (e.g. an evaluation-grid cell) is being
           retried; [attempt] counts from 1 *)
-  | Snapshot of {
-      execs_per_sec : float;
-      depth : int;
-      valid : int;
-      cov : int;
-      hits : int;
-      misses : int;
-      plateau : int;  (** executions since valid coverage last grew *)
-      hangs : int;
-      crashes : int;
-    }  (** periodic status sample, driving the live progress line *)
   | Phases of { spans : (string * int) list; wall_ns : int }
       (** cumulative per-phase wall-clock spans at end of run; spans
           serialize as one [<name>_ns] field each *)

@@ -32,10 +32,8 @@ let create ?(clock = Clock.now_ns) ?sink ?(sample = 1) ?metrics ?progress () =
               (List.map
                  (fun p -> Metrics.histogram m ("phase/" ^ Phase.name p ^ "_ns"))
                  Phase.all)));
-    (* Snapshots fire on the progress cadence only: a trace without a
-       live status line stays structurally deterministic (no
-       time-driven events), which the jobs:1 ≡ jobs:N merged-trace
-       check relies on. *)
+    (* Snapshots only repaint the live status line, so they fire on its
+       cadence and never without it. *)
     snapshot_interval_ns =
       (match progress with Some p -> max 1 (Progress.interval_ns p) | None -> 0);
     max_executions = 0;
@@ -103,19 +101,6 @@ let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~plateau ~hangs ~crashes =
   let execs_per_sec = rate t ~now ~exec in
   t.last_snap_t <- now;
   t.last_snap_exec <- exec;
-  emit t ~exec
-    (Event.Snapshot
-       {
-         execs_per_sec;
-         depth;
-         valid;
-         cov;
-         hits;
-         misses;
-         plateau;
-         hangs;
-         crashes;
-       });
   match t.progress with
   | None -> ()
   | Some p ->

@@ -37,7 +37,8 @@ val sampled : t -> exec:int -> bool
     event and phase span of that iteration follows the answer. It is a
     deterministic hash of the count (never wall clock), so jobs:1 and
     jobs:N shards sample identical iterations; always true at
-    [sample = 1]. Structural events (valid, crash, hang, fault, lifecycle) are not subject to sampling. At [sample > 1] the span
+    [sample = 1]. Structural events (valid, crash, hang, lifecycle) are
+    not subject to sampling. At [sample > 1] the span
     totals and histograms cover only the sampled iterations — that is
     what keeps the sampled mode within a few percent of an unobserved
     run. *)
@@ -74,8 +75,7 @@ val run_meta :
 
 val snapshot_due : t -> bool
 (** True when the status cadence has elapsed. Always false without a
-    progress line, so purely-traced runs contain no time-driven events
-    and merged traces stay deterministic. *)
+    progress line. *)
 
 val snapshot :
   t ->
@@ -89,8 +89,8 @@ val snapshot :
   hangs:int ->
   crashes:int ->
   unit
-(** Emit a {!Event.Snapshot} and repaint the live line. Throughput is
-    computed from the delta since the previous snapshot. *)
+(** Repaint the live line. Throughput is computed from the delta since
+    the previous snapshot. Nothing is written to the trace. *)
 
 val finish : t -> exec:int -> valid:int -> cov:int -> unit
 (** End of run: emit {!Event.Phases} (with p50/p99 per phase when

@@ -28,9 +28,8 @@ let buffer () =
    Writes the JSON-array flavour of the trace_event format, loadable in
    chrome://tracing and Perfetto; `trace-report --chrome' replays a
    JSONL trace through it. Executions become complete ("X")
-   spans, valid inputs instant events, coverage and queue depth counter
-   tracks; high-frequency queue push/pop events are folded into the
-   depth counter rather than emitted individually. *)
+   spans, valid inputs instant events, and each execution's coverage
+   and queue depth two counter tracks. *)
 
 let chrome oc =
   let first = ref true in
@@ -84,6 +83,14 @@ let chrome oc =
            ("ts", F (us s.t_ns));
            ("branches", I e.cov);
          ]
+        @ base);
+      entry
+        ([
+           ("name", S "queue_depth");
+           ("ph", S "C");
+           ("ts", F (us s.t_ns));
+           ("depth", I e.depth);
+         ]
         @ base)
     | Event.Valid v ->
       entry
@@ -94,15 +101,6 @@ let chrome oc =
            ("s", S "g");
            ("input", S v.input);
            ("count", I v.count);
-         ]
-        @ base)
-    | Event.Queue_push { depth; _ } | Event.Queue_pop { depth; _ } ->
-      entry
-        ([
-           ("name", S "queue_depth");
-           ("ph", S "C");
-           ("ts", F (us s.t_ns));
-           ("depth", I depth);
          ]
         @ base)
     | Event.Phases p ->
@@ -127,16 +125,19 @@ let chrome oc =
 
 (* {1 Reading and normalizing} *)
 
-(* Kinds that older builds emitted and this build no longer has: five
-   search-loop events nothing read, the prefix cache's cold
-   re-execution of a crashed resume, and the campaign coordinator's
-   shard plan and worker lifecycle. Their lines are skipped, so those
+(* Kinds that older builds emitted and this build no longer has: seven
+   search-loop events (the queue's push and pop were read only for a
+   depth that [exec_done] now carries), the prefix cache's cold
+   re-execution of a crashed resume, the campaign coordinator's shard
+   plan and worker lifecycle, the live line's periodic status sample
+   and the fuzzer's own fault hook. Their lines are skipped, so those
    traces still load; any other kind this build does not know is an
    error. *)
 let retired =
   [
-    "exec_start"; "queue_rerank"; "queue_trunc"; "cache_evict"; "reset"; "rescue";
-    "shard"; "worker_spawn"; "worker_frame"; "worker_exit";
+    "exec_start"; "queue_rerank"; "queue_trunc"; "queue_push"; "queue_pop";
+    "cache_evict"; "reset"; "rescue"; "shard"; "worker_spawn"; "worker_frame";
+    "worker_exit"; "snapshot"; "fault";
   ]
 
 let is_retired line =

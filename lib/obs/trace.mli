@@ -22,18 +22,20 @@ val chrome : out_channel -> sink
 (** Converter to a Chrome [trace_event] JSON array for chrome://tracing
     and Perfetto, fed the events of a recorded trace ([trace-report
     --chrome]): executions as complete spans, valid inputs as instant
-    events, coverage and queue depth as counter tracks, final phase
-    totals as spans on a second thread lane. {!close} writes the
-    closing bracket — forgetting it produces an unloadable file. *)
+    events, each execution's coverage and queue depth as counter
+    tracks, final phase totals as spans on a second thread lane.
+    {!close} writes the closing bracket — forgetting it produces an
+    unloadable file. *)
 
 val buffer : unit -> sink * (unit -> string)
 (** In-memory JSONL sink and an accessor for its contents so far. *)
 
 val read_file : string -> Event.stamped list
 (** Parse a JSONL trace file. Blank lines are skipped, and so are lines
-    of the ten event kinds that older builds emitted from the search
-    loop, the prefix cache or the campaign coordinator and this one no
-    longer has, so their traces still load. Raises [Failure] with the
+    of the fourteen event kinds that older builds emitted from the
+    search loop, the prefix cache, the campaign coordinator, the live
+    status line or the fault hook and this one no longer has, so their
+    traces still load. Raises [Failure] with the
     offending line number on malformed input, including a line of any
     other unknown kind. *)
 

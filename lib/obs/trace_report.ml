@@ -37,7 +37,6 @@ type t = {
   hangs : int;
   crashes : int;
   crash_unique : int;  (* distinct (exn, site) identities *)
-  faults : int;  (* injected faults that fired (chaos runs) *)
 }
 
 (* Split a trace into runs. A merged evaluate trace heads each cell
@@ -83,7 +82,6 @@ let analyse ?(top = 10) ?cell events =
   let hangs = ref 0 in
   let crashes = ref 0 in
   let crash_unique = ref 0 in
-  let faults = ref 0 in
   List.iter
     (fun (s : Event.stamped) ->
       last_t := max !last_t s.t_ns;
@@ -120,7 +118,6 @@ let analyse ?(top = 10) ?cell events =
       | Event.Crash c ->
         crashes := max !crashes c.total;
         if c.fresh then incr crash_unique
-      | Event.Fault _ -> incr faults
       | Event.Phases p ->
         phases := List.filter (fun (name, _) -> List.mem name known_phases) p.spans;
         phase_percentiles :=
@@ -164,7 +161,6 @@ let analyse ?(top = 10) ?cell events =
     hangs = !hangs;
     crashes = !crashes;
     crash_unique = !crash_unique;
-    faults = !faults;
   }
 
 (* Thin the per-execution curve to at most [rows] evenly spaced points
@@ -232,12 +228,9 @@ let render ?(rows = 20) ppf t =
     Format.fprintf ppf "prefix cache: %d hits, %d misses (%.1f%% hit rate)@."
       t.cache_hits t.cache_misses
       (100.0 *. float_of_int t.cache_hits /. float_of_int (t.cache_hits + t.cache_misses));
-  if t.hangs + t.crashes + t.faults > 0 then begin
-    Format.fprintf ppf "resilience: %d hangs, %d crashes (%d unique)" t.hangs
+  if t.hangs + t.crashes > 0 then
+    Format.fprintf ppf "resilience: %d hangs, %d crashes (%d unique)@." t.hangs
       t.crashes t.crash_unique;
-    if t.faults > 0 then Format.fprintf ppf ", %d injected faults" t.faults;
-    Format.fprintf ppf "@."
-  end;
   (* Coverage over time: the paper's Figure 2 as a table + bar chart. *)
   let buckets = bucketed ~rows t in
   let outcomes = match t.meta with Some m -> m.outcomes | None -> 0 in

@@ -42,7 +42,6 @@ type t = {
   hangs : int;  (** cumulative fuel-exhaustion count *)
   crashes : int;  (** cumulative contained-crash count *)
   crash_unique : int;  (** distinct (exn, site) crash identities *)
-  faults : int;  (** injected faults that fired (chaos runs only) *)
 }
 
 val analyse : ?top:int -> ?cell:string * string * int -> Event.stamped list -> t

@@ -26,7 +26,7 @@ let tok_eq a b =
     true
   | (Sym _ | Kw_if | Kw_else | Kw_while | Kw_do | Id _ | Num _ | Eof), _ -> false
 
-(* The subject is functorised so the paper-faithful parser and the Â§7.2
+(* The subject is functorised so the paper-faithful parser and the §7.2
    token-taint variant share one implementation: the only difference is
    whether a token-kind expectation emits a comparison event at the
    token's input position. *)
@@ -169,7 +169,7 @@ let advance st =
 
 (* Token-kind expectation. The lexer's dispatch comparisons already
    happened; the structural check here has no data flow from the input
-   (Â§7.2), unless the token-taint extension re-attaches it. *)
+   (§7.2), unless the token-taint extension re-attaches it. *)
 let expect_sym st c site =
   let matched = tok_eq st.tok (Sym c) in
   let matched =
@@ -448,7 +448,7 @@ let subject =
 let subject_semantic =
   {
     Subject.name = "tinyc-sem";
-    description = "Tiny-C with Â§7.3 semantic checks (use before assignment)";
+    description = "Tiny-C with §7.3 semantic checks (use before assignment)";
     registry = Semantic.registry;
     parse = Semantic.parse;
     machine = None;
@@ -461,7 +461,7 @@ let subject_semantic =
 let subject_token_taints =
   {
     Subject.name = "tinyc-tt";
-    description = "Tiny-C with Â§7.2 token-taint recovery";
+    description = "Tiny-C with §7.2 token-taint recovery";
     registry = Token_taints.registry;
     parse = Token_taints.parse;
     machine = None;

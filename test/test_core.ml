@@ -224,24 +224,7 @@ let test_incremental_equivalence () =
         || not (Coverage.equal a.coverage b.coverage)
         || a.touched <> b.touched || a.eof_access <> b.eof_access
       then Alcotest.failf "streams diverge at input %S" a.input)
-    runs_on runs_off;
-  (* A starved candidate leaves no journal, so its extension probe must
-     not resume from one an earlier loop iteration left behind. *)
-  List.iter
-    (fun name ->
-      let run incremental =
-        Pfuzzer.fuzz
-          ~faults:
-            (Pdf_fault.Fault.of_list
-               (List.init 40 (fun i -> (7 + (13 * i), Pdf_fault.Fault.Starve_fuel))))
-          { Pfuzzer.default_config with max_executions = 600; incremental }
-          (Catalog.find name)
-      in
-      Alcotest.(check bool)
-        (name ^ ": starved campaigns identical on and off")
-        true
-        (Pdf_check.Invariants.results_equal (run true) (run false)))
-    [ "ini"; "csv" ]
+    runs_on runs_off
 
 let test_cache_stats_sanity () =
   let subject = Catalog.find "expr" in
@@ -450,9 +433,9 @@ let test_fault_plan_crash_corpus () =
     Fault.of_list (List.map (fun i -> (i, Fault.Raise "chaos raise")) indices)
   in
   let r =
-    Pfuzzer.fuzz ~faults:plan
+    Pfuzzer.fuzz
       { Pfuzzer.default_config with max_executions = 600 }
-      subject
+      (Fault.subject plan subject)
   in
   let fired = List.length (Fault.triggered plan) in
   Alcotest.(check int) "every planned fault fired" (List.length indices) fired;
@@ -475,15 +458,50 @@ let test_fault_plan_starvation_hangs () =
   let subject = Catalog.find "expr" in
   let plan = Fault.of_list [ (10, Fault.Starve_fuel); (20, Fault.Starve_fuel) ] in
   let r =
-    Pfuzzer.fuzz ~faults:plan
+    Pfuzzer.fuzz
       { Pfuzzer.default_config with max_executions = 200 }
-      subject
+      (Fault.subject plan subject)
   in
   Alcotest.(check int) "both starvations fired" 2
     (List.length (Fault.triggered plan));
   Alcotest.(check bool) "starvations surface as hangs" true (r.hangs >= 2);
   Alcotest.(check int) "no crashes" 0 r.crash_total;
   Alcotest.(check int) "campaign ran to its budget" 200 r.executions
+
+(* With no fault planned, the wrapped subject is the bare one: on json
+   the wrapper also drops the machine form, so this compares a campaign
+   with the prefix cache on against one with no cache at all. *)
+let test_empty_fault_plan_is_bare () =
+  List.iter
+    (fun name ->
+      let subject = Catalog.find name in
+      let config = { Pfuzzer.default_config with max_executions = 2000 } in
+      let wrapped = Fault.subject (Fault.of_list []) subject in
+      Alcotest.(check bool)
+        (name ^ ": wrapper drops the machine form")
+        true (wrapped.Subject.machine = None);
+      Alcotest.(check bool)
+        (name ^ ": empty plan = bare subject")
+        true
+        (Pdf_check.Invariants.results_equal
+           (Pfuzzer.fuzz config subject)
+           (Pfuzzer.fuzz config wrapped)))
+    [ "json"; "tinyc" ]
+
+(* The wrapper's call count is the campaign's execution index: a fault
+   at index 0 hits the very first execution. *)
+let test_fault_at_first_execution () =
+  let plan = Fault.of_list [ (0, Fault.Raise "first") ] in
+  let r =
+    Pfuzzer.fuzz
+      { Pfuzzer.default_config with max_executions = 100 }
+      (Fault.subject plan (Catalog.find "json"))
+  in
+  Alcotest.(check (list int)) "fired at index 0" [ 0 ]
+    (List.map fst (Fault.triggered plan));
+  match r.crashes with
+  | [ c ] -> Alcotest.(check int) "first execution crashed" 1 c.first_at
+  | l -> Alcotest.failf "expected one crash identity, got %d" (List.length l)
 
 (* {1 Run streams} *)
 
@@ -594,9 +612,9 @@ let test_crash_mid_loop () =
     Fault.of_list (List.map (fun i -> (i, Fault.Raise "mid-loop chaos")) indices)
   in
   let r =
-    Pfuzzer.fuzz ~faults:plan
+    Pfuzzer.fuzz
       { Pfuzzer.default_config with max_executions = 200 }
-      subject
+      (Fault.subject plan subject)
   in
   Alcotest.(check int) "every mid-loop fault fired" (List.length indices)
     (List.length (Fault.triggered plan));
@@ -1316,6 +1334,10 @@ let () =
             test_resume_rejects_wrong_subject;
           Alcotest.test_case "fault plan builds a crash corpus" `Quick
             test_fault_plan_crash_corpus;
+          Alcotest.test_case "empty fault plan is the bare subject" `Quick
+            test_empty_fault_plan_is_bare;
+          Alcotest.test_case "a fault at index 0 hits the first execution" `Quick
+            test_fault_at_first_execution;
           Alcotest.test_case "starvation faults surface as hangs" `Quick
             test_fault_plan_starvation_hangs;
         ] );

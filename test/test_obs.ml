@@ -47,31 +47,15 @@ let golden =
              cov_delta = 0;
              valid = false;
              len = 3;
+             depth = 6;
            }),
-      {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3}|}
+      {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3,"depth":6}|}
     );
     ( stamp 30 2 (Event.Valid { input = "a\tb\xff"; cov = 12; count = 1 }),
       {|{"ev":"valid","t":30,"n":2,"input":"a\tb\u00ff","cov":12,"count":1}|} );
-    ( stamp 40 2 (Event.Queue_push { prio = 1.5; len = 4; depth = 9 }),
-      {|{"ev":"queue_push","t":40,"n":2,"prio":1.5,"len":4,"depth":9}|} );
     ( stamp 50 2 (Event.Cache_hit { saved = 7 }),
       {|{"ev":"cache_hit","t":50,"n":2,"saved":7}|} );
     ( stamp 55 2 Event.Cache_miss, {|{"ev":"cache_miss","t":55,"n":2}|} );
-    ( stamp 70 4
-        (Event.Snapshot
-           {
-             execs_per_sec = 1234.0;
-             depth = 5;
-             valid = 1;
-             cov = 12;
-             hits = 3;
-             misses = 1;
-             plateau = 2;
-             hangs = 1;
-             crashes = 0;
-           }),
-      {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"plateau":2,"hangs":1,"crashes":0}|}
-    );
     ( stamp 72 4 (Event.Hang { total = 3 }),
       {|{"ev":"hang","t":72,"n":4,"total":3}|} );
     ( stamp 74 4
@@ -79,8 +63,6 @@ let golden =
            { exn = "Stdlib.Failure"; site = 0x1a2b; fresh = true; total = 1 }),
       {|{"ev":"crash","t":74,"n":4,"exn":"Stdlib.Failure","site":6699,"fresh":true,"total":1}|}
     );
-    ( stamp 76 4 (Event.Fault { kind = "starve_fuel" }),
-      {|{"ev":"fault","t":76,"n":4,"kind":"starve_fuel"}|} );
     ( stamp 78 4 (Event.Retry { what = "cell"; attempt = 2; detail = "oops" }),
       {|{"ev":"retry","t":78,"n":4,"what":"cell","attempt":2,"detail":"oops"}|}
     );
@@ -117,24 +99,16 @@ let test_round_trip () =
   Alcotest.check_raises "malformed line rejected" (Json.Malformed "expected '{' at 0")
     (fun () -> ignore (Event.of_json_line "not json"));
   (* Traces written while executions still carried an execution-tier
-     tag keep loading: the retired field is ignored. *)
+     tag, and before they carried the queue depth, keep loading: the
+     retired field is ignored and the depth reads 0. *)
   let old_line =
     {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","engine":"compiled","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3}|}
   in
   (match (Event.of_json_line old_line).Event.ev with
    | Event.Exec_done e ->
      check Alcotest.int "old exec_done parses" 2 e.sub_index;
-     check Alcotest.string "old exec_done verdict" "rejected" e.verdict
-   | _ -> Alcotest.fail "wrong event kind");
-  (* Snapshot lines written while the cache still counted rescues keep
-     loading: the retired column is ignored. *)
-  let old_snapshot =
-    {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"rescues":2,"plateau":2,"hangs":1,"crashes":0}|}
-  in
-  (match (Event.of_json_line old_snapshot).Event.ev with
-   | Event.Snapshot s ->
-     check Alcotest.int "old snapshot misses" 1 s.misses;
-     check Alcotest.int "old snapshot plateau" 2 s.plateau
+     check Alcotest.string "old exec_done verdict" "rejected" e.verdict;
+     check Alcotest.int "old exec_done depth" 0 e.depth
    | _ -> Alcotest.fail "wrong event kind");
   (* Run headers written before the sample rate was recorded read as
      unsampled. *)
@@ -428,6 +402,7 @@ let exec_done ~valid =
       cov_delta = 0;
       valid;
       len = 2;
+      depth = 0;
     }
 
 (* Each report's cell, and its run_meta seed, executions and valid
@@ -490,6 +465,7 @@ let test_trace_report_headerless_run () =
     [ stamp 1 1 (exec_done ~valid:false); stamp 2 2 (exec_done ~valid:true) ];
   check_runs "an empty trace has no runs" [] []
 
+(* Every execution draws one point of the queue-depth track. *)
 let test_chrome_sink () =
   let _, events = traced_run () in
   let path = Filename.temp_file "pdf_obs" ".chrome.json" in
@@ -506,7 +482,21 @@ let test_chrome_sink () =
   let trimmed = String.trim content in
   check Alcotest.bool "nonempty" true (String.length trimmed > 2);
   check Alcotest.char "opens array" '[' trimmed.[0];
-  check Alcotest.char "closes array" ']' trimmed.[String.length trimmed - 1]
+  check Alcotest.char "closes array" ']' trimmed.[String.length trimmed - 1];
+  let depth_points =
+    List.length
+      (List.filter
+         (fun l ->
+           String.starts_with ~prefix:{|{"name":"queue_depth"|} (String.trim l))
+         (String.split_on_char '\n' content))
+  in
+  check Alcotest.int "one queue-depth point per execution"
+    (List.length
+       (List.filter
+          (fun (s : Event.stamped) ->
+            match s.ev with Event.Exec_done _ -> true | _ -> false)
+          events))
+    depth_points
 
 (* {1 The disabled path allocates within the fuzzer's own budget}
 
@@ -668,7 +658,7 @@ let test_sampling_is_uniform () =
       Alcotest.failf "%s: %d at sample 10, expected %.1f +- %.1f" what got expected spread
   in
   let structural =
-    [ "run_meta"; "valid"; "hang"; "crash"; "fault"; "phases"; "run_done" ]
+    [ "run_meta"; "valid"; "hang"; "crash"; "phases"; "run_done" ]
   in
   List.iter
     (fun k -> check Alcotest.int (k ^ " never sampled") (count full_kinds k) (count kinds k))
@@ -702,8 +692,9 @@ let test_sampling_is_uniform () =
 (* {1 Traces from older builds} *)
 
 (* One line of each kind that older builds emitted from the search
-   loop, the prefix cache and the campaign coordinator, as the last
-   build that had them wrote it: reading skips them, and nothing else. *)
+   loop, the prefix cache, the campaign coordinator, the live status
+   line and the fault hook, as the last build that had them wrote it:
+   reading skips them, and nothing else. *)
 let test_read_file_skips_retired_kinds () =
   let first = stamp 1 1 (Event.Cache_hit { saved = 3 }) in
   let last = stamp 9 2 (Event.Hang { total = 1 }) in
@@ -729,6 +720,10 @@ let test_read_file_skips_retired_kinds () =
       {|{"ev":"worker_spawn","t":92,"n":0,"worker":1,"pid":4242,"shards":2}|};
       {|{"ev":"worker_frame","t":93,"n":0,"worker":1,"shard":2,"seq":250,"final":false}|};
       {|{"ev":"worker_exit","t":94,"n":0,"worker":1,"status":"signal:9","missing":1}|};
+      {|{"ev":"queue_push","t":178250,"n":2,"prio":-2.0,"len":1,"depth":1}|};
+      {|{"ev":"queue_pop","t":252869,"n":2,"prio":-2.0,"len":1,"depth":28}|};
+      {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"plateau":2,"hangs":1,"crashes":0}|};
+      {|{"ev":"fault","t":76,"n":4,"kind":"starve_fuel"}|};
     ]
   in
   check Alcotest.bool "retired kinds skipped" true

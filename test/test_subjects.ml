@@ -244,6 +244,20 @@ let test_catalog () =
   Alcotest.check_raises "unknown subject" Not_found (fun () ->
       ignore (Catalog.find "nope"))
 
+(* "\xc3\x82" is how "\xc2" reads when UTF-8 is decoded as Latin-1 and
+   encoded again: a "§" that went through that turns into "Â§". *)
+let test_descriptions_not_double_encoded () =
+  let double = "\xc3\x82" in
+  List.iter
+    (fun (s : Subject.t) ->
+      let d = s.description in
+      let found = ref false in
+      for i = 0 to String.length d - String.length double do
+        if String.sub d i (String.length double) = double then found := true
+      done;
+      if !found then Alcotest.failf "%s's description is double-encoded: %s" s.name d)
+    Catalog.all
+
 let test_tinyc_variants () =
   (* The three tinyc instances accept the same syntax... *)
   List.iter
@@ -334,6 +348,8 @@ let () =
           Alcotest.test_case "token inventories" `Quick test_inventories;
           Alcotest.test_case "tinyc hangs" `Quick test_hangs;
           Alcotest.test_case "catalog" `Quick test_catalog;
+          Alcotest.test_case "descriptions are not double-encoded" `Quick
+            test_descriptions_not_double_encoded;
           Alcotest.test_case "json UTF-16 blind spot" `Quick test_json_utf16_blind_spot;
           Alcotest.test_case "tinyc variants (7.2/7.3)" `Quick test_tinyc_variants;
           Alcotest.test_case "token-taint signal (7.2)" `Quick test_tinyc_tt_comparison_signal;
