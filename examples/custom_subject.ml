@@ -28,6 +28,10 @@ let b_trailing = Site.branch registry "trailing?"
 
 let ident_chars = Charset.union Charset.letters (Charset.union Charset.digits (Charset.singleton '-'))
 
+(* A set comparison goes through a slot, built once: it holds the site's
+   outcomes and the event kind, so the per-character call builds none. *)
+let sl_ident_char = Helpers.slot_set b_ident_char ~label:"ident" ident_chars
+
 let number ctx =
   Ctx.with_frame ctx s_number @@ fun () ->
   match Ctx.next ctx with
@@ -46,7 +50,7 @@ let number ctx =
 let identifiers ctx =
   Ctx.with_frame ctx s_ident @@ fun () ->
   let rec one () =
-    let part = Helpers.read_set ctx b_ident_char ~label:"ident" ident_chars in
+    let part = Helpers.read_set ctx sl_ident_char ident_chars in
     if Pdf_taint.Tstring.length part = 0 then Ctx.reject ctx "empty identifier";
     if Helpers.eat_if ctx b_ident_sep '.' then one ()
   in

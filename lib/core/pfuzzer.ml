@@ -1,7 +1,9 @@
 module Rng = Pdf_util.Rng
 module Atomic_file = Pdf_util.Atomic_file
 module Coverage = Pdf_instr.Coverage
+module Ctx = Pdf_instr.Ctx
 module Runner = Pdf_instr.Runner
+module View = Runner.View
 module Comparison = Pdf_instr.Comparison
 module Subject = Pdf_subjects.Subject
 module Obs = Pdf_obs.Observer
@@ -272,6 +274,14 @@ type state = {
   (* Present only when the config enables incremental execution and the
      subject ships a machine-form parser. *)
   engine : engine option;
+  (* The context of every execution outside the engine: made once per
+     campaign and reset per execution, so a cold execution allocates no
+     context and no buffers once they have grown. *)
+  ctx : Ctx.t;
+  (* The execution the loop is reading, refilled per execution: from
+     [ctx] in place, or from the engine's packaged run. It is read to
+     the end before the next execution starts. *)
+  view : View.t;
   rng : Rng.t;
   queue : Candidate_queue.t;
   on_queue_event : (queue_event -> unit) option;
@@ -431,79 +441,87 @@ let remember_children st input pos =
            | found, _ -> found));
     span_end st Phase.Cache t_store
 
-(* One execution of the subject. [prefix_len] is the caller's hint that
-   the first [prefix_len] characters of [input] were inherited verbatim
-   from an already-executed parent; when the incremental engine is on and
-   that prefix's suspension is at hand, only the suffix is executed. It
-   is at hand in [from], the journal of a run on an input that shares
-   the prefix (the extension probe passes its candidate's), or failing
-   that in the cache. The observable run is bit-identical either way.
-   Returns the run and whether it resumed from a snapshot. *)
+(* One execution of the subject, read through [st.view] afterwards.
+   [prefix_len] is the caller's hint that the first [prefix_len]
+   characters of [input] were inherited verbatim from an
+   already-executed parent; when the incremental engine is on and that
+   prefix's suspension is at hand, only the suffix is executed. It is at
+   hand in [from], the journal of a run on an input that shares the
+   prefix (the extension probe passes its candidate's), or failing that
+   in the cache. The observable run is bit-identical either way. Without
+   the engine, the campaign's context is reset and the parse runs in it.
+   A listener gets an owned, packaged run either way. Returns whether
+   the run resumed from a snapshot. *)
 let execute st ~from ~prefix_len input =
   if st.executions >= st.config.max_executions then raise Budget_exhausted;
   st.executions <- st.executions + 1;
-  let run, cached =
-    match st.engine with
-    | Some ({ cache; machine; _ } as e) ->
-      let t_cache = span_begin st in
-      let consulted = prefix_len > 0 && prefix_len <= String.length input in
-      let own =
-        match from with
-        | Some journal when consulted -> Runner.snapshot_at journal prefix_len
-        | _ -> None
-      in
-      let snap =
-        match own with
-        | Some _ ->
-          e.journal_hits <- e.journal_hits + 1;
-          e.journal_chars_saved <- e.journal_chars_saved + prefix_len;
-          own
-        | None ->
-          if consulted then Runner.Cache.find_prefix cache input ~len:prefix_len
-          else None
-      in
-      span_end st Phase.Cache t_cache;
-      (if consulted then
-         match tsink_exec st with
-         | None -> ()
-         | Some o ->
-           Obs.emit o ~exec:st.executions
-             (match snap with
-              | Some s -> Event.Cache_hit { saved = Runner.snapshot_pos s }
-              | None -> Event.Cache_miss));
-      let t_exec = span_begin st in
-      (* A resumed run is bit-identical to a cold one, so a crash while
-         resuming is the subject's and is triaged like any other. *)
-      let (run, journal), cached =
-        match snap with
-        | Some snap -> (Runner.resume snap input, true)
-        | None -> (Subject.exec_journaled st.subject machine input, false)
-      in
-      span_end st Phase.Exec t_exec;
-      (* The miss store: the cold run after a miss holds the consulted
-         prefix, which the candidate's queued siblings share. *)
-      if consulted && not cached then begin
-        let t_store = span_begin st in
-        remember cache input prefix_len (Runner.snapshot_at journal prefix_len);
-        span_end st Phase.Cache t_store
-      end;
-      e.prev_journal <- e.journal;
-      e.journal <- Some journal;
-      (run, cached)
-    | None ->
-      let t_exec = span_begin st in
-      let run = Subject.run st.subject input in
-      span_end st Phase.Exec t_exec;
-      (run, false)
-  in
-  Pdf_instr.Hits.record st.hits run.Runner.touched;
-  (match st.on_execution with None -> () | Some f -> f run);
-  (run, cached)
+  let v = st.view in
+  match st.engine with
+  | Some ({ cache; machine; _ } as e) ->
+    let t_cache = span_begin st in
+    let consulted = prefix_len > 0 && prefix_len <= String.length input in
+    let own =
+      match from with
+      | Some journal when consulted -> Runner.snapshot_at journal prefix_len
+      | _ -> None
+    in
+    let snap =
+      match own with
+      | Some _ ->
+        e.journal_hits <- e.journal_hits + 1;
+        e.journal_chars_saved <- e.journal_chars_saved + prefix_len;
+        own
+      | None ->
+        if consulted then Runner.Cache.find_prefix cache input ~len:prefix_len
+        else None
+    in
+    span_end st Phase.Cache t_cache;
+    (if consulted then
+       match tsink_exec st with
+       | None -> ()
+       | Some o ->
+         Obs.emit o ~exec:st.executions
+           (match snap with
+            | Some s -> Event.Cache_hit { saved = Runner.snapshot_pos s }
+            | None -> Event.Cache_miss));
+    let t_exec = span_begin st in
+    (* A resumed run is bit-identical to a cold one, so a crash while
+       resuming is the subject's and is triaged like any other. *)
+    let (run, journal), cached =
+      match snap with
+      | Some snap -> (Runner.resume snap input, true)
+      | None -> (Subject.exec_journaled st.subject machine input, false)
+    in
+    span_end st Phase.Exec t_exec;
+    (* The miss store: the cold run after a miss holds the consulted
+       prefix, which the candidate's queued siblings share. *)
+    if consulted && not cached then begin
+      let t_store = span_begin st in
+      remember cache input prefix_len (Runner.snapshot_at journal prefix_len);
+      span_end st Phase.Cache t_store
+    end;
+    e.prev_journal <- e.journal;
+    e.journal <- Some journal;
+    View.of_run v run;
+    Pdf_instr.Hits.record_prefix st.hits v.touched ~len:v.n_touched;
+    (match st.on_execution with None -> () | Some f -> f run);
+    cached
+  | None ->
+    let t_exec = span_begin st in
+    Ctx.reset st.ctx input;
+    let verdict = Runner.run_in st.ctx ~parse:st.subject.Subject.parse in
+    span_end st Phase.Exec t_exec;
+    View.of_ctx v st.ctx verdict;
+    Pdf_instr.Hits.record_prefix st.hits v.touched ~len:v.n_touched;
+    (match st.on_execution with
+     | None -> ()
+     | Some f -> f (Runner.package st.ctx verdict));
+    false
 
-(* Observe a completed run's path and return how often it had been seen
+(* Observe the viewed run's path and return how often it had been seen
    before (the novelty signal of §3.2). *)
-let note_path st run =
-  let h = Runner.path_hash run in
+let note_path st =
+  let h = View.path_hash st.view in
   let slot = Paths.find_slot st.path_counts h in
   if slot >= 0 then begin
     let count = Paths.get_count st.path_counts slot in
@@ -589,18 +607,18 @@ let push_seed st data =
    input is built when it is popped. Dedupe time lands in the [Gen]
    phase span; a push, with the scoring of a push that starts a run,
    lands in the [Queue] span inside [enqueue]. *)
-let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
-  match Runner.substitution_index run with
-  | None -> ()
-  | Some sub_index ->
+let add_inputs st ~(parent : Candidate.t) =
+  let v = st.view in
+  let sub_index = View.substitution_index v in
+  if sub_index >= 0 then begin
     let t_gen = ref (span_begin st) in
     (* One substitution-index computation feeds every derived fact —
        the [~index] variant skips the per-call comparison-log rescan. *)
-    let parent_coverage = Runner.coverage_up_to run ~index:sub_index in
-    let avg_stack = Runner.avg_stack_of_last_two run in
-    let path_count = note_path st run in
+    let parent_coverage = View.coverage_up_to v ~index:sub_index in
+    let avg_stack = View.avg_stack_of_last_two v in
+    let path_count = note_path st in
     let parents = parent.parents + 1 in
-    let input = run.input in
+    let input = v.input in
     let index = min sub_index (String.length input) in
     (* The children of this call are one sibling group: they share
        everything but their replacement, so the queue stores it once and
@@ -632,8 +650,8 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
     (* The comparisons at [sub_index] in log order — the order
        [Runner.comparisons_at] lists them in. *)
     let created = st.candidates_created in
-    let cs = run.comparisons in
-    for i = 0 to Array.length cs - 1 do
+    let cs = v.comparisons in
+    for i = 0 to v.n_comparisons - 1 do
       let c = Array.unsafe_get cs i in
       if c.Comparison.index = sub_index then
         Comparison.iter_replacements st.rng c propose
@@ -641,24 +659,28 @@ let add_inputs st ~(parent : Candidate.t) (run : Runner.run) =
     span_end st Phase.Gen !t_gen;
     Candidate_queue.close_group st.queue group;
     if st.candidates_created > created then remember_children st input index
+  end
 
 (* Algorithm 1, [validInp]: report, extend vBr, re-rank the queue. *)
-let valid_input st ~(parent : Candidate.t) (run : Runner.run) =
-  st.valid_rev <- run.input :: st.valid_rev;
+let valid_input st ~(parent : Candidate.t) =
+  let input = st.view.input in
+  st.valid_rev <- input :: st.valid_rev;
   st.valid_count <- st.valid_count + 1;
   if st.first_valid_at = None then st.first_valid_at <- Some st.executions;
-  st.on_valid run.input;
+  st.on_valid input;
   (* The freshly covered outcomes relative to the old vBr — the only
-     part of any queued candidate's score that this input can change. *)
-  let delta = Coverage.diff run.coverage st.vbr in
-  st.vbr <- Coverage.union st.vbr run.coverage;
+     part of any queued candidate's score that this input can change.
+     A valid input is the only one whose coverage is built. *)
+  let coverage = View.coverage st.view in
+  let delta = Coverage.diff coverage st.vbr in
+  st.vbr <- Coverage.union st.vbr coverage;
   st.last_progress_at <- st.executions;
   (match tsink st with
    | None -> ()
    | Some o ->
      Obs.emit o ~exec:st.executions
        (Event.Valid
-          { input = run.input; cov = Coverage.cardinal st.vbr; count = st.valid_count }));
+          { input; cov = Coverage.cardinal st.vbr; count = st.valid_count }));
   (* Incremental re-rank: a candidate's score depends on vBr only
      through [|parent_coverage \ vBr|], and vBr just grew by [delta]
      (disjoint from the old vBr by construction), so the queue subtracts
@@ -670,10 +692,9 @@ let valid_input st ~(parent : Candidate.t) (run : Runner.run) =
   (match st.on_queue_event with
    | None -> ()
    | Some f -> f (Reranked (observed_snapshot st)));
-  add_inputs st ~parent run
+  add_inputs st ~parent
 
-let verdict_string (run : Runner.run) =
-  match run.verdict with
+let verdict_string = function
   | Runner.Accepted -> "accepted"
   | Runner.Rejected _ -> "rejected"
   | Runner.Hang -> "hang"
@@ -682,7 +703,7 @@ let verdict_string (run : Runner.run) =
 (* Crash triage: count every crash, retain the first witness per
    (exn, site) identity up to the corpus bound, and emit a typed event
    marking whether the identity is fresh. *)
-let record_crash st (run : Runner.run) (c : Runner.crash) =
+let record_crash st (c : Runner.crash) =
   st.crash_total <- st.crash_total + 1;
   let key = (c.Runner.exn, c.Runner.site) in
   let fresh =
@@ -697,7 +718,7 @@ let record_crash st (run : Runner.run) (c : Runner.crash) =
             exn = c.Runner.exn;
             site = c.Runner.site;
             detail = c.Runner.detail;
-            input = run.Runner.input;
+            input = st.view.input;
             first_at = st.executions;
             count = 1;
           };
@@ -713,8 +734,8 @@ let record_crash st (run : Runner.run) (c : Runner.crash) =
       (Event.Crash
          { exn = c.Runner.exn; site = c.Runner.site; fresh; total = st.crash_total })
 
-let crashed (run : Runner.run) =
-  match run.Runner.verdict with Runner.Crash _ -> true | _ -> false
+let crashed st =
+  match st.view.verdict with Runner.Crash _ -> true | _ -> false
 
 (* Algorithm 1, [runCheck]: an input counts as valid only if it is
    accepted and covers branches no previous valid input covered. *)
@@ -722,23 +743,25 @@ let run_check st ~parent ~from ~prefix_len input =
   (* Read the clock only when this execution's [Exec_done] will be
      recorded. *)
   let t0 = match tsink_exec st with Some o -> Obs.now_ns o | None -> 0 in
-  let run, cached = execute st ~from ~prefix_len input in
-  (match run.Runner.verdict with
+  let cached = execute st ~from ~prefix_len input in
+  let v = st.view in
+  (match v.verdict with
    | Runner.Hang -> begin
      st.hangs <- st.hangs + 1;
      match tsink st with
      | None -> ()
      | Some o -> Obs.emit o ~exec:st.executions (Event.Hang { total = st.hangs })
    end
-   | Runner.Crash c -> record_crash st run c
+   | Runner.Crash c -> record_crash st c
    | _ -> ());
   let cov_before =
     match tsink_exec st with None -> 0 | Some _ -> Coverage.cardinal st.vbr
   in
   let valid =
-    Runner.accepted run && Coverage.new_against run.coverage ~baseline:st.vbr > 0
+    (match v.verdict with Runner.Accepted -> true | _ -> false)
+    && View.new_outcomes v ~baseline:st.vbr > 0
   in
-  if valid then valid_input st ~parent run;
+  if valid then valid_input st ~parent;
   (match tsink_exec st with
    | None -> ()
    | Some o ->
@@ -747,18 +770,17 @@ let run_check st ~parent ~from ~prefix_len input =
        (Event.Exec_done
           {
             dur_ns = Obs.now_ns o - t0;
-            verdict = verdict_string run;
+            verdict = verdict_string v.verdict;
             cached;
-            sub_index =
-              (match Runner.substitution_index run with Some i -> i | None -> -1);
+            sub_index = View.substitution_index v;
             cov = cov_now;
             cov_delta = cov_now - cov_before;
             valid;
-            len = String.length run.input;
+            len = String.length v.input;
             depth = Candidate_queue.length st.queue;
           }));
   maybe_snapshot st;
-  (valid, run)
+  valid
 
 (* Restarts and extension probes happen on every iteration of the main
    loop; keep them allocation-free by passing raw characters around and
@@ -780,6 +802,8 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~rng config
   {
     config;
     subject;
+    ctx = Ctx.make ~registry:subject.Subject.registry ~fuel:subject.fuel "";
+    view = View.create ();
     engine =
       (match subject.Subject.machine with
        | Some machine when config.incremental ->
@@ -947,8 +971,8 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
           parent input sharing [prefix] — exactly the part a cached
           suspension lets us skip. *)
        let prefix_len = String.length c.data - String.length c.repl in
-       let valid, run = run_check st ~parent:c ~from:None ~prefix_len c.data in
-       if (not valid) && not (crashed run) then begin
+       let valid = run_check st ~parent:c ~from:None ~prefix_len c.data in
+       if (not valid) && not (crashed st) then begin
          (* Second execution: the same input extended by one random
             character, probing whether the parser wants more input. The
             just-executed candidate is the extension's parent prefix, and
@@ -958,11 +982,11 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
          let extended = extend c.data (random_char st) in
          if String.length extended <= st.config.max_input_len then begin
            let from = match st.engine with Some e -> e.journal | None -> None in
-           let valid2, run2 =
+           let valid2 =
              run_check st ~parent:c ~from ~prefix_len:(String.length c.data)
                extended
            in
-           if (not valid2) && not (crashed run2) then add_inputs st ~parent:c run2
+           if (not valid2) && not (crashed st) then add_inputs st ~parent:c
          end
        end;
        candidate := next_candidate ()

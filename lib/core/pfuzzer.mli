@@ -166,7 +166,10 @@ val fuzz :
     harness replays them against a reference queue model to check
     priority monotonicity. [on_execution] observes every completed run in
     execution order — the incremental≡full equivalence invariant compares
-    these streams. [obs] attaches a telemetry observer: structured trace
+    these streams. Each run it gets is packaged for it and is the
+    listener's to keep; without a listener, an execution outside the
+    incremental engine runs in the campaign's one reused context and is
+    read in place, with no run packaged. [obs] attaches a telemetry observer: structured trace
     events, per-phase timing spans, a live status line — when absent
     (the default) the telemetry paths cost one branch and allocate
     nothing. [on_checkpoint] is called with a fresh {!Checkpoint.t} at the

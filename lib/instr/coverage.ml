@@ -137,6 +137,20 @@ let new_against c ~baseline =
   done;
   !acc
 
+(* The validity check of an accepted run read in place: its coverage is
+   built only if the input turns out valid. *)
+let new_in a ~len ~baseline =
+  let lb = Array.length baseline in
+  let acc = ref 0 in
+  for i = 0 to len - 1 do
+    let v = Array.unsafe_get a i in
+    check_oid v;
+    let w = v / bits in
+    if w >= lb || (Array.unsafe_get baseline w lsr (v mod bits)) land 1 = 0 then
+      incr acc
+  done;
+  !acc
+
 let percent c registry =
   Pdf_util.Stats.ratio (cardinal c) (Site.total_outcomes registry)
 

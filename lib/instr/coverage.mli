@@ -37,6 +37,11 @@ val new_against : t -> baseline:t -> int
 (** [new_against c ~baseline] counts outcomes in [c] absent from
     [baseline] — the [size(branches \ vBr)] term of the heuristic. *)
 
+val new_in : int array -> len:int -> baseline:t -> int
+(** [new_in a ~len ~baseline] is [new_against (of_array ~len a)
+    ~baseline] for an [a] whose first [len] elements are distinct, such
+    as a run's [touched] buffer, without building the set. *)
+
 val percent : t -> Site.registry -> float
 (** Covered outcomes as a percentage of the registry's total. *)
 

@@ -13,7 +13,7 @@ exception Out_of_fuel
    packaging into arrays is a single blit instead of a list reversal. *)
 type t = {
   registry : Site.registry;
-  text : string;
+  mutable text : string;
   mutable cursor : int;
   mutable eof_access : bool;
   comparisons : Comparison.t Vec.t;
@@ -32,6 +32,7 @@ type t = {
      fresh tainted character. *)
   mutable peeked : Tchar.t option;
   mutable peeked_at : int;
+  budget : int; (* the fuel a reset restores *)
 }
 
 let dummy_comparison =
@@ -61,6 +62,7 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     stack = 0;
     max_stack = 0;
     fuel;
+    budget = fuel;
     track_comparisons;
     track_trace;
     track_frames;
@@ -68,6 +70,30 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     peeked = None;
     peeked_at = -1;
   }
+
+(* Undo one run's recording for the next input. The presence map is
+   cleared through [touched], which lists exactly the bytes the run set,
+   so a reset costs the run's distinct outcomes, not the registry's
+   size; the buffers keep their capacity, so a context reused across a
+   campaign stops allocating them once they have grown to its longest
+   run. *)
+let reset t text =
+  let touched = Vec.backing t.touched in
+  for i = 0 to Vec.length t.touched - 1 do
+    Bytes.unsafe_set t.covered (Array.unsafe_get touched i) '\000'
+  done;
+  Vec.clear t.touched;
+  Vec.clear t.trace;
+  Vec.clear t.comparisons;
+  Vec.clear t.frames;
+  t.text <- text;
+  t.cursor <- 0;
+  t.eof_access <- false;
+  t.stack <- 0;
+  t.max_stack <- 0;
+  t.fuel <- t.budget;
+  t.peeked <- None;
+  t.peeked_at <- -1
 
 (* {2 Snapshot marks}
 
@@ -125,6 +151,7 @@ let restore ~registry ~(mark : mark) ~cursor ~comparisons ~touched ~trace
     stack = mark.m_stack;
     max_stack = mark.m_max_stack;
     fuel = mark.m_fuel;
+    budget = mark.m_fuel;
     track_comparisons;
     track_trace;
     track_frames;
@@ -368,6 +395,11 @@ let expect_token t site ~at ~spelling ~matched =
   branch t site matched
 
 let reject _t reason = raise (Reject reason)
+
+let[@inline] comparison_count t = Vec.length t.comparisons
+let[@inline] comparison_buffer t = Vec.backing t.comparisons
+let[@inline] touched_count t = Vec.length t.touched
+let[@inline] touched_buffer t = Vec.backing t.touched
 
 let comparisons t = Vec.to_list t.comparisons
 let comparisons_array t = Vec.to_array t.comparisons

@@ -36,6 +36,16 @@ val make :
     bitmap; the search heuristics work from the deduplicated
     first-occurrence order, which is always maintained. *)
 
+val reset : t -> string -> unit
+(** [reset t input] readies [t] for a run on [input], as {!make} with
+    the same registry and settings would: nothing covered, every
+    recording buffer empty, the cursor, the stack depth and its maximum
+    at 0, the fuel back to its budget, no EOF access and no memoised
+    peek. The buffers keep their capacity, so a context reused for a
+    whole campaign allocates nothing per run once they have grown. The
+    previous run's observations are gone: read or copy them first. A
+    context from {!restore} resets to the fuel it was restored with. *)
+
 (** {1 Snapshot marks}
 
     Support for suspending a run at a read boundary and resuming it —
@@ -144,10 +154,10 @@ val in_set :
 
 (** {2 Pre-resolved slots}
 
-    Staged variants of the comparison operations for the machine-form
-    subjects' staged combinators ([Helpers.K] in [lib/subjects]):
-    a {!slot} freezes a site's two outcome ids and the comparison-event
-    kind at staging time, so the per-character call performs no
+    Staged variants of the comparison operations, for every subject
+    ([Helpers.slot_*] in [lib/subjects] builds them): a {!slot} freezes a
+    site's two outcome ids and the comparison-event kind once, where the
+    site is defined, so the per-character call performs no
     [Site.outcome] dispatch and allocates no kind block. Each [_slot]
     operation records exactly the same observations as its tracked
     counterpart above (the supplied kind must match what that
@@ -182,6 +192,19 @@ val reject : t -> string -> 'a
 (** Abort the run: the input is invalid. *)
 
 (** {1 Results} (read by the run harness) *)
+
+(** {2 In place}
+
+    The recording buffers themselves, for a reader that is done with a
+    run before the context records again or is {!reset}. Only the first
+    [count] elements of a buffer are the run's; the rest is filler. *)
+
+val comparison_count : t -> int
+val comparison_buffer : t -> Comparison.t array
+val touched_count : t -> int
+val touched_buffer : t -> int array
+
+(** {2 Copies} *)
 
 val comparisons : t -> Comparison.t list
 (** In event order. *)

@@ -14,18 +14,20 @@ let ensure t n =
    The first finds the length that growing for each outcome in turn
    would reach, and the counts grow once, to it: the array's length is
    part of a result's Marshal form, which campaign summaries digest. *)
-let record t touched =
+let record_prefix t touched ~len:n =
   let len = ref (Array.length t.counts) in
-  for i = 0 to Array.length touched - 1 do
+  for i = 0 to n - 1 do
     let need = touched.(i) + 1 in
     if need > !len then len := if need > 2 * !len then need else 2 * !len
   done;
   ensure t !len;
   let counts = t.counts in
-  for i = 0 to Array.length touched - 1 do
+  for i = 0 to n - 1 do
     let oid = touched.(i) in
     counts.(oid) <- counts.(oid) + 1
   done
+
+let record t touched = record_prefix t touched ~len:(Array.length touched)
 
 let count t oid = if oid < Array.length t.counts then t.counts.(oid) else 0
 

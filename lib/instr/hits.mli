@@ -26,6 +26,10 @@ val record : t -> int array -> unit
     branch hit-counts in the FairFuzz sense, not loop iteration
     counts. *)
 
+val record_prefix : t -> int array -> len:int -> unit
+(** [record_prefix t buf ~len] is [record t] of the first [len] elements
+    of [buf]: a reused context's touched buffer, read in place. *)
+
 val merge : t -> t -> t
 (** Pointwise sum, into a fresh counter. Commutative and associative;
     [merge t (create ())] equals [t]. *)

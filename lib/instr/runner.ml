@@ -4,18 +4,21 @@ type crash = { exn : string; site : int; detail : string }
 type verdict = Accepted | Rejected of string | Hang | Crash of crash
 
 (* First-occurrence order of outcomes: a compact path identity that is
-   insensitive to loop iteration counts ("non-duplicate branches").
-   Shared by {!path_hash} and the crash-site hash so a crash keeps the
+   insensitive to loop iteration counts ("non-duplicate branches"), over
+   the first [n] entries of a touched buffer. Shared by {!path_hash},
+   the view's path hash and the crash-site hash, so a crash keeps the
    same identity whether reached by full execution or a cache resume. *)
-let fnv_touched touched =
+let fnv_touched touched n =
   let h = ref 0x811c9dc5 in
-  Array.iter (fun oid -> h := (!h lxor oid) * 0x0100_0193 land max_int) touched;
+  for i = 0 to n - 1 do
+    h := (!h lxor Array.unsafe_get touched i) * 0x0100_0193 land max_int
+  done;
   !h
 
 let crash_of ctx e =
   {
     exn = Printexc.exn_slot_name e;
-    site = fnv_touched (Ctx.touched ctx);
+    site = fnv_touched (Ctx.touched_buffer ctx) (Ctx.touched_count ctx);
     detail = Printexc.to_string e;
   }
 
@@ -33,10 +36,10 @@ type run = {
   frames : Frame.event array;
 }
 
-let package ctx input verdict =
+let package ctx verdict =
   let touched = Ctx.touched ctx in
   {
-    input;
+    input = Ctx.input ctx;
     verdict;
     comparisons = Ctx.comparisons_array ctx;
     coverage = Coverage.of_array touched;
@@ -47,19 +50,20 @@ let package ctx input verdict =
     frames = Ctx.frames ctx;
   }
 
+let run_in ctx ~parse =
+  match parse ctx with
+  | () -> Accepted
+  | exception Ctx.Reject reason -> Rejected reason
+  | exception Ctx.Out_of_fuel -> Hang
+  | exception e -> Crash (crash_of ctx e)
+
 let exec ~registry ~parse ?fuel ?track_comparisons ?track_trace ?track_frames
     input =
   let ctx =
     Ctx.make ~registry ?fuel ?track_comparisons ?track_trace ?track_frames input
   in
-  let verdict =
-    match parse ctx with
-    | () -> Accepted
-    | exception Ctx.Reject reason -> Rejected reason
-    | exception Ctx.Out_of_fuel -> Hang
-    | exception e -> Crash (crash_of ctx e)
-  in
-  package ctx input verdict
+  let verdict = run_in ctx ~parse in
+  package ctx verdict
 
 (* {1 Incremental (journaled) execution}
 
@@ -155,7 +159,7 @@ let exec_machine ~registry ~(machine : Machine.recognizer) ?(fuel = 100_000)
     | exception Ctx.Out_of_fuel -> Hang
     | exception e -> Crash (crash_of ctx e)
   in
-  let run = package ctx input verdict in
+  let run = package ctx verdict in
   ( run,
     {
       j_registry = registry;
@@ -219,7 +223,7 @@ let resume (snap : snapshot) input =
     | exception Ctx.Out_of_fuel -> Hang
     | exception e -> Crash (crash_of ctx e)
   in
-  let run = package ctx input verdict in
+  let run = package ctx verdict in
   ( run,
     {
       j_registry = snap.s_registry;
@@ -339,16 +343,22 @@ end
 
 let accepted run = match run.verdict with Accepted -> true | _ -> false
 
+(* {1 Derived observations}
+
+   Each derivation reads the first [n] entries of a buffer, so a
+   packaged run (its arrays whole) and a view (a reused context's
+   buffers) share one implementation. *)
+
 (* The first invalid character: the rightmost position where the parser's
    expectation failed. Positions beyond it may have been touched by
    class-membership probes (e.g. "is this still a letter?") whose success
    carries no substitution information, so failed comparisons take
    precedence; with none failed, the rightmost compared position. One
-   pass over the log, with the two maxima in int locals. *)
-let substitution_index run =
-  let cs = run.comparisons in
+   pass over the log, with the two maxima in int locals; -1 for an empty
+   log (input indices are never negative). *)
+let last_index cs n =
   let any = ref min_int and failed = ref min_int and has_failed = ref false in
-  for i = 0 to Array.length cs - 1 do
+  for i = 0 to n - 1 do
     let c = Array.unsafe_get cs i in
     let index = c.Comparison.index in
     if index > !any then any := index;
@@ -357,14 +367,35 @@ let substitution_index run =
       if index > !failed then failed := index
     end
   done;
-  if !has_failed then Some !failed
-  else if Array.length cs > 0 then Some !any
-  else None
+  if !has_failed then !failed else if n > 0 then !any else -1
+
+(* [trace_pos] counts distinct outcomes covered before the event, and
+   [touched] lists outcomes in first-occurrence order — so the coverage
+   accumulated before the first comparison at the given index is exactly
+   a prefix of [touched], of this length. No full trace required. *)
+let coverage_cut cs n ~touched ~index =
+  let cut = ref touched in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get cs i in
+    if c.Comparison.index = index && c.Comparison.trace_pos < !cut then
+      cut := c.Comparison.trace_pos
+  done;
+  !cut
+
+let avg_stack_of cs n =
+  if n = 0 then 0.0
+  else if n = 1 then float_of_int cs.(0).Comparison.stack_depth
+  else
+    float_of_int (cs.(n - 1).Comparison.stack_depth + cs.(n - 2).Comparison.stack_depth)
+    /. 2.0
+
+let substitution_index run =
+  let cs = run.comparisons in
+  if Array.length cs = 0 then None else Some (last_index cs (Array.length cs))
 
 (* The [~index] variants let a caller that already computed
-   {!substitution_index} reuse it — the fuzzer derives several facts per
-   run, and each [substitution_index] recomputation is a full scan of the
-   comparison log. *)
+   {!substitution_index} reuse it — each [substitution_index]
+   recomputation is a full scan of the comparison log. *)
 let comparisons_at run ~index =
   let cs = run.comparisons in
   let acc = ref [] in
@@ -380,18 +411,11 @@ let comparisons_at_last_index run =
   | Some index -> comparisons_at run ~index
 
 let coverage_up_to run ~index =
-  (* [trace_pos] counts distinct outcomes covered before the event, and
-     [touched] lists outcomes in first-occurrence order — so the
-     coverage accumulated before the first comparison at the given index
-     is exactly a prefix of [touched]. No full trace required. *)
-  let cs = run.comparisons in
-  let cut = ref (Array.length run.touched) in
-  for i = 0 to Array.length cs - 1 do
-    let c = Array.unsafe_get cs i in
-    if c.Comparison.index = index && c.Comparison.trace_pos < !cut then
-      cut := c.Comparison.trace_pos
-  done;
-  Coverage.of_array ~len:(min !cut (Array.length run.touched)) run.touched
+  let touched = run.touched in
+  let n = Array.length touched in
+  Coverage.of_array
+    ~len:(coverage_cut run.comparisons (Array.length run.comparisons) ~touched:n ~index)
+    touched
 
 let coverage_up_to_last_index run =
   match substitution_index run with
@@ -399,14 +423,73 @@ let coverage_up_to_last_index run =
   | Some index -> coverage_up_to run ~index
 
 let avg_stack_of_last_two run =
-  let n = Array.length run.comparisons in
-  if n = 0 then 0.0
-  else if n = 1 then float_of_int run.comparisons.(0).stack_depth
-  else
-    float_of_int (run.comparisons.(n - 1).stack_depth + run.comparisons.(n - 2).stack_depth)
-    /. 2.0
+  avg_stack_of run.comparisons (Array.length run.comparisons)
 
-let path_hash run = fnv_touched run.touched
+let path_hash run = fnv_touched run.touched (Array.length run.touched)
+
+(* {1 Views} *)
+
+module View = struct
+  type t = {
+    mutable input : string;
+    mutable verdict : verdict;
+    mutable comparisons : Comparison.t array;
+    mutable n_comparisons : int;
+    mutable touched : int array;
+    mutable n_touched : int;
+    (* The packaged run's coverage, or empty until asked for: a view of
+       a context builds it only for a valid input. A run whose coverage
+       is empty touched nothing, so building it anew changes nothing. *)
+    mutable coverage : Coverage.t;
+  }
+
+  let create () =
+    {
+      input = "";
+      verdict = Accepted;
+      comparisons = [||];
+      n_comparisons = 0;
+      touched = [||];
+      n_touched = 0;
+      coverage = Coverage.empty;
+    }
+
+  let of_ctx v ctx verdict =
+    v.input <- Ctx.input ctx;
+    v.verdict <- verdict;
+    v.comparisons <- Ctx.comparison_buffer ctx;
+    v.n_comparisons <- Ctx.comparison_count ctx;
+    v.touched <- Ctx.touched_buffer ctx;
+    v.n_touched <- Ctx.touched_count ctx;
+    v.coverage <- Coverage.empty
+
+  let of_run v (run : run) =
+    v.input <- run.input;
+    v.verdict <- run.verdict;
+    v.comparisons <- run.comparisons;
+    v.n_comparisons <- Array.length run.comparisons;
+    v.touched <- run.touched;
+    v.n_touched <- Array.length run.touched;
+    v.coverage <- run.coverage
+
+  let substitution_index v = last_index v.comparisons v.n_comparisons
+
+  let coverage_up_to v ~index =
+    Coverage.of_array
+      ~len:(coverage_cut v.comparisons v.n_comparisons ~touched:v.n_touched ~index)
+      v.touched
+
+  let avg_stack_of_last_two v = avg_stack_of v.comparisons v.n_comparisons
+  let path_hash v = fnv_touched v.touched v.n_touched
+  let coverage v =
+    if v.coverage == Coverage.empty then Coverage.of_array ~len:v.n_touched v.touched
+    else v.coverage
+
+  let new_outcomes v ~baseline =
+    if v.coverage == Coverage.empty then
+      Coverage.new_in v.touched ~len:v.n_touched ~baseline
+    else Coverage.new_against v.coverage ~baseline
+end
 
 let pp_verdict ppf = function
   | Accepted -> Format.fprintf ppf "accepted"

@@ -68,7 +68,18 @@ val exec :
     [exit], OOM) — that is handled one level up by the coordinator,
     which replays the whole shard; determinism makes the replay
     indistinguishable from a run that never died. [track_trace]
-    (default false) fills the [trace] field; see {!Ctx.make}. *)
+    (default false) fills the [trace] field; see {!Ctx.make}. It is
+    {!Ctx.make}, then {!run_in}, then {!package}. *)
+
+val run_in : Ctx.t -> parse:(Ctx.t -> unit) -> verdict
+(** [run_in ctx ~parse] runs the parser on the context's input — a
+    context fresh from {!Ctx.make}, or one readied by {!Ctx.reset} — and
+    returns the verdict under {!exec}'s exception contract. The
+    observations stay in [ctx]: {!package} copies them into a run, and a
+    {!View} reads them in place. *)
+
+val package : Ctx.t -> verdict -> run
+(** The context's observations, copied into an owned run. *)
 
 val accepted : run -> bool
 
@@ -184,7 +195,11 @@ module Cache : sig
   (** Occupied slots. *)
 end
 
-(** {1 Derived observations used by the search} *)
+(** {1 Derived observations used by the search}
+
+    Each derivation has one implementation, over the first [n] entries
+    of a buffer, which the functions on a {!run} below and on a {!View}
+    share. *)
 
 val substitution_index : run -> int option
 (** The position of the first invalid character: the rightmost index with
@@ -221,5 +236,54 @@ val path_hash : run -> int
 (** Hash of the sequence of first occurrences of outcomes in the trace
     (the [touched] field) — the "path" identity used to rank inputs
     exploring novel paths higher. Allocation-free. *)
+
+(** {1 Views}
+
+    What the search loop reads of an execution, in place: the input,
+    the verdict, and the comparison and touched buffers with their
+    counts. A campaign owns one view and refills it per execution, from
+    a reused context's buffers ({!View.of_ctx}) or from a packaged run
+    ({!View.of_run}); refilling allocates nothing. A view filled from a
+    context is valid until that context is reset. *)
+
+module View : sig
+  type t = private {
+    mutable input : string;
+    mutable verdict : verdict;
+    mutable comparisons : Comparison.t array;
+        (** in event order; only the first [n_comparisons] are the run's *)
+    mutable n_comparisons : int;
+    mutable touched : int array;
+        (** first-occurrence order; only the first [n_touched] are the
+            run's *)
+    mutable n_touched : int;
+    mutable coverage : Coverage.t;
+        (** the packaged run's coverage; empty in a view of a context *)
+  }
+
+  val create : unit -> t
+  (** An empty view, to be filled. *)
+
+  val of_ctx : t -> Ctx.t -> verdict -> unit
+  (** Point the view at the context's input and buffers, as {!run_in}
+      left them. *)
+
+  val of_run : t -> run -> unit
+
+  val substitution_index : t -> int
+  (** {!Runner.substitution_index}, with -1 for an empty log. *)
+
+  val coverage_up_to : t -> index:int -> Coverage.t
+  val avg_stack_of_last_two : t -> float
+  val path_hash : t -> int
+
+  val coverage : t -> Coverage.t
+  (** The run's coverage: a packaged run's own, or, in a view of a
+      context, built anew for the asking. *)
+
+  val new_outcomes : t -> baseline:Coverage.t -> int
+  (** [Coverage.new_against (coverage v) ~baseline], without building
+      the coverage. *)
+end
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -33,18 +33,33 @@ let add_value buf = function
     else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | B b -> Buffer.add_string buf (if b then "true" else "false")
 
+let add_key buf k =
+  Buffer.add_char buf '"';
+  escape buf k;
+  Buffer.add_string buf "\":"
+
 (* One flat object on one line, fields in the given order. *)
 let write_flat buf fields =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      escape buf k;
-      Buffer.add_string buf "\":";
+      add_key buf k;
       add_value buf v)
     fields;
   Buffer.add_char buf '}'
+
+(* The trace_event format's one level of nesting: [fields], then [key]
+   holding the flat object [inner]. *)
+let nested_to_string fields key inner =
+  let buf = Buffer.create 128 in
+  write_flat buf fields;
+  Buffer.truncate buf (Buffer.length buf - 1);
+  if fields <> [] then Buffer.add_char buf ',';
+  add_key buf key;
+  write_flat buf inner;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let flat_to_string fields =
   let buf = Buffer.create 128 in

@@ -29,13 +29,17 @@ let buffer () =
    chrome://tracing and Perfetto; `trace-report --chrome' replays a
    JSONL trace through it. Executions become complete ("X")
    spans, valid inputs instant events, and each execution's coverage
-   and queue depth two counter tracks. *)
+   and queue depth two counter tracks. Everything but the format's own
+   fields goes under [args], where viewers read a counter's series, a
+   metadata event's name and an event's details. *)
 
 let chrome oc =
   let first = ref true in
-  let entry fields =
+  let entry fields args =
     if !first then first := false else output_string oc ",\n";
-    output_string oc (Json.flat_to_string fields)
+    output_string oc
+      (if args = [] then Json.flat_to_string fields
+       else Json.nested_to_string fields "args" args)
   in
   let us ns = float_of_int ns /. 1e3 in
   let open Json in
@@ -45,24 +49,13 @@ let chrome oc =
     match s.ev with
     | Event.Run_meta m ->
       entry
-        ([
-           ("name", S "process_name");
-           ("ph", S "M");
-           ("arg_name", S (Printf.sprintf "pfuzzer %s seed %d" m.subject m.seed));
-         ]
-        @ base)
+        ([ ("name", S "process_name"); ("ph", S "M") ] @ base)
+        [ ("name", S (Printf.sprintf "pfuzzer %s seed %d" m.subject m.seed)) ]
     | Event.Cell c ->
       entry
-        ([
-           ("name", S "cell");
-           ("ph", S "i");
-           ("ts", F (us s.t_ns));
-           ("s", S "g");
-           ("tool", S c.tool);
-           ("subject", S c.subject);
-           ("seed", I c.seed);
-         ]
+        ([ ("name", S "cell"); ("ph", S "i"); ("ts", F (us s.t_ns)); ("s", S "g") ]
         @ base)
+        [ ("tool", S c.tool); ("subject", S c.subject); ("seed", I c.seed) ]
     | Event.Exec_done e ->
       entry
         ([
@@ -70,39 +63,25 @@ let chrome oc =
            ("ph", S "X");
            ("ts", F (us (s.t_ns - e.dur_ns)));
            ("dur", F (us e.dur_ns));
-           ("n", I s.exec);
-           ("verdict", S e.verdict);
-           ("cached", B e.cached);
-           ("valid", B e.valid);
-         ]
-        @ base);
-      entry
-        ([
-           ("name", S "coverage");
-           ("ph", S "C");
-           ("ts", F (us s.t_ns));
-           ("branches", I e.cov);
-         ]
-        @ base);
-      entry
-        ([
-           ("name", S "queue_depth");
-           ("ph", S "C");
-           ("ts", F (us s.t_ns));
-           ("depth", I e.depth);
          ]
         @ base)
+        [
+          ("n", I s.exec);
+          ("verdict", S e.verdict);
+          ("cached", B e.cached);
+          ("valid", B e.valid);
+        ];
+      entry
+        ([ ("name", S "coverage"); ("ph", S "C"); ("ts", F (us s.t_ns)) ] @ base)
+        [ ("branches", I e.cov) ];
+      entry
+        ([ ("name", S "queue_depth"); ("ph", S "C"); ("ts", F (us s.t_ns)) ] @ base)
+        [ ("depth", I e.depth) ]
     | Event.Valid v ->
       entry
-        ([
-           ("name", S "valid");
-           ("ph", S "i");
-           ("ts", F (us s.t_ns));
-           ("s", S "g");
-           ("input", S v.input);
-           ("count", I v.count);
-         ]
+        ([ ("name", S "valid"); ("ph", S "i"); ("ts", F (us s.t_ns)); ("s", S "g") ]
         @ base)
+        [ ("input", S v.input); ("count", I v.count) ]
     | Event.Phases p ->
       let phase_names = List.map Phase.name Phase.all in
       List.iter
@@ -116,7 +95,8 @@ let chrome oc =
                 ("dur", F (us ns));
                 ("pid", I 1);
                 ("tid", I 2);
-              ])
+              ]
+              [])
         p.spans;
       ignore p.wall_ns
     | _ -> ()

@@ -26,10 +26,10 @@ module K = Helpers.K
    bare-field scan is a static [skip_set] cycle, and a steady-state run
    allocates no step nodes. *)
 
-let sl_quote_open = K.slot_eq b_quote_open '"'
-let sl_quote_close = K.slot_eq b_quote_close '"'
-let sl_quote_escape = K.slot_eq b_quote_escape '"'
-let sl_newline = K.slot_eq b_newline '\n'
+let sl_quote_open = Helpers.slot_eq b_quote_open '"'
+let sl_quote_close = Helpers.slot_eq b_quote_close '"'
+let sl_quote_escape = Helpers.slot_eq b_quote_escape '"'
+let sl_newline = Helpers.slot_eq b_newline '\n'
 
 let quoted (k : K.k) : K.k =
   K.with_frame s_quoted

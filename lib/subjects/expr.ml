@@ -28,8 +28,8 @@ module K = Helpers.K
 
 let msg_eof_rparen, msg_rparen = K.reject_msgs ')'
 
-let sl_digit_first = K.slot_range b_digit_first '0' '9'
-let sl_lparen = K.slot_eq b_lparen '('
+let sl_digit_first = Helpers.slot_range b_digit_first '0' '9'
+let sl_lparen = Helpers.slot_eq b_lparen '('
 
 (* The first digit is consumed by [factor]; [number] eats the rest. *)
 let number (k : K.k) : K.k =

@@ -4,16 +4,25 @@ module Comparison = Pdf_instr.Comparison
 module Charset = Pdf_util.Charset
 module Tstring = Pdf_taint.Tstring
 
-let rec skip_set ctx site ~label set =
+(* The kinds built here are exactly what the tracked [Ctx] operations
+   build per call, so comparison logs are the same either way. *)
+let slot_eq site expected = Ctx.slot site (Comparison.Char_eq expected)
+let slot_range site lo hi = Ctx.slot site (Comparison.Char_range (lo, hi))
+let slot_set site ~label set = Ctx.slot site (Comparison.Char_set (set, label))
+
+let slot_one_of site chars =
+  Ctx.slot site (Comparison.Char_set (Charset.of_string chars, "one-of " ^ chars))
+
+let rec skip_set ctx sl set =
   match Ctx.peek ctx with
   | None -> ()
   | Some c ->
-    if Ctx.in_set ctx site ~label c set then begin
+    if Ctx.in_set_slot ctx sl c set then begin
       ignore (Ctx.next ctx);
-      skip_set ctx site ~label set
+      skip_set ctx sl set
     end
 
-let read_set ctx site ~label set =
+let read_set ctx sl set =
   (* Accumulate in reverse and build the token once: appending to an
      immutable Tstring per character would copy the whole prefix each
      time (quadratic in token length). *)
@@ -21,7 +30,7 @@ let read_set ctx site ~label set =
     match Ctx.peek ctx with
     | None -> acc
     | Some c ->
-      if Ctx.in_set ctx site ~label c set then begin
+      if Ctx.in_set_slot ctx sl c set then begin
         ignore (Ctx.next ctx);
         go (c :: acc)
       end
@@ -75,9 +84,9 @@ let eat_if ctx site expected =
      cycles) so statically bounded recursion stages once. Truly
      recursive nonterminals (JSON values, nested expressions) remain
      plain OCaml functions that stage at each entry.
-   - the [slot_*] constructors freeze a comparison site's outcome ids
-     and event kind, so the per-character observation does no site
-     dispatch and allocates no kind block. *)
+   - comparisons go through slots ([slot_*] above), which freeze a
+     site's outcome ids and event kind, so the per-character
+     observation does no site dispatch and allocates no kind block. *)
 module K = struct
   module Machine = Pdf_instr.Machine
   module Tchar = Pdf_taint.Tchar
@@ -135,15 +144,6 @@ module K = struct
           | Some c -> if test c ctx then next_node else k ctx)
     in
     fun _ -> peek_node
-
-  (* The kinds built here are exactly what the tracked [Ctx] operations
-     build per call, so comparison logs are the same either way. *)
-  let slot_eq site expected = Ctx.slot site (Comparison.Char_eq expected)
-  let slot_range site lo hi = Ctx.slot site (Comparison.Char_range (lo, hi))
-  let slot_set site ~label set = Ctx.slot site (Comparison.Char_set (set, label))
-
-  let slot_one_of site chars =
-    Ctx.slot site (Comparison.Char_set (Charset.of_string chars, "one-of " ^ chars))
 
   let skip_set site ~label set (k : k) : k =
     let sl = slot_set site ~label set in

@@ -5,12 +5,28 @@
 module Ctx = Pdf_instr.Ctx
 module Site = Pdf_instr.Site
 
-val skip_set :
-  Ctx.t -> Site.t -> label:string -> Pdf_util.Charset.t -> unit
-(** Consume characters while they belong to the set. Stops at EOF. *)
+(** {1 Comparison slots}
 
-val read_set :
-  Ctx.t -> Site.t -> label:string -> Pdf_util.Charset.t -> Pdf_taint.Tstring.t
+    Constructors for {!Pdf_instr.Ctx.slot}: each freezes a branch site's
+    two outcome ids together with the comparison-event kind the tracked
+    [Ctx] operation would build per call, so the slot operations
+    ([Ctx.eq_slot], [Ctx.in_range_slot], …) record the same observations
+    without the per-call site dispatch and kind allocation. Build a slot
+    once, where the site is defined, and pass the set or range it was
+    built with to the slot operation. *)
+
+val slot_eq : Site.t -> char -> Ctx.slot
+val slot_range : Site.t -> char -> char -> Ctx.slot
+val slot_set : Site.t -> label:string -> Pdf_util.Charset.t -> Ctx.slot
+val slot_one_of : Site.t -> string -> Ctx.slot
+
+(** {1 Direct-style helpers} *)
+
+val skip_set : Ctx.t -> Ctx.slot -> Pdf_util.Charset.t -> unit
+(** Consume characters while they belong to the set, which must be the
+    one the {!slot_set} slot was built with. Stops at EOF. *)
+
+val read_set : Ctx.t -> Ctx.slot -> Pdf_util.Charset.t -> Pdf_taint.Tstring.t
 (** Consume and collect characters while they belong to the set. *)
 
 val expect : Ctx.t -> Site.t -> char -> unit
@@ -24,7 +40,9 @@ val peek_is : Ctx.t -> Site.t -> char -> bool
 val eat_if : Ctx.t -> Site.t -> char -> bool
 (** [peek_is] and consume on success. *)
 
-(** Staged continuation-style counterparts of the helpers above, for
+(** {1 Staged combinators}
+
+    Staged continuation-style counterparts of the helpers above, for
     machine-form (resumable) parsers. A parser fragment is a [k];
     sequencing is by continuation, and every input observation goes
     through a {!Pdf_instr.Machine} step so the driver can journal read
@@ -75,19 +93,6 @@ module K : sig
       a cycle. The test must itself be the tracked observation
       ([Ctx.in_range_slot], [Ctx.in_set_slot], …); it runs once per
       character. *)
-
-  (** {2 Comparison slots}
-
-      Constructors for {!Pdf_instr.Ctx.slot}: each freezes a branch
-      site's two outcome ids together with the comparison-event kind the
-      tracked [Ctx] operation would build per call, so the slot
-      operations record the same observations without the per-call site
-      dispatch and kind allocation. *)
-
-  val slot_eq : Site.t -> char -> Ctx.slot
-  val slot_range : Site.t -> char -> char -> Ctx.slot
-  val slot_set : Site.t -> label:string -> Pdf_util.Charset.t -> Ctx.slot
-  val slot_one_of : Site.t -> string -> Ctx.slot
 
   val skip_set : Site.t -> label:string -> Pdf_util.Charset.t -> k -> k
   (** [skip_while] over a set-membership slot. *)

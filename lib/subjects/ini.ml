@@ -36,13 +36,13 @@ module K = Helpers.K
    [skip_set] cycle, and a steady-state run allocates no step nodes at
    all. *)
 
-let sl_rbracket = K.slot_eq b_rbracket ']'
-let sl_section_nl = K.slot_eq b_section_nl '\n'
-let sl_newline = K.slot_eq b_newline '\n'
-let sl_comment_semi = K.slot_eq b_comment_semi ';'
-let sl_comment_hash = K.slot_eq b_comment_hash '#'
-let sl_lbracket = K.slot_eq b_lbracket '['
-let sl_keychar = K.slot_set b_keychar ~label:"key-char" key_chars
+let sl_rbracket = Helpers.slot_eq b_rbracket ']'
+let sl_section_nl = Helpers.slot_eq b_section_nl '\n'
+let sl_newline = Helpers.slot_eq b_newline '\n'
+let sl_comment_semi = Helpers.slot_eq b_comment_semi ';'
+let sl_comment_hash = Helpers.slot_eq b_comment_hash '#'
+let sl_lbracket = Helpers.slot_eq b_lbracket '['
+let sl_keychar = Helpers.slot_set b_keychar ~label:"key-char" key_chars
 
 let skip_inline_ws k = K.skip_set b_inline_ws ~label:"inline-ws" inline_ws k
 let skip_to_eol k = K.skip_set b_value_char ~label:"line-char" value_chars k

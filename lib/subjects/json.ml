@@ -65,23 +65,23 @@ let ws = Charset.of_string " \t\r\n"
 (* Slots for every comparison site, resolved once at module
    initialisation — the recursive nonterminals are constructed per
    entry, and must not rebuild site/kind data each time. *)
-let sl_ws = K.slot_set b_ws ~label:"whitespace" ws
-let sl_str_close = K.slot_eq b_str_close '"'
-let sl_str_backslash = K.slot_eq b_str_backslash '\\'
-let sl_esc_simple = K.slot_one_of b_esc_simple "\"\\/bfnrt"
-let sl_num_exp_sign = K.slot_one_of b_num_exp_sign "+-"
-let sl_num_exp = K.slot_one_of b_num_exp "eE"
-let sl_num_dot = K.slot_eq b_num_dot '.'
-let sl_minus = K.slot_eq b_minus '-'
-let sl_lbrace = K.slot_eq b_lbrace '{'
-let sl_lbracket = K.slot_eq b_lbracket '['
-let sl_quote = K.slot_eq b_quote '"'
-let sl_digit = K.slot_range b_digit '0' '9'
-let sl_letter = K.slot_set b_letter ~label:"letter" Charset.letters
-let sl_obj_key_quote = K.slot_eq b_obj_key_quote '"'
-let sl_num_int = K.slot_range b_num_int '0' '9'
-let sl_num_frac = K.slot_range b_num_frac '0' '9'
-let sl_num_exp_digit = K.slot_range b_num_exp_digit '0' '9'
+let sl_ws = Helpers.slot_set b_ws ~label:"whitespace" ws
+let sl_str_close = Helpers.slot_eq b_str_close '"'
+let sl_str_backslash = Helpers.slot_eq b_str_backslash '\\'
+let sl_esc_simple = Helpers.slot_one_of b_esc_simple "\"\\/bfnrt"
+let sl_num_exp_sign = Helpers.slot_one_of b_num_exp_sign "+-"
+let sl_num_exp = Helpers.slot_one_of b_num_exp "eE"
+let sl_num_dot = Helpers.slot_eq b_num_dot '.'
+let sl_minus = Helpers.slot_eq b_minus '-'
+let sl_lbrace = Helpers.slot_eq b_lbrace '{'
+let sl_lbracket = Helpers.slot_eq b_lbracket '['
+let sl_quote = Helpers.slot_eq b_quote '"'
+let sl_digit = Helpers.slot_range b_digit '0' '9'
+let sl_letter = Helpers.slot_set b_letter ~label:"letter" Charset.letters
+let sl_obj_key_quote = Helpers.slot_eq b_obj_key_quote '"'
+let sl_num_int = Helpers.slot_range b_num_int '0' '9'
+let sl_num_frac = Helpers.slot_range b_num_frac '0' '9'
+let sl_num_exp_digit = Helpers.slot_range b_num_exp_digit '0' '9'
 
 let skip_ws k = K.skip_while (fun c ctx -> Ctx.in_set_slot ctx sl_ws c ws) k
 

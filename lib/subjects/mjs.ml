@@ -106,9 +106,26 @@ let hex_digits =
   Charset.union Charset.digits
     (Charset.union (Charset.range 'a' 'f') (Charset.range 'A' 'F'))
 
+(* The lexer's comparisons, resolved once: each slot holds its site's
+   outcomes and the event kind, so a tracked comparison builds no kind
+   (and a [one_of] no charset and no label). *)
+let sl_ws = Helpers.slot_set b_ws ~label:"whitespace" ws
+let sl_word_start = Helpers.slot_set b_word_start ~label:"word-start" word_start
+let sl_word_more = Helpers.slot_set b_word_more ~label:"word-char" word_chars
+let sl_digit = Helpers.slot_range b_digit '0' '9'
+let sl_num_hex = Helpers.slot_one_of b_num_hex "xX"
+let sl_num_hex_digit = Helpers.slot_set b_num_hex_digit ~label:"hex-digit" hex_digits
+let sl_num_more = Helpers.slot_set b_num_more ~label:"digit" Charset.digits
+let sl_num_frac = Helpers.slot_set b_num_frac ~label:"digit" Charset.digits
+let sl_num_exp = Helpers.slot_one_of b_num_exp "eE"
+let sl_num_exp_sign = Helpers.slot_one_of b_num_exp_sign "+-"
+let sl_num_exp_digit = Helpers.slot_set b_num_exp_digit ~label:"digit" Charset.digits
+let escapes = "nrtbfv0\\'\""
+let sl_esc_known = Helpers.slot_one_of b_esc_known escapes
+
 let lex_word ctx =
   Ctx.with_frame ctx s_lex_word @@ fun () ->
-  let word = Helpers.read_set ctx b_word_more ~label:"word-char" word_chars in
+  let word = Helpers.read_set ctx sl_word_more word_chars in
   let rec find = function
     | [] -> Ident
     | (kw, site) :: rest -> if Ctx.str_eq ctx site word kw then Kw kw else find rest
@@ -122,25 +139,26 @@ let lex_number ctx =
    | Some first ->
      (match Ctx.peek ctx with
       | Some c
-        when first.Tchar.ch = '0' && Ctx.one_of ctx b_num_hex c "xX" ->
+        when first.Tchar.ch = '0' && Ctx.one_of_slot ctx sl_num_hex c "xX" ->
         ignore (Ctx.next ctx);
-        let ds = Helpers.read_set ctx b_num_hex_digit ~label:"hex-digit" hex_digits in
+        let ds = Helpers.read_set ctx sl_num_hex_digit hex_digits in
         if Tstring.length ds = 0 then Ctx.reject ctx "missing hex digits"
       | Some _ | None ->
-        ignore (Helpers.read_set ctx b_num_more ~label:"digit" Charset.digits);
+        ignore (Helpers.read_set ctx sl_num_more Charset.digits);
         (match Ctx.peek ctx with
          | Some c when Ctx.eq ctx b_num_dot c '.' ->
            ignore (Ctx.next ctx);
-           let frac = Helpers.read_set ctx b_num_frac ~label:"digit" Charset.digits in
+           let frac = Helpers.read_set ctx sl_num_frac Charset.digits in
            if Tstring.length frac = 0 then Ctx.reject ctx "missing fraction digits"
          | Some _ | None -> ());
         (match Ctx.peek ctx with
-         | Some c when Ctx.one_of ctx b_num_exp c "eE" ->
+         | Some c when Ctx.one_of_slot ctx sl_num_exp c "eE" ->
            ignore (Ctx.next ctx);
            (match Ctx.peek ctx with
-            | Some c2 when Ctx.one_of ctx b_num_exp_sign c2 "+-" -> ignore (Ctx.next ctx)
+            | Some c2 when Ctx.one_of_slot ctx sl_num_exp_sign c2 "+-" ->
+              ignore (Ctx.next ctx)
             | Some _ | None -> ());
-           let ex = Helpers.read_set ctx b_num_exp_digit ~label:"digit" Charset.digits in
+           let ex = Helpers.read_set ctx sl_num_exp_digit Charset.digits in
            if Tstring.length ex = 0 then Ctx.reject ctx "missing exponent digits"
          | Some _ | None -> ())));
   Number
@@ -159,7 +177,7 @@ let lex_string ctx quote_site quote =
         (match Ctx.next ctx with
          | None -> Ctx.reject ctx "unterminated escape"
          | Some e ->
-           if not (Ctx.one_of ctx b_esc_known e "nrtbfv0\\'\"") then
+           if not (Ctx.one_of_slot ctx sl_esc_known e escapes) then
              Ctx.reject ctx "unknown escape");
         body ()
       end
@@ -196,12 +214,12 @@ let lex_op ctx =
 
 let next_token ctx =
   Ctx.with_frame ctx s_lex @@ fun () ->
-  Helpers.skip_set ctx b_ws ~label:"whitespace" ws;
+  Helpers.skip_set ctx sl_ws ws;
   match Ctx.peek ctx with
   | None -> Eof
   | Some c ->
-    if Ctx.in_set ctx b_word_start ~label:"word-start" c word_start then lex_word ctx
-    else if Ctx.in_range ctx b_digit c '0' '9' then lex_number ctx
+    if Ctx.in_set_slot ctx sl_word_start c word_start then lex_word ctx
+    else if Ctx.in_range_slot ctx sl_digit c '0' '9' then lex_number ctx
     else if Ctx.eq ctx b_quote_double c '"' then lex_string ctx b_quote_double '"'
     else if Ctx.eq ctx b_quote_single c '\'' then lex_string ctx b_quote_single '\''
     else lex_op ctx
@@ -282,14 +300,6 @@ let rec str_mem s = function
 
 let advance st = st.tok <- next_token st.ctx
 
-let expect st expected site =
-  if Ctx.branch st.ctx site (tok_eq st.tok (Punct expected)) then advance st
-  else Ctx.reject st.ctx (Printf.sprintf "expected %S" expected)
-
-let expect_kw st kw site =
-  if Ctx.branch st.ctx site (tok_eq st.tok (Kw kw)) then advance st
-  else Ctx.reject st.ctx (Printf.sprintf "expected keyword %S" kw)
-
 let b_expect_lparen = branch "expect.lparen"
 let b_expect_rparen = branch "expect.rparen"
 let b_expect_lbrace = branch "expect.lbrace"
@@ -298,6 +308,25 @@ let b_expect_rbracket = branch "expect.rbracket"
 let b_expect_colon = branch "expect.colon"
 let b_expect_while = branch "expect.while"
 let b_expect_ident = branch "expect.ident"
+
+(* An expected token and everything its check needs, built once: the
+   token, the branch site and the reject message. *)
+type expectation = { tok : token; site : Site.t; msg : string }
+
+let punct p site = { tok = Punct p; site; msg = Printf.sprintf "expected %S" p }
+let keyword kw site = { tok = Kw kw; site; msg = Printf.sprintf "expected keyword %S" kw }
+let x_lparen = punct "(" b_expect_lparen
+let x_rparen = punct ")" b_expect_rparen
+let x_lbrace = punct "{" b_expect_lbrace
+let x_rbrace = punct "}" b_expect_rbrace
+let x_rbracket = punct "]" b_expect_rbracket
+let x_colon = punct ":" b_expect_colon
+let x_semicolon = punct ";" b_semicolon
+let x_while = keyword "while" b_expect_while
+
+let expect st x =
+  if Ctx.branch st.ctx x.site (tok_eq st.tok x.tok) then advance st
+  else Ctx.reject st.ctx x.msg
 
 let assign_ops =
   [ "="; "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "<<="; ">>="; ">>>=" ]
@@ -340,29 +369,29 @@ let rec statement st =
   | Kw "with" -> with_stmt st
   | Kw "debugger" ->
     advance st;
-    expect st ";" b_semicolon
+    expect st x_semicolon
   | Kw "break" | Kw "continue" ->
     ignore (Ctx.branch st.ctx b_stmt_kind true);
     advance st;
-    expect st ";" b_semicolon
+    expect st x_semicolon
   | Kw "return" ->
     advance st;
     if Ctx.branch st.ctx b_return_value (not (tok_eq st.tok (Punct ";"))) then
       expression st;
-    expect st ";" b_semicolon
+    expect st x_semicolon
   | Kw "throw" ->
     advance st;
     expression st;
-    expect st ";" b_semicolon
+    expect st x_semicolon
   | Punct _ | Kw _ | Ident | Number | Str ->
     Ctx.with_frame st.ctx s_expr_stmt @@ fun () ->
     expression st;
-    expect st ";" b_semicolon
+    expect st x_semicolon
   | Eof -> Ctx.reject st.ctx "expected statement, found end of input"
 
 and block_stmt st =
   Ctx.with_frame st.ctx s_block @@ fun () ->
-  expect st "{" b_expect_lbrace;
+  expect st x_lbrace;
   let rec stmts () =
     if
       Ctx.branch st.ctx b_block_more
@@ -373,14 +402,14 @@ and block_stmt st =
     end
   in
   stmts ();
-  expect st "}" b_expect_rbrace
+  expect st x_rbrace
 
 and var_stmt st =
   Ctx.with_frame st.ctx s_var @@ fun () ->
   advance st;
   (* var/let/const *)
   var_declarations st;
-  expect st ";" b_semicolon
+  expect st x_semicolon
 
 and var_declarations st =
   let rec decl () =
@@ -400,9 +429,9 @@ and var_declarations st =
 and if_stmt st =
   Ctx.with_frame st.ctx s_if @@ fun () ->
   advance st;
-  expect st "(" b_expect_lparen;
+  expect st x_lparen;
   expression st;
-  expect st ")" b_expect_rparen;
+  expect st x_rparen;
   statement st;
   if Ctx.branch st.ctx b_else (tok_eq st.tok (Kw "else")) then begin
     advance st;
@@ -412,25 +441,25 @@ and if_stmt st =
 and while_stmt st =
   Ctx.with_frame st.ctx s_while @@ fun () ->
   advance st;
-  expect st "(" b_expect_lparen;
+  expect st x_lparen;
   expression st;
-  expect st ")" b_expect_rparen;
+  expect st x_rparen;
   statement st
 
 and do_stmt st =
   Ctx.with_frame st.ctx s_do @@ fun () ->
   advance st;
   statement st;
-  expect_kw st "while" b_expect_while;
-  expect st "(" b_expect_lparen;
+  expect st x_while;
+  expect st x_lparen;
   expression st;
-  expect st ")" b_expect_rparen;
-  expect st ";" b_semicolon
+  expect st x_rparen;
+  expect st x_semicolon
 
 and for_stmt st =
   Ctx.with_frame st.ctx s_for @@ fun () ->
   advance st;
-  expect st "(" b_expect_lparen;
+  expect st x_lparen;
   (* Initialiser: empty, a declaration, or an expression; [for (x in e)]
      is recognised after a declaration-free identifier. *)
   (match st.tok with
@@ -442,7 +471,7 @@ and for_stmt st =
   if Ctx.branch st.ctx b_for_in (tok_eq st.tok (Kw "in")) then begin
     advance st;
     expression st;
-    expect st ")" b_expect_rparen;
+    expect st x_rparen;
     statement st
   end
   else if tok_eq st.tok (Punct ")") then begin
@@ -452,35 +481,35 @@ and for_stmt st =
     statement st
   end
   else begin
-    expect st ";" b_semicolon;
+    expect st x_semicolon;
     if Ctx.branch st.ctx b_for_cond (not (tok_eq st.tok (Punct ";"))) then
       expression st;
-    expect st ";" b_semicolon;
+    expect st x_semicolon;
     if Ctx.branch st.ctx b_for_step (not (tok_eq st.tok (Punct ")"))) then
       expression st;
-    expect st ")" b_expect_rparen;
+    expect st x_rparen;
     statement st
   end
 
 and switch_stmt st =
   Ctx.with_frame st.ctx s_switch @@ fun () ->
   advance st;
-  expect st "(" b_expect_lparen;
+  expect st x_lparen;
   expression st;
-  expect st ")" b_expect_rparen;
-  expect st "{" b_expect_lbrace;
+  expect st x_rparen;
+  expect st x_lbrace;
   let rec clauses () =
     if Ctx.branch st.ctx b_case_more (tok_eq st.tok (Kw "case")) then begin
       advance st;
       expression st;
-      expect st ":" b_expect_colon;
+      expect st x_colon;
       clause_stmts ();
       clauses ()
     end
     else if Ctx.branch st.ctx b_case_default (tok_eq st.tok (Kw "default"))
     then begin
       advance st;
-      expect st ":" b_expect_colon;
+      expect st x_colon;
       clause_stmts ();
       clauses ()
     end
@@ -496,7 +525,7 @@ and switch_stmt st =
     end
   in
   clauses ();
-  expect st "}" b_expect_rbrace
+  expect st x_rbrace
 
 and try_stmt st =
   Ctx.with_frame st.ctx s_try @@ fun () ->
@@ -505,10 +534,10 @@ and try_stmt st =
   let caught = Ctx.branch st.ctx b_catch (tok_eq st.tok (Kw "catch")) in
   if caught then begin
     advance st;
-    expect st "(" b_expect_lparen;
+    expect st x_lparen;
     (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
      else Ctx.reject st.ctx "expected exception name");
-    expect st ")" b_expect_rparen;
+    expect st x_rparen;
     block_stmt st
   end;
   if Ctx.branch st.ctx b_finally (tok_eq st.tok (Kw "finally")) then begin
@@ -520,9 +549,9 @@ and try_stmt st =
 and with_stmt st =
   Ctx.with_frame st.ctx s_with @@ fun () ->
   advance st;
-  expect st "(" b_expect_lparen;
+  expect st x_lparen;
   expression st;
-  expect st ")" b_expect_rparen;
+  expect st x_rparen;
   statement st
 
 and function_decl st ~named =
@@ -531,7 +560,7 @@ and function_decl st ~named =
   (* function *)
   if Ctx.branch st.ctx b_fn_anonymous (tok_eq st.tok Ident) then advance st
   else if named then Ctx.reject st.ctx "expected function name";
-  expect st "(" b_expect_lparen;
+  expect st x_lparen;
   (if not (tok_eq st.tok (Punct ")")) then
      let rec params () =
        (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
@@ -542,7 +571,7 @@ and function_decl st ~named =
        end
      in
      params ());
-  expect st ")" b_expect_rparen;
+  expect st x_rparen;
   block_stmt st
 
 and expression st = assignment st
@@ -562,7 +591,7 @@ and conditional st =
   if Ctx.branch st.ctx b_ternary (tok_eq st.tok (Punct "?")) then begin
     advance st;
     assignment st;
-    expect st ":" b_expect_colon;
+    expect st x_colon;
     assignment st
   end
 
@@ -625,7 +654,7 @@ and call_tail st =
     else if tok_eq st.tok (Punct "[") then begin
       advance st;
       expression st;
-      expect st "]" b_expect_rbracket;
+      expect st x_rbracket;
       tail ()
     end
     else if tok_eq st.tok (Punct "(") then begin
@@ -642,10 +671,10 @@ and advance_member st =
   Ctx.with_frame st.ctx s_member @@ fun () ->
   (* The '.' token is current, so the stream cursor sits right after it:
      read the member word directly so its characters stay comparable. *)
-  Helpers.skip_set st.ctx b_ws ~label:"whitespace" ws;
+  Helpers.skip_set st.ctx sl_ws ws;
   (match Ctx.peek st.ctx with
-   | Some c when Ctx.in_set st.ctx b_word_start ~label:"word-start" c word_start ->
-     let word = Helpers.read_set st.ctx b_word_more ~label:"word-char" word_chars in
+   | Some c when Ctx.in_set_slot st.ctx sl_word_start c word_start ->
+     let word = Helpers.read_set st.ctx sl_word_more word_chars in
      let rec find = function
        | [] -> ()
        | (m, site) :: rest ->
@@ -657,7 +686,7 @@ and advance_member st =
   advance st
 
 and call_args st =
-  expect st "(" b_expect_lparen;
+  expect st x_lparen;
   (if not (tok_eq st.tok (Punct ")")) then
      let rec args () =
        assignment st;
@@ -667,7 +696,7 @@ and call_args st =
        end
      in
      args ());
-  expect st ")" b_expect_rparen
+  expect st x_rparen
 
 and primary st =
   Ctx.with_frame st.ctx s_primary @@ fun () ->
@@ -680,7 +709,7 @@ and primary st =
   | Punct "(" ->
     advance st;
     expression st;
-    expect st ")" b_expect_rparen
+    expect st x_rparen
   | Punct "[" -> array_literal st
   | Punct "{" -> object_literal st
   | Punct _ | Kw _ | Eof -> Ctx.reject st.ctx "expected expression"
@@ -698,7 +727,7 @@ and array_literal st =
        end
      in
      elems ());
-  expect st "]" b_expect_rbracket
+  expect st x_rbracket
 
 and object_literal st =
   Ctx.with_frame st.ctx s_object_lit @@ fun () ->
@@ -713,7 +742,7 @@ and object_literal st =
         | Punct _ | Eof ->
           ignore (Ctx.branch st.ctx b_prop_key false);
           Ctx.reject st.ctx "expected property key");
-       expect st ":" b_expect_colon;
+       expect st x_colon;
        assignment st;
        if Ctx.branch st.ctx b_prop_more (tok_eq st.tok (Punct ",")) then begin
          advance st;
@@ -721,7 +750,7 @@ and object_literal st =
        end
      in
      props ());
-  expect st "}" b_expect_rbrace
+  expect st x_rbrace
 
 let parse ctx =
   Ctx.with_frame ctx s_program @@ fun () ->

@@ -30,7 +30,7 @@ let machine : Machine.recognizer =
       (List.map
          (fun (o, close) ->
            let msg_eof, msg = K.reject_msgs close in
-           ( K.slot_eq (List.assoc o b_open) o,
+           ( Helpers.slot_eq (List.assoc o b_open) o,
              o,
              List.assoc close b_close,
              close,

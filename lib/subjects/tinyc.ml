@@ -115,17 +115,25 @@ type parser_state = { ctx : Ctx.t; mutable tok : token; mutable tok_start : int 
 let ws = Charset.of_string " \t\r\n"
 let lower = Charset.range 'a' 'z'
 
+(* The lexer's comparisons, resolved once: each slot holds its site's
+   outcomes and the event kind, so a tracked comparison builds no kind. *)
+let sl_ws = Helpers.slot_set b_ws ~label:"whitespace" ws
+let sl_letter_first = Helpers.slot_range b_letter 'a' 'z'
+let sl_letter = Helpers.slot_set b_letter ~label:"letter" lower
+let sl_digit_first = Helpers.slot_range b_digit '0' '9'
+let sl_digit = Helpers.slot_set b_digit ~label:"digit" Charset.digits
+
 (* Returns the token and the input position where it starts. *)
 let next_token ctx =
   Ctx.with_frame ctx s_lex @@ fun () ->
-  Helpers.skip_set ctx b_ws ~label:"whitespace" ws;
+  Helpers.skip_set ctx sl_ws ws;
   let start = Ctx.pos ctx in
   let token =
     match Ctx.peek ctx with
   | None -> Eof
   | Some c ->
-    if Ctx.in_range ctx b_letter c 'a' 'z' then begin
-      let word = Helpers.read_set ctx b_letter ~label:"letter" lower in
+    if Ctx.in_range_slot ctx sl_letter_first c 'a' 'z' then begin
+      let word = Helpers.read_set ctx sl_letter lower in
       if Ctx.str_eq ctx b_kw_if word "if" then Kw_if
       else if Ctx.str_eq ctx b_kw_else word "else" then Kw_else
       else if Ctx.str_eq ctx b_kw_while word "while" then Kw_while
@@ -134,8 +142,8 @@ let next_token ctx =
         Id (Char.code (Tstring.get word 0).Pdf_taint.Tchar.ch - Char.code 'a')
       else Ctx.reject ctx "unknown keyword"
     end
-    else if Ctx.in_range ctx b_digit c '0' '9' then begin
-      let num = Helpers.read_set ctx b_digit ~label:"digit" Charset.digits in
+    else if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then begin
+      let num = Helpers.read_set ctx sl_digit Charset.digits in
       (* Accumulate with silent wrap-around, as C's int arithmetic does;
          [int_of_string] would fail on fuzzer-generated digit floods. *)
       let value =
@@ -167,19 +175,30 @@ let advance st =
   st.tok <- token;
   st.tok_start <- start
 
+(* An expected symbol and everything its check needs, built once: the
+   token, the branch site, the spelling a §7.2 event splices in and the
+   reject message. *)
+type expectation = { sym : token; site : Site.t; spelling : string; msg : string }
+
+let expectation c site =
+  { sym = Sym c; site; spelling = String.make 1 c; msg = Printf.sprintf "expected %C" c }
+
+let x_lparen = expectation '(' b_lparen
+let x_rparen = expectation ')' b_rparen
+let x_semicolon = expectation ';' b_semicolon
+let x_rbrace = expectation '}' b_stmt_block
+
 (* Token-kind expectation. The lexer's dispatch comparisons already
    happened; the structural check here has no data flow from the input
    (§7.2), unless the token-taint extension re-attaches it. *)
-let expect_sym st c site =
-  let matched = tok_eq st.tok (Sym c) in
+let expect_sym st x =
+  let matched = tok_eq st.tok x.sym in
   let matched =
     if Config.token_taints then
-      Ctx.expect_token st.ctx site ~at:st.tok_start ~spelling:(String.make 1 c)
-        ~matched
-    else Ctx.branch st.ctx site matched
+      Ctx.expect_token st.ctx x.site ~at:st.tok_start ~spelling:x.spelling ~matched
+    else Ctx.branch st.ctx x.site matched
   in
-  if matched then advance st
-  else Ctx.reject st.ctx (Printf.sprintf "expected %C" c)
+  if matched then advance st else Ctx.reject st.ctx x.msg
 
 let rec expr st =
   Ctx.with_frame st.ctx s_expr @@ fun () ->
@@ -240,9 +259,9 @@ and term st =
 
 and paren_expr st =
   Ctx.with_frame st.ctx s_paren_expr @@ fun () ->
-  expect_sym st '(' b_lparen;
+  expect_sym st x_lparen;
   let e = expr st in
-  expect_sym st ')' b_rparen;
+  expect_sym st x_rparen;
   e
 
 let rec statement st =
@@ -276,7 +295,7 @@ let rec statement st =
     if matched then begin
       advance st;
       let cond = paren_expr st in
-      expect_sym st ';' b_semicolon;
+      expect_sym st x_semicolon;
       S_do (body, cond)
     end
     else Ctx.reject st.ctx "expected 'while' after do-body"
@@ -290,7 +309,7 @@ let rec statement st =
       then
         stmts (statement st :: acc)
       else begin
-        expect_sym st '}' b_stmt_block;
+        expect_sym st x_rbrace;
         S_block (List.rev acc)
       end
     in
@@ -302,9 +321,15 @@ let rec statement st =
   end
   else begin
     let e = expr st in
-    expect_sym st ';' b_semicolon;
+    expect_sym st x_semicolon;
     S_expr e
   end
+
+(* §7.3's reject message for each variable, built once. *)
+let undefined_msgs =
+  Array.init 26 (fun v ->
+      Printf.sprintf "use of variable '%c' before assignment"
+        (Char.chr (Char.code 'a' + v)))
 
 (* Execution, as in the paper's evaluation setup (tinyC programs are run
    after parsing). The fuel budget turns infinite loops into hangs. *)
@@ -326,9 +351,7 @@ let exec ctx program =
     | E_id v ->
       if Config.semantic_checks then begin
         if not (Ctx.branch ctx b_sem_defined assigned.(v)) then
-          Ctx.reject ctx
-            (Printf.sprintf "use of variable '%c' before assignment"
-               (Char.chr (Char.code 'a' + v)))
+          Ctx.reject ctx undefined_msgs.(v)
       end;
       vars.(v)
     | E_num n -> n

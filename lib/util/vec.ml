@@ -1,8 +1,9 @@
 (* [cap] is the writable capacity. For vectors that own their backing
    array it equals [Array.length data]; for borrowed vectors (see
-   [of_prefix]) it equals [len], so the very first push routes through
-   [grow] and copies the shared prefix into owned storage — copy-on-write
-   with no extra test on the push hot path. *)
+   [of_prefix]) it is -1, so the very first push routes through [grow]
+   and copies the shared prefix into owned storage — copy-on-write with
+   no extra test on the push hot path — and [clear] can tell a borrowed
+   array from a full owned one. *)
 type 'a t = {
   mutable data : 'a array;
   mutable len : int;
@@ -16,8 +17,8 @@ let create ?(capacity = 0) dummy =
 
 let of_prefix arr ~len dummy =
   if len < 0 || len > Array.length arr then invalid_arg "Vec.of_prefix";
-  (* cap = len marks the backing array as shared: it is never written. *)
-  { data = arr; len; cap = len; dummy }
+  (* cap = -1 marks the backing array as shared: it is never written. *)
+  { data = arr; len; cap = -1; dummy }
 
 let[@inline] length t = t.len
 
@@ -38,6 +39,19 @@ let[@inline] push t x =
 let[@inline] get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
   t.data.(i)
+
+(* Vacated slots get the dummy back, so a cleared vector keeps no dead
+   value alive. A borrowed vector has nothing of its own to clear; it
+   drops the borrowed prefix, and its next push allocates. *)
+let clear t =
+  if t.cap >= 0 then Array.fill t.data 0 t.len t.dummy
+  else begin
+    t.data <- [||];
+    t.cap <- 0
+  end;
+  t.len <- 0
+
+let[@inline] backing t = t.data
 
 let to_array t = Array.sub t.data 0 t.len
 

@@ -30,6 +30,17 @@ val get : 'a t -> int -> 'a
 (** [get t i] is the [i]-th element; raises [Invalid_argument] out of
     bounds. *)
 
+val clear : 'a t -> unit
+(** Empty the vector and keep its capacity, so refilling it allocates
+    nothing until it outgrows its longest fill. A borrowed vector (see
+    {!of_prefix}) drops the borrowed prefix instead; the array it
+    borrowed is never written. *)
+
+val backing : 'a t -> 'a array
+(** The backing array itself, not a copy: its first [length t] elements
+    are the vector's, and the rest is filler. It is valid until the next
+    {!push} or {!clear}, and must not be written. *)
+
 val to_array : 'a t -> 'a array
 (** Fresh array of exactly [length t] elements. *)
 

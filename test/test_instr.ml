@@ -899,6 +899,100 @@ let prop_hits_record_per_outcome =
       Marshal.to_string whole [] = Marshal.to_string single []
       && Pdf_instr.Hits.to_list whole = Pdf_instr.Hits.to_list single)
 
+(* {1 A reused context}
+
+   A campaign runs every execution outside the prefix cache in one
+   context, reset per input. Each run through it must package to exactly
+   what a fresh context records: every subject, a random sequence of
+   (mostly rejected) inputs with some valid ones, a subject crash and a
+   fuel-starved hang dealt in by [Fault.subject], and, on tinyc, a
+   program that exhausts its fuel for real. The view over the context
+   must derive what the packaged run does. *)
+
+module Fault = Pdf_fault.Fault
+module View = Runner.View
+
+let reset_corpus (s : Subject.t) rng =
+  let random () =
+    String.init (Pdf_util.Rng.int rng 12) (fun _ -> Pdf_util.Rng.printable rng)
+  in
+  let found =
+    (Pdf_core.Pfuzzer.fuzz
+       { Pdf_core.Pfuzzer.default_config with seed = 3; max_executions = 1500 }
+       s)
+      .valid_inputs
+  in
+  let hang = if String.starts_with ~prefix:"tinyc" s.name then [ "while(1);" ] else [] in
+  List.concat_map (fun v -> [ random (); v; random () ]) (found @ hang)
+  @ List.init 40 (fun _ -> random ())
+
+let test_reset_equivalence () =
+  let rng = Pdf_util.Rng.make 11 in
+  List.iter
+    (fun (s : Subject.t) ->
+      let plan () = Fault.of_list [ (4, Fault.Raise "reset drill"); (7, Fault.Starve_fuel) ] in
+      (* Two wrappers, called in lockstep, fault on the same inputs. *)
+      let reused = Fault.subject (plan ()) s and fresh = Fault.subject (plan ()) s in
+      let ctx = Ctx.make ~registry:s.registry ~fuel:s.fuel "" in
+      let v = View.create () in
+      let verdicts = Hashtbl.create 4 in
+      List.iteri
+        (fun i input ->
+          Ctx.reset ctx input;
+          let verdict = Runner.run_in ctx ~parse:reused.parse in
+          View.of_ctx v ctx verdict;
+          let got = Runner.package ctx verdict in
+          let want = Subject.run fresh input in
+          let what = Printf.sprintf "%s run %d %S" s.name i input in
+          Hashtbl.replace verdicts
+            (match want.verdict with
+             | Runner.Accepted -> "accepted"
+             | Rejected _ -> "rejected"
+             | Hang -> "hang"
+             | Crash _ -> "crash")
+            ();
+          check Alcotest.bool (what ^ ": verdict and reason") true (got.verdict = want.verdict);
+          check Alcotest.bool (what ^ ": comparisons") true
+            (got.comparisons = want.comparisons);
+          check Alcotest.(array int) (what ^ ": touched") want.touched got.touched;
+          check Alcotest.bool (what ^ ": coverage") true
+            (Coverage.equal got.coverage want.coverage);
+          check Alcotest.bool (what ^ ": eof access") want.eof_access got.eof_access;
+          check Alcotest.int (what ^ ": max depth") want.max_depth got.max_depth;
+          check Alcotest.int (what ^ ": view substitution index")
+            (Option.value (Runner.substitution_index want) ~default:(-1))
+            (View.substitution_index v);
+          (match Runner.substitution_index want with
+           | None -> ()
+           | Some index ->
+             check Alcotest.bool (what ^ ": view coverage cut") true
+               (Coverage.equal (View.coverage_up_to v ~index)
+                  (Runner.coverage_up_to want ~index)));
+          check (Alcotest.float 0.0) (what ^ ": view stack depth")
+            (Runner.avg_stack_of_last_two want) (View.avg_stack_of_last_two v);
+          check Alcotest.int (what ^ ": view path hash") (Runner.path_hash want)
+            (View.path_hash v);
+          check Alcotest.bool (what ^ ": view coverage") true
+            (Coverage.equal (View.coverage v) want.coverage);
+          let baseline = Coverage.of_list [ 0; 3; 5 ] in
+          check Alcotest.int (what ^ ": view new outcomes")
+            (Coverage.new_against want.coverage ~baseline)
+            (View.new_outcomes v ~baseline);
+          (* A view of a packaged run reads the run's own coverage. *)
+          View.of_run v want;
+          check Alcotest.int (what ^ ": run view new outcomes")
+            (Coverage.new_against want.coverage ~baseline)
+            (View.new_outcomes v ~baseline);
+          check Alcotest.int (what ^ ": run view path hash") (Runner.path_hash want)
+            (View.path_hash v))
+        (reset_corpus s rng);
+      List.iter
+        (fun kind ->
+          check Alcotest.bool (s.name ^ " corpus has a " ^ kind) true
+            (Hashtbl.mem verdicts kind))
+        [ "accepted"; "rejected"; "hang"; "crash" ])
+    Pdf_subjects.Catalog.all
+
 let () =
   Alcotest.run "pdf_instr"
     [
@@ -954,6 +1048,8 @@ let () =
             test_prefix_cache_direct_mapped;
           qtest prop_cache_model;
         ] );
+      ( "reused context",
+        [ Alcotest.test_case "reset equals a fresh context" `Quick test_reset_equivalence ] );
       ( "crash containment",
         [
           Alcotest.test_case "contract: direct and machine form" `Quick

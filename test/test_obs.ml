@@ -483,20 +483,50 @@ let test_chrome_sink () =
   check Alcotest.bool "nonempty" true (String.length trimmed > 2);
   check Alcotest.char "opens array" '[' trimmed.[0];
   check Alcotest.char "closes array" ']' trimmed.[String.length trimmed - 1];
-  let depth_points =
-    List.length
-      (List.filter
-         (fun l ->
-           String.starts_with ~prefix:{|{"name":"queue_depth"|} (String.trim l))
-         (String.split_on_char '\n' content))
+  let lines = List.map String.trim (String.split_on_char '\n' content) in
+  let named name =
+    List.filter (String.starts_with ~prefix:(Printf.sprintf {|{"name":%S|} name)) lines
   in
+  let depth_points = named "queue_depth" in
   check Alcotest.int "one queue-depth point per execution"
     (List.length
        (List.filter
           (fun (s : Event.stamped) ->
             match s.ev with Event.Exec_done _ -> true | _ -> false)
           events))
-    depth_points
+    (List.length depth_points);
+  (* The trace_event format reads a counter's series and the process's
+     name from [args]: a value written beside them draws nothing. *)
+  let find s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i =
+      if i + m > n then -1 else if String.sub s i m = sub then i else go (i + 1)
+    in
+    go 0
+  in
+  let args_only ~args key line =
+    let at = find line {|"args":{|} in
+    at > 0
+    && String.starts_with ~prefix:(Printf.sprintf {|"args":{%S:|} args)
+         (String.sub line at (String.length line - at))
+    && find (String.sub line 0 at) (Printf.sprintf "%S:" key) < 0
+  in
+  List.iter
+    (fun l ->
+      check Alcotest.bool ("depth under args: " ^ l) true
+        (args_only ~args:"depth" "depth" l))
+    depth_points;
+  List.iter
+    (fun l ->
+      check Alcotest.bool ("branches under args: " ^ l) true
+        (args_only ~args:"branches" "branches" l))
+    (named "coverage");
+  match named "process_name" with
+  | [ l ] ->
+    check Alcotest.bool ("process name under args: " ^ l) true
+      (args_only ~args:"name" "arg_name" l
+      && find l {|"args":{"name":"pfuzzer json seed|} > 0)
+  | ls -> Alcotest.failf "%d process_name entries" (List.length ls)
 
 (* {1 The disabled path allocates within the fuzzer's own budget}
 

@@ -508,6 +508,28 @@ let test_vec_of_prefix_cow () =
     (Invalid_argument "Vec.of_prefix") (fun () ->
       ignore (Vec.of_prefix arr ~len:5 0))
 
+(* A reused context empties its buffers per run: the capacity stays, the
+   vacated slots hold the dummy again, and a borrowed array — even one
+   borrowed whole — is never written. *)
+let test_vec_clear () =
+  let v = Vec.create 0 in
+  List.iter (Vec.push v) [ 1; 2; 3 ];
+  let backing = Vec.backing v in
+  Vec.clear v;
+  check Alcotest.int "empty" 0 (Vec.length v);
+  check Alcotest.bool "capacity kept" true (Vec.backing v == backing);
+  check Alcotest.(list int) "slots vacated" [ 0; 0; 0 ]
+    (Array.to_list (Array.sub backing 0 3));
+  Vec.push v 9;
+  check Alcotest.(list int) "refilled in place" [ 9 ] (Vec.to_list v);
+  check Alcotest.bool "no new array" true (Vec.backing v == backing);
+  let arr = [| 1; 2; 3 |] in
+  let whole = Vec.of_prefix arr ~len:3 0 in
+  Vec.clear whole;
+  Vec.push whole 7;
+  check Alcotest.(list int) "borrowed array untouched" [ 1; 2; 3 ] (Array.to_list arr);
+  check Alcotest.(list int) "cleared borrow refills" [ 7 ] (Vec.to_list whole)
+
 (* {1 Atomic_file: crash-safe writes} *)
 
 module Atomic_file = Pdf_util.Atomic_file
@@ -661,7 +683,11 @@ let () =
           qtest prop_hist_percentile_bounded_error;
           qtest prop_hist_accumulators;
         ] );
-      ("vec", [ Alcotest.test_case "of_prefix copy-on-write" `Quick test_vec_of_prefix_cow ]);
+      ( "vec",
+        [
+          Alcotest.test_case "of_prefix copy-on-write" `Quick test_vec_of_prefix_cow;
+          Alcotest.test_case "clear keeps capacity" `Quick test_vec_clear;
+        ] );
       ( "atomic-file",
         [
           Alcotest.test_case "write/read round-trip" `Quick
