@@ -147,8 +147,7 @@ let write_crash_corpus path (crashes : Pdf_core.Pfuzzer.crash list) =
   Pdf_util.Atomic_file.write_string path (Buffer.contents buf)
 
 let fuzz_cmd =
-  let run subject_name tool_name seed executions quiet no_incremental trace
-      trace_sample stats_interval checkpoint checkpoint_every resume
+  let run subject_name tool_name seed executions quiet trace trace_sample stats_interval checkpoint checkpoint_every resume
       crashes_out die_after =
     match find_subject subject_name with
     | Error e -> Error e
@@ -203,8 +202,7 @@ let fuzz_cmd =
            with_observer ~trace ~trace_sample ~stats_interval
              (fun obs ->
                Pdf_eval.Tool.run ?obs ?on_checkpoint ?resume_from ?on_execution
-                 ?checkpoint_every ~incremental:(not no_incremental) tool
-                 ~budget_units ~seed subject)
+                 ?checkpoint_every tool ~budget_units ~seed subject)
          in
          if not quiet then
            List.iter (fun input -> Printf.printf "%S\n" input) outcome.valid_inputs;
@@ -220,13 +218,6 @@ let fuzz_cmd =
            outcome.hangs outcome.crash_total
            (List.length outcome.crashes)
            (List.length tags) (String.concat " " tags);
-         let c = outcome.cache in
-         if c.Pdf_core.Pfuzzer.hits + c.misses > 0 then
-           Printf.printf
-             "# prefix cache: %d hits, %d misses (%.1f%% hit rate), %d evictions, %d chars saved\n"
-             c.hits c.misses
-             (100. *. float_of_int c.hits /. float_of_int (c.hits + c.misses))
-             c.evictions c.chars_saved;
          (match crashes_out with
           | None -> ()
           | Some path ->
@@ -237,15 +228,6 @@ let fuzz_cmd =
   in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print the summary line.")
-  in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Disable pFuzzer's prefix-snapshot cache and re-execute every \
-             input from scratch. Results are bit-identical either way; this \
-             exists for benchmarking and debugging.")
   in
   let trace =
     Arg.(
@@ -263,9 +245,8 @@ let fuzz_cmd =
       & info [ "stats-interval" ] ~docv:"SECS"
           ~doc:
             "Paint a live status line (execs/sec, queue depth, \
-             valid inputs, coverage, cache hit rate, plateau age, hangs, \
-             crashes) on stderr every SECS seconds. 0 (default) \
-             disables it.")
+             valid inputs, coverage, plateau age, hangs, crashes) on stderr \
+             every SECS seconds. 0 (default) disables it.")
   in
   let trace_sample =
     Arg.(
@@ -334,7 +315,7 @@ let fuzz_cmd =
     Term.(
       term_result
         (const run $ subject_arg $ tool_arg $ seed_arg $ executions_arg 20_000
-         $ quiet $ no_incremental $ trace $ trace_sample $ stats_interval
+         $ quiet $ trace $ trace_sample $ stats_interval
          $ checkpoint $ checkpoint_every $ resume $ crashes_out $ die_after))
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Fuzz one subject with one tool.") term

@@ -32,32 +32,33 @@ let ident_chars = Charset.union Charset.letters (Charset.union Charset.digits (C
    outcomes and the event kind, so the per-character call builds none. *)
 let sl_ident_char = Helpers.slot_set b_ident_char ~label:"ident" ident_chars
 
-let number ctx =
-  Ctx.with_frame ctx s_number @@ fun () ->
+(* Each nonterminal is a frame around a named body: [Ctx.frame] records
+   the block, runs the body one stack level deeper and hands it the
+   context, so no closure is built per call. *)
+let rec more_digits ctx =
+  match Ctx.peek ctx with
+  | Some c when Ctx.in_range ctx b_digit c '0' '9' ->
+    ignore (Ctx.next ctx);
+    more_digits ctx
+  | Some _ | None -> ()
+
+let number_body ctx =
   match Ctx.next ctx with
   | None -> Ctx.reject ctx "expected digit, found end of input"
   | Some c ->
     if not (Ctx.in_range ctx b_digit c '0' '9') then Ctx.reject ctx "expected digit";
-    let rec more () =
-      match Ctx.peek ctx with
-      | Some c when Ctx.in_range ctx b_digit c '0' '9' ->
-        ignore (Ctx.next ctx);
-        more ()
-      | Some _ | None -> ()
-    in
-    more ()
+    more_digits ctx
 
-let identifiers ctx =
-  Ctx.with_frame ctx s_ident @@ fun () ->
-  let rec one () =
-    let part = Helpers.read_set ctx sl_ident_char ident_chars in
-    if Pdf_taint.Tstring.length part = 0 then Ctx.reject ctx "empty identifier";
-    if Helpers.eat_if ctx b_ident_sep '.' then one ()
-  in
-  one ()
+let number ctx = Ctx.frame ctx s_number number_body ctx
 
-let parse ctx =
-  Ctx.with_frame ctx s_parse @@ fun () ->
+let rec identifiers_body ctx =
+  let part = Helpers.read_set ctx sl_ident_char ident_chars in
+  if Pdf_taint.Tstring.length part = 0 then Ctx.reject ctx "empty identifier";
+  if Helpers.eat_if ctx b_ident_sep '.' then identifiers_body ctx
+
+let identifiers ctx = Ctx.frame ctx s_ident identifiers_body ctx
+
+let parse_body ctx =
   number ctx;
   Helpers.expect ctx b_dot1 '.';
   number ctx;
@@ -70,6 +71,8 @@ let parse ctx =
     ignore (Ctx.branch ctx b_trailing true);
     Ctx.reject ctx "trailing input"
   | None -> ignore (Ctx.branch ctx b_trailing false)
+
+let parse ctx = Ctx.frame ctx s_parse parse_body ctx
 
 let subject =
   {

@@ -143,13 +143,11 @@ let trace_agreement subject input =
   then Some (Printf.sprintf "%S: coverage_up_to_last_index not a subset" input)
   else None
 
-(* {1 Incremental-execution equivalence}
+(* {1 Snapshot/resume identity}
 
-   The prefix-snapshot cache must be a pure optimisation: a run resumed
-   from a parent's suspension must be bit-identical to a full
-   re-execution, and a whole fuzzing session with the cache on must
-   produce exactly the executions and results of one with the cache
-   off. *)
+   A run resumed from a parent's suspension must be bit-identical to a
+   full re-execution: the journaled engine's contract, which
+   [Ctx.restore]'s copy of comparison records into columns must keep. *)
 
 let runs_equal (a : Runner.run) (b : Runner.run) =
   a.input = b.input && a.verdict = b.verdict
@@ -188,9 +186,10 @@ let snapshot_resume_identity subject machine input =
 
 (* {1 The checks} *)
 
-(* Deliberately ignores wall-clock timing and cache accounting (hit and
-   miss counts): those legitimately differ between cache-on/off,
-   interrupted/uninterrupted and slow/fast runs of the same campaign. *)
+(* Deliberately ignores wall-clock timing and cache accounting: timing
+   legitimately differs between interrupted/uninterrupted and slow/fast
+   runs of the same campaign, and results of builds that ran a prefix
+   cache carry its counters. *)
 let results_equal (a : Pfuzzer.result) (b : Pfuzzer.result) =
   a.valid_inputs = b.valid_inputs
   && Coverage.equal a.valid_coverage b.valid_coverage
@@ -216,35 +215,6 @@ let run ?(execs = 400) ?(seed = 1) subject =
        Printf.sprintf "%d executions, %d valid inputs, bit-identical twice"
          r1.executions (List.length r1.valid_inputs)
      else "two runs from the same seed diverged");
-  (* Incremental ≡ full: the same seeded session with the prefix cache on
-     and off must execute exactly the same inputs with bit-identical
-     observations and results. *)
-  let exec_stream incremental =
-    let runs = ref [] in
-    let result =
-      Pfuzzer.fuzz
-        ~on_execution:(fun r -> runs := r :: !runs)
-        { config with incremental } subject
-    in
-    (result, List.rev !runs)
-  in
-  let r_inc, runs_inc = exec_stream true in
-  let r_full, runs_full = exec_stream false in
-  let streams_equal =
-    List.length runs_inc = List.length runs_full
-    && List.for_all2 runs_equal runs_inc runs_full
-  in
-  let incremental_ok = results_equal r_inc r_full && streams_equal in
-  add "incremental-equivalence" incremental_ok
-    (if incremental_ok then
-       Printf.sprintf
-         "%d executions bit-identical with cache on/off (%d hits, %d chars saved)%s"
-         r_inc.executions r_inc.cache.hits r_inc.cache.chars_saved
-         (if subject.Subject.machine = None then
-            " — no machine-form parser, cache inert" else "")
-     else if not streams_equal then
-       "per-execution run streams diverge between incremental and full"
-     else "aggregate results diverge between incremental and full");
   (* Snapshot/resume identity at every read boundary of sample inputs. *)
   (match subject.Subject.machine with
    | None ->
@@ -268,9 +238,8 @@ let run ?(execs = 400) ?(seed = 1) subject =
              (List.length sample))
       | Some violation -> add "snapshot-resume-identity" false violation));
   (* Checkpoint/resume equivalence: capture a checkpoint mid-campaign,
-     round-trip it through the wire encoding, resume it (with a cold
-     prefix cache) and demand the same campaign as the uninterrupted
-     run — timing and cache accounting aside. *)
+     round-trip it through the wire encoding, resume it and demand the
+     same campaign as the uninterrupted run — timing aside. *)
   let captured = ref None in
   let _interrupted : Pfuzzer.result =
     Pfuzzer.fuzz

@@ -10,14 +10,17 @@
       raises no priority, and a truncation keeps exactly the model's
       best [queue_bound] entries. The replay runs at the campaign's
       bound and again at a bound of 32, where the queue truncates;
+    - {b snapshot/resume identity}: on a machine-form subject, a run
+      resumed from any read boundary of a journaled execution equals
+      the full execution, on the same input and on a changed suffix;
     - {b coverage-union monotonicity}: the reported valid coverage is
       the union of the valid inputs' coverage, and each valid input
       contributed branches new at its discovery time (Algorithm 1's
       [runCheck] condition);
     - {b checkpoint/resume equivalence}: a campaign interrupted at a
       checkpoint and resumed from the encode/decode round-trip of that
-      checkpoint produces exactly the uninterrupted campaign (timing and
-      cache accounting aside);
+      checkpoint produces exactly the uninterrupted campaign (timing
+      aside);
     - {b grid determinism}: [Experiment.run ~jobs:1] and [~jobs:3]
       produce semantically equal cells;
     - {b distributed equivalence}: the same campaign through

@@ -16,7 +16,6 @@ type config = {
   max_input_len : int;
   heuristic : Heuristic.variant;
   queue_bound : int;
-  incremental : bool;
 }
 
 let default_config =
@@ -26,7 +25,6 @@ let default_config =
     max_input_len = 64;
     heuristic = Heuristic.Prose;
     queue_bound = 50_000;
-    incremental = true;
   }
 
 type cache_stats = {
@@ -81,10 +79,7 @@ type queue_event =
 
    Everything the deterministic part of a campaign depends on, in
    Marshal-safe form (no closures, no Hashtbls — tables flatten to
-   lists). The prefix-snapshot cache is deliberately excluded: resuming
-   with a cold cache is safe because incremental execution is
-   bit-identical to full execution, and cache counters are timing-like
-   accounting that result comparisons already ignore. *)
+   lists). *)
 
 module Checkpoint = struct
   type payload = {
@@ -116,8 +111,9 @@ module Checkpoint = struct
   (* v2: [config] gained the [engine] and [batch] fields.
      v3: the payload gained [ck_hits], the global branch hit-counts.
      v4: [config] lost [engine] and [batch] again.
-     v5: [config] lost [dedupe]. *)
-  let version = 5
+     v5: [config] lost [dedupe].
+     v6: [config] lost [incremental]. *)
+  let version = 6
 
   let envelope =
     { Pdf_util.Envelope.magic = "pfckpt"; version; noun = "checkpoint" }
@@ -131,7 +127,7 @@ module Checkpoint = struct
     Pdf_util.Envelope.decode envelope s ~pos:0 ~len:(String.length s)
 
   (* The campaign-so-far as a result record. Cache accounting and
-     wall-clock are zero: a checkpoint deliberately excludes them. *)
+     wall-clock are zero: a checkpoint carries neither. *)
   let partial_result t =
     {
       valid_inputs = List.rev t.ck_valid_rev;
@@ -251,36 +247,16 @@ module Paths = struct
     !acc
 end
 
-(* The incremental engine: a machine-form parser, the prefix cache that
-   maps an input prefix to the snapshot suspended at its end, and the
-   journals of the current loop iteration's runs, newest first (after
-   the extension probe, its journal and then the candidate's). The
-   journals are cleared at the top of every iteration, so a snapshot
-   taken from them belongs to an input of this iteration. *)
-type engine = {
-  machine : Pdf_instr.Machine.recognizer;
-  cache : Runner.Cache.t;
-  mutable journal : Runner.journal option;
-  mutable prev_journal : Runner.journal option;
-  (* Extension probes that resumed from their candidate's journal, and
-     the prefix characters they skipped: hits the cache never saw. *)
-  mutable journal_hits : int;
-  mutable journal_chars_saved : int;
-}
-
 type state = {
   config : config;
   subject : Subject.t;
-  (* Present only when the config enables incremental execution and the
-     subject ships a machine-form parser. *)
-  engine : engine option;
-  (* The context of every execution outside the engine: made once per
-     campaign and reset per execution, so a cold execution allocates no
-     context and no buffers once they have grown. *)
+  (* The context of every execution: made once per campaign and reset
+     per execution, so an execution allocates no context and no buffers
+     once they have grown. *)
   ctx : Ctx.t;
-  (* The execution the loop is reading, refilled per execution: from
-     [ctx] in place, or from the engine's packaged run. It is read to
-     the end before the next execution starts. *)
+  (* The execution the loop is reading, refilled from [ctx] in place
+     after every execution. It is read to the end before the next
+     execution starts. *)
   view : View.t;
   rng : Rng.t;
   queue : Candidate_queue.t;
@@ -359,8 +335,8 @@ let observed_snapshot st =
 let[@inline] tsink st =
   match st.obs with Some o when Obs.tracing o -> Some o | _ -> None
 
-(* High-frequency exec-level sites (exec_done, cache consult) record
-   only in sampled iterations ([st.sampled]). Structural events (valid,
+(* The high-frequency exec-level site (exec_done) records only in
+   sampled iterations ([st.sampled]). Structural events (valid,
    crash, hang) always record — they are rare. *)
 let[@inline] tsink_exec st =
   match st.obs with
@@ -381,142 +357,35 @@ let[@inline] span_end st phase t0 =
   if t0 <> 0 then
     match st.obs with None -> () | Some o -> Obs.span_end o phase t0
 
-let cache_counters st =
-  match st.engine with
-  | None -> (0, 0)
-  | Some e ->
-    let s = Runner.Cache.stats e.cache in
-    (s.Runner.Cache.hits + e.journal_hits, s.Runner.Cache.misses)
-
 let maybe_snapshot st =
   match st.obs with
   | None -> ()
   | Some o ->
-    if Obs.snapshot_due o then begin
-      let hits, misses = cache_counters st in
+    if Obs.snapshot_due o then
       Obs.snapshot o ~exec:st.executions ~depth:(Candidate_queue.length st.queue)
         ~valid:st.valid_count
         ~cov:(Coverage.cardinal st.vbr)
-        ~hits ~misses
         ~plateau:(st.executions - st.last_progress_at)
         ~hangs:st.hangs ~crashes:st.crash_total
-    end
 
 exception Budget_exhausted
 
-(* The cache holds only prefixes a queued input will read: a snapshot
-   stays resident for thousands of executions, long enough to be
-   promoted to the major heap, so one that nothing reads costs more
-   than the re-parse it could save. Two stores qualify. The miss store
-   (in [execute]) caches the prefix a miss consulted, which the
-   candidate's queued siblings share; the children store
-   ([remember_children]) caches the prefix shared by the children
-   [add_inputs] just queued. The extension probe needs neither: it
-   resumes from its candidate's own journal.
-
-   [remember] caches [snap], the suspension at input position [pos];
-   the prefix string is only materialised here, for a genuine store. *)
-let remember cache input pos snap =
-  match snap with
-  | Some snap -> Runner.Cache.store cache (String.sub input 0 pos) snap
-  | None -> ()
-
-(* The children store: [add_inputs] just queued children sharing
-   [input]'s first [pos] characters. The suspension there comes from
-   the newest journal of this loop iteration that read position [pos];
-   the presence probe hashes the prefix in place, so an already-cached
-   prefix costs no allocation. *)
-let remember_children st input pos =
-  match st.engine with
-  | None -> ()
-  | Some e ->
-    let t_store = span_begin st in
-    if pos > 0 && not (Runner.Cache.mem_prefix e.cache input ~len:pos) then
-      remember e.cache input pos
-        (match e.journal with
-         | None -> None
-         | Some j -> (
-           match Runner.snapshot_at j pos, e.prev_journal with
-           | None, Some older -> Runner.snapshot_at older pos
-           | found, _ -> found));
-    span_end st Phase.Cache t_store
-
-(* One execution of the subject, read through [st.view] afterwards.
-   [prefix_len] is the caller's hint that the first [prefix_len]
-   characters of [input] were inherited verbatim from an
-   already-executed parent; when the incremental engine is on and that
-   prefix's suspension is at hand, only the suffix is executed. It is at
-   hand in [from], the journal of a run on an input that shares the
-   prefix (the extension probe passes its candidate's), or failing that
-   in the cache. The observable run is bit-identical either way. Without
-   the engine, the campaign's context is reset and the parse runs in it.
-   A listener gets an owned, packaged run either way. Returns whether
-   the run resumed from a snapshot. *)
-let execute st ~from ~prefix_len input =
+(* One execution of the subject: the campaign's context is reset and
+   the parse runs in it, and [st.view] reads the run in place
+   afterwards. A listener gets an owned, packaged run. *)
+let execute st input =
   if st.executions >= st.config.max_executions then raise Budget_exhausted;
   st.executions <- st.executions + 1;
+  let t_exec = span_begin st in
+  Ctx.reset st.ctx input;
+  let verdict = Runner.run_in st.ctx ~parse:st.subject.Subject.parse in
+  span_end st Phase.Exec t_exec;
   let v = st.view in
-  match st.engine with
-  | Some ({ cache; machine; _ } as e) ->
-    let t_cache = span_begin st in
-    let consulted = prefix_len > 0 && prefix_len <= String.length input in
-    let own =
-      match from with
-      | Some journal when consulted -> Runner.snapshot_at journal prefix_len
-      | _ -> None
-    in
-    let snap =
-      match own with
-      | Some _ ->
-        e.journal_hits <- e.journal_hits + 1;
-        e.journal_chars_saved <- e.journal_chars_saved + prefix_len;
-        own
-      | None ->
-        if consulted then Runner.Cache.find_prefix cache input ~len:prefix_len
-        else None
-    in
-    span_end st Phase.Cache t_cache;
-    (if consulted then
-       match tsink_exec st with
-       | None -> ()
-       | Some o ->
-         Obs.emit o ~exec:st.executions
-           (match snap with
-            | Some s -> Event.Cache_hit { saved = Runner.snapshot_pos s }
-            | None -> Event.Cache_miss));
-    let t_exec = span_begin st in
-    (* A resumed run is bit-identical to a cold one, so a crash while
-       resuming is the subject's and is triaged like any other. *)
-    let (run, journal), cached =
-      match snap with
-      | Some snap -> (Runner.resume snap input, true)
-      | None -> (Subject.exec_journaled st.subject machine input, false)
-    in
-    span_end st Phase.Exec t_exec;
-    (* The miss store: the cold run after a miss holds the consulted
-       prefix, which the candidate's queued siblings share. *)
-    if consulted && not cached then begin
-      let t_store = span_begin st in
-      remember cache input prefix_len (Runner.snapshot_at journal prefix_len);
-      span_end st Phase.Cache t_store
-    end;
-    e.prev_journal <- e.journal;
-    e.journal <- Some journal;
-    View.of_run v run;
-    Pdf_instr.Hits.record_prefix st.hits v.touched ~len:v.n_touched;
-    (match st.on_execution with None -> () | Some f -> f run);
-    cached
-  | None ->
-    let t_exec = span_begin st in
-    Ctx.reset st.ctx input;
-    let verdict = Runner.run_in st.ctx ~parse:st.subject.Subject.parse in
-    span_end st Phase.Exec t_exec;
-    View.of_ctx v st.ctx verdict;
-    Pdf_instr.Hits.record_prefix st.hits v.touched ~len:v.n_touched;
-    (match st.on_execution with
-     | None -> ()
-     | Some f -> f (Runner.package st.ctx verdict));
-    false
+  View.of_ctx v st.ctx verdict;
+  Pdf_instr.Hits.record_prefix st.hits v.touched ~len:v.n_touched;
+  match st.on_execution with
+  | None -> ()
+  | Some f -> f (Runner.package st.ctx verdict)
 
 (* Observe the viewed run's path and return how often it had been seen
    before (the novelty signal of §3.2). *)
@@ -595,8 +464,8 @@ let push_seed st data =
 
 (* Algorithm 1, [addInputs]: one child per comparison made against the
    last compared input position, splicing in the expected character(s).
-   The loop is allocation-disciplined: the comparison log is walked in
-   place and each comparison streams its replacements
+   The loop is allocation-disciplined: the comparison columns are
+   walked in place and each comparison's kind streams its replacements
    ({!Comparison.iter_replacements}) into one [propose] closure built
    per call. The children share the prefix [input[0..index)], so the
    dedupe set opens it once, with one table probe for its node; a
@@ -649,16 +518,13 @@ let add_inputs st ~(parent : Candidate.t) =
     in
     (* The comparisons at [sub_index] in log order — the order
        [Runner.comparisons_at] lists them in. *)
-    let created = st.candidates_created in
-    let cs = v.comparisons in
+    let indices = v.comparisons.indices and kinds = v.comparisons.kinds in
     for i = 0 to v.n_comparisons - 1 do
-      let c = Array.unsafe_get cs i in
-      if c.Comparison.index = sub_index then
-        Comparison.iter_replacements st.rng c propose
+      if Array.unsafe_get indices i = sub_index then
+        Comparison.iter_replacements st.rng (Array.unsafe_get kinds i) propose
     done;
     span_end st Phase.Gen !t_gen;
-    Candidate_queue.close_group st.queue group;
-    if st.candidates_created > created then remember_children st input index
+    Candidate_queue.close_group st.queue group
   end
 
 (* Algorithm 1, [validInp]: report, extend vBr, re-rank the queue. *)
@@ -739,11 +605,11 @@ let crashed st =
 
 (* Algorithm 1, [runCheck]: an input counts as valid only if it is
    accepted and covers branches no previous valid input covered. *)
-let run_check st ~parent ~from ~prefix_len input =
+let run_check st ~parent input =
   (* Read the clock only when this execution's [Exec_done] will be
      recorded. *)
   let t0 = match tsink_exec st with Some o -> Obs.now_ns o | None -> 0 in
-  let cached = execute st ~from ~prefix_len input in
+  execute st input;
   let v = st.view in
   (match v.verdict with
    | Runner.Hang -> begin
@@ -771,7 +637,6 @@ let run_check st ~parent ~from ~prefix_len input =
           {
             dur_ns = Obs.now_ns o - t0;
             verdict = verdict_string v.verdict;
-            cached;
             sub_index = View.substitution_index v;
             cov = cov_now;
             cov_delta = cov_now - cov_before;
@@ -804,19 +669,6 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~rng config
     subject;
     ctx = Ctx.make ~registry:subject.Subject.registry ~fuel:subject.fuel "";
     view = View.create ();
-    engine =
-      (match subject.Subject.machine with
-       | Some machine when config.incremental ->
-         Some
-           {
-             machine;
-             cache = Runner.Cache.create ();
-             journal = None;
-             prev_journal = None;
-             journal_hits = 0;
-             journal_chars_saved = 0;
-           }
-       | _ -> None);
     rng;
     queue = Candidate_queue.create config.heuristic ~bound:config.queue_bound;
     on_queue_event;
@@ -845,8 +697,7 @@ let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~rng config
 
 (* A checkpoint captures the loop-top instant: the candidate about to be
    executed, the queue without it, and the RNG exactly as the previous
-   iteration left it. Resuming replays from that instant bit-for-bit
-   (modulo cache accounting, which restarts cold). *)
+   iteration left it. Resuming replays from that instant bit-for-bit. *)
 let checkpoint_of st (current : Candidate.t) : Checkpoint.t =
   {
     ck_subject = st.subject.Subject.name;
@@ -920,8 +771,7 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
    | Some o ->
      Obs.run_meta o ~subject:st.subject.Subject.name
        ~outcomes:(Pdf_instr.Site.total_outcomes st.subject.Subject.registry)
-       ~seed:st.config.seed ~max_executions:st.config.max_executions
-       ~incremental:(Option.is_some st.engine));
+       ~seed:st.config.seed ~max_executions:st.config.max_executions);
   let next_candidate () =
     (* The popped priority is only ever reported to a listener; when
        nobody is listening, take the value-only pop and skip the
@@ -956,36 +806,21 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
        (match st.obs with
         | None -> ()
         | Some o -> st.sampled <- Obs.sampled o ~exec:st.executions);
-       (match st.engine with
-        | None -> ()
-        | Some e ->
-          e.journal <- None;
-          e.prev_journal <- None);
        (match on_checkpoint with
         | Some save when st.executions - !last_checkpoint >= checkpoint_every ->
           save (checkpoint_of st !candidate);
           last_checkpoint := st.executions
         | _ -> ());
        let c = !candidate in
-       (* A queued candidate is [prefix ^ repl] for an already-executed
-          parent input sharing [prefix] — exactly the part a cached
-          suspension lets us skip. *)
-       let prefix_len = String.length c.data - String.length c.repl in
-       let valid = run_check st ~parent:c ~from:None ~prefix_len c.data in
+       let valid = run_check st ~parent:c c.data in
        if (not valid) && not (crashed st) then begin
          (* Second execution: the same input extended by one random
-            character, probing whether the parser wants more input. The
-            just-executed candidate is the extension's parent prefix, and
-            its journal (the newest) holds the suspension at its end. A
+            character, probing whether the parser wants more input. A
             crashed candidate is triaged and dropped instead — extending
             past the crash point would only reproduce it. *)
          let extended = extend c.data (random_char st) in
          if String.length extended <= st.config.max_input_len then begin
-           let from = match st.engine with Some e -> e.journal | None -> None in
-           let valid2 =
-             run_check st ~parent:c ~from ~prefix_len:(String.length c.data)
-               extended
-           in
+           let valid2 = run_check st ~parent:c extended in
            if (not valid2) && not (crashed st) then add_inputs st ~parent:c
          end
        end;
@@ -1009,17 +844,7 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
     first_valid_at = st.first_valid_at;
     dedupe_resets = st.dedupe_resets;
     path_resets = st.path_resets;
-    cache =
-      (match st.engine with
-       | None -> no_cache_stats
-       | Some e ->
-         let s = Runner.Cache.stats e.cache in
-         {
-           hits = s.Runner.Cache.hits + e.journal_hits;
-           misses = s.misses;
-           evictions = s.evictions;
-           chars_saved = s.chars_saved + e.journal_chars_saved;
-         });
+    cache = no_cache_stats;
     crashes =
       List.rev_map (fun key -> Hashtbl.find st.crash_tab key) st.crash_order_rev;
     crash_total = st.crash_total;

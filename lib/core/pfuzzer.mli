@@ -15,31 +15,25 @@ type config = {
   max_input_len : int;  (** candidates longer than this are discarded *)
   heuristic : Heuristic.variant;
   queue_bound : int;  (** queue is truncated to this many entries *)
-  incremental : bool;
-      (** resume children from their parent's cached parse state instead
-          of re-parsing the shared prefix (subjects with a machine-form
-          parser only; observable results are bit-identical either way) *)
 }
 
 val default_config : config
 (** seed 1, 2000 executions, inputs up to 64 characters, {!Heuristic.Prose},
-    queue bound 50_000, incremental on. Candidates whose input was
-    already queued are always dropped. *)
+    queue bound 50_000. Candidates whose input was already queued are
+    always dropped. *)
 
 type cache_stats = {
   hits : int;
-      (** executions that resumed from a saved suspension: cache hits,
-          plus extension probes that resumed from their candidate's own
-          journal without consulting the cache *)
-  misses : int;  (** cache consultations that found no entry *)
-  evictions : int;  (** stores that replaced a resident cache entry *)
+  misses : int;
+  evictions : int;
   chars_saved : int;
-      (** total prefix characters whose re-parsing hits avoided (a
-          probe's resume saves its candidate's length) *)
 }
+(** The accounting of the prefix-snapshot cache that earlier builds ran
+    in the loop. The fuzzer has no cache now, so every field is zero; the
+    record stays because the campaign benchmark still reads it. *)
 
 val no_cache_stats : cache_stats
-(** All-zero stats, reported when the cache was not in play. *)
+(** All-zero stats: what every result reports. *)
 
 type crash = {
   exn : string;  (** exception constructor name *)
@@ -72,9 +66,7 @@ type result = {
           and was generationally reset to bound memory *)
   path_resets : int;
       (** same, for the path-novelty count table *)
-  cache : cache_stats;
-      (** prefix-snapshot cache accounting; all zero when incremental
-          execution was off or the subject has no machine-form parser *)
+  cache : cache_stats;  (** always {!no_cache_stats} *)
   crashes : crash list;
       (** deduplicated crash corpus in discovery order; empty for a
           well-behaved subject *)
@@ -101,9 +93,7 @@ type queue_event =
     loop-top instant: configuration, RNG state, the candidate queue (in
     insertion order) plus the candidate about to execute, the
     valid-branch set, the dedupe/path tables, all counters, and the
-    crash corpus. The prefix-snapshot cache is excluded — resuming with
-    a cold cache is safe because incremental execution is bit-identical
-    to full execution. On disk a checkpoint is a {!Pdf_util.Envelope}
+    crash corpus. On disk a checkpoint is a {!Pdf_util.Envelope}
     under magic ["pfckpt"], written atomically; decoding rejects wrong
     magic, wrong version, and any payload that fails its digest, each
     with a one-line error. *)
@@ -112,10 +102,10 @@ module Checkpoint : sig
   type t
 
   val version : int
-  (** Format version this build reads and writes (currently 5; v2 added
+  (** Format version this build reads and writes (currently 6; v2 added
       the [engine] and [batch] config fields, v3 the global branch
       hit-counts, v4 removed [engine] and [batch], v5 removed
-      [dedupe]). *)
+      [dedupe], v6 removed [incremental]). *)
 
   val subject_name : t -> string
   val executions : t -> int
@@ -126,7 +116,7 @@ module Checkpoint : sig
       record: valid inputs in discovery order, valid coverage, branch
       hit-counts, crash corpus and all deterministic counters at the
       checkpoint instant. Cache accounting and wall-clock fields are
-      zero (checkpoints deliberately exclude them). *)
+      zero. *)
 
   val encode : t -> string
 
@@ -165,11 +155,10 @@ val fuzz :
     are only taken when the observer is present) — the correctness
     harness replays them against a reference queue model to check
     priority monotonicity. [on_execution] observes every completed run in
-    execution order — the incremental≡full equivalence invariant compares
-    these streams. Each run it gets is packaged for it and is the
-    listener's to keep; without a listener, an execution outside the
-    incremental engine runs in the campaign's one reused context and is
-    read in place, with no run packaged. [obs] attaches a telemetry observer: structured trace
+    execution order. Each run it gets is packaged for it and is the
+    listener's to keep; without a listener, no run is packaged: every
+    execution runs in the campaign's one reused context and is read in
+    place. [obs] attaches a telemetry observer: structured trace
     events, per-phase timing spans, a live status line — when absent
     (the default) the telemetry paths cost one branch and allocate
     nothing. [on_checkpoint] is called with a fresh {!Checkpoint.t} at the
@@ -204,6 +193,6 @@ val resume_from :
     the one named in the checkpoint ([Invalid_argument] otherwise); the
     config — including seed and budget — comes from the checkpoint. A
     resumed run's result equals the uninterrupted run's result in every
-    field except cache accounting and wall-clock timing. Queue-event
+    field except wall-clock timing. Queue-event
     streams start from the restored queue, so [on_queue_event] replay
     models must be primed with the checkpoint's queue contents. *)

@@ -178,14 +178,6 @@ end
 
 (* {1 Result merge} *)
 
-let sum_cache (a : Pfuzzer.cache_stats) (b : Pfuzzer.cache_stats) =
-  {
-    Pfuzzer.hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    evictions = a.evictions + b.evictions;
-    chars_saved = a.chars_saved + b.chars_saved;
-  }
-
 let merge_results p (results : Pfuzzer.result list) =
   let n = List.length p.shards in
   if List.length results <> n then
@@ -254,10 +246,7 @@ let merge_results p (results : Pfuzzer.result list) =
     first_valid_at;
     dedupe_resets = fold (fun acc (r : Pfuzzer.result) -> acc + r.dedupe_resets) 0;
     path_resets = fold (fun acc (r : Pfuzzer.result) -> acc + r.path_resets) 0;
-    cache =
-      fold
-        (fun acc (r : Pfuzzer.result) -> sum_cache acc r.cache)
-        Pfuzzer.no_cache_stats;
+    cache = Pfuzzer.no_cache_stats;
     crashes =
       List.map (fun key -> Hashtbl.find crash_tbl key) (List.rev !crash_order);
     crash_total = fold (fun acc (r : Pfuzzer.result) -> acc + r.crash_total) 0;

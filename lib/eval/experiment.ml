@@ -187,7 +187,6 @@ let cell_equal a b =
     && a.valid_inputs = b.valid_inputs
     && Coverage.equal a.valid_coverage b.valid_coverage
     && a.executions = b.executions
-    && a.cache = b.cache
   in
   outcome_equal a.outcome b.outcome
   && a.coverage_percent = b.coverage_percent

@@ -122,33 +122,6 @@ let headline ppf (e : Experiment.t) =
     (Experiment.headline e ~min_len:4 ~max_len:max_int)
     Paper_data.headline_long
 
-(* Incremental-execution accounting: how much prefix re-parsing the
-   snapshot cache saved pFuzzer, per subject. Inert rows (subjects
-   without a machine-form parser) are shown with zero consultations. *)
-let cache_report ppf (e : Experiment.t) =
-  let rows =
-    List.map
-      (fun (subject, _) ->
-        let c = (Experiment.cell e subject Tool.Pfuzzer).Experiment.outcome.cache in
-        let consulted = c.Pdf_core.Pfuzzer.hits + c.misses in
-        let hit_rate =
-          if consulted = 0 then "-"
-          else Printf.sprintf "%.1f%%" (100. *. float_of_int c.hits /. float_of_int consulted)
-        in
-        [
-          subject;
-          string_of_int c.hits;
-          string_of_int c.misses;
-          hit_rate;
-          string_of_int c.evictions;
-          string_of_int c.chars_saved;
-        ])
-      e.cells
-  in
-  Render.table ppf ~title:"pFuzzer incremental execution: prefix-snapshot cache"
-    ~header:[ "subject"; "hits"; "misses"; "hit rate"; "evictions"; "chars saved" ]
-    rows
-
 (* Wall-clock throughput per cell. The virtual unit budget equalizes the
    tools' simulated effort; this table shows the real cost of producing
    each cell. *)
@@ -232,8 +205,6 @@ let full ppf (e : Experiment.t) =
   figure_3 ppf e;
   Render.section ppf "Headline (Section 5.3)";
   headline ppf e;
-  Render.section ppf "Incremental execution";
-  cache_report ppf e;
   Render.section ppf "Throughput";
   throughput ppf e;
   Render.section ppf "Resilience";

@@ -16,5 +16,4 @@ val full : Format.formatter -> Experiment.t -> unit
 (** Table 1 (the evaluation subjects), the token inventories, Figures 2
     and 3, and the §5.3 aggregate shares for short (≤ 3) and long (> 3)
     tokens measured vs paper — in paper order — followed by the
-    incremental-execution accounting, throughput and the resilience
-    summary. *)
+    throughput and the resilience summary. *)

@@ -19,7 +19,6 @@ type outcome = {
   valid_inputs : string list;
   valid_coverage : Pdf_instr.Coverage.t;
   executions : int;
-  cache : Pdf_core.Pfuzzer.cache_stats;
   crashes : Pdf_core.Pfuzzer.crash list;
   crash_total : int;
   hangs : int;
@@ -34,7 +33,6 @@ let empty_outcome tool ~subject =
     valid_inputs = [];
     valid_coverage = Pdf_instr.Coverage.empty;
     executions = 0;
-    cache = Pdf_core.Pfuzzer.no_cache_stats;
     crashes = [];
     crash_total = 0;
     hangs = 0;
@@ -45,7 +43,7 @@ let empty_outcome tool ~subject =
 let throughput ~executions wall_clock_s =
   if wall_clock_s <= 0.0 then 0.0 else float_of_int executions /. wall_clock_s
 
-let run ?(incremental = true) ?obs ?checkpoint_every ?on_checkpoint ?resume_from ?on_execution tool
+let run ?obs ?checkpoint_every ?on_checkpoint ?resume_from ?on_execution tool
     ~budget_units ~seed subject =
   let max_executions = max 1 (budget_units / cost_per_execution tool) in
   match tool with
@@ -61,7 +59,6 @@ let run ?(incremental = true) ?obs ?checkpoint_every ?on_checkpoint ?resume_from
       valid_inputs = result.valid_inputs;
       valid_coverage = result.valid_coverage;
       executions = result.executions;
-      cache = Pdf_core.Pfuzzer.no_cache_stats;
       crashes = [];
       crash_total = 0;
       hangs = 0;
@@ -82,7 +79,6 @@ let run ?(incremental = true) ?obs ?checkpoint_every ?on_checkpoint ?resume_from
       valid_inputs = result.valid_inputs;
       valid_coverage = result.valid_coverage;
       executions = result.executions;
-      cache = Pdf_core.Pfuzzer.no_cache_stats;
       crashes = [];
       crash_total = 0;
       hangs = 0;
@@ -97,12 +93,7 @@ let run ?(incremental = true) ?obs ?checkpoint_every ?on_checkpoint ?resume_from
           ?on_checkpoint ?on_execution checkpoint subject
       | None ->
         let config =
-          {
-            Pdf_core.Pfuzzer.default_config with
-            seed;
-            max_executions;
-            incremental;
-          }
+          { Pdf_core.Pfuzzer.default_config with seed; max_executions }
         in
         Pdf_core.Pfuzzer.fuzz ?obs ?checkpoint_every ?on_checkpoint
           ?on_execution config subject
@@ -113,7 +104,6 @@ let run ?(incremental = true) ?obs ?checkpoint_every ?on_checkpoint ?resume_from
       valid_inputs = result.valid_inputs;
       valid_coverage = result.valid_coverage;
       executions = result.executions;
-      cache = result.cache;
       crashes = result.crashes;
       crash_total = result.crash_total;
       hangs = result.hangs;

@@ -20,9 +20,6 @@ type outcome = {
   valid_inputs : string list;
   valid_coverage : Pdf_instr.Coverage.t;
   executions : int;
-  cache : Pdf_core.Pfuzzer.cache_stats;
-      (** pFuzzer's prefix-snapshot cache accounting; all zero for AFL
-          and KLEE (they have no incremental engine) *)
   crashes : Pdf_core.Pfuzzer.crash list;
       (** deduplicated crash corpus; always empty for AFL and KLEE
           (their subjects run through the same contained runner via
@@ -39,7 +36,6 @@ val empty_outcome : name -> subject:string -> outcome
     failed, so one sick cell cannot sink a whole evaluation. *)
 
 val run :
-  ?incremental:bool ->
   ?obs:Pdf_obs.Observer.t ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Pdf_core.Pfuzzer.Checkpoint.t -> unit) ->
@@ -47,8 +43,7 @@ val run :
   ?on_execution:(Pdf_instr.Runner.run -> unit) ->
   name -> budget_units:int -> seed:int -> Pdf_subjects.Subject.t -> outcome
 (** Run one tool on one subject until the unit budget is exhausted.
-    [incremental] (default true) toggles pFuzzer's prefix-snapshot cache;
-    the other tools ignore it. [obs] attaches a telemetry observer to
+    [obs] attaches a telemetry observer to
     pFuzzer's run (the other tools are merely wall-clock timed). The
     resilience arguments apply to pFuzzer only and are ignored by AFL and
     KLEE: [on_checkpoint] receives a checkpoint every [checkpoint_every]

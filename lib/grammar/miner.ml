@@ -11,7 +11,7 @@ type node = {
 }
 
 (* Rebuild the derivation tree from the frame event stream. Frames nest
-   properly because [with_frame] is scoped. *)
+   properly because [Ctx.frame] is scoped. *)
 let tree_of_frames events input_len =
   let root = { name = "<root>"; start_pos = 0; end_pos = input_len; children = [] } in
   let stack = ref [ root ] in

@@ -15,6 +15,47 @@ type t = {
   stack_depth : int;
 }
 
+type columns = {
+  indices : int array;
+  trace_positions : int array;
+  depths : int array;
+  results : bool array;
+  kinds : kind array;
+}
+
+let columns n =
+  {
+    indices = Array.make n 0;
+    trace_positions = Array.make n 0;
+    depths = Array.make n 0;
+    results = Array.make n false;
+    kinds = Array.make n (Char_eq '\000');
+  }
+
+let grow c n =
+  let room = max 16 (2 * Array.length c.indices) in
+  let extend a filler =
+    let b = Array.make room filler in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  {
+    indices = extend c.indices 0;
+    trace_positions = extend c.trace_positions 0;
+    depths = extend c.depths 0;
+    results = extend c.results false;
+    kinds = extend c.kinds (Char_eq '\000');
+  }
+
+let get c i =
+  {
+    trace_pos = c.trace_positions.(i);
+    index = c.indices.(i);
+    kind = c.kinds.(i);
+    result = c.results.(i);
+    stack_depth = c.depths.(i);
+  }
+
 (* Small satisfying sets (symbol alphabets, digits) are enumerated in
    full — the parser really compared against each of those values.
    Proposing every member of e.g. a 95-character printable-set comparison
@@ -67,8 +108,8 @@ let iter_members rng kind n f =
     done
   else sample rng kind n f
 
-let iter_replacements rng t f =
-  match t.kind with
+let iter_replacements rng kind f =
+  match kind with
   | Char_eq c -> f singleton.(Char.code c)
   | Char_range (lo, hi) as kind ->
     iter_members rng kind (Char.code hi - Char.code lo + 1) f
@@ -79,7 +120,7 @@ let iter_replacements rng t f =
 
 let replacements rng t =
   let acc = ref [] in
-  iter_replacements rng t (fun s -> acc := s :: !acc);
+  iter_replacements rng t.kind (fun s -> acc := s :: !acc);
   List.rev !acc
 
 let satisfying_set = function

@@ -26,9 +26,35 @@ type t = {
   stack_depth : int;
 }
 
-val iter_replacements : Pdf_util.Rng.t -> t -> (string -> unit) -> unit
-(** [iter_replacements rng c f] calls [f] on each substitution string
-    this comparison suggests for the input position [index]: the
+(** {1 Columns}
+
+    A comparison log as a context records it: event [i] is
+    [indices.(i)], [trace_positions.(i)], [depths.(i)], [results.(i)]
+    and [kinds.(i)], the fields of {!t} in one array each. The ints and
+    booleans are stored unboxed and the kinds are shared blocks, so
+    logging an event allocates nothing. *)
+
+type columns = {
+  indices : int array;
+  trace_positions : int array;
+  depths : int array;
+  results : bool array;
+  kinds : kind array;
+}
+
+val columns : int -> columns
+(** [columns n] has room for [n] events. *)
+
+val grow : columns -> int -> columns
+(** [grow c n] is [c] with its first [n] events copied into columns of
+    twice the room (at least 16). *)
+
+val get : columns -> int -> t
+(** Event [i] as a record. *)
+
+val iter_replacements : Pdf_util.Rng.t -> kind -> (string -> unit) -> unit
+(** [iter_replacements rng kind f] calls [f] on each substitution string
+    a comparison of this kind suggests for its input position: the
     character(s) that would have made it succeed. A set of at most 16
     members (a [Char_range] or [Char_set]) is enumerated in ascending
     order; a larger one yields four distinct random members, last drawn

@@ -7,16 +7,20 @@ module Vec = Pdf_util.Vec
 exception Reject of string
 exception Out_of_fuel
 
-(* All per-run observations land in growable buffers (Vec) rather than
+(* All per-run observations land in growable buffers rather than
    reversed lists: recording an outcome or a comparison event is an
-   amortised O(1) array store with no per-element cons, and the final
-   packaging into arrays is a single blit instead of a list reversal. *)
+   amortised O(1) array store with no per-element cons. Comparison
+   events go into columns ({!Comparison.columns}), so an event is four
+   unboxed stores and one of a shared kind, and allocates nothing. *)
 type t = {
   registry : Site.registry;
   mutable text : string;
   mutable cursor : int;
   mutable eof_access : bool;
-  comparisons : Comparison.t Vec.t;
+  (* Replaced whole when it grows, so a reader holding the old columns
+     can tell by physical equality. *)
+  mutable comparisons : Comparison.columns;
+  mutable n_comparisons : int;
   covered : Bytes.t; (* dense outcome presence, indexed by outcome id *)
   touched : int Vec.t; (* outcomes covered, first-occurrence order *)
   trace : int Vec.t;
@@ -35,15 +39,6 @@ type t = {
   budget : int; (* the fuel a reset restores *)
 }
 
-let dummy_comparison =
-  {
-    Comparison.trace_pos = 0;
-    index = 0;
-    kind = Comparison.Char_eq '\000';
-    result = false;
-    stack_depth = 0;
-  }
-
 let dummy_frame = Frame.Exit { pos = 0 }
 
 let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
@@ -53,7 +48,8 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     text;
     cursor = 0;
     eof_access = false;
-    comparisons = Vec.create dummy_comparison;
+    comparisons = Comparison.columns 0;
+    n_comparisons = 0;
     covered = Bytes.make (2 * Site.site_count registry) '\000';
     touched = Vec.create 0;
     (* Only AFL's bitmap and the trace-agreement check ask for the
@@ -76,7 +72,9 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
    so a reset costs the run's distinct outcomes, not the registry's
    size; the buffers keep their capacity, so a context reused across a
    campaign stops allocating them once they have grown to its longest
-   run. *)
+   run. The comparison columns are only cut back to zero events: what
+   their slots still hold is ints, booleans and kinds, never read past
+   the count and overwritten by the next run's events. *)
 let reset t text =
   let touched = Vec.backing t.touched in
   for i = 0 to Vec.length t.touched - 1 do
@@ -84,7 +82,7 @@ let reset t text =
   done;
   Vec.clear t.touched;
   Vec.clear t.trace;
-  Vec.clear t.comparisons;
+  t.n_comparisons <- 0;
   Vec.clear t.frames;
   t.text <- text;
   t.cursor <- 0;
@@ -117,7 +115,7 @@ type mark = {
 
 let mark t =
   {
-    m_comparisons = Vec.length t.comparisons;
+    m_comparisons = t.n_comparisons;
     m_touched = Vec.length t.touched;
     m_trace = Vec.length t.trace;
     m_frames = Vec.length t.frames;
@@ -127,11 +125,12 @@ let mark t =
     m_eof_access = t.eof_access;
   }
 
-(* Rebuild a context mid-parse from a snapshot: the recording buffers
-   are borrowed prefixes of the parent run's packaged arrays
-   (copy-on-write via {!Vec.of_prefix}), and the dense coverage
-   presence map is reconstructed from the touched prefix — O(distinct
-   outcomes covered in the prefix), bounded by the registry size. *)
+(* Rebuild a context mid-parse from a snapshot: the outcome and frame
+   buffers are borrowed prefixes of the parent run's packaged arrays
+   (copy-on-write via {!Vec.of_prefix}), the comparison records below
+   the mark are copied into fresh columns, and the dense coverage
+   presence map is reconstructed from the touched prefix — O(events
+   and distinct outcomes recorded in the prefix). *)
 let restore ~registry ~(mark : mark) ~cursor ~comparisons ~touched ~trace
     ~frames ?(track_comparisons = true) ?(track_trace = false)
     ?(track_frames = false) text =
@@ -139,12 +138,23 @@ let restore ~registry ~(mark : mark) ~cursor ~comparisons ~touched ~trace
   for i = 0 to mark.m_touched - 1 do
     Bytes.unsafe_set covered (Array.unsafe_get touched i) '\001'
   done;
+  let n = mark.m_comparisons in
+  let columns = Comparison.columns n in
+  for i = 0 to n - 1 do
+    let c : Comparison.t = comparisons.(i) in
+    columns.indices.(i) <- c.index;
+    columns.trace_positions.(i) <- c.trace_pos;
+    columns.depths.(i) <- c.stack_depth;
+    columns.results.(i) <- c.result;
+    columns.kinds.(i) <- c.kind
+  done;
   {
     registry;
     text;
     cursor;
     eof_access = mark.m_eof_access;
-    comparisons = Vec.of_prefix comparisons ~len:mark.m_comparisons dummy_comparison;
+    comparisons = columns;
+    n_comparisons = n;
     covered;
     touched = Vec.of_prefix touched ~len:mark.m_touched 0;
     trace = Vec.of_prefix trace ~len:mark.m_trace 0;
@@ -215,10 +225,12 @@ let exit_frame t =
 
 (* Hand-rolled protect: [Fun.protect] allocates a closure for [finally]
    on every call, and nonterminal entry is one of the hottest sites in a
-   recursive-descent parse. *)
-let with_frame t site f =
+   recursive-descent parse. The body takes its argument from the caller
+   rather than capturing it, so a parser whose bodies are named
+   functions builds no closure per frame either. *)
+let frame t site body arg =
   enter_frame t site;
-  match f () with
+  match body arg with
   | v ->
     exit_frame t;
     v
@@ -230,16 +242,21 @@ let[@inline] tick t =
   if t.fuel <= 0 then raise Out_of_fuel;
   t.fuel <- t.fuel - 1
 
+(* [n] is below the columns' length after the grow check, so the stores
+   need no bound checks of their own. *)
 let emit t ~index ~kind ~result =
-  if t.track_comparisons then
-    Vec.push t.comparisons
-      {
-        Comparison.trace_pos = Vec.length t.touched;
-        index;
-        kind;
-        result;
-        stack_depth = t.stack;
-      }
+  if t.track_comparisons then begin
+    let n = t.n_comparisons in
+    if n = Array.length t.comparisons.indices then
+      t.comparisons <- Comparison.grow t.comparisons n;
+    let c = t.comparisons in
+    Array.unsafe_set c.indices n index;
+    Array.unsafe_set c.trace_positions n (Vec.length t.touched);
+    Array.unsafe_set c.depths n t.stack;
+    Array.unsafe_set c.results n result;
+    Array.unsafe_set c.kinds n kind;
+    t.n_comparisons <- n + 1
+  end
 
 (* A comparison against a tainted character: record the branch outcome
    always; log the comparison event only when the operand actually derives
@@ -333,7 +350,7 @@ let[@inline] one_of_slot t sl (c : Tchar.t) chars =
    event's replacement completes the keyword in one substitution. The
    events are built from taint indices read in place ([max_index_raw])
    and the shared [Char_eq] kinds, so the only blocks allocated are the
-   events themselves. *)
+   keyword-suffix kinds. *)
 let emit_suffix t ~index keyword ~offset =
   emit t ~index ~kind:(Comparison.Str_eq { expected = keyword; offset }) ~result:false
 
@@ -396,13 +413,13 @@ let expect_token t site ~at ~spelling ~matched =
 
 let reject _t reason = raise (Reject reason)
 
-let[@inline] comparison_count t = Vec.length t.comparisons
-let[@inline] comparison_buffer t = Vec.backing t.comparisons
+let[@inline] comparison_count t = t.n_comparisons
+let[@inline] comparison_columns t = t.comparisons
 let[@inline] touched_count t = Vec.length t.touched
 let[@inline] touched_buffer t = Vec.backing t.touched
 
-let comparisons t = Vec.to_list t.comparisons
-let comparisons_array t = Vec.to_array t.comparisons
+let comparisons t = List.init t.n_comparisons (Comparison.get t.comparisons)
+let comparisons_array t = Array.init t.n_comparisons (Comparison.get t.comparisons)
 let trace t = Vec.to_array t.trace
 let touched t = Vec.to_array t.touched
 let eof_access t = t.eof_access

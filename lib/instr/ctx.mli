@@ -4,7 +4,7 @@
     (with EOF-access detection), the coverage set and trace, the call
     stack depth, and the comparison log. Subject parsers are functions
     [Ctx.t -> unit] that read through {!peek}/{!next}, record coverage
-    through {!cover}/{!branch}/{!with_frame}, compare input-derived data
+    through {!cover}/{!branch}/{!frame}, compare input-derived data
     through the tracked comparison operations, and signal invalid input
     with {!reject}. *)
 
@@ -84,12 +84,13 @@ val restore :
   t
 (** [restore ~registry ~mark ~cursor ~comparisons … text] is a context
     for input [text] whose observation state equals the state the parent
-    run had when [mark] was taken: the recording buffers are borrowed
-    (copy-on-write) prefixes of the given arrays, cut at the mark's
-    watermarks, and the coverage presence map is rebuilt from the
-    touched prefix. The arrays must come from a run over the same
-    registry and must not be mutated afterwards. Cost: O(outcomes
-    covered in the prefix); the buffers themselves are shared. *)
+    run had when [mark] was taken: the comparison records below the
+    mark's watermark are copied into the context's columns, the other
+    recording buffers are borrowed (copy-on-write) prefixes of the given
+    arrays, cut at the mark's watermarks, and the coverage presence map
+    is rebuilt from the touched prefix. The arrays must come from a run
+    over the same registry and must not be mutated afterwards. Cost:
+    O(comparisons and outcomes recorded in the prefix). *)
 
 (** {1 Input access} *)
 
@@ -118,15 +119,17 @@ val branch : t -> Site.t -> bool -> bool
 (** [branch t site cond] records the branch outcome and returns [cond],
     so it wraps conditions in place: [if Ctx.branch t s (x > 0) then …]. *)
 
-val with_frame : t -> Site.t -> (unit -> 'a) -> 'a
-(** [with_frame t site f] records the block site, runs [f] with the
-    call-stack depth increased by one, and restores the depth afterwards
-    (also on exceptions). Parsers wrap each nonterminal function in a
-    frame; the resulting depth is the stack-size signal of the
-    heuristic. *)
+val frame : t -> Site.t -> ('a -> 'b) -> 'a -> 'b
+(** [frame t site body arg] records the block site, runs [body arg]
+    with the call-stack depth increased by one, and restores the depth
+    afterwards, also when [body] raises: a rejection that unwinds the
+    frame still logs its {!Frame.Exit}. Parsers wrap each nonterminal
+    function in a frame; the resulting depth is the stack-size signal
+    of the heuristic. The body gets its argument from [frame] instead
+    of capturing it, so a named body costs no closure per call. *)
 
 val enter_frame : t -> Site.t -> unit
-(** Non-scoped variant of {!with_frame} for parsers that manage an
+(** Non-scoped variant of {!frame} for parsers that manage an
     explicit stack (e.g. table-driven drivers). Every {!enter_frame} must
     be balanced by one {!exit_frame}. *)
 
@@ -200,7 +203,12 @@ val reject : t -> string -> 'a
     [count] elements of a buffer are the run's; the rest is filler. *)
 
 val comparison_count : t -> int
-val comparison_buffer : t -> Comparison.t array
+
+val comparison_columns : t -> Comparison.columns
+(** The comparison log's columns. A log that outgrows them moves to
+    new, larger ones, so a reader that kept them can tell by physical
+    equality whether they are still the context's. *)
+
 val touched_count : t -> int
 val touched_buffer : t -> int array
 

@@ -7,8 +7,8 @@ module Tchar = Pdf_taint.Tchar
    immutable closures that capture no context (the context always
    arrives as an argument), a pending step is multi-shot: the runner can
    deliver it once against the parent's context and again, later,
-   against a fresh context restored from a snapshot — the basis of the
-   incremental prefix cache (see {!Runner}). *)
+   against a fresh context restored from a snapshot (see {!Runner}'s
+   journaled execution). *)
 type step =
   | Done
   | Peek of (Tchar.t option -> Ctx.t -> step)

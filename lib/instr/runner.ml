@@ -345,9 +345,8 @@ let accepted run = match run.verdict with Accepted -> true | _ -> false
 
 (* {1 Derived observations}
 
-   Each derivation reads the first [n] entries of a buffer, so a
-   packaged run (its arrays whole) and a view (a reused context's
-   buffers) share one implementation. *)
+   A packaged run holds its comparisons as records and a view reads a
+   context's columns, so each derivation is written once over each. *)
 
 (* The first invalid character: the rightmost position where the parser's
    expectation failed. Positions beyond it may have been touched by
@@ -356,9 +355,9 @@ let accepted run = match run.verdict with Accepted -> true | _ -> false
    precedence; with none failed, the rightmost compared position. One
    pass over the log, with the two maxima in int locals; -1 for an empty
    log (input indices are never negative). *)
-let last_index cs n =
+let last_index cs =
   let any = ref min_int and failed = ref min_int and has_failed = ref false in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length cs - 1 do
     let c = Array.unsafe_get cs i in
     let index = c.Comparison.index in
     if index > !any then any := index;
@@ -367,31 +366,24 @@ let last_index cs n =
       if index > !failed then failed := index
     end
   done;
-  if !has_failed then !failed else if n > 0 then !any else -1
+  if !has_failed then !failed else if Array.length cs > 0 then !any else -1
 
 (* [trace_pos] counts distinct outcomes covered before the event, and
    [touched] lists outcomes in first-occurrence order — so the coverage
    accumulated before the first comparison at the given index is exactly
    a prefix of [touched], of this length. No full trace required. *)
-let coverage_cut cs n ~touched ~index =
+let coverage_cut cs ~touched ~index =
   let cut = ref touched in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length cs - 1 do
     let c = Array.unsafe_get cs i in
     if c.Comparison.index = index && c.Comparison.trace_pos < !cut then
       cut := c.Comparison.trace_pos
   done;
   !cut
 
-let avg_stack_of cs n =
-  if n = 0 then 0.0
-  else if n = 1 then float_of_int cs.(0).Comparison.stack_depth
-  else
-    float_of_int (cs.(n - 1).Comparison.stack_depth + cs.(n - 2).Comparison.stack_depth)
-    /. 2.0
-
 let substitution_index run =
   let cs = run.comparisons in
-  if Array.length cs = 0 then None else Some (last_index cs (Array.length cs))
+  if Array.length cs = 0 then None else Some (last_index cs)
 
 (* The [~index] variants let a caller that already computed
    {!substitution_index} reuse it — each [substitution_index]
@@ -412,9 +404,8 @@ let comparisons_at_last_index run =
 
 let coverage_up_to run ~index =
   let touched = run.touched in
-  let n = Array.length touched in
   Coverage.of_array
-    ~len:(coverage_cut run.comparisons (Array.length run.comparisons) ~touched:n ~index)
+    ~len:(coverage_cut run.comparisons ~touched:(Array.length touched) ~index)
     touched
 
 let coverage_up_to_last_index run =
@@ -423,72 +414,87 @@ let coverage_up_to_last_index run =
   | Some index -> coverage_up_to run ~index
 
 let avg_stack_of_last_two run =
-  avg_stack_of run.comparisons (Array.length run.comparisons)
+  let cs = run.comparisons in
+  match Array.length cs with
+  | 0 -> 0.0
+  | 1 -> float_of_int cs.(0).Comparison.stack_depth
+  | n ->
+    float_of_int (cs.(n - 1).Comparison.stack_depth + cs.(n - 2).Comparison.stack_depth)
+    /. 2.0
 
 let path_hash run = fnv_touched run.touched (Array.length run.touched)
 
-(* {1 Views} *)
+(* {1 Views}
+
+   The derivations again, over a context's comparison columns and
+   touched buffer in place. *)
 
 module View = struct
   type t = {
     mutable input : string;
     mutable verdict : verdict;
-    mutable comparisons : Comparison.t array;
+    mutable comparisons : Comparison.columns;
     mutable n_comparisons : int;
     mutable touched : int array;
     mutable n_touched : int;
-    (* The packaged run's coverage, or empty until asked for: a view of
-       a context builds it only for a valid input. A run whose coverage
-       is empty touched nothing, so building it anew changes nothing. *)
-    mutable coverage : Coverage.t;
   }
 
   let create () =
     {
       input = "";
       verdict = Accepted;
-      comparisons = [||];
+      comparisons = Comparison.columns 0;
       n_comparisons = 0;
       touched = [||];
       n_touched = 0;
-      coverage = Coverage.empty;
     }
 
+  (* The view is long-lived and the buffers only change when the
+     context grows them, so a buffer field is written only then: storing
+     a pointer into the view costs a write barrier. *)
   let of_ctx v ctx verdict =
     v.input <- Ctx.input ctx;
     v.verdict <- verdict;
-    v.comparisons <- Ctx.comparison_buffer ctx;
     v.n_comparisons <- Ctx.comparison_count ctx;
-    v.touched <- Ctx.touched_buffer ctx;
     v.n_touched <- Ctx.touched_count ctx;
-    v.coverage <- Coverage.empty
+    let columns = Ctx.comparison_columns ctx in
+    if columns != v.comparisons then v.comparisons <- columns;
+    let touched = Ctx.touched_buffer ctx in
+    if touched != v.touched then v.touched <- touched
 
-  let of_run v (run : run) =
-    v.input <- run.input;
-    v.verdict <- run.verdict;
-    v.comparisons <- run.comparisons;
-    v.n_comparisons <- Array.length run.comparisons;
-    v.touched <- run.touched;
-    v.n_touched <- Array.length run.touched;
-    v.coverage <- run.coverage
-
-  let substitution_index v = last_index v.comparisons v.n_comparisons
+  let substitution_index v =
+    let indices = v.comparisons.indices and results = v.comparisons.results in
+    let any = ref min_int and failed = ref min_int and has_failed = ref false in
+    for i = 0 to v.n_comparisons - 1 do
+      let index = Array.unsafe_get indices i in
+      if index > !any then any := index;
+      if not (Array.unsafe_get results i) then begin
+        has_failed := true;
+        if index > !failed then failed := index
+      end
+    done;
+    if !has_failed then !failed else if v.n_comparisons > 0 then !any else -1
 
   let coverage_up_to v ~index =
-    Coverage.of_array
-      ~len:(coverage_cut v.comparisons v.n_comparisons ~touched:v.n_touched ~index)
-      v.touched
+    let indices = v.comparisons.indices
+    and trace_positions = v.comparisons.trace_positions in
+    let cut = ref v.n_touched in
+    for i = 0 to v.n_comparisons - 1 do
+      let trace_pos = Array.unsafe_get trace_positions i in
+      if Array.unsafe_get indices i = index && trace_pos < !cut then cut := trace_pos
+    done;
+    Coverage.of_array ~len:!cut v.touched
 
-  let avg_stack_of_last_two v = avg_stack_of v.comparisons v.n_comparisons
+  let avg_stack_of_last_two v =
+    let depths = v.comparisons.depths in
+    match v.n_comparisons with
+    | 0 -> 0.0
+    | 1 -> float_of_int depths.(0)
+    | n -> float_of_int (depths.(n - 1) + depths.(n - 2)) /. 2.0
+
   let path_hash v = fnv_touched v.touched v.n_touched
-  let coverage v =
-    if v.coverage == Coverage.empty then Coverage.of_array ~len:v.n_touched v.touched
-    else v.coverage
-
-  let new_outcomes v ~baseline =
-    if v.coverage == Coverage.empty then
-      Coverage.new_in v.touched ~len:v.n_touched ~baseline
-    else Coverage.new_against v.coverage ~baseline
+  let coverage v = Coverage.of_array ~len:v.n_touched v.touched
+  let new_outcomes v ~baseline = Coverage.new_in v.touched ~len:v.n_touched ~baseline
 end
 
 let pp_verdict ppf = function

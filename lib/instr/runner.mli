@@ -95,10 +95,18 @@ val crash_id : crash -> string
     against any input that extends the same prefix, producing a run
     bit-identical to full re-execution while only executing the suffix.
 
-    Snapshots are cheap: materialisation shares the run's packaged
-    arrays (no copy), and {!resume} borrows them copy-on-write; the only
-    O(prefix) work on resume is rebuilding the dense coverage presence
-    map from the touched prefix, bounded by the registry size. *)
+    The fuzzer does not use this engine: every execution of a campaign
+    is a cold parse in one reused context, which outruns a resume on
+    every subject. It stays for the campaign benchmark's traced run,
+    which times a snapshot and a resume per replayed execution
+    ([perfbench/main.ml]), and for the tests that keep {!Ctx.restore}
+    honest.
+
+    Materialising a snapshot shares the run's packaged arrays (no
+    copy); {!resume} copies the comparison records below the boundary
+    into the new context's columns, borrows the other buffers
+    copy-on-write, and rebuilds the dense coverage presence map from
+    the touched prefix. *)
 
 type journal
 (** Read-boundary journal of one journaled execution. *)
@@ -148,10 +156,11 @@ val resume : snapshot -> string -> run * journal
 
 (** {1 Direct-mapped prefix cache}
 
-    Maps a prefix string to the snapshot suspended at its end. One cache
-    per fuzzing run (snapshots are registry-specific); a fixed table in
-    which each prefix has exactly one slot, its {!Pdf_util.Fnv} hash
-    modulo the slot count, with accounting counters. *)
+    Maps a prefix string to the snapshot suspended at its end
+    (snapshots are registry-specific); a fixed table in which each
+    prefix has exactly one slot, its {!Pdf_util.Fnv} hash modulo the
+    slot count, with accounting counters. Nothing in the library uses
+    it any more; it stays while the campaign benchmark names it. *)
 
 module Cache : sig
   type t
@@ -175,14 +184,12 @@ module Cache : sig
   val find_prefix : t -> string -> len:int -> snapshot option
   (** [find_prefix t s ~len] is [find t (String.sub s 0 len)] without
       allocating the substring: the prefix is hashed in place and the
-      resident entry verified by in-place comparison. This is the
-      fuzzer's per-execution lookup — the input's inherited prefix never
-      needs to exist as its own string. *)
+      resident entry verified by in-place comparison. *)
 
   val mem_prefix : t -> string -> len:int -> bool
   (** Is the first [len] characters of [s] cached? Allocation-free, and
-      with no counter side effects: the fuzzer probes before {!store} so
-      that an already-cached prefix is never materialised as a string. *)
+      with no counter side effects, so a caller can probe before
+      materialising a prefix for {!store}. *)
 
   val store : t -> string -> snapshot -> unit
   (** Insert into the prefix's slot. An entry for another prefix there
@@ -197,9 +204,8 @@ end
 
 (** {1 Derived observations used by the search}
 
-    Each derivation has one implementation, over the first [n] entries
-    of a buffer, which the functions on a {!run} below and on a {!View}
-    share. *)
+    Over a packaged run's records here, and over a context's columns in
+    {!View}. *)
 
 val substitution_index : run -> int option
 (** The position of the first invalid character: the rightmost index with
@@ -240,25 +246,23 @@ val path_hash : run -> int
 (** {1 Views}
 
     What the search loop reads of an execution, in place: the input,
-    the verdict, and the comparison and touched buffers with their
-    counts. A campaign owns one view and refills it per execution, from
-    a reused context's buffers ({!View.of_ctx}) or from a packaged run
-    ({!View.of_run}); refilling allocates nothing. A view filled from a
-    context is valid until that context is reset. *)
+    the verdict, and a context's comparison columns and touched buffer
+    with their counts. A campaign owns one view and refills it from its
+    reused context after every execution ({!View.of_ctx}); refilling
+    allocates nothing. A view is valid until its context records
+    again or is reset. *)
 
 module View : sig
   type t = private {
     mutable input : string;
     mutable verdict : verdict;
-    mutable comparisons : Comparison.t array;
+    mutable comparisons : Comparison.columns;
         (** in event order; only the first [n_comparisons] are the run's *)
     mutable n_comparisons : int;
     mutable touched : int array;
         (** first-occurrence order; only the first [n_touched] are the
             run's *)
     mutable n_touched : int;
-    mutable coverage : Coverage.t;
-        (** the packaged run's coverage; empty in a view of a context *)
   }
 
   val create : unit -> t
@@ -266,9 +270,8 @@ module View : sig
 
   val of_ctx : t -> Ctx.t -> verdict -> unit
   (** Point the view at the context's input and buffers, as {!run_in}
-      left them. *)
-
-  val of_run : t -> run -> unit
+      left them. A buffer field is written only when the context has
+      moved to a new buffer since the last fill. *)
 
   val substitution_index : t -> int
   (** {!Runner.substitution_index}, with -1 for an empty log. *)
@@ -278,8 +281,7 @@ module View : sig
   val path_hash : t -> int
 
   val coverage : t -> Coverage.t
-  (** The run's coverage: a packaged run's own, or, in a view of a
-      context, built anew for the asking. *)
+  (** The run's coverage, built anew for the asking. *)
 
   val new_outcomes : t -> baseline:Coverage.t -> int
   (** [Coverage.new_against (coverage v) ~baseline], without building

@@ -4,14 +4,12 @@ type t =
       outcomes : int;
       seed : int;
       max_executions : int;
-      incremental : bool;
       sample : int;
     }
   | Cell of { tool : string; subject : string; seed : int }
   | Exec_done of {
       dur_ns : int;
       verdict : string;
-      cached : bool;
       sub_index : int;
       cov : int;
       cov_delta : int;
@@ -20,8 +18,6 @@ type t =
       depth : int;
     }
   | Valid of { input : string; cov : int; count : int }
-  | Cache_hit of { saved : int }
-  | Cache_miss
   | Hang of { total : int }
   | Crash of { exn : string; site : int; fresh : bool; total : int }
   | Retry of { what : string; attempt : int; detail : string }
@@ -35,8 +31,6 @@ let kind = function
   | Cell _ -> "cell"
   | Exec_done _ -> "exec_done"
   | Valid _ -> "valid"
-  | Cache_hit _ -> "cache_hit"
-  | Cache_miss -> "cache_miss"
   | Hang _ -> "hang"
   | Crash _ -> "crash"
   | Retry _ -> "retry"
@@ -55,7 +49,6 @@ let fields ev =
       ("outcomes", I m.outcomes);
       ("seed", I m.seed);
       ("max_executions", I m.max_executions);
-      ("incremental", B m.incremental);
       ("sample", I m.sample);
     ]
   | Cell c -> [ ("tool", S c.tool); ("subject", S c.subject); ("seed", I c.seed) ]
@@ -63,7 +56,6 @@ let fields ev =
     [
       ("dur_ns", I e.dur_ns);
       ("verdict", S e.verdict);
-      ("cached", B e.cached);
       ("sub", I e.sub_index);
       ("cov", I e.cov);
       ("cov_delta", I e.cov_delta);
@@ -72,8 +64,6 @@ let fields ev =
       ("depth", I e.depth);
     ]
   | Valid v -> [ ("input", S v.input); ("cov", I v.cov); ("count", I v.count) ]
-  | Cache_hit c -> [ ("saved", I c.saved) ]
-  | Cache_miss -> []
   | Hang h -> [ ("total", I h.total) ]
   | Crash c ->
     [
@@ -122,7 +112,9 @@ let bool_field fields k =
 (* Traces written before a field existed parse with its default, so old
    traces keep loading across schema growth ([sample] and [exec_done]'s
    [depth] arrived after the first release of the format). Fields a
-   trace carries that this build no longer knows are ignored. *)
+   trace carries that this build no longer knows are ignored, such as
+   [run_meta]'s [incremental] and [exec_done]'s [cached] from builds
+   that ran a prefix cache. *)
 let int_field_default fields k default =
   match get fields k with Some (Json.I i) -> i | _ -> default
 
@@ -145,7 +137,6 @@ let of_fields fields =
           outcomes = int_field f "outcomes";
           seed = int_field f "seed";
           max_executions = int_field f "max_executions";
-          incremental = bool_field f "incremental";
           sample = int_field_default f "sample" 1;
         }
     | "cell" ->
@@ -160,7 +151,6 @@ let of_fields fields =
         {
           dur_ns = int_field f "dur_ns";
           verdict = str_field f "verdict";
-          cached = bool_field f "cached";
           sub_index = int_field f "sub";
           cov = int_field f "cov";
           cov_delta = int_field f "cov_delta";
@@ -175,8 +165,6 @@ let of_fields fields =
           cov = int_field f "cov";
           count = int_field f "count";
         }
-    | "cache_hit" -> Cache_hit { saved = int_field f "saved" }
-    | "cache_miss" -> Cache_miss
     | "hang" -> Hang { total = int_field f "total" }
     | "crash" ->
       Crash

@@ -13,7 +13,6 @@ type t =
       outcomes : int;  (** total branch outcomes in the subject registry *)
       seed : int;
       max_executions : int;
-      incremental : bool;
       sample : int;
           (** the observer's sample rate: exec-level events and phase
               spans cover 1 in [sample] loop iterations; 1 when a trace
@@ -24,7 +23,6 @@ type t =
   | Exec_done of {
       dur_ns : int;  (** full processing span, including child generation *)
       verdict : string;  (** "accepted", "rejected" or "hang" *)
-      cached : bool;  (** resumed from a prefix snapshot *)
       sub_index : int;  (** substitution index, -1 when none *)
       cov : int;  (** valid-coverage cardinal after this execution *)
       cov_delta : int;  (** branches this execution added to it *)
@@ -35,8 +33,6 @@ type t =
               a trace predates the field *)
     }
   | Valid of { input : string; cov : int; count : int }
-  | Cache_hit of { saved : int }  (** [saved] prefix chars not re-parsed *)
-  | Cache_miss
   | Hang of { total : int }
       (** an execution exhausted its fuel ([Ctx.Out_of_fuel]); [total]
           is the cumulative hang count *)

@@ -82,12 +82,12 @@ let phase_totals t =
 
 (* {1 Run lifecycle} *)
 
-let run_meta t ~subject ~outcomes ~seed ~max_executions ~incremental =
+let run_meta t ~subject ~outcomes ~seed ~max_executions =
   t.max_executions <- max_executions;
   t.outcomes <- outcomes;
   emit t ~exec:0
     (Event.Run_meta
-       { subject; outcomes; seed; max_executions; incremental; sample = t.sample })
+       { subject; outcomes; seed; max_executions; sample = t.sample })
 
 let snapshot_due t =
   t.snapshot_interval_ns > 0 && now_ns t - t.last_snap_t >= t.snapshot_interval_ns
@@ -96,7 +96,7 @@ let rate t ~now ~exec =
   let dt = now - t.last_snap_t in
   if dt <= 0 then 0.0 else float_of_int (exec - t.last_snap_exec) *. 1e9 /. float_of_int dt
 
-let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~plateau ~hangs ~crashes =
+let snapshot t ~exec ~depth ~valid ~cov ~plateau ~hangs ~crashes =
   let now = now_ns t in
   let execs_per_sec = rate t ~now ~exec in
   t.last_snap_t <- now;
@@ -106,8 +106,7 @@ let snapshot t ~exec ~depth ~valid ~cov ~hits ~misses ~plateau ~hangs ~crashes =
   | Some p ->
     Progress.print p
       (Progress.render ~execs:exec ~max_executions:t.max_executions ~execs_per_sec
-         ~depth ~valid ~cov ~outcomes:t.outcomes ~hits ~misses
-         ~plateau ~hangs ~crashes)
+         ~depth ~valid ~cov ~outcomes:t.outcomes ~plateau ~hangs ~crashes)
 
 let finish t ~exec ~valid ~cov =
   let wall = now_ns t in

@@ -68,7 +68,6 @@ val run_meta :
   outcomes:int ->
   seed:int ->
   max_executions:int ->
-  incremental:bool ->
   unit
 (** Emit the run header and remember the totals the progress line
     needs. *)
@@ -83,8 +82,6 @@ val snapshot :
   depth:int ->
   valid:int ->
   cov:int ->
-  hits:int ->
-  misses:int ->
   plateau:int ->
   hangs:int ->
   crashes:int ->

@@ -2,7 +2,6 @@
 
 type t =
   | Exec  (** subject execution: parsing the candidate input *)
-  | Cache  (** prefix-snapshot lookup, store and accounting *)
   | Score  (** queue re-ranks: re-scoring after vBr grows *)
   | Queue
       (** queue push (including the scoring of a push that starts a

@@ -19,14 +19,13 @@ val render :
   valid:int ->
   cov:int ->
   outcomes:int ->
-  hits:int ->
-  misses:int ->
   plateau:int ->
   hangs:int ->
   crashes:int ->
   string
-(** One status line: executions, throughput, queue depth, valid count, coverage percentage,
-    cache hit rate ("-" before any consultation), plateau age in executions, and cumulative hang and crash counts. *)
+(** One status line: executions, throughput, queue depth, valid count,
+    coverage percentage, plateau age in executions, and cumulative hang
+    and crash counts. *)
 
 val print : t -> string -> unit
 val finish : t -> unit

@@ -68,7 +68,6 @@ let chrome oc =
         [
           ("n", I s.exec);
           ("verdict", S e.verdict);
-          ("cached", B e.cached);
           ("valid", B e.valid);
         ];
       entry
@@ -107,17 +106,17 @@ let chrome oc =
 
 (* Kinds that older builds emitted and this build no longer has: seven
    search-loop events (the queue's push and pop were read only for a
-   depth that [exec_done] now carries), the prefix cache's cold
-   re-execution of a crashed resume, the campaign coordinator's shard
-   plan and worker lifecycle, the live line's periodic status sample
-   and the fuzzer's own fault hook. Their lines are skipped, so those
-   traces still load; any other kind this build does not know is an
-   error. *)
+   depth that [exec_done] now carries), the prefix cache's hits, misses
+   and cold re-execution of a crashed resume, the campaign
+   coordinator's shard plan and worker lifecycle, the live line's
+   periodic status sample and the fuzzer's own fault hook. Their lines
+   are skipped, so those traces still load; any other kind this build
+   does not know is an error. *)
 let retired =
   [
     "exec_start"; "queue_rerank"; "queue_trunc"; "queue_push"; "queue_pop";
-    "cache_evict"; "reset"; "rescue"; "shard"; "worker_spawn"; "worker_frame";
-    "worker_exit"; "snapshot"; "fault";
+    "cache_evict"; "cache_hit"; "cache_miss"; "reset"; "rescue"; "shard";
+    "worker_spawn"; "worker_frame"; "worker_exit"; "snapshot"; "fault";
   ]
 
 let is_retired line =

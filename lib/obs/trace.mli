@@ -32,7 +32,7 @@ val buffer : unit -> sink * (unit -> string)
 
 val read_file : string -> Event.stamped list
 (** Parse a JSONL trace file. Blank lines are skipped, and so are lines
-    of the fourteen event kinds that older builds emitted from the
+    of the sixteen event kinds that older builds emitted from the
     search loop, the prefix cache, the campaign coordinator, the live
     status line or the fault hook and this one no longer has, so their
     traces still load. Raises [Failure] with the

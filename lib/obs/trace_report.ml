@@ -5,7 +5,6 @@ type meta = {
   outcomes : int;
   seed : int;
   max_executions : int;
-  incremental : bool;
   sample : int;
 }
 
@@ -16,7 +15,6 @@ type slow = {
   s_dur_ns : int;
   s_verdict : string;
   s_len : int;
-  s_cached : bool;
 }
 
 type t = {
@@ -31,8 +29,6 @@ type t = {
   phases : (string * int) list;  (* cumulative span totals, scaled by [sample] *)
   phase_percentiles : (string * int) list;  (* <phase>_p50 / _p99 entries *)
   slowest : slow list;  (* top-N by duration, longest first *)
-  cache_hits : int;
-  cache_misses : int;
   valids : (int * string) list;  (* exec count, input — in discovery order *)
   hangs : int;
   crashes : int;
@@ -75,8 +71,6 @@ let analyse ?(top = 10) ?cell events =
   let phase_percentiles = ref [] in
   let wall = ref 0 in
   let eps = ref 0.0 in
-  let hits = ref 0 in
-  let misses = ref 0 in
   let valids_rev = ref [] in
   let slow_all = ref [] in
   let hangs = ref 0 in
@@ -95,7 +89,6 @@ let analyse ?(top = 10) ?cell events =
               outcomes = m.outcomes;
               seed = m.seed;
               max_executions = m.max_executions;
-              incremental = m.incremental;
               sample = m.sample;
             }
       | Event.Exec_done e ->
@@ -108,12 +101,9 @@ let analyse ?(top = 10) ?cell events =
             s_dur_ns = e.dur_ns;
             s_verdict = e.verdict;
             s_len = e.len;
-            s_cached = e.cached;
           }
           :: !slow_all
       | Event.Valid v -> valids_rev := (s.exec, v.input) :: !valids_rev
-      | Event.Cache_hit _ -> incr hits
-      | Event.Cache_miss -> incr misses
       | Event.Hang h -> hangs := max !hangs h.total
       | Event.Crash c ->
         crashes := max !crashes c.total;
@@ -155,8 +145,6 @@ let analyse ?(top = 10) ?cell events =
     phases = List.map (fun (name, ns) -> (name, ns * sample)) !phases;
     phase_percentiles = !phase_percentiles;
     slowest;
-    cache_hits = !hits;
-    cache_misses = !misses;
     valids = List.rev !valids_rev;
     hangs = !hangs;
     crashes = !crashes;
@@ -212,8 +200,8 @@ let render ?(rows = 20) ppf t =
   (match t.meta with
    | Some m ->
      Format.fprintf ppf
-       "subject %s, seed %d, budget %d executions, incremental %b@."
-       m.subject m.seed m.max_executions m.incremental
+       "subject %s, seed %d, budget %d executions@."
+       m.subject m.seed m.max_executions
    | None -> ());
   Format.fprintf ppf
     "%d executions in %.2fs (%.0f execs/sec), %d valid inputs, %d branches covered"
@@ -224,10 +212,6 @@ let render ?(rows = 20) ppf t =
        (100.0 *. float_of_int t.final_cov /. float_of_int m.outcomes)
    | _ -> ());
   Format.fprintf ppf "@.";
-  if t.cache_hits + t.cache_misses > 0 then
-    Format.fprintf ppf "prefix cache: %d hits, %d misses (%.1f%% hit rate)@."
-      t.cache_hits t.cache_misses
-      (100.0 *. float_of_int t.cache_hits /. float_of_int (t.cache_hits + t.cache_misses));
   if t.hangs + t.crashes > 0 then
     Format.fprintf ppf "resilience: %d hangs, %d crashes (%d unique)@." t.hangs
       t.crashes t.crash_unique;
@@ -292,7 +276,7 @@ let render ?(rows = 20) ppf t =
   end;
   if t.slowest <> [] then
     Render.table ppf ~title:"slowest executions"
-      ~header:[ "exec #"; "dur (us)"; "verdict"; "input len"; "cached" ]
+      ~header:[ "exec #"; "dur (us)"; "verdict"; "input len" ]
       (List.map
          (fun s ->
            [
@@ -300,7 +284,6 @@ let render ?(rows = 20) ppf t =
              Printf.sprintf "%.1f" (float_of_int s.s_dur_ns /. 1e3);
              s.s_verdict;
              string_of_int s.s_len;
-             string_of_bool s.s_cached;
            ])
          t.slowest)
 

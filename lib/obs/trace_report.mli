@@ -8,7 +8,6 @@ type meta = {
   outcomes : int;
   seed : int;
   max_executions : int;
-  incremental : bool;
   sample : int;  (** 1-in-[sample] exec-level sampling of the run *)
 }
 
@@ -19,7 +18,6 @@ type slow = {
   s_dur_ns : int;
   s_verdict : string;
   s_len : int;
-  s_cached : bool;
 }
 
 type t = {
@@ -36,8 +34,6 @@ type t = {
           run's totals estimate the whole run *)
   phase_percentiles : (string * int) list;
   slowest : slow list;
-  cache_hits : int;
-  cache_misses : int;
   valids : (int * string) list;
   hangs : int;  (** cumulative fuel-exhaustion count *)
   crashes : int;  (** cumulative contained-crash count *)

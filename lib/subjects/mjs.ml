@@ -123,17 +123,20 @@ let sl_num_exp_digit = Helpers.slot_set b_num_exp_digit ~label:"digit" Charset.d
 let escapes = "nrtbfv0\\'\""
 let sl_esc_known = Helpers.slot_one_of b_esc_known escapes
 
-let lex_word ctx =
-  Ctx.with_frame ctx s_lex_word @@ fun () ->
-  let word = Helpers.read_set ctx sl_word_more word_chars in
-  let rec find = function
-    | [] -> Ident
-    | (kw, site) :: rest -> if Ctx.str_eq ctx site word kw then Kw kw else find rest
-  in
-  find b_keyword
+(* Lexer nonterminals are frames around named bodies, which
+   [Ctx.frame] hands the context: no closure per call. *)
 
-let lex_number ctx =
-  Ctx.with_frame ctx s_lex_number @@ fun () ->
+let rec find_keyword ctx word = function
+  | [] -> Ident
+  | (kw, site) :: rest ->
+    if Ctx.str_eq ctx site word kw then Kw kw else find_keyword ctx word rest
+
+let lex_word_body ctx =
+  find_keyword ctx (Helpers.read_set ctx sl_word_more word_chars) b_keyword
+
+let lex_word ctx = Ctx.frame ctx s_lex_word lex_word_body ctx
+
+let lex_number_body ctx =
   (match Ctx.next ctx with
    | None -> assert false (* caller saw a digit *)
    | Some first ->
@@ -163,66 +166,73 @@ let lex_number ctx =
          | Some _ | None -> ())));
   Number
 
-let lex_string ctx quote_site quote =
-  Ctx.with_frame ctx s_lex_string @@ fun () ->
-  ignore quote_site;
+let lex_number ctx = Ctx.frame ctx s_lex_number lex_number_body ctx
+
+let rec string_chars ctx quote =
+  match Ctx.next ctx with
+  | None -> Ctx.reject ctx "unterminated string"
+  | Some c ->
+    if Ctx.eq ctx b_str_close c quote then Str
+    else if Ctx.eq ctx b_str_escape c '\\' then begin
+      (match Ctx.next ctx with
+       | None -> Ctx.reject ctx "unterminated escape"
+       | Some e ->
+         if not (Ctx.one_of_slot ctx sl_esc_known e escapes) then
+           Ctx.reject ctx "unknown escape");
+      string_chars ctx quote
+    end
+    else if Ctx.eq ctx b_str_newline c '\n' then
+      Ctx.reject ctx "newline in string literal"
+    else string_chars ctx quote
+
+(* One string body per quote character, so the frame passes only the
+   context. *)
+let string_body ctx quote =
   ignore (Ctx.next ctx);
   (* opening quote *)
-  let rec body () =
-    match Ctx.next ctx with
-    | None -> Ctx.reject ctx "unterminated string"
-    | Some c ->
-      if Ctx.eq ctx b_str_close c quote then Str
-      else if Ctx.eq ctx b_str_escape c '\\' then begin
-        (match Ctx.next ctx with
-         | None -> Ctx.reject ctx "unterminated escape"
-         | Some e ->
-           if not (Ctx.one_of_slot ctx sl_esc_known e escapes) then
-             Ctx.reject ctx "unknown escape");
-        body ()
-      end
-      else if Ctx.eq ctx b_str_newline c '\n' then
-        Ctx.reject ctx "newline in string literal"
-      else body ()
-  in
-  body ()
+  string_chars ctx quote
 
-let lex_op ctx =
-  Ctx.with_frame ctx s_lex_op @@ fun () ->
-  let rec walk node matched =
-    let try_extend () =
-      match Ctx.peek ctx with
-      | None -> None
-      | Some c ->
-        let rec find = function
-          | [] -> None
-          | (ec, site, child) :: rest ->
-            if Ctx.eq ctx site c ec then Some child else find rest
-        in
-        find node.edges
-    in
-    match try_extend () with
-    | Some child ->
-      ignore (Ctx.next ctx);
-      walk child child.terminal
-    | None ->
-      (match matched with
-       | Some op -> Punct op
-       | None -> Ctx.reject ctx "unexpected character")
-  in
-  walk op_root None
+let double_quoted ctx = string_body ctx '"'
+let single_quoted ctx = string_body ctx '\''
+let lex_string ctx body = Ctx.frame ctx s_lex_string body ctx
 
-let next_token ctx =
-  Ctx.with_frame ctx s_lex @@ fun () ->
+(* The edge out of [edges] whose character the next one matches, tried
+   in order, or [no_edge]. *)
+let no_edge = { terminal = None; edges = [] }
+
+let rec op_edge ctx c = function
+  | [] -> no_edge
+  | (ec, site, child) :: rest ->
+    if Ctx.eq ctx site c ec then child else op_edge ctx c rest
+
+let rec walk_op ctx node matched =
+  let child =
+    match Ctx.peek ctx with None -> no_edge | Some c -> op_edge ctx c node.edges
+  in
+  if child != no_edge then begin
+    ignore (Ctx.next ctx);
+    walk_op ctx child child.terminal
+  end
+  else
+    match matched with
+    | Some op -> Punct op
+    | None -> Ctx.reject ctx "unexpected character"
+
+let lex_op_body ctx = walk_op ctx op_root None
+let lex_op ctx = Ctx.frame ctx s_lex_op lex_op_body ctx
+
+let next_token_body ctx =
   Helpers.skip_set ctx sl_ws ws;
   match Ctx.peek ctx with
   | None -> Eof
   | Some c ->
     if Ctx.in_set_slot ctx sl_word_start c word_start then lex_word ctx
     else if Ctx.in_range_slot ctx sl_digit c '0' '9' then lex_number ctx
-    else if Ctx.eq ctx b_quote_double c '"' then lex_string ctx b_quote_double '"'
-    else if Ctx.eq ctx b_quote_single c '\'' then lex_string ctx b_quote_single '\''
+    else if Ctx.eq ctx b_quote_double c '"' then lex_string ctx double_quoted
+    else if Ctx.eq ctx b_quote_single c '\'' then lex_string ctx single_quoted
     else lex_op ctx
+
+let next_token ctx = Ctx.frame ctx s_lex next_token_body ctx
 
 (* {1 Parser} *)
 
@@ -352,8 +362,44 @@ let binary_tiers =
 let unary_ops = [ Punct "!"; Punct "~"; Punct "+"; Punct "-"; Punct "++"; Punct "--" ]
 let unary_kws = [ "typeof"; "delete"; "void" ]
 
-let rec statement st =
-  Ctx.with_frame st.ctx s_statement @@ fun () ->
+(* A member name after '.', compared against the builtin names. *)
+let rec find_member ctx word = function
+  | [] -> ()
+  | (m, site) :: rest ->
+    if Ctx.str_eq ctx site word m then Ctx.cover ctx s_member_known
+    else find_member ctx word rest
+
+(* The innermost operand of the binary tiers, tied to [unary] below the
+   recursive descent: the tier functions are built once, here, so no
+   frame has to carry a tier list as its argument. *)
+let operand = ref (fun (_ : state) -> ())
+
+(* One function per precedence tier, loosest first: a frame around the
+   next tighter tier followed by a loop over this tier's operators. *)
+let binary =
+  List.fold_right
+    (fun ops tighter ->
+      let rec more st =
+        Ctx.tick st.ctx;
+        if Ctx.branch st.ctx b_binop (tok_mem st.tok ops) then begin
+          advance st;
+          tighter st;
+          more st
+        end
+      in
+      let body st =
+        tighter st;
+        more st
+      in
+      fun st -> Ctx.frame st.ctx s_binary body st)
+    binary_tiers
+    (fun st -> !operand st)
+
+(* Each nonterminal is a frame around a named body, which [Ctx.frame]
+   hands the parser state: no closure per call. *)
+let rec statement st = Ctx.frame st.ctx s_statement statement_body st
+
+and statement_body st =
   Ctx.tick st.ctx;
   match st.tok with
   | Punct "{" -> block_stmt st
@@ -384,50 +430,52 @@ let rec statement st =
     expression st;
     expect st x_semicolon
   | Punct _ | Kw _ | Ident | Number | Str ->
-    Ctx.with_frame st.ctx s_expr_stmt @@ fun () ->
-    expression st;
-    expect st x_semicolon
+    Ctx.frame st.ctx s_expr_stmt expression_statement st
   | Eof -> Ctx.reject st.ctx "expected statement, found end of input"
 
-and block_stmt st =
-  Ctx.with_frame st.ctx s_block @@ fun () ->
+and expression_statement st =
+  expression st;
+  expect st x_semicolon
+
+and block_stmt st = Ctx.frame st.ctx s_block block_body st
+
+and block_body st =
   expect st x_lbrace;
-  let rec stmts () =
-    if
-      Ctx.branch st.ctx b_block_more
-        ((not (tok_eq st.tok (Punct "}"))) && not (tok_eq st.tok Eof))
-    then begin
-      statement st;
-      stmts ()
-    end
-  in
-  stmts ();
+  block_stmts st;
   expect st x_rbrace
 
-and var_stmt st =
-  Ctx.with_frame st.ctx s_var @@ fun () ->
+and block_stmts st =
+  if
+    Ctx.branch st.ctx b_block_more
+      ((not (tok_eq st.tok (Punct "}"))) && not (tok_eq st.tok Eof))
+  then begin
+    statement st;
+    block_stmts st
+  end
+
+and var_stmt st = Ctx.frame st.ctx s_var var_body st
+
+and var_body st =
   advance st;
   (* var/let/const *)
   var_declarations st;
   expect st x_semicolon
 
 and var_declarations st =
-  let rec decl () =
-    (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
-     else Ctx.reject st.ctx "expected variable name");
-    if Ctx.branch st.ctx b_var_init (tok_eq st.tok (Punct "=")) then begin
-      advance st;
-      assignment st
-    end;
-    if Ctx.branch st.ctx b_var_more (tok_eq st.tok (Punct ",")) then begin
-      advance st;
-      decl ()
-    end
-  in
-  decl ()
+  (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
+   else Ctx.reject st.ctx "expected variable name");
+  if Ctx.branch st.ctx b_var_init (tok_eq st.tok (Punct "=")) then begin
+    advance st;
+    assignment st
+  end;
+  if Ctx.branch st.ctx b_var_more (tok_eq st.tok (Punct ",")) then begin
+    advance st;
+    var_declarations st
+  end
 
-and if_stmt st =
-  Ctx.with_frame st.ctx s_if @@ fun () ->
+and if_stmt st = Ctx.frame st.ctx s_if if_body st
+
+and if_body st =
   advance st;
   expect st x_lparen;
   expression st;
@@ -438,16 +486,18 @@ and if_stmt st =
     statement st
   end
 
-and while_stmt st =
-  Ctx.with_frame st.ctx s_while @@ fun () ->
+and while_stmt st = Ctx.frame st.ctx s_while while_body st
+
+and while_body st =
   advance st;
   expect st x_lparen;
   expression st;
   expect st x_rparen;
   statement st
 
-and do_stmt st =
-  Ctx.with_frame st.ctx s_do @@ fun () ->
+and do_stmt st = Ctx.frame st.ctx s_do do_body st
+
+and do_body st =
   advance st;
   statement st;
   expect st x_while;
@@ -456,8 +506,9 @@ and do_stmt st =
   expect st x_rparen;
   expect st x_semicolon
 
-and for_stmt st =
-  Ctx.with_frame st.ctx s_for @@ fun () ->
+and for_stmt st = Ctx.frame st.ctx s_for for_body st
+
+and for_body st =
   advance st;
   expect st x_lparen;
   (* Initialiser: empty, a declaration, or an expression; [for (x in e)]
@@ -491,44 +542,47 @@ and for_stmt st =
     statement st
   end
 
-and switch_stmt st =
-  Ctx.with_frame st.ctx s_switch @@ fun () ->
+and switch_stmt st = Ctx.frame st.ctx s_switch switch_body st
+
+and switch_body st =
   advance st;
   expect st x_lparen;
   expression st;
   expect st x_rparen;
   expect st x_lbrace;
-  let rec clauses () =
-    if Ctx.branch st.ctx b_case_more (tok_eq st.tok (Kw "case")) then begin
-      advance st;
-      expression st;
-      expect st x_colon;
-      clause_stmts ();
-      clauses ()
-    end
-    else if Ctx.branch st.ctx b_case_default (tok_eq st.tok (Kw "default"))
-    then begin
-      advance st;
-      expect st x_colon;
-      clause_stmts ();
-      clauses ()
-    end
-  and clause_stmts () =
-    if
-      (not (tok_eq st.tok (Kw "case")))
-      && (not (tok_eq st.tok (Kw "default")))
-      && (not (tok_eq st.tok (Punct "}")))
-      && not (tok_eq st.tok Eof)
-    then begin
-      statement st;
-      clause_stmts ()
-    end
-  in
-  clauses ();
+  switch_clauses st;
   expect st x_rbrace
 
-and try_stmt st =
-  Ctx.with_frame st.ctx s_try @@ fun () ->
+and switch_clauses st =
+  if Ctx.branch st.ctx b_case_more (tok_eq st.tok (Kw "case")) then begin
+    advance st;
+    expression st;
+    expect st x_colon;
+    clause_stmts st;
+    switch_clauses st
+  end
+  else if Ctx.branch st.ctx b_case_default (tok_eq st.tok (Kw "default"))
+  then begin
+    advance st;
+    expect st x_colon;
+    clause_stmts st;
+    switch_clauses st
+  end
+
+and clause_stmts st =
+  if
+    (not (tok_eq st.tok (Kw "case")))
+    && (not (tok_eq st.tok (Kw "default")))
+    && (not (tok_eq st.tok (Punct "}")))
+    && not (tok_eq st.tok Eof)
+  then begin
+    statement st;
+    clause_stmts st
+  end
+
+and try_stmt st = Ctx.frame st.ctx s_try try_body st
+
+and try_body st =
   advance st;
   block_stmt st;
   let caught = Ctx.branch st.ctx b_catch (tok_eq st.tok (Kw "catch")) in
@@ -546,38 +600,46 @@ and try_stmt st =
   end
   else if not caught then Ctx.reject st.ctx "try without catch or finally"
 
-and with_stmt st =
-  Ctx.with_frame st.ctx s_with @@ fun () ->
+and with_stmt st = Ctx.frame st.ctx s_with with_body st
+
+and with_body st =
   advance st;
   expect st x_lparen;
   expression st;
   expect st x_rparen;
   statement st
 
+(* One body per case, so the frame passes only the parser state. *)
 and function_decl st ~named =
-  Ctx.with_frame st.ctx s_function @@ fun () ->
+  Ctx.frame st.ctx s_function
+    (if named then named_function_body else function_expression_body)
+    st
+
+and named_function_body st = function_rest st ~named:true
+and function_expression_body st = function_rest st ~named:false
+
+and function_rest st ~named =
   advance st;
   (* function *)
   if Ctx.branch st.ctx b_fn_anonymous (tok_eq st.tok Ident) then advance st
   else if named then Ctx.reject st.ctx "expected function name";
   expect st x_lparen;
-  (if not (tok_eq st.tok (Punct ")")) then
-     let rec params () =
-       (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
-        else Ctx.reject st.ctx "expected parameter name");
-       if Ctx.branch st.ctx b_fn_params_more (tok_eq st.tok (Punct ",")) then begin
-         advance st;
-         params ()
-       end
-     in
-     params ());
+  if not (tok_eq st.tok (Punct ")")) then function_params st;
   expect st x_rparen;
   block_stmt st
 
-and expression st = assignment st
+and function_params st =
+  (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
+   else Ctx.reject st.ctx "expected parameter name");
+  if Ctx.branch st.ctx b_fn_params_more (tok_eq st.tok (Punct ",")) then begin
+    advance st;
+    function_params st
+  end
 
-and assignment st =
-  Ctx.with_frame st.ctx s_assign @@ fun () ->
+and expression st = assignment st
+and assignment st = Ctx.frame st.ctx s_assign assignment_body st
+
+and assignment_body st =
   conditional st;
   if Ctx.branch st.ctx b_assign_op (is_assign_op st.tok) then begin
     (* Semantic lvalue checking is disabled, as in the paper's setup. *)
@@ -585,9 +647,10 @@ and assignment st =
     assignment st
   end
 
-and conditional st =
-  Ctx.with_frame st.ctx s_cond @@ fun () ->
-  binary st binary_tiers;
+and conditional st = Ctx.frame st.ctx s_cond conditional_body st
+
+and conditional_body st =
+  binary st;
   if Ctx.branch st.ctx b_ternary (tok_eq st.tok (Punct "?")) then begin
     advance st;
     assignment st;
@@ -595,24 +658,9 @@ and conditional st =
     assignment st
   end
 
-and binary st tiers =
-  match tiers with
-  | [] -> unary st
-  | ops :: rest ->
-    Ctx.with_frame st.ctx s_binary @@ fun () ->
-    binary st rest;
-    let rec more () =
-      Ctx.tick st.ctx;
-      if Ctx.branch st.ctx b_binop (tok_mem st.tok ops) then begin
-        advance st;
-        binary st rest;
-        more ()
-      end
-    in
-    more ()
+and unary st = Ctx.frame st.ctx s_unary unary_body st
 
-and unary st =
-  Ctx.with_frame st.ctx s_unary @@ fun () ->
+and unary_body st =
   if Ctx.branch st.ctx b_unop (tok_mem st.tok unary_ops) then begin
     advance st;
     unary st
@@ -625,16 +673,18 @@ and unary st =
     | Kw "new" -> new_expr st
     | Punct _ | Kw _ | Ident | Number | Str | Eof -> postfix st
 
-and new_expr st =
-  Ctx.with_frame st.ctx s_new @@ fun () ->
+and new_expr st = Ctx.frame st.ctx s_new new_body st
+
+and new_body st =
   advance st;
   (* new *)
   primary st;
   if Ctx.branch st.ctx b_new_args (tok_eq st.tok (Punct "(")) then call_args st;
   call_tail st
 
-and postfix st =
-  Ctx.with_frame st.ctx s_postfix @@ fun () ->
+and postfix st = Ctx.frame st.ctx s_postfix postfix_body st
+
+and postfix_body st =
   primary st;
   call_tail st;
   if
@@ -643,63 +693,55 @@ and postfix st =
   then
     advance st
 
-and call_tail st =
-  Ctx.with_frame st.ctx s_call @@ fun () ->
-  let rec tail () =
-    Ctx.tick st.ctx;
-    if Ctx.branch st.ctx b_call_more (tok_eq st.tok (Punct ".")) then begin
-      advance_member st;
-      tail ()
-    end
-    else if tok_eq st.tok (Punct "[") then begin
-      advance st;
-      expression st;
-      expect st x_rbracket;
-      tail ()
-    end
-    else if tok_eq st.tok (Punct "(") then begin
-      call_args st;
-      tail ()
-    end
-  in
-  tail ()
+and call_tail st = Ctx.frame st.ctx s_call call_tail_body st
+
+and call_tail_body st =
+  Ctx.tick st.ctx;
+  if Ctx.branch st.ctx b_call_more (tok_eq st.tok (Punct ".")) then begin
+    advance_member st;
+    call_tail_body st
+  end
+  else if tok_eq st.tok (Punct "[") then begin
+    advance st;
+    expression st;
+    expect st x_rbracket;
+    call_tail_body st
+  end
+  else if tok_eq st.tok (Punct "(") then begin
+    call_args st;
+    call_tail_body st
+  end
 
 (* A member access: read the member word with the instrumented lexer and
    compare it against the builtin names (how [indexOf], [stringify] and
    [length] become reachable tokens). Unknown members are fine. *)
-and advance_member st =
-  Ctx.with_frame st.ctx s_member @@ fun () ->
+and advance_member st = Ctx.frame st.ctx s_member member_body st
+
+and member_body st =
   (* The '.' token is current, so the stream cursor sits right after it:
      read the member word directly so its characters stay comparable. *)
   Helpers.skip_set st.ctx sl_ws ws;
   (match Ctx.peek st.ctx with
    | Some c when Ctx.in_set_slot st.ctx sl_word_start c word_start ->
-     let word = Helpers.read_set st.ctx sl_word_more word_chars in
-     let rec find = function
-       | [] -> ()
-       | (m, site) :: rest ->
-         if Ctx.str_eq st.ctx site word m then Ctx.cover st.ctx s_member_known
-         else find rest
-     in
-     find b_member
+     find_member st.ctx (Helpers.read_set st.ctx sl_word_more word_chars) b_member
    | Some _ | None -> Ctx.reject st.ctx "expected member name");
   advance st
 
 and call_args st =
   expect st x_lparen;
-  (if not (tok_eq st.tok (Punct ")")) then
-     let rec args () =
-       assignment st;
-       if Ctx.branch st.ctx b_args_more (tok_eq st.tok (Punct ",")) then begin
-         advance st;
-         args ()
-       end
-     in
-     args ());
+  if not (tok_eq st.tok (Punct ")")) then call_arg_list st;
   expect st x_rparen
 
-and primary st =
-  Ctx.with_frame st.ctx s_primary @@ fun () ->
+and call_arg_list st =
+  assignment st;
+  if Ctx.branch st.ctx b_args_more (tok_eq st.tok (Punct ",")) then begin
+    advance st;
+    call_arg_list st
+  end
+
+and primary st = Ctx.frame st.ctx s_primary primary_body st
+
+and primary_body st =
   match st.tok with
   | Number | Str | Ident -> advance st
   | Kw ("true" | "false" | "null" | "undefined" | "NaN" | "this" | "Object" | "JSON") ->
@@ -714,56 +756,59 @@ and primary st =
   | Punct "{" -> object_literal st
   | Punct _ | Kw _ | Eof -> Ctx.reject st.ctx "expected expression"
 
-and array_literal st =
-  Ctx.with_frame st.ctx s_array_lit @@ fun () ->
+and array_literal st = Ctx.frame st.ctx s_array_lit array_body st
+
+and array_body st =
   advance st;
   (* '[' *)
-  (if not (tok_eq st.tok (Punct "]")) then
-     let rec elems () =
-       assignment st;
-       if Ctx.branch st.ctx b_elem_more (tok_eq st.tok (Punct ",")) then begin
-         advance st;
-         elems ()
-       end
-     in
-     elems ());
+  if not (tok_eq st.tok (Punct "]")) then array_elements st;
   expect st x_rbracket
 
-and object_literal st =
-  Ctx.with_frame st.ctx s_object_lit @@ fun () ->
+and array_elements st =
+  assignment st;
+  if Ctx.branch st.ctx b_elem_more (tok_eq st.tok (Punct ",")) then begin
+    advance st;
+    array_elements st
+  end
+
+and object_literal st = Ctx.frame st.ctx s_object_lit object_body st
+
+and object_body st =
   advance st;
   (* '{' *)
-  (if not (tok_eq st.tok (Punct "}")) then
-     let rec props () =
-       (match st.tok with
-        | Ident | Str | Number | Kw _ ->
-          ignore (Ctx.branch st.ctx b_prop_key true);
-          advance st
-        | Punct _ | Eof ->
-          ignore (Ctx.branch st.ctx b_prop_key false);
-          Ctx.reject st.ctx "expected property key");
-       expect st x_colon;
-       assignment st;
-       if Ctx.branch st.ctx b_prop_more (tok_eq st.tok (Punct ",")) then begin
-         advance st;
-         props ()
-       end
-     in
-     props ());
+  if not (tok_eq st.tok (Punct "}")) then object_properties st;
   expect st x_rbrace
 
-let parse ctx =
-  Ctx.with_frame ctx s_program @@ fun () ->
+and object_properties st =
+  (match st.tok with
+   | Ident | Str | Number | Kw _ ->
+     ignore (Ctx.branch st.ctx b_prop_key true);
+     advance st
+   | Punct _ | Eof ->
+     ignore (Ctx.branch st.ctx b_prop_key false);
+     Ctx.reject st.ctx "expected property key");
+  expect st x_colon;
+  assignment st;
+  if Ctx.branch st.ctx b_prop_more (tok_eq st.tok (Punct ",")) then begin
+    advance st;
+    object_properties st
+  end
+
+let () = operand := unary
+
+let rec program_stmts (st : state) =
+  if not (tok_eq st.tok Eof) then begin
+    statement st;
+    program_stmts st
+  end
+
+let parse_body ctx =
   let st = { ctx; tok = next_token ctx } in
   if tok_eq st.tok Eof then Ctx.reject ctx "empty program";
-  let rec stmts () =
-    if not (tok_eq st.tok Eof) then begin
-      statement st;
-      stmts ()
-    end
-  in
-  stmts ();
+  program_stmts st;
   ignore (Ctx.branch ctx b_trailing (not (tok_eq st.tok Eof)))
+
+let parse ctx = Ctx.frame ctx s_program parse_body ctx
 
 (* {1 Token inventory (Table 4 shape)} *)
 

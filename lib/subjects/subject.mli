@@ -13,7 +13,9 @@ type t = {
   machine : Pdf_instr.Machine.recognizer option;
       (** step-wise form of [parse], when the subject provides one; it
           must recognize exactly the same language with the same
-          observations. Enables incremental (snapshot/resume) execution. *)
+          observations. The fuzzer runs [parse]; the step-wise form
+          serves the journaled snapshot/resume engine of
+          {!Pdf_instr.Runner}. *)
   fuel : int;  (** per-run fuel budget (interpreting subjects hang) *)
   tokens : Token.t list;
   tokenize : string -> string list;
@@ -37,7 +39,7 @@ val exec_journaled :
   t -> Pdf_instr.Machine.recognizer -> string ->
   Pdf_instr.Runner.run * Pdf_instr.Runner.journal
 (** Execute a machine-form subject with read-boundary journaling, for
-    incremental (snapshot/resume) execution; see {!Pdf_instr.Runner}.
-    Pass the subject's own [machine]. *)
+    snapshot/resume execution; see {!Pdf_instr.Runner}. Pass the
+    subject's own [machine]. *)
 
 val accepts : t -> string -> bool

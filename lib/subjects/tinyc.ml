@@ -14,9 +14,7 @@ type token =
   | Eof
 
 (* Token equality by pattern: [=] on tokens would call the polymorphic
-   [caml_equal] for every token test the parser makes. It is defined
-   outside the functor: the parser's per-call [with_frame] closures
-   would each capture a function of the functor's body, a word apiece. *)
+   [caml_equal] for every token test the parser makes. *)
 let tok_eq a b =
   match (a, b) with
   | Sym x, Sym y -> Char.equal x y
@@ -123,57 +121,50 @@ let sl_letter = Helpers.slot_set b_letter ~label:"letter" lower
 let sl_digit_first = Helpers.slot_range b_digit '0' '9'
 let sl_digit = Helpers.slot_set b_digit ~label:"digit" Charset.digits
 
-(* Returns the token and the input position where it starts. *)
-let next_token ctx =
-  Ctx.with_frame ctx s_lex @@ fun () ->
-  Helpers.skip_set ctx sl_ws ws;
-  let start = Ctx.pos ctx in
-  let token =
-    match Ctx.peek ctx with
-  | None -> Eof
-  | Some c ->
-    if Ctx.in_range_slot ctx sl_letter_first c 'a' 'z' then begin
-      let word = Helpers.read_set ctx sl_letter lower in
-      if Ctx.str_eq ctx b_kw_if word "if" then Kw_if
-      else if Ctx.str_eq ctx b_kw_else word "else" then Kw_else
-      else if Ctx.str_eq ctx b_kw_while word "while" then Kw_while
-      else if Ctx.str_eq ctx b_kw_do word "do" then Kw_do
-      else if Ctx.branch ctx b_word_is_id (Tstring.length word = 1) then
-        Id (Char.code (Tstring.get word 0).Pdf_taint.Tchar.ch - Char.code 'a')
-      else Ctx.reject ctx "unknown keyword"
+(* The symbol branches in the original lexer's if/else-if order: the
+   first whose character matches makes the token. *)
+let rec lex_symbol ctx c = function
+  | [] -> Ctx.reject ctx "unexpected character"
+  | (sym, site) :: rest ->
+    if Ctx.eq ctx site c sym then begin
+      ignore (Ctx.next ctx);
+      Sym sym
     end
-    else if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then begin
-      let num = Helpers.read_set ctx sl_digit Charset.digits in
-      (* Accumulate with silent wrap-around, as C's int arithmetic does;
-         [int_of_string] would fail on fuzzer-generated digit floods. *)
-      let value =
-        Tstring.chars num
-        |> List.fold_left
-             (fun acc (c : Pdf_taint.Tchar.t) ->
-               (acc * 10) + (Char.code c.ch - Char.code '0'))
-             0
-      in
-      Num value
-    end
-    else begin
-      let rec try_symbols = function
-        | [] -> Ctx.reject ctx "unexpected character"
-        | (sym, site) :: rest ->
-          if Ctx.eq ctx site c sym then begin
-            ignore (Ctx.next ctx);
-            Sym sym
-          end
-          else try_symbols rest
-      in
-      try_symbols b_symbols
-    end
-  in
-  (token, start)
+    else lex_symbol ctx c rest
 
-let advance st =
-  let token, start = next_token st.ctx in
-  st.tok <- token;
-  st.tok_start <- start
+(* Accumulate with silent wrap-around, as C's int arithmetic does;
+   [int_of_string] would fail on fuzzer-generated digit floods. *)
+let number_value num =
+  let value = ref 0 in
+  for i = 0 to Tstring.length num - 1 do
+    value := (!value * 10) + (Char.code (Tstring.get num i).Pdf_taint.Tchar.ch - Char.code '0')
+  done;
+  !value
+
+(* The next token, and the input position where it starts, into [st]. *)
+let lex st =
+  let ctx = st.ctx in
+  Helpers.skip_set ctx sl_ws ws;
+  st.tok_start <- Ctx.pos ctx;
+  st.tok <-
+    (match Ctx.peek ctx with
+     | None -> Eof
+     | Some c ->
+       if Ctx.in_range_slot ctx sl_letter_first c 'a' 'z' then begin
+         let word = Helpers.read_set ctx sl_letter lower in
+         if Ctx.str_eq ctx b_kw_if word "if" then Kw_if
+         else if Ctx.str_eq ctx b_kw_else word "else" then Kw_else
+         else if Ctx.str_eq ctx b_kw_while word "while" then Kw_while
+         else if Ctx.str_eq ctx b_kw_do word "do" then Kw_do
+         else if Ctx.branch ctx b_word_is_id (Tstring.length word = 1) then
+           Id (Char.code (Tstring.get word 0).Pdf_taint.Tchar.ch - Char.code 'a')
+         else Ctx.reject ctx "unknown keyword"
+       end
+       else if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then
+         Num (number_value (Helpers.read_set ctx sl_digit Charset.digits))
+       else lex_symbol ctx c b_symbols)
+
+let advance st = Ctx.frame st.ctx s_lex lex st
 
 (* An expected symbol and everything its check needs, built once: the
    token, the branch site, the spelling a §7.2 event splices in and the
@@ -200,8 +191,11 @@ let expect_sym st x =
   in
   if matched then advance st else Ctx.reject st.ctx x.msg
 
-let rec expr st =
-  Ctx.with_frame st.ctx s_expr @@ fun () ->
+(* Each nonterminal is a frame around a named body, which [Ctx.frame]
+   hands the parser state: no closure per call. *)
+let rec expr st = Ctx.frame st.ctx s_expr expr_body st
+
+and expr_body st =
   let left = test st in
   if Ctx.branch st.ctx b_assign (tok_eq st.tok (Sym '=')) then begin
     match left with
@@ -215,8 +209,9 @@ let rec expr st =
   end
   else left
 
-and test st =
-  Ctx.with_frame st.ctx s_test @@ fun () ->
+and test st = Ctx.frame st.ctx s_test test_body st
+
+and test_body st =
   let left = sum st in
   if Ctx.branch st.ctx b_less (tok_eq st.tok (Sym '<')) then begin
     advance st;
@@ -224,23 +219,23 @@ and test st =
   end
   else left
 
-and sum st =
-  Ctx.with_frame st.ctx s_sum @@ fun () ->
-  let rec more acc =
-    if Ctx.branch st.ctx b_add (tok_eq st.tok (Sym '+')) then begin
-      advance st;
-      more (E_add (acc, term st))
-    end
-    else if Ctx.branch st.ctx b_sub (tok_eq st.tok (Sym '-')) then begin
-      advance st;
-      more (E_sub (acc, term st))
-    end
-    else acc
-  in
-  more (term st)
+and sum st = Ctx.frame st.ctx s_sum sum_body st
+and sum_body st = sum_more st (term st)
 
-and term st =
-  Ctx.with_frame st.ctx s_term @@ fun () ->
+and sum_more st acc =
+  if Ctx.branch st.ctx b_add (tok_eq st.tok (Sym '+')) then begin
+    advance st;
+    sum_more st (E_add (acc, term st))
+  end
+  else if Ctx.branch st.ctx b_sub (tok_eq st.tok (Sym '-')) then begin
+    advance st;
+    sum_more st (E_sub (acc, term st))
+  end
+  else acc
+
+and term st = Ctx.frame st.ctx s_term term_body st
+
+and term_body st =
   match st.tok with
   | Id v ->
     ignore (Ctx.branch st.ctx b_term_id true);
@@ -257,15 +252,17 @@ and term st =
     ignore (Ctx.branch st.ctx b_term_paren false);
     Ctx.reject st.ctx "expected term"
 
-and paren_expr st =
-  Ctx.with_frame st.ctx s_paren_expr @@ fun () ->
+and paren_expr st = Ctx.frame st.ctx s_paren_expr paren_expr_body st
+
+and paren_expr_body st =
   expect_sym st x_lparen;
   let e = expr st in
   expect_sym st x_rparen;
   e
 
-let rec statement st =
-  Ctx.with_frame st.ctx s_statement @@ fun () ->
+let rec statement st = Ctx.frame st.ctx s_statement statement_body st
+
+and statement_body st =
   Ctx.tick st.ctx;
   if Ctx.branch st.ctx b_stmt_if (tok_eq st.tok Kw_if) then begin
     advance st;
@@ -302,18 +299,7 @@ let rec statement st =
   end
   else if Ctx.branch st.ctx b_stmt_block (tok_eq st.tok (Sym '{')) then begin
     advance st;
-    let rec stmts acc =
-      if
-        Ctx.branch st.ctx b_block_more
-          ((not (tok_eq st.tok (Sym '}'))) && not (tok_eq st.tok Eof))
-      then
-        stmts (statement st :: acc)
-      else begin
-        expect_sym st x_rbrace;
-        S_block (List.rev acc)
-      end
-    in
-    stmts []
+    block_stmts st []
   end
   else if Ctx.branch st.ctx b_stmt_empty (tok_eq st.tok (Sym ';')) then begin
     advance st;
@@ -325,6 +311,16 @@ let rec statement st =
     S_expr e
   end
 
+and block_stmts st acc =
+  if
+    Ctx.branch st.ctx b_block_more
+      ((not (tok_eq st.tok (Sym '}'))) && not (tok_eq st.tok Eof))
+  then block_stmts st (statement st :: acc)
+  else begin
+    expect_sym st x_rbrace;
+    S_block (List.rev acc)
+  end
+
 (* §7.3's reject message for each variable, built once. *)
 let undefined_msgs =
   Array.init 26 (fun v ->
@@ -333,63 +329,77 @@ let undefined_msgs =
 
 (* Execution, as in the paper's evaluation setup (tinyC programs are run
    after parsing). The fuel budget turns infinite loops into hangs. *)
-let exec ctx program =
-  Ctx.with_frame ctx s_exec @@ fun () ->
-  let vars = Array.make 26 0 in
-  let assigned = Array.make 26 false in
-  let rec eval = function
-    | E_assign (v, e) ->
-      Ctx.cover ctx s_exec_assign;
-      let value = eval e in
-      vars.(v) <- value;
-      assigned.(v) <- true;
-      value
-    | E_less (a, b) ->
-      if Ctx.branch ctx b_exec_less (eval a < eval b) then 1 else 0
-    | E_add (a, b) -> eval a + eval b
-    | E_sub (a, b) -> eval a - eval b
-    | E_id v ->
-      if Config.semantic_checks then begin
-        if not (Ctx.branch ctx b_sem_defined assigned.(v)) then
-          Ctx.reject ctx undefined_msgs.(v)
-      end;
-      vars.(v)
-    | E_num n -> n
-  in
-  let rec run = function
-    | S_if (cond, then_branch, else_branch) ->
-      Ctx.cover ctx s_exec_if;
-      if Ctx.branch ctx b_exec_cond (eval cond <> 0) then run then_branch
-      else (match else_branch with Some s -> run s | None -> ())
-    | S_while (cond, body) ->
-      Ctx.cover ctx s_exec_while;
-      while Ctx.branch ctx b_exec_cond (eval cond <> 0) do
-        Ctx.tick ctx;
-        run body
-      done
-    | S_do (body, cond) ->
-      Ctx.cover ctx s_exec_do;
-      let continue = ref true in
-      while !continue do
-        Ctx.tick ctx;
-        run body;
-        continue := Ctx.branch ctx b_exec_cond (eval cond <> 0)
-      done
-    | S_block stmts -> List.iter run stmts
-    | S_expr e -> ignore (eval e)
-    | S_empty -> ()
-  in
-  run program
+type exec_state = {
+  ex_ctx : Ctx.t;
+  vars : int array;
+  assigned : bool array;
+  program : stmt;
+}
 
-let parse ctx =
-  Ctx.with_frame ctx s_parse @@ fun () ->
-  let tok, tok_start = next_token ctx in
-  let st = { ctx; tok; tok_start } in
+let rec eval ex = function
+  | E_assign (v, e) ->
+    Ctx.cover ex.ex_ctx s_exec_assign;
+    let value = eval ex e in
+    ex.vars.(v) <- value;
+    ex.assigned.(v) <- true;
+    value
+  | E_less (a, b) ->
+    if Ctx.branch ex.ex_ctx b_exec_less (eval ex a < eval ex b) then 1 else 0
+  | E_add (a, b) -> eval ex a + eval ex b
+  | E_sub (a, b) -> eval ex a - eval ex b
+  | E_id v ->
+    if Config.semantic_checks then begin
+      if not (Ctx.branch ex.ex_ctx b_sem_defined ex.assigned.(v)) then
+        Ctx.reject ex.ex_ctx undefined_msgs.(v)
+    end;
+    ex.vars.(v)
+  | E_num n -> n
+
+let rec run ex = function
+  | S_if (cond, then_branch, else_branch) ->
+    Ctx.cover ex.ex_ctx s_exec_if;
+    if Ctx.branch ex.ex_ctx b_exec_cond (eval ex cond <> 0) then run ex then_branch
+    else (match else_branch with Some s -> run ex s | None -> ())
+  | S_while (cond, body) ->
+    Ctx.cover ex.ex_ctx s_exec_while;
+    while Ctx.branch ex.ex_ctx b_exec_cond (eval ex cond <> 0) do
+      Ctx.tick ex.ex_ctx;
+      run ex body
+    done
+  | S_do (body, cond) ->
+    Ctx.cover ex.ex_ctx s_exec_do;
+    let continue = ref true in
+    while !continue do
+      Ctx.tick ex.ex_ctx;
+      run ex body;
+      continue := Ctx.branch ex.ex_ctx b_exec_cond (eval ex cond <> 0)
+    done
+  | S_block stmts -> run_all ex stmts
+  | S_expr e -> ignore (eval ex e)
+  | S_empty -> ()
+
+and run_all ex = function
+  | [] -> ()
+  | s :: rest ->
+    run ex s;
+    run_all ex rest
+
+let exec_body ex = run ex ex.program
+
+let exec ctx program =
+  Ctx.frame ctx s_exec exec_body
+    { ex_ctx = ctx; vars = Array.make 26 0; assigned = Array.make 26 false; program }
+
+let parse_body ctx =
+  let st = { ctx; tok = Eof; tok_start = 0 } in
+  advance st;
   if tok_eq st.tok Eof then Ctx.reject ctx "empty program";
   let program = statement st in
   if Ctx.branch ctx b_trailing (not (tok_eq st.tok Eof)) then
     Ctx.reject ctx "trailing input after statement";
   exec ctx program
+
+let parse ctx = Ctx.frame ctx s_parse parse_body ctx
 
 end
 

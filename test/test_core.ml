@@ -191,75 +191,6 @@ let test_initial_inputs_seed_queue () =
      this is a smoke check of the seeding path, not a strong claim. *)
   ignore unseeded
 
-(* {1 Incremental execution} *)
-
-let test_incremental_equivalence () =
-  (* The prefix-snapshot cache is a pure optimisation: with it on and
-     off, the same seed must produce bit-identical per-execution streams
-     and results. *)
-  let subject = Catalog.find "json" in
-  let stream incremental =
-    let runs = ref [] in
-    let result =
-      Pfuzzer.fuzz
-        ~on_execution:(fun run -> runs := run :: !runs)
-        { Pfuzzer.default_config with max_executions = 2000; incremental }
-        subject
-    in
-    (result, List.rev !runs)
-  in
-  let on, runs_on = stream true in
-  let off, runs_off = stream false in
-  Alcotest.(check (list string)) "same valid inputs" off.valid_inputs on.valid_inputs;
-  Alcotest.(check int) "same executions" off.executions on.executions;
-  Alcotest.(check bool) "same valid coverage" true
-    (Coverage.equal off.valid_coverage on.valid_coverage);
-  Alcotest.(check int) "same stream length" (List.length runs_off)
-    (List.length runs_on);
-  List.iter2
-    (fun (a : Pdf_instr.Runner.run) (b : Pdf_instr.Runner.run) ->
-      if
-        a.input <> b.input || a.verdict <> b.verdict
-        || a.comparisons <> b.comparisons
-        || not (Coverage.equal a.coverage b.coverage)
-        || a.touched <> b.touched || a.eof_access <> b.eof_access
-      then Alcotest.failf "streams diverge at input %S" a.input)
-    runs_on runs_off
-
-let test_cache_stats_sanity () =
-  let subject = Catalog.find "expr" in
-  let run incremental =
-    Pfuzzer.fuzz
-      { Pfuzzer.default_config with max_executions = 2000; incremental }
-      subject
-  in
-  let on = run true in
-  let c = on.Pfuzzer.cache in
-  Alcotest.(check bool) "cache consulted" true (c.hits + c.misses > 0);
-  Alcotest.(check bool) "mostly hits on the extension workload" true
-    (c.hits > c.misses);
-  Alcotest.(check bool) "hits save prefix characters" true (c.chars_saved > 0);
-  Alcotest.(check bool) "consultations bounded by executions" true
-    (c.hits + c.misses <= on.executions);
-  let off = run false in
-  Alcotest.(check bool) "cache inert when disabled" true
-    (off.Pfuzzer.cache = Pfuzzer.no_cache_stats);
-  (* A miss stores the consulted prefix, so the siblings queued with the
-     candidate resume after the first of them missed: on json the
-     misses stay a small share of all consultations (1.2% at seed 1,
-     against 13.1% for a cache that stores only each run's own
-     substitution index and end). *)
-  let json =
-    Pfuzzer.fuzz
-      { Pfuzzer.default_config with seed = 1; max_executions = 20_000 }
-      (Catalog.find "json")
-  in
-  let c = json.Pfuzzer.cache in
-  Alcotest.(check bool)
-    (Printf.sprintf "json misses under 5%% (%d hits, %d misses)" c.hits c.misses)
-    true
-    (20 * c.misses < c.hits + c.misses)
-
 let test_path_counts_capped () =
   (* The path-novelty table is generationally reset at its cap, like the
      dedupe table; at default sizes a short run never trips it. *)
@@ -374,16 +305,16 @@ let test_checkpoint_digest_before_version () =
 
 (* [fixtures/checkpoint-v<N>.bin] are paren checkpoints encoded by the
    last build of each older version: v3's [config] still carried
-   [engine] and [batch], v4's still carried [dedupe]. Their digests are
-   intact, so only the version byte stands between them and an
-   unmarshal into the wrong record layout. *)
+   [engine] and [batch], v4's still carried [dedupe], v5's still carried
+   [incremental]. Their digests are intact, so only the version byte
+   stands between them and an unmarshal into the wrong record layout. *)
 let test_checkpoint_v3_rejected () =
   List.iter
     (fun v ->
       let path = Printf.sprintf "fixtures/checkpoint-v%d.bin" v in
       let enc = In_channel.with_open_bin path In_channel.input_all in
       expect_decode_error (Printf.sprintf "v%d fixture" v) enc "version mismatch")
-    [ 3; 4 ]
+    [ 3; 4; 5 ]
 
 let test_checkpoint_file_roundtrip () =
   let _, ck, _ = capture_checkpoint "csv" in
@@ -408,7 +339,7 @@ let test_resume_equivalence_all_subjects () =
   (* The headline resilience invariant: interrupt-then-resume is
      observationally identical to running uninterrupted, on every seed
      subject. [results_equal] ignores only wall-clock and cache
-     accounting. *)
+     accounting, which reads zero on both. *)
   List.iter
     (fun name ->
       let full, ck, subject = capture_checkpoint name in
@@ -468,9 +399,8 @@ let test_fault_plan_starvation_hangs () =
   Alcotest.(check int) "no crashes" 0 r.crash_total;
   Alcotest.(check int) "campaign ran to its budget" 200 r.executions
 
-(* With no fault planned, the wrapped subject is the bare one: on json
-   the wrapper also drops the machine form, so this compares a campaign
-   with the prefix cache on against one with no cache at all. *)
+(* With no fault planned, the wrapped subject is the bare one, down to
+   the wrapper dropping the machine form, which no campaign reads. *)
 let test_empty_fault_plan_is_bare () =
   List.iter
     (fun name ->
@@ -1305,9 +1235,6 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "on/off streams identical" `Quick
-            test_incremental_equivalence;
-          Alcotest.test_case "cache stats sanity" `Quick test_cache_stats_sanity;
           Alcotest.test_case "path counts capped" `Quick test_path_counts_capped;
           Alcotest.test_case "generational resets stay deterministic" `Quick
             test_generational_reset_determinism;

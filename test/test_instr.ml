@@ -199,7 +199,8 @@ let prop_replacements_match_model =
         List.map
           (fun c ->
             let acc = ref [] in
-            Comparison.iter_replacements r_iter c (fun s -> acc := s :: !acc);
+            Comparison.iter_replacements r_iter c.Comparison.kind (fun s ->
+                acc := s :: !acc);
             List.rev !acc)
           cmps
       in
@@ -227,9 +228,13 @@ let toy_digit = Site.branch toy_registry "digit?"
 let toy_kw = Site.branch toy_registry "kw?"
 let toy_inner = Site.block toy_registry "inner"
 
+let rec toy_word ctx acc =
+  match Ctx.next ctx with
+  | None -> acc
+  | Some c -> toy_word ctx (Tstring.append_char acc c)
+
 (* Accepts one digit, or the keyword "hi". *)
-let toy_parse ctx =
-  Ctx.with_frame ctx toy_root @@ fun () ->
+let toy_body ctx =
   match Ctx.peek ctx with
   | None -> Ctx.reject ctx "empty"
   | Some c ->
@@ -238,17 +243,11 @@ let toy_parse ctx =
       if not (Ctx.at_eof ctx) then Ctx.reject ctx "trailing"
     end
     else begin
-      let word =
-        Ctx.with_frame ctx toy_inner @@ fun () ->
-        let rec go acc =
-          match Ctx.next ctx with
-          | None -> acc
-          | Some c -> go (Tstring.append_char acc c)
-        in
-        go Tstring.empty
-      in
+      let word = Ctx.frame ctx toy_inner (toy_word ctx) Tstring.empty in
       if not (Ctx.str_eq ctx toy_kw word "hi") then Ctx.reject ctx "bad keyword"
     end
+
+let toy_parse ctx = Ctx.frame ctx toy_root toy_body ctx
 
 let toy_run input =
   Runner.exec ~registry:toy_registry ~parse:toy_parse ~track_trace:true input
@@ -302,18 +301,50 @@ let test_ctx_depth_restored_on_reject () =
   let registry = Site.create_registry "depth-restore" in
   let outer = Site.block registry "outer" in
   let ctx = Ctx.make ~registry "x" in
-  (try Ctx.with_frame ctx outer (fun () -> Ctx.reject ctx "boom")
+  (try Ctx.frame ctx outer (fun () -> Ctx.reject ctx "boom") ()
    with Ctx.Reject _ -> ());
   check Alcotest.int "depth restored after exception" 0 (Ctx.depth ctx)
+
+(* [Ctx.frame] keeps an exception handler, not a plain enter/leave pair:
+   a rejection that unwinds the frame must still log the frame's exit
+   and restore the depth, and a body that returns hands its value
+   through. *)
+let test_ctx_frame () =
+  let registry = Site.create_registry "frame" in
+  let outer = Site.block registry "outer" in
+  let inner = Site.block registry "inner" in
+  let ctx = Ctx.make ~registry ~track_frames:true "ab" in
+  let rejecting ctx =
+    ignore (Ctx.next ctx);
+    Ctx.frame ctx inner (fun reason -> Ctx.reject ctx reason) "boom"
+  in
+  (match Ctx.frame ctx outer rejecting ctx with
+   | () -> Alcotest.fail "the body's rejection did not propagate"
+   | exception Ctx.Reject reason -> check Alcotest.string "rejection passes" "boom" reason);
+  check Alcotest.int "depth restored after the rejection" 0 (Ctx.depth ctx);
+  check Alcotest.int "max depth reached" 2 (Ctx.max_depth ctx);
+  check Alcotest.(list string) "every frame a rejection unwinds logs its exit"
+    [ "enter outer 0"; "enter inner 1"; "exit 1"; "exit 1" ]
+    (List.map
+       (function
+         | Frame.Enter { site; pos } -> Printf.sprintf "enter %s %d" (Site.name site) pos
+         | Frame.Exit { pos } -> Printf.sprintf "exit %d" pos)
+       (Array.to_list (Ctx.frames ctx)));
+  let value = Ctx.frame ctx outer (fun n -> (n * 2, Ctx.depth ctx)) 21 in
+  check Alcotest.(pair int int) "the body's value, computed one level deeper"
+    (42, 1) value;
+  check Alcotest.int "depth restored after a return" 0 (Ctx.depth ctx)
 
 let test_ctx_fuel () =
   let registry = Site.create_registry "fuel" in
   let s = Site.block registry "loop" in
   let parse ctx =
-    Ctx.with_frame ctx s @@ fun () ->
-    while true do
-      Ctx.tick ctx
-    done
+    Ctx.frame ctx s
+      (fun () ->
+        while true do
+          Ctx.tick ctx
+        done)
+      ()
   in
   let run = Runner.exec ~registry ~parse ~fuel:100 "x" in
   Alcotest.(check bool) "hang verdict" true (run.verdict = Runner.Hang)
@@ -901,8 +932,7 @@ let prop_hits_record_per_outcome =
 
 (* {1 A reused context}
 
-   A campaign runs every execution outside the prefix cache in one
-   context, reset per input. Each run through it must package to exactly
+   A campaign runs every execution in one context, reset per input. Each run through it must package to exactly
    what a fresh context records: every subject, a random sequence of
    (mostly rejected) inputs with some valid ones, a subject crash and a
    fuel-starved hang dealt in by [Fault.subject], and, on tinyc, a
@@ -977,14 +1007,7 @@ let test_reset_equivalence () =
           let baseline = Coverage.of_list [ 0; 3; 5 ] in
           check Alcotest.int (what ^ ": view new outcomes")
             (Coverage.new_against want.coverage ~baseline)
-            (View.new_outcomes v ~baseline);
-          (* A view of a packaged run reads the run's own coverage. *)
-          View.of_run v want;
-          check Alcotest.int (what ^ ": run view new outcomes")
-            (Coverage.new_against want.coverage ~baseline)
-            (View.new_outcomes v ~baseline);
-          check Alcotest.int (what ^ ": run view path hash") (Runner.path_hash want)
-            (View.path_hash v))
+            (View.new_outcomes v ~baseline))
         (reset_corpus s rng);
       List.iter
         (fun kind ->
@@ -1018,6 +1041,8 @@ let () =
           Alcotest.test_case "str_eq prefix suffix" `Quick test_ctx_str_eq_prefix;
           Alcotest.test_case "stack depth" `Quick test_ctx_stack_depth;
           Alcotest.test_case "depth restored on reject" `Quick test_ctx_depth_restored_on_reject;
+          Alcotest.test_case "frame: exit on reject, value otherwise" `Quick
+            test_ctx_frame;
           Alcotest.test_case "fuel exhaustion" `Quick test_ctx_fuel;
           Alcotest.test_case "untracked mode" `Quick test_ctx_untracked;
           Alcotest.test_case "constants emit no events" `Quick test_ctx_untainted_no_event;

@@ -31,17 +31,15 @@ let golden =
              outcomes = 76;
              seed = 1;
              max_executions = 500;
-             incremental = true;
              sample = 1;
            }),
-      {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true,"sample":1}|}
+      {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"sample":1}|}
     );
     ( stamp 20 1
         (Event.Exec_done
            {
              dur_ns = 900;
              verdict = "rejected";
-             cached = true;
              sub_index = 2;
              cov = 10;
              cov_delta = 0;
@@ -49,13 +47,10 @@ let golden =
              len = 3;
              depth = 6;
            }),
-      {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3,"depth":6}|}
+      {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3,"depth":6}|}
     );
     ( stamp 30 2 (Event.Valid { input = "a\tb\xff"; cov = 12; count = 1 }),
       {|{"ev":"valid","t":30,"n":2,"input":"a\tb\u00ff","cov":12,"count":1}|} );
-    ( stamp 50 2 (Event.Cache_hit { saved = 7 }),
-      {|{"ev":"cache_hit","t":50,"n":2,"saved":7}|} );
-    ( stamp 55 2 Event.Cache_miss, {|{"ev":"cache_miss","t":55,"n":2}|} );
     ( stamp 72 4 (Event.Hang { total = 3 }),
       {|{"ev":"hang","t":72,"n":4,"total":3}|} );
     ( stamp 74 4
@@ -99,8 +94,9 @@ let test_round_trip () =
   Alcotest.check_raises "malformed line rejected" (Json.Malformed "expected '{' at 0")
     (fun () -> ignore (Event.of_json_line "not json"));
   (* Traces written while executions still carried an execution-tier
-     tag, and before they carried the queue depth, keep loading: the
-     retired field is ignored and the depth reads 0. *)
+     tag and a prefix-cache flag, and before they carried the queue
+     depth, keep loading: the retired fields are ignored and the depth
+     reads 0. *)
   let old_line =
     {|{"ev":"exec_done","t":20,"n":1,"dur_ns":900,"verdict":"rejected","engine":"compiled","cached":true,"sub":2,"cov":10,"cov_delta":0,"valid":false,"len":3}|}
   in
@@ -110,7 +106,8 @@ let test_round_trip () =
      check Alcotest.string "old exec_done verdict" "rejected" e.verdict;
      check Alcotest.int "old exec_done depth" 0 e.depth
    | _ -> Alcotest.fail "wrong event kind");
-  (* Run headers written before the sample rate was recorded read as
+  (* Run headers written before the sample rate was recorded, and while
+     they still said whether the prefix cache was on, read as
      unsampled. *)
   let old_meta =
     {|{"ev":"run_meta","t":0,"n":0,"subject":"json","outcomes":76,"seed":1,"max_executions":500,"incremental":true}|}
@@ -148,7 +145,7 @@ let test_bad_unicode_escape () =
   let path = Filename.temp_file "pdf_obs" ".jsonl" in
   Out_channel.with_open_bin path (fun oc ->
       output_string oc
-        (Event.to_json_line (stamp 1 1 Event.Cache_miss) ^ "\n" ^ List.hd bad ^ "\n"));
+        (Event.to_json_line (stamp 1 1 (Event.Hang { total = 1 })) ^ "\n" ^ List.hd bad ^ "\n"));
   let outcome =
     match Trace.read_file path with
     | _ -> "accepted"
@@ -165,7 +162,7 @@ let test_observer_stamps () =
   let clock () = incr t; !t * 100 in
   let sink, contents = Trace.buffer () in
   let obs = Observer.create ~clock ~sink () in
-  Observer.emit obs ~exec:3 Event.Cache_miss;
+  Observer.emit obs ~exec:3 (Event.Retry { what = "cell"; attempt = 1; detail = "" });
   Observer.emit obs ~exec:4 (Event.Hang { total = 1 });
   let lines = String.split_on_char '\n' (String.trim (contents ())) in
   let parsed = List.map Event.of_json_line lines in
@@ -177,7 +174,8 @@ let test_observer_stamps () =
      check Alcotest.int "second stamp" 200 b.Event.t_ns;
      check Alcotest.int "exec clock carried" 3 a.Event.exec;
      check Alcotest.bool "kinds" true
-       (a.Event.ev = Event.Cache_miss && b.Event.ev = Event.Hang { total = 1 })
+       (a.Event.ev = Event.Retry { what = "cell"; attempt = 1; detail = "" }
+       && b.Event.ev = Event.Hang { total = 1 })
    | _ -> Alcotest.fail "expected exactly two lines");
   check Alcotest.bool "tracing on" true (Observer.tracing obs);
   check Alcotest.bool "tracing off" false
@@ -190,28 +188,24 @@ let test_observer_spans () =
   let s = Observer.span_start obs in
   Observer.span_end obs Phase.Exec s;
   let s = Observer.span_start obs in
-  Observer.span_end obs Phase.Cache s;
-  let s = Observer.span_start obs in
   Observer.span_end obs Phase.Queue s;
   check
     Alcotest.(list (pair string int))
     "phase totals"
-    [ ("exec", 10); ("cache", 10); ("score", 0); ("queue", 10); ("gen", 0) ]
+    [ ("exec", 10); ("score", 0); ("queue", 10); ("gen", 0) ]
     (Observer.phase_totals obs)
 
 (* {1 The live status line} *)
 
 let test_progress_render () =
   check Alcotest.string "status line"
-    "[pfuzzer] 500/2000 execs | 1234/s | queue 42 | valid 7 | cov 50.0% | cache 99.0% | plateau 12 | hang 2 | crash 3"
+    "[pfuzzer] 500/2000 execs | 1234/s | queue 42 | valid 7 | cov 50.0% | plateau 12 | hang 2 | crash 3"
     (Progress.render ~execs:500 ~max_executions:2000 ~execs_per_sec:1234.0
-       ~depth:42 ~valid:7 ~cov:38 ~outcomes:76 ~hits:99 ~misses:1 ~plateau:12
-       ~hangs:2 ~crashes:3);
-  check Alcotest.string "no cache consultations"
-    "[pfuzzer] 1/10 execs | 0/s | queue 0 | valid 0 | cov 0.0% | cache - | plateau 1 | hang 0 | crash 0"
+       ~depth:42 ~valid:7 ~cov:38 ~outcomes:76 ~plateau:12 ~hangs:2 ~crashes:3);
+  check Alcotest.string "no outcomes"
+    "[pfuzzer] 1/10 execs | 0/s | queue 0 | valid 0 | cov 0.0% | plateau 1 | hang 0 | crash 0"
     (Progress.render ~execs:1 ~max_executions:10 ~execs_per_sec:0.0 ~depth:0
-       ~valid:0 ~cov:0 ~outcomes:0 ~hits:0 ~misses:0 ~plateau:1 ~hangs:0
-       ~crashes:0)
+       ~valid:0 ~cov:0 ~outcomes:0 ~plateau:1 ~hangs:0 ~crashes:0)
 
 (* {1 A real traced run: schema, consistency with the result, report} *)
 
@@ -302,8 +296,6 @@ let test_trace_report_matches_run () =
   check Alcotest.int "final cov"
     (Coverage.cardinal result.valid_coverage)
     a.final_cov;
-  check Alcotest.int "cache hits" result.cache.Pfuzzer.hits a.cache_hits;
-  check Alcotest.int "cache misses" result.cache.Pfuzzer.misses a.cache_misses;
   (* The bucketed curve ends on the true final point. *)
   let buckets = Trace_report.bucketed ~rows:10 a in
   check Alcotest.bool "rows bounded" true (List.length buckets <= 11);
@@ -339,7 +331,6 @@ let test_trace_report_scales_sampled_phases () =
              outcomes = 76;
              seed = 1;
              max_executions = 500;
-             incremental = true;
              sample;
            });
       stamp 10_000_000_000 500
@@ -387,7 +378,6 @@ let run_meta ~seed =
       outcomes = 76;
       seed;
       max_executions = 100;
-      incremental = true;
       sample = 1;
     }
 
@@ -396,7 +386,6 @@ let exec_done ~valid =
     {
       dur_ns = 1_000;
       verdict = (if valid then "accepted" else "rejected");
-      cached = false;
       sub_index = -1;
       cov = 3;
       cov_delta = 0;
@@ -532,10 +521,11 @@ let test_chrome_sink () =
 
    With no observer installed every telemetry site is one branch; no
    event record, no closure, no clock read. The fuzzer itself allocates
-   ~430 minor words per execution on the json subject (dev profile,
-   this test's campaign); the budget below has ~35% headroom, and the
-   search loop before replacements were streamed and the prefix cache
-   moved to flat arrays (~600) already fails it. If this trips,
+   ~350 minor words per execution on the json subject (dev profile,
+   this test's campaign, every execution a cold staged parse); the
+   budget below has ~70% headroom, and the search loop before
+   replacements were streamed and the prefix cache moved to flat arrays
+   (~600) already failed it. If this trips,
    something started allocating on the hot path — tracing on costs
    ~1800 words/exec more, so even a single stray event construction
    blows the budget immediately. *)
@@ -560,10 +550,10 @@ let test_disabled_path_allocation () =
    spans (well under the 2% overhead the phase machinery is allowed):
    no clock read, no event record, and — the part a timer on this noisy
    box can actually enforce deterministically — not one word of
-   allocation. The budget has ~35% headroom over the measured disabled
-   path (expr, dev profile: ~340 minor words/exec, all of it the
+   allocation. The budget has ample headroom over the measured disabled
+   path (expr, dev profile: ~150 minor words/exec, all of it the
    campaign's own working set; ~485 before replacements were streamed,
-   which fails it); if it trips, a span site or the candidate loop
+   which failed it); if it trips, a span site or the candidate loop
    started allocating per replacement. *)
 
 let test_disabled_gen_span_allocation () =
@@ -639,12 +629,12 @@ let test_sampling_thins_exec_events () =
       ignore (Observer.create ~sample:0 ()))
 
 (* Sampling is per loop iteration and uniform over the loop: at 1 in 10,
-   every exec-level kind and every phase's span count lands near a tenth
+   the exec_done events and every phase's span count land near a tenth
    of the full run's. Keying on the execution index instead skews them:
    an iteration runs one or two executions and queues children only
-   after the second, so a fixed residue over-weights the extension probe
-   (a hit whenever its candidate's parse read to the end) and the
-   children it queues. Structural events are never sampled. *)
+   after the second, so a fixed residue over-weights the extension
+   probe and the children it queues. Structural events are never
+   sampled. *)
 let test_sampling_is_uniform () =
   let run sample =
     let subject = Catalog.find "json" in
@@ -726,7 +716,7 @@ let test_sampling_is_uniform () =
    line and the fault hook, as the last build that had them wrote it:
    reading skips them, and nothing else. *)
 let test_read_file_skips_retired_kinds () =
-  let first = stamp 1 1 (Event.Cache_hit { saved = 3 }) in
+  let first = stamp 1 1 (Event.Valid { input = "[]"; cov = 3; count = 1 }) in
   let last = stamp 9 2 (Event.Hang { total = 1 }) in
   let write lines =
     let path = Filename.temp_file "pdf_obs" ".jsonl" in
@@ -754,6 +744,8 @@ let test_read_file_skips_retired_kinds () =
       {|{"ev":"queue_pop","t":252869,"n":2,"prio":-2.0,"len":1,"depth":28}|};
       {|{"ev":"snapshot","t":70,"n":4,"execs_per_sec":1234.0,"depth":5,"valid":1,"cov":12,"hits":3,"misses":1,"plateau":2,"hangs":1,"crashes":0}|};
       {|{"ev":"fault","t":76,"n":4,"kind":"starve_fuel"}|};
+      {|{"ev":"cache_hit","t":228163,"n":2,"saved":1}|};
+      {|{"ev":"cache_miss","t":206169,"n":1}|};
     ]
   in
   check Alcotest.bool "retired kinds skipped" true
