@@ -28,44 +28,44 @@ let b_trailing = Site.branch registry "trailing?"
 
 let ident_chars = Charset.union Charset.letters (Charset.union Charset.digits (Charset.singleton '-'))
 
-(* A set comparison goes through a slot, built once: it holds the site's
-   outcomes and the event kind, so the per-character call builds none. *)
+(* Every comparison goes through a slot, built once: it holds the site's
+   outcomes and the event kind, so the per-character call builds none.
+   An expectation adds the two reject messages of a demanded character. *)
+let sl_digit = Helpers.slot_range b_digit '0' '9'
+let x_dot1 = Helpers.expectation b_dot1 '.'
+let x_dot2 = Helpers.expectation b_dot2 '.'
+let sl_prerelease = Helpers.slot_eq b_prerelease '-'
+let sl_build = Helpers.slot_eq b_build '+'
 let sl_ident_char = Helpers.slot_set b_ident_char ~label:"ident" ident_chars
+let sl_ident_sep = Helpers.slot_eq b_ident_sep '.'
 
 (* Each nonterminal is a frame around a named body: [Ctx.frame] records
    the block, runs the body one stack level deeper and hands it the
    context, so no closure is built per call. *)
-let rec more_digits ctx =
-  match Ctx.peek ctx with
-  | Some c when Ctx.in_range ctx b_digit c '0' '9' ->
-    ignore (Ctx.next ctx);
-    more_digits ctx
-  | Some _ | None -> ()
-
 let number_body ctx =
   match Ctx.next ctx with
   | None -> Ctx.reject ctx "expected digit, found end of input"
   | Some c ->
-    if not (Ctx.in_range ctx b_digit c '0' '9') then Ctx.reject ctx "expected digit";
-    more_digits ctx
+    if not (Ctx.in_range_slot ctx sl_digit c '0' '9') then Ctx.reject ctx "expected digit";
+    Helpers.skip_range ctx sl_digit '0' '9'
 
 let number ctx = Ctx.frame ctx s_number number_body ctx
 
 let rec identifiers_body ctx =
   let part = Helpers.read_set ctx sl_ident_char ident_chars in
   if Pdf_taint.Tstring.length part = 0 then Ctx.reject ctx "empty identifier";
-  if Helpers.eat_if ctx b_ident_sep '.' then identifiers_body ctx
+  if Helpers.eat_if ctx sl_ident_sep '.' then identifiers_body ctx
 
 let identifiers ctx = Ctx.frame ctx s_ident identifiers_body ctx
 
 let parse_body ctx =
   number ctx;
-  Helpers.expect ctx b_dot1 '.';
+  Helpers.expect ctx x_dot1;
   number ctx;
-  Helpers.expect ctx b_dot2 '.';
+  Helpers.expect ctx x_dot2;
   number ctx;
-  if Helpers.eat_if ctx b_prerelease '-' then identifiers ctx;
-  if Helpers.eat_if ctx b_build '+' then identifiers ctx;
+  if Helpers.eat_if ctx sl_prerelease '-' then identifiers ctx;
+  if Helpers.eat_if ctx sl_build '+' then identifiers ctx;
   match Ctx.peek ctx with
   | Some _ ->
     ignore (Ctx.branch ctx b_trailing true);

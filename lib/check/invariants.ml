@@ -143,47 +143,6 @@ let trace_agreement subject input =
   then Some (Printf.sprintf "%S: coverage_up_to_last_index not a subset" input)
   else None
 
-(* {1 Snapshot/resume identity}
-
-   A run resumed from a parent's suspension must be bit-identical to a
-   full re-execution: the journaled engine's contract, which
-   [Ctx.restore]'s copy of comparison records into columns must keep. *)
-
-let runs_equal (a : Runner.run) (b : Runner.run) =
-  a.input = b.input && a.verdict = b.verdict
-  && a.comparisons = b.comparisons
-  && Coverage.equal a.coverage b.coverage
-  && a.trace = b.trace && a.touched = b.touched
-  && a.eof_access = b.eof_access && a.max_depth = b.max_depth
-  && a.frames = b.frames
-
-(* Resume from every read boundary of [input]'s journal — both against
-   the identical input and against one with a mutated suffix — and
-   demand bit-identity with the corresponding full execution. *)
-let snapshot_resume_identity subject machine input =
-  let full, journal = Subject.exec_journaled subject machine input in
-  let resume_diverged p =
-    match Runner.snapshot_at journal p with
-    | None -> None
-    | Some snap ->
-      let resumed, _ = Runner.resume snap input in
-      if not (runs_equal full resumed) then
-        Some (Printf.sprintf "%S: resume at %d diverged from full execution" input p)
-      else
-        let mutated = String.sub input 0 p ^ "}X" in
-        let full_m, _ = Subject.exec_journaled subject machine mutated in
-        let resumed_m, _ = Runner.resume snap mutated in
-        if not (runs_equal full_m resumed_m) then
-          Some
-            (Printf.sprintf "%S: resume at %d on a mutated suffix diverged" input p)
-        else None
-  in
-  let rec check p =
-    if p > String.length input then None
-    else match resume_diverged p with Some _ as v -> v | None -> check (p + 1)
-  in
-  check 1
-
 (* {1 The checks} *)
 
 (* Deliberately ignores wall-clock timing and cache accounting: timing
@@ -215,28 +174,6 @@ let run ?(execs = 400) ?(seed = 1) subject =
        Printf.sprintf "%d executions, %d valid inputs, bit-identical twice"
          r1.executions (List.length r1.valid_inputs)
      else "two runs from the same seed diverged");
-  (* Snapshot/resume identity at every read boundary of sample inputs. *)
-  (match subject.Subject.machine with
-   | None ->
-     add "snapshot-resume-identity" true "no machine-form parser; skipped"
-   | Some machine ->
-     let rng = Rng.make (seed + 23) in
-     let sample =
-       (let rec take n = function
-          | x :: rest when n > 0 -> x :: take (n - 1) rest
-          | _ -> []
-        in
-        take 8 r1.valid_inputs)
-       @ List.init 8 (fun _ -> Producer.random_input rng)
-     in
-     (match
-        List.find_map (snapshot_resume_identity subject machine) sample
-      with
-      | None ->
-        add "snapshot-resume-identity" true
-          (Printf.sprintf "%d inputs resumed at every read boundary"
-             (List.length sample))
-      | Some violation -> add "snapshot-resume-identity" false violation));
   (* Checkpoint/resume equivalence: capture a checkpoint mid-campaign,
      round-trip it through the wire encoding, resume it and demand the
      same campaign as the uninterrupted run — timing aside. *)

@@ -10,9 +10,6 @@
       raises no priority, and a truncation keeps exactly the model's
       best [queue_bound] entries. The replay runs at the campaign's
       bound and again at a bound of 32, where the queue truncates;
-    - {b snapshot/resume identity}: on a machine-form subject, a run
-      resumed from any read boundary of a journaled execution equals
-      the full execution, on the same input and on a changed suffix;
     - {b coverage-union monotonicity}: the reported valid coverage is
       the union of the valid inputs' coverage, and each valid input
       contributed branches new at its discovery time (Algorithm 1's
@@ -43,11 +40,6 @@ val results_equal : Pdf_core.Pfuzzer.result -> Pdf_core.Pfuzzer.result -> bool
     hang count and crash corpus. Wall-clock fields and cache accounting
     are deliberately ignored — they may differ between runs that are
     semantically the same campaign. *)
-
-val runs_equal : Pdf_instr.Runner.run -> Pdf_instr.Runner.run -> bool
-(** Full observational equality of two executions: input, verdict,
-    comparison log, coverage, trace, touched order, EOF accesses, stack
-    depth and frames. Timing is the only field excluded. *)
 
 val run : ?execs:int -> ?seed:int -> Pdf_subjects.Subject.t -> report
 (** [run subject] drives the fuzzer for [execs] (default 400)

@@ -2,9 +2,8 @@
 
     A {!plan} maps call indices (0-based) to faults, and {!subject}
     wraps a subject so that its parse meets the fault planned for its
-    own call count. The wrapped subject has no machine form, so the
-    fuzzer runs every execution as one cold parse and call [i] is
-    execution [i] of the campaign. Because plans are built from a list
+    own call count. The fuzzer runs every execution as one cold parse
+    of [parse], so call [i] is execution [i] of the campaign. Because plans are built from a list
     or a seed, a chaos run is exactly reproducible: same plan, same
     faults, same campaign.
 
@@ -41,10 +40,11 @@ val seeded : seed:int -> executions:int -> count:int -> plan
     in draw order, so any [count >= 3] plans every kind. *)
 
 val subject : plan -> Pdf_subjects.Subject.t -> Pdf_subjects.Subject.t
-(** [subject plan s] is [s] without its machine form, whose parse
-    counts its calls from 0 and degrades call [i] by the fault planned
-    for [i], recording it in {!triggered}. Unplanned calls parse as [s]
-    does, so with an empty plan every run equals the bare subject's. *)
+(** [subject plan s] is [s] whose parse counts its calls from 0 and
+    degrades call [i] by the fault planned for [i], recording it in
+    {!triggered}. Unplanned calls parse as [s] does, so with an empty
+    plan every run equals the bare subject's. The wrapper has no
+    machine form, since a step-wise parse would skip its faults. *)
 
 val triggered : plan -> (int * kind) list
 (** Faults that actually fired, in firing order. *)

@@ -72,16 +72,17 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
    so a reset costs the run's distinct outcomes, not the registry's
    size; the buffers keep their capacity, so a context reused across a
    campaign stops allocating them once they have grown to its longest
-   run. The comparison columns are only cut back to zero events: what
-   their slots still hold is ints, booleans and kinds, never read past
-   the count and overwritten by the next run's events. *)
+   run. The comparison columns and the int buffers are only cut back to
+   length zero: what their slots still hold is ints, booleans and
+   kinds, never read past the count and overwritten by the next run.
+   Only the frame log, whose events are blocks, is refilled. *)
 let reset t text =
   let touched = Vec.backing t.touched in
   for i = 0 to Vec.length t.touched - 1 do
     Bytes.unsafe_set t.covered (Array.unsafe_get touched i) '\000'
   done;
-  Vec.clear t.touched;
-  Vec.clear t.trace;
+  Vec.clear_ints t.touched;
+  Vec.clear_ints t.trace;
   t.n_comparisons <- 0;
   Vec.clear t.frames;
   t.text <- text;
@@ -311,10 +312,11 @@ let one_of t site c chars =
       result;
   branch t site result
 
-(* Pre-resolved comparison slots: the staged subject combinators
-   resolve the two outcome ids and the event-kind block once, so the per-character path
-   is a compare, a possible event push and a coverage store — no
-   [Site.outcome] dispatch and no kind allocation per call. The
+(* Pre-resolved comparison slots: a subject resolves the two outcome
+   ids and the event-kind block once, where it defines the site, so the
+   per-character path is a compare, a possible event push and a
+   coverage store — no [Site.outcome] dispatch and no kind allocation
+   per call. The
    observation sequence is identical to the [eq]/[in_range]/[in_set]/
    [one_of] forms above: event first, then outcome. *)
 type slot = { sl_true : int; sl_false : int; sl_kind : Comparison.kind }

@@ -157,7 +157,7 @@ val in_set :
 
 (** {2 Pre-resolved slots}
 
-    Staged variants of the comparison operations, for every subject
+    Variants of the comparison operations for the subject parsers
     ([Helpers.slot_*] in [lib/subjects] builds them): a {!slot} freezes a
     site's two outcome ids and the comparison-event kind once, where the
     site is defined, so the per-character call performs no

@@ -15,10 +15,3 @@ type step =
   | Next of (Tchar.t option -> Ctx.t -> step)
 
 type recognizer = Ctx.t -> step
-
-let rec drive ctx = function
-  | Done -> ()
-  | Peek k -> drive ctx (k (Ctx.peek ctx) ctx)
-  | Next k -> drive ctx (k (Ctx.next ctx) ctx)
-
-let run ctx (recognizer : recognizer) = drive ctx (recognizer ctx)

@@ -30,9 +30,6 @@ type step =
       (** observe and consume the character at the cursor *)
 
 type recognizer = Ctx.t -> step
-(** Runs synchronously up to the first read (or completion). *)
-
-val run : Ctx.t -> recognizer -> unit
-(** Drive a recognizer to completion, delivering each read from the
-    context. Equivalent to a direct-style parse: {!Ctx.Reject} and
-    {!Ctx.Out_of_fuel} propagate to the caller. *)
+(** Runs synchronously up to the first read (or completion). A driver
+    answers [Peek] with {!Ctx.peek} and [Next] with {!Ctx.next}, as
+    [Runner.exec_machine] does. *)

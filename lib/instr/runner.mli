@@ -97,10 +97,12 @@ val crash_id : crash -> string
 
     The fuzzer does not use this engine: every execution of a campaign
     is a cold parse in one reused context, which outruns a resume on
-    every subject. It stays for the campaign benchmark's traced run,
-    which times a snapshot and a resume per replayed execution
-    ([perfbench/main.ml]), and for the tests that keep {!Ctx.restore}
-    honest.
+    every subject, and every subject parses in direct style, so none
+    has a machine form to journal. The engine stays because the
+    campaign benchmark ([perfbench/main.ml]) names it: its traced run
+    times a snapshot and a resume per replayed execution of a subject
+    with a machine form. [test_instr] runs it on a test-local
+    recognizer, which also keeps {!Ctx.restore} honest.
 
     Materialising a snapshot shares the run's packaged arrays (no
     copy); {!resume} copies the comparison records below the boundary
@@ -127,8 +129,9 @@ val exec_machine :
   string ->
   run * journal
 (** Run a machine-form subject, journaling every read boundary. The
-    [run] is identical to what {!exec} over [Machine.run] would
-    produce — including the crash-containment contract: a raising
+    [run] is identical to what {!exec} would produce over a parse that
+    answers each [Peek] with {!Ctx.peek} and each [Next] with
+    {!Ctx.next} — including the crash-containment contract: a raising
     continuation yields a [Crash] run (journaled up to the last
     boundary before the raise), never an escaped exception; defaults
     match {!Ctx.make}. *)

@@ -17,96 +17,81 @@ let b_final_eof = Site.branch registry "parse.final-eof"
 
 let bare_chars = Charset.complement (Charset.of_string ",\"\n")
 
-module Machine = Pdf_instr.Machine
-module K = Helpers.K
-
-(* CSV has no recursive nesting, so the whole recognizer is constructed
-   at module initialisation: the quoted-field scan, the comma loop and
-   the record/newline cycle all close over themselves with [K.fix], the
-   bare-field scan is a static [skip_set] cycle, and a steady-state run
-   allocates no step nodes. *)
-
 let sl_quote_open = Helpers.slot_eq b_quote_open '"'
 let sl_quote_close = Helpers.slot_eq b_quote_close '"'
 let sl_quote_escape = Helpers.slot_eq b_quote_escape '"'
 let sl_newline = Helpers.slot_eq b_newline '\n'
+let sl_comma = Helpers.slot_eq b_comma ','
+let sl_bare_char = Helpers.slot_set b_bare_char ~label:"bare-char" bare_chars
 
-let quoted (k : K.k) : K.k =
-  K.with_frame s_quoted
-    (fun k ->
-      let body =
-        K.fix (fun body ->
-            let skip_body = K.skip body in
-            let after_quote =
-              (* A doubled quote continues the field. *)
-              K.peek (fun c2 ->
-                  fun ctx ->
-                    match c2 with
-                    | Some c2 when Ctx.eq_slot ctx sl_quote_escape c2 '"' ->
-                      skip_body ctx
-                    | Some _ | None -> k ctx)
-            in
-            K.next (fun c ->
-                fun ctx ->
-                  match c with
-                  | None -> Ctx.reject ctx "unterminated quoted field"
-                  | Some c ->
-                    if Ctx.eq_slot ctx sl_quote_close c '"' then after_quote ctx
-                    else body ctx))
-      in
-      K.skip (* opening quote *) body)
-    k
+(* Frames are bare enter/exit pairs, so a rejection logs no exit for
+   the frames it unwinds; the golden digests pin that frame log
+   (DESIGN §11). *)
 
-let field (k : K.k) : K.k =
-  K.with_frame s_field
-    (fun k ->
-      let q = quoted k in
-      let bare = K.skip_set b_bare_char ~label:"bare-char" bare_chars k in
-      K.peek (fun c ->
-          fun ctx ->
-            match c with
-            | None -> k ctx
-            | Some c ->
-              if Ctx.eq_slot ctx sl_quote_open c '"' then q ctx else bare ctx))
-    k
+(* The body of a quoted field, after the opening quote. A doubled quote
+   continues the field. *)
+let rec quoted_body ctx =
+  match Ctx.next ctx with
+  | None -> Ctx.reject ctx "unterminated quoted field"
+  | Some c ->
+    if Ctx.eq_slot ctx sl_quote_close c '"' then begin
+      match Ctx.peek ctx with
+      | Some c2 when Ctx.eq_slot ctx sl_quote_escape c2 '"' ->
+        ignore (Ctx.next ctx);
+        quoted_body ctx
+      | Some _ | None -> ()
+    end
+    else quoted_body ctx
 
-let record (k : K.k) : K.k =
-  K.with_frame s_record
-    (fun k ->
-      let more =
-        K.fix (fun more ->
-            K.eat_if b_comma ',' (fun ate -> if ate then field more else k))
-      in
-      field more)
-    k
+let quoted ctx =
+  Ctx.enter_frame ctx s_quoted;
+  ignore (Ctx.next ctx) (* opening quote *);
+  quoted_body ctx;
+  Ctx.exit_frame ctx
 
-let machine : Machine.recognizer =
-  K.with_frame s_parse
-    (fun k ->
-      let rest =
-        K.fix (fun rest ->
-            let rec_rest = record rest in
-            let after_nl =
-              (* After a newline, either another record follows or the
-                 input ends; the peek doubles as the trailing-newline EOF
-                 probe for extensibility. *)
-              K.peek (fun c2 -> match c2 with None -> k | Some _ -> rec_rest)
-            in
-            let skip_after = K.skip after_nl in
-            K.peek (fun c ->
-                fun ctx ->
-                  match c with
-                  | None ->
-                    ignore (Ctx.branch ctx b_final_eof true);
-                    k ctx
-                  | Some c ->
-                    if Ctx.eq_slot ctx sl_newline c '\n' then skip_after ctx
-                    else Ctx.reject ctx "unexpected character after field"))
-      in
-      record rest)
-    K.stop
+let field ctx =
+  Ctx.enter_frame ctx s_field;
+  (match Ctx.peek ctx with
+   | None -> ()
+   | Some c ->
+     if Ctx.eq_slot ctx sl_quote_open c '"' then quoted ctx
+     else Helpers.skip_set ctx sl_bare_char bare_chars);
+  Ctx.exit_frame ctx
 
-let parse ctx = Machine.run ctx machine
+let rec more_fields ctx =
+  if Helpers.eat_if ctx sl_comma ',' then begin
+    field ctx;
+    more_fields ctx
+  end
+
+let record ctx =
+  Ctx.enter_frame ctx s_record;
+  field ctx;
+  more_fields ctx;
+  Ctx.exit_frame ctx
+
+(* After a record: the end of input, or a newline and then another
+   record or the end. The peek after a newline doubles as the
+   trailing-newline EOF probe for extensibility. *)
+let rec after_record ctx =
+  match Ctx.peek ctx with
+  | None -> ignore (Ctx.branch ctx b_final_eof true)
+  | Some c ->
+    if Ctx.eq_slot ctx sl_newline c '\n' then begin
+      ignore (Ctx.next ctx);
+      match Ctx.peek ctx with
+      | None -> ()
+      | Some _ ->
+        record ctx;
+        after_record ctx
+    end
+    else Ctx.reject ctx "unexpected character after field"
+
+let parse ctx =
+  Ctx.enter_frame ctx s_parse;
+  record ctx;
+  after_record ctx;
+  Ctx.exit_frame ctx
 
 let tokens = [ Token.literal ","; Token.make "field" 1 ]
 
@@ -128,7 +113,7 @@ let subject =
     description = "comma-separated values (paper subject: csvparser)";
     registry;
     parse;
-    machine = Some machine;
+    machine = None;
     fuel = 100_000;
     tokens;
     tokenize;

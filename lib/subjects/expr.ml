@@ -16,83 +16,69 @@ let b_op_plus = Site.branch registry "expr.op-plus?"
 let b_op_minus = Site.branch registry "expr.op-minus?"
 let b_trailing = Site.branch registry "parse.trailing?"
 
-module Machine = Pdf_instr.Machine
-module K = Helpers.K
-
-(* [number]'s digit loop is a static two-node cycle; [factor] builds its
-   dispatch body, the continuations it can ([number k], the ')'-expect)
-   and the sign-probe chain at nonterminal entry; [ops]' operator loop
-   closes over itself with [K.fix] so the +/- cycle is constructed once
-   per [expr] entry. Only the genuinely recursive calls ([expr] under
-   parentheses) construct at runtime. *)
-
-let msg_eof_rparen, msg_rparen = K.reject_msgs ')'
-
+let sl_sign_plus = Helpers.slot_eq b_sign_plus '+'
+let sl_sign_minus = Helpers.slot_eq b_sign_minus '-'
 let sl_digit_first = Helpers.slot_range b_digit_first '0' '9'
 let sl_lparen = Helpers.slot_eq b_lparen '('
+let x_rparen = Helpers.expectation b_rparen ')'
+let sl_digit_more = Helpers.slot_range b_digit_more '0' '9'
+let sl_op_plus = Helpers.slot_eq b_op_plus '+'
+let sl_op_minus = Helpers.slot_eq b_op_minus '-'
+
+(* Frames are bare enter/exit pairs, so a rejection logs no exit for
+   the frames it unwinds; the golden digests pin that frame log
+   (DESIGN §11). *)
 
 (* The first digit is consumed by [factor]; [number] eats the rest. *)
-let number (k : K.k) : K.k =
-  K.with_frame s_number (fun k -> K.skip_range b_digit_more '0' '9' k) k
+let number ctx =
+  Ctx.enter_frame ctx s_number;
+  Helpers.skip_range ctx sl_digit_more '0' '9';
+  Ctx.exit_frame ctx
 
-let rec expr (k : K.k) : K.k = K.with_frame s_expr (fun k -> factor (ops k)) k
+let rec expr ctx =
+  Ctx.enter_frame ctx s_expr;
+  factor ctx;
+  ops ctx;
+  Ctx.exit_frame ctx
 
-and ops (k : K.k) : K.k =
-  (* Without [fix], constructing [ops] would construct [factor ops],
-     which constructs [ops] … — the operator loop must close over
-     itself. The two operator branches continue identically, so
-     [factor ops] is constructed once, shared. *)
-  K.fix (fun ops ->
-      let fo = factor ops in
-      K.eat_if b_op_plus '+' (fun ate ->
-          if ate then fo
-          else K.eat_if b_op_minus '-' (fun ate -> if ate then fo else k)))
+and ops ctx =
+  if Helpers.eat_if ctx sl_op_plus '+' || Helpers.eat_if ctx sl_op_minus '-' then begin
+    factor ctx;
+    ops ctx
+  end
 
-and factor (k : K.k) : K.k =
-  K.with_frame s_factor
-    (fun k ->
-      let num = number k in
-      let after_rparen =
-        K.expect_with ~msg_eof:msg_eof_rparen ~msg:msg_rparen b_rparen ')' k
-      in
-      let body : K.k =
-        K.peek (fun c ->
-            fun ctx ->
-              match c with
-              | None -> Ctx.reject ctx "expected digit or '(', found end of input"
-              | Some c ->
-                if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then
-                  K.skip num ctx
-                else if Ctx.eq_slot ctx sl_lparen c '(' then
-                  (* [expr] must stay a runtime call: constructing it
-                     here would recurse factor → expr → factor forever. *)
-                  K.skip (expr after_rparen) ctx
-                else Ctx.reject ctx "expected digit or '('")
-      in
-      (* Optional unary sign. *)
-      K.peek_is b_sign_plus '+' (fun plus ->
-          if plus then K.skip body
-          else
-            K.peek_is b_sign_minus '-' (fun minus ->
-                if minus then K.skip body else body)))
-    k
+and factor ctx =
+  Ctx.enter_frame ctx s_factor;
+  factor_body ctx;
+  Ctx.exit_frame ctx
 
-let machine : Machine.recognizer =
-  K.with_frame s_parse
-    (fun k ->
-      expr
-        (K.peek (fun c ->
-             fun ctx ->
-               match c with
-               | Some _ ->
-                 ignore (Ctx.branch ctx b_trailing true);
-                 Ctx.reject ctx "trailing input after expression"
-               | None ->
-                 ignore (Ctx.branch ctx b_trailing false);
-                 k ctx)))
-    K.stop
+and factor_body ctx =
+  (* Optional unary sign. *)
+  if not (Helpers.eat_if ctx sl_sign_plus '+') then
+    ignore (Helpers.eat_if ctx sl_sign_minus '-');
+  match Ctx.peek ctx with
+  | None -> Ctx.reject ctx "expected digit or '(', found end of input"
+  | Some c ->
+    if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then begin
+      ignore (Ctx.next ctx);
+      number ctx
+    end
+    else if Ctx.eq_slot ctx sl_lparen c '(' then begin
+      ignore (Ctx.next ctx);
+      expr ctx;
+      Helpers.expect ctx x_rparen
+    end
+    else Ctx.reject ctx "expected digit or '('"
 
-let parse ctx = Machine.run ctx machine
+let parse ctx =
+  Ctx.enter_frame ctx s_parse;
+  expr ctx;
+  (match Ctx.peek ctx with
+   | Some _ ->
+     ignore (Ctx.branch ctx b_trailing true);
+     Ctx.reject ctx "trailing input after expression"
+   | None -> ignore (Ctx.branch ctx b_trailing false));
+  Ctx.exit_frame ctx
 
 let tokens =
   [
@@ -124,7 +110,7 @@ let subject =
     description = "arithmetic expressions (the paper's Section 2 example)";
     registry;
     parse;
-    machine = Some machine;
+    machine = None;
     fuel = 100_000;
     tokens;
     tokenize;

@@ -2,7 +2,6 @@ module Ctx = Pdf_instr.Ctx
 module Site = Pdf_instr.Site
 module Charset = Pdf_util.Charset
 module Tchar = Pdf_taint.Tchar
-module Tstring = Pdf_taint.Tstring
 
 let registry = Site.create_registry "json"
 let s_parse = Site.block registry "parse"
@@ -49,22 +48,10 @@ let b_num_exp_sign = Site.branch registry "number.exp-sign?"
 let b_num_exp_digit = Site.branch registry "number.exp-digit?"
 let b_trailing = Site.branch registry "parse.trailing?"
 
-module Machine = Pdf_instr.Machine
-module K = Helpers.K
-
-(* The hot loops — string bodies, digit runs, whitespace — are static
-   node cycles; the number grammar's peek chain and the escape/utf16
-   machinery are constructed once per nonterminal entry with all
-   continuations hoisted. [value]/[object_]/[array] stay runtime
-   recursion (JSON nests arbitrarily), with each entry constructing its
-   dispatch node once; the recursive calls are deferred inside peek
-   continuations, so construction always terminates. *)
-
 let ws = Charset.of_string " \t\r\n"
 
-(* Slots for every comparison site, resolved once at module
-   initialisation — the recursive nonterminals are constructed per
-   entry, and must not rebuild site/kind data each time. *)
+(* Slots for every comparison site, and expectations for the characters
+   the parser demands, resolved once at module initialisation. *)
 let sl_ws = Helpers.slot_set b_ws ~label:"whitespace" ws
 let sl_str_close = Helpers.slot_eq b_str_close '"'
 let sl_str_backslash = Helpers.slot_eq b_str_backslash '\\'
@@ -78,287 +65,209 @@ let sl_lbracket = Helpers.slot_eq b_lbracket '['
 let sl_quote = Helpers.slot_eq b_quote '"'
 let sl_digit = Helpers.slot_range b_digit '0' '9'
 let sl_letter = Helpers.slot_set b_letter ~label:"letter" Charset.letters
+let sl_obj_empty = Helpers.slot_eq b_obj_empty '}'
 let sl_obj_key_quote = Helpers.slot_eq b_obj_key_quote '"'
+let x_colon = Helpers.expectation b_colon ':'
+let sl_obj_comma = Helpers.slot_eq b_obj_comma ','
+let x_rbrace = Helpers.expectation b_rbrace '}'
+let sl_arr_empty = Helpers.slot_eq b_arr_empty ']'
+let sl_arr_comma = Helpers.slot_eq b_arr_comma ','
+let x_rbracket = Helpers.expectation b_rbracket ']'
 let sl_num_int = Helpers.slot_range b_num_int '0' '9'
 let sl_num_frac = Helpers.slot_range b_num_frac '0' '9'
 let sl_num_exp_digit = Helpers.slot_range b_num_exp_digit '0' '9'
 
-let skip_ws k = K.skip_while (fun c ctx -> Ctx.in_set_slot ctx sl_ws c ws) k
+let skip_ws ctx = Helpers.skip_set ctx sl_ws ws
 
-let digits sl_first sl_more (k : K.k) : K.k =
-  let more =
-    K.skip_while (fun c ctx -> Ctx.in_range_slot ctx sl_more c '0' '9') k
-  in
-  K.next (fun c ->
-      fun ctx ->
-        match c with
-        | None -> Ctx.reject ctx "expected digit, found end of input"
-        | Some c ->
-          if not (Ctx.in_range_slot ctx sl_first c '0' '9') then
-            Ctx.reject ctx "expected digit"
-          else more ctx)
+(* Frames are bare enter/exit pairs, so a rejection logs no exit for
+   the frames it unwinds; the golden digests pin that frame log
+   (DESIGN §11). *)
+
+(* One or more digits, all compared through [sl]. *)
+let digits ctx sl =
+  match Ctx.next ctx with
+  | None -> Ctx.reject ctx "expected digit, found end of input"
+  | Some c ->
+    if not (Ctx.in_range_slot ctx sl c '0' '9') then Ctx.reject ctx "expected digit";
+    Helpers.skip_range ctx sl '0' '9'
 
 (* cJSON's UTF-16 decoding relies on implicit flow: the hex digits are
    turned into a code point by table lookups and arithmetic, never by a
    comparison the taint tracker sees. We model that by classifying hex
    characters with plain (untracked) OCaml tests — the branch outcome is
    still recorded for coverage, but no comparison event is emitted, so the
-   parser-directed fuzzer cannot learn the alphabet here. *)
+   parser-directed fuzzer cannot learn the alphabet here. -1 is not a
+   hex digit. *)
 let untracked_hex_value (c : Tchar.t) =
   match c.Tchar.ch with
-  | '0' .. '9' -> Some (Char.code c.Tchar.ch - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c.Tchar.ch - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c.Tchar.ch - Char.code 'A' + 10)
-  | _ -> None
+  | '0' .. '9' -> Char.code c.Tchar.ch - Char.code '0'
+  | 'a' .. 'f' -> Char.code c.Tchar.ch - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c.Tchar.ch - Char.code 'A' + 10
+  | _ -> -1
 
-let utf16_quad (f : int -> K.k) : K.k =
- fun ctx ->
-  let rec quad acc n ctx =
-    if n = 0 then f acc ctx
-    else
-      K.next
-        (fun c ->
-          fun ctx ->
-            match c with
-            | None -> Ctx.reject ctx "unterminated \\u escape"
-            | Some c -> (
-              match untracked_hex_value c with
-              | Some v ->
-                ignore (Ctx.branch ctx b_hex_valid true);
-                quad ((acc * 16) + v) (n - 1) ctx
-              | None ->
-                ignore (Ctx.branch ctx b_hex_valid false);
-                Ctx.reject ctx "invalid hex digit in \\u escape"))
-        ctx
-  in
-  quad 0 4 ctx
+(* The code unit of the next [n] hex digits, read onto [acc]. *)
+let rec utf16_quad ctx acc n =
+  if n = 0 then acc
+  else
+    match Ctx.next ctx with
+    | None -> Ctx.reject ctx "unterminated \\u escape"
+    | Some c ->
+      let v = untracked_hex_value c in
+      if Ctx.branch ctx b_hex_valid (v >= 0) then
+        utf16_quad ctx ((acc * 16) + v) (n - 1)
+      else Ctx.reject ctx "invalid hex digit in \\u escape"
 
 (* The surrogate-pair glue characters are matched without tracking, like
    [untracked_hex_value]: cJSON recognises them via implicit flow. *)
-let expect_untracked expected (k : K.k) : K.k =
-  K.next (fun c ->
-      fun ctx ->
-        match c with
-        | Some c when c.Tchar.ch = expected -> k ctx
-        | Some _ | None -> Ctx.reject ctx "missing low surrogate")
+let expect_untracked ctx expected =
+  match Ctx.next ctx with
+  | Some c when c.Tchar.ch = expected -> ()
+  | Some _ | None -> Ctx.reject ctx "missing low surrogate"
 
-let utf16_escape (k : K.k) : K.k =
-  K.with_frame s_utf16
-    (fun k ->
-      let surrogate =
-        (* A high surrogate must be followed by "\uDC00".."\uDFFF". *)
-        K.with_frame s_utf16_surrogate
-          (fun k ->
-            expect_untracked '\\'
-              (expect_untracked 'u'
-                 (utf16_quad (fun second ->
-                      fun ctx ->
-                        if
-                          not
-                            (Ctx.branch ctx b_surrogate_low
-                               (second >= 0xDC00 && second <= 0xDFFF))
-                        then Ctx.reject ctx "invalid low surrogate"
-                        else k ctx))))
-          k
-      in
-      utf16_quad (fun first ->
-          fun ctx ->
-            if Ctx.branch ctx b_surrogate_high (first >= 0xD800 && first <= 0xDBFF)
-            then surrogate ctx
-            else if first >= 0xDC00 && first <= 0xDFFF then
-              Ctx.reject ctx "unpaired low surrogate"
-            else k ctx))
-    k
+(* A high surrogate must be followed by "\uDC00".."\uDFFF". *)
+let utf16_surrogate ctx =
+  Ctx.enter_frame ctx s_utf16_surrogate;
+  expect_untracked ctx '\\';
+  expect_untracked ctx 'u';
+  let second = utf16_quad ctx 0 4 in
+  let low = second >= 0xDC00 && second <= 0xDFFF in
+  if not (Ctx.branch ctx b_surrogate_low low) then
+    Ctx.reject ctx "invalid low surrogate";
+  Ctx.exit_frame ctx
 
-let escape (k : K.k) : K.k =
-  K.with_frame s_escape
-    (fun k ->
-      let u = utf16_escape k in
-      K.next (fun c ->
-          fun ctx ->
-            match c with
-            | None -> Ctx.reject ctx "unterminated escape"
-            | Some c ->
-              if Ctx.one_of_slot ctx sl_esc_simple c "\"\\/bfnrt" then k ctx
-              else if Ctx.branch ctx b_esc_u (c.Tchar.ch = 'u') then u ctx
-              else Ctx.reject ctx "invalid escape character"))
-    k
+let utf16_escape ctx =
+  Ctx.enter_frame ctx s_utf16;
+  let first = utf16_quad ctx 0 4 in
+  if Ctx.branch ctx b_surrogate_high (first >= 0xD800 && first <= 0xDBFF) then
+    utf16_surrogate ctx
+  else if first >= 0xDC00 && first <= 0xDFFF then
+    Ctx.reject ctx "unpaired low surrogate";
+  Ctx.exit_frame ctx
 
-let string_body (k : K.k) : K.k =
-  K.with_frame s_string
-    (fun k ->
-      let body =
-        K.fix (fun body ->
-            (* Escapes are rare in discovered inputs; defer constructing
-               the whole escape/utf16 chain until a backslash actually
-               appears, so the common all-literal string pays one lazy
-               block instead of the full machinery per entry. *)
-            let esc = lazy (escape body) in
-            K.next (fun c ->
-                fun ctx ->
-                  match c with
-                  | None -> Ctx.reject ctx "unterminated string"
-                  | Some c ->
-                    if Ctx.eq_slot ctx sl_str_close c '"' then k ctx
-                    else if Ctx.eq_slot ctx sl_str_backslash c '\\' then
-                      Lazy.force esc ctx
-                    else if
-                      Ctx.branch ctx b_str_control (Char.code c.Tchar.ch < 0x20)
-                    then Ctx.reject ctx "control character in string"
-                    else body ctx))
-      in
-      K.skip (* opening quote *) body)
-    k
+let escape ctx =
+  Ctx.enter_frame ctx s_escape;
+  (match Ctx.next ctx with
+   | None -> Ctx.reject ctx "unterminated escape"
+   | Some c ->
+     if Ctx.one_of_slot ctx sl_esc_simple c "\"\\/bfnrt" then ()
+     else if Ctx.branch ctx b_esc_u (c.Tchar.ch = 'u') then utf16_escape ctx
+     else Ctx.reject ctx "invalid escape character");
+  Ctx.exit_frame ctx
 
-let number (k : K.k) : K.k =
-  K.with_frame s_number
-    (fun k ->
-      (* Constructed in dependency order, every continuation hoisted: the
-         whole optional-part chain is built once per [number] entry. *)
-      let exp_digits = digits sl_num_exp_digit sl_num_exp_digit k in
-      let skip_exp_digits = K.skip exp_digits in
-      let after_e =
-        K.peek (fun c2 ->
-            fun ctx ->
-              match c2 with
-              | Some c2 when Ctx.one_of_slot ctx sl_num_exp_sign c2 "+-" ->
-                skip_exp_digits ctx
-              | Some _ | None -> exp_digits ctx)
-      in
-      let skip_after_e = K.skip after_e in
-      let exp_part =
-        K.peek (fun c ->
-            fun ctx ->
-              match c with
-              | Some c when Ctx.one_of_slot ctx sl_num_exp c "eE" ->
-                skip_after_e ctx
-              | Some _ | None -> k ctx)
-      in
-      let frac_digits = digits sl_num_frac sl_num_frac exp_part in
-      let skip_frac = K.skip frac_digits in
-      let frac_part =
-        K.peek (fun c ->
-            fun ctx ->
-              match c with
-              | Some c when Ctx.eq_slot ctx sl_num_dot c '.' -> skip_frac ctx
-              | Some _ | None -> exp_part ctx)
-      in
-      let int_part = digits sl_num_int sl_num_int frac_part in
-      let skip_int = K.skip int_part in
-      K.peek (fun c ->
-          fun ctx ->
-            match c with
-            | Some c when Ctx.eq_slot ctx sl_minus c '-' -> skip_int ctx
-            | Some _ | None -> int_part ctx))
-    k
+(* A string's characters after the opening quote, up to the closing
+   one. *)
+let rec string_chars ctx =
+  match Ctx.next ctx with
+  | None -> Ctx.reject ctx "unterminated string"
+  | Some c ->
+    if not (Ctx.eq_slot ctx sl_str_close c '"') then begin
+      if Ctx.eq_slot ctx sl_str_backslash c '\\' then escape ctx
+      else if Ctx.branch ctx b_str_control (Char.code c.Tchar.ch < 0x20) then
+        Ctx.reject ctx "control character in string";
+      string_chars ctx
+    end
 
-let keyword (k : K.k) : K.k =
-  K.with_frame s_keyword
-    (fun k ->
-      K.read_set b_letter ~label:"letter" Charset.letters (fun word ->
-          fun ctx ->
-            if Ctx.str_eq ctx b_kw_true word "true" then k ctx
-            else if Ctx.str_eq ctx b_kw_false word "false" then k ctx
-            else if Ctx.str_eq ctx b_kw_null word "null" then k ctx
-            else Ctx.reject ctx "invalid literal"))
-    k
+let string_ ctx =
+  Ctx.enter_frame ctx s_string;
+  ignore (Ctx.next ctx) (* opening quote *);
+  string_chars ctx;
+  Ctx.exit_frame ctx
 
-let rec value (k : K.k) : K.k =
-  K.with_frame s_value
-    (fun k ->
-      let node =
-        (* The branch targets are constructed on demand inside the
-           continuation: a value that turns out to be a number never
-           constructs the string machinery. *)
-        K.peek (fun c ->
-            fun ctx ->
-              match c with
-              | None -> Ctx.reject ctx "expected value, found end of input"
-              | Some c ->
-                if Ctx.eq_slot ctx sl_lbrace c '{' then object_ k ctx
-                else if Ctx.eq_slot ctx sl_lbracket c '[' then array k ctx
-                else if Ctx.eq_slot ctx sl_quote c '"' then string_body k ctx
-                else if Ctx.eq_slot ctx sl_minus c '-' then number k ctx
-                else if Ctx.in_range_slot ctx sl_digit c '0' '9' then
-                  number k ctx
-                else if Ctx.in_set_slot ctx sl_letter c Charset.letters then
-                  keyword k ctx
-                else Ctx.reject ctx "unexpected character at start of value")
-      in
-      fun ctx ->
-        Ctx.tick ctx;
-        node ctx)
-    k
+let number_body ctx =
+  ignore (Helpers.eat_if ctx sl_minus '-');
+  digits ctx sl_num_int;
+  if Helpers.eat_if ctx sl_num_dot '.' then digits ctx sl_num_frac;
+  match Ctx.peek ctx with
+  | Some c when Ctx.one_of_slot ctx sl_num_exp c "eE" ->
+    ignore (Ctx.next ctx);
+    (match Ctx.peek ctx with
+     | Some c when Ctx.one_of_slot ctx sl_num_exp_sign c "+-" -> ignore (Ctx.next ctx)
+     | Some _ | None -> ());
+    digits ctx sl_num_exp_digit
+  | Some _ | None -> ()
 
-and object_ (k : K.k) : K.k =
-  K.with_frame s_object
-    (fun k ->
-      let skip_k = K.skip k in
-      let members =
-        K.fix (fun members ->
-            let member_body =
-              string_body
-                (skip_ws
-                   (K.expect b_colon ':'
-                      (skip_ws
-                         (value
-                            (skip_ws
-                               (K.eat_if b_obj_comma ',' (fun ate ->
-                                    if ate then members
-                                    else K.expect b_rbrace '}' k)))))))
-            in
-            skip_ws
-              (K.peek (fun c ->
-                   fun ctx ->
-                     match c with
-                     | Some c when Ctx.eq_slot ctx sl_obj_key_quote c '"' ->
-                       member_body ctx
-                     | Some _ -> Ctx.reject ctx "expected string key"
-                     | None ->
-                       Ctx.reject ctx "expected string key, found end of input")))
-      in
-      K.skip (* '{' *)
-        (skip_ws
-           (K.peek_is b_obj_empty '}' (fun empty ->
-                if empty then skip_k else members))))
-    k
+let number ctx =
+  Ctx.enter_frame ctx s_number;
+  number_body ctx;
+  Ctx.exit_frame ctx
 
-and array (k : K.k) : K.k =
-  K.with_frame s_array
-    (fun k ->
-      let skip_k = K.skip k in
-      let elements =
-        K.fix (fun elements ->
-            skip_ws
-              (value
-                 (skip_ws
-                    (K.eat_if b_arr_comma ',' (fun ate ->
-                         if ate then elements else K.expect b_rbracket ']' k)))))
-      in
-      K.skip (* '[' *)
-        (skip_ws
-           (K.peek_is b_arr_empty ']' (fun empty ->
-                if empty then skip_k else elements))))
-    k
+let keyword_body ctx =
+  let word = Helpers.read_set ctx sl_letter Charset.letters in
+  if
+    not
+      (Ctx.str_eq ctx b_kw_true word "true"
+      || Ctx.str_eq ctx b_kw_false word "false"
+      || Ctx.str_eq ctx b_kw_null word "null")
+  then Ctx.reject ctx "invalid literal"
 
-let machine : Machine.recognizer =
-  K.with_frame s_parse
-    (fun k ->
-      skip_ws
-        (value
-           (skip_ws
-              (K.peek (fun c ->
-                   fun ctx ->
-                     match c with
-                     | Some _ ->
-                       ignore (Ctx.branch ctx b_trailing true);
-                       Ctx.reject ctx "trailing input after value"
-                     | None ->
-                       ignore (Ctx.branch ctx b_trailing false);
-                       k ctx)))))
-    K.stop
+let keyword ctx =
+  Ctx.enter_frame ctx s_keyword;
+  keyword_body ctx;
+  Ctx.exit_frame ctx
 
-let parse ctx = Machine.run ctx machine
+(* [value] ticks once per call, so deep nesting runs out of fuel. *)
+let rec value ctx =
+  Ctx.enter_frame ctx s_value;
+  Ctx.tick ctx;
+  (match Ctx.peek ctx with
+   | None -> Ctx.reject ctx "expected value, found end of input"
+   | Some c ->
+     if Ctx.eq_slot ctx sl_lbrace c '{' then object_ ctx
+     else if Ctx.eq_slot ctx sl_lbracket c '[' then array ctx
+     else if Ctx.eq_slot ctx sl_quote c '"' then string_ ctx
+     else if Ctx.eq_slot ctx sl_minus c '-' then number ctx
+     else if Ctx.in_range_slot ctx sl_digit c '0' '9' then number ctx
+     else if Ctx.in_set_slot ctx sl_letter c Charset.letters then keyword ctx
+     else Ctx.reject ctx "unexpected character at start of value");
+  Ctx.exit_frame ctx
+
+and object_ ctx =
+  Ctx.enter_frame ctx s_object;
+  ignore (Ctx.next ctx) (* '{' *);
+  skip_ws ctx;
+  if not (Helpers.eat_if ctx sl_obj_empty '}') then members ctx;
+  Ctx.exit_frame ctx
+
+and members ctx =
+  skip_ws ctx;
+  (match Ctx.peek ctx with
+   | Some c when Ctx.eq_slot ctx sl_obj_key_quote c '"' -> ()
+   | Some _ -> Ctx.reject ctx "expected string key"
+   | None -> Ctx.reject ctx "expected string key, found end of input");
+  string_ ctx;
+  skip_ws ctx;
+  Helpers.expect ctx x_colon;
+  skip_ws ctx;
+  value ctx;
+  skip_ws ctx;
+  if Helpers.eat_if ctx sl_obj_comma ',' then members ctx
+  else Helpers.expect ctx x_rbrace
+
+and array ctx =
+  Ctx.enter_frame ctx s_array;
+  ignore (Ctx.next ctx) (* '[' *);
+  skip_ws ctx;
+  if not (Helpers.eat_if ctx sl_arr_empty ']') then elements ctx;
+  Ctx.exit_frame ctx
+
+and elements ctx =
+  skip_ws ctx;
+  value ctx;
+  skip_ws ctx;
+  if Helpers.eat_if ctx sl_arr_comma ',' then elements ctx
+  else Helpers.expect ctx x_rbracket
+
+let parse ctx =
+  Ctx.enter_frame ctx s_parse;
+  skip_ws ctx;
+  value ctx;
+  skip_ws ctx;
+  (match Ctx.peek ctx with
+   | Some _ ->
+     ignore (Ctx.branch ctx b_trailing true);
+     Ctx.reject ctx "trailing input after value"
+   | None -> ignore (Ctx.branch ctx b_trailing false));
+  Ctx.exit_frame ctx
 
 let tokens =
   [
@@ -424,7 +333,7 @@ let subject =
     description = "JSON documents (paper subject: cJSON)";
     registry;
     parse;
-    machine = Some machine;
+    machine = None;
     fuel = 100_000;
     tokens;
     tokenize;

@@ -16,74 +16,64 @@ let b_close =
 let b_empty = Site.branch registry "parse.empty?"
 let b_trailing = Site.branch registry "parse.trailing?"
 
-module Machine = Pdf_instr.Machine
-module K = Helpers.K
+(* One entry per bracket kind, in [pairs] order: the opening slot is
+   probed in that order, so the comparison log is the observation
+   record and the probe order is part of the subject. *)
+type pair = { open_ : char; sl_open : Ctx.slot; close : Helpers.expectation }
 
-(* The per-pair site lookups and reject messages are resolved into a
-   flat array at construction, and the dispatch chain walks it by index.
-   The chain is an in-order [Ctx.eq_slot] sequence over [pairs]: the
-   comparison log is the observation record, so the probe order is part
-   of the subject. *)
-let machine : Machine.recognizer =
-  let table =
-    Array.of_list
-      (List.map
-         (fun (o, close) ->
-           let msg_eof, msg = K.reject_msgs close in
-           ( Helpers.slot_eq (List.assoc o b_open) o,
-             o,
-             List.assoc close b_close,
-             close,
-             msg_eof,
-             msg ))
-         pairs)
-  in
-  let len = Array.length table in
-  (* [seq] re-enters per invocation (the nesting is genuinely recursive),
-     but each entry builds its frame and peek node once instead of per
-     character. [seq] consumes a (possibly empty) balanced sequence and
-     stops at the first character that cannot open a bracket. *)
-  let rec seq (k : K.k) : K.k =
-    K.with_frame s_seq
-      (fun k ->
-        K.peek (fun c ->
-            match c with None -> k | Some c -> try_opens 0 c k))
-      k
-  and try_opens i c (k : K.k) : K.k =
-   fun ctx ->
-    if i >= len then k ctx
-    else
-      let slo, o, bc, close, msg_eof, msg = Array.unsafe_get table i in
-      if Ctx.eq_slot ctx slo c o then
-        K.skip (seq (K.expect_with ~msg_eof ~msg bc close (seq k))) ctx
-      else try_opens (i + 1) c k ctx
-  in
-  K.with_frame s_parse
-    (fun k ->
-      let tail =
-        K.peek (fun c ->
-            fun ctx ->
-              match c with
-              | Some _ ->
-                ignore (Ctx.branch ctx b_trailing true);
-                Ctx.reject ctx "unbalanced input"
-              | None ->
-                ignore (Ctx.branch ctx b_trailing false);
-                k ctx)
-      in
-      let body = seq tail in
-      (* Probe with a peek, not [at_eof]: rejecting the empty input must
-         register an EOF access so the fuzzer (and the EOF-hunger oracle
-         check) can tell this rejection wants *more* input rather than
-         different input. *)
-      K.peek (fun c ->
-          fun ctx ->
-            if Ctx.branch ctx b_empty (c = None) then
-              Ctx.reject ctx "empty input"
-            else body ctx))
-    K.stop
+let table =
+  Array.of_list
+    (List.map
+       (fun (o, c) ->
+         {
+           open_ = o;
+           sl_open = Helpers.slot_eq (List.assoc o b_open) o;
+           close = Helpers.expectation (List.assoc c b_close) c;
+         })
+       pairs)
 
-let parse ctx = Machine.run ctx machine
+(* Frames are bare enter/exit pairs, so a rejection logs no exit for
+   the frames it unwinds; the golden digests pin that frame log
+   (DESIGN §11). *)
+
+(* A (possibly empty) balanced sequence, up to the first character that
+   cannot open a bracket. After a closed group the sequence continues
+   one level deeper, inside the current frame. *)
+let rec seq ctx =
+  Ctx.enter_frame ctx s_seq;
+  (match Ctx.peek ctx with None -> () | Some c -> try_opens ctx c 0);
+  Ctx.exit_frame ctx
+
+and try_opens ctx c i =
+  if i < Array.length table then begin
+    let p = table.(i) in
+    if Ctx.eq_slot ctx p.sl_open c p.open_ then begin
+      ignore (Ctx.next ctx);
+      seq ctx;
+      Helpers.expect ctx p.close;
+      seq ctx
+    end
+    else try_opens ctx c (i + 1)
+  end
+
+(* Probe with a peek, not [at_eof]: rejecting the empty input must
+   register an EOF access so the fuzzer (and the EOF-hunger oracle
+   check) can tell this rejection wants *more* input rather than
+   different input. *)
+let parse_body ctx =
+  if Ctx.branch ctx b_empty (Option.is_none (Ctx.peek ctx)) then
+    Ctx.reject ctx "empty input";
+  seq ctx;
+  match Ctx.peek ctx with
+  | Some _ ->
+    ignore (Ctx.branch ctx b_trailing true);
+    Ctx.reject ctx "unbalanced input"
+  | None -> ignore (Ctx.branch ctx b_trailing false)
+
+let parse ctx =
+  Ctx.enter_frame ctx s_parse;
+  parse_body ctx;
+  Ctx.exit_frame ctx
 
 let tokens =
   List.concat_map
@@ -107,7 +97,7 @@ let subject =
     description = "well-balanced brackets (Dyck language, Section 3 ablation)";
     registry;
     parse;
-    machine = Some machine;
+    machine = None;
     fuel = 100_000;
     tokens;
     tokenize;

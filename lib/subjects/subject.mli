@@ -11,11 +11,12 @@ type t = {
   registry : Pdf_instr.Site.registry;
   parse : Pdf_instr.Ctx.t -> unit;
   machine : Pdf_instr.Machine.recognizer option;
-      (** step-wise form of [parse], when the subject provides one; it
-          must recognize exactly the same language with the same
-          observations. The fuzzer runs [parse]; the step-wise form
-          serves the journaled snapshot/resume engine of
-          {!Pdf_instr.Runner}. *)
+      (** step-wise form of [parse], for the journaled snapshot/resume
+          engine of {!Pdf_instr.Runner}; it must recognize exactly the
+          same language with the same observations. The fuzzer runs
+          only [parse], and no catalog subject has a step-wise form:
+          every one is [None]. The field stays while the campaign
+          benchmark's traced run reads it. *)
   fuel : int;  (** per-run fuel budget (interpreting subjects hang) *)
   tokens : Token.t list;
   tokenize : string -> string list;
@@ -40,6 +41,7 @@ val exec_journaled :
   Pdf_instr.Runner.run * Pdf_instr.Runner.journal
 (** Execute a machine-form subject with read-boundary journaling, for
     snapshot/resume execution; see {!Pdf_instr.Runner}. Pass the
-    subject's own [machine]. *)
+    subject's own [machine]. No catalog subject has one; the campaign
+    benchmark's traced run calls this only for a subject that does. *)
 
 val accepts : t -> string -> bool

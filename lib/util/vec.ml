@@ -51,6 +51,10 @@ let clear t =
   end;
   t.len <- 0
 
+(* A borrowed vector keeps [cap = -1], so its next push still copies
+   into owned storage and the borrowed array stays unwritten. *)
+let clear_ints (t : int t) = t.len <- 0
+
 let[@inline] backing t = t.data
 
 let to_array t = Array.sub t.data 0 t.len

@@ -36,10 +36,15 @@ val clear : 'a t -> unit
     {!of_prefix}) drops the borrowed prefix instead; the array it
     borrowed is never written. *)
 
+val clear_ints : int t -> unit
+(** {!clear} for an int vector, by its length alone: an int slot keeps
+    nothing alive, so the vacated slots are not refilled. A borrowed
+    vector's array is still never written. *)
+
 val backing : 'a t -> 'a array
 (** The backing array itself, not a copy: its first [length t] elements
     are the vector's, and the rest is filler. It is valid until the next
-    {!push} or {!clear}, and must not be written. *)
+    {!push} or clear, and must not be written. *)
 
 val to_array : 'a t -> 'a array
 (** Fresh array of exactly [length t] elements. *)

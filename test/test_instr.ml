@@ -537,23 +537,76 @@ let run_equal (a : Runner.run) (b : Runner.run) =
   && a.eof_access = b.eof_access && a.max_depth = b.max_depth
   && a.frames = b.frames
 
-let json_subject = Pdf_subjects.Catalog.find "json"
+(* The journaled engine runs a test-local machine-form recognizer:
+   balanced round and square brackets, read only through
+   [Machine.Peek]/[Next] steps, with a frame per group, so snapshots
+   carry stack depth and frame events, and a trailing-input check whose
+   peek at the end of an accepted input is its EOF probe. *)
 
-let json_machine =
-  match json_subject.Subject.machine with
-  | Some m -> m
-  | None -> failwith "json subject has no machine-form parser"
+module Machine = Pdf_instr.Machine
 
-let exec_json input =
-  Subject.exec_journaled ~track_trace:true ~track_frames:true json_subject
-    json_machine input
+let brackets = Site.create_registry "brackets"
+let br_s_group = Site.block brackets "group"
+let br_open_round = Site.branch brackets "open-(?"
+let br_open_square = Site.branch brackets "open-[?"
+let br_close = Site.branch brackets "close"
+let br_trailing = Site.branch brackets "trailing?"
+
+(* Groups while the next character opens one, then [k]. Continuations
+   take the context as an argument and capture none, so every pending
+   step is multi-shot. *)
+let rec br_seq k _ctx =
+  Machine.Peek
+    (fun c ctx ->
+      match c with
+      | Some c when Ctx.eq ctx br_open_round c '(' -> br_group ')' k ctx
+      | Some c when Ctx.eq ctx br_open_square c '[' -> br_group ']' k ctx
+      | Some _ | None -> k ctx)
+
+and br_group close k ctx =
+  Ctx.enter_frame ctx br_s_group;
+  Machine.Next (fun _ ctx -> br_seq (br_closing close k) ctx)
+
+and br_closing close k _ctx =
+  Machine.Next
+    (fun c ctx ->
+      match c with
+      | Some c when Ctx.eq ctx br_close c close ->
+        Ctx.exit_frame ctx;
+        br_seq k ctx
+      | Some _ | None -> Ctx.reject ctx "unbalanced")
+
+let br_machine : Machine.recognizer =
+  br_seq (fun _ ->
+      Machine.Peek
+        (fun c ctx ->
+          if Ctx.branch ctx br_trailing (Option.is_some c) then
+            Ctx.reject ctx "trailing input"
+          else Machine.Done))
+
+let exec_brackets input =
+  Runner.exec_machine ~registry:brackets ~machine:br_machine ~track_trace:true
+    ~track_frames:true input
+
+let test_brackets_machine () =
+  (* The recognizer is what the snapshot tests take it for. *)
+  let verdict input = Runner.accepted (fst (exec_brackets input)) in
+  List.iter
+    (fun input -> Alcotest.(check bool) (input ^ " accepted") true (verdict input))
+    [ ""; "()"; "([()][])"; "([()][])[[()]]()" ];
+  List.iter
+    (fun input -> Alcotest.(check bool) (input ^ " rejected") false (verdict input))
+    [ "("; "(]"; "()#"; "((" ];
+  let run, _ = exec_brackets "([()])" in
+  check Alcotest.int "a frame per open group" 3 run.Runner.max_depth;
+  Alcotest.(check bool) "the final peek reads EOF" true run.Runner.eof_access
 
 let test_snapshot_resume_identity () =
   (* Resuming from the snapshot at any position — on the same input or
      on one that diverges right after the prefix — is bit-identical to a
      full execution. *)
-  let input = {|{"a": [1, true]}|} in
-  let full, journal = exec_json input in
+  let input = "([()][])[]" in
+  let full, journal = exec_brackets input in
   for p = 1 to String.length input do
     match Runner.snapshot_at journal p with
     | None -> Alcotest.failf "no snapshot at position %d" p
@@ -564,7 +617,7 @@ let test_snapshot_resume_identity () =
         (Printf.sprintf "identical resume at %d" p)
         true (run_equal full resumed);
       let mutated = String.sub input 0 p ^ "#" in
-      let mutated_full, _ = exec_json mutated in
+      let mutated_full, _ = exec_brackets mutated in
       let mutated_resumed, _ = Runner.resume snap mutated in
       Alcotest.(check bool)
         (Printf.sprintf "identical diverging resume at %d" p)
@@ -573,33 +626,33 @@ let test_snapshot_resume_identity () =
   done
 
 let test_snapshot_unread_positions () =
-  (* "[1]#" rejects at the trailing '#', so position 4 is never read and
+  (* "()#" rejects at the trailing '#', so position 3 is never read and
      has no snapshot; every read position has one. *)
-  let _run, journal = exec_json "[1]#" in
+  let _run, journal = exec_brackets "()#" in
   Alcotest.(check bool) "read position has a snapshot" true
-    (Runner.snapshot_at journal 3 <> None);
+    (Runner.snapshot_at journal 2 <> None);
   Alcotest.(check bool) "unread position has none" true
-    (Runner.snapshot_at journal 4 = None)
+    (Runner.snapshot_at journal 3 = None)
 
 let test_resume_chains () =
   (* A resumed run's journal covers the new suffix, so grandchildren can
      resume from a child's snapshot. *)
-  let parent = "[1," in
-  let child = "[1,2" in
-  let grandchild = "[1,2]" in
-  let _, j0 = exec_json parent in
+  let parent = "((" in
+  let child = "(()" in
+  let grandchild = "(())" in
+  let _, j0 = exec_brackets parent in
   let snap0 = Option.get (Runner.snapshot_at j0 (String.length parent)) in
   let _, j1 = Runner.resume snap0 child in
   let snap1 = Option.get (Runner.snapshot_at j1 (String.length child)) in
   let resumed, _ = Runner.resume snap1 grandchild in
-  let full, _ = exec_json grandchild in
+  let full, _ = exec_brackets grandchild in
   Alcotest.(check bool) "grandchild identical via two hops" true
     (run_equal full resumed)
 
 let test_prefix_cache_direct_mapped () =
   (* Snapshots told apart by their prefix position. *)
   let snap =
-    let _, j = exec_json "[1,2]" in
+    let _, j = exec_brackets "([])" in
     fun pos -> Option.get (Runner.snapshot_at j pos)
   in
   let pos found = Option.map Runner.snapshot_pos found in
@@ -643,10 +696,10 @@ let test_prefix_cache_direct_mapped () =
    the snapshot the model holds (snapshots are told apart by their
    prefix position). *)
 
-let cache_pool_input = {|{"a": [1, true]}|}
+let cache_pool_input = "([()][])[[()]]()"
 
 let cache_pool =
-  let _, j = exec_json cache_pool_input in
+  let _, j = exec_brackets cache_pool_input in
   Array.init (String.length cache_pool_input) (fun p ->
       Option.get (Runner.snapshot_at j (p + 1)))
 
@@ -1064,6 +1117,7 @@ let () =
         ] );
       ( "snapshot",
         [
+          Alcotest.test_case "the test recognizer" `Quick test_brackets_machine;
           Alcotest.test_case "resume identity at every position" `Quick
             test_snapshot_resume_identity;
           Alcotest.test_case "unread positions have no snapshot" `Quick

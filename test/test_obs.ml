@@ -521,14 +521,13 @@ let test_chrome_sink () =
 
    With no observer installed every telemetry site is one branch; no
    event record, no closure, no clock read. The fuzzer itself allocates
-   ~350 minor words per execution on the json subject (dev profile,
-   this test's campaign, every execution a cold staged parse); the
-   budget below has ~70% headroom, and the search loop before
-   replacements were streamed and the prefix cache moved to flat arrays
-   (~600) already failed it. If this trips,
-   something started allocating on the hot path — tracing on costs
-   ~1800 words/exec more, so even a single stray event construction
-   blows the budget immediately. *)
+   ~63 minor words per execution on the json subject (dev profile,
+   this test's campaign, every execution a cold direct-style parse in
+   the campaign's one context); the budget below has ~70% headroom,
+   and the staged continuation-passing parser json had before (~346)
+   already failed it. If this trips, something started allocating on
+   the hot path — tracing on costs ~1800 words/exec more, so even a
+   single stray event construction blows the budget immediately. *)
 
 let test_disabled_path_allocation () =
   let subject = Catalog.find "json" in
@@ -538,8 +537,8 @@ let test_disabled_path_allocation () =
   let result = Pfuzzer.fuzz config subject in
   let w1 = Gc.minor_words () in
   let per_exec = (w1 -. w0) /. float_of_int result.executions in
-  if per_exec > 600.0 then
-    Alcotest.failf "disabled-path allocation: %.0f minor words/exec (budget 600)"
+  if per_exec > 110.0 then
+    Alcotest.failf "disabled-path allocation: %.0f minor words/exec (budget 110)"
       per_exec
 
 (* {1 The candidate-generation span is free when telemetry is off}
@@ -550,11 +549,11 @@ let test_disabled_path_allocation () =
    spans (well under the 2% overhead the phase machinery is allowed):
    no clock read, no event record, and — the part a timer on this noisy
    box can actually enforce deterministically — not one word of
-   allocation. The budget has ample headroom over the measured disabled
-   path (expr, dev profile: ~150 minor words/exec, all of it the
-   campaign's own working set; ~485 before replacements were streamed,
-   which failed it); if it trips, a span site or the candidate loop
-   started allocating per replacement. *)
+   allocation. The budget has ~70% headroom over the measured disabled
+   path (expr, dev profile: ~59 minor words/exec, all of it the
+   campaign's own working set; ~149 with the staged continuation-passing
+   parser expr had before, which fails it); if it trips, a span site or
+   the candidate loop started allocating per replacement. *)
 
 let test_disabled_gen_span_allocation () =
   let subject = Catalog.find "expr" in
@@ -564,9 +563,9 @@ let test_disabled_gen_span_allocation () =
   let result = Pfuzzer.fuzz config subject in
   let w1 = Gc.minor_words () in
   let per_exec = (w1 -. w0) /. float_of_int result.executions in
-  if per_exec > 460.0 then
+  if per_exec > 100.0 then
     Alcotest.failf
-      "disabled-obs candidate generation: %.0f minor words/exec (budget 460)"
+      "disabled-obs candidate generation: %.0f minor words/exec (budget 100)"
       per_exec
 
 (* {1 Result timing fields} *)

@@ -530,6 +530,29 @@ let test_vec_clear () =
   check Alcotest.(list int) "borrowed array untouched" [ 1; 2; 3 ] (Array.to_list arr);
   check Alcotest.(list int) "cleared borrow refills" [ 7 ] (Vec.to_list whole)
 
+(* An int vector is cleared by its length alone; what its slots still
+   hold is never read back. *)
+let test_vec_clear_ints () =
+  let v = Vec.create 0 in
+  List.iter (Vec.push v) [ 1; 2; 3 ];
+  let backing = Vec.backing v in
+  Vec.clear_ints v;
+  check Alcotest.int "empty" 0 (Vec.length v);
+  check Alcotest.(list int) "nothing to read" [] (Vec.to_list v);
+  Alcotest.check_raises "old slots are out of bounds"
+    (Invalid_argument "Vec.get: index out of bounds") (fun () -> ignore (Vec.get v 0));
+  List.iter (Vec.push v) [ 7; 8 ];
+  check Alcotest.(list int) "pushes read back" [ 7; 8 ] (Vec.to_list v);
+  check Alcotest.int "get after clear" 8 (Vec.get v 1);
+  check Alcotest.bool "refilled in place" true (Vec.backing v == backing);
+  let arr = [| 1; 2; 3 |] in
+  let whole = Vec.of_prefix arr ~len:3 0 in
+  Vec.clear_ints whole;
+  check Alcotest.int "borrow emptied" 0 (Vec.length whole);
+  Vec.push whole 7;
+  check Alcotest.(list int) "borrowed array untouched" [ 1; 2; 3 ] (Array.to_list arr);
+  check Alcotest.(list int) "cleared borrow refills" [ 7 ] (Vec.to_list whole)
+
 (* {1 Atomic_file: crash-safe writes} *)
 
 module Atomic_file = Pdf_util.Atomic_file
@@ -687,6 +710,7 @@ let () =
         [
           Alcotest.test_case "of_prefix copy-on-write" `Quick test_vec_of_prefix_cow;
           Alcotest.test_case "clear keeps capacity" `Quick test_vec_clear;
+          Alcotest.test_case "int clear resets the length" `Quick test_vec_clear_ints;
         ] );
       ( "atomic-file",
         [
