@@ -105,7 +105,7 @@ let havoc_op rng input =
   | _ when len > 0 ->
     (* duplicate a block *)
     let src = Rng.int rng len in
-    let block_len = 1 + Rng.int rng (min 8 (len - src)) in
+    let block_len = 1 + Rng.int rng (Int.min 8 (len - src)) in
     let dst = Rng.int rng (len + 1) in
     String.sub input 0 dst
     ^ String.sub input src block_len

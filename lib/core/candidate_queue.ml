@@ -61,7 +61,7 @@ type t = {
 
 let create variant ~bound =
   (* A negative bound truncates to nothing, as a bound of zero does. *)
-  let bound = max 0 bound in
+  let bound = Int.max 0 bound in
   {
     variant;
     bound;
@@ -106,7 +106,7 @@ let live_groups t = t.live_groups
 (* Doubling, clamped to [limit]. *)
 let next_capacity ~limit len =
   if len >= limit then invalid_arg "Candidate_queue: capacity exhausted";
-  min limit (max 16 (2 * len))
+  Int.min limit (Int.max 16 (2 * len))
 
 let resize a n fill =
   let b = Array.make n fill in
@@ -350,7 +350,7 @@ let truncate t =
     Pqueue.iter_ranked
       (fun r ->
         let s = t.run_start.(r) and e = t.run_end.(r) in
-        let keep = min (e - s) (t.bound - !kept) in
+        let keep = Int.min (e - s) (t.bound - !kept) in
         Array.fill t.repl (s + keep) (e - s - keep) "";
         if keep > 0 then begin
           t.run_end.(r) <- s + keep;

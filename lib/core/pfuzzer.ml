@@ -443,7 +443,7 @@ let enqueue st g repl =
     | None -> ()
     | Some f -> f (Truncated (observed_snapshot st))
   end;
-  st.queue_peak <- max st.queue_peak (Candidate_queue.length st.queue)
+  st.queue_peak <- Int.max st.queue_peak (Candidate_queue.length st.queue)
 
 (* Entry point for the initial corpus: each seed is a group of one. *)
 let push_seed st data =
@@ -488,7 +488,7 @@ let add_inputs st ~(parent : Candidate.t) =
     let path_count = note_path st in
     let parents = parent.parents + 1 in
     let input = v.input in
-    let index = min sub_index (String.length input) in
+    let index = Int.min sub_index (String.length input) in
     (* The children of this call are one sibling group: they share
        everything but their replacement, so the queue stores it once and
        counts the new coverage once. *)

@@ -33,7 +33,7 @@ let columns n =
   }
 
 let grow c n =
-  let room = max 16 (2 * Array.length c.indices) in
+  let room = Int.max 16 (2 * Array.length c.indices) in
   let extend a filler =
     let b = Array.make room filler in
     Array.blit a 0 b 0 n;

@@ -35,7 +35,7 @@ let check_oid i =
 let add i t =
   check_oid i;
   let w = i / bits in
-  let n = max (Array.length t) (w + 1) in
+  let n = Int.max (Array.length t) (w + 1) in
   let r = Array.make n 0 in
   Array.blit t 0 r 0 (Array.length t);
   r.(w) <- r.(w) lor (1 lsl (i mod bits));
@@ -51,7 +51,7 @@ let union a b =
   if la = 0 then b
   else if lb = 0 then a
   else begin
-    let n = max la lb in
+    let n = Int.max la lb in
     let r = Array.make n 0 in
     for i = 0 to n - 1 do
       r.(i) <-
@@ -87,7 +87,7 @@ let of_list l = of_iter (fun f -> List.iter f l)
    and the iterator version pays two closure allocations per call. *)
 let of_array ?len a =
   let len =
-    match len with None -> Array.length a | Some l -> min l (Array.length a)
+    match len with None -> Array.length a | Some l -> Int.min l (Array.length a)
   in
   let hi = ref (-1) in
   for i = 0 to len - 1 do
@@ -120,7 +120,7 @@ let to_list t =
    of per-call allocation — both the closure-and-ref pattern of
    [Array.iteri] and the closure a captured-variable [let rec] costs. *)
 let inter_cardinal a b =
-  let n = min (Array.length a) (Array.length b) in
+  let n = Int.min (Array.length a) (Array.length b) in
   let acc = ref 0 in
   for i = 0 to n - 1 do
     acc := !acc + popcount (Array.unsafe_get a i land Array.unsafe_get b i)
@@ -166,7 +166,7 @@ let subset a b =
 
 let equal a b =
   let la = Array.length a and lb = Array.length b in
-  let n = max la lb in
+  let n = Int.max la lb in
   let ok = ref true in
   for i = 0 to n - 1 do
     let wa = if i < la then a.(i) else 0

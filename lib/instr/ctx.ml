@@ -31,11 +31,6 @@ type t = {
   track_trace : bool;
   track_frames : bool;
   frames : Frame.event Vec.t;
-  (* Memoised [peek] result: parsers probe the same position repeatedly
-     when trying alternatives, and each probe would otherwise allocate a
-     fresh tainted character. *)
-  mutable peeked : Tchar.t option;
-  mutable peeked_at : int;
   budget : int; (* the fuel a reset restores *)
 }
 
@@ -63,8 +58,6 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     track_trace;
     track_frames;
     frames = Vec.create dummy_frame;
-    peeked = None;
-    peeked_at = -1;
   }
 
 (* Undo one run's recording for the next input. The presence map is
@@ -90,9 +83,7 @@ let reset t text =
   t.eof_access <- false;
   t.stack <- 0;
   t.max_stack <- 0;
-  t.fuel <- t.budget;
-  t.peeked <- None;
-  t.peeked_at <- -1
+  t.fuel <- t.budget
 
 (* {2 Snapshot marks}
 
@@ -167,8 +158,6 @@ let restore ~registry ~(mark : mark) ~cursor ~comparisons ~touched ~trace
     track_trace;
     track_frames;
     frames = Vec.of_prefix frames ~len:mark.m_frames dummy_frame;
-    peeked = None;
-    peeked_at = -1;
   }
 
 let[@inline] pos t = t.cursor
@@ -176,19 +165,18 @@ let input t = t.text
 let[@inline] at_eof t = t.cursor >= String.length t.text
 let[@inline] depth t = t.stack
 
+(* A read returns the interned character of its position and byte
+   ({!Tchar.interned}), so parsers that probe a position repeatedly
+   while trying alternatives, and every run of a campaign, share one
+   value per (position, byte) and allocate nothing. *)
 let peek t =
   if at_eof t then begin
     t.eof_access <- true;
     None
   end
-  else if t.peeked_at = t.cursor then t.peeked
-  else begin
+  else
     (* [at_eof] above established [cursor < length text]. *)
-    let c = Some (Tchar.input t.cursor (String.unsafe_get t.text t.cursor)) in
-    t.peeked <- c;
-    t.peeked_at <- t.cursor;
-    c
-  end
+    Tchar.interned t.cursor (String.unsafe_get t.text t.cursor)
 
 let next t =
   match peek t with

@@ -40,9 +40,9 @@ val reset : t -> string -> unit
 (** [reset t input] readies [t] for a run on [input], as {!make} with
     the same registry and settings would: nothing covered, every
     recording buffer empty, the cursor, the stack depth and its maximum
-    at 0, the fuel back to its budget, no EOF access and no memoised
-    peek. The buffers keep their capacity, so a context reused for a
-    whole campaign allocates nothing per run once they have grown. The
+    at 0, the fuel back to its budget and no EOF access. The buffers
+    keep their capacity, so a context reused for a whole campaign
+    allocates nothing per run once they have grown. The
     previous run's observations are gone: read or copy them first. A
     context from {!restore} resets to the fuel it was restored with. *)
 
@@ -98,7 +98,9 @@ val peek : t -> Pdf_taint.Tchar.t option
 (** The next character without consuming it, tainted with its input
     index. [None] at end of input — and the attempt is recorded as an
     EOF access, the signal the fuzzer uses to decide the input should be
-    extended. *)
+    extended. The value is {!Pdf_taint.Tchar.interned}: shared by every
+    read of that position and byte, in any run and any context, so a
+    read allocates nothing. *)
 
 val next : t -> Pdf_taint.Tchar.t option
 (** Consume and return the next character; [None] (and an EOF-access

@@ -5,7 +5,7 @@ let create () = { counts = [||] }
 let ensure t n =
   let len = Array.length t.counts in
   if len < n then begin
-    let grown = Array.make (max n (2 * len)) 0 in
+    let grown = Array.make (Int.max n (2 * len)) 0 in
     Array.blit t.counts 0 grown 0 len;
     t.counts <- grown
   end
@@ -32,12 +32,12 @@ let record t touched = record_prefix t touched ~len:(Array.length touched)
 let count t oid = if oid < Array.length t.counts then t.counts.(oid) else 0
 
 let merge a b =
-  let n = max (Array.length a.counts) (Array.length b.counts) in
+  let n = Int.max (Array.length a.counts) (Array.length b.counts) in
   let counts = Array.init n (fun i -> count a i + count b i) in
   { counts }
 
 let equal a b =
-  let n = max (Array.length a.counts) (Array.length b.counts) in
+  let n = Int.max (Array.length a.counts) (Array.length b.counts) in
   let rec go i = i >= n || (count a i = count b i && go (i + 1)) in
   go 0
 

@@ -31,21 +31,13 @@ let rec skip_range ctx sl lo hi =
       skip_range ctx sl lo hi
     end
 
+(* Skip, then cut what was skipped from the input in one slice: the
+   comparisons and outcomes are [skip_set]'s, and the token takes no
+   closure and no list. *)
 let read_set ctx sl set =
-  (* Accumulate in reverse and build the token once: appending to an
-     immutable Tstring per character would copy the whole prefix each
-     time (quadratic in token length). *)
-  let rec go acc =
-    match Ctx.peek ctx with
-    | None -> acc
-    | Some c ->
-      if Ctx.in_set_slot ctx sl c set then begin
-        ignore (Ctx.next ctx);
-        go (c :: acc)
-      end
-      else acc
-  in
-  Tstring.of_chars (List.rev (go []))
+  let from = Ctx.pos ctx in
+  skip_set ctx sl set;
+  Tstring.of_input (Ctx.input ctx) from (Ctx.pos ctx - from)
 
 type expectation = { sl : Ctx.slot; c : char; at_eof : string; mismatch : string }
 

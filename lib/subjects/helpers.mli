@@ -33,7 +33,7 @@ val skip_range : Ctx.t -> Ctx.slot -> char -> char -> unit
 (** {!skip_set} over the range a {!slot_range} slot was built with. *)
 
 val read_set : Ctx.t -> Ctx.slot -> Pdf_util.Charset.t -> Pdf_taint.Tstring.t
-(** Consume and collect characters while they belong to the set. *)
+(** {!skip_set}, returning the characters it consumed as one token. *)
 
 type expectation
 (** A character the parser demands next: its {!slot_eq} slot and both

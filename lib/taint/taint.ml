@@ -36,10 +36,10 @@ let union a b =
     when l2 <= h1 + 1 && l1 <= h2 + 1 ->
     (* Overlapping or adjacent intervals merge without leaving the fast
        representation. *)
-    Interval { lo = min l1 l2; hi = max h1 h2 }
+    Interval { lo = Int.min l1 l2; hi = Int.max h1 h2 }
   | _ -> of_set (Iset.union (to_set a) (to_set b))
 
-let is_empty t = t = Empty
+let is_empty = function Empty -> true | Interval _ | Set _ -> false
 
 let mem i = function
   | Empty -> false

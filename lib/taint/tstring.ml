@@ -2,7 +2,22 @@ type t = Tchar.t array
 
 let empty = [||]
 let of_string s = Array.init (String.length s) (fun i -> Tchar.untainted s.[i])
-let of_chars cs = Array.of_list cs
+
+let input_char s i = Option.get (Tchar.interned i (String.unsafe_get s i))
+
+(* A loop rather than [Array.init], so building a token takes no
+   closure. *)
+let of_input s pos len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Tstring.of_input";
+  if len = 0 then empty
+  else begin
+    let t = Array.make len (input_char s pos) in
+    for k = 1 to len - 1 do
+      Array.unsafe_set t k (input_char s (pos + k))
+    done;
+    t
+  end
 let length = Array.length
 let get t i = t.(i)
 let append_char t c = Array.append t [| c |]

@@ -100,7 +100,7 @@ let sift_down t i = sift_down_within t i t.size
 let grow t =
   let cap = Array.length t.prios in
   if t.size = cap then begin
-    let ncap = max 16 (2 * cap) in
+    let ncap = Int.max 16 (2 * cap) in
     let extend a fill =
       let b = Array.make ncap fill in
       Array.blit a 0 b 0 t.size;
@@ -223,7 +223,7 @@ let rec select t lo hi n =
 
 let drop_worst t n =
   if t.size > n then begin
-    let n = max 0 n in
+    let n = Int.max 0 n in
     if n > 0 then select t 0 (t.size - 1) n;
     Array.fill t.values n (t.size - n) vacant;
     t.size <- n;

@@ -1,22 +1,33 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state word, held unboxed in eight bytes: a
+   [mutable state : int64] field would box a new state on every draw
+   and store it into the long-lived generator through the write
+   barrier. Read and written in place, a draw whose result is consumed
+   at once allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let make seed = { state = mix64 (Int64.of_int seed) }
+let state t = Bytes.get_int64_ne t 0
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
-let state t = t.state
-let of_state s = { state = s }
+let make seed = of_state (mix64 (Int64.of_int seed))
+
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
+let copy = Bytes.copy
 
 let int t bound =
   assert (bound > 0);

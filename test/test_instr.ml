@@ -1069,9 +1069,142 @@ let test_reset_equivalence () =
         [ "accepted"; "rejected"; "hang"; "crash" ])
     Pdf_subjects.Catalog.all
 
+(* {1 Interned input characters}
+
+   A read returns the shared tainted character of its position and
+   byte, from a process-wide table filled on demand: equal pairs give
+   physically equal values in every run of every context, below the
+   position bound; past it a read builds a fresh value, which must
+   still carry the right character and taint. *)
+
+module Taint = Pdf_taint.Taint
+
+let interned_corpus (s : Subject.t) =
+  let rng = Rng.make 30 in
+  let spellings = List.map (fun (t : Pdf_subjects.Token.t) -> t.tag) s.tokens in
+  spellings
+  @ List.init 40 (fun _ -> String.init (Rng.int rng 16) (fun _ -> Rng.printable rng))
+
+let check_read what i c (v : Tchar.t option) =
+  match v with
+  | None -> Alcotest.failf "%s: no character at %d" what i
+  | Some t ->
+    check Alcotest.char (what ^ ": character") c t.ch;
+    check Alcotest.(list int) (what ^ ": taint") [ i ] (Taint.to_list t.taint)
+
+let test_interned_reads () =
+  List.iter
+    (fun (s : Subject.t) ->
+      let seen = Hashtbl.create 256 in
+      let a = Ctx.make ~registry:s.registry ~fuel:s.fuel ""
+      and b = Ctx.make ~registry:s.registry ~fuel:s.fuel "" in
+      let walk ctx input =
+        Ctx.reset ctx input;
+        String.iteri
+          (fun i c ->
+            let what = Printf.sprintf "%s %S at %d" s.name input i in
+            let p = Ctx.peek ctx in
+            check_read what i c p;
+            (match Hashtbl.find_opt seen (i, c) with
+             | Some v -> check Alcotest.bool (what ^ ": shared") true (v == p)
+             | None -> Hashtbl.replace seen (i, c) p);
+            check Alcotest.bool (what ^ ": peek again") true (Ctx.peek ctx == p);
+            check Alcotest.bool (what ^ ": next") true (Ctx.next ctx == p))
+          input
+      in
+      List.iter
+        (fun input ->
+          (* The subject's own parse reads first, through either context. *)
+          Ctx.reset a input;
+          ignore (Runner.run_in a ~parse:s.parse);
+          walk a input;
+          walk b input;
+          walk a input)
+        (interned_corpus s))
+    Pdf_subjects.Catalog.all
+
+(* A json array of 100 elements reaches position 201, past the bound:
+   the reads there, the keyword token cut there and the comparisons it
+   logs carry the right characters and positions. *)
+let test_past_the_bound () =
+  let json = Pdf_subjects.Catalog.find "json" in
+  let elements = String.concat "," (List.init 100 (fun _ -> "1")) in
+  let valid = "[" ^ elements ^ "]" and broken = "[" ^ elements ^ ",tru]" in
+  check Alcotest.bool "bound is below the input" true
+    (Tchar.interned_positions < String.length valid - 1);
+  let ctx = Ctx.make ~registry:json.registry valid in
+  String.iteri
+    (fun i c -> check_read (Printf.sprintf "read at %d" i) i c (Ctx.next ctx))
+    valid;
+  check Alcotest.bool "accepted" true (Runner.accepted (Subject.run json valid));
+  let run = Subject.run json broken in
+  let last = String.length broken - 2 in
+  check Alcotest.(option int) "substitution at the keyword's end" (Some (last + 1))
+    (Runner.substitution_index run);
+  let suggests_e =
+    List.exists
+      (fun (c : Comparison.t) -> c.kind = Comparison.Char_eq 'e' && not c.result)
+      (Runner.comparisons_at_last_index run)
+  in
+  check Alcotest.bool "suggests completing 'e'" true suggests_e;
+  let tok = Tstring.of_input broken (last - 2) 3 in
+  check Alcotest.string "token" "tru" (Tstring.to_string tok);
+  check Alcotest.(list int) "token taint" [ last - 2; last - 1; last ]
+    (Taint.to_list (Tstring.taint tok))
+
+(* Two domains parse at once and share the table while they fill it:
+   this case runs first, before any other case reads input, so the
+   domains build most of the rows and entries they read (only a
+   sixteen-character bracket parse at module initialisation reads
+   before them). Every run must observe what the same run does
+   sequentially. *)
+let observation (r : Runner.run) =
+  ( Format.asprintf "%a" Runner.pp_verdict r.verdict,
+    r.comparisons,
+    r.touched,
+    r.trace,
+    r.eof_access,
+    r.max_depth,
+    Array.map
+      (function
+        | Frame.Enter { site; pos } -> (Site.name site, pos)
+        | Frame.Exit { pos } -> ("", pos))
+      r.frames )
+
+let test_concurrent_reads () =
+  let rng = Rng.make 31 in
+  let chunks =
+    List.concat_map
+      (fun (s : Subject.t) ->
+        List.init 2 (fun _ ->
+            ( s,
+              List.init 60 (fun _ ->
+                  String.init (Rng.int rng 140) (fun _ -> Rng.printable rng)) )))
+      Pdf_subjects.Catalog.all
+  in
+  let observe ((s : Subject.t), inputs) =
+    List.map
+      (fun input -> observation (Subject.run ~track_trace:true ~track_frames:true s input))
+      inputs
+  in
+  let parallel = Pdf_eval.Parallel.map_retry ~jobs:2 ~retries:0 observe chunks in
+  let sequential = List.map observe chunks in
+  List.iteri
+    (fun i (p, want) ->
+      match p with
+      | Error e -> Alcotest.failf "chunk %d raised %s" i (Printexc.to_string e)
+      | Ok got -> check Alcotest.bool (Printf.sprintf "chunk %d" i) true (got = want))
+    (List.combine parallel sequential)
+
 let () =
   Alcotest.run "pdf_instr"
     [
+      ( "interned reads",
+        [
+          Alcotest.test_case "two domains read as one" `Quick test_concurrent_reads;
+          Alcotest.test_case "shared per position and byte" `Quick test_interned_reads;
+          Alcotest.test_case "past the position bound" `Quick test_past_the_bound;
+        ] );
       ( "site",
         [
           Alcotest.test_case "registry" `Quick test_site_registry;

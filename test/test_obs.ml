@@ -521,25 +521,33 @@ let test_chrome_sink () =
 
    With no observer installed every telemetry site is one branch; no
    event record, no closure, no clock read. The fuzzer itself allocates
-   ~63 minor words per execution on the json subject (dev profile,
-   this test's campaign, every execution a cold direct-style parse in
-   the campaign's one context); the budget below has ~70% headroom,
-   and the staged continuation-passing parser json had before (~346)
-   already failed it. If this trips, something started allocating on
-   the hot path — tracing on costs ~1800 words/exec more, so even a
-   single stray event construction blows the budget immediately. *)
+   ~27 minor words per execution on the json subject and ~50 on tinyc
+   (dev profile, this test's campaign, every execution a cold
+   direct-style parse in the campaign's one context, reading interned
+   characters); each budget below has ~70% headroom, and what reading
+   input allocated before, a fresh character per position and a closure
+   and lists per token (json ~63, tinyc ~141), already fails it. If this trips, something started
+   allocating on the hot path — tracing on costs ~1800 words/exec more,
+   so even a single stray event construction blows the budget
+   immediately. *)
 
-let test_disabled_path_allocation () =
-  let subject = Catalog.find "json" in
+let disabled_path_words name =
+  let subject = Catalog.find name in
   let config = { Pfuzzer.default_config with max_executions = 2000 } in
   ignore (Pfuzzer.fuzz config subject) (* warm up *);
   let w0 = Gc.minor_words () in
   let result = Pfuzzer.fuzz config subject in
   let w1 = Gc.minor_words () in
-  let per_exec = (w1 -. w0) /. float_of_int result.executions in
-  if per_exec > 110.0 then
-    Alcotest.failf "disabled-path allocation: %.0f minor words/exec (budget 110)"
-      per_exec
+  (w1 -. w0) /. float_of_int result.executions
+
+let test_disabled_path_allocation () =
+  List.iter
+    (fun (name, budget) ->
+      let per_exec = disabled_path_words name in
+      if per_exec > budget then
+        Alcotest.failf "%s disabled-path allocation: %.0f minor words/exec (budget %.0f)"
+          name per_exec budget)
+    [ ("json", 46.0); ("tinyc", 85.0) ]
 
 (* {1 The candidate-generation span is free when telemetry is off}
 
@@ -550,22 +558,16 @@ let test_disabled_path_allocation () =
    no clock read, no event record, and — the part a timer on this noisy
    box can actually enforce deterministically — not one word of
    allocation. The budget has ~70% headroom over the measured disabled
-   path (expr, dev profile: ~59 minor words/exec, all of it the
-   campaign's own working set; ~149 with the staged continuation-passing
-   parser expr had before, which fails it); if it trips, a span site or
-   the candidate loop started allocating per replacement. *)
+   path (expr, dev profile: ~25 minor words/exec, all of it the
+   campaign's own working set; ~59 when each first read of a position
+   allocated its character, which fails it); if it trips, a span site
+   or the candidate loop started allocating per replacement. *)
 
 let test_disabled_gen_span_allocation () =
-  let subject = Catalog.find "expr" in
-  let config = { Pfuzzer.default_config with max_executions = 2000 } in
-  ignore (Pfuzzer.fuzz config subject) (* warm up *);
-  let w0 = Gc.minor_words () in
-  let result = Pfuzzer.fuzz config subject in
-  let w1 = Gc.minor_words () in
-  let per_exec = (w1 -. w0) /. float_of_int result.executions in
-  if per_exec > 100.0 then
+  let per_exec = disabled_path_words "expr" in
+  if per_exec > 43.0 then
     Alcotest.failf
-      "disabled-obs candidate generation: %.0f minor words/exec (budget 100)"
+      "disabled-obs candidate generation: %.0f minor words/exec (budget 43)"
       per_exec
 
 (* {1 Result timing fields} *)

@@ -105,6 +105,59 @@ let test_printable_alphabet () =
       ((c >= '\x20' && c <= '\x7e') || c = '\n' || c = '\t')
   done
 
+(* The first draws of several seeds, recorded when the generator kept
+   its state as a boxed [int64] field: a change of representation must
+   keep every stream, the exposed state word and the split streams. Per
+   seed: four [bits64] draws, the state after them, the first draw of a
+   child split off there, and three [int 1000] draws of the parent after
+   the split. *)
+let golden =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+        -537132696929009172L ],
+      8709371129873690708L, 5085904676777434204L, [ 186; 913; 228 ] );
+    ( 1,
+      [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L;
+        -846397198931878612L ],
+      -3499300195895282119L, -1147685784756221562L, [ 782; 240; 294 ] );
+    ( 3,
+      [ -3405980900428447358L; 8025981027033294737L; 7393699452849804004L;
+        -3227015326008685846L ],
+      -7552178323821029052L, -238392829861497548L, [ 123; 858; 14 ] );
+    ( 42,
+      [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+        885919558081284366L ],
+      2321553990214248054L, -6585662623018088301L, [ 115; 585; 986 ] );
+    ( 2019,
+      [ -1789226713155109777L; -205509540755430904L; 278896070679213573L;
+        -4531554848261340719L ],
+      -8870346640208125751L, -5324726681926921173L, [ 474; 454; 464 ] );
+    ( -1,
+      [ -6523613405836042406L; -5438901102636068674L; 5870046691785176337L;
+        527077646590785223L ],
+      3291635323040542159L, -7950595489705849638L, [ 921; 267; 583 ] );
+  ]
+
+let test_golden_draws () =
+  List.iter
+    (fun (seed, draws, state, child_draw, ints) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let r = Rng.make seed in
+      Alcotest.(check (list int64)) (name "bits64") draws
+        (List.init (List.length draws) (fun _ -> Rng.bits64 r));
+      Alcotest.(check int64) (name "state") state (Rng.state r);
+      let resumed = Rng.of_state (Rng.state r) in
+      let child = Rng.split r in
+      Alcotest.(check int64) (name "split child") child_draw (Rng.bits64 child);
+      Alcotest.(check (list int)) (name "int") ints
+        (List.init (List.length ints) (fun _ -> Rng.int r 1000));
+      (* A generator rebuilt from the state word continues the stream. *)
+      ignore (Rng.bits64 resumed);
+      Alcotest.(check (list int)) (name "of_state continues") ints
+        (List.init (List.length ints) (fun _ -> Rng.int resumed 1000)))
+    golden
+
 let () =
   Alcotest.run "rng"
     [
@@ -113,6 +166,7 @@ let () =
           qtest test_determinism;
           Alcotest.test_case "adjacent seeds differ" `Quick test_distinct_seeds;
           qtest test_copy;
+          Alcotest.test_case "golden draws" `Quick test_golden_draws;
         ] );
       ( "split",
         [

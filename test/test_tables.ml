@@ -7,6 +7,7 @@ module Charset = Pdf_util.Charset
 module Subject = Pdf_subjects.Subject
 module Runner = Pdf_instr.Runner
 module Rng = Pdf_util.Rng
+module Comparison = Pdf_instr.Comparison
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -265,6 +266,92 @@ let test_section_7_1_prediction () =
     true
     (guided >= 3 * max naive 1)
 
+(* {1 Pinned observations}
+
+   The driver's observations (verdict with its reject string, comparison
+   log, coverage, frame log) over a fixed input set, per table subject,
+   as digests. They were recorded from the driver that looked its frame
+   and cell sites up by key on every step and formatted its messages per
+   rejection, so resolving those once must reproduce them exactly. *)
+
+let kind_text = function
+  | Comparison.Char_eq c -> Printf.sprintf "eq %C" c
+  | Comparison.Char_range (lo, hi) -> Printf.sprintf "range %C %C" lo hi
+  | Comparison.Char_set (set, label) ->
+    Printf.sprintf "set %S %S" label (String.of_seq (List.to_seq (Charset.to_list set)))
+  | Comparison.Str_eq { expected; offset } -> Printf.sprintf "str %S %d" expected offset
+
+let observation_text (r : Runner.run) =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "%S %s %b %d\n" r.input
+    (Format.asprintf "%a" Runner.pp_verdict r.verdict)
+    r.eof_access r.max_depth;
+  Array.iter
+    (fun (c : Comparison.t) ->
+      Printf.bprintf b "c %d %d %s %b %d\n" c.trace_pos c.index (kind_text c.kind)
+        c.result c.stack_depth)
+    r.comparisons;
+  Array.iter (Printf.bprintf b "u %d\n") r.touched;
+  Array.iter (Printf.bprintf b "t %d\n") r.trace;
+  Array.iter
+    (function
+      | Pdf_instr.Frame.Enter { site; pos } ->
+        Printf.bprintf b "e %s %d\n" (Pdf_instr.Site.name site) pos
+      | Pdf_instr.Frame.Exit { pos } -> Printf.bprintf b "x %d\n" pos)
+    r.frames;
+  Buffer.contents b
+
+(* Hand-written inputs, then 80 seeded strings of up to ten pieces drawn
+   from an alphabet that reaches every table row. *)
+let pinned_inputs fixed alphabet =
+  let rng = Rng.make 30 in
+  let drawn =
+    List.init 80 (fun _ ->
+        String.concat "" (List.init (Rng.int rng 11) (fun _ -> Rng.choose rng alphabet)))
+  in
+  fixed @ drawn
+
+let expr_inputs =
+  pinned_inputs
+    [ ""; "1"; "+1"; "-12"; "1+2-3"; "(2-94)"; "((3))"; "("; "1)"; "()"; "1+"; "A"; "1 2" ]
+    [| "("; ")"; "+"; "-"; "0"; "7"; "42"; " "; "x" |]
+
+let json_inputs =
+  pinned_inputs
+    [ ""; "1"; "-2.5e3"; "[]"; "[1, 2]"; "{\"k\": true}"; "\"s\\n\""; "null"; "tru";
+      "{\"a\":[{},[false]]}"; "[1,]"; "1."; " 5 "; "\"\\u0041\""; "{"; "[1 2]" ]
+    [| "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "u"; "1"; "0"; "-"; "."; "e"; "+";
+       "true"; "fal"; "null"; " "; "x" |]
+
+let dyck_inputs =
+  pinned_inputs
+    [ ""; "()"; "([{<>}])"; "("; ")("; "[}"; "<<>>x" ]
+    [| "("; ")"; "["; "]"; "{"; "}"; "<"; ">"; "x" |]
+
+let dyck_subject = Driver.subject ~name:"table-dyck" ~description:"test" Grammars.dyck_table
+
+let pinned =
+  [
+    (Grammars.table_expr, expr_inputs, "08109e53a5d7d4b258322aef91b69782");
+    (Grammars.table_expr_naive, expr_inputs, "595ed56d278681b2d9b5680377accc2b");
+    (Grammars.table_json, json_inputs, "e1e2602b75047aece0c463d31430b06a");
+    (dyck_subject, dyck_inputs, "54d8541fe8d1c8f71ab60e01ca9a9f8e");
+  ]
+
+let test_pinned_observations () =
+  List.iter
+    (fun ((s : Subject.t), inputs, expected) ->
+      let text =
+        String.concat ""
+          (List.map
+             (fun input ->
+               observation_text (Subject.run ~track_trace:true ~track_frames:true s input))
+             inputs)
+      in
+      Alcotest.(check string) (s.name ^ " observation digest") expected
+        (Digest.to_hex (Digest.string text)))
+    pinned
+
 let () =
   Alcotest.run "pdf_tables"
     [
@@ -300,5 +387,6 @@ let () =
           Alcotest.test_case "section 7.1 prediction" `Quick test_section_7_1_prediction;
           qtest prop_driver_matches_recursive_descent;
           qtest prop_naive_driver_same_language;
+          Alcotest.test_case "observations pinned" `Quick test_pinned_observations;
         ] );
     ]

@@ -56,14 +56,16 @@ let test_tstring_basics () =
   check Alcotest.string "to_string" "abc" (Tstring.to_string s);
   Alcotest.(check bool) "constant string has no taint" true
     (Taint.is_empty (Tstring.taint s));
-  let t = Tstring.of_chars [ Tchar.input 0 'h'; Tchar.input 1 'i' ] in
-  check Alcotest.string "of_chars payload" "hi" (Tstring.to_string t);
+  let t = Tstring.of_input "hi" 0 2 in
+  check Alcotest.string "of_input payload" "hi" (Tstring.to_string t);
   check Alcotest.(list int) "taint union" [ 0; 1 ] (Taint.to_list (Tstring.taint t));
   check Alcotest.(list int) "per-char taint" [ 1 ]
     (Taint.to_list (Tstring.taint_of_char t 1))
 
 let test_tstring_ops () =
-  let t = Tstring.of_chars [ Tchar.input 4 'x'; Tchar.input 5 'y' ] in
+  let t = Tstring.of_input "----xy" 4 2 in
+  check Alcotest.(list int) "of_input taints from pos" [ 4; 5 ]
+    (Taint.to_list (Tstring.taint t));
   let t2 = Tstring.append_char t (Tchar.input 6 'z') in
   check Alcotest.string "append" "xyz" (Tstring.to_string t2);
   check Alcotest.int "append leaves original" 2 (Tstring.length t);
@@ -87,8 +89,11 @@ let prop_tstring_taint_union =
   QCheck.Test.make ~name:"string taint is the union of char taints" ~count:300
     QCheck.(small_list small_nat)
     (fun idxs ->
-      let chars = List.map (fun i -> Tchar.input i 'a') idxs in
-      let s = Tstring.of_chars chars in
+      let s =
+        List.fold_left
+          (fun s i -> Tstring.append_char s (Tchar.input i 'a'))
+          Tstring.empty idxs
+      in
       Taint.to_list (Tstring.taint s) = List.sort_uniq compare idxs)
 
 let () =
