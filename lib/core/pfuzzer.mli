@@ -30,7 +30,8 @@ type cache_stats = {
 }
 (** The accounting of the prefix-snapshot cache that earlier builds ran
     in the loop. The fuzzer has no cache now, so every field is zero; the
-    record stays because the campaign benchmark still reads it. *)
+    record stays because the campaign benchmark still reads it, and
+    goes with [Runner]'s engine stubs (ROADMAP item 1). *)
 
 val no_cache_stats : cache_stats
 (** All-zero stats: what every result reports. *)

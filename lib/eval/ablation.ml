@@ -282,7 +282,9 @@ let pipeline ppf ~budget_units =
 
    The one wall-clock table: one json input parsed with full
    instrumentation, with coverage only, and by the subject's plain
-   oracle scanner, each the median of [rounds] timed loops. *)
+   oracle scanner, each the median of [rounds] timed loops. The two
+   instrumented rows time [Subject.run], a fresh context and an owned
+   copy of the run per parse, not a campaign's reused context. *)
 
 let overhead ppf =
   Render.section ppf "B1: instrumentation overhead (Section 4)";

@@ -77,6 +77,6 @@ let subject plan (s : Subject.t) =
         spin n;
         s.parse ctx)
   in
-  { s with machine = None; parse }
+  { s with parse }
 
 let triggered plan = List.rev plan.triggered_rev

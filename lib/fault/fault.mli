@@ -43,8 +43,7 @@ val subject : plan -> Pdf_subjects.Subject.t -> Pdf_subjects.Subject.t
 (** [subject plan s] is [s] whose parse counts its calls from 0 and
     degrades call [i] by the fault planned for [i], recording it in
     {!triggered}. Unplanned calls parse as [s] does, so with an empty
-    plan every run equals the bare subject's. The wrapper has no
-    machine form, since a step-wise parse would skip its faults. *)
+    plan every run equals the bare subject's. *)
 
 val triggered : plan -> (int * kind) list
 (** Faults that actually fired, in firing order. *)

@@ -31,10 +31,8 @@ type t = {
   track_trace : bool;
   track_frames : bool;
   frames : Frame.event Vec.t;
-  budget : int; (* the fuel a reset restores *)
+  budget : int; (* the fuel a run starts with, restored by a reset *)
 }
-
-let dummy_frame = Frame.Exit { pos = 0 }
 
 let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     ?(track_trace = false) ?(track_frames = false) text =
@@ -57,7 +55,7 @@ let make ~registry ?(fuel = 100_000) ?(track_comparisons = true)
     track_comparisons;
     track_trace;
     track_frames;
-    frames = Vec.create dummy_frame;
+    frames = Vec.create (Frame.Exit { pos = 0 });
   }
 
 (* Undo one run's recording for the next input. The presence map is
@@ -84,81 +82,6 @@ let reset t text =
   t.stack <- 0;
   t.max_stack <- 0;
   t.fuel <- t.budget
-
-(* {2 Snapshot marks}
-
-   A mark is the O(1) part of a suspension point: watermarks into the
-   append-only recording buffers plus the scalar run state. Taken
-   together with the (immutable) buffer prefixes below the watermarks it
-   determines the full observation state of the run at that instant —
-   the buffers only ever grow, so the prefixes survive unmodified until
-   the end of the run and can be shared, not copied, when a snapshot is
-   materialised. *)
-type mark = {
-  m_comparisons : int;
-  m_touched : int;
-  m_trace : int;
-  m_frames : int;
-  m_stack : int;
-  m_max_stack : int;
-  m_fuel : int;
-  m_eof_access : bool;
-}
-
-let mark t =
-  {
-    m_comparisons = t.n_comparisons;
-    m_touched = Vec.length t.touched;
-    m_trace = Vec.length t.trace;
-    m_frames = Vec.length t.frames;
-    m_stack = t.stack;
-    m_max_stack = t.max_stack;
-    m_fuel = t.fuel;
-    m_eof_access = t.eof_access;
-  }
-
-(* Rebuild a context mid-parse from a snapshot: the outcome and frame
-   buffers are borrowed prefixes of the parent run's packaged arrays
-   (copy-on-write via {!Vec.of_prefix}), the comparison records below
-   the mark are copied into fresh columns, and the dense coverage
-   presence map is reconstructed from the touched prefix — O(events
-   and distinct outcomes recorded in the prefix). *)
-let restore ~registry ~(mark : mark) ~cursor ~comparisons ~touched ~trace
-    ~frames ?(track_comparisons = true) ?(track_trace = false)
-    ?(track_frames = false) text =
-  let covered = Bytes.make (2 * Site.site_count registry) '\000' in
-  for i = 0 to mark.m_touched - 1 do
-    Bytes.unsafe_set covered (Array.unsafe_get touched i) '\001'
-  done;
-  let n = mark.m_comparisons in
-  let columns = Comparison.columns n in
-  for i = 0 to n - 1 do
-    let c : Comparison.t = comparisons.(i) in
-    columns.indices.(i) <- c.index;
-    columns.trace_positions.(i) <- c.trace_pos;
-    columns.depths.(i) <- c.stack_depth;
-    columns.results.(i) <- c.result;
-    columns.kinds.(i) <- c.kind
-  done;
-  {
-    registry;
-    text;
-    cursor;
-    eof_access = mark.m_eof_access;
-    comparisons = columns;
-    n_comparisons = n;
-    covered;
-    touched = Vec.of_prefix touched ~len:mark.m_touched 0;
-    trace = Vec.of_prefix trace ~len:mark.m_trace 0;
-    stack = mark.m_stack;
-    max_stack = mark.m_max_stack;
-    fuel = mark.m_fuel;
-    budget = mark.m_fuel;
-    track_comparisons;
-    track_trace;
-    track_frames;
-    frames = Vec.of_prefix frames ~len:mark.m_frames dummy_frame;
-  }
 
 let[@inline] pos t = t.cursor
 let input t = t.text

@@ -6,7 +6,11 @@
     [Ctx.t -> unit] that read through {!peek}/{!next}, record coverage
     through {!cover}/{!branch}/{!frame}, compare input-derived data
     through the tracked comparison operations, and signal invalid input
-    with {!reject}. *)
+    with {!reject}.
+
+    Every run parses its whole input from a clean state. A context
+    serves one run ({!make}, then read it), or every run of a campaign
+    ({!reset} before each); the two observe the same. *)
 
 type t
 
@@ -43,54 +47,7 @@ val reset : t -> string -> unit
     at 0, the fuel back to its budget and no EOF access. The buffers
     keep their capacity, so a context reused for a whole campaign
     allocates nothing per run once they have grown. The
-    previous run's observations are gone: read or copy them first. A
-    context from {!restore} resets to the fuel it was restored with. *)
-
-(** {1 Snapshot marks}
-
-    Support for suspending a run at a read boundary and resuming it —
-    against a different input sharing the prefix — from an equivalent
-    context. Used by {!Runner}'s incremental execution engine. *)
-
-type mark = {
-  m_comparisons : int;  (** comparison events recorded so far *)
-  m_touched : int;  (** distinct outcomes covered so far *)
-  m_trace : int;  (** trace entries recorded so far *)
-  m_frames : int;  (** frame events recorded so far *)
-  m_stack : int;
-  m_max_stack : int;
-  m_fuel : int;  (** fuel remaining *)
-  m_eof_access : bool;
-}
-(** O(1) summary of the observation state at a suspension point:
-    watermarks into the append-only recording buffers plus scalar run
-    state. Combined with the buffer prefixes below the watermarks it
-    fully determines the context at that instant. *)
-
-val mark : t -> mark
-
-val restore :
-  registry:Site.registry ->
-  mark:mark ->
-  cursor:int ->
-  comparisons:Comparison.t array ->
-  touched:int array ->
-  trace:int array ->
-  frames:Frame.event array ->
-  ?track_comparisons:bool ->
-  ?track_trace:bool ->
-  ?track_frames:bool ->
-  string ->
-  t
-(** [restore ~registry ~mark ~cursor ~comparisons … text] is a context
-    for input [text] whose observation state equals the state the parent
-    run had when [mark] was taken: the comparison records below the
-    mark's watermark are copied into the context's columns, the other
-    recording buffers are borrowed (copy-on-write) prefixes of the given
-    arrays, cut at the mark's watermarks, and the coverage presence map
-    is rebuilt from the touched prefix. The arrays must come from a run
-    over the same registry and must not be mutated afterwards. Cost:
-    O(comparisons and outcomes recorded in the prefix). *)
+    previous run's observations are gone: read or copy them first. *)
 
 (** {1 Input access} *)
 

@@ -1,13 +1,11 @@
-module Vec = Pdf_util.Vec
-
 type crash = { exn : string; site : int; detail : string }
 type verdict = Accepted | Rejected of string | Hang | Crash of crash
 
 (* First-occurrence order of outcomes: a compact path identity that is
    insensitive to loop iteration counts ("non-duplicate branches"), over
    the first [n] entries of a touched buffer. Shared by {!path_hash},
-   the view's path hash and the crash-site hash, so a crash keeps the
-   same identity whether reached by full execution or a cache resume. *)
+   the view's path hash and the crash-site hash, so a packaged run and
+   a view of the same execution hash alike. *)
 let fnv_touched touched n =
   let h = ref 0x811c9dc5 in
   for i = 0 to n - 1 do
@@ -65,281 +63,10 @@ let exec ~registry ~parse ?fuel ?track_comparisons ?track_trace ?track_frames
   let verdict = run_in ctx ~parse in
   package ctx verdict
 
-(* {1 Incremental (journaled) execution}
-
-   A machine-form subject reads the input only through explicit
-   {!Machine.step}s, so the driver can observe every read boundary — the
-   instant the parser is about to look at input position [p] for the
-   first time. At each boundary it journals the pending step together
-   with an O(1) {!Ctx.mark}. Because the context's recording buffers are
-   append-only, the buffer prefixes below a mark's watermarks are still
-   intact when the run finishes; materialising a snapshot is therefore
-   just pairing the journaled step/mark with the run's packaged arrays —
-   no copying. Resuming builds a context via {!Ctx.restore}
-   (copy-on-write buffer prefixes) and drives the saved step against it. *)
-
-type boundary = { b_pos : int; b_step : Machine.step; b_mark : Ctx.mark }
-
-type journal = {
-  j_registry : Site.registry;
-  j_track_comparisons : bool;
-  j_track_trace : bool;
-  j_track_frames : bool;
-  j_boundaries : boundary array;  (* sorted by strictly increasing b_pos *)
-  j_run : run;
-}
-
-type snapshot = {
-  s_pos : int;
-  s_step : Machine.step;
-  s_mark : Ctx.mark;
-  s_registry : Site.registry;
-  s_track_comparisons : bool;
-  s_track_trace : bool;
-  s_track_frames : bool;
-  s_comparisons : Comparison.t array;
-  s_touched : int array;
-  s_trace : int array;
-  s_frames : Frame.event array;
-}
-
-let snapshot_pos s = s.s_pos
-
-let dummy_mark =
-  {
-    Ctx.m_comparisons = 0;
-    m_touched = 0;
-    m_trace = 0;
-    m_frames = 0;
-    m_stack = 0;
-    m_max_stack = 0;
-    m_fuel = 0;
-    m_eof_access = false;
-  }
-
-let dummy_boundary = { b_pos = 0; b_step = Machine.Done; b_mark = dummy_mark }
-
-(* Drive [step0] to completion, journaling the pending step at every
-   position >= [first_boundary] just before it is first observed. The
-   cursor only ever advances one position per [Next], so positions are
-   read in dense increasing order and "first read at [p]" is exactly the
-   read step encountered when [p] passes the high-water mark. *)
-let drive_journaled ctx step0 ~journal ~first_boundary =
-  let next_boundary = ref first_boundary in
-  let note step =
-    let p = Ctx.pos ctx in
-    if p >= !next_boundary then begin
-      Vec.push journal { b_pos = p; b_step = step; b_mark = Ctx.mark ctx };
-      next_boundary := p + 1
-    end
-  in
-  let rec loop step =
-    match step with
-    | Machine.Done -> ()
-    | Machine.Peek k ->
-      note step;
-      loop (k (Ctx.peek ctx) ctx)
-    | Machine.Next k ->
-      note step;
-      loop (k (Ctx.next ctx) ctx)
-  in
-  loop step0
-
-let exec_machine ~registry ~(machine : Machine.recognizer) ?(fuel = 100_000)
-    ?(track_comparisons = true) ?(track_trace = false) ?(track_frames = false)
-    input =
-  let ctx =
-    Ctx.make ~registry ~fuel ~track_comparisons ~track_trace ~track_frames input
-  in
-  let journal = Vec.create dummy_boundary in
-  let verdict =
-    match drive_journaled ctx (machine ctx) ~journal ~first_boundary:0 with
-    | () -> Accepted
-    | exception Ctx.Reject reason -> Rejected reason
-    | exception Ctx.Out_of_fuel -> Hang
-    | exception e -> Crash (crash_of ctx e)
-  in
-  let run = package ctx verdict in
-  ( run,
-    {
-      j_registry = registry;
-      j_track_comparisons = track_comparisons;
-      j_track_trace = track_trace;
-      j_track_frames = track_frames;
-      j_boundaries = Vec.to_array journal;
-      j_run = run;
-    } )
-
-let snapshot_at j pos =
-  let bs = j.j_boundaries in
-  (* Binary search: positions are strictly increasing. *)
-  let rec find lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let b = Array.unsafe_get bs mid in
-      if b.b_pos = pos then Some b
-      else if b.b_pos < pos then find (mid + 1) hi
-      else find lo mid
-  in
-  match find 0 (Array.length bs) with
-  | None -> None
-  | Some b ->
-    Some
-      {
-        s_pos = b.b_pos;
-        s_step = b.b_step;
-        s_mark = b.b_mark;
-        s_registry = j.j_registry;
-        s_track_comparisons = j.j_track_comparisons;
-        s_track_trace = j.j_track_trace;
-        s_track_frames = j.j_track_frames;
-        s_comparisons = j.j_run.comparisons;
-        s_touched = j.j_run.touched;
-        s_trace = j.j_run.trace;
-        s_frames = j.j_run.frames;
-      }
-
-let resume (snap : snapshot) input =
-  if String.length input < snap.s_pos then
-    invalid_arg "Runner.resume: input shorter than the snapshot's prefix";
-  let ctx =
-    Ctx.restore ~registry:snap.s_registry ~mark:snap.s_mark ~cursor:snap.s_pos
-      ~comparisons:snap.s_comparisons ~touched:snap.s_touched
-      ~trace:snap.s_trace ~frames:snap.s_frames
-      ~track_comparisons:snap.s_track_comparisons
-      ~track_trace:snap.s_track_trace ~track_frames:snap.s_track_frames input
-  in
-  let journal = Vec.create dummy_boundary in
-  let verdict =
-    (* The pending step reads position [s_pos], whose prefix is already
-       cached under the key that found this snapshot — journal only the
-       positions beyond it. *)
-    match
-      drive_journaled ctx snap.s_step ~journal ~first_boundary:(snap.s_pos + 1)
-    with
-    | () -> Accepted
-    | exception Ctx.Reject reason -> Rejected reason
-    | exception Ctx.Out_of_fuel -> Hang
-    | exception e -> Crash (crash_of ctx e)
-  in
-  let run = package ctx verdict in
-  ( run,
-    {
-      j_registry = snap.s_registry;
-      j_track_comparisons = snap.s_track_comparisons;
-      j_track_trace = snap.s_track_trace;
-      j_track_frames = snap.s_track_frames;
-      j_boundaries = Vec.to_array journal;
-      j_run = run;
-    } )
-
-(* {1 Direct-mapped prefix cache}
-
-   Keys are input prefixes, but the hot-path lookup is always "the first
-   [len] characters of this input" — and materialising that prefix as a
-   string per execution was two of the fuzzer's three per-exec
-   allocations. So entries are found by an FNV-1a hash computed over the
-   range in place ({!Pdf_util.Fnv}) and verified by in-place character
-   comparison against the (string, len) pair. Full-string [find] is the
-   prefix variant at [len = length key].
-
-   A prefix lives only in the slot its hash selects, [hash land mask],
-   in parallel key, hash and snapshot arrays allocated once. A store
-   into an occupied slot replaces the resident entry, so a lookup or a
-   store touches one slot, and nothing but the counters is kept beside
-   the entries. A hit returns the stored [Some]. *)
-
-module Cache = struct
-  module Fnv = Pdf_util.Fnv
-
-  type stats = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-    mutable chars_saved : int;
-  }
-
-  type t = {
-    keys : string array;
-    hashes : int array;  (* Fnv.prefix of the key; -1 marks an empty slot *)
-    snaps : snapshot option array;
-    mask : int;
-    mutable count : int;
-    stats : stats;
-  }
-
-  let create ?(bound = 8192) () =
-    (* The largest power of two within [bound], so a slot is the hash's
-       low bits. *)
-    let slots = ref 1 in
-    while 2 * !slots <= bound do
-      slots := 2 * !slots
-    done;
-    {
-      keys = Array.make !slots "";
-      hashes = Array.make !slots (-1);
-      snaps = Array.make !slots None;
-      mask = !slots - 1;
-      count = 0;
-      stats = { hits = 0; misses = 0; evictions = 0; chars_saved = 0 };
-    }
-
-  let stats t = t.stats
-  let length t = t.count
-
-  (* Does [k] equal the first [len] characters of [s]? *)
-  let key_matches k s len =
-    String.length k = len
-    &&
-    (* [while] over a ref rather than a local [let rec]: the probe runs
-       on every lookup, and the captured-variable closure would be
-       allocated each time. *)
-    let i = ref 0 in
-    while !i < len && String.unsafe_get k !i = String.unsafe_get s !i do
-      incr i
-    done;
-    !i >= len
-
-  (* Does slot [i], selected by hash [h], hold the first [len]
-     characters of [s]? FNV hashes are non-negative, so an empty slot
-     never matches. *)
-  let holds t i h s len =
-    Array.unsafe_get t.hashes i = h && key_matches (Array.unsafe_get t.keys i) s len
-
-  (* No counter traffic: the fuzzer probes before a store so that an
-     already-cached prefix is never materialised as a string. *)
-  let mem_prefix t s ~len =
-    let h = Fnv.prefix s len in
-    holds t (h land t.mask) h s len
-
-  let find_prefix t s ~len =
-    let h = Fnv.prefix s len in
-    let i = h land t.mask in
-    if holds t i h s len then begin
-      t.stats.hits <- t.stats.hits + 1;
-      t.stats.chars_saved <- t.stats.chars_saved + len;
-      Array.unsafe_get t.snaps i
-    end
-    else begin
-      t.stats.misses <- t.stats.misses + 1;
-      None
-    end
-
-  let find t key = find_prefix t key ~len:(String.length key)
-
-  let store t key snap =
-    let len = String.length key in
-    let h = Fnv.prefix key len in
-    let i = h land t.mask in
-    if not (holds t i h key len) then begin
-      if t.hashes.(i) < 0 then t.count <- t.count + 1
-      else t.stats.evictions <- t.stats.evictions + 1;
-      t.keys.(i) <- key;
-      t.hashes.(i) <- h;
-      t.snaps.(i) <- Some snap
-    end
-end
+type journal = |  (* uninhabited stubs: see runner.mli *)
+type snapshot = |
+let snapshot_at (j : journal) _ = match j with _ -> .
+let resume (s : snapshot) _ = match s with _ -> .
 
 let accepted run = match run.verdict with Accepted -> true | _ -> false
 

@@ -1,8 +1,12 @@
 (** Running a subject parser on one input and packaging the observations.
 
-    This is the harness boundary every fuzzer goes through: one call to
-    {!exec} corresponds to one execution of the instrumented program in
-    the paper (exit status, comparison log, coverage, trace, EOF flag). *)
+    This is the harness boundary every fuzzer goes through. One
+    execution of the instrumented program in the paper (exit status,
+    comparison log, coverage, trace, EOF flag) is one cold parse of the
+    whole input: {!exec} runs it in a fresh context and packages an
+    owned {!run}, and a campaign reruns one context ({!Ctx.reset}, then
+    {!run_in}) and reads it in place through a {!View}. No execution
+    starts from another's state. *)
 
 type crash = {
   exn : string;
@@ -12,8 +16,8 @@ type crash = {
       (** FNV-1a hash of the run's first-occurrence outcome sequence at
           the moment of the crash — a callsite identity that
           distinguishes the same exception raised from different places
-          in the subject, and is stable between full and resumed
-          executions of the same input *)
+          in the subject, and is the same on every execution of the
+          same input *)
   detail : string;  (** [Printexc.to_string] of the exception *)
 }
 (** Identity of a subject crash. Two crashes with equal [(exn, site)]
@@ -86,124 +90,15 @@ val accepted : run -> bool
 val crash_id : crash -> string
 (** ["<exn>@<site-hex>"] — the dedup key as a printable label. *)
 
-(** {1 Incremental execution}
+(** {1 Retired snapshot/resume engine}
 
-    A machine-form subject ({!Machine.recognizer}) can be executed with a
-    journal of its read boundaries. Each boundary can be materialised into
-    a {!snapshot} — the parser's pending step plus the observation state
-    accumulated over the prefix — and a snapshot can be {!resume}d
-    against any input that extends the same prefix, producing a run
-    bit-identical to full re-execution while only executing the suffix.
-
-    The fuzzer does not use this engine: every execution of a campaign
-    is a cold parse in one reused context, which outruns a resume on
-    every subject, and every subject parses in direct style, so none
-    has a machine form to journal. The engine stays because the
-    campaign benchmark ([perfbench/main.ml]) names it: its traced run
-    times a snapshot and a resume per replayed execution of a subject
-    with a machine form. [test_instr] runs it on a test-local
-    recognizer, which also keeps {!Ctx.restore} honest.
-
-    Materialising a snapshot shares the run's packaged arrays (no
-    copy); {!resume} copies the comparison records below the boundary
-    into the new context's columns, borrows the other buffers
-    copy-on-write, and rebuilds the dense coverage presence map from
-    the touched prefix. *)
+    Uninhabited stubs that the campaign benchmark still names, on a
+    branch no subject can take (ROADMAP item 1 removes them). *)
 
 type journal
-(** Read-boundary journal of one journaled execution. *)
-
 type snapshot
-(** A suspended parse: everything needed to continue a run from the
-    first observation of input position {!snapshot_pos} under a new
-    suffix. Immutable and multi-shot — one snapshot can serve any number
-    of children sharing the prefix. *)
-
-val exec_machine :
-  registry:Site.registry ->
-  machine:Machine.recognizer ->
-  ?fuel:int ->
-  ?track_comparisons:bool ->
-  ?track_trace:bool ->
-  ?track_frames:bool ->
-  string ->
-  run * journal
-(** Run a machine-form subject, journaling every read boundary. The
-    [run] is identical to what {!exec} would produce over a parse that
-    answers each [Peek] with {!Ctx.peek} and each [Next] with
-    {!Ctx.next} — including the crash-containment contract: a raising
-    continuation yields a [Crash] run (journaled up to the last
-    boundary before the raise), never an escaped exception; defaults
-    match {!Ctx.make}. *)
-
 val snapshot_at : journal -> int -> snapshot option
-(** [snapshot_at journal p] is the suspension at the first read of input
-    position [p] — the state after the parser observed exactly positions
-    [0..p-1] — or [None] if the run never read position [p] (it rejected
-    or accepted earlier, or [p] lies below a resumed run's own start).
-    O(log boundaries), no copying. *)
-
-val snapshot_pos : snapshot -> int
-(** Length of the input prefix the snapshot depends on. *)
-
 val resume : snapshot -> string -> run * journal
-(** [resume snap input] continues the suspended parse on [input], which
-    must extend the snapshot's prefix: [String.length input >=
-    snapshot_pos snap] (checked) and the first [snapshot_pos snap]
-    characters equal to the parent's (the caller's responsibility — the
-    prefix cache guarantees it by keying on the prefix). The resulting
-    run (verdict, comparisons, coverage, trace, touched, path identity)
-    is bit-identical to a full execution of [input]. The returned
-    journal covers the newly executed suffix, so children of the child
-    can be snapshotted in turn. *)
-
-(** {1 Direct-mapped prefix cache}
-
-    Maps a prefix string to the snapshot suspended at its end
-    (snapshots are registry-specific); a fixed table in which each
-    prefix has exactly one slot, its {!Pdf_util.Fnv} hash modulo the
-    slot count, with accounting counters. Nothing in the library uses
-    it any more; it stays while the campaign benchmark names it. *)
-
-module Cache : sig
-  type t
-
-  type stats = {
-    mutable hits : int;
-    mutable misses : int;  (** lookups that found nothing *)
-    mutable evictions : int;  (** stores that replaced a resident entry *)
-    mutable chars_saved : int;
-        (** total prefix characters whose re-execution a hit avoided *)
-  }
-
-  val create : ?bound:int -> unit -> t
-  (** [bound] (default 8192) caps the number of cached prefixes: the
-      table has the largest power of two of slots within it (one slot
-      when [bound < 2]). *)
-
-  val find : t -> string -> snapshot option
-  (** Lookup by exact prefix; updates the hit/miss/saved counters. *)
-
-  val find_prefix : t -> string -> len:int -> snapshot option
-  (** [find_prefix t s ~len] is [find t (String.sub s 0 len)] without
-      allocating the substring: the prefix is hashed in place and the
-      resident entry verified by in-place comparison. *)
-
-  val mem_prefix : t -> string -> len:int -> bool
-  (** Is the first [len] characters of [s] cached? Allocation-free, and
-      with no counter side effects, so a caller can probe before
-      materialising a prefix for {!store}. *)
-
-  val store : t -> string -> snapshot -> unit
-  (** Insert into the prefix's slot. An entry for another prefix there
-      is replaced, which counts as an eviction; an existing entry for
-      the same prefix is kept (first-in wins — the snapshots are
-      equivalent by construction). *)
-
-  val stats : t -> stats
-  val length : t -> int
-  (** Occupied slots. *)
-end
 
 (** {1 Derived observations used by the search}
 

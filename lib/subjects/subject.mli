@@ -3,20 +3,18 @@
     A subject bundles everything the fuzzers and the evaluation need: the
     instrumented parser, its site registry (coverage denominator), its
     token inventory and an oracle tokenizer that maps a {e valid} input to
-    the set of token tags it contains. *)
+    the set of token tags it contains. Every execution is one call of
+    [parse] on the whole input. *)
+
+type machine
+(** Uninhabited: see {!Pdf_instr.Runner.snapshot}. *)
 
 type t = {
   name : string;
   description : string;
   registry : Pdf_instr.Site.registry;
   parse : Pdf_instr.Ctx.t -> unit;
-  machine : Pdf_instr.Machine.recognizer option;
-      (** step-wise form of [parse], for the journaled snapshot/resume
-          engine of {!Pdf_instr.Runner}; it must recognize exactly the
-          same language with the same observations. The fuzzer runs
-          only [parse], and no catalog subject has a step-wise form:
-          every one is [None]. The field stays while the campaign
-          benchmark's traced run reads it. *)
+  machine : machine option;  (** always [None] *)
   fuel : int;  (** per-run fuel budget (interpreting subjects hang) *)
   tokens : Token.t list;
   tokenize : string -> string list;
@@ -36,12 +34,7 @@ val run :
     it; the pFuzzer search does not). *)
 
 val exec_journaled :
-  ?track_comparisons:bool -> ?track_trace:bool -> ?track_frames:bool ->
-  t -> Pdf_instr.Machine.recognizer -> string ->
-  Pdf_instr.Runner.run * Pdf_instr.Runner.journal
-(** Execute a machine-form subject with read-boundary journaling, for
-    snapshot/resume execution; see {!Pdf_instr.Runner}. Pass the
-    subject's own [machine]. No catalog subject has one; the campaign
-    benchmark's traced run calls this only for a subject that does. *)
+  t -> machine -> string -> Pdf_instr.Runner.run * Pdf_instr.Runner.journal
+(** Cannot run: see {!machine}. *)
 
 val accepts : t -> string -> bool

@@ -13,8 +13,8 @@ let prime = 0x0100_0193
 
 (* Resume a hash over [s[0..len)], as if the two ranges had been
    concatenated: [extend (prefix a n) b k] equals
-   [string (String.sub a 0 n ^ String.sub b 0 k)] without building
-   either. *)
+   [prefix (String.sub a 0 n ^ String.sub b 0 k) (n + k)] without
+   building either. *)
 let extend h s len =
   let r = ref h in
   for i = 0 to len - 1 do
@@ -23,5 +23,3 @@ let extend h s len =
   !r
 
 let prefix s len = extend offset_basis s len
-
-let string s = prefix s (String.length s)

@@ -1,38 +1,20 @@
-(* [cap] is the writable capacity. For vectors that own their backing
-   array it equals [Array.length data]; for borrowed vectors (see
-   [of_prefix]) it is -1, so the very first push routes through [grow]
-   and copies the shared prefix into owned storage — copy-on-write with
-   no extra test on the push hot path — and [clear] can tell a borrowed
-   array from a full owned one. *)
-type 'a t = {
-  mutable data : 'a array;
-  mutable len : int;
-  mutable cap : int;
-  dummy : 'a;
-}
+type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
 let create ?(capacity = 0) dummy =
   let data = if capacity <= 0 then [||] else Array.make capacity dummy in
-  { data; len = 0; cap = Array.length data; dummy }
-
-let of_prefix arr ~len dummy =
-  if len < 0 || len > Array.length arr then invalid_arg "Vec.of_prefix";
-  (* cap = -1 marks the backing array as shared: it is never written. *)
-  { data = arr; len; cap = -1; dummy }
+  { data; len = 0; dummy }
 
 let[@inline] length t = t.len
 
 let grow t =
-  let ncap = if t.len = 0 then 16 else 2 * t.len in
-  let ndata = Array.make ncap t.dummy in
+  let ndata = Array.make (if t.len = 0 then 16 else 2 * t.len) t.dummy in
   Array.blit t.data 0 ndata 0 t.len;
-  t.data <- ndata;
-  t.cap <- ncap
+  t.data <- ndata
 
 let[@inline] push t x =
-  if t.len >= t.cap then grow t;
-  (* len < cap <= Array.length data after the grow check, so the store
-     needs no bound check of its own. *)
+  if t.len >= Array.length t.data then grow t;
+  (* len < Array.length data after the grow check, so the store needs
+     no bound check of its own. *)
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
@@ -41,18 +23,11 @@ let[@inline] get t i =
   t.data.(i)
 
 (* Vacated slots get the dummy back, so a cleared vector keeps no dead
-   value alive. A borrowed vector has nothing of its own to clear; it
-   drops the borrowed prefix, and its next push allocates. *)
+   value alive. *)
 let clear t =
-  if t.cap >= 0 then Array.fill t.data 0 t.len t.dummy
-  else begin
-    t.data <- [||];
-    t.cap <- 0
-  end;
+  Array.fill t.data 0 t.len t.dummy;
   t.len <- 0
 
-(* A borrowed vector keeps [cap = -1], so its next push still copies
-   into owned storage and the borrowed array stays unwritten. *)
 let clear_ints (t : int t) = t.len <- 0
 
 let[@inline] backing t = t.data

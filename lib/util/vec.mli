@@ -1,25 +1,18 @@
 (** Growable arrays (amortised O(1) push).
 
-    The allocation-free backing store of the execution hot path: traces,
-    comparison logs and frame logs are appended here instead of being
-    consed onto reversed lists. A vector is created with a [dummy]
-    element used to fill unoccupied capacity, which keeps the
-    implementation free of [Obj.magic] and keeps vacated slots from
-    retaining dead values. *)
+    The allocation-free backing store of the execution hot path: a
+    context's touched outcomes, trace and frame log are appended here
+    instead of being consed onto reversed lists. Every vector owns its
+    backing array, which only {!backing} lends out, for reading. A
+    vector is created with a [dummy] element used to fill unoccupied
+    capacity, which keeps the implementation free of [Obj.magic] and
+    keeps vacated slots from retaining dead values. *)
 
 type 'a t
 
 val create : ?capacity:int -> 'a -> 'a t
 (** [create dummy] is an empty vector. [dummy] fills unused slots; it is
     never returned by accessors. *)
-
-val of_prefix : 'a array -> len:int -> 'a -> 'a t
-(** [of_prefix arr ~len dummy] is a vector whose first [len] elements are
-    shared with [arr] — no copy is made. The borrowed array is never
-    written: the first {!push} copies the prefix into owned storage
-    (copy-on-write). The caller must not mutate [arr.(0..len-1)] while
-    the vector is live. Raises [Invalid_argument] if [len] is out of
-    bounds. *)
 
 val length : 'a t -> int
 
@@ -32,14 +25,11 @@ val get : 'a t -> int -> 'a
 
 val clear : 'a t -> unit
 (** Empty the vector and keep its capacity, so refilling it allocates
-    nothing until it outgrows its longest fill. A borrowed vector (see
-    {!of_prefix}) drops the borrowed prefix instead; the array it
-    borrowed is never written. *)
+    nothing until it outgrows its longest fill. *)
 
 val clear_ints : int t -> unit
 (** {!clear} for an int vector, by its length alone: an int slot keeps
-    nothing alive, so the vacated slots are not refilled. A borrowed
-    vector's array is still never written. *)
+    nothing alive, so the vacated slots are not refilled. *)
 
 val backing : 'a t -> 'a array
 (** The backing array itself, not a copy: its first [length t] elements

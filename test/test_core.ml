@@ -399,8 +399,7 @@ let test_fault_plan_starvation_hangs () =
   Alcotest.(check int) "no crashes" 0 r.crash_total;
   Alcotest.(check int) "campaign ran to its budget" 200 r.executions
 
-(* With no fault planned, the wrapped subject is the bare one, down to
-   the wrapper dropping the machine form, which no campaign reads. *)
+(* With no fault planned, the wrapped subject is the bare one. *)
 let test_empty_fault_plan_is_bare () =
   List.iter
     (fun name ->
@@ -408,15 +407,51 @@ let test_empty_fault_plan_is_bare () =
       let config = { Pfuzzer.default_config with max_executions = 2000 } in
       let wrapped = Fault.subject (Fault.of_list []) subject in
       Alcotest.(check bool)
-        (name ^ ": wrapper drops the machine form")
-        true (wrapped.Subject.machine = None);
-      Alcotest.(check bool)
         (name ^ ": empty plan = bare subject")
         true
         (Pdf_check.Invariants.results_equal
            (Pfuzzer.fuzz config subject)
            (Pfuzzer.fuzz config wrapped)))
     [ "json"; "tinyc" ]
+
+(* The wrapper replaces the parse and nothing else, and the parse it
+   puts in faults the planned calls only: the others observe exactly
+   what the bare subject does. *)
+let test_fault_wrapper_replaces_parse_only () =
+  List.iter
+    (fun (s : Subject.t) ->
+      let plan = Fault.of_list [ (1, Fault.Raise "planned"); (3, Fault.Starve_fuel) ] in
+      let w = Fault.subject plan s in
+      Alcotest.(check bool)
+        (s.name ^ ": other fields shared")
+        true
+        (w.name == s.name && w.description == s.description && w.registry == s.registry
+       && w.fuel = s.fuel && w.tokens == s.tokens && w.tokenize == s.tokenize
+       && w.original_loc = s.original_loc);
+      List.iteri
+        (fun i input ->
+          let what = Printf.sprintf "%s call %d" s.name i in
+          let got = Subject.run w input in
+          match (i, got.verdict) with
+          | 1, Pdf_instr.Runner.Crash c ->
+            Alcotest.(check string) (what ^ " raises the injected exception")
+              (Printexc.exn_slot_name (Fault.Injected "planned"))
+              c.exn
+          | 3, Pdf_instr.Runner.Hang -> ()
+          | (1 | 3), v -> Alcotest.failf "%s: unplanned verdict %a" what Pdf_instr.Runner.pp_verdict v
+          | _ ->
+            let want = Subject.run s input in
+            Alcotest.(check bool) (what ^ " parses as the bare subject") true
+              (got.verdict = want.verdict
+              && got.comparisons = want.comparisons
+              && got.touched = want.touched
+              && Coverage.equal got.coverage want.coverage
+              && got.eof_access = want.eof_access
+              && got.max_depth = want.max_depth))
+        [ ""; "1"; "("; "[]"; "x=1"; "a,b" ];
+      Alcotest.(check (list int)) (s.name ^ ": fired") [ 1; 3 ]
+        (List.map fst (Fault.triggered plan)))
+    Catalog.all
 
 (* The wrapper's call count is the campaign's execution index: a fault
    at index 0 hits the very first execution. *)
@@ -1273,6 +1308,8 @@ let () =
             test_fault_plan_crash_corpus;
           Alcotest.test_case "empty fault plan is the bare subject" `Quick
             test_empty_fault_plan_is_bare;
+          Alcotest.test_case "the wrapper replaces the parse only" `Quick
+            test_fault_wrapper_replaces_parse_only;
           Alcotest.test_case "a fault at index 0 hits the first execution" `Quick
             test_fault_at_first_execution;
           Alcotest.test_case "starvation faults surface as hangs" `Quick

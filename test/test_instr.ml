@@ -8,6 +8,7 @@ module Charset = Pdf_util.Charset
 module Rng = Pdf_util.Rng
 module Tchar = Pdf_taint.Tchar
 module Tstring = Pdf_taint.Tstring
+module Subject = Pdf_subjects.Subject
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -525,323 +526,12 @@ let test_substitution_index_edges () =
   check Alcotest.(option int) "failed beats a later success" (Some 4)
     (Runner.substitution_index (run_of_log [ (4, false); (9, true); (2, false) ]))
 
-(* {1 Snapshot / resume} *)
-
-module Subject = Pdf_subjects.Subject
-
-let run_equal (a : Runner.run) (b : Runner.run) =
-  a.input = b.input && a.verdict = b.verdict
-  && a.comparisons = b.comparisons
-  && Coverage.equal a.coverage b.coverage
-  && a.trace = b.trace && a.touched = b.touched
-  && a.eof_access = b.eof_access && a.max_depth = b.max_depth
-  && a.frames = b.frames
-
-(* The journaled engine runs a test-local machine-form recognizer:
-   balanced round and square brackets, read only through
-   [Machine.Peek]/[Next] steps, with a frame per group, so snapshots
-   carry stack depth and frame events, and a trailing-input check whose
-   peek at the end of an accepted input is its EOF probe. *)
-
-module Machine = Pdf_instr.Machine
-
-let brackets = Site.create_registry "brackets"
-let br_s_group = Site.block brackets "group"
-let br_open_round = Site.branch brackets "open-(?"
-let br_open_square = Site.branch brackets "open-[?"
-let br_close = Site.branch brackets "close"
-let br_trailing = Site.branch brackets "trailing?"
-
-(* Groups while the next character opens one, then [k]. Continuations
-   take the context as an argument and capture none, so every pending
-   step is multi-shot. *)
-let rec br_seq k _ctx =
-  Machine.Peek
-    (fun c ctx ->
-      match c with
-      | Some c when Ctx.eq ctx br_open_round c '(' -> br_group ')' k ctx
-      | Some c when Ctx.eq ctx br_open_square c '[' -> br_group ']' k ctx
-      | Some _ | None -> k ctx)
-
-and br_group close k ctx =
-  Ctx.enter_frame ctx br_s_group;
-  Machine.Next (fun _ ctx -> br_seq (br_closing close k) ctx)
-
-and br_closing close k _ctx =
-  Machine.Next
-    (fun c ctx ->
-      match c with
-      | Some c when Ctx.eq ctx br_close c close ->
-        Ctx.exit_frame ctx;
-        br_seq k ctx
-      | Some _ | None -> Ctx.reject ctx "unbalanced")
-
-let br_machine : Machine.recognizer =
-  br_seq (fun _ ->
-      Machine.Peek
-        (fun c ctx ->
-          if Ctx.branch ctx br_trailing (Option.is_some c) then
-            Ctx.reject ctx "trailing input"
-          else Machine.Done))
-
-let exec_brackets input =
-  Runner.exec_machine ~registry:brackets ~machine:br_machine ~track_trace:true
-    ~track_frames:true input
-
-let test_brackets_machine () =
-  (* The recognizer is what the snapshot tests take it for. *)
-  let verdict input = Runner.accepted (fst (exec_brackets input)) in
-  List.iter
-    (fun input -> Alcotest.(check bool) (input ^ " accepted") true (verdict input))
-    [ ""; "()"; "([()][])"; "([()][])[[()]]()" ];
-  List.iter
-    (fun input -> Alcotest.(check bool) (input ^ " rejected") false (verdict input))
-    [ "("; "(]"; "()#"; "((" ];
-  let run, _ = exec_brackets "([()])" in
-  check Alcotest.int "a frame per open group" 3 run.Runner.max_depth;
-  Alcotest.(check bool) "the final peek reads EOF" true run.Runner.eof_access
-
-let test_snapshot_resume_identity () =
-  (* Resuming from the snapshot at any position — on the same input or
-     on one that diverges right after the prefix — is bit-identical to a
-     full execution. *)
-  let input = "([()][])[]" in
-  let full, journal = exec_brackets input in
-  for p = 1 to String.length input do
-    match Runner.snapshot_at journal p with
-    | None -> Alcotest.failf "no snapshot at position %d" p
-    | Some snap ->
-      check Alcotest.int "snapshot position" p (Runner.snapshot_pos snap);
-      let resumed, _ = Runner.resume snap input in
-      Alcotest.(check bool)
-        (Printf.sprintf "identical resume at %d" p)
-        true (run_equal full resumed);
-      let mutated = String.sub input 0 p ^ "#" in
-      let mutated_full, _ = exec_brackets mutated in
-      let mutated_resumed, _ = Runner.resume snap mutated in
-      Alcotest.(check bool)
-        (Printf.sprintf "identical diverging resume at %d" p)
-        true
-        (run_equal mutated_full mutated_resumed)
-  done
-
-let test_snapshot_unread_positions () =
-  (* "()#" rejects at the trailing '#', so position 3 is never read and
-     has no snapshot; every read position has one. *)
-  let _run, journal = exec_brackets "()#" in
-  Alcotest.(check bool) "read position has a snapshot" true
-    (Runner.snapshot_at journal 2 <> None);
-  Alcotest.(check bool) "unread position has none" true
-    (Runner.snapshot_at journal 3 = None)
-
-let test_resume_chains () =
-  (* A resumed run's journal covers the new suffix, so grandchildren can
-     resume from a child's snapshot. *)
-  let parent = "((" in
-  let child = "(()" in
-  let grandchild = "(())" in
-  let _, j0 = exec_brackets parent in
-  let snap0 = Option.get (Runner.snapshot_at j0 (String.length parent)) in
-  let _, j1 = Runner.resume snap0 child in
-  let snap1 = Option.get (Runner.snapshot_at j1 (String.length child)) in
-  let resumed, _ = Runner.resume snap1 grandchild in
-  let full, _ = exec_brackets grandchild in
-  Alcotest.(check bool) "grandchild identical via two hops" true
-    (run_equal full resumed)
-
-let test_prefix_cache_direct_mapped () =
-  (* Snapshots told apart by their prefix position. *)
-  let snap =
-    let _, j = exec_brackets "([])" in
-    fun pos -> Option.get (Runner.snapshot_at j pos)
-  in
-  let pos found = Option.map Runner.snapshot_pos found in
-  let cache = Runner.Cache.create ~bound:2 () in
-  (* Two slots: [a] and [b] share one, [c] has the other. *)
-  let slot k = Pdf_util.Fnv.string k land 1 in
-  let letters = List.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
-  let a = List.hd letters in
-  let b = List.find (fun k -> k <> a && slot k = slot a) letters in
-  let c = List.find (fun k -> slot k <> slot a) letters in
-  Runner.Cache.store cache a (snap 1);
-  Runner.Cache.store cache c (snap 2);
-  check Alcotest.int "both resident" 2 (Runner.Cache.length cache);
-  check Alcotest.(option int) "a found" (Some 1) (pos (Runner.Cache.find cache a));
-  check Alcotest.(option int) "c found" (Some 2) (pos (Runner.Cache.find cache c));
-  Runner.Cache.store cache b (snap 3);
-  check Alcotest.int "colliding store keeps the length" 2 (Runner.Cache.length cache);
-  check Alcotest.(option int) "a replaced" None (pos (Runner.Cache.find cache a));
-  check Alcotest.(option int) "b resident" (Some 3) (pos (Runner.Cache.find cache b));
-  check Alcotest.(option int) "other slot untouched" (Some 2)
-    (pos (Runner.Cache.find cache c));
-  (* A store of an equal key keeps the first snapshot. *)
-  Runner.Cache.store cache b (snap 1);
-  check Alcotest.(option int) "first store wins" (Some 3)
-    (pos (Runner.Cache.find cache b));
-  check Alcotest.int "equal key does not grow" 2 (Runner.Cache.length cache);
-  let s = Runner.Cache.stats cache in
-  check Alcotest.int "hits" 5 s.Runner.Cache.hits;
-  check Alcotest.int "misses" 1 s.Runner.Cache.misses;
-  check Alcotest.int "evictions" 1 s.Runner.Cache.evictions;
-  check Alcotest.int "chars saved" 5 s.Runner.Cache.chars_saved
-
-(* {2 The direct-mapped cache against a slot-array model}
-
-   Random operation sequences over bounds 1-8 and keys from a 2-3
-   letter alphabet, so several keys share a slot and replace each
-   other. The model is an array of optional (key, snapshot) pairs
-   indexed by the key's FNV hash, with the same counters. After every
-   step the two agree on membership of every key the alphabet can
-   spell, on the length and on all four counters; lookups must return
-   the snapshot the model holds (snapshots are told apart by their
-   prefix position). *)
-
-let cache_pool_input = "([()][])[[()]]()"
-
-let cache_pool =
-  let _, j = exec_brackets cache_pool_input in
-  Array.init (String.length cache_pool_input) (fun p ->
-      Option.get (Runner.snapshot_at j (p + 1)))
-
-type cache_op =
-  | Store of string * int  (* key, pool index of the snapshot *)
-  | Find of string
-  | Find_prefix of string * int
-  | Mem_prefix of string * int
-
-let pp_cache_op = function
-  | Store (k, v) -> Printf.sprintf "store %S #%d" k v
-  | Find k -> Printf.sprintf "find %S" k
-  | Find_prefix (s, n) -> Printf.sprintf "find_prefix %S ~len:%d" s n
-  | Mem_prefix (s, n) -> Printf.sprintf "mem_prefix %S ~len:%d" s n
-
-let all_keys alphabet =
-  let rec words n =
-    if n = 0 then [ "" ]
-    else
-      List.concat_map
-        (fun w -> List.map (fun c -> w ^ String.make 1 c) alphabet)
-        (words (n - 1))
-  in
-  List.concat_map words [ 0; 1; 2; 3 ]
-
-let cache_case_gen =
-  let open QCheck.Gen in
-  int_range 1 8 >>= fun bound ->
-  oneofl [ [ 'a'; 'b' ]; [ 'a'; 'b'; 'c' ] ] >>= fun alphabet ->
-  let key = int_range 0 3 >>= fun n -> string_size ~gen:(oneofl alphabet) (return n) in
-  let prefixed =
-    int_range 0 4 >>= fun n ->
-    string_size ~gen:(oneofl alphabet) (return n) >>= fun s ->
-    int_range 0 (String.length s) >|= fun len -> (s, len)
-  in
-  let op =
-    frequency
-      [
-        (5, pair key (int_range 0 (Array.length cache_pool - 1)) >|= fun (k, v) -> Store (k, v));
-        (2, key >|= fun k -> Find k);
-        (3, prefixed >|= fun (s, n) -> Find_prefix (s, n));
-        (2, prefixed >|= fun (s, n) -> Mem_prefix (s, n));
-      ]
-  in
-  list_size (int_range 1 60) op >|= fun ops -> (bound, alphabet, ops)
-
-let cache_case_arb =
-  QCheck.make
-    ~print:(fun (bound, alphabet, ops) ->
-      Printf.sprintf "bound %d, alphabet %s: %s" bound
-        (String.of_seq (List.to_seq alphabet))
-        (String.concat "; " (List.map pp_cache_op ops)))
-    cache_case_gen
-
-type slot_model = {
-  slots : (string * int) option array;  (* power-of-two length *)
-  mutable m_hits : int;
-  mutable m_misses : int;
-  mutable m_evictions : int;
-  mutable m_saved : int;
-}
-
-let model_slot m key = Pdf_util.Fnv.string key land (Array.length m.slots - 1)
-
-let model_mem m key =
-  match m.slots.(model_slot m key) with Some (k, _) -> k = key | None -> false
-
-let model_find m key =
-  match m.slots.(model_slot m key) with
-  | Some (k, v) when k = key ->
-    m.m_hits <- m.m_hits + 1;
-    m.m_saved <- m.m_saved + String.length key;
-    Some v
-  | _ ->
-    m.m_misses <- m.m_misses + 1;
-    None
-
-let model_store m key v =
-  let i = model_slot m key in
-  match m.slots.(i) with
-  | Some (k, _) when k = key -> ()
-  | resident ->
-    if resident <> None then m.m_evictions <- m.m_evictions + 1;
-    m.slots.(i) <- Some (key, v)
-
-let pool_id snap = Runner.snapshot_pos snap - 1
-
-let prop_cache_model =
-  QCheck.Test.make ~name:"direct-mapped cache = slot-array model" ~count:500
-    cache_case_arb (fun (bound, alphabet, ops) ->
-      let cache = Runner.Cache.create ~bound () in
-      (* The largest power of two within [bound]. *)
-      let rec slots n = if 2 * n <= bound then slots (2 * n) else n in
-      let m =
-        {
-          slots = Array.make (slots 1) None;
-          m_hits = 0;
-          m_misses = 0;
-          m_evictions = 0;
-          m_saved = 0;
-        }
-      in
-      let keys = all_keys alphabet in
-      let agree () =
-        let s = Runner.Cache.stats cache in
-        List.for_all
-          (fun k ->
-            Runner.Cache.mem_prefix cache (k ^ "zz") ~len:(String.length k)
-            = model_mem m k)
-          keys
-        && Runner.Cache.length cache
-           = Array.fold_left (fun n e -> if e = None then n else n + 1) 0 m.slots
-        && s.Runner.Cache.hits = m.m_hits
-        && s.Runner.Cache.misses = m.m_misses
-        && s.Runner.Cache.evictions = m.m_evictions
-        && s.Runner.Cache.chars_saved = m.m_saved
-      in
-      let step op =
-        let same_lookup got want = Option.map pool_id got = want in
-        (match op with
-         | Store (k, v) ->
-           Runner.Cache.store cache k cache_pool.(v);
-           model_store m k v;
-           true
-         | Find k -> same_lookup (Runner.Cache.find cache k) (model_find m k)
-         | Find_prefix (s, len) ->
-           same_lookup
-             (Runner.Cache.find_prefix cache s ~len)
-             (model_find m (String.sub s 0 len))
-         | Mem_prefix (s, len) ->
-           Runner.Cache.mem_prefix cache s ~len = model_mem m (String.sub s 0 len))
-        && agree ()
-      in
-      List.for_all step ops)
-
 (* {1 Crash containment}
 
    The exception contract of runner.mli: any exception a subject raises
    — other than [Ctx.Reject] and [Ctx.Out_of_fuel] — surfaces as a
-   [Crash] verdict, in both the direct-style and the machine-form
-   execution paths, with an (exception, site) identity that separates
-   distinct raise points and coincides for the same raise point. *)
+   [Crash] verdict, with an (exception, site) identity that separates
+   distinct raise points. *)
 
 let test_crash_containment () =
   let registry = Site.create_registry "crashy" in
@@ -864,15 +554,8 @@ let test_crash_containment () =
         ignore (Ctx.branch ctx a true);
         invalid_arg "bad")
   in
-  let machine_run, _journal =
-    Runner.exec_machine ~registry
-      ~machine:(fun ctx ->
-        ignore (Ctx.branch ctx a true);
-        failwith "boom")
-      "x"
-  in
-  (match (v_fail, v_deep, v_arg, machine_run.Runner.verdict) with
-   | Runner.Crash c1, Runner.Crash c2, Runner.Crash c3, Runner.Crash cm ->
+  (match (v_fail, v_deep, v_arg) with
+   | Runner.Crash c1, Runner.Crash c2, Runner.Crash c3 ->
      check Alcotest.string "constructor name"
        (Printexc.exn_slot_name (Failure "boom"))
        c1.Runner.exn;
@@ -881,9 +564,7 @@ let test_crash_containment () =
      Alcotest.(check bool) "different raise points get different sites" true
        (c1.Runner.site <> c2.Runner.site);
      Alcotest.(check bool) "different exceptions get different identities" true
-       (Runner.crash_id c3 <> Runner.crash_id c1);
-     check Alcotest.string "machine form crashes with the same identity"
-       (Runner.crash_id c1) (Runner.crash_id cm)
+       (Runner.crash_id c3 <> Runner.crash_id c1)
    | _ -> Alcotest.fail "a raising subject did not yield a Crash verdict");
   (* The two blessed control-flow exceptions keep their own verdicts. *)
   (match direct (fun ctx -> Ctx.reject ctx "no") with
@@ -893,32 +574,39 @@ let test_crash_containment () =
   | Runner.Hang -> ()
   | v -> Alcotest.failf "Out_of_fuel mapped to %a" Runner.pp_verdict v
 
-(* A crash reached through a cached resume has the same identity as the
-   same crash reached by full execution: the site hash covers only the
-   outcomes touched, which are bit-identical either way. *)
-let test_crash_identity_stable_across_resume () =
-  let registry = Site.create_registry "resumable-crash" in
-  let a = Site.branch registry "a" in
-  let machine _ctx =
-    let open Pdf_instr.Machine in
-    Next
-      (fun c ctx ->
-        match c with
-        | Some t when Tchar.code t = Char.code '{' ->
-          Next
-            (fun _ ctx ->
-              ignore (Ctx.branch ctx a true);
-              failwith "late boom")
-        | _ -> Ctx.reject ctx "want {")
+(* A crash's site hashes the outcomes of its own run only. A reused
+   context still holds an earlier run's outcomes past its length, yet
+   the same raise point gets the identity a fresh context gives it, on
+   every execution. *)
+let test_crash_identity_in_reused_context () =
+  let registry = Site.create_registry "crash-reuse" in
+  let bangs = Array.init 8 (fun i -> Site.branch registry (Printf.sprintf "bang%d?" i)) in
+  (* One branch per character read; a '!' raises. *)
+  let parse ctx =
+    let rec go i =
+      match Ctx.next ctx with
+      | None -> ()
+      | Some c -> if Ctx.eq ctx bangs.(i mod 8) c '!' then failwith "bang" else go (i + 1)
+    in
+    go 0
   in
-  let full, journal = Runner.exec_machine ~registry ~machine "{x" in
-  let snap = Option.get (Runner.snapshot_at journal 1) in
-  let resumed, _ = Runner.resume snap "{x" in
-  match (full.Runner.verdict, resumed.Runner.verdict) with
-  | Runner.Crash cf, Runner.Crash cr ->
-    check Alcotest.string "crash identity stable across resume"
-      (Runner.crash_id cf) (Runner.crash_id cr)
-  | _ -> Alcotest.fail "crash not contained on both paths"
+  let crash what = function
+    | Runner.Crash c -> Runner.crash_id c
+    | v -> Alcotest.failf "%s: no crash but %a" what Runner.pp_verdict v
+  in
+  let fresh input = crash ("fresh " ^ input) (Runner.exec ~registry ~parse input).verdict in
+  let ctx = Ctx.make ~registry "" in
+  let reused input =
+    Ctx.reset ctx input;
+    crash ("reused " ^ input) (Runner.run_in ctx ~parse)
+  in
+  Ctx.reset ctx "abcdefgh";
+  check Alcotest.bool "a longer run first" true
+    (Runner.run_in ctx ~parse = Runner.Accepted);
+  check Alcotest.string "after a longer run" (fresh "a!") (reused "a!");
+  check Alcotest.string "after a crash elsewhere" (fresh "abcd!") (reused "abcd!");
+  check Alcotest.string "again" (fresh "a!") (reused "a!");
+  Alcotest.(check bool) "raise points still told apart" true (fresh "a!" <> fresh "abcd!")
 
 (* {1 Cross-subject invariants} *)
 
@@ -1068,6 +756,79 @@ let test_reset_equivalence () =
             (Hashtbl.mem verdicts kind))
         [ "accepted"; "rejected"; "hang"; "crash" ])
     Pdf_subjects.Catalog.all
+
+let run_equal (a : Runner.run) (b : Runner.run) =
+  a.input = b.input && a.verdict = b.verdict
+  && a.comparisons = b.comparisons
+  && Coverage.equal a.coverage b.coverage
+  && a.trace = b.trace && a.touched = b.touched
+  && a.eof_access = b.eof_access && a.max_depth = b.max_depth
+  && a.frames = b.frames
+
+(* The same with every recording buffer on: a reused context's trace and
+   frame log, which the case above leaves off, package to a fresh
+   context's, run for run, crashes and hangs included. *)
+let test_reset_equivalence_tracked () =
+  let rng = Pdf_util.Rng.make 12 in
+  List.iter
+    (fun (s : Subject.t) ->
+      let plan () = Fault.of_list [ (5, Fault.Raise "tracked drill"); (9, Fault.Starve_fuel) ] in
+      let reused = Fault.subject (plan ()) s and fresh = Fault.subject (plan ()) s in
+      let ctx =
+        Ctx.make ~registry:s.registry ~fuel:s.fuel ~track_trace:true ~track_frames:true ""
+      in
+      List.iteri
+        (fun i input ->
+          Ctx.reset ctx input;
+          let got = Runner.package ctx (Runner.run_in ctx ~parse:reused.parse) in
+          let want = Subject.run ~track_trace:true ~track_frames:true fresh input in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s run %d %S: every field" s.name i input)
+            true (run_equal got want))
+        (reset_corpus s rng))
+    Pdf_subjects.Catalog.all
+
+(* {!Ctx.reset}'s contract, field by field: a run that leaves two frames
+   open, reads past the end and spends most of its fuel hands the next
+   run none of that. *)
+let test_reset_contract () =
+  let registry = Site.create_registry "reset-contract" in
+  let s_open = Site.block registry "open" in
+  let b_x = Site.branch registry "x?" in
+  let fuel = 10 in
+  let ctx = Ctx.make ~registry ~fuel ~track_trace:true ~track_frames:true "" in
+  let first ctx =
+    Ctx.enter_frame ctx s_open;
+    Ctx.enter_frame ctx s_open;
+    for _ = 1 to 8 do Ctx.tick ctx done;
+    (match Ctx.next ctx with Some c -> ignore (Ctx.eq ctx b_x c 'x') | None -> ());
+    ignore (Ctx.peek ctx);
+    Ctx.reject ctx "left open"
+  in
+  Ctx.reset ctx "x";
+  let r1 = Runner.package ctx (Runner.run_in ctx ~parse:first) in
+  Alcotest.(check bool) "first run read past the end" true r1.eof_access;
+  check Alcotest.int "first run's depth" 2 r1.max_depth;
+  Ctx.reset ctx "yz";
+  check Alcotest.int "depth back to 0" 0 (Ctx.depth ctx);
+  check Alcotest.int "cursor back to 0" 0 (Ctx.pos ctx);
+  check Alcotest.string "the new input" "yz" (Ctx.input ctx);
+  (* Eight more ticks fit only if the fuel is back to its budget. *)
+  let second ctx =
+    for _ = 1 to 8 do Ctx.tick ctx done;
+    match Ctx.next ctx with Some c -> ignore (Ctx.eq ctx b_x c 'x') | None -> ()
+  in
+  let got = Runner.package ctx (Runner.run_in ctx ~parse:second) in
+  let want =
+    Runner.exec ~registry ~parse:second ~fuel ~track_trace:true ~track_frames:true "yz"
+  in
+  Alcotest.(check bool) "fuel restored" true (got.verdict = Runner.Accepted);
+  Alcotest.(check bool) "no EOF access" false got.eof_access;
+  check Alcotest.int "no depth" 0 got.max_depth;
+  check Alcotest.int "no frames" 0 (Array.length got.frames);
+  check Alcotest.(array int) "only the second run's outcomes"
+    [| Site.outcome b_x false |] got.touched;
+  Alcotest.(check bool) "a fresh context's run" true (run_equal got want)
 
 (* {1 Interned input characters}
 
@@ -1248,26 +1009,19 @@ let () =
             test_substitution_index_edges;
           qtest prop_substitution_index_model;
         ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "the test recognizer" `Quick test_brackets_machine;
-          Alcotest.test_case "resume identity at every position" `Quick
-            test_snapshot_resume_identity;
-          Alcotest.test_case "unread positions have no snapshot" `Quick
-            test_snapshot_unread_positions;
-          Alcotest.test_case "resume chains" `Quick test_resume_chains;
-          Alcotest.test_case "prefix cache direct-mapped" `Quick
-            test_prefix_cache_direct_mapped;
-          qtest prop_cache_model;
-        ] );
       ( "reused context",
-        [ Alcotest.test_case "reset equals a fresh context" `Quick test_reset_equivalence ] );
+        [
+          Alcotest.test_case "reset equals a fresh context" `Quick test_reset_equivalence;
+          Alcotest.test_case "reset equals a fresh context, trace and frames on" `Quick
+            test_reset_equivalence_tracked;
+          Alcotest.test_case "reset contract field by field" `Quick test_reset_contract;
+        ] );
       ( "crash containment",
         [
-          Alcotest.test_case "contract: direct and machine form" `Quick
+          Alcotest.test_case "contract: crash, reject and hang" `Quick
             test_crash_containment;
-          Alcotest.test_case "identity stable across resume" `Quick
-            test_crash_identity_stable_across_resume;
+          Alcotest.test_case "identity stable in a reused context" `Quick
+            test_crash_identity_in_reused_context;
         ] );
       ("invariants", invariant_tests);
     ]

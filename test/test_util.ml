@@ -476,41 +476,12 @@ let test_render_grouped () =
           Render.grouped_bar_chart ppf ~title:"t" ~series:[ "A" ] [ ("g", [ 1.0; 2.0 ]) ])
       |> ignore)
 
-(* {1 Vec: copy-on-write prefix borrowing}
-
-   Snapshots share a run's recording buffers through [Vec.of_prefix];
-   resuming must never scribble on the parent's arrays. *)
+(* {1 Vec} *)
 
 module Vec = Pdf_util.Vec
 
-let test_vec_of_prefix_cow () =
-  let arr = [| 1; 2; 3; 4 |] in
-  let v = Vec.of_prefix arr ~len:2 0 in
-  check Alcotest.int "borrowed length" 2 (Vec.length v);
-  check Alcotest.int "reads through" 2 (Vec.get v 1);
-  Vec.push v 99;
-  Vec.push v 100;
-  check Alcotest.(array int) "borrowed array untouched" [| 1; 2; 3; 4 |] arr;
-  check Alcotest.(list int) "prefix + pushes" [ 1; 2; 99; 100 ] (Vec.to_list v);
-  (* Two vectors can borrow the same prefix independently (multi-shot
-     snapshots). *)
-  let w = Vec.of_prefix arr ~len:3 0 in
-  Vec.push w 7;
-  check Alcotest.(list int) "independent borrow" [ 1; 2; 3; 7 ] (Vec.to_list w);
-  check Alcotest.(list int) "first borrow unaffected" [ 1; 2; 99; 100 ]
-    (Vec.to_list v);
-  (* Boundary lengths. *)
-  let empty = Vec.of_prefix arr ~len:0 0 in
-  check Alcotest.int "empty borrow" 0 (Vec.length empty);
-  let full = Vec.of_prefix arr ~len:4 0 in
-  check Alcotest.int "full borrow" 4 (Vec.length full);
-  Alcotest.check_raises "out of bounds"
-    (Invalid_argument "Vec.of_prefix") (fun () ->
-      ignore (Vec.of_prefix arr ~len:5 0))
-
-(* A reused context empties its buffers per run: the capacity stays, the
-   vacated slots hold the dummy again, and a borrowed array — even one
-   borrowed whole — is never written. *)
+(* A reused context empties its buffers per run: the capacity stays and
+   the vacated slots hold the dummy again. *)
 let test_vec_clear () =
   let v = Vec.create 0 in
   List.iter (Vec.push v) [ 1; 2; 3 ];
@@ -522,13 +493,7 @@ let test_vec_clear () =
     (Array.to_list (Array.sub backing 0 3));
   Vec.push v 9;
   check Alcotest.(list int) "refilled in place" [ 9 ] (Vec.to_list v);
-  check Alcotest.bool "no new array" true (Vec.backing v == backing);
-  let arr = [| 1; 2; 3 |] in
-  let whole = Vec.of_prefix arr ~len:3 0 in
-  Vec.clear whole;
-  Vec.push whole 7;
-  check Alcotest.(list int) "borrowed array untouched" [ 1; 2; 3 ] (Array.to_list arr);
-  check Alcotest.(list int) "cleared borrow refills" [ 7 ] (Vec.to_list whole)
+  check Alcotest.bool "no new array" true (Vec.backing v == backing)
 
 (* An int vector is cleared by its length alone; what its slots still
    hold is never read back. *)
@@ -544,14 +509,124 @@ let test_vec_clear_ints () =
   List.iter (Vec.push v) [ 7; 8 ];
   check Alcotest.(list int) "pushes read back" [ 7; 8 ] (Vec.to_list v);
   check Alcotest.int "get after clear" 8 (Vec.get v 1);
-  check Alcotest.bool "refilled in place" true (Vec.backing v == backing);
-  let arr = [| 1; 2; 3 |] in
-  let whole = Vec.of_prefix arr ~len:3 0 in
-  Vec.clear_ints whole;
-  check Alcotest.int "borrow emptied" 0 (Vec.length whole);
-  Vec.push whole 7;
-  check Alcotest.(list int) "borrowed array untouched" [ 1; 2; 3 ] (Array.to_list arr);
-  check Alcotest.(list int) "cleared borrow refills" [ 7 ] (Vec.to_list whole)
+  check Alcotest.bool "refilled in place" true (Vec.backing v == backing)
+
+(* A vector grows when its length reaches its array's: one created with
+   capacity [n] takes [n] pushes in place and doubles on the next, one
+   created empty starts at 16, and grown slots hold the dummy. *)
+let test_vec_growth () =
+  let v = Vec.create ~capacity:3 (-1) in
+  let backing = Vec.backing v in
+  List.iter (Vec.push v) [ 1; 2; 3 ];
+  check Alcotest.bool "fills its capacity in place" true (Vec.backing v == backing);
+  Vec.push v 4;
+  check Alcotest.(array int) "doubled, elements moved, the rest dummy"
+    [| 1; 2; 3; 4; -1; -1 |] (Vec.backing v);
+  Alcotest.check_raises "filler is out of bounds"
+    (Invalid_argument "Vec.get: index out of bounds") (fun () -> ignore (Vec.get v 4));
+  let e = Vec.create 0 in
+  check Alcotest.int "empty holds no array" 0 (Array.length (Vec.backing e));
+  Vec.push e 5;
+  check Alcotest.int "first growth" 16 (Array.length (Vec.backing e));
+  check Alcotest.(list int) "reads back" [ 5 ] (Vec.to_list e)
+
+(* {2 Vec against a list model}
+
+   Random pushes and clears from a random initial capacity. After every
+   step the vector reads as the model does. A vector of strings is
+   emptied by [clear], so every slot of its array past the length must
+   hold the dummy; an int vector is emptied by [clear_ints], so its
+   stale slots must never be read back. *)
+
+type vec_op = Vec_push of int | Vec_clear
+
+let vec_case_arb =
+  let open QCheck in
+  let op =
+    Gen.(frequency [ (8, map (fun i -> Vec_push i) small_nat); (1, return Vec_clear) ])
+  in
+  make
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity %d: %s" capacity
+        (String.concat "; "
+           (List.map
+              (function Vec_push i -> Printf.sprintf "push %d" i | Vec_clear -> "clear")
+              ops)))
+    Gen.(pair (int_range 0 5) (list_size (int_range 0 80) op))
+
+(* Replays [ops] on [v] and checks [reads] against the model after each
+   step. *)
+let vec_agrees ~push ~clear ~reads v ops =
+  let model = ref [] in
+  List.for_all
+    (fun op ->
+      (match op with
+       | Vec_push i ->
+         push v i;
+         model := i :: !model
+       | Vec_clear ->
+         clear v;
+         model := []);
+      let want = List.rev !model in
+      Vec.length v = List.length want && reads want)
+    ops
+
+let prop_vec_model =
+  QCheck.Test.make ~name:"vec = list model, vacated slots hold the dummy" ~count:300
+    vec_case_arb (fun (capacity, ops) ->
+      let v = Vec.create ~capacity "" in
+      vec_agrees v ops
+        ~push:(fun v i -> Vec.push v (string_of_int i))
+        ~clear:Vec.clear
+        ~reads:(fun want ->
+          let want = List.map string_of_int want in
+          let back = Vec.backing v in
+          Vec.to_list v = want
+          && Array.to_list (Vec.to_array v) = want
+          && List.for_all (fun i -> back.(i) = "")
+               (List.init (Array.length back - Vec.length v) (( + ) (Vec.length v)))))
+
+let prop_vec_ints_model =
+  QCheck.Test.make ~name:"int vec = list model under clear_ints" ~count:300 vec_case_arb
+    (fun (capacity, ops) ->
+      let v = Vec.create ~capacity 0 in
+      vec_agrees v ops ~push:Vec.push ~clear:Vec.clear_ints ~reads:(fun want ->
+          Vec.to_list v = want
+          && List.mapi (fun i _ -> Vec.get v i) want = want
+          &&
+          match Vec.get v (Vec.length v) with
+          | _ -> false
+          | exception Invalid_argument _ -> true))
+
+(* {1 Fnv} *)
+
+module Fnv = Pdf_util.Fnv
+
+(* Strings with a length to cut them at, anywhere from empty to whole. *)
+let cut_gen =
+  QCheck.Gen.(
+    string_size ~gen:char (int_range 0 12) >>= fun s ->
+    int_range 0 (String.length s) >|= fun n -> (s, n))
+
+let prop_fnv_extend =
+  QCheck.Test.make ~name:"extend resumes a prefix hash" ~count:500
+    (QCheck.make
+       ~print:(fun ((a, n), (b, k)) -> Printf.sprintf "%S ~len:%d, %S ~len:%d" a n b k)
+       QCheck.Gen.(pair cut_gen cut_gen))
+    (fun ((a, n), (b, k)) ->
+      Fnv.extend (Fnv.prefix a n) b k
+      = Fnv.prefix (String.sub a 0 n ^ String.sub b 0 k) (n + k))
+
+let prop_fnv_prefix_range =
+  QCheck.Test.make ~name:"prefix reads only its range, non-negative" ~count:500
+    (QCheck.make
+       ~print:(fun ((s, n), tail) -> Printf.sprintf "%S ~len:%d, tail %S" s n tail)
+       QCheck.Gen.(pair cut_gen (string_size ~gen:char (int_range 1 6))))
+    (fun ((s, n), tail) ->
+      let h = Fnv.prefix s n in
+      h >= 0
+      && h = Fnv.prefix (String.sub s 0 n) n
+      && h = Fnv.prefix (String.sub s 0 n ^ tail) n)
 
 (* {1 Atomic_file: crash-safe writes} *)
 
@@ -708,10 +783,13 @@ let () =
         ] );
       ( "vec",
         [
-          Alcotest.test_case "of_prefix copy-on-write" `Quick test_vec_of_prefix_cow;
           Alcotest.test_case "clear keeps capacity" `Quick test_vec_clear;
           Alcotest.test_case "int clear resets the length" `Quick test_vec_clear_ints;
+          Alcotest.test_case "push grows at the array's length" `Quick test_vec_growth;
+          qtest prop_vec_model;
+          qtest prop_vec_ints_model;
         ] );
+      ("fnv", [ qtest prop_fnv_extend; qtest prop_fnv_prefix_range ]);
       ( "atomic-file",
         [
           Alcotest.test_case "write/read round-trip" `Quick
