@@ -30,7 +30,7 @@ let ident_chars = Charset.union Charset.letters (Charset.union Charset.digits (C
 
 (* Every comparison goes through a slot, built once: it holds the site's
    outcomes and the event kind, so the per-character call builds none.
-   An expectation adds the two reject messages of a demanded character. *)
+   An expectation adds the two rejections of a demanded character. *)
 let sl_digit = Helpers.slot_range b_digit '0' '9'
 let x_dot1 = Helpers.expectation b_dot1 '.'
 let x_dot2 = Helpers.expectation b_dot2 '.'
@@ -39,21 +39,30 @@ let sl_build = Helpers.slot_eq b_build '+'
 let sl_ident_char = Helpers.slot_set b_ident_char ~label:"ident" ident_chars
 let sl_ident_sep = Helpers.slot_eq b_ident_sep '.'
 
+(* A rejection is built once too: it holds the message, the exception
+   that aborts the run and the verdict the run ends with. *)
+let r_digit_eof = Ctx.rejection "expected digit, found end of input"
+let r_digit = Ctx.rejection "expected digit"
+let r_empty_ident = Ctx.rejection "empty identifier"
+let r_trailing = Ctx.rejection "trailing input"
+
 (* Each nonterminal is a frame around a named body: [Ctx.frame] records
    the block, runs the body one stack level deeper and hands it the
    context, so no closure is built per call. *)
 let number_body ctx =
   match Ctx.next ctx with
-  | None -> Ctx.reject ctx "expected digit, found end of input"
+  | None -> Ctx.reject ctx r_digit_eof
   | Some c ->
-    if not (Ctx.in_range_slot ctx sl_digit c '0' '9') then Ctx.reject ctx "expected digit";
+    if not (Ctx.in_range_slot ctx sl_digit c '0' '9') then Ctx.reject ctx r_digit;
     Helpers.skip_range ctx sl_digit '0' '9'
 
 let number ctx = Ctx.frame ctx s_number number_body ctx
 
+(* [read_set] returns where the part started: the part is the input from
+   there to the cursor. *)
 let rec identifiers_body ctx =
-  let part = Helpers.read_set ctx sl_ident_char ident_chars in
-  if Pdf_taint.Tstring.length part = 0 then Ctx.reject ctx "empty identifier";
+  let start = Helpers.read_set ctx sl_ident_char ident_chars in
+  if Ctx.pos ctx = start then Ctx.reject ctx r_empty_ident;
   if Helpers.eat_if ctx sl_ident_sep '.' then identifiers_body ctx
 
 let identifiers ctx = Ctx.frame ctx s_ident identifiers_body ctx
@@ -69,7 +78,7 @@ let parse_body ctx =
   match Ctx.peek ctx with
   | Some _ ->
     ignore (Ctx.branch ctx b_trailing true);
-    Ctx.reject ctx "trailing input"
+    Ctx.reject ctx r_trailing
   | None -> ignore (Ctx.branch ctx b_trailing false)
 
 let parse ctx = Ctx.frame ctx s_parse parse_body ctx

@@ -3,6 +3,8 @@ module Pqueue = Pdf_util.Pqueue
 
 type group = int
 
+let no_group = -1
+
 (* The group free list is threaded through [refs]: a free group's
    [refs] holds [link next], where [next] is the following free id or
    -1. [link] maps every id to a negative number and is its own inverse,

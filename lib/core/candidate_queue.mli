@@ -55,6 +55,10 @@ type group
 (** An open or closed sibling group. Its id is recycled once the group
     is freed, so it is not a stable lineage id. *)
 
+val no_group : group
+(** A value that is no group: a placeholder for a field that holds an
+    open group only part of the time. No operation accepts it. *)
+
 val create : Heuristic.variant -> bound:int -> t
 (** An empty queue that scores with the variant and truncates to
     [bound] members. *)

@@ -300,6 +300,14 @@ type state = {
   mutable hangs : int;
   on_valid : string -> unit;
   on_execution : (Runner.run -> unit) option;
+  (* The [add_inputs] call in progress: its sibling group, its parent
+     input and cut, and the start of its open [Gen] span. [propose]
+     reads them, so it is built once per campaign, not per call. *)
+  mutable gen_group : Candidate_queue.group;
+  mutable gen_input : string;
+  mutable gen_cut : int;
+  mutable gen_t : int;
+  propose : string -> unit;
 }
 
 (* The dedupe set would otherwise grow without bound over a long run:
@@ -462,15 +470,37 @@ let push_seed st data =
     Candidate_queue.close_group st.queue g
   end
 
+(* One replacement of the [add_inputs] call in progress: the child
+   [gen_input[0..gen_cut) ^ repl] joins the open sibling group unless
+   it is the parent, too long or already queued. A child equal to the
+   parent input would only re-queue it; equal length plus a matching
+   splice means equal strings (the prefix is shared by construction). *)
+let propose st repl =
+  let input = st.gen_input and index = st.gen_cut in
+  let len = index + String.length repl in
+  let is_parent = len = String.length input && ends_with_at input index repl in
+  if
+    (not is_parent)
+    && len <= st.config.max_input_len
+    && not (Dedupe.mem st.seen_inputs repl)
+  then begin
+    seen_add st repl;
+    span_end st Phase.Gen st.gen_t;
+    enqueue st st.gen_group repl;
+    st.gen_t <- span_begin st
+  end
+
 (* Algorithm 1, [addInputs]: one child per comparison made against the
    last compared input position, splicing in the expected character(s).
    The loop is allocation-disciplined: the comparison columns are
    walked in place and each comparison's kind streams its replacements
-   ({!Comparison.iter_replacements}) into one [propose] closure built
-   per call. The children share the prefix [input[0..index)], so the
-   dedupe set opens it once, with one table probe for its node; a
-   one-byte replacement is then a bit test and a bit set in that node's
-   row, and only a keyword completion probes the table again. No child
+   ({!Comparison.iter_replacements}) into the state's [propose], built
+   once per campaign, which reads the call's group, input, cut and span
+   start from the state: a call builds no closure and no ref. The
+   children share the prefix [input[0..index)], so the dedupe set opens
+   it once, with one table probe for its node; a one-byte replacement
+   is then a bit test and a bit set in that node's row, and only a
+   keyword completion probes the table again. No child
    is built here at all: a fresh one is queued as its replacement in
    the sibling group, which holds the parent input and the cut, and its
    input is built when it is popped. Dedupe time lands in the [Gen]
@@ -480,7 +510,7 @@ let add_inputs st ~(parent : Candidate.t) =
   let v = st.view in
   let sub_index = View.substitution_index v in
   if sub_index >= 0 then begin
-    let t_gen = ref (span_begin st) in
+    st.gen_t <- span_begin st;
     (* One substitution-index computation feeds every derived fact —
        the [~index] variant skips the per-call comparison-log rescan. *)
     let parent_coverage = View.coverage_up_to v ~index:sub_index in
@@ -497,34 +527,19 @@ let add_inputs st ~(parent : Candidate.t) =
         ~avg_stack ~path_count ~parent_coverage ~vbr:st.vbr
     in
     Dedupe.open_prefix st.seen_inputs input index;
-    let propose repl =
-      let len = index + String.length repl in
-      (* A child equal to the parent input would only re-queue it;
-         equal length plus a matching splice means equal strings (the
-         prefix is shared by construction). *)
-      let is_parent =
-        len = String.length input && ends_with_at input index repl
-      in
-      if
-        (not is_parent)
-        && len <= st.config.max_input_len
-        && not (Dedupe.mem st.seen_inputs repl)
-      then begin
-        seen_add st repl;
-        span_end st Phase.Gen !t_gen;
-        enqueue st group repl;
-        t_gen := span_begin st
-      end
-    in
+    st.gen_group <- group;
+    st.gen_input <- input;
+    st.gen_cut <- index;
     (* The comparisons at [sub_index] in log order — the order
        [Runner.comparisons_at] lists them in. *)
     let indices = v.comparisons.indices and kinds = v.comparisons.kinds in
     for i = 0 to v.n_comparisons - 1 do
       if Array.unsafe_get indices i = sub_index then
-        Comparison.iter_replacements st.rng (Array.unsafe_get kinds i) propose
+        Comparison.iter_replacements st.rng (Array.unsafe_get kinds i) st.propose
     done;
-    span_end st Phase.Gen !t_gen;
-    Candidate_queue.close_group st.queue group
+    span_end st Phase.Gen st.gen_t;
+    Candidate_queue.close_group st.queue group;
+    st.gen_group <- Candidate_queue.no_group
   end
 
 (* Algorithm 1, [validInp]: report, extend vBr, re-rank the queue. *)
@@ -664,36 +679,44 @@ let extend data c =
 
 let make_state ~on_valid ~on_queue_event ~on_execution ~obs ~rng config
     subject =
-  {
-    config;
-    subject;
-    ctx = Ctx.make ~registry:subject.Subject.registry ~fuel:subject.fuel "";
-    view = View.create ();
-    rng;
-    queue = Candidate_queue.create config.heuristic ~bound:config.queue_bound;
-    on_queue_event;
-    obs;
-    sampled = (match obs with Some o -> Obs.sampled o ~exec:0 | None -> false);
-    vbr = Coverage.empty;
-    hits = Pdf_instr.Hits.create ();
-    valid_rev = [];
-    valid_count = 0;
-    last_progress_at = 0;
-    executions = 0;
-    candidates_created = 0;
-    queue_peak = 0;
-    first_valid_at = None;
-    dedupe_resets = 0;
-    path_resets = 0;
-    path_counts = Paths.create ();
-    seen_inputs = Dedupe.create ();
-    crash_tab = Hashtbl.create 16;
-    crash_order_rev = [];
-    crash_total = 0;
-    hangs = 0;
-    on_valid;
-    on_execution;
-  }
+  let rec st =
+    {
+      config;
+      subject;
+      ctx = Ctx.make ~registry:subject.Subject.registry ~fuel:subject.fuel "";
+      view = View.create ();
+      rng;
+      queue = Candidate_queue.create config.heuristic ~bound:config.queue_bound;
+      on_queue_event;
+      obs;
+      sampled = (match obs with Some o -> Obs.sampled o ~exec:0 | None -> false);
+      vbr = Coverage.empty;
+      hits = Pdf_instr.Hits.create ();
+      valid_rev = [];
+      valid_count = 0;
+      last_progress_at = 0;
+      executions = 0;
+      candidates_created = 0;
+      queue_peak = 0;
+      first_valid_at = None;
+      dedupe_resets = 0;
+      path_resets = 0;
+      path_counts = Paths.create ();
+      seen_inputs = Dedupe.create ();
+      crash_tab = Hashtbl.create 16;
+      crash_order_rev = [];
+      crash_total = 0;
+      hangs = 0;
+      on_valid;
+      on_execution;
+      gen_group = Candidate_queue.no_group;
+      gen_input = "";
+      gen_cut = 0;
+      gen_t = 0;
+      propose = (fun repl -> propose st repl);
+    }
+  in
+  st
 
 (* A checkpoint captures the loop-top instant: the candidate about to be
    executed, the queue without it, and the RNG exactly as the previous

@@ -1,11 +1,20 @@
 module Tchar = Pdf_taint.Tchar
-module Tstring = Pdf_taint.Tstring
 module Taint = Pdf_taint.Taint
 module Charset = Pdf_util.Charset
 module Vec = Pdf_util.Vec
 
-exception Reject of string
+type crash = { exn : string; site : int; detail : string }
+type verdict = Accepted | Rejected of string | Hang | Crash of crash
+
+exception Reject of verdict
 exception Out_of_fuel
+
+(* A rejection is its exception, built once with the verdict it
+   carries, so raising it and returning its verdict allocate nothing. *)
+type rejection = exn
+
+let rejection reason = Reject (Rejected reason)
+let reject _t (r : rejection) = raise r
 
 (* All per-run observations land in growable buffers rather than
    reversed lists: recording an outcome or a comparison event is an
@@ -114,9 +123,9 @@ let next t =
 let[@inline] record_outcome t oid =
   if Bytes.unsafe_get t.covered oid = '\000' then begin
     Bytes.unsafe_set t.covered oid '\001';
-    Vec.push t.touched oid
+    Vec.push_int t.touched oid
   end;
-  if t.track_trace then Vec.push t.trace oid
+  if t.track_trace then Vec.push_int t.trace oid
 
 let[@inline] cover t site = record_outcome t (Site.outcome site true)
 
@@ -172,11 +181,8 @@ let emit t ~index ~kind ~result =
 
 (* A comparison against a tainted character: record the branch outcome
    always; log the comparison event only when the operand actually derives
-   from the input (constants have nothing to substitute). The boolean is
-   computed first and the event payload built only when it will actually
-   be logged — constructing a [kind] block for an untracked run (or, for
-   [one_of], a charset and a label per call) is wasted allocation on the
-   hottest path. *)
+   from the input (constants have nothing to substitute). The kind is
+   never built here: it comes from a slot or the [Char_eq] table. *)
 let[@inline] emit_tainted t (c : Tchar.t) kind result =
   let index = Taint.max_index_raw c.taint in
   if index >= 0 then emit t ~index ~kind ~result
@@ -203,33 +209,12 @@ let eq t site c expected =
   if t.track_comparisons then emit_tainted t c (char_eq expected) result;
   branch t site result
 
-let in_range t site c lo hi =
-  let result = c.Tchar.ch >= lo && c.Tchar.ch <= hi in
-  if t.track_comparisons then
-    emit_tainted t c (Comparison.Char_range (lo, hi)) result;
-  branch t site result
-
-let in_set t site ~label c set =
-  let result = Charset.mem c.Tchar.ch set in
-  if t.track_comparisons then
-    emit_tainted t c (Comparison.Char_set (set, label)) result;
-  branch t site result
-
-let one_of t site c chars =
-  let result = String.contains chars c.Tchar.ch in
-  if t.track_comparisons then
-    emit_tainted t c
-      (Comparison.Char_set (Charset.of_string chars, "one-of " ^ chars))
-      result;
-  branch t site result
-
 (* Pre-resolved comparison slots: a subject resolves the two outcome
    ids and the event-kind block once, where it defines the site, so the
    per-character path is a compare, a possible event push and a
    coverage store — no [Site.outcome] dispatch and no kind allocation
-   per call. The
-   observation sequence is identical to the [eq]/[in_range]/[in_set]/
-   [one_of] forms above: event first, then outcome. *)
+   per call. The observation sequence is [eq]'s above: event first,
+   then outcome. *)
 type slot = { sl_true : int; sl_false : int; sl_kind : Comparison.kind }
 
 let slot site kind =
@@ -256,75 +241,89 @@ let[@inline] in_set_slot t sl (c : Tchar.t) set =
 let[@inline] one_of_slot t sl (c : Tchar.t) chars =
   slot_result t sl c (String.contains chars c.Tchar.ch)
 
-(* Instrumented strcmp. The token and the keyword are compared in
-   lockstep up to their first difference; a tracked run then logs one
-   character event per matched position, in order, and the mismatch
-   events. On a mismatch after partial progress, the keyword-suffix
-   event's replacement completes the keyword in one substitution. The
-   events are built from taint indices read in place ([max_index_raw])
-   and the shared [Char_eq] kinds, so the only blocks allocated are the
-   keyword-suffix kinds. *)
-let emit_suffix t ~index keyword ~offset =
-  emit t ~index ~kind:(Comparison.Str_eq { expected = keyword; offset }) ~result:false
+(* Keyword slots: a keyword's two outcome ids and its [Str_eq] kinds,
+   one per offset, resolved once where the subject defines the site, so
+   no keyword event builds a kind. Offset 0 is an expectation's kind
+   ([expect_token]) and an empty keyword's. *)
+type keyword = {
+  kw : string;
+  kw_true : int;
+  kw_false : int;
+  kw_suffix : Comparison.kind array; (* [Str_eq] at offsets 0 .. length *)
+}
 
-let str_eq t site (tok : Tstring.t) keyword =
-  let tok_len = Tstring.length tok and kw_len = String.length keyword in
+let keyword site kw =
+  {
+    kw;
+    kw_true = Site.outcome site true;
+    kw_false = Site.outcome site false;
+    kw_suffix =
+      Array.init (String.length kw + 1) (fun offset ->
+          Comparison.Str_eq { expected = kw; offset });
+  }
+
+(* Instrumented strcmp of the token [input[from, cursor)] against a
+   keyword, in place. Every character of the span was read, so its
+   taint is its position: the event index of position [p] is [p]. The
+   token and the keyword are compared in lockstep up to their first
+   difference; a tracked run then logs one character event per matched
+   position, in order, and the mismatch events. On a mismatch after
+   partial progress, the keyword-suffix event's replacement completes
+   the keyword in one substitution. The kinds are the shared [Char_eq]
+   ones and the slot's, so nothing is allocated. *)
+let str_eq t kw ~from =
+  let stop = t.cursor and keyword = kw.kw in
+  if from < 0 || from > stop then invalid_arg "Ctx.str_eq";
+  let text = t.text in
+  let tok_len = stop - from and kw_len = String.length keyword in
   let n = if tok_len < kw_len then tok_len else kw_len in
   let i = ref 0 in
-  while !i < n && (Tstring.get tok !i).Tchar.ch = String.unsafe_get keyword !i do
+  while
+    !i < n && String.unsafe_get text (from + !i) = String.unsafe_get keyword !i
+  do
     incr i
   done;
   let i = !i in
   let matched = i = tok_len && i = kw_len in
   if t.track_comparisons then begin
     for j = 0 to i - 1 do
-      let index = Taint.max_index_raw (Tstring.get tok j).Tchar.taint in
-      if index >= 0 then emit t ~index ~kind:(char_eq keyword.[j]) ~result:true
+      emit t ~index:(from + j) ~kind:(char_eq (String.unsafe_get keyword j))
+        ~result:true
     done;
     if matched then ()
     else if i = tok_len then begin
       (* The token is a proper prefix of the keyword: the mismatch is at
          the position just past the token, where an extension of it
-         would have to appear. *)
-      let last = ref (-1) in
-      for j = 0 to tok_len - 1 do
-        let index = Taint.max_index_raw (Tstring.get tok j).Tchar.taint in
-        if index > !last then last := index
-      done;
-      if !last >= 0 then begin
-        let index = !last + 1 in
-        emit t ~index ~kind:(char_eq keyword.[i]) ~result:false;
-        if i > 0 then emit_suffix t ~index keyword ~offset:i
+         would have to appear. An empty token has no position. *)
+      if tok_len > 0 then begin
+        emit t ~index:stop ~kind:(char_eq (String.unsafe_get keyword i)) ~result:false;
+        if i > 0 then emit t ~index:stop ~kind:kw.kw_suffix.(i) ~result:false
       end
     end
     else begin
-      let index = Taint.max_index_raw (Tstring.get tok i).Tchar.taint in
-      if index >= 0 then
-        if i = kw_len then
-          (* The token is longer than the keyword: no substitution can
-             help at this position, but the failed comparison is
-             recorded for coverage. *)
-          emit_suffix t ~index keyword ~offset:kw_len
-        else begin
-          emit t ~index ~kind:(char_eq keyword.[i]) ~result:false;
-          if i > 0 then emit_suffix t ~index keyword ~offset:i
-        end
+      let index = from + i in
+      if i = kw_len then
+        (* The token is longer than the keyword: no substitution can
+           help at this position, but the failed comparison is
+           recorded for coverage. *)
+        emit t ~index ~kind:kw.kw_suffix.(kw_len) ~result:false
+      else begin
+        emit t ~index ~kind:(char_eq (String.unsafe_get keyword i)) ~result:false;
+        if i > 0 then emit t ~index ~kind:kw.kw_suffix.(i) ~result:false
+      end
     end
   end;
-  branch t site matched
+  record_outcome t (if matched then kw.kw_true else kw.kw_false);
+  matched
 
 (* §7.2 token-taint recovery: a parser that demands a specific token can
    report the expectation at the token's input position even though the
    token value itself carries no direct data flow. On mismatch the event's
    replacement is the expected spelling, to be spliced at [at]. *)
-let expect_token t site ~at ~spelling ~matched =
-  if not matched then
-    emit t ~index:at
-      ~kind:(Comparison.Str_eq { expected = spelling; offset = 0 })
-      ~result:false;
-  branch t site matched
-
-let reject _t reason = raise (Reject reason)
+let expect_token t kw ~at ~matched =
+  if not matched then emit t ~index:at ~kind:kw.kw_suffix.(0) ~result:false;
+  record_outcome t (if matched then kw.kw_true else kw.kw_false);
+  matched
 
 let[@inline] comparison_count t = t.n_comparisons
 let[@inline] comparison_columns t = t.comparisons

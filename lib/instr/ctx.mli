@@ -14,9 +14,36 @@
 
 type t
 
-exception Reject of string
+(** {1 Verdicts} (re-exported by {!Runner}) *)
+
+type crash = {
+  exn : string;
+      (** the exception's constructor name ([Printexc.exn_slot_name]),
+          e.g. ["Stdlib.Failure"] — the coarse triage key *)
+  site : int;
+      (** FNV-1a hash of the run's first-occurrence outcome sequence at
+          the moment of the crash — a callsite identity that
+          distinguishes the same exception raised from different places
+          in the subject, and is the same on every execution of the
+          same input *)
+  detail : string;  (** [Printexc.to_string] of the exception *)
+}
+(** Identity of a subject crash. Two crashes with equal [(exn, site)]
+    are duplicates for triage purposes. *)
+
+type verdict =
+  | Accepted  (** the parser consumed the input without error: exit 0 *)
+  | Rejected of string  (** first parse error: non-zero exit *)
+  | Hang  (** fuel exhausted, the analogue of the paper's infinite loop *)
+  | Crash of crash
+      (** the subject raised something other than {!Reject} /
+          {!Out_of_fuel} — the analogue of a SIGSEGV in the paper's
+          C subjects. Contained, never propagated. *)
+
+exception Reject of verdict
 (** Raised by {!reject}: the subject's equivalent of exiting non-zero on
-    the first parse error. *)
+    the first parse error. It carries the run's verdict, always
+    [Rejected reason], built once with its {!rejection}. *)
 
 exception Out_of_fuel
 (** Raised by {!tick} when the run's fuel budget is exhausted: the
@@ -104,26 +131,26 @@ val tick : t -> unit
 
     Each operation records the branch outcome at the given site and, when
     the compared value is tainted, appends a comparison event to the log.
-    All return the boolean result of the comparison. *)
+    All return the boolean result of the comparison.
+
+    Every kind an event carries comes from a {!slot}, a {!keyword} slot
+    or a process-wide table of [Char_eq] kinds, all built once, so no
+    comparison builds a kind. *)
 
 val eq : t -> Site.t -> Pdf_taint.Tchar.t -> char -> bool
-val one_of : t -> Site.t -> Pdf_taint.Tchar.t -> string -> bool
-(** Membership of the characters of the given string. *)
-
-val in_range : t -> Site.t -> Pdf_taint.Tchar.t -> char -> char -> bool
-val in_set :
-  t -> Site.t -> label:string -> Pdf_taint.Tchar.t -> Pdf_util.Charset.t -> bool
+(** [c == expected], its kind from the shared [Char_eq] table. *)
 
 (** {2 Pre-resolved slots}
 
-    Variants of the comparison operations for the subject parsers
-    ([Helpers.slot_*] in [lib/subjects] builds them): a {!slot} freezes a
-    site's two outcome ids and the comparison-event kind once, where the
-    site is defined, so the per-character call performs no
-    [Site.outcome] dispatch and allocates no kind block. Each [_slot]
-    operation records exactly the same observations as its tracked
-    counterpart above (the supplied kind must match what that
-    counterpart would build). *)
+    The comparison operations of the subject parsers ([Helpers.slot_*]
+    in [lib/subjects] builds the slots): a {!slot} freezes a site's two
+    outcome ids and the comparison-event kind once, where the site is
+    defined, so the per-character call performs no [Site.outcome]
+    dispatch and allocates no kind block. The supplied kind must be the
+    one the operation compares against: [Char_eq c] for {!eq_slot}
+    against [c], [Char_range (lo, hi)] for {!in_range_slot}, a
+    [Char_set] of the set for {!in_set_slot} and of the string's
+    characters for {!one_of_slot}. *)
 
 type slot
 
@@ -134,24 +161,48 @@ val in_range_slot : t -> slot -> Pdf_taint.Tchar.t -> char -> char -> bool
 val in_set_slot : t -> slot -> Pdf_taint.Tchar.t -> Pdf_util.Charset.t -> bool
 val one_of_slot : t -> slot -> Pdf_taint.Tchar.t -> string -> bool
 
-val str_eq : t -> Site.t -> Pdf_taint.Tstring.t -> string -> bool
-(** Instrumented [strcmp]-style equality: emits one character-comparison
-    event per compared position, and — on a mismatch after partial
-    progress into the keyword — an additional suffix event whose
-    multi-character replacement is what lets the fuzzer complete
-    keywords. *)
+(** {2 Keywords} *)
 
-val expect_token : t -> Site.t -> at:int -> spelling:string -> matched:bool -> bool
+type keyword
+(** A keyword resolved once, where its site is defined: the site's two
+    outcome ids and the [Str_eq] kind of every offset into the
+    keyword. *)
+
+val keyword : Site.t -> string -> keyword
+
+val str_eq : t -> keyword -> from:int -> bool
+(** Instrumented [strcmp]-style equality of the token [input[from,
+    pos)] — the span the parser just read, which ends at the cursor —
+    against the keyword, in place. Emits one character-comparison event
+    per compared position, and — on a mismatch after partial progress
+    into the keyword — an additional suffix event whose multi-character
+    replacement is what lets the fuzzer complete keywords. A position's
+    event index is the position itself, the taint of every character
+    read from it. Raises [Invalid_argument] unless
+    [0 <= from <= pos t]. *)
+
+val expect_token : t -> keyword -> at:int -> matched:bool -> bool
 (** Token-level expectation with taint recovery (the §7.2 proposal):
-    records the branch outcome and, on mismatch, emits a comparison event
-    at input position [at] whose replacement is the expected token's
-    [spelling]. This restores the substitution signal that tokenization's
-    broken data flow otherwise loses. Returns [matched]. *)
+    records the branch outcome of the keyword's site and, on mismatch,
+    emits a comparison event at input position [at] whose replacement is
+    the keyword, the expected token's spelling. This restores the
+    substitution signal that tokenization's broken data flow otherwise
+    loses. Returns [matched]. *)
 
 (** {1 Termination} *)
 
-val reject : t -> string -> 'a
-(** Abort the run: the input is invalid. *)
+type rejection
+(** A reject message with the {!Reject} exception and the verdict it
+    yields, built once. *)
+
+val rejection : string -> rejection
+(** [rejection reason] builds the rejection that ends a run with
+    [Rejected reason]. Build each where its message is defined, not per
+    run. *)
+
+val reject : t -> rejection -> 'a
+(** Abort the run: the input is invalid. Raises the rejection's
+    prebuilt exception, so a rejection allocates nothing. *)
 
 (** {1 Results} (read by the run harness) *)
 

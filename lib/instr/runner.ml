@@ -1,5 +1,5 @@
-type crash = { exn : string; site : int; detail : string }
-type verdict = Accepted | Rejected of string | Hang | Crash of crash
+type crash = Ctx.crash = { exn : string; site : int; detail : string }
+type verdict = Ctx.verdict = Accepted | Rejected of string | Hang | Crash of crash
 
 (* First-occurrence order of outcomes: a compact path identity that is
    insensitive to loop iteration counts ("non-duplicate branches"), over
@@ -51,7 +51,7 @@ let package ctx verdict =
 let run_in ctx ~parse =
   match parse ctx with
   | () -> Accepted
-  | exception Ctx.Reject reason -> Rejected reason
+  | exception Ctx.Reject verdict -> verdict
   | exception Ctx.Out_of_fuel -> Hang
   | exception e -> Crash (crash_of ctx e)
 

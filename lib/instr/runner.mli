@@ -8,29 +8,11 @@
     {!run_in}) and reads it in place through a {!View}. No execution
     starts from another's state. *)
 
-type crash = {
-  exn : string;
-      (** the exception's constructor name ([Printexc.exn_slot_name]),
-          e.g. ["Stdlib.Failure"] — the coarse triage key *)
-  site : int;
-      (** FNV-1a hash of the run's first-occurrence outcome sequence at
-          the moment of the crash — a callsite identity that
-          distinguishes the same exception raised from different places
-          in the subject, and is the same on every execution of the
-          same input *)
-  detail : string;  (** [Printexc.to_string] of the exception *)
-}
-(** Identity of a subject crash. Two crashes with equal [(exn, site)]
-    are duplicates for triage purposes. *)
+type crash = Ctx.crash = { exn : string; site : int; detail : string }
+(** Identity of a subject crash: {!Ctx.crash}. *)
 
-type verdict =
-  | Accepted  (** the parser consumed the input without error: exit 0 *)
-  | Rejected of string  (** first parse error: non-zero exit *)
-  | Hang  (** fuel exhausted, the analogue of the paper's infinite loop *)
-  | Crash of crash
-      (** the subject raised something other than {!Ctx.Reject} /
-          {!Ctx.Out_of_fuel} — the analogue of a SIGSEGV in the paper's
-          C subjects. Contained, never propagated. *)
+type verdict = Ctx.verdict = Accepted | Rejected of string | Hang | Crash of crash
+(** A run's outcome: {!Ctx.verdict}. *)
 
 type run = {
   input : string;
@@ -59,7 +41,8 @@ val exec :
   string ->
   run
 (** Run the parser on the given input. The exception contract:
-    {!Ctx.Reject} maps to [Rejected], {!Ctx.Out_of_fuel} to [Hang], and
+    {!Ctx.Reject} maps to the [Rejected] verdict it carries,
+    {!Ctx.Out_of_fuel} to [Hang], and
     {e every other exception} the subject raises — [Failure],
     [Invalid_argument], [Stack_overflow], anything — is contained as
     [Crash] with the observations accumulated up to the raise. A
@@ -78,9 +61,10 @@ val exec :
 val run_in : Ctx.t -> parse:(Ctx.t -> unit) -> verdict
 (** [run_in ctx ~parse] runs the parser on the context's input — a
     context fresh from {!Ctx.make}, or one readied by {!Ctx.reset} — and
-    returns the verdict under {!exec}'s exception contract. The
-    observations stay in [ctx]: {!package} copies them into a run, and a
-    {!View} reads them in place. *)
+    returns the verdict under {!exec}'s exception contract. A rejection
+    returns the verdict its {!Ctx.rejection} was built with, so it
+    allocates nothing. The observations stay in [ctx]: {!package}
+    copies them into a run, and a {!View} reads them in place. *)
 
 val package : Ctx.t -> verdict -> run
 (** The context's observations, copied into an owned run. *)

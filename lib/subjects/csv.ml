@@ -24,6 +24,10 @@ let sl_newline = Helpers.slot_eq b_newline '\n'
 let sl_comma = Helpers.slot_eq b_comma ','
 let sl_bare_char = Helpers.slot_set b_bare_char ~label:"bare-char" bare_chars
 
+(* Rejections, built once. *)
+let r_unterminated = Ctx.rejection "unterminated quoted field"
+let r_after_field = Ctx.rejection "unexpected character after field"
+
 (* Frames are bare enter/exit pairs, so a rejection logs no exit for
    the frames it unwinds; the golden digests pin that frame log
    (DESIGN §11). *)
@@ -32,7 +36,7 @@ let sl_bare_char = Helpers.slot_set b_bare_char ~label:"bare-char" bare_chars
    continues the field. *)
 let rec quoted_body ctx =
   match Ctx.next ctx with
-  | None -> Ctx.reject ctx "unterminated quoted field"
+  | None -> Ctx.reject ctx r_unterminated
   | Some c ->
     if Ctx.eq_slot ctx sl_quote_close c '"' then begin
       match Ctx.peek ctx with
@@ -85,7 +89,7 @@ let rec after_record ctx =
         record ctx;
         after_record ctx
     end
-    else Ctx.reject ctx "unexpected character after field"
+    else Ctx.reject ctx r_after_field
 
 let parse ctx =
   Ctx.enter_frame ctx s_parse;

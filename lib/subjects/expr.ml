@@ -25,6 +25,11 @@ let sl_digit_more = Helpers.slot_range b_digit_more '0' '9'
 let sl_op_plus = Helpers.slot_eq b_op_plus '+'
 let sl_op_minus = Helpers.slot_eq b_op_minus '-'
 
+(* Rejections, built once. *)
+let r_operand_eof = Ctx.rejection "expected digit or '(', found end of input"
+let r_operand = Ctx.rejection "expected digit or '('"
+let r_trailing = Ctx.rejection "trailing input after expression"
+
 (* Frames are bare enter/exit pairs, so a rejection logs no exit for
    the frames it unwinds; the golden digests pin that frame log
    (DESIGN §11). *)
@@ -57,7 +62,7 @@ and factor_body ctx =
   if not (Helpers.eat_if ctx sl_sign_plus '+') then
     ignore (Helpers.eat_if ctx sl_sign_minus '-');
   match Ctx.peek ctx with
-  | None -> Ctx.reject ctx "expected digit or '(', found end of input"
+  | None -> Ctx.reject ctx r_operand_eof
   | Some c ->
     if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then begin
       ignore (Ctx.next ctx);
@@ -68,7 +73,7 @@ and factor_body ctx =
       expr ctx;
       Helpers.expect ctx x_rparen
     end
-    else Ctx.reject ctx "expected digit or '('"
+    else Ctx.reject ctx r_operand
 
 let parse ctx =
   Ctx.enter_frame ctx s_parse;
@@ -76,7 +81,7 @@ let parse ctx =
   (match Ctx.peek ctx with
    | Some _ ->
      ignore (Ctx.branch ctx b_trailing true);
-     Ctx.reject ctx "trailing input after expression"
+     Ctx.reject ctx r_trailing
    | None -> ignore (Ctx.branch ctx b_trailing false));
   Ctx.exit_frame ctx
 

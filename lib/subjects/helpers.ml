@@ -2,10 +2,9 @@ module Ctx = Pdf_instr.Ctx
 module Site = Pdf_instr.Site
 module Comparison = Pdf_instr.Comparison
 module Charset = Pdf_util.Charset
-module Tstring = Pdf_taint.Tstring
 
-(* The kinds built here are exactly what the tracked [Ctx] operations
-   build per call, so comparison logs are the same either way. *)
+(* The kinds of the comparison logs: [one_of]'s is the set of the
+   string's characters, labelled with the string. *)
 let slot_eq site expected = Ctx.slot site (Comparison.Char_eq expected)
 let slot_range site lo hi = Ctx.slot site (Comparison.Char_range (lo, hi))
 let slot_set site ~label set = Ctx.slot site (Comparison.Char_set (set, label))
@@ -31,22 +30,26 @@ let rec skip_range ctx sl lo hi =
       skip_range ctx sl lo hi
     end
 
-(* Skip, then cut what was skipped from the input in one slice: the
-   comparisons and outcomes are [skip_set]'s, and the token takes no
-   closure and no list. *)
+(* Skip, and return where the skipped span started: the token is the
+   input from there to the cursor, and reading it allocates nothing. *)
 let read_set ctx sl set =
   let from = Ctx.pos ctx in
   skip_set ctx sl set;
-  Tstring.of_input (Ctx.input ctx) from (Ctx.pos ctx - from)
+  from
 
-type expectation = { sl : Ctx.slot; c : char; at_eof : string; mismatch : string }
+type expectation = {
+  sl : Ctx.slot;
+  c : char;
+  at_eof : Ctx.rejection;
+  mismatch : Ctx.rejection;
+}
 
 let expectation site c =
   {
     sl = slot_eq site c;
     c;
-    at_eof = Printf.sprintf "expected %C, found end of input" c;
-    mismatch = Printf.sprintf "expected %C" c;
+    at_eof = Ctx.rejection (Printf.sprintf "expected %C, found end of input" c);
+    mismatch = Ctx.rejection (Printf.sprintf "expected %C" c);
   }
 
 let expect ctx x =

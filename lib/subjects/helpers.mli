@@ -8,12 +8,11 @@ module Site = Pdf_instr.Site
 (** {1 Comparison slots}
 
     Constructors for {!Pdf_instr.Ctx.slot}: each freezes a branch site's
-    two outcome ids together with the comparison-event kind the tracked
-    [Ctx] operation would build per call, so the slot operations
-    ([Ctx.eq_slot], [Ctx.in_range_slot], …) record the same observations
-    without the per-call site dispatch and kind allocation. Build a slot
-    once, where the site is defined, and pass the character, set or
-    range it was built with to the slot operation. *)
+    two outcome ids together with the comparison-event kind of its
+    operation ([Ctx.eq_slot], [Ctx.in_range_slot], …), so a comparison
+    performs no per-call site dispatch and no kind allocation. Build a
+    slot once, where the site is defined, and pass the character, set
+    or range it was built with to the slot operation. *)
 
 val slot_eq : Site.t -> char -> Ctx.slot
 val slot_range : Site.t -> char -> char -> Ctx.slot
@@ -32,12 +31,14 @@ val skip_set : Ctx.t -> Ctx.slot -> Pdf_util.Charset.t -> unit
 val skip_range : Ctx.t -> Ctx.slot -> char -> char -> unit
 (** {!skip_set} over the range a {!slot_range} slot was built with. *)
 
-val read_set : Ctx.t -> Ctx.slot -> Pdf_util.Charset.t -> Pdf_taint.Tstring.t
-(** {!skip_set}, returning the characters it consumed as one token. *)
+val read_set : Ctx.t -> Ctx.slot -> Pdf_util.Charset.t -> int
+(** {!skip_set}, returning the position it started at: the characters
+    it consumed are the token [input[start, Ctx.pos ctx)], a span that
+    {!Ctx.str_eq} compares in place. *)
 
 type expectation
 (** A character the parser demands next: its {!slot_eq} slot and both
-    reject messages, formatted once. *)
+    rejections, built once. *)
 
 val expectation : Site.t -> char -> expectation
 

@@ -38,6 +38,11 @@ let x_equals = Helpers.expectation b_equals '='
 let sl_inline_ws = Helpers.slot_set b_inline_ws ~label:"inline-ws" inline_ws
 let sl_line_char = Helpers.slot_set b_value_char ~label:"line-char" value_chars
 
+(* Rejections, built once. *)
+let r_unterminated = Ctx.rejection "unterminated section header"
+let r_header_newline = Ctx.rejection "newline in section header"
+let r_line_start = Ctx.rejection "invalid start of line"
+
 let skip_inline_ws ctx = Helpers.skip_set ctx sl_inline_ws inline_ws
 let skip_to_eol ctx = Helpers.skip_set ctx sl_line_char value_chars
 
@@ -50,14 +55,14 @@ let skip_to_eol ctx = Helpers.skip_set ctx sl_line_char value_chars
    emptiness branch is recorded when the ']' arrives. *)
 let rec section_name ctx ~first =
   match Ctx.next ctx with
-  | None -> Ctx.reject ctx "unterminated section header"
+  | None -> Ctx.reject ctx r_unterminated
   | Some c ->
     if Ctx.eq_slot ctx sl_rbracket c ']' then begin
       ignore (Ctx.branch ctx b_section_empty first);
       skip_to_eol ctx
     end
     else if Ctx.eq_slot ctx sl_section_nl c '\n' then
-      Ctx.reject ctx "newline in section header"
+      Ctx.reject ctx r_header_newline
     else section_name ctx ~first:false
 
 let section ctx =
@@ -97,7 +102,7 @@ let line_body ctx =
       section ctx
     end
     else if Ctx.in_set_slot ctx sl_keychar c key_chars then kvpair ctx
-    else Ctx.reject ctx "invalid start of line"
+    else Ctx.reject ctx r_line_start
 
 let line ctx =
   Ctx.enter_frame ctx s_line;

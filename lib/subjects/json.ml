@@ -50,8 +50,9 @@ let b_trailing = Site.branch registry "parse.trailing?"
 
 let ws = Charset.of_string " \t\r\n"
 
-(* Slots for every comparison site, and expectations for the characters
-   the parser demands, resolved once at module initialisation. *)
+(* Slots for every comparison site, keyword slots, and expectations for
+   the characters the parser demands, resolved once at module
+   initialisation. *)
 let sl_ws = Helpers.slot_set b_ws ~label:"whitespace" ws
 let sl_str_close = Helpers.slot_eq b_str_close '"'
 let sl_str_backslash = Helpers.slot_eq b_str_backslash '\\'
@@ -76,6 +77,28 @@ let x_rbracket = Helpers.expectation b_rbracket ']'
 let sl_num_int = Helpers.slot_range b_num_int '0' '9'
 let sl_num_frac = Helpers.slot_range b_num_frac '0' '9'
 let sl_num_exp_digit = Helpers.slot_range b_num_exp_digit '0' '9'
+let kw_true = Ctx.keyword b_kw_true "true"
+let kw_false = Ctx.keyword b_kw_false "false"
+let kw_null = Ctx.keyword b_kw_null "null"
+
+(* Rejections, built once. *)
+let r_digit_eof = Ctx.rejection "expected digit, found end of input"
+let r_digit = Ctx.rejection "expected digit"
+let r_utf16_eof = Ctx.rejection "unterminated \\u escape"
+let r_hex = Ctx.rejection "invalid hex digit in \\u escape"
+let r_no_low_surrogate = Ctx.rejection "missing low surrogate"
+let r_low_surrogate = Ctx.rejection "invalid low surrogate"
+let r_unpaired_surrogate = Ctx.rejection "unpaired low surrogate"
+let r_escape_eof = Ctx.rejection "unterminated escape"
+let r_escape = Ctx.rejection "invalid escape character"
+let r_string_eof = Ctx.rejection "unterminated string"
+let r_control = Ctx.rejection "control character in string"
+let r_literal = Ctx.rejection "invalid literal"
+let r_value_eof = Ctx.rejection "expected value, found end of input"
+let r_value = Ctx.rejection "unexpected character at start of value"
+let r_key = Ctx.rejection "expected string key"
+let r_key_eof = Ctx.rejection "expected string key, found end of input"
+let r_trailing = Ctx.rejection "trailing input after value"
 
 let skip_ws ctx = Helpers.skip_set ctx sl_ws ws
 
@@ -86,9 +109,9 @@ let skip_ws ctx = Helpers.skip_set ctx sl_ws ws
 (* One or more digits, all compared through [sl]. *)
 let digits ctx sl =
   match Ctx.next ctx with
-  | None -> Ctx.reject ctx "expected digit, found end of input"
+  | None -> Ctx.reject ctx r_digit_eof
   | Some c ->
-    if not (Ctx.in_range_slot ctx sl c '0' '9') then Ctx.reject ctx "expected digit";
+    if not (Ctx.in_range_slot ctx sl c '0' '9') then Ctx.reject ctx r_digit;
     Helpers.skip_range ctx sl '0' '9'
 
 (* cJSON's UTF-16 decoding relies on implicit flow: the hex digits are
@@ -110,19 +133,19 @@ let rec utf16_quad ctx acc n =
   if n = 0 then acc
   else
     match Ctx.next ctx with
-    | None -> Ctx.reject ctx "unterminated \\u escape"
+    | None -> Ctx.reject ctx r_utf16_eof
     | Some c ->
       let v = untracked_hex_value c in
       if Ctx.branch ctx b_hex_valid (v >= 0) then
         utf16_quad ctx ((acc * 16) + v) (n - 1)
-      else Ctx.reject ctx "invalid hex digit in \\u escape"
+      else Ctx.reject ctx r_hex
 
 (* The surrogate-pair glue characters are matched without tracking, like
    [untracked_hex_value]: cJSON recognises them via implicit flow. *)
 let expect_untracked ctx expected =
   match Ctx.next ctx with
   | Some c when c.Tchar.ch = expected -> ()
-  | Some _ | None -> Ctx.reject ctx "missing low surrogate"
+  | Some _ | None -> Ctx.reject ctx r_no_low_surrogate
 
 (* A high surrogate must be followed by "\uDC00".."\uDFFF". *)
 let utf16_surrogate ctx =
@@ -132,7 +155,7 @@ let utf16_surrogate ctx =
   let second = utf16_quad ctx 0 4 in
   let low = second >= 0xDC00 && second <= 0xDFFF in
   if not (Ctx.branch ctx b_surrogate_low low) then
-    Ctx.reject ctx "invalid low surrogate";
+    Ctx.reject ctx r_low_surrogate;
   Ctx.exit_frame ctx
 
 let utf16_escape ctx =
@@ -141,29 +164,29 @@ let utf16_escape ctx =
   if Ctx.branch ctx b_surrogate_high (first >= 0xD800 && first <= 0xDBFF) then
     utf16_surrogate ctx
   else if first >= 0xDC00 && first <= 0xDFFF then
-    Ctx.reject ctx "unpaired low surrogate";
+    Ctx.reject ctx r_unpaired_surrogate;
   Ctx.exit_frame ctx
 
 let escape ctx =
   Ctx.enter_frame ctx s_escape;
   (match Ctx.next ctx with
-   | None -> Ctx.reject ctx "unterminated escape"
+   | None -> Ctx.reject ctx r_escape_eof
    | Some c ->
      if Ctx.one_of_slot ctx sl_esc_simple c "\"\\/bfnrt" then ()
      else if Ctx.branch ctx b_esc_u (c.Tchar.ch = 'u') then utf16_escape ctx
-     else Ctx.reject ctx "invalid escape character");
+     else Ctx.reject ctx r_escape);
   Ctx.exit_frame ctx
 
 (* A string's characters after the opening quote, up to the closing
    one. *)
 let rec string_chars ctx =
   match Ctx.next ctx with
-  | None -> Ctx.reject ctx "unterminated string"
+  | None -> Ctx.reject ctx r_string_eof
   | Some c ->
     if not (Ctx.eq_slot ctx sl_str_close c '"') then begin
       if Ctx.eq_slot ctx sl_str_backslash c '\\' then escape ctx
       else if Ctx.branch ctx b_str_control (Char.code c.Tchar.ch < 0x20) then
-        Ctx.reject ctx "control character in string";
+        Ctx.reject ctx r_control;
       string_chars ctx
     end
 
@@ -192,13 +215,13 @@ let number ctx =
   Ctx.exit_frame ctx
 
 let keyword_body ctx =
-  let word = Helpers.read_set ctx sl_letter Charset.letters in
+  let from = Helpers.read_set ctx sl_letter Charset.letters in
   if
     not
-      (Ctx.str_eq ctx b_kw_true word "true"
-      || Ctx.str_eq ctx b_kw_false word "false"
-      || Ctx.str_eq ctx b_kw_null word "null")
-  then Ctx.reject ctx "invalid literal"
+      (Ctx.str_eq ctx kw_true ~from
+      || Ctx.str_eq ctx kw_false ~from
+      || Ctx.str_eq ctx kw_null ~from)
+  then Ctx.reject ctx r_literal
 
 let keyword ctx =
   Ctx.enter_frame ctx s_keyword;
@@ -210,7 +233,7 @@ let rec value ctx =
   Ctx.enter_frame ctx s_value;
   Ctx.tick ctx;
   (match Ctx.peek ctx with
-   | None -> Ctx.reject ctx "expected value, found end of input"
+   | None -> Ctx.reject ctx r_value_eof
    | Some c ->
      if Ctx.eq_slot ctx sl_lbrace c '{' then object_ ctx
      else if Ctx.eq_slot ctx sl_lbracket c '[' then array ctx
@@ -218,7 +241,7 @@ let rec value ctx =
      else if Ctx.eq_slot ctx sl_minus c '-' then number ctx
      else if Ctx.in_range_slot ctx sl_digit c '0' '9' then number ctx
      else if Ctx.in_set_slot ctx sl_letter c Charset.letters then keyword ctx
-     else Ctx.reject ctx "unexpected character at start of value");
+     else Ctx.reject ctx r_value);
   Ctx.exit_frame ctx
 
 and object_ ctx =
@@ -232,8 +255,8 @@ and members ctx =
   skip_ws ctx;
   (match Ctx.peek ctx with
    | Some c when Ctx.eq_slot ctx sl_obj_key_quote c '"' -> ()
-   | Some _ -> Ctx.reject ctx "expected string key"
-   | None -> Ctx.reject ctx "expected string key, found end of input");
+   | Some _ -> Ctx.reject ctx r_key
+   | None -> Ctx.reject ctx r_key_eof);
   string_ ctx;
   skip_ws ctx;
   Helpers.expect ctx x_colon;
@@ -265,7 +288,7 @@ let parse ctx =
   (match Ctx.peek ctx with
    | Some _ ->
      ignore (Ctx.branch ctx b_trailing true);
-     Ctx.reject ctx "trailing input after value"
+     Ctx.reject ctx r_trailing
    | None -> ignore (Ctx.branch ctx b_trailing false));
   Ctx.exit_frame ctx
 

@@ -2,7 +2,6 @@ module Ctx = Pdf_instr.Ctx
 module Site = Pdf_instr.Site
 module Charset = Pdf_util.Charset
 module Tchar = Pdf_taint.Tchar
-module Tstring = Pdf_taint.Tstring
 
 let registry = Site.create_registry "mjs"
 let block = Site.block registry
@@ -55,15 +54,21 @@ let keywords =
     "with"; "NaN"; "Object"; "JSON";
   ]
 
-let b_keyword = List.map (fun kw -> (kw, branch (Printf.sprintf "lex.kw-%s?" kw))) keywords
+(* Each keyword's slot and token, built once. *)
+let keyword_slots =
+  List.map
+    (fun kw -> (Ctx.keyword (branch (Printf.sprintf "lex.kw-%s?" kw)) kw, Kw kw))
+    keywords
 
 (* Builtin member names, compared after a '.' member access. *)
 let members = [ "stringify"; "indexOf"; "length" ]
-let b_member = List.map (fun m -> (m, branch (Printf.sprintf "lex.member-%s?" m))) members
+let member_slots =
+  List.map (fun m -> Ctx.keyword (branch (Printf.sprintf "lex.member-%s?" m)) m) members
 let s_member_known = block "lex.member-known"
 
 (* All multi-character operators and punctuation, matched through a trie
-   whose every edge is a tracked character comparison. *)
+   whose every edge is a tracked character comparison. A node that ends
+   an operator holds its token, built once. *)
 let operators =
   [
     "{"; "}"; "("; ")"; "["; "]"; ";"; ","; "."; "?"; ":"; "~";
@@ -74,7 +79,7 @@ let operators =
   ]
 
 type op_node = {
-  mutable terminal : string option;
+  mutable terminal : token option;
   mutable edges : (char * Site.t * op_node) list;
 }
 
@@ -94,7 +99,7 @@ let () =
           !node.edges <- !node.edges @ [ (c, site, child) ];
           node := child)
       op;
-    !node.terminal <- Some op
+    !node.terminal <- Some (Punct op)
   in
   List.iter add operators
 
@@ -123,16 +128,27 @@ let sl_num_exp_digit = Helpers.slot_set b_num_exp_digit ~label:"digit" Charset.d
 let escapes = "nrtbfv0\\'\""
 let sl_esc_known = Helpers.slot_one_of b_esc_known escapes
 
+(* The lexer's rejections, built once. *)
+let r_hex_digits = Ctx.rejection "missing hex digits"
+let r_frac_digits = Ctx.rejection "missing fraction digits"
+let r_exp_digits = Ctx.rejection "missing exponent digits"
+let r_string_eof = Ctx.rejection "unterminated string"
+let r_escape_eof = Ctx.rejection "unterminated escape"
+let r_escape = Ctx.rejection "unknown escape"
+let r_string_newline = Ctx.rejection "newline in string literal"
+let r_char = Ctx.rejection "unexpected character"
+
 (* Lexer nonterminals are frames around named bodies, which
    [Ctx.frame] hands the context: no closure per call. *)
 
-let rec find_keyword ctx word = function
+(* The word is the span from [from] to the cursor. *)
+let rec find_keyword ctx from = function
   | [] -> Ident
-  | (kw, site) :: rest ->
-    if Ctx.str_eq ctx site word kw then Kw kw else find_keyword ctx word rest
+  | (kw, tok) :: rest ->
+    if Ctx.str_eq ctx kw ~from then tok else find_keyword ctx from rest
 
 let lex_word_body ctx =
-  find_keyword ctx (Helpers.read_set ctx sl_word_more word_chars) b_keyword
+  find_keyword ctx (Helpers.read_set ctx sl_word_more word_chars) keyword_slots
 
 let lex_word ctx = Ctx.frame ctx s_lex_word lex_word_body ctx
 
@@ -145,14 +161,14 @@ let lex_number_body ctx =
         when first.Tchar.ch = '0' && Ctx.one_of_slot ctx sl_num_hex c "xX" ->
         ignore (Ctx.next ctx);
         let ds = Helpers.read_set ctx sl_num_hex_digit hex_digits in
-        if Tstring.length ds = 0 then Ctx.reject ctx "missing hex digits"
+        if Ctx.pos ctx = ds then Ctx.reject ctx r_hex_digits
       | Some _ | None ->
-        ignore (Helpers.read_set ctx sl_num_more Charset.digits);
+        Helpers.skip_set ctx sl_num_more Charset.digits;
         (match Ctx.peek ctx with
          | Some c when Ctx.eq ctx b_num_dot c '.' ->
            ignore (Ctx.next ctx);
            let frac = Helpers.read_set ctx sl_num_frac Charset.digits in
-           if Tstring.length frac = 0 then Ctx.reject ctx "missing fraction digits"
+           if Ctx.pos ctx = frac then Ctx.reject ctx r_frac_digits
          | Some _ | None -> ());
         (match Ctx.peek ctx with
          | Some c when Ctx.one_of_slot ctx sl_num_exp c "eE" ->
@@ -162,7 +178,7 @@ let lex_number_body ctx =
               ignore (Ctx.next ctx)
             | Some _ | None -> ());
            let ex = Helpers.read_set ctx sl_num_exp_digit Charset.digits in
-           if Tstring.length ex = 0 then Ctx.reject ctx "missing exponent digits"
+           if Ctx.pos ctx = ex then Ctx.reject ctx r_exp_digits
          | Some _ | None -> ())));
   Number
 
@@ -170,19 +186,19 @@ let lex_number ctx = Ctx.frame ctx s_lex_number lex_number_body ctx
 
 let rec string_chars ctx quote =
   match Ctx.next ctx with
-  | None -> Ctx.reject ctx "unterminated string"
+  | None -> Ctx.reject ctx r_string_eof
   | Some c ->
     if Ctx.eq ctx b_str_close c quote then Str
     else if Ctx.eq ctx b_str_escape c '\\' then begin
       (match Ctx.next ctx with
-       | None -> Ctx.reject ctx "unterminated escape"
+       | None -> Ctx.reject ctx r_escape_eof
        | Some e ->
          if not (Ctx.one_of_slot ctx sl_esc_known e escapes) then
-           Ctx.reject ctx "unknown escape");
+           Ctx.reject ctx r_escape);
       string_chars ctx quote
     end
     else if Ctx.eq ctx b_str_newline c '\n' then
-      Ctx.reject ctx "newline in string literal"
+      Ctx.reject ctx r_string_newline
     else string_chars ctx quote
 
 (* One string body per quote character, so the frame passes only the
@@ -215,8 +231,8 @@ let rec walk_op ctx node matched =
   end
   else
     match matched with
-    | Some op -> Punct op
-    | None -> Ctx.reject ctx "unexpected character"
+    | Some tok -> tok
+    | None -> Ctx.reject ctx r_char
 
 let lex_op_body ctx = walk_op ctx op_root None
 let lex_op ctx = Ctx.frame ctx s_lex_op lex_op_body ctx
@@ -320,11 +336,14 @@ let b_expect_while = branch "expect.while"
 let b_expect_ident = branch "expect.ident"
 
 (* An expected token and everything its check needs, built once: the
-   token, the branch site and the reject message. *)
-type expectation = { tok : token; site : Site.t; msg : string }
+   token, the branch site and the rejection. *)
+type expectation = { tok : token; site : Site.t; reject : Ctx.rejection }
 
-let punct p site = { tok = Punct p; site; msg = Printf.sprintf "expected %S" p }
-let keyword kw site = { tok = Kw kw; site; msg = Printf.sprintf "expected keyword %S" kw }
+let punct p site =
+  { tok = Punct p; site; reject = Ctx.rejection (Printf.sprintf "expected %S" p) }
+
+let keyword kw site =
+  { tok = Kw kw; site; reject = Ctx.rejection (Printf.sprintf "expected keyword %S" kw) }
 let x_lparen = punct "(" b_expect_lparen
 let x_rparen = punct ")" b_expect_rparen
 let x_lbrace = punct "{" b_expect_lbrace
@@ -334,9 +353,21 @@ let x_colon = punct ":" b_expect_colon
 let x_semicolon = punct ";" b_semicolon
 let x_while = keyword "while" b_expect_while
 
+(* The parser's other rejections, built once. *)
+let r_statement_eof = Ctx.rejection "expected statement, found end of input"
+let r_var_name = Ctx.rejection "expected variable name"
+let r_exn_name = Ctx.rejection "expected exception name"
+let r_try = Ctx.rejection "try without catch or finally"
+let r_fn_name = Ctx.rejection "expected function name"
+let r_param_name = Ctx.rejection "expected parameter name"
+let r_member_name = Ctx.rejection "expected member name"
+let r_expression = Ctx.rejection "expected expression"
+let r_prop_key = Ctx.rejection "expected property key"
+let r_empty = Ctx.rejection "empty program"
+
 let expect st x =
   if Ctx.branch st.ctx x.site (tok_eq st.tok x.tok) then advance st
-  else Ctx.reject st.ctx x.msg
+  else Ctx.reject st.ctx x.reject
 
 let assign_ops =
   [ "="; "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "<<="; ">>="; ">>>=" ]
@@ -362,12 +393,13 @@ let binary_tiers =
 let unary_ops = [ Punct "!"; Punct "~"; Punct "+"; Punct "-"; Punct "++"; Punct "--" ]
 let unary_kws = [ "typeof"; "delete"; "void" ]
 
-(* A member name after '.', compared against the builtin names. *)
-let rec find_member ctx word = function
+(* A member name after '.', the span from [from] to the cursor,
+   compared against the builtin names. *)
+let rec find_member ctx from = function
   | [] -> ()
-  | (m, site) :: rest ->
-    if Ctx.str_eq ctx site word m then Ctx.cover ctx s_member_known
-    else find_member ctx word rest
+  | m :: rest ->
+    if Ctx.str_eq ctx m ~from then Ctx.cover ctx s_member_known
+    else find_member ctx from rest
 
 (* The innermost operand of the binary tiers, tied to [unary] below the
    recursive descent: the tier functions are built once, here, so no
@@ -431,7 +463,7 @@ and statement_body st =
     expect st x_semicolon
   | Punct _ | Kw _ | Ident | Number | Str ->
     Ctx.frame st.ctx s_expr_stmt expression_statement st
-  | Eof -> Ctx.reject st.ctx "expected statement, found end of input"
+  | Eof -> Ctx.reject st.ctx r_statement_eof
 
 and expression_statement st =
   expression st;
@@ -463,7 +495,7 @@ and var_body st =
 
 and var_declarations st =
   (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
-   else Ctx.reject st.ctx "expected variable name");
+   else Ctx.reject st.ctx r_var_name);
   if Ctx.branch st.ctx b_var_init (tok_eq st.tok (Punct "=")) then begin
     advance st;
     assignment st
@@ -590,7 +622,7 @@ and try_body st =
     advance st;
     expect st x_lparen;
     (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
-     else Ctx.reject st.ctx "expected exception name");
+     else Ctx.reject st.ctx r_exn_name);
     expect st x_rparen;
     block_stmt st
   end;
@@ -598,7 +630,7 @@ and try_body st =
     advance st;
     block_stmt st
   end
-  else if not caught then Ctx.reject st.ctx "try without catch or finally"
+  else if not caught then Ctx.reject st.ctx r_try
 
 and with_stmt st = Ctx.frame st.ctx s_with with_body st
 
@@ -622,7 +654,7 @@ and function_rest st ~named =
   advance st;
   (* function *)
   if Ctx.branch st.ctx b_fn_anonymous (tok_eq st.tok Ident) then advance st
-  else if named then Ctx.reject st.ctx "expected function name";
+  else if named then Ctx.reject st.ctx r_fn_name;
   expect st x_lparen;
   if not (tok_eq st.tok (Punct ")")) then function_params st;
   expect st x_rparen;
@@ -630,7 +662,7 @@ and function_rest st ~named =
 
 and function_params st =
   (if Ctx.branch st.ctx b_expect_ident (tok_eq st.tok Ident) then advance st
-   else Ctx.reject st.ctx "expected parameter name");
+   else Ctx.reject st.ctx r_param_name);
   if Ctx.branch st.ctx b_fn_params_more (tok_eq st.tok (Punct ",")) then begin
     advance st;
     function_params st
@@ -723,8 +755,8 @@ and member_body st =
   Helpers.skip_set st.ctx sl_ws ws;
   (match Ctx.peek st.ctx with
    | Some c when Ctx.in_set_slot st.ctx sl_word_start c word_start ->
-     find_member st.ctx (Helpers.read_set st.ctx sl_word_more word_chars) b_member
-   | Some _ | None -> Ctx.reject st.ctx "expected member name");
+     find_member st.ctx (Helpers.read_set st.ctx sl_word_more word_chars) member_slots
+   | Some _ | None -> Ctx.reject st.ctx r_member_name);
   advance st
 
 and call_args st =
@@ -754,7 +786,7 @@ and primary_body st =
     expect st x_rparen
   | Punct "[" -> array_literal st
   | Punct "{" -> object_literal st
-  | Punct _ | Kw _ | Eof -> Ctx.reject st.ctx "expected expression"
+  | Punct _ | Kw _ | Eof -> Ctx.reject st.ctx r_expression
 
 and array_literal st = Ctx.frame st.ctx s_array_lit array_body st
 
@@ -786,7 +818,7 @@ and object_properties st =
      advance st
    | Punct _ | Eof ->
      ignore (Ctx.branch st.ctx b_prop_key false);
-     Ctx.reject st.ctx "expected property key");
+     Ctx.reject st.ctx r_prop_key);
   expect st x_colon;
   assignment st;
   if Ctx.branch st.ctx b_prop_more (tok_eq st.tok (Punct ",")) then begin
@@ -804,7 +836,7 @@ let rec program_stmts (st : state) =
 
 let parse_body ctx =
   let st = { ctx; tok = next_token ctx } in
-  if tok_eq st.tok Eof then Ctx.reject ctx "empty program";
+  if tok_eq st.tok Eof then Ctx.reject ctx r_empty;
   program_stmts st;
   ignore (Ctx.branch ctx b_trailing (not (tok_eq st.tok Eof)))
 

@@ -32,6 +32,10 @@ let table =
          })
        pairs)
 
+(* Rejections, built once. *)
+let r_empty = Ctx.rejection "empty input"
+let r_unbalanced = Ctx.rejection "unbalanced input"
+
 (* Frames are bare enter/exit pairs, so a rejection logs no exit for
    the frames it unwinds; the golden digests pin that frame log
    (DESIGN §11). *)
@@ -62,12 +66,12 @@ and try_opens ctx c i =
    different input. *)
 let parse_body ctx =
   if Ctx.branch ctx b_empty (Option.is_none (Ctx.peek ctx)) then
-    Ctx.reject ctx "empty input";
+    Ctx.reject ctx r_empty;
   seq ctx;
   match Ctx.peek ctx with
   | Some _ ->
     ignore (Ctx.branch ctx b_trailing true);
-    Ctx.reject ctx "unbalanced input"
+    Ctx.reject ctx r_unbalanced
   | None -> ignore (Ctx.branch ctx b_trailing false)
 
 let parse ctx =

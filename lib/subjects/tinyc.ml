@@ -1,7 +1,6 @@
 module Ctx = Pdf_instr.Ctx
 module Site = Pdf_instr.Site
 module Charset = Pdf_util.Charset
-module Tstring = Pdf_taint.Tstring
 
 type token =
   | Sym of char
@@ -10,7 +9,7 @@ type token =
   | Kw_while
   | Kw_do
   | Id of int  (** variable index 0..25 *)
-  | Num of int
+  | Num  (** its value is the parser state's [num] *)
   | Eof
 
 (* Token equality by pattern: [=] on tokens would call the polymorphic
@@ -18,11 +17,16 @@ type token =
 let tok_eq a b =
   match (a, b) with
   | Sym x, Sym y -> Char.equal x y
-  | Id x, Id y | Num x, Num y -> Int.equal x y
-  | Kw_if, Kw_if | Kw_else, Kw_else | Kw_while, Kw_while | Kw_do, Kw_do | Eof, Eof
-    ->
+  | Id x, Id y -> Int.equal x y
+  | Kw_if, Kw_if | Kw_else, Kw_else | Kw_while, Kw_while | Kw_do, Kw_do | Num, Num
+  | Eof, Eof ->
     true
-  | (Sym _ | Kw_if | Kw_else | Kw_while | Kw_do | Id _ | Num _ | Eof), _ -> false
+  | (Sym _ | Kw_if | Kw_else | Kw_while | Kw_do | Id _ | Num | Eof), _ -> false
+
+(* The identifier tokens, built once. A symbol's token is built with its
+   branch and a number's value is kept in the parser state, so lexing a
+   token allocates nothing. *)
+let ids = Array.init 26 (fun v -> Id v)
 
 (* The subject is functorised so the paper-faithful parser and the §7.2
    token-taint variant share one implementation: the only difference is
@@ -58,10 +62,11 @@ let b_digit = Site.branch registry "lex.digit?"
 
 let symbols = "<+-;={}()"
 
-(* One branch per symbol, as in the original lexer's if/else-if chain. *)
+(* One branch per symbol, as in the original lexer's if/else-if chain,
+   with the symbol's token. *)
 let b_symbols =
   List.map
-    (fun c -> (c, Site.branch registry (Printf.sprintf "lex.sym-%c?" c)))
+    (fun c -> (c, Site.branch registry (Printf.sprintf "lex.sym-%c?" c), Sym c))
     (List.init (String.length symbols) (String.get symbols))
 let b_kw_if = Site.branch registry "lex.kw-if?"
 let b_kw_else = Site.branch registry "lex.kw-else?"
@@ -108,40 +113,61 @@ type stmt =
   | S_expr of expr
   | S_empty
 
-type parser_state = { ctx : Ctx.t; mutable tok : token; mutable tok_start : int }
+type parser_state = {
+  ctx : Ctx.t;
+  mutable tok : token;
+  mutable tok_start : int;
+  mutable num : int; (* the value of the last [Num] token *)
+}
 
 let ws = Charset.of_string " \t\r\n"
 let lower = Charset.range 'a' 'z'
 
 (* The lexer's comparisons, resolved once: each slot holds its site's
-   outcomes and the event kind, so a tracked comparison builds no kind. *)
+   outcomes and the event kind, and each keyword slot its site's
+   outcomes and suffix kinds, so a tracked comparison builds no kind. *)
 let sl_ws = Helpers.slot_set b_ws ~label:"whitespace" ws
 let sl_letter_first = Helpers.slot_range b_letter 'a' 'z'
 let sl_letter = Helpers.slot_set b_letter ~label:"letter" lower
 let sl_digit_first = Helpers.slot_range b_digit '0' '9'
 let sl_digit = Helpers.slot_set b_digit ~label:"digit" Charset.digits
+let kw_if = Ctx.keyword b_kw_if "if"
+let kw_else = Ctx.keyword b_kw_else "else"
+let kw_while = Ctx.keyword b_kw_while "while"
+let kw_do = Ctx.keyword b_kw_do "do"
+
+(* Rejections, built once. *)
+let r_char = Ctx.rejection "unexpected character"
+let r_keyword = Ctx.rejection "unknown keyword"
+let r_lvalue = Ctx.rejection "assignment to non-variable"
+let r_term = Ctx.rejection "expected term"
+let r_do_while = Ctx.rejection "expected 'while' after do-body"
+let r_empty = Ctx.rejection "empty program"
+let r_trailing = Ctx.rejection "trailing input after statement"
 
 (* The symbol branches in the original lexer's if/else-if order: the
    first whose character matches makes the token. *)
 let rec lex_symbol ctx c = function
-  | [] -> Ctx.reject ctx "unexpected character"
-  | (sym, site) :: rest ->
+  | [] -> Ctx.reject ctx r_char
+  | (sym, site, tok) :: rest ->
     if Ctx.eq ctx site c sym then begin
       ignore (Ctx.next ctx);
-      Sym sym
+      tok
     end
     else lex_symbol ctx c rest
 
-(* Accumulate with silent wrap-around, as C's int arithmetic does;
-   [int_of_string] would fail on fuzzer-generated digit floods. *)
-let number_value num =
+(* The value of the digits [input[from, stop)], accumulated with silent
+   wrap-around, as C's int arithmetic does; [int_of_string] would fail
+   on fuzzer-generated digit floods. *)
+let number_value input from stop =
   let value = ref 0 in
-  for i = 0 to Tstring.length num - 1 do
-    value := (!value * 10) + (Char.code (Tstring.get num i).Pdf_taint.Tchar.ch - Char.code '0')
+  for i = from to stop - 1 do
+    value := (!value * 10) + (Char.code input.[i] - Char.code '0')
   done;
   !value
 
-(* The next token, and the input position where it starts, into [st]. *)
+(* The next token, and the input position where it starts, into [st].
+   A word and a number are spans of the input, ending at the cursor. *)
 let lex st =
   let ctx = st.ctx in
   Helpers.skip_set ctx sl_ws ws;
@@ -151,33 +177,47 @@ let lex st =
      | None -> Eof
      | Some c ->
        if Ctx.in_range_slot ctx sl_letter_first c 'a' 'z' then begin
-         let word = Helpers.read_set ctx sl_letter lower in
-         if Ctx.str_eq ctx b_kw_if word "if" then Kw_if
-         else if Ctx.str_eq ctx b_kw_else word "else" then Kw_else
-         else if Ctx.str_eq ctx b_kw_while word "while" then Kw_while
-         else if Ctx.str_eq ctx b_kw_do word "do" then Kw_do
-         else if Ctx.branch ctx b_word_is_id (Tstring.length word = 1) then
-           Id (Char.code (Tstring.get word 0).Pdf_taint.Tchar.ch - Char.code 'a')
-         else Ctx.reject ctx "unknown keyword"
+         let from = Helpers.read_set ctx sl_letter lower in
+         if Ctx.str_eq ctx kw_if ~from then Kw_if
+         else if Ctx.str_eq ctx kw_else ~from then Kw_else
+         else if Ctx.str_eq ctx kw_while ~from then Kw_while
+         else if Ctx.str_eq ctx kw_do ~from then Kw_do
+         else if Ctx.branch ctx b_word_is_id (Ctx.pos ctx - from = 1) then
+           ids.(Char.code (Ctx.input ctx).[from] - Char.code 'a')
+         else Ctx.reject ctx r_keyword
        end
-       else if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then
-         Num (number_value (Helpers.read_set ctx sl_digit Charset.digits))
+       else if Ctx.in_range_slot ctx sl_digit_first c '0' '9' then begin
+         let from = Helpers.read_set ctx sl_digit Charset.digits in
+         st.num <- number_value (Ctx.input ctx) from (Ctx.pos ctx);
+         Num
+       end
        else lex_symbol ctx c b_symbols)
 
 let advance st = Ctx.frame st.ctx s_lex lex st
 
 (* An expected symbol and everything its check needs, built once: the
-   token, the branch site, the spelling a §7.2 event splices in and the
-   reject message. *)
-type expectation = { sym : token; site : Site.t; spelling : string; msg : string }
+   token, the branch site, the keyword slot of the spelling a §7.2 event
+   splices in and the rejection. *)
+type expectation = {
+  sym : token;
+  site : Site.t;
+  spelling : Ctx.keyword;
+  reject : Ctx.rejection;
+}
 
 let expectation c site =
-  { sym = Sym c; site; spelling = String.make 1 c; msg = Printf.sprintf "expected %C" c }
+  {
+    sym = Sym c;
+    site;
+    spelling = Ctx.keyword site (String.make 1 c);
+    reject = Ctx.rejection (Printf.sprintf "expected %C" c);
+  }
 
 let x_lparen = expectation '(' b_lparen
 let x_rparen = expectation ')' b_rparen
 let x_semicolon = expectation ';' b_semicolon
 let x_rbrace = expectation '}' b_stmt_block
+let kw_do_while = Ctx.keyword b_do_while "while"
 
 (* Token-kind expectation. The lexer's dispatch comparisons already
    happened; the structural check here has no data flow from the input
@@ -186,10 +226,10 @@ let expect_sym st x =
   let matched = tok_eq st.tok x.sym in
   let matched =
     if Config.token_taints then
-      Ctx.expect_token st.ctx x.site ~at:st.tok_start ~spelling:x.spelling ~matched
+      Ctx.expect_token st.ctx x.spelling ~at:st.tok_start ~matched
     else Ctx.branch st.ctx x.site matched
   in
-  if matched then advance st else Ctx.reject st.ctx x.msg
+  if matched then advance st else Ctx.reject st.ctx x.reject
 
 (* Each nonterminal is a frame around a named body, which [Ctx.frame]
    hands the parser state: no closure per call. *)
@@ -205,7 +245,7 @@ and expr_body st =
       E_assign (v, expr st)
     | E_assign _ | E_less _ | E_add _ | E_sub _ | E_num _ ->
       ignore (Ctx.branch st.ctx b_lvalue false);
-      Ctx.reject st.ctx "assignment to non-variable"
+      Ctx.reject st.ctx r_lvalue
   end
   else left
 
@@ -241,8 +281,9 @@ and term_body st =
     ignore (Ctx.branch st.ctx b_term_id true);
     advance st;
     E_id v
-  | Num n ->
+  | Num ->
     ignore (Ctx.branch st.ctx b_term_num true);
+    let n = st.num in
     advance st;
     E_num n
   | Sym '(' ->
@@ -250,7 +291,7 @@ and term_body st =
     paren_expr st
   | Sym _ | Kw_if | Kw_else | Kw_while | Kw_do | Eof ->
     ignore (Ctx.branch st.ctx b_term_paren false);
-    Ctx.reject st.ctx "expected term"
+    Ctx.reject st.ctx r_term
 
 and paren_expr st = Ctx.frame st.ctx s_paren_expr paren_expr_body st
 
@@ -285,8 +326,7 @@ and statement_body st =
     let matched = tok_eq st.tok Kw_while in
     let matched =
       if Config.token_taints then
-        Ctx.expect_token st.ctx b_do_while ~at:st.tok_start ~spelling:"while"
-          ~matched
+        Ctx.expect_token st.ctx kw_do_while ~at:st.tok_start ~matched
       else Ctx.branch st.ctx b_do_while matched
     in
     if matched then begin
@@ -295,7 +335,7 @@ and statement_body st =
       expect_sym st x_semicolon;
       S_do (body, cond)
     end
-    else Ctx.reject st.ctx "expected 'while' after do-body"
+    else Ctx.reject st.ctx r_do_while
   end
   else if Ctx.branch st.ctx b_stmt_block (tok_eq st.tok (Sym '{')) then begin
     advance st;
@@ -321,11 +361,12 @@ and block_stmts st acc =
     S_block (List.rev acc)
   end
 
-(* §7.3's reject message for each variable, built once. *)
-let undefined_msgs =
+(* §7.3's rejection for each variable, built once. *)
+let undefined =
   Array.init 26 (fun v ->
-      Printf.sprintf "use of variable '%c' before assignment"
-        (Char.chr (Char.code 'a' + v)))
+      Ctx.rejection
+        (Printf.sprintf "use of variable '%c' before assignment"
+           (Char.chr (Char.code 'a' + v))))
 
 (* Execution, as in the paper's evaluation setup (tinyC programs are run
    after parsing). The fuel budget turns infinite loops into hangs. *)
@@ -350,7 +391,7 @@ let rec eval ex = function
   | E_id v ->
     if Config.semantic_checks then begin
       if not (Ctx.branch ex.ex_ctx b_sem_defined ex.assigned.(v)) then
-        Ctx.reject ex.ex_ctx undefined_msgs.(v)
+        Ctx.reject ex.ex_ctx undefined.(v)
     end;
     ex.vars.(v)
   | E_num n -> n
@@ -391,12 +432,12 @@ let exec ctx program =
     { ex_ctx = ctx; vars = Array.make 26 0; assigned = Array.make 26 false; program }
 
 let parse_body ctx =
-  let st = { ctx; tok = Eof; tok_start = 0 } in
+  let st = { ctx; tok = Eof; tok_start = 0; num = 0 } in
   advance st;
-  if tok_eq st.tok Eof then Ctx.reject ctx "empty program";
+  if tok_eq st.tok Eof then Ctx.reject ctx r_empty;
   let program = statement st in
   if Ctx.branch ctx b_trailing (not (tok_eq st.tok Eof)) then
-    Ctx.reject ctx "trailing input after statement";
+    Ctx.reject ctx r_trailing;
   exec ctx program
 
 let parse ctx = Ctx.frame ctx s_parse parse_body ctx

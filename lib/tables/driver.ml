@@ -9,11 +9,11 @@ type coverage_mode = Code | Table_elements
 type diagnostics = Silent | Expected_sets
 
 (* The table resolved for the driver: a nonterminal is its index, a
-   terminal carries its reject message, and each populated cell holds
-   its production's right-hand side and its coverage site, so a step
+   terminal carries its rejection, and each populated cell holds its
+   production's right-hand side and its coverage site, so a step
    indexes arrays and allocates nothing but the stack cell of an
    expansion. *)
-type symbol = Term of char * string | Nonterm of int
+type symbol = Term of char * Ctx.rejection | Nonterm of int
 
 type cell = { rhs : symbol list; cell_site : Site.t option }
 
@@ -25,6 +25,10 @@ type nonterminal = {
 }
 
 type resolved = { nonterminals : nonterminal array; start : symbol list }
+
+let r_trailing = Ctx.rejection "trailing input"
+let r_eof = Ctx.rejection "unexpected end of input"
+let r_no_entry = Ctx.rejection "no table entry"
 
 let eof_cell = 256
 
@@ -43,7 +47,7 @@ let resolve table ~names ~frame_sites ~cell_sites ~expected_site =
       (match Hashtbl.find_opt terminals c with
        | Some sym -> sym
        | None ->
-         let sym = Term (c, Printf.sprintf "expected %C" c) in
+         let sym = Term (c, Ctx.rejection (Printf.sprintf "expected %C" c)) in
          Hashtbl.replace terminals c sym;
          sym)
   in
@@ -144,11 +148,11 @@ let subject ~name ~description ?(coverage = Table_elements)
          (match Ctx.peek ctx with
           | Some _ ->
             ignore (Ctx.branch ctx b_trailing true);
-            Ctx.reject ctx "trailing input"
+            Ctx.reject ctx r_trailing
           | None -> ignore (Ctx.branch ctx b_trailing false)))
     | Term (expected, mismatch) :: rest ->
       (match Ctx.next ctx with
-       | None -> Ctx.reject ctx "unexpected end of input"
+       | None -> Ctx.reject ctx r_eof
        | Some c ->
          if Ctx.eq ctx b_match_terminal c expected then loop nts ctx rest frames
          else Ctx.reject ctx mismatch)
@@ -162,7 +166,7 @@ let subject ~name ~description ?(coverage = Table_elements)
             expand nts ctx nt cell rest frames
           | None ->
             ignore (Ctx.branch ctx b_eof_lookup false);
-            Ctx.reject ctx "unexpected end of input")
+            Ctx.reject ctx r_eof)
        | Some c ->
          (* Direct table indexing: no comparison happens here, exactly
             as in a real table-driven parser. *)
@@ -175,7 +179,7 @@ let subject ~name ~description ?(coverage = Table_elements)
             (match nt.expected_slot with
              | Some sl -> ignore (Ctx.in_set_slot ctx sl c nt.expected)
              | None -> ());
-            Ctx.reject ctx "no table entry"))
+            Ctx.reject ctx r_no_entry))
   and expand nts ctx nt cell rest frames =
     (match cell.cell_site with Some site -> Ctx.cover ctx site | None -> ());
     Ctx.enter_frame ctx nt.frame_site;

@@ -18,6 +18,13 @@ let[@inline] push t x =
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
+(* [push] at type [int]: the store is typed as an int array's, so it
+   has no float-array test and no write barrier. *)
+let[@inline] push_int (t : int t) (x : int) =
+  if t.len >= Array.length t.data then grow t;
+  Array.unsafe_set t.data t.len x;
+  t.len <- t.len + 1
+
 let[@inline] get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
   t.data.(i)

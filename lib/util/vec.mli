@@ -19,6 +19,10 @@ val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 (** Append one element, growing the backing array geometrically. *)
 
+val push_int : int t -> int -> unit
+(** {!push} for an int vector: the store needs no write barrier, which
+    the polymorphic {!push} pays on every element. *)
+
 val get : 'a t -> int -> 'a
 (** [get t i] is the [i]-th element; raises [Invalid_argument] out of
     bounds. *)

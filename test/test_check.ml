@@ -212,6 +212,8 @@ let check_finds_bug ~name ~max_len buggy oracle_name =
        name max_len best)
     true (best <= max_len)
 
+let injected_bug = Ctx.rejection "injected bug"
+
 let test_mutation_spurious_reject () =
   (* The subject wrongly rejects any input mentioning '<'; minimal
      witness is "<>" (a lone '<' is rejected by both sides). *)
@@ -224,7 +226,7 @@ let test_mutation_spurious_reject () =
         (fun ctx ->
           base.parse ctx;
           if String.contains (Ctx.input ctx) '<' then
-            Ctx.reject ctx "injected bug");
+            Ctx.reject ctx injected_bug);
     }
   in
   check_finds_bug ~name:"spurious-reject" ~max_len:8 buggy "paren"
@@ -258,7 +260,7 @@ let test_mutation_object_slip () =
         (fun ctx ->
           base.parse ctx;
           if String.contains (Ctx.input ctx) ':' then
-            Ctx.reject ctx "injected bug");
+            Ctx.reject ctx injected_bug);
     }
   in
   check_finds_bug ~name:"object-slip" ~max_len:8 buggy "json"

@@ -7,7 +7,6 @@ module Frame = Pdf_instr.Frame
 module Charset = Pdf_util.Charset
 module Rng = Pdf_util.Rng
 module Tchar = Pdf_taint.Tchar
-module Tstring = Pdf_taint.Tstring
 module Subject = Pdf_subjects.Subject
 
 let check = Alcotest.check
@@ -228,24 +227,28 @@ let toy_root = Site.block toy_registry "root"
 let toy_digit = Site.branch toy_registry "digit?"
 let toy_kw = Site.branch toy_registry "kw?"
 let toy_inner = Site.block toy_registry "inner"
+let toy_digit_slot = Ctx.slot toy_digit (Comparison.Char_range ('0', '9'))
+let toy_hi = Ctx.keyword toy_kw "hi"
+let toy_empty = Ctx.rejection "empty"
+let toy_trailing = Ctx.rejection "trailing"
+let toy_bad_keyword = Ctx.rejection "bad keyword"
 
-let rec toy_word ctx acc =
-  match Ctx.next ctx with
-  | None -> acc
-  | Some c -> toy_word ctx (Tstring.append_char acc c)
+(* The rest of the input is the word. *)
+let rec toy_word ctx = match Ctx.next ctx with None -> () | Some _ -> toy_word ctx
 
 (* Accepts one digit, or the keyword "hi". *)
 let toy_body ctx =
   match Ctx.peek ctx with
-  | None -> Ctx.reject ctx "empty"
+  | None -> Ctx.reject ctx toy_empty
   | Some c ->
-    if Ctx.in_range ctx toy_digit c '0' '9' then begin
+    if Ctx.in_range_slot ctx toy_digit_slot c '0' '9' then begin
       ignore (Ctx.next ctx);
-      if not (Ctx.at_eof ctx) then Ctx.reject ctx "trailing"
+      if not (Ctx.at_eof ctx) then Ctx.reject ctx toy_trailing
     end
     else begin
-      let word = Ctx.frame ctx toy_inner (toy_word ctx) Tstring.empty in
-      if not (Ctx.str_eq ctx toy_kw word "hi") then Ctx.reject ctx "bad keyword"
+      let from = Ctx.pos ctx in
+      Ctx.frame ctx toy_inner toy_word ctx;
+      if not (Ctx.str_eq ctx toy_hi ~from) then Ctx.reject ctx toy_bad_keyword
     end
 
 let toy_parse ctx = Ctx.frame ctx toy_root toy_body ctx
@@ -302,7 +305,7 @@ let test_ctx_depth_restored_on_reject () =
   let registry = Site.create_registry "depth-restore" in
   let outer = Site.block registry "outer" in
   let ctx = Ctx.make ~registry "x" in
-  (try Ctx.frame ctx outer (fun () -> Ctx.reject ctx "boom") ()
+  (try Ctx.frame ctx outer (fun () -> Ctx.reject ctx (Ctx.rejection "boom")) ()
    with Ctx.Reject _ -> ());
   check Alcotest.int "depth restored after exception" 0 (Ctx.depth ctx)
 
@@ -317,11 +320,14 @@ let test_ctx_frame () =
   let ctx = Ctx.make ~registry ~track_frames:true "ab" in
   let rejecting ctx =
     ignore (Ctx.next ctx);
-    Ctx.frame ctx inner (fun reason -> Ctx.reject ctx reason) "boom"
+    Ctx.frame ctx inner (fun r -> Ctx.reject ctx r) (Ctx.rejection "boom")
   in
   (match Ctx.frame ctx outer rejecting ctx with
    | () -> Alcotest.fail "the body's rejection did not propagate"
-   | exception Ctx.Reject reason -> check Alcotest.string "rejection passes" "boom" reason);
+   | exception Ctx.Reject (Ctx.Rejected reason) ->
+     check Alcotest.string "rejection passes" "boom" reason
+   | exception Ctx.Reject v ->
+     Alcotest.failf "the rejection carries %a" Runner.pp_verdict v);
   check Alcotest.int "depth restored after the rejection" 0 (Ctx.depth ctx);
   check Alcotest.int "max depth reached" 2 (Ctx.max_depth ctx);
   check Alcotest.(list string) "every frame a rejection unwinds logs its exit"
@@ -368,8 +374,9 @@ let test_ctx_untainted_no_event () =
 let test_expect_token () =
   let registry = Site.create_registry "expect-token" in
   let b = Site.branch registry "want-while" in
+  let want_while = Ctx.keyword b "while" in
   let ctx = Ctx.make ~registry "do x;" in
-  let matched = Ctx.expect_token ctx b ~at:5 ~spelling:"while" ~matched:false in
+  let matched = Ctx.expect_token ctx want_while ~at:5 ~matched:false in
   Alcotest.(check bool) "returns matched" false matched;
   (match Ctx.comparisons ctx with
    | [ c ] ->
@@ -380,8 +387,112 @@ let test_expect_token () =
    | other -> Alcotest.failf "expected one event, got %d" (List.length other));
   (* A matching expectation emits nothing. *)
   let ctx2 = Ctx.make ~registry "while" in
-  ignore (Ctx.expect_token ctx2 b ~at:0 ~spelling:"while" ~matched:true);
+  ignore (Ctx.expect_token ctx2 want_while ~at:0 ~matched:true);
   check Alcotest.int "match emits no event" 0 (List.length (Ctx.comparisons ctx2))
+
+(* {2 Spans log what tokens logged}
+
+   [Ctx.str_eq] compares the span [input[from, cursor)] in place. It
+   used to compare a token cut from the input, an array of the read
+   characters (each [Tchar.interned] at its position), and to index its
+   events by their taints. That form is kept here as the model: the
+   events it logged, in order, and whether it matched. *)
+
+let model_str_eq (tok : Tchar.t array) keyword =
+  let tok_len = Array.length tok and kw_len = String.length keyword in
+  let n = Int.min tok_len kw_len in
+  let i = ref 0 in
+  while !i < n && tok.(!i).Tchar.ch = keyword.[!i] do
+    incr i
+  done;
+  let i = !i in
+  let matched = i = tok_len && i = kw_len in
+  let events = ref [] in
+  let emit index kind result = events := (index, kind, result) :: !events in
+  let suffix index offset =
+    emit index (Comparison.Str_eq { expected = keyword; offset }) false
+  in
+  let taint j = Pdf_taint.Taint.max_index_raw tok.(j).Tchar.taint in
+  for j = 0 to i - 1 do
+    if taint j >= 0 then emit (taint j) (Comparison.Char_eq keyword.[j]) true
+  done;
+  if matched then ()
+  else if i = tok_len then begin
+    let last = ref (-1) in
+    for j = 0 to tok_len - 1 do
+      if taint j > !last then last := taint j
+    done;
+    if !last >= 0 then begin
+      emit (!last + 1) (Comparison.Char_eq keyword.[i]) false;
+      if i > 0 then suffix (!last + 1) i
+    end
+  end
+  else if taint i >= 0 then
+    if i = kw_len then suffix (taint i) kw_len
+    else begin
+      emit (taint i) (Comparison.Char_eq keyword.[i]) false;
+      if i > 0 then suffix (taint i) i
+    end;
+  (List.rev !events, matched)
+
+let span_registry = Site.create_registry "span"
+let span_site = Site.branch span_registry "kw?"
+
+(* A text over a small alphabet, a span of it and a keyword that is
+   often a prefix or an extension of the span's text; spans start
+   anywhere, and often near or past [Tchar.interned_positions]. *)
+let span_case =
+  let open QCheck.Gen in
+  let letter = oneofl [ 'a'; 'b'; 'f'; 'i' ] in
+  int_range 0 200 >>= fun len ->
+  string_size ~gen:letter (return len) >>= fun text ->
+  oneof [ int_range 0 len; int_range (Int.min len (Tchar.interned_positions - 4)) len ]
+  >>= fun from ->
+  int_range from (Int.min len (from + 8)) >>= fun stop ->
+  oneof
+    [
+      map2
+        (fun k extra -> String.sub text from (Int.min k (stop - from)) ^ extra)
+        (int_range 0 8)
+        (string_size ~gen:letter (int_range 0 2));
+      string_size ~gen:letter (int_range 0 6);
+    ]
+  >>= fun keyword -> return (text, from, stop, keyword)
+
+let prop_span_str_eq =
+  QCheck.Test.make ~name:"span str_eq = the token form" ~count:2000
+    (QCheck.make
+       ~print:(fun (text, from, stop, keyword) ->
+         Printf.sprintf "%S, span [%d, %d), keyword %S" text from stop keyword)
+       span_case)
+    (fun (text, from, stop, keyword) ->
+      let tok =
+        Array.init (stop - from) (fun k ->
+            Option.get (Tchar.interned (from + k) text.[from + k]))
+      in
+      let want_events, want = model_str_eq tok keyword in
+      let kw = Ctx.keyword span_site keyword in
+      let run ~track_comparisons =
+        let ctx = Ctx.make ~registry:span_registry ~track_comparisons text in
+        for _ = 1 to stop do
+          ignore (Ctx.next ctx)
+        done;
+        let got = Ctx.str_eq ctx kw ~from in
+        (got, Ctx.comparisons ctx, Ctx.touched ctx)
+      in
+      let got, events, touched = run ~track_comparisons:true in
+      let got_untracked, untracked_events, untracked_touched =
+        run ~track_comparisons:false
+      in
+      let outcome = [| Site.outcome span_site want |] in
+      got = want
+      && List.map (fun (c : Comparison.t) -> (c.index, c.kind, c.result)) events
+         = want_events
+      && List.for_all (fun (c : Comparison.t) -> c.trace_pos = 0) events
+      && touched = outcome
+      && got_untracked = want
+      && untracked_events = []
+      && untracked_touched = outcome)
 
 let test_frames () =
   let ctx = Ctx.make ~registry:toy_registry ~track_frames:true "hi" in
@@ -567,7 +678,7 @@ let test_crash_containment () =
        (Runner.crash_id c3 <> Runner.crash_id c1)
    | _ -> Alcotest.fail "a raising subject did not yield a Crash verdict");
   (* The two blessed control-flow exceptions keep their own verdicts. *)
-  (match direct (fun ctx -> Ctx.reject ctx "no") with
+  (match direct (fun ctx -> Ctx.reject ctx (Ctx.rejection "no")) with
    | Runner.Rejected _ -> ()
    | v -> Alcotest.failf "Reject mapped to %a" Runner.pp_verdict v);
   match direct (fun _ -> raise Ctx.Out_of_fuel) with
@@ -803,7 +914,7 @@ let test_reset_contract () =
     for _ = 1 to 8 do Ctx.tick ctx done;
     (match Ctx.next ctx with Some c -> ignore (Ctx.eq ctx b_x c 'x') | None -> ());
     ignore (Ctx.peek ctx);
-    Ctx.reject ctx "left open"
+    Ctx.reject ctx (Ctx.rejection "left open")
   in
   Ctx.reset ctx "x";
   let r1 = Runner.package ctx (Runner.run_in ctx ~parse:first) in
@@ -908,10 +1019,18 @@ let test_past_the_bound () =
       (Runner.comparisons_at_last_index run)
   in
   check Alcotest.bool "suggests completing 'e'" true suggests_e;
-  let tok = Tstring.of_input broken (last - 2) 3 in
-  check Alcotest.string "token" "tru" (Tstring.to_string tok);
+  (* The token is the span of the three characters read before the
+     comparison: their taints are their positions. *)
+  let tok =
+    List.init 3 (fun k ->
+        let p = last - 2 + k in
+        Option.get (Tchar.interned p broken.[p]))
+  in
+  check Alcotest.string "token" "tru"
+    (String.of_seq (List.to_seq (List.map (fun (c : Tchar.t) -> c.ch) tok)));
   check Alcotest.(list int) "token taint" [ last - 2; last - 1; last ]
-    (Taint.to_list (Tstring.taint tok))
+    (Taint.to_list
+       (List.fold_left (fun t (c : Tchar.t) -> Taint.union t c.taint) Taint.empty tok))
 
 (* Two domains parse at once and share the table while they fill it:
    this case runs first, before any other case reads input, so the
@@ -994,6 +1113,7 @@ let () =
           Alcotest.test_case "untracked mode" `Quick test_ctx_untracked;
           Alcotest.test_case "constants emit no events" `Quick test_ctx_untainted_no_event;
           Alcotest.test_case "expect_token (7.2)" `Quick test_expect_token;
+          qtest prop_span_str_eq;
           Alcotest.test_case "frame events" `Quick test_frames;
         ] );
       ( "runner",

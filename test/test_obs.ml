@@ -521,15 +521,16 @@ let test_chrome_sink () =
 
    With no observer installed every telemetry site is one branch; no
    event record, no closure, no clock read. The fuzzer itself allocates
-   ~27 minor words per execution on the json subject and ~50 on tinyc
+   ~18 minor words per execution on the json subject and ~30 on tinyc
    (dev profile, this test's campaign, every execution a cold
    direct-style parse in the campaign's one context, reading interned
-   characters); each budget below has ~70% headroom, and what reading
+   characters, comparing tokens as spans and rejecting with prebuilt
+   rejections); each budget below has ~70% headroom, and what reading
    input allocated before, a fresh character per position and a closure
-   and lists per token (json ~63, tinyc ~141), already fails it. If this trips, something started
-   allocating on the hot path — tracing on costs ~1800 words/exec more,
-   so even a single stray event construction blows the budget
-   immediately. *)
+   and lists per token (json ~63, tinyc ~141), already fails it. If
+   this trips, something started allocating on the hot path — tracing
+   on costs ~1800 words/exec more, so even a single stray event
+   construction blows the budget immediately. *)
 
 let disabled_path_words name =
   let subject = Catalog.find name in
@@ -547,7 +548,7 @@ let test_disabled_path_allocation () =
       if per_exec > budget then
         Alcotest.failf "%s disabled-path allocation: %.0f minor words/exec (budget %.0f)"
           name per_exec budget)
-    [ ("json", 46.0); ("tinyc", 85.0) ]
+    [ ("json", 31.0); ("tinyc", 51.0) ]
 
 (* {1 The candidate-generation span is free when telemetry is off}
 
@@ -558,16 +559,16 @@ let test_disabled_path_allocation () =
    no clock read, no event record, and — the part a timer on this noisy
    box can actually enforce deterministically — not one word of
    allocation. The budget has ~70% headroom over the measured disabled
-   path (expr, dev profile: ~25 minor words/exec, all of it the
+   path (expr, dev profile: ~17.5 minor words/exec, all of it the
    campaign's own working set; ~59 when each first read of a position
    allocated its character, which fails it); if it trips, a span site
    or the candidate loop started allocating per replacement. *)
 
 let test_disabled_gen_span_allocation () =
   let per_exec = disabled_path_words "expr" in
-  if per_exec > 43.0 then
+  if per_exec > 30.0 then
     Alcotest.failf
-      "disabled-obs candidate generation: %.0f minor words/exec (budget 43)"
+      "disabled-obs candidate generation: %.0f minor words/exec (budget 30)"
       per_exec
 
 (* {1 Result timing fields} *)

@@ -301,6 +301,65 @@ let test_json_utf16_blind_spot () =
   in
   Alcotest.(check bool) "no comparison touches the hex digit" false has_hex_suggestion
 
+(* {1 A rejected parse allocates nothing}
+
+   A campaign rejects most of what it runs, so a rejection must cost no
+   allocation: each reject message is built once with its exception and
+   its verdict ([Ctx.rejection]), a keyword is compared in place as a
+   span of the input, and every kind an event logs was built with its
+   slot. The rejected inputs of a 2,000-execution campaign are replayed
+   through one warmed context, as the campaign runs them ([Ctx.reset],
+   then [Runner.run_in]). The five subjects that build no syntax tree
+   allocate nothing per rejection, where a fresh exception and verdict
+   cost 5 words. A tinyc or mjs parse allocates its parser state (5 and
+   3 words), and tinyc the part of its syntax tree it built before
+   rejecting: they measure 8.8 and 3.0 words, and their budgets have
+   50% headroom, which a parse that still cut its tokens as arrays and
+   built its keyword kinds and rejections (24.3 and 18.9 words) fails.
+   The dev and the release profile measure the same, so one budget
+   serves both. *)
+
+let rejected_inputs (subject : Subject.t) =
+  let inputs = ref [] in
+  let on_execution (run : Runner.run) =
+    match run.verdict with
+    | Runner.Rejected _ -> inputs := run.input :: !inputs
+    | Runner.Accepted | Runner.Hang | Runner.Crash _ -> ()
+  in
+  let config = { Pdf_core.Pfuzzer.default_config with max_executions = 2000 } in
+  ignore (Pdf_core.Pfuzzer.fuzz ~on_execution config subject);
+  Array.of_list (List.rev !inputs)
+
+let words_per_rejection name =
+  let subject = Catalog.find name in
+  let inputs = rejected_inputs subject in
+  let ctx = Pdf_instr.Ctx.make ~registry:subject.registry ~fuel:subject.fuel "" in
+  let rejected = ref 0 in
+  let replay () =
+    for i = 0 to Array.length inputs - 1 do
+      Pdf_instr.Ctx.reset ctx inputs.(i);
+      match Runner.run_in ctx ~parse:subject.parse with
+      | Runner.Rejected _ -> incr rejected
+      | Runner.Accepted | Runner.Hang | Runner.Crash _ -> ()
+    done
+  in
+  (* The first replay grows the context's buffers and builds the
+     interned characters the inputs read. *)
+  replay ();
+  rejected := 0;
+  let w0 = Gc.minor_words () in
+  replay ();
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) (name ^ ": every replayed input is rejected again")
+    (Array.length inputs) !rejected;
+  (w1 -. w0) /. float_of_int (Array.length inputs)
+
+let check_rejection_words name budget () =
+  let words = words_per_rejection name in
+  if words >= budget then
+    Alcotest.failf "%s: %.2f minor words per rejected parse (budget %.2f)" name words
+      budget
+
 let suite name valid invalid =
   ( name,
     [
@@ -343,6 +402,14 @@ let () =
           qtest (prop_generated_accepted "json" gen_json);
           qtest (prop_generated_accepted "tinyc" gen_tinyc);
         ] );
+      ( "rejections allocate nothing",
+        List.map
+          (fun (name, budget) ->
+            Alcotest.test_case name `Quick (check_rejection_words name budget))
+          [
+            ("paren", 0.5); ("ini", 0.5); ("csv", 0.5); ("json", 0.5); ("expr", 0.5);
+            ("tinyc", 13.0); ("mjs", 4.5);
+          ] );
       ( "structure",
         [
           Alcotest.test_case "token inventories" `Quick test_inventories;

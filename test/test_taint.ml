@@ -1,6 +1,5 @@
 module Taint = Pdf_taint.Taint
 module Tchar = Pdf_taint.Tchar
-module Tstring = Pdf_taint.Tstring
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -50,51 +49,18 @@ let test_tchar () =
   Alcotest.(check bool) "combine accumulates taints" true
     (Taint.mem 2 combined.Tchar.taint && Taint.mem 5 combined.Tchar.taint)
 
-let test_tstring_basics () =
-  let s = Tstring.of_string "abc" in
-  check Alcotest.int "length" 3 (Tstring.length s);
-  check Alcotest.string "to_string" "abc" (Tstring.to_string s);
-  Alcotest.(check bool) "constant string has no taint" true
-    (Taint.is_empty (Tstring.taint s));
-  let t = Tstring.of_input "hi" 0 2 in
-  check Alcotest.string "of_input payload" "hi" (Tstring.to_string t);
-  check Alcotest.(list int) "taint union" [ 0; 1 ] (Taint.to_list (Tstring.taint t));
-  check Alcotest.(list int) "per-char taint" [ 1 ]
-    (Taint.to_list (Tstring.taint_of_char t 1))
-
-let test_tstring_ops () =
-  let t = Tstring.of_input "----xy" 4 2 in
-  check Alcotest.(list int) "of_input taints from pos" [ 4; 5 ]
-    (Taint.to_list (Tstring.taint t));
-  let t2 = Tstring.append_char t (Tchar.input 6 'z') in
-  check Alcotest.string "append" "xyz" (Tstring.to_string t2);
-  check Alcotest.int "append leaves original" 2 (Tstring.length t);
-  let c = Tstring.concat t t2 in
-  check Alcotest.string "concat" "xyxyz" (Tstring.to_string c);
-  let sub = Tstring.sub c 2 3 in
-  check Alcotest.string "sub" "xyz" (Tstring.to_string sub);
-  Alcotest.(check bool) "equal_payload ignores taints" true
-    (Tstring.equal_payload t2 (Tstring.of_string "xyz"));
-  Alcotest.(check bool) "equal_payload detects difference" false
-    (Tstring.equal_payload t2 (Tstring.of_string "xyw"));
-  Alcotest.(check bool) "equal_payload detects length" false
-    (Tstring.equal_payload t2 (Tstring.of_string "xy"))
-
-let prop_tstring_roundtrip =
-  QCheck.Test.make ~name:"of_string/to_string round trip" ~count:300
-    QCheck.printable_string
-    (fun s -> Tstring.to_string (Tstring.of_string s) = s)
-
-let prop_tstring_taint_union =
+(* A token's taint, the union of its characters' taints, is exactly the
+   set of their positions, in any order and with repeats. *)
+let prop_token_taint_union =
   QCheck.Test.make ~name:"string taint is the union of char taints" ~count:300
     QCheck.(small_list small_nat)
     (fun idxs ->
-      let s =
+      let t =
         List.fold_left
-          (fun s i -> Tstring.append_char s (Tchar.input i 'a'))
-          Tstring.empty idxs
+          (fun t i -> Taint.union t (Tchar.input i 'a').Tchar.taint)
+          Taint.empty idxs
       in
-      Taint.to_list (Tstring.taint s) = List.sort_uniq compare idxs)
+      Taint.to_list t = List.sort_uniq compare idxs)
 
 let () =
   Alcotest.run "pdf_taint"
@@ -107,11 +73,5 @@ let () =
           qtest prop_taint_roundtrip;
         ] );
       ("tchar", [ Alcotest.test_case "tainted chars" `Quick test_tchar ]);
-      ( "tstring",
-        [
-          Alcotest.test_case "basics" `Quick test_tstring_basics;
-          Alcotest.test_case "operations" `Quick test_tstring_ops;
-          qtest prop_tstring_roundtrip;
-          qtest prop_tstring_taint_union;
-        ] );
+      ("token", [ qtest prop_token_taint_union ]);
     ]

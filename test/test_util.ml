@@ -590,7 +590,7 @@ let prop_vec_ints_model =
   QCheck.Test.make ~name:"int vec = list model under clear_ints" ~count:300 vec_case_arb
     (fun (capacity, ops) ->
       let v = Vec.create ~capacity 0 in
-      vec_agrees v ops ~push:Vec.push ~clear:Vec.clear_ints ~reads:(fun want ->
+      vec_agrees v ops ~push:Vec.push_int ~clear:Vec.clear_ints ~reads:(fun want ->
           Vec.to_list v = want
           && List.mapi (fun i _ -> Vec.get v i) want = want
           &&
